@@ -37,10 +37,10 @@ MODEL = Path(__file__).parent / "data" / "rational_example.json"
 
 def describe(label, X):
     print(f"--- {label}")
-    for comp in X.components():
-        kind = "elliptic" if X.is_elliptic(comp.cid) else "pseudoelliptic (type II)"
+    for comp in X.components:
+        kind = "elliptic" if comp.has_section else "pseudoelliptic (type II)"
         line = f"  {comp.cid}: {kind}, genus {comp.genus}, degL {rat_to_str(comp.degL)}"
-        if X.is_elliptic(comp.cid):
+        if comp.has_section:
             line += f", section degree {rat_to_str(section_degree(X, comp.cid))}"
         print(line)
         for f in comp.fibers:

@@ -44,7 +44,7 @@ from .surfaces import (
     AttachEnd,
     BrokenEllipticSurface,
     ChildLink,
-    EllipticComponent,
+    Component,
     Glue,
     MarkedFiber,
     MissingThreshold,
@@ -54,12 +54,12 @@ from .surfaces import (
     PSEUDO_TO_POINT,
     PseudoComponent,
     TreeAttachment,
-    TypeIIComponent,
     UnsupportedConfiguration,
     Violation,
     base_curve,
     model_shape,
     pseudo_fate,
+    section_constant,
     section_degree,
     should_contract_section,
     subtree_markers,

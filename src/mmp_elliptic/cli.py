@@ -161,11 +161,9 @@ def _model_report(model, fmt: str) -> str:
             "components": [
                 {
                     "id": c.cid,
-                    "kind": "elliptic" if model.is_elliptic(c.cid) else "pseudo2",
+                    "kind": "elliptic" if c.has_section else "pseudo2",
                     "section_degree": (
-                        rat_to_str(section_degree(model, c.cid))
-                        if model.is_elliptic(c.cid)
-                        else None
+                        rat_to_str(section_degree(model, c.cid)) if c.has_section else None
                     ),
                     "fibers": [
                         {
@@ -177,17 +175,17 @@ def _model_report(model, fmt: str) -> str:
                         for f in c.fibers
                     ],
                 }
-                for c in model.components()
+                for c in model.components
             ],
             "pseudo_fates": fates,
             "base_curve": curve_to_obj(base_curve(model)),
         }
         return json.dumps(obj, indent=2) + "\n"
     lines = [_bold("# model report"), ""]
-    for c in model.components():
-        kind = "elliptic" if model.is_elliptic(c.cid) else "pseudo II"
+    for c in model.components:
+        kind = "elliptic" if c.has_section else "pseudo II"
         head = f"## {c.cid} ({kind}, g={c.genus}, degL={rat_to_str(c.degL)})"
-        if model.is_elliptic(c.cid):
+        if c.has_section:
             head += f"  section degree {rat_to_str(section_degree(model, c.cid))}"
         lines.append(_bold(head))
         for f in c.fibers:
@@ -208,17 +206,9 @@ def _cmd_model(args: argparse.Namespace) -> int:
         if not paths:
             raise CliError(f"--glob {args.glob!r} matched nothing", USAGE_ERROR)
 
-    def build(path: str) -> str:
-        return _model_report(_load_model(path, args.weights), args.format)
-
-    if len(paths) > 1:
-        # batch mode: models render concurrently, output stays path-ordered
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(8, len(paths))) as pool:
-            reports = list(pool.map(build, paths))
-    else:
-        reports = [build(paths[0])]
+    # every report is built before any is printed, so a bad model in a batch
+    # fails the command without partial output
+    reports = [_model_report(_load_model(p, args.weights), args.format) for p in paths]
     for p, report in zip(paths, reports):
         if len(reports) > 1:
             print(_bold(f"=== {p}"))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .kodaira import FiberState
 from .rationals import rat_to_str
-from .surfaces import BrokenEllipticSurface, MarkedFiber, PseudoComponent
+from .surfaces import BrokenEllipticSurface, Component, MarkedFiber, PseudoComponent
 
 _STATE_TAG = {
     FiberState.WEIERSTRASS: "W",
@@ -32,14 +32,13 @@ def _fiber_label(f: MarkedFiber) -> str:
     return label
 
 
-def _component_cluster(
-    lines: list[str], kind: str, cid: str, genus: int, degL, fibers, indent: str
-) -> None:
-    tag = _sanitize(cid)
+def _component_cluster(lines: list[str], c: Component, indent: str) -> None:
+    tag = _sanitize(c.cid)
+    kind = "elliptic" if c.has_section else "pseudo II"
     lines.append(f"{indent}subgraph cluster_{tag} {{")
-    lines.append(f'{indent}  label="{cid} ({kind}) g={genus} degL={rat_to_str(degL)}";')
+    lines.append(f'{indent}  label="{c.cid} ({kind}) g={c.genus} degL={rat_to_str(c.degL)}";')
     lines.append(f'{indent}  anchor_{tag} [shape=point, label=""];')
-    for f in fibers:
+    for f in c.fibers:
         lines.append(f'{indent}  {tag}__{_sanitize(f.fid)} [shape=box, label="{_fiber_label(f)}"];')
     lines.append(f"{indent}}}")
 
@@ -75,10 +74,8 @@ def _tree_edges(lines: list[str], node: PseudoComponent) -> None:
 def emit_dot(X: BrokenEllipticSurface) -> str:
     """Render the model; stable node ordering makes the output deterministic."""
     lines = ["digraph broken_surface {", "  compound=true;", "  rankdir=LR;"]
-    for c in X.elliptic:
-        _component_cluster(lines, "elliptic", c.cid, c.genus, c.degL, c.fibers, "  ")
-    for c in X.pseudo2:
-        _component_cluster(lines, "pseudo II", c.cid, c.genus, c.degL, c.fibers, "  ")
+    for c in X.elliptic + X.pseudo2:  # clusters with a section first
+        _component_cluster(lines, c, "  ")
     for t in X.trees:
         _node_cluster(lines, t.root, "  ")
     for g in X.glues:

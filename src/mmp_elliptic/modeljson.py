@@ -1,10 +1,10 @@
 """JSON wire format for broken-surface models.
 
 The schema mirrors the in-memory types one to one so that every structural
-invariant is checkable at parse time: a weight list, a component list
-(elliptic and type II pseudoelliptic), a top-level attachment list pairing
-the two ends of each gluing, and nested pseudoelliptic trees.  Parsing
-validates; serialization is canonical and round-trips exactly.
+invariant is checkable at parse time: a weight list, a component list (kind
+"elliptic" with a section, "pseudo2" without), a top-level attachment list
+pairing the two ends of each gluing, and nested pseudoelliptic trees.
+Parsing validates; serialization is canonical and round-trips exactly.
 """
 
 from __future__ import annotations
@@ -19,14 +19,15 @@ from .surfaces import (
     AttachEnd,
     BrokenEllipticSurface,
     ChildLink,
-    EllipticComponent,
+    Component,
     Glue,
     MarkedFiber,
     PseudoComponent,
     TreeAttachment,
-    TypeIIComponent,
     validate,
 )
+
+_KINDS = {"elliptic": True, "pseudo2": False}  # JSON kind -> has_section
 
 _STATES = {
     "Weierstrass": FiberState.WEIERSTRASS,
@@ -134,13 +135,12 @@ def model_from_obj(obj: dict, check: bool = True) -> BrokenEllipticSurface:
     except ValueError as exc:
         raise ModelJSONError("schema-violation", f"weights: {exc}")
 
-    elliptic: list[EllipticComponent] = []
-    pseudo2: list[TypeIIComponent] = []
+    components = []
     for cobj in _need(obj, "components", "model"):
         cid = str(_need(cobj, "id", "components"))
         kind = str(cobj.get("kind", "elliptic"))
         fibers = tuple(_fiber(f, cid) for f in cobj.get("fibers", []))
-        common = dict(
+        fields = dict(
             cid=cid,
             vertex=int(_need(cobj, "vertex", cid)),
             genus=int(_need(cobj, "genus", cid)),
@@ -148,12 +148,9 @@ def model_from_obj(obj: dict, check: bool = True) -> BrokenEllipticSurface:
             fibers=fibers,
             isotrivial_jinf=bool(cobj.get("isotrivial_jinf", False)),
         )
-        if kind == "elliptic":
-            elliptic.append(EllipticComponent(**common))
-        elif kind == "pseudo2":
-            pseudo2.append(TypeIIComponent(**common))
-        else:
+        if kind not in _KINDS:
             raise ModelJSONError("schema-violation", f"{cid}: unknown component kind {kind!r}")
+        components.append(Component(**fields, has_section=_KINDS[kind]))
 
     glues = []
     for gobj in obj.get("attachments", []):
@@ -173,9 +170,7 @@ def model_from_obj(obj: dict, check: bool = True) -> BrokenEllipticSurface:
         )
 
     try:
-        surface = BrokenEllipticSurface(
-            weights, tuple(elliptic), tuple(pseudo2), tuple(glues), tuple(trees)
-        )
+        surface = BrokenEllipticSurface(weights, tuple(components), tuple(glues), tuple(trees))
     except (ValueError, KeyError) as exc:
         raise ModelJSONError("schema-violation", str(exc))
     if check:
@@ -225,32 +220,18 @@ def _node_obj(n: PseudoComponent) -> dict:
 
 
 def model_to_obj(X: BrokenEllipticSurface) -> dict:
-    components = []
-    for c in X.elliptic:
-        components.append(
-            {
-                "id": c.cid,
-                "kind": "elliptic",
-                "vertex": c.vertex,
-                "genus": c.genus,
-                "degL": rat_to_str(c.degL),
-                "isotrivial_jinf": c.isotrivial_jinf,
-                "fibers": [_fiber_obj(f) for f in c.fibers],
-            }
-        )
-    for c in X.pseudo2:
-        components.append(
-            {
-                "id": c.cid,
-                "kind": "pseudo2",
-                "vertex": c.vertex,
-                "genus": c.genus,
-                "degL": rat_to_str(c.degL),
-                "isotrivial_jinf": c.isotrivial_jinf,
-                "fibers": [_fiber_obj(f) for f in c.fibers],
-            }
-        )
-    components.sort(key=lambda c: c["id"])
+    components = [
+        {
+            "id": c.cid,
+            "kind": "elliptic" if c.has_section else "pseudo2",
+            "vertex": c.vertex,
+            "genus": c.genus,
+            "degL": rat_to_str(c.degL),
+            "isotrivial_jinf": c.isotrivial_jinf,
+            "fibers": [_fiber_obj(f) for f in c.fibers],
+        }
+        for c in X.components
+    ]
 
     def end_obj(e: AttachEnd) -> dict:
         return {"component": e.component, "fiber": e.fiber_id, "type": str(e.ftype)}

@@ -24,11 +24,10 @@ from .surfaces import (
     AttachEnd,
     BrokenEllipticSurface,
     ChildLink,
-    EllipticComponent,
     MarkedFiber,
     PseudoComponent,
     TreeAttachment,
-    TypeIIComponent,
+    section_constant,
     section_degree,
     subtree_markers,
     validate,
@@ -132,11 +131,8 @@ def _map_fibers(
 ) -> BrokenEllipticSurface:
     return replace(
         X,
-        elliptic=tuple(
-            replace(c, fibers=tuple(fn(c.cid, f) for f in c.fibers)) for c in X.elliptic
-        ),
-        pseudo2=tuple(
-            replace(c, fibers=tuple(fn(c.cid, f) for f in c.fibers)) for c in X.pseudo2
+        components=tuple(
+            replace(c, fibers=tuple(fn(c.cid, f) for f in c.fibers)) for c in X.components
         ),
         trees=tuple(
             TreeAttachment(t.host_component, t.host_fiber, _map_node(t.root, fn))
@@ -166,29 +162,10 @@ def at_weights(X: BrokenEllipticSurface, W: WeightVector) -> BrokenEllipticSurfa
     return moved
 
 
-def _host_keys(X: BrokenEllipticSurface) -> set[tuple[str, str]]:
-    keys = {(t.host_component, t.host_fiber) for t in X.trees}
-    for node in X.pseudo_nodes():
-        for link in node.children:
-            keys.add((node.pid, link.via_fiber))
-    return keys
-
-
-def _replace_component_fibers(
-    X: BrokenEllipticSurface, cid: str, fibers: tuple[MarkedFiber, ...]
-) -> BrokenEllipticSurface:
-    if X.is_elliptic(cid):
-        return replace(
-            X,
-            elliptic=tuple(
-                replace(c, fibers=fibers) if c.cid == cid else c for c in X.elliptic
-            ),
-        )
+def _replace_component(X: BrokenEllipticSurface, cid: str, **changes) -> BrokenEllipticSurface:
     return replace(
         X,
-        pseudo2=tuple(
-            replace(c, fibers=fibers) if c.cid == cid else c for c in X.pseudo2
-        ),
+        components=tuple(replace(c, **changes) if c.cid == cid else c for c in X.components),
     )
 
 
@@ -210,7 +187,7 @@ def _fiber_transition_events(
     lowers its backing weight; an intermediate fiber at coefficient one is the
     flip-boundary representative and is left alone.
     """
-    hosts = _host_keys(X)
+    hosts = X.host_keys()
     events: list[tuple[str, MarkedFiber, FiberState]] = []
 
     def fix(owner: str, f: MarkedFiber) -> MarkedFiber:
@@ -271,7 +248,7 @@ def _attach_tree_to_end(
         FiberState.INTERMEDIATE,
         markers,
     )
-    X = _replace_component_fibers(X, end.component, peer.fibers + (host_fiber,))
+    X = _replace_component(X, end.component, fibers=peer.fibers + (host_fiber,))
     return replace(
         X, trees=X.trees + (TreeAttachment(end.component, end.fiber_id, root),)
     )
@@ -280,7 +257,8 @@ def _attach_tree_to_end(
 def _detach_component(
     X: BrokenEllipticSurface, cid: str
 ) -> tuple[BrokenEllipticSurface, PseudoComponent, "AttachEnd"]:
-    """Remove a 1-attachment component and package it as a pseudo tree root.
+    """Remove a 1-attachment component, with or without a section, and
+    package it as a pseudo tree root.
 
     Returns the stripped model, the new root (with the component's hosted
     trees as children), and the peer attaching end the root must be glued to.
@@ -302,8 +280,7 @@ def _detach_component(
     )
     stripped = replace(
         X,
-        elliptic=tuple(c for c in X.elliptic if c.cid != cid),
-        pseudo2=tuple(c for c in X.pseudo2 if c.cid != cid),
+        components=tuple(c for c in X.components if c.cid != cid),
         glues=tuple(g for g in X.glues if g.gid != glue.gid),
         trees=tuple(t for t in X.trees if t.host_component != cid),
     )
@@ -328,126 +305,42 @@ def _apply_la_nave_flip(
     # chain cascade: a type II pseudoelliptic attached along one remaining
     # fiber is a type I pseudoelliptic, so the tree swallows it
     while (
-        any(c.cid == peer_end.component for c in current.pseudo2)
+        not current.component(peer_end.component).has_section
         and len(current.glue_ends(peer_end.component)) == 1
     ):
         affected.append(peer_end.component)
-        current, root, peer_end = _detach_pseudo2(current, peer_end.component)
+        current, root, peer_end = _detach_component(current, peer_end.component)
         current = _attach_tree_to_end(current, peer_end, root)
     wall = Wall(WallKind.WII, wall_subset, constant, boundary=constant != 1)
     rec = TransformationRecord(t, wall, RecordKind.LA_NAVE_FLIP, tuple(affected), current)
     return current, rec
 
 
-def _detach_pseudo2(
-    X: BrokenEllipticSurface, cid: str
-) -> tuple[BrokenEllipticSurface, PseudoComponent, "AttachEnd"]:
-    ends = X.glue_ends(cid)
-    if len(ends) != 1:
-        raise RuleNotApplicable(f"type II component {cid} still has {len(ends)} attachments")
-    glue, my_end = ends[0]
-    peer_end = glue.peer_of(cid)
-    comp = X.component(cid)
-    children = tuple(ChildLink(t.host_fiber, t.root) for t in X.trees_on(cid))
-    root = PseudoComponent(
-        pid=cid,
-        degL=comp.degL,
-        attach_ftype=my_end.ftype,
-        fibers=comp.fibers,
-        children=children,
-        isotrivial_jinf=comp.isotrivial_jinf,
-    )
-    stripped = replace(
-        X,
-        pseudo2=tuple(c for c in X.pseudo2 if c.cid != cid),
-        glues=tuple(g for g in X.glues if g.gid != glue.gid),
-        trees=tuple(t for t in X.trees if t.host_component != cid),
-    )
-    return stripped, root, peer_end
-
-
-def _apply_type2_formation(
-    X: BrokenEllipticSurface, cid: str, t: Fraction
-) -> tuple[BrokenEllipticSurface, TransformationRecord]:
-    """Contract the section of a multiply-attached rational component in place."""
-    comp = X.component(cid)
-    assert isinstance(comp, EllipticComponent)
-    new = TypeIIComponent(
-        comp.cid, comp.vertex, comp.genus, comp.degL, comp.fibers, comp.isotrivial_jinf
-    )
-    current = replace(
-        X,
-        elliptic=tuple(c for c in X.elliptic if c.cid != cid),
-        pseudo2=X.pseudo2 + (new,),
-    )
-    subset = X.marker_set(cid)
-    constant = _weight_sum(X.weights, subset)
-    wall = Wall(WallKind.WII, subset, constant, boundary=True)
-    rec = TransformationRecord(
-        t, wall, RecordKind.TYPE_II_PSEUDO_FORMATION, (cid,), current
-    )
-    return current, rec
-
-
-def _apply_whole_contraction(
-    X: BrokenEllipticSurface, cid: str, t: Fraction
-) -> tuple[BrokenEllipticSurface, TransformationRecord]:
-    """Contract the section of an unattached component: the whole surface
-    becomes pseudoelliptic.  The component keeps its base vertex so the model
-    still projects to a curve."""
-    comp = X.component(cid)
-    assert isinstance(comp, EllipticComponent)
-    new = TypeIIComponent(
-        comp.cid, comp.vertex, comp.genus, comp.degL, comp.fibers, comp.isotrivial_jinf
-    )
-    current = replace(
-        X,
-        elliptic=tuple(c for c in X.elliptic if c.cid != cid),
-        pseudo2=X.pseudo2 + (new,),
-    )
-    subset = X.marker_set(cid)
-    constant = _weight_sum(X.weights, subset)
-    wall = Wall(WallKind.WII, subset, constant, boundary=constant != 2)
-    rec = TransformationRecord(
-        t, wall, RecordKind.WHOLE_SECTION_CONTRACTION, (cid,), current
-    )
-    return current, rec
-
-
 def _apply_section_contraction(
     X: BrokenEllipticSurface, cid: str, t: Fraction
 ) -> tuple[BrokenEllipticSurface, TransformationRecord]:
+    """Contract the section of a component.
+
+    A leaf flips into a pseudoelliptic tree.  Otherwise the section contracts
+    in place: a multiply-attached component becomes a type II pseudoelliptic,
+    and an unattached one makes the whole surface pseudoelliptic, keeping its
+    base vertex so the model still projects to a curve.
+    """
     n_ends = len(X.glue_ends(cid))
     if n_ends == 1:
         return _apply_la_nave_flip(X, cid, t)
+    current = _replace_component(X, cid, has_section=False)
+    subset = X.marker_set(cid)
+    constant = _weight_sum(X.weights, subset)
     if n_ends == 0:
-        return _apply_whole_contraction(X, cid, t)
-    return _apply_type2_formation(X, cid, t)
+        kind, boundary = RecordKind.WHOLE_SECTION_CONTRACTION, constant != 2
+    else:
+        kind, boundary = RecordKind.TYPE_II_PSEUDO_FORMATION, True
+    wall = Wall(WallKind.WII, subset, constant, boundary=boundary)
+    return current, TransformationRecord(t, wall, kind, (cid,), current)
 
 
 # -- WIII: pseudoelliptic collapses ---------------------------------------------
-
-
-def _iter_subtrees(X: BrokenEllipticSurface):
-    """Yield (host owner id, host fiber id, subtree root, depth), all levels."""
-
-    def walk(owner: str, fid: str, node: PseudoComponent, depth: int):
-        yield (owner, fid, node, depth)
-        for link in node.children:
-            yield from walk(node.pid, link.via_fiber, link.node, depth + 1)
-
-    for att in X.trees:
-        yield from walk(att.host_component, att.host_fiber, att.root, 0)
-
-
-def _host_fiber_of(X: BrokenEllipticSurface, owner: str, fid: str) -> MarkedFiber:
-    try:
-        return X.component(owner).fiber(fid)
-    except KeyError:
-        for node in X.pseudo_nodes():
-            if node.pid == owner:
-                return node.fiber(fid)
-        raise
 
 
 def _collapsed_fiber(
@@ -477,7 +370,7 @@ def _collapse_subtree(
     markers = subtree_markers(node)
     coeff = _weight_sum(X.weights, markers)
     to_curve = node.isotrivial_jinf and node.degL == 0
-    old = _host_fiber_of(X, owner, fid)
+    old = X.host_fiber(owner, fid)
     newf = _collapsed_fiber(old, markers, coeff, to_curve)
     is_top = any(t2.host_component == owner and t2.host_fiber == fid for t2 in X.trees)
     if is_top:
@@ -489,7 +382,7 @@ def _collapse_subtree(
         )
         host = current.component(owner)
         fibers = tuple(newf if f.fid == fid else f for f in host.fibers)
-        current = _replace_component_fibers(current, owner, fibers)
+        current = _replace_component(current, owner, fibers=fibers)
     else:
 
         def prune(n: PseudoComponent) -> PseudoComponent:
@@ -530,8 +423,8 @@ def _wii_candidates(X: BrokenEllipticSurface) -> list[str]:
 
 def _wiii_candidates(X: BrokenEllipticSurface) -> list[tuple[str, str, PseudoComponent, int]]:
     out = []
-    for owner, fid, node, depth in _iter_subtrees(X):
-        host = _host_fiber_of(X, owner, fid)
+    for owner, fid, node, depth in X.subtrees():
+        host = X.host_fiber(owner, fid)
         c = lct_threshold(host.ftype)
         if c is None:
             continue
@@ -610,10 +503,8 @@ def cross_wall(
     t = Fraction(1)
     if wall.kind == WallKind.WI:
         owner_fiber = None
-        hosts = _host_keys(X)
-        for owner, fibers in [(c.cid, c.fibers) for c in X.components()] + [
-            (n.pid, n.fibers) for n in X.pseudo_nodes()
-        ]:
+        hosts = X.host_keys()
+        for owner, fibers in X.fiber_owners():
             for f in fibers:
                 if f.markers == wall.subset and (owner, f.fid) not in hosts:
                     owner_fiber = (owner, f)
@@ -660,9 +551,9 @@ def cross_wall(
 
     matches3 = [
         (owner, fid, node)
-        for owner, fid, node, _ in _iter_subtrees(X)
+        for owner, fid, node, _ in X.subtrees()
         if subtree_markers(node) == wall.subset
-        and lct_threshold(_host_fiber_of(X, owner, fid).ftype) == wall.constant
+        and lct_threshold(X.host_fiber(owner, fid).ftype) == wall.constant
     ]
     if not matches3:
         raise RuleNotApplicable(
@@ -685,11 +576,9 @@ def increase_to_one(
     w = X.weights.weight(marker_index)
     if w == 1:
         raise RuleNotApplicable(f"marker {marker_index} already has weight 1")
-    hosts = _host_keys(X)
+    hosts = X.host_keys()
     found = None
-    for owner, fibers in [(c.cid, c.fibers) for c in X.components()] + [
-        (n.pid, n.fibers) for n in X.pseudo_nodes()
-    ]:
+    for owner, fibers in X.fiber_owners():
         for f in fibers:
             if marker_index in f.markers and (owner, f.fid) not in hosts:
                 found = (owner, f)
@@ -753,10 +642,8 @@ def _event_times(
         if 0 <= t < t_cur and (best is None or t > best):
             best = t
 
-    hosts = _host_keys(X)
-    for owner, fibers in [(c.cid, c.fibers) for c in X.components()] + [
-        (n.pid, n.fibers) for n in X.pseudo_nodes()
-    ]:
+    hosts = X.host_keys()
+    for owner, fibers in X.fiber_owners():
         for f in fibers:
             if (owner, f.fid) in hosts or not f.markers:
                 continue
@@ -765,10 +652,9 @@ def _event_times(
                 if a0 is not None:
                     consider(f.markers, a0)
     for c in X.elliptic:
-        base = 2 * c.genus - 2 + len(X.glue_ends(c.cid))
-        consider(X.marker_set(c.cid), Fraction(-base))
-    for owner, fid, node, _ in _iter_subtrees(X):
-        host = _host_fiber_of(X, owner, fid)
+        consider(X.marker_set(c.cid), -section_constant(X, c.cid))
+    for owner, fid, node, _ in X.subtrees():
+        host = X.host_fiber(owner, fid)
         c0 = lct_threshold(host.ftype)
         if c0 is not None:
             consider(subtree_markers(node), c0)

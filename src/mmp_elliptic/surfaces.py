@@ -1,11 +1,13 @@
 """Broken elliptic surface pairs as decorated dual graphs.
 
-A model consists of elliptic components fibered over base-curve vertices,
-type II pseudoelliptic components (section contracted, still attached along
-twisted fibers), gluings between components, and rooted trees of type I
-pseudoelliptic components hanging off intermediate fibers.  Marked fibers
-carry their Kodaira type, model state, a rational coefficient, and the set of
-weight-vector indices backing that coefficient.
+A model consists of components fibered over base-curve vertices, gluings
+between components, and rooted trees of type I pseudoelliptic components
+hanging off intermediate fibers.  A component is elliptic while it has a
+section; once the log MMP contracts the section it is a type II
+pseudoelliptic (still attached along twisted fibers), or the whole surface
+when it has no gluings.  Marked fibers carry their Kodaira type, model state,
+a rational coefficient, and the set of weight-vector indices backing that
+coefficient.
 
 Coefficients of tree-hosting intermediate fibers are derived: they equal the
 sum of the weights of every marker carried by the attached subtree, with each
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .curves import (
     MarkedNodalCurve,
@@ -29,6 +32,7 @@ from .curves import (
 from .kodaira import (
     FiberState,
     KodairaType,
+    NoIntermediateModel,
     UnsupportedFiberType,
     canonical_contribution,
     fiber_model_at,
@@ -117,8 +121,13 @@ class Glue:
 
 
 @dataclass(frozen=True)
-class EllipticComponent:
-    """An elliptic surface component over one base vertex, with section."""
+class Component:
+    """A surface component over one base vertex.
+
+    With a section it is elliptic.  Without one it is a type II
+    pseudoelliptic attached along >= 2 twisted fibers, or the residue of a
+    whole-surface section contraction (then with no gluings).
+    """
 
     cid: str
     vertex: int
@@ -126,28 +135,7 @@ class EllipticComponent:
     degL: Fraction
     fibers: tuple[MarkedFiber, ...]
     isotrivial_jinf: bool = False
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "fibers", tuple(sorted(self.fibers, key=lambda f: f.fid)))
-
-    def fiber(self, fid: str) -> MarkedFiber:
-        for f in self.fibers:
-            if f.fid == fid:
-                return f
-        raise KeyError(f"component {self.cid} has no fiber {fid}")
-
-
-@dataclass(frozen=True)
-class TypeIIComponent:
-    """A pseudoelliptic component attached along >= 2 twisted fibers, or the
-    residue of a whole-surface section contraction (then with no gluings)."""
-
-    cid: str
-    vertex: int
-    genus: int
-    degL: Fraction
-    fibers: tuple[MarkedFiber, ...]
-    isotrivial_jinf: bool = False
+    has_section: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "fibers", tuple(sorted(self.fibers, key=lambda f: f.fid)))
@@ -228,17 +216,13 @@ class BrokenEllipticSurface:
     """The full decorated dual graph of a weighted broken elliptic surface."""
 
     weights: WeightVector
-    elliptic: tuple[EllipticComponent, ...]
-    pseudo2: tuple[TypeIIComponent, ...] = ()
+    components: tuple[Component, ...]
     glues: tuple[Glue, ...] = ()
     trees: tuple[TreeAttachment, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "elliptic", tuple(sorted(self.elliptic, key=lambda c: c.cid))
-        )
-        object.__setattr__(
-            self, "pseudo2", tuple(sorted(self.pseudo2, key=lambda c: c.cid))
+            self, "components", tuple(sorted(self.components, key=lambda c: c.cid))
         )
         object.__setattr__(self, "glues", tuple(sorted(self.glues, key=lambda g: g.gid)))
         object.__setattr__(
@@ -249,17 +233,21 @@ class BrokenEllipticSurface:
 
     # -- lookups ----------------------------------------------------------
 
-    def components(self) -> tuple[EllipticComponent | TypeIIComponent, ...]:
-        return tuple(sorted(self.elliptic + self.pseudo2, key=lambda c: c.cid))
+    @property
+    def elliptic(self) -> tuple[Component, ...]:
+        """The components that keep their section."""
+        return tuple(c for c in self.components if c.has_section)
 
-    def component(self, cid: str) -> EllipticComponent | TypeIIComponent:
-        for c in self.components():
+    @property
+    def pseudo2(self) -> tuple[Component, ...]:
+        """The type II pseudoelliptic components: section contracted."""
+        return tuple(c for c in self.components if not c.has_section)
+
+    def component(self, cid: str) -> Component:
+        for c in self.components:
             if c.cid == cid:
                 return c
         raise KeyError(f"no component {cid}")
-
-    def is_elliptic(self, cid: str) -> bool:
-        return any(c.cid == cid for c in self.elliptic)
 
     def glue_ends(self, cid: str) -> list[tuple[Glue, AttachEnd]]:
         """Every attaching-fiber end on the given component, glue included."""
@@ -295,13 +283,46 @@ class BrokenEllipticSurface:
             out.extend(t.root.nodes())
         return out
 
+    def fiber_owners(self) -> list[tuple[str, tuple[MarkedFiber, ...]]]:
+        """(owner id, fibers) for every component, then every pseudo node."""
+        return [(c.cid, c.fibers) for c in self.components] + [
+            (n.pid, n.fibers) for n in self.pseudo_nodes()
+        ]
+
+    def subtrees(self) -> Iterator[tuple[str, str, PseudoComponent, int]]:
+        """Yield (host owner id, host fiber id, subtree root, depth), all levels."""
+
+        def walk(owner: str, fid: str, node: PseudoComponent, depth: int):
+            yield (owner, fid, node, depth)
+            for link in node.children:
+                yield from walk(node.pid, link.via_fiber, link.node, depth + 1)
+
+        for att in self.trees:
+            yield from walk(att.host_component, att.host_fiber, att.root, 0)
+
+    def host_keys(self) -> set[tuple[str, str]]:
+        """(owner id, fiber id) of every fiber that hosts a subtree."""
+        return {(owner, fid) for owner, fid, _, _ in self.subtrees()}
+
+    def host_fiber(self, owner: str, fid: str) -> MarkedFiber:
+        """The fiber `fid` of a component or pseudo node."""
+        for o, fibers in self.fiber_owners():
+            if o == owner:
+                for f in fibers:
+                    if f.fid == fid:
+                        return f
+        raise KeyError(f"{owner} has no fiber {fid}")
+
     def all_ids(self) -> list[str]:
-        return [c.cid for c in self.components()] + [n.pid for n in self.pseudo_nodes()]
+        return [owner for owner, _ in self.fiber_owners()]
 
     # -- derived quantities -------------------------------------------------
 
     def fiber_coeff(self, fiber: MarkedFiber) -> Fraction:
-        """Ground-truth coefficient: the weight sum over the fiber's markers."""
+        """Ground-truth coefficient: the weight sum over the fiber's markers,
+        or the fixed boundary coefficient of a marker-less fiber."""
+        if not fiber.markers:
+            return fiber.coeff
         return sum((self.weights.weight(i) for i in sorted(fiber.markers)), Fraction(0))
 
     def marker_set(self, cid: str) -> frozenset[int]:
@@ -319,13 +340,13 @@ class BrokenEllipticSurface:
 
 def pre_base_curve(X: BrokenEllipticSurface) -> MarkedNodalCurve:
     """Dual graph before contracting type II pseudoelliptic vertices."""
-    vertices = tuple(Vertex(c.vertex, c.genus) for c in X.components())
-    vmap = {c.cid: c.vertex for c in X.components()}
+    vertices = tuple(Vertex(c.vertex, c.genus) for c in X.components)
+    vmap = {c.cid: c.vertex for c in X.components}
     edges = tuple(
         (vmap[g.a.component], vmap[g.b.component]) for g in X.glues
     )
     markers = []
-    for c in X.components():
+    for c in X.components:
         for f in c.fibers:
             for i in sorted(f.markers):
                 markers.append(Marker(i, c.vertex))
@@ -351,6 +372,14 @@ def base_curve(X: BrokenEllipticSurface) -> MarkedNodalCurve:
 # -- section adjunction -------------------------------------------------------
 
 
+def section_constant(X: BrokenEllipticSurface, cid: str) -> Fraction:
+    """The weight-independent part of `section_degree`: 2g - 2 + (number of
+    attaching fibers) + (coefficients of marker-less fibers, fixed at one)."""
+    comp = X.component(cid)
+    base = Fraction(2 * comp.genus - 2 + len(X.glue_ends(cid)))
+    return sum((f.coeff for f in comp.fibers if not f.markers), base)
+
+
 def section_degree(X: BrokenEllipticSurface, cid: str) -> Fraction:
     """Degree of the log canonical divisor on the section over one component:
     2g - 2 + (number of attaching fibers) + (sum of marked-fiber coefficients).
@@ -359,11 +388,9 @@ def section_degree(X: BrokenEllipticSurface, cid: str) -> Fraction:
     even if cached fiber coefficients are stale.
     """
     comp = X.component(cid)
-    if not X.is_elliptic(cid):
+    if not comp.has_section:
         raise NoSectionError(f"component {cid} is pseudoelliptic; its section is contracted")
-    valence = len(X.glue_ends(cid))
-    marked = sum((X.fiber_coeff(f) for f in comp.fibers), Fraction(0))
-    return 2 * comp.genus - 2 + valence + marked
+    return sum((X.fiber_coeff(f) for f in comp.fibers if f.markers), section_constant(X, cid))
 
 
 def should_contract_section(X: BrokenEllipticSurface, cid: str) -> bool:
@@ -431,7 +458,10 @@ def volume(X: BrokenEllipticSurface) -> Fraction:
                 f"fiber {f.fid} is twisted; its local pairings are not tabulated"
             )
         if f.state == FiberState.INTERMEDIATE:
-            data = intersection_data(f.ftype)
+            try:
+                data = intersection_data(f.ftype)
+            except NoIntermediateModel as exc:
+                raise UnsupportedConfiguration(str(exc)) from None
             alpha = canonical_contribution(f.ftype, FiberState.INTERMEDIATE)
             c1 = alpha + 1
             total += a * a * data.A_sq + 2 * a * c1 * data.AE + c1 * c1 * data.E_sq
@@ -554,7 +584,7 @@ def validate(X: BrokenEllipticSurface) -> list[Violation]:
     ids = X.all_ids()
     if len(set(ids)) != len(ids):
         out.append(Violation("ids", "surface", "component/node ids are not unique"))
-    verts = [c.vertex for c in X.components()]
+    verts = [c.vertex for c in X.components]
     if len(set(verts)) != len(verts):
         out.append(Violation("vertices", "surface", "two components share a base vertex"))
 
@@ -596,7 +626,7 @@ def validate(X: BrokenEllipticSurface) -> list[Violation]:
             end_ids.add(key)
 
     # fiber id uniqueness per component
-    for comp in X.components():
+    for comp in X.components:
         fids = [f.fid for f in comp.fibers]
         if len(set(fids)) != len(fids):
             out.append(Violation("ids", comp.cid, "duplicate fiber ids"))
@@ -642,9 +672,7 @@ def validate(X: BrokenEllipticSurface) -> list[Violation]:
 
     # marker disjointness over non-host fibers
     seen: dict[int, str] = {}
-    owners: list[tuple[str, tuple[MarkedFiber, ...]]] = [
-        (c.cid, c.fibers) for c in X.components()
-    ] + [(n.pid, n.fibers) for n in X.pseudo_nodes()]
+    owners = X.fiber_owners()
     for owner, fibers in owners:
         for f in fibers:
             if (owner, f.fid) in hosts:
@@ -686,7 +714,7 @@ def validate(X: BrokenEllipticSurface) -> list[Violation]:
     # a whole-surface section contraction
     for c in X.pseudo2:
         n_ends = len(X.glue_ends(c.cid))
-        if n_ends < 2 and not (n_ends == 0 and len(X.components()) == 1):
+        if n_ends < 2 and not (n_ends == 0 and len(X.components) == 1):
             out.append(
                 Violation(
                     "type-ii",
@@ -697,7 +725,7 @@ def validate(X: BrokenEllipticSurface) -> list[Violation]:
 
     # degL bookkeeping: S^2 = -degL <= 0, and degL = 0 forces every singular
     # fiber on an elliptic component to be twisted
-    for comp in X.components():
+    for comp in X.components:
         if comp.degL < 0:
             out.append(Violation("degL", comp.cid, "negative fundamental line bundle degree"))
     for node in X.pseudo_nodes():
@@ -725,13 +753,13 @@ def validate(X: BrokenEllipticSurface) -> list[Violation]:
                     )
 
     # connectivity of the component graph
-    if len(X.components()) > 1:
-        adjacency: dict[str, set[str]] = {c.cid: set() for c in X.components()}
+    if len(X.components) > 1:
+        adjacency: dict[str, set[str]] = {c.cid: set() for c in X.components}
         for g in X.glues:
             if g.a.component in adjacency and g.b.component in adjacency:
                 adjacency[g.a.component].add(g.b.component)
                 adjacency[g.b.component].add(g.a.component)
-        start = X.components()[0].cid
+        start = X.components[0].cid
         seen_c = {start}
         frontier = [start]
         while frontier:
@@ -740,7 +768,7 @@ def validate(X: BrokenEllipticSurface) -> list[Violation]:
                 if w not in seen_c:
                     seen_c.add(w)
                     frontier.append(w)
-        if len(seen_c) != len(X.components()):
+        if len(seen_c) != len(X.components):
             out.append(Violation("connectivity", "surface", "component graph is disconnected"))
 
     return out
@@ -772,12 +800,8 @@ def model_shape(X: BrokenEllipticSurface):
 
     return (
         tuple(
-            (c.cid, c.vertex, c.genus, c.degL, tuple(fiber_shape(f) for f in c.fibers))
-            for c in X.elliptic
-        ),
-        tuple(
-            (c.cid, c.vertex, c.genus, c.degL, tuple(fiber_shape(f) for f in c.fibers))
-            for c in X.pseudo2
+            (c.cid, c.vertex, c.genus, c.degL, c.has_section, tuple(map(fiber_shape, c.fibers)))
+            for c in X.components
         ),
         tuple(
             (g.gid,)

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 
 from .curves import WeightVector
 from .kodaira import THRESHOLD_CONSTANTS, KodairaType, lct_threshold
-from .surfaces import BrokenEllipticSurface, subtree_markers
+from .surfaces import BrokenEllipticSurface, section_constant, subtree_markers
 
 
 class WallKind(str, Enum):
@@ -93,41 +93,35 @@ def iter_walls(
     types = list(fiber_types)
     if len(types) != r:
         raise ValueError(f"expected {r} fiber types, got {len(types)}")
-    seen: set[tuple] = set()
-
-    def emit(wall: Wall) -> Iterator[Wall]:
-        key = (wall.kind, wall.subset, wall.constant)
-        if key not in seen:
-            seen.add(key)
-            yield wall
-
     for i, ftype in enumerate(types, start=1):
         c = lct_threshold(ftype)  # may raise UnsupportedFiberType for N2
         if c is not None:
-            yield from emit(Wall(WallKind.WI, frozenset({i}), c))
-            yield from emit(Wall(WallKind.WI, frozenset({i}), Fraction(1), boundary=True))
+            yield Wall(WallKind.WI, frozenset({i}), c)
+            yield Wall(WallKind.WI, frozenset({i}), Fraction(1), boundary=True)
     indices = range(1, r + 1)
     for size in range(1, r + 1):
         for sub in combinations(indices, size):
-            yield from emit(Wall(WallKind.WII, frozenset(sub), Fraction(1)))
+            yield Wall(WallKind.WII, frozenset(sub), Fraction(1))
     if rational_base:
-        yield from emit(Wall(WallKind.WII, frozenset(indices), Fraction(2)))
+        yield Wall(WallKind.WII, frozenset(indices), Fraction(2))
     for size in range(1, r + 1):
         for sub in combinations(indices, size):
             for c in THRESHOLD_CONSTANTS:
-                yield from emit(Wall(WallKind.WIII, frozenset(sub), c))
+                yield Wall(WallKind.WIII, frozenset(sub), c)
 
 
 def enumerate_walls(
     r: int, fiber_types: Iterable[KodairaType], rational_base: bool = False
 ) -> list[Wall]:
-    """The finite wall set for r markers of the given types, deduplicated.
+    """The finite wall set for r markers of the given types.
 
     WI walls exist only for markers whose type has a threshold (a transition
     wall at the threshold and a boundary wall at one); WII walls are all
     nonempty subset sums equal to one, plus the total sum equal to two over a
     rational base; WIII walls are all nonempty subset sums equal to each
-    threshold constant.  Deterministically ordered.
+    threshold constant.  Every threshold is below one and the constants are
+    distinct, so the walls are distinct by construction.  Deterministically
+    ordered.
     """
     return sorted(iter_walls(r, fiber_types, rational_base), key=Wall.sort_key)
 
@@ -175,58 +169,28 @@ def active_walls(X: BrokenEllipticSurface, walls: Iterable[Wall]) -> list[Wall]:
 
     A WI wall is active when its marker backs a single marked fiber whose type
     carries that threshold (or, for the boundary wall, any threshold).  A WII
-    subset-sum-one wall is active when the subset is exactly the marker set of
-    a rational leaf component; the sum-two wall when the base is an
-    irreducible rational curve carrying every marker.  A WIII wall is active
-    when the subset is exactly the marker set of an attached tree (at any
-    nesting depth) whose host fiber has that threshold.
+    wall is active when the subset is exactly the marker set of an elliptic
+    component and the constant is where that section's degree vanishes: one
+    for a rational leaf, two for an irreducible rational base, each lowered by
+    the coefficients of the component's marker-less fibers.  A WIII wall is
+    active when the subset is exactly the marker set of an attached tree (at
+    any nesting depth) whose host fiber has that threshold.
     """
+    hosts = X.host_keys()
     singleton_fibers: dict[int, KodairaType] = {}
-    owners = [(c.cid, c.fibers) for c in X.components()] + [
-        (n.pid, n.fibers) for n in X.pseudo_nodes()
-    ]
-    host_keys = {(t.host_component, t.host_fiber) for t in X.trees}
-    for node in X.pseudo_nodes():
-        for link in node.children:
-            host_keys.add((node.pid, link.via_fiber))
-    for owner, fibers in owners:
+    for owner, fibers in X.fiber_owners():
         for f in fibers:
-            if (owner, f.fid) in host_keys:
-                continue
-            if len(f.markers) == 1:
+            if (owner, f.fid) not in hosts and len(f.markers) == 1:
                 (i,) = f.markers
                 singleton_fibers[i] = f.ftype
 
-    leaf_sets: set[frozenset[int]] = set()
-    whole_base_set: frozenset[int] | None = None
-    for c in X.elliptic:
-        if c.genus != 0:
-            continue
-        n_ends = len(X.glue_ends(c.cid))
-        if n_ends == 1:
-            leaf_sets.add(X.marker_set(c.cid))
-        if n_ends == 0 and len(X.components()) == 1:
-            whole_base_set = X.marker_set(c.cid)
-
-    tree_sets: set[tuple[frozenset[int], Fraction]] = set()
-
-    def host_threshold(owner: str, fid: str) -> Fraction | None:
-        comp: object
-        try:
-            comp = X.component(owner)
-        except KeyError:
-            comp = next(n for n in X.pseudo_nodes() if n.pid == owner)
-        return lct_threshold(comp.fiber(fid).ftype)
-
-    for att in X.trees:
-        c = host_threshold(att.host_component, att.host_fiber)
+    felt: set[tuple[WallKind, frozenset[int], Fraction]] = {
+        (WallKind.WII, X.marker_set(c.cid), -section_constant(X, c.cid)) for c in X.elliptic
+    }
+    for owner, fid, node, _ in X.subtrees():
+        c = lct_threshold(X.host_fiber(owner, fid).ftype)
         if c is not None:
-            tree_sets.add((subtree_markers(att.root), c))
-    for node in X.pseudo_nodes():
-        for link in node.children:
-            c = host_threshold(node.pid, link.via_fiber)
-            if c is not None:
-                tree_sets.add((subtree_markers(link.node), c))
+            felt.add((WallKind.WIII, subtree_markers(node), c))
 
     out = []
     for w in sorted(walls, key=Wall.sort_key):
@@ -241,14 +205,8 @@ def active_walls(X: BrokenEllipticSurface, walls: Iterable[Wall]) -> list[Wall]:
                 out.append(w)
             elif lct_threshold(ftype) == w.constant:
                 out.append(w)
-        elif w.kind == WallKind.WII:
-            if w.constant == 1 and w.subset in leaf_sets:
-                out.append(w)
-            elif w.constant == 2 and whole_base_set is not None and w.subset == whole_base_set:
-                out.append(w)
-        else:
-            if (w.subset, w.constant) in tree_sets:
-                out.append(w)
+        elif (w.kind, w.subset, w.constant) in felt:
+            out.append(w)
     return out
 
 

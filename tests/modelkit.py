@@ -24,7 +24,7 @@ from mmp_elliptic.kodaira import (
 from mmp_elliptic.surfaces import (
     AttachEnd,
     BrokenEllipticSurface,
-    EllipticComponent,
+    Component,
     Glue,
     MarkedFiber,
     PseudoComponent,
@@ -42,14 +42,14 @@ def mk_fiber(fid: str, ftype: str | KodairaType, marker: int, weights: WeightVec
 
 def rational_degeneration(alpha: Fraction) -> BrokenEllipticSurface:
     weights = WeightVector(tuple([F(1)] * 10 + [alpha, alpha]))
-    c1 = EllipticComponent(
+    c1 = Component(
         "c1",
         vertex=1,
         genus=0,
         degL=F(1),
         fibers=tuple(mk_fiber(f"f{i}", "I1", i, weights) for i in range(1, 11)),
     )
-    c2 = EllipticComponent(
+    c2 = Component(
         "c2",
         vertex=2,
         genus=0,
@@ -57,7 +57,7 @@ def rational_degeneration(alpha: Fraction) -> BrokenEllipticSurface:
         fibers=tuple(mk_fiber(f"f{i}", "I1", i, weights) for i in (11, 12)),
     )
     glue = Glue("g1", AttachEnd("c1", "a1", parse_fiber_type("II")), AttachEnd("c2", "a2", parse_fiber_type("II*")))
-    return BrokenEllipticSurface(weights, (c1, c2), (), (glue,), ())
+    return BrokenEllipticSurface(weights, (c1, c2), (glue,), ())
 
 
 def flipped_degeneration(alpha: Fraction) -> BrokenEllipticSurface:
@@ -72,7 +72,7 @@ def flipped_degeneration(alpha: Fraction) -> BrokenEllipticSurface:
         FiberState.INTERMEDIATE,
         frozenset({11, 12}),
     )
-    c1 = EllipticComponent(
+    c1 = Component(
         "c1",
         vertex=1,
         genus=0,
@@ -85,7 +85,7 @@ def flipped_degeneration(alpha: Fraction) -> BrokenEllipticSurface:
         attach_ftype=parse_fiber_type("II*"),
         fibers=tuple(mk_fiber(f"f{i}", "I1", i, weights) for i in (11, 12)),
     )
-    return BrokenEllipticSurface(weights, (c1,), (), (), (TreeAttachment("c1", "a1", root),))
+    return BrokenEllipticSurface(weights, (c1,), (), (TreeAttachment("c1", "a1", root),))
 
 
 MARKABLE = ["I1", "I2", "I3", "I0", "II", "III", "IV", "I*0", "II*", "III*", "IV*", "N1"]
@@ -115,7 +115,7 @@ def random_model(
     """
     n = rng.randint(1, max_components)
     weights: list[Fraction] = []
-    comps: list[EllipticComponent] = []
+    comps: list[Component] = []
     glues: list[Glue] = []
     trees: list[TreeAttachment] = []
 
@@ -175,7 +175,7 @@ def random_model(
                 )
             )
         comps.append(
-            EllipticComponent(cid, vertex=k, genus=genus, degL=F(rng.randint(1, 3)), fibers=tuple(fibers))
+            Component(cid, vertex=k, genus=genus, degL=F(rng.randint(1, 3)), fibers=tuple(fibers))
         )
         if parents[k]:
             glues.append(
@@ -211,13 +211,13 @@ def random_model(
         host_fiber = MarkedFiber(
             f"{host.cid}host", host_type, total, FiberState.INTERMEDIATE, frozenset({i1, i2})
         )
-        comps[host_idx] = EllipticComponent(
+        comps[host_idx] = Component(
             host.cid, host.vertex, host.genus, host.degL, host.fibers + (host_fiber,)
         )
         trees.append(TreeAttachment(host.cid, f"{host.cid}host", root))
 
     return BrokenEllipticSurface(
-        WeightVector(tuple(weights)), tuple(comps), (), tuple(glues), tuple(trees)
+        WeightVector(tuple(weights)), tuple(comps), tuple(glues), tuple(trees)
     )
 
 

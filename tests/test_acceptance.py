@@ -17,7 +17,7 @@ from mmp_elliptic.kodaira import (
 from mmp_elliptic.reduction import RecordKind, reduce
 from mmp_elliptic.surfaces import (
     BrokenEllipticSurface,
-    EllipticComponent,
+    Component,
     MarkedFiber,
     base_curve,
     model_shape,
@@ -136,7 +136,7 @@ def _random_weierstrass_model(rng: random.Random) -> BrokenEllipticSurface:
         w = F(num, 12)
         weights.append(w)
         fibers.append(MarkedFiber(f"f{i}", ftype, w, FiberState.WEIERSTRASS, frozenset({i})))
-    comp = EllipticComponent("c1", 1, genus, F(degL), tuple(fibers))
+    comp = Component("c1", 1, genus, F(degL), tuple(fibers))
     return BrokenEllipticSurface(WeightVector(tuple(weights)), (comp,))
 
 
@@ -159,9 +159,7 @@ def test_criterion_6_chamber_invariance():
         r = X.weights.r
         types = []
         for i in range(1, r + 1):
-            for owner, fibers in [(c.cid, c.fibers) for c in X.components()] + [
-                (nd.pid, nd.fibers) for nd in X.pseudo_nodes()
-            ]:
+            for owner, fibers in X.fiber_owners():
                 for f in fibers:
                     if f.markers == frozenset({i}):
                         types.append(f.ftype)

@@ -150,10 +150,10 @@ def test_reduce_rejects_invalid_model(capsys, tmp_path):
 
 def test_volume_command(capsys, tmp_path, model_file):
     from modelkit import mk_fiber
-    from mmp_elliptic.surfaces import BrokenEllipticSurface, EllipticComponent
+    from mmp_elliptic.surfaces import BrokenEllipticSurface, Component
 
     w = WeightVector(tuple([F(1)] * 12))
-    comp = EllipticComponent(
+    comp = Component(
         "c1", 1, 0, F(1), tuple(mk_fiber(f"f{i}", "I1", i, w) for i in range(1, 13))
     )
     path = tmp_path / "irr.json"
@@ -164,6 +164,21 @@ def test_volume_command(capsys, tmp_path, model_file):
     status, _, err = run(capsys, "volume", str(model_file))
     assert status == 1
     assert "unsupported-configuration" in err
+
+
+def test_volume_with_intermediate_n1_fiber_is_unsupported(capsys, tmp_path):
+    from modelkit import mk_fiber
+    from mmp_elliptic.surfaces import BrokenEllipticSurface, Component
+
+    # N1 at 3/4 is past its threshold 1/2, so intermediate, with no local table
+    w = WeightVector((F(1), F(1), F(3, 4)))
+    fibers = (mk_fiber("f1", "I1", 1, w), mk_fiber("f2", "I1", 2, w), mk_fiber("f3", "N1", 3, w))
+    path = tmp_path / "n1.json"
+    path.write_text(serialize_model(BrokenEllipticSurface(w, (Component("c1", 1, 0, F(1), fibers),))))
+    status, out, err = run(capsys, "volume", str(path))
+    assert status == 1 and out == ""
+    assert err.startswith("error: unsupported-configuration:")
+    assert "Traceback" not in err
 
 
 def test_hassett_command(capsys, tmp_path):
@@ -221,9 +236,9 @@ def test_dot_shows_tree_attachment_label(capsys, tmp_path):
 
 
 def test_dot_of_markerless_model_has_single_cluster(capsys, tmp_path):
-    from mmp_elliptic.surfaces import BrokenEllipticSurface, EllipticComponent
+    from mmp_elliptic.surfaces import BrokenEllipticSurface, Component
 
-    X = BrokenEllipticSurface(WeightVector(()), (EllipticComponent("c1", 1, 1, F(1), ()),))
+    X = BrokenEllipticSurface(WeightVector(()), (Component("c1", 1, 1, F(1), ()),))
     path = tmp_path / "plain.json"
     path.write_text(serialize_model(X))
     status, out, _ = run(capsys, "model", str(path), "--format", "dot")

@@ -1,0 +1,51 @@
+"""Byte-for-byte CLI output pinned against the files in tests/golden/.
+
+The files hold every rendering of the shipped example at three weights
+(model reports, reduction traces, per-step DOT snapshots) and the DOT of a
+chain whose type II middle sorts between its elliptic ends by id, while its
+cluster is emitted after theirs.  A deliberate output change rewrites the
+file from the command its test runs.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from mmp_elliptic.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+EXAMPLE = GOLDEN.parent.parent / "demos" / "data" / "rational_example.json"
+ALPHAS = {"1_2": "1/2", "9_20": "9/20", "1_3": "1/3"}
+
+
+def at_alpha(tag: str) -> str:
+    return ",".join(["1"] * 10 + [ALPHAS[tag]] * 2)
+
+
+def run(capsys, *argv: str) -> str:
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fmt", ["md", "json", "dot"])
+@pytest.mark.parametrize("tag", sorted(ALPHAS))
+def test_model_report(capsys, tag, fmt):
+    out = run(capsys, "model", str(EXAMPLE), "--weights", at_alpha(tag), "--format", fmt)
+    assert out == (GOLDEN / f"model_{tag}.{fmt}").read_text()
+
+
+@pytest.mark.parametrize("tag", sorted(ALPHAS))
+def test_reduce_trace_and_dot_snapshots(capsys, tmp_path, tag):
+    out = run(
+        capsys, "reduce", str(EXAMPLE), "--to", at_alpha(tag), "--check-hassett", "--dot-dir", str(tmp_path)
+    )
+    assert out == (GOLDEN / f"reduce_{tag}.json").read_text()
+    want = GOLDEN / f"reduce_{tag}"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in want.iterdir())
+    for p in want.iterdir():
+        assert (tmp_path / p.name).read_text() == p.read_text()
+
+
+def test_type_ii_chain_dot_lists_sections_first(capsys):
+    out = run(capsys, "model", str(GOLDEN / "chain_type2.json"), "--format", "dot")
+    assert out == (GOLDEN / "chain_type2.dot").read_text()

@@ -19,14 +19,15 @@ from mmp_elliptic.reduction import (
 from mmp_elliptic.surfaces import (
     AttachEnd,
     BrokenEllipticSurface,
-    EllipticComponent,
+    Component,
     Glue,
-    TypeIIComponent,
+    MarkedFiber,
     base_curve,
     model_shape,
+    section_degree,
     validate,
 )
-from mmp_elliptic.walls import Wall, WallKind, enumerate_walls, locate
+from mmp_elliptic.walls import Wall, WallKind, active_walls, enumerate_walls, locate
 
 from modelkit import (
     admissible_target,
@@ -113,8 +114,8 @@ def test_reduce_rejects_bad_targets_and_models():
         reduce(rational_degeneration(F(1, 3)), weights(*([1] * 10 + [F(1, 2), F(1, 2)])))
     bad = replace(
         X,
-        elliptic=tuple(
-            replace(c, degL=F(-1)) if c.cid == "c1" else c for c in X.elliptic
+        components=tuple(
+            replace(c, degL=F(-1)) if c.cid == "c1" else c for c in X.components
         ),
     )
     with pytest.raises(InvalidModel):
@@ -126,7 +127,7 @@ def test_marked_twisted_fiber_steps_down_through_intermediate():
     fibers = tuple(mk_fiber(f"f{i}", "I1", i, w) for i in (1, 2, 3)) + (
         mk_fiber("f4", "II", 4, w),
     )
-    comp = EllipticComponent("c1", 1, 0, F(1), fibers)
+    comp = Component("c1", 1, 0, F(1), fibers)
     X = BrokenEllipticSurface(w, (comp,))
     assert X.component("c1").fiber("f4").state == FiberState.TWISTED
     trace = reduce(X, weights(1, 1, 1, F(1, 3)))
@@ -144,15 +145,15 @@ def test_marked_twisted_fiber_steps_down_through_intermediate():
 
 def test_type_ii_formation_at_zero_boundary():
     w = weights(1, 1, F(1, 2), 1, 1)
-    c1 = EllipticComponent("c1", 1, 0, F(1), tuple(mk_fiber(f"f{i}", "I1", i, w) for i in (1, 2)))
-    c2 = EllipticComponent("c2", 2, 0, F(1), (mk_fiber("f3", "I1", 3, w),))
-    c3 = EllipticComponent("c3", 3, 0, F(1), tuple(mk_fiber(f"f{i}", "I1", i, w) for i in (4, 5)))
+    c1 = Component("c1", 1, 0, F(1), tuple(mk_fiber(f"f{i}", "I1", i, w) for i in (1, 2)))
+    c2 = Component("c2", 2, 0, F(1), (mk_fiber("f3", "I1", 3, w),))
+    c3 = Component("c3", 3, 0, F(1), tuple(mk_fiber(f"f{i}", "I1", i, w) for i in (4, 5)))
     glues = (
         Glue("g1", AttachEnd("c1", "a1", parse_fiber_type("II")), AttachEnd("c2", "b1", parse_fiber_type("III"))),
         Glue("g2", AttachEnd("c2", "b2", parse_fiber_type("IV")), AttachEnd("c3", "a3", parse_fiber_type("I*0"))),
     )
-    X = BrokenEllipticSurface(w, (c1, c3), (), glues)
-    X = replace(X, elliptic=X.elliptic + (c2,))
+    X = BrokenEllipticSurface(w, (c1, c3), glues)
+    X = replace(X, components=X.components + (c2,))
     assert validate(X) == []
     target = weights(1, 1, 0, 1, 1)
     trace = reduce(X, target)
@@ -170,7 +171,7 @@ def test_type_ii_formation_at_zero_boundary():
 
 def test_whole_section_contraction_at_sum_two():
     w = weights(1, 1, 1)
-    comp = EllipticComponent("c1", 1, 0, F(1), tuple(mk_fiber(f"f{i}", "I1", i, w) for i in (1, 2, 3)))
+    comp = Component("c1", 1, 0, F(1), tuple(mk_fiber(f"f{i}", "I1", i, w) for i in (1, 2, 3)))
     X = BrokenEllipticSurface(w, (comp,))
     target = weights(F(1, 2), F(1, 2), F(1, 2))
     trace = reduce(X, target)
@@ -187,14 +188,14 @@ def test_whole_section_contraction_at_sum_two():
 
 def test_broken_chain_cascade_folds_type_ii_into_tree():
     w = weights(1, 1, F(3, 4), F(3, 4))
-    left = EllipticComponent("a_left", 1, 0, F(1), tuple(mk_fiber(f"f{i}", "I1", i, w) for i in (1, 2)))
-    right = EllipticComponent("z_right", 3, 0, F(1), tuple(mk_fiber(f"f{i}", "I1", i, w) for i in (3, 4)))
-    mid = TypeIIComponent("mid", 2, 0, F(1), ())
+    left = Component("a_left", 1, 0, F(1), tuple(mk_fiber(f"f{i}", "I1", i, w) for i in (1, 2)))
+    right = Component("z_right", 3, 0, F(1), tuple(mk_fiber(f"f{i}", "I1", i, w) for i in (3, 4)))
+    mid = Component("mid", 2, 0, F(1), (), has_section=False)
     glues = (
         Glue("g1", AttachEnd("a_left", "a1", parse_fiber_type("III*")), AttachEnd("mid", "b1", parse_fiber_type("II*"))),
         Glue("g2", AttachEnd("mid", "b2", parse_fiber_type("II")), AttachEnd("z_right", "a3", parse_fiber_type("IV*"))),
     )
-    X = BrokenEllipticSurface(w, (left, right), (mid,), glues)
+    X = BrokenEllipticSurface(w, (left, mid, right), glues)
     assert validate(X) == []
     target = weights(1, 1, F(1, 3), F(1, 3))
     trace = reduce(X, target)
@@ -231,14 +232,14 @@ def test_broken_chain_cascade_folds_type_ii_into_tree():
 
 def test_nested_tree_forms_when_host_leaf_contracts():
     w = weights(1, 1, 1, 1, 1)
-    c1 = EllipticComponent("c1", 1, 0, F(1), tuple(mk_fiber(f"f{i}", "I1", i, w) for i in (1, 2)))
-    c2 = EllipticComponent("c2", 2, 0, F(1), (mk_fiber("f3", "I1", 3, w),))
-    c3 = EllipticComponent("c3", 3, 0, F(1), tuple(mk_fiber(f"f{i}", "I1", i, w) for i in (4, 5)))
+    c1 = Component("c1", 1, 0, F(1), tuple(mk_fiber(f"f{i}", "I1", i, w) for i in (1, 2)))
+    c2 = Component("c2", 2, 0, F(1), (mk_fiber("f3", "I1", 3, w),))
+    c3 = Component("c3", 3, 0, F(1), tuple(mk_fiber(f"f{i}", "I1", i, w) for i in (4, 5)))
     glues = (
         Glue("g1", AttachEnd("c1", "a1", parse_fiber_type("III*")), AttachEnd("c2", "b1", parse_fiber_type("II*"))),
         Glue("g2", AttachEnd("c2", "b2", parse_fiber_type("II")), AttachEnd("c3", "a3", parse_fiber_type("IV*"))),
     )
-    X = BrokenEllipticSurface(w, (c1, c2, c3), (), glues)
+    X = BrokenEllipticSurface(w, (c1, c2, c3), glues)
     assert validate(X) == []
     target = weights(1, 1, F(1, 12), F(11, 24), F(11, 24))
     trace = reduce(X, target)
@@ -262,7 +263,7 @@ def test_cross_wall_fiber_transitions():
     fibers = tuple(mk_fiber(f"f{i}", "I1", i, w) for i in (1, 2, 3)) + (
         mk_fiber("f4", "III", 4, w),
     )
-    comp = EllipticComponent("c1", 1, 0, F(1), fibers)
+    comp = Component("c1", 1, 0, F(1), fibers)
     X = BrokenEllipticSurface(w, (comp,))
     assert X.component("c1").fiber("f4").state == FiberState.WEIERSTRASS
     wall = Wall(WallKind.WI, frozenset({4}), F(3, 4))
@@ -270,7 +271,7 @@ def test_cross_wall_fiber_transitions():
         cross_wall(X, wall, decreasing=True)  # already Weierstrass at the boundary
     inter = replace(
         X,
-        elliptic=(
+        components=(
             replace(
                 comp,
                 fibers=tuple(
@@ -329,12 +330,32 @@ def test_cross_wall_collapse():
     assert Y.component("c1").fiber("a1").coeff == F(5, 6)
 
 
+def test_markerless_twisted_fiber_counts_its_coefficient_one():
+    # genus 0, degL 1, an unmarked twisted II fiber and two I1 fibers at 3/4:
+    # the section degree is -2 + 1 + 3/4 + 3/4 = 1/2, and lowering one weight
+    # to 2/3 keeps it positive, so no section contracts on the way
+    w = weights(F(3, 4), F(3, 4))
+    twisted = MarkedFiber("t", parse_fiber_type("II"), F(1), FiberState.TWISTED)
+    fibers = (twisted, mk_fiber("f1", "I1", 1, w), mk_fiber("f2", "I1", 2, w))
+    X = BrokenEllipticSurface(w, (Component("c1", 1, 0, F(1), fibers),))
+    assert validate(X) == []
+    assert section_degree(X, "c1") == F(1, 2)
+    target = weights(F(3, 4), F(2, 3))
+    trace = reduce(X, target)
+    assert trace.records == () and trace.halted is None
+    assert trace.final.weights == target and trace.final.elliptic
+    walls = enumerate_walls(2, [parse_fiber_type("I1")] * 2, rational_base=True)
+    # the section degree vanishes on a1 + a2 = 1, not on the sum-two wall
+    felt = [wall for wall in active_walls(X, walls) if wall.kind == WallKind.WII]
+    assert felt == [Wall(WallKind.WII, frozenset({1, 2}), F(1))]
+
+
 def test_increase_to_one_stable_fiber():
     w = weights(1, 1, 1, F(9, 10))
     fibers = tuple(mk_fiber(f"f{i}", "I1", i, w) for i in (1, 2, 3)) + (
         mk_fiber("f4", "I4", 4, w),
     )
-    X = BrokenEllipticSurface(w, (EllipticComponent("c1", 1, 0, F(1), fibers),))
+    X = BrokenEllipticSurface(w, (Component("c1", 1, 0, F(1), fibers),))
     Y, rec = increase_to_one(X, 4)
     assert Y.weights.weight(4) == 1
     assert Y.component("c1").fiber("f4").state == FiberState.WEIERSTRASS
@@ -348,7 +369,7 @@ def test_increase_to_one_intermediate_fiber():
     fibers = tuple(mk_fiber(f"f{i}", "I1", i, w) for i in (1, 2, 3)) + (
         mk_fiber("f4", "IV", 4, w),
     )
-    X = BrokenEllipticSurface(w, (EllipticComponent("c1", 1, 0, F(1), fibers),))
+    X = BrokenEllipticSurface(w, (Component("c1", 1, 0, F(1), fibers),))
     assert X.component("c1").fiber("f4").state == FiberState.INTERMEDIATE
     Y, rec = increase_to_one(X, 4)
     assert Y.component("c1").fiber("f4").state == FiberState.TWISTED
@@ -372,13 +393,8 @@ def _tree_nodes(X):
 
 def _marked_indices(X):
     out = set()
-    hosts = {(t.host_component, t.host_fiber) for t in X.trees}
-    for node in X.pseudo_nodes():
-        for link in node.children:
-            hosts.add((node.pid, link.via_fiber))
-    for owner, fibers in [(c.cid, c.fibers) for c in X.components()] + [
-        (n.pid, n.fibers) for n in X.pseudo_nodes()
-    ]:
+    hosts = X.host_keys()
+    for owner, fibers in X.fiber_owners():
         for f in fibers:
             if (owner, f.fid) not in hosts:
                 out |= f.markers

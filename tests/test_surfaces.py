@@ -9,7 +9,7 @@ from mmp_elliptic.kodaira import FiberState, parse_fiber_type
 from mmp_elliptic.surfaces import (
     AttachEnd,
     BrokenEllipticSurface,
-    EllipticComponent,
+    Component,
     Glue,
     MarkedFiber,
     NoSectionError,
@@ -17,7 +17,6 @@ from mmp_elliptic.surfaces import (
     PSEUDO_TO_CURVE,
     PSEUDO_TO_POINT,
     TreeAttachment,
-    TypeIIComponent,
     UnsupportedConfiguration,
     base_curve,
     model_shape,
@@ -39,7 +38,7 @@ def irreducible(genus, degL, specs, weights):
     """Single component over vertex 1; specs = [(fiber type, marker index)]."""
     w = WeightVector(tuple(weights))
     fibers = tuple(mk_fiber(f"f{i}", t, i, w) for t, i in specs)
-    comp = EllipticComponent("c1", 1, genus, F(degL), fibers)
+    comp = Component("c1", 1, genus, F(degL), fibers)
     return BrokenEllipticSurface(w, (comp,))
 
 
@@ -59,7 +58,7 @@ def test_eq41_violation_when_host_coeff_is_wrong():
     bad_host = replace(c1.fiber("a1"), coeff=F(9, 20))
     bad = replace(
         X,
-        elliptic=(
+        components=(
             replace(c1, fibers=tuple(bad_host if f.fid == "a1" else f for f in c1.fibers)),
         ),
     )
@@ -70,7 +69,7 @@ def test_eq41_violation_when_host_coeff_is_wrong():
 def test_state_violation_for_underweight_intermediate():
     w = WeightVector((F(1, 2),))
     fiber = MarkedFiber("f1", parse_fiber_type("II"), F(1, 2), FiberState.INTERMEDIATE, frozenset({1}))
-    comp = EllipticComponent("c1", 1, 0, F(1), (fiber,))
+    comp = Component("c1", 1, 0, F(1), (fiber,))
     problems = validate(BrokenEllipticSurface(w, (comp,)))
     assert len(problems) == 1 and problems[0].code == "fiber-state"
 
@@ -86,7 +85,7 @@ def test_marker_reuse_is_flagged():
     w = WeightVector((F(1),))
     f1 = mk_fiber("f1", "I1", 1, w)
     f2 = mk_fiber("f2", "I2", 1, w)
-    comp = EllipticComponent("c1", 1, 1, F(1), (f1, f2))
+    comp = Component("c1", 1, 1, F(1), (f1, f2))
     problems = validate(BrokenEllipticSurface(w, (comp,)))
     assert any(p.code == "marker" for p in problems)
 
@@ -106,8 +105,8 @@ def test_section_degree_examples():
 
 def test_section_degree_needs_a_section():
     w = WeightVector(())
-    z = TypeIIComponent("z", 1, 0, F(1), ())
-    X = BrokenEllipticSurface(w, (), (z,))
+    z = Component("z", 1, 0, F(1), (), has_section=False)
+    X = BrokenEllipticSurface(w, (z,))
     with pytest.raises(NoSectionError):
         section_degree(X, "z")
 
@@ -181,18 +180,18 @@ def test_base_curve_of_fixture_stages():
 
 def test_base_curve_contracts_type_ii_components():
     w = WeightVector((F(1), F(1), F(1), F(1)))
-    left = EllipticComponent(
+    left = Component(
         "left", 1, 0, F(1), (mk_fiber("f1", "I1", 1, w), mk_fiber("f2", "I1", 2, w))
     )
-    right = EllipticComponent(
+    right = Component(
         "right", 3, 0, F(1), (mk_fiber("f3", "I1", 3, w), mk_fiber("f4", "I1", 4, w))
     )
-    middle = TypeIIComponent("mid", 2, 0, F(1), ())
+    middle = Component("mid", 2, 0, F(1), (), has_section=False)
     glues = (
         Glue("g1", AttachEnd("left", "a1", parse_fiber_type("II")), AttachEnd("mid", "b1", parse_fiber_type("II*"))),
         Glue("g2", AttachEnd("mid", "b2", parse_fiber_type("IV")), AttachEnd("right", "a2", parse_fiber_type("IV*"))),
     )
-    X = BrokenEllipticSurface(w, (left, right), (middle,), glues)
+    X = BrokenEllipticSurface(w, (left, middle, right), glues)
     assert validate(X) == []
     curve = base_curve(X)
     assert [v.vid for v in curve.vertices] == [1, 3]

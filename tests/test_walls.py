@@ -167,10 +167,10 @@ def test_active_walls_of_fixture_models():
 
 def test_active_walls_high_genus_base():
     from modelkit import mk_fiber
-    from mmp_elliptic.surfaces import BrokenEllipticSurface, EllipticComponent
+    from mmp_elliptic.surfaces import BrokenEllipticSurface, Component
 
     w = WeightVector((F(1, 2),))
-    comp = EllipticComponent("c1", 1, 2, F(1), (mk_fiber("f1", "I1", 1, w),))
+    comp = Component("c1", 1, 2, F(1), (mk_fiber("f1", "I1", 1, w),))
     X = BrokenEllipticSurface(w, (comp,))
     walls = enumerate_walls(1, [parse_fiber_type("I1")], rational_base=True)
     assert not any(w2.kind == WallKind.WII for w2 in active_walls(X, walls))
