@@ -68,11 +68,13 @@ from .surfaces import (
 )
 from .walls import (
     Chamber,
+    FeltWall,
     SegmentCrossing,
     Wall,
     WallKind,
     active_walls,
     enumerate_walls,
+    felt_walls,
     locate,
     segment_walls,
     walls_containing,

@@ -36,6 +36,7 @@ from .reduction import (
     InvalidModel,
     RuleNotApplicable,
     WallNotSatisfied,
+    at_weights,
     reduce as reduce_model,
 )
 from .surfaces import (
@@ -100,8 +101,6 @@ def _load_model(path_text: str, override: str | None):
     except ModelJSONError as exc:
         raise CliError(str(exc), DATA_ERROR)
     if override is not None:
-        from .reduction import at_weights
-
         weights = _parse_weights(override)
         if weights.r != model.weights.r:
             raise CliError(

@@ -191,9 +191,6 @@ _INTERSECTIONS: dict[str, IntersectionData] = {
     "IV*": IntersectionData(Fraction(-3, 2), Fraction(-1, 6), Fraction(1, 2), 3),
 }
 
-#: Families with a tabulated standard intermediate fiber.
-INTERMEDIATE_FAMILIES: tuple[str, ...] = tuple(_INTERSECTIONS)
-
 
 def intersection_data(ftype: KodairaType) -> IntersectionData:
     """The tabulated quadruple (A^2, E^2, A.E, mult) for the given type."""

@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 
 from .curves import WeightVector
-from .kodaira import KodairaType, FiberState, parse_fiber_type
+from .kodaira import FiberState, KodairaType, UnsupportedFiberType, fiber_model_at, parse_fiber_type
 from .rationals import rat_from_str, rat_to_str
 from .surfaces import (
     AttachEnd,
@@ -83,8 +83,6 @@ def _fiber(obj: dict, where: str) -> MarkedFiber:
             raise ModelJSONError("schema-violation", f"{where}/{fid}: unknown state {state_name!r}")
         state = _STATES[state_name]
     else:
-        from .kodaira import fiber_model_at, UnsupportedFiberType
-
         try:
             state = fiber_model_at(ftype, coeff)
         except UnsupportedFiberType:

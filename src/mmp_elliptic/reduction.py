@@ -27,12 +27,10 @@ from .surfaces import (
     MarkedFiber,
     PseudoComponent,
     TreeAttachment,
-    section_constant,
-    section_degree,
     subtree_markers,
     validate,
 )
-from .walls import Wall, WallKind
+from .walls import FeltWall, Wall, WallKind, felt_walls
 
 
 class WallNotSatisfied(Exception):
@@ -139,6 +137,12 @@ def _map_fibers(
             for t in X.trees
         ),
     )
+
+
+def _replace_fiber(
+    X: BrokenEllipticSurface, owner: str, fid: str, new: MarkedFiber
+) -> BrokenEllipticSurface:
+    return _map_fibers(X, lambda o, f: new if o == owner and f.fid == fid else f)
 
 
 def _with_weights(X: BrokenEllipticSurface, W: WeightVector) -> BrokenEllipticSurface:
@@ -361,6 +365,18 @@ def _collapsed_fiber(
     )
 
 
+def _prune(node: PseudoComponent, owner: str, fid: str) -> PseudoComponent:
+    """The tree below `node` without the child hung off fiber `fid` of `owner`."""
+    return replace(
+        node,
+        children=tuple(
+            ChildLink(l.via_fiber, _prune(l.node, owner, fid))
+            for l in node.children
+            if (node.pid, l.via_fiber) != (owner, fid)
+        ),
+    )
+
+
 def _collapse_subtree(
     X: BrokenEllipticSurface, owner: str, fid: str, node: PseudoComponent, t: Fraction
 ) -> tuple[BrokenEllipticSurface, TransformationRecord, bool]:
@@ -372,34 +388,15 @@ def _collapse_subtree(
     to_curve = node.isotrivial_jinf and node.degL == 0
     old = X.host_fiber(owner, fid)
     newf = _collapsed_fiber(old, markers, coeff, to_curve)
-    is_top = any(t2.host_component == owner and t2.host_fiber == fid for t2 in X.trees)
-    if is_top:
-        current = replace(
-            X,
-            trees=tuple(
-                t2 for t2 in X.trees if not (t2.host_component == owner and t2.host_fiber == fid)
-            ),
-        )
-        host = current.component(owner)
-        fibers = tuple(newf if f.fid == fid else f for f in host.fibers)
-        current = _replace_component(current, owner, fibers=fibers)
-    else:
-
-        def prune(n: PseudoComponent) -> PseudoComponent:
-            if n.pid == owner:
-                return replace(
-                    n,
-                    fibers=tuple(newf if f.fid == fid else f for f in n.fibers),
-                    children=tuple(l for l in n.children if l.via_fiber != fid),
-                )
-            return replace(
-                n, children=tuple(ChildLink(l.via_fiber, prune(l.node)) for l in n.children)
-            )
-
-        current = replace(
-            X,
-            trees=tuple(TreeAttachment(t2.host_component, t2.host_fiber, prune(t2.root)) for t2 in X.trees),
-        )
+    current = _replace_fiber(X, owner, fid, newf)
+    current = replace(
+        current,
+        trees=tuple(
+            TreeAttachment(a.host_component, a.host_fiber, _prune(a.root, owner, fid))
+            for a in current.trees
+            if (a.host_component, a.host_fiber) != (owner, fid)
+        ),
+    )
     kind = RecordKind.TREE_COLLAPSE_TO_CURVE if to_curve else RecordKind.TREE_COLLAPSE_TO_POINT
     c = lct_threshold(old.ftype)
     wall = Wall(WallKind.WIII, markers, c if c is not None else coeff)
@@ -417,36 +414,27 @@ def _collapse_subtree(
 # -- batch application at one time ----------------------------------------------
 
 
-def _wii_candidates(X: BrokenEllipticSurface) -> list[str]:
-    return [c.cid for c in X.elliptic if section_degree(X, c.cid) <= 0]
-
-
-def _wiii_candidates(X: BrokenEllipticSurface) -> list[tuple[str, str, PseudoComponent, int]]:
-    out = []
-    for owner, fid, node, depth in X.subtrees():
-        host = X.host_fiber(owner, fid)
-        c = lct_threshold(host.ftype)
-        if c is None:
-            continue
-        if _weight_sum(X.weights, subtree_markers(node)) <= c:
-            out.append((owner, fid, node, depth))
-    # deepest first so nested collapses precede their hosts'
-    out.sort(key=lambda item: (-item[3], item[2].pid))
-    return out
+def _due(felt: list[FeltWall], kind: WallKind, W: WeightVector) -> list[FeltWall]:
+    """The felt walls of one kind whose marked weight is down to their constant."""
+    return [fw for fw in felt if fw.wall.kind == kind and fw.wall.value_at(W) <= fw.wall.constant]
 
 
 def _apply_batch(
     X: BrokenEllipticSurface,
+    felt: list[FeltWall],
     t: Fraction,
     records: list[TransformationRecord],
     leave_one_target: WeightVector | None,
-) -> tuple[BrokenEllipticSurface, bool]:
+) -> tuple[BrokenEllipticSurface, list[FeltWall], bool]:
     """Apply all transformations pending at the current weights.
 
-    Returns the rewritten model and whether the walk must halt (curve collapse).
-    Batch order per pass: WI fiber transitions, then WII section contractions
-    in ascending component id, then WIII collapses deepest-first; passes repeat
-    until the model is quiescent, so cascades stay inside one batch.
+    `felt` is the model's `felt_walls` table.  Returns the rewritten model,
+    its table, and whether the walk must halt (curve collapse).  Batch order
+    per pass: WI fiber transitions, then WII section contractions in
+    ascending component id, then WIII collapses deepest-first; passes repeat
+    until the model is quiescent, so cascades stay inside one batch.  Fiber
+    transitions leave the structure alone, so the table is rebuilt only
+    after a WII or WIII record.
     """
     current = X
     first = True
@@ -461,31 +449,35 @@ def _apply_batch(
             progressed = True
         first = False
 
-        wii = _wii_candidates(current)
+        wii = _due(felt, WallKind.WII, current.weights)
         if wii:
-            multi = len(wii) > 1
-            cid = sorted(wii)[0]
-            current, rec = _apply_section_contraction(current, cid, t)
-            if multi:
+            current, rec = _apply_section_contraction(current, wii[0].owner, t)
+            if len(wii) > 1:
                 rec = replace(rec, note=(rec.note + "; simultaneous section walls").strip("; "))
             records.append(rec)
+            felt = felt_walls(current)
             progressed = True
 
         if not progressed:
-            wiii = _wiii_candidates(current)
+            wiii = _due(felt, WallKind.WIII, current.weights)
             if wiii:
-                owner, fid, node, _ = wiii[0]
-                current, rec, halted = _collapse_subtree(current, owner, fid, node, t)
+                # deepest first so nested collapses precede their hosts'
+                fw = min(wiii, key=lambda fw: (-fw.depth, fw.node.pid))
+                current, rec, halted = _collapse_subtree(current, fw.owner, fw.fid, fw.node, t)
                 records.append(rec)
+                felt = felt_walls(current)
                 if halted:
-                    return current, True
+                    return current, felt, True
                 progressed = True
 
         if not progressed:
-            return current, False
+            return current, felt, False
 
 
 # -- the public operations --------------------------------------------------------
+
+
+_SITE = {WallKind.WI: "marked fiber", WallKind.WII: "elliptic component", WallKind.WIII: "attached tree"}
 
 
 def cross_wall(
@@ -496,21 +488,30 @@ def cross_wall(
     The model's weights must lie on the wall.  The model may be the limit of
     the above-chamber family (states not yet transitioned), which is exactly
     the input the crossing consumes; full validation is therefore not required
-    here.  Standalone records carry t = 1.
+    here.  The site is looked up in `felt_walls`: the fiber or the component
+    (lowest id first) carrying exactly the wall's markers, or the tree
+    carrying them over a host with the wall's threshold.  Standalone records
+    carry t = 1.
     """
     if wall.side(X.weights) != "on":
         raise WallNotSatisfied(f"weights are not on {wall}")
+    site = next(
+        (
+            fw
+            for fw in felt_walls(X)
+            if fw.wall.kind == wall.kind
+            and fw.wall.subset == wall.subset
+            and (wall.kind != WallKind.WIII or fw.wall.constant == wall.constant)
+        ),
+        None,
+    )
+    if site is None:
+        raise RuleNotApplicable(
+            f"no {_SITE[wall.kind]} carries exactly markers {sorted(wall.subset)}"
+        )
     t = Fraction(1)
     if wall.kind == WallKind.WI:
-        owner_fiber = None
-        hosts = X.host_keys()
-        for owner, fibers in X.fiber_owners():
-            for f in fibers:
-                if f.markers == wall.subset and (owner, f.fid) not in hosts:
-                    owner_fiber = (owner, f)
-        if owner_fiber is None:
-            raise RuleNotApplicable(f"no marked fiber carries exactly {sorted(wall.subset)}")
-        owner, fiber = owner_fiber
+        fiber = X.host_fiber(site.owner, site.fid)
         if decreasing and wall.constant == 1:
             if fiber.state != FiberState.TWISTED:
                 raise RuleNotApplicable("fiber is not twisted; nothing to blow up at one")
@@ -529,38 +530,14 @@ def cross_wall(
             new_state = FiberState.WEIERSTRASS
         else:
             raise RuleNotApplicable("weight increases only cross the boundary wall at one")
-
-        def fix(o: str, f: MarkedFiber) -> MarkedFiber:
-            if o == owner and f.fid == fiber.fid:
-                return replace(f, state=new_state)
-            return f
-
-        current = _map_fibers(X, fix)
-        return current, _record_fiber_event(t, owner, fiber, new_state, current)
+        current = _replace_fiber(X, site.owner, site.fid, replace(fiber, state=new_state))
+        return current, _record_fiber_event(t, site.owner, fiber, new_state, current)
 
     if not decreasing:
         raise RuleNotApplicable("section contractions and collapses only occur when decreasing")
-
     if wall.kind == WallKind.WII:
-        matches = sorted(c.cid for c in X.elliptic if X.marker_set(c.cid) == wall.subset)
-        if not matches:
-            raise RuleNotApplicable(
-                f"no elliptic component carries exactly markers {sorted(wall.subset)}"
-            )
-        return _apply_section_contraction(X, matches[0], t)
-
-    matches3 = [
-        (owner, fid, node)
-        for owner, fid, node, _ in X.subtrees()
-        if subtree_markers(node) == wall.subset
-        and lct_threshold(X.host_fiber(owner, fid).ftype) == wall.constant
-    ]
-    if not matches3:
-        raise RuleNotApplicable(
-            f"no attached tree carries exactly markers {sorted(wall.subset)}"
-        )
-    owner, fid, node = matches3[0]
-    current, rec, _ = _collapse_subtree(X, owner, fid, node, t)
+        return _apply_section_contraction(X, site.owner, t)
+    current, rec, _ = _collapse_subtree(X, site.owner, site.fid, site.node, t)
     return current, rec
 
 
@@ -610,12 +587,8 @@ def increase_to_one(
         )
         return current, rec
 
-    def fix(o: str, f: MarkedFiber) -> MarkedFiber:
-        if o == owner and f.fid == fiber.fid:
-            return replace(f, state=FiberState.TWISTED)
-        return f
-
-    current = _map_fibers(current, fix)
+    twisted = replace(fiber, coeff=Fraction(1), state=FiberState.TWISTED)
+    current = _replace_fiber(current, owner, fiber.fid, twisted)
     wall = Wall(WallKind.WI, fiber.markers, Fraction(1), boundary=True)
     rec = TransformationRecord(
         Fraction(1), wall, RecordKind.FIBER_TO_TWISTED, (owner, fiber.fid), current
@@ -624,40 +597,22 @@ def increase_to_one(
 
 
 def _event_times(
-    X: BrokenEllipticSurface, A: WeightVector, B: WeightVector, t_cur: Fraction
+    felt: list[FeltWall], W: WeightVector, A: WeightVector, t_cur: Fraction
 ) -> Fraction | None:
-    """Largest t strictly below t_cur (and >= 0) where a wall relevant to the
-    current model structure is crossed."""
-
+    """Largest t in [0, t_cur) where the segment from A (t = 0) to the
+    current weights W (t = t_cur) crosses a felt wall from above."""
     best: Fraction | None = None
-
-    def consider(markers: frozenset[int], constant: Fraction) -> None:
-        nonlocal best
-        vA = _weight_sum(A, markers)
-        vB = _weight_sum(B, markers)
-        slope = vB - vA
-        if slope == 0:
-            return
-        t = (constant - vA) / slope
-        if 0 <= t < t_cur and (best is None or t > best):
+    for fw in felt:
+        c = fw.wall.constant
+        vW = fw.wall.value_at(W)
+        if vW <= c:
+            continue
+        vA = fw.wall.value_at(A)
+        if vA > c:
+            continue
+        t = t_cur * (c - vA) / (vW - vA)
+        if best is None or t > best:
             best = t
-
-    hosts = X.host_keys()
-    for owner, fibers in X.fiber_owners():
-        for f in fibers:
-            if (owner, f.fid) in hosts or not f.markers:
-                continue
-            if f.state == FiberState.INTERMEDIATE and f.ftype.family != "N2":
-                a0 = lct_threshold(f.ftype)
-                if a0 is not None:
-                    consider(f.markers, a0)
-    for c in X.elliptic:
-        consider(X.marker_set(c.cid), -section_constant(X, c.cid))
-    for owner, fid, node, _ in X.subtrees():
-        host = X.host_fiber(owner, fid)
-        c0 = lct_threshold(host.ftype)
-        if c0 is not None:
-            consider(subtree_markers(node), c0)
     return best
 
 
@@ -685,18 +640,16 @@ def reduce(X: BrokenEllipticSurface, target: WeightVector) -> ReductionTrace:
 
     A, B = target, X.weights
     records: list[TransformationRecord] = []
-    current = X
-
-    current, halted = _apply_batch(current, Fraction(1), records, leave_one_target=A)
+    current, felt, halted = _apply_batch(X, felt_walls(X), Fraction(1), records, leave_one_target=A)
     t_cur = Fraction(1)
     while not halted:
-        t_next = _event_times(current, A, B, t_cur)
+        t_next = _event_times(felt, current.weights, A, t_cur)
         if t_next is None:
             if t_cur == 0:
                 break
             t_next = Fraction(0)
         current = _with_weights(current, interpolate(A, B, t_next))
-        current, halted = _apply_batch(current, t_next, records, leave_one_target=None)
+        current, felt, halted = _apply_batch(current, felt, t_next, records, leave_one_target=None)
         t_cur = t_next
         if t_cur == 0:
             break

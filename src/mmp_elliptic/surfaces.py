@@ -109,9 +109,6 @@ class Glue:
     def ends(self) -> tuple[AttachEnd, AttachEnd]:
         return (self.a, self.b)
 
-    def end_of(self, cid: str) -> list[AttachEnd]:
-        return [e for e in (self.a, self.b) if e.component == cid]
-
     def peer_of(self, cid: str) -> AttachEnd:
         if self.a.component == cid:
             return self.b
@@ -256,16 +253,6 @@ class BrokenEllipticSurface:
             for end in g.ends():
                 if end.component == cid:
                     out.append((g, end))
-        return out
-
-    def attach_fibers(self, cid: str) -> list[tuple[MarkedFiber, str]]:
-        """The implied coefficient-one attaching fibers on a component,
-        paired with the peer component id."""
-        out = []
-        for g, end in self.glue_ends(cid):
-            state = fiber_model_at(end.ftype, Fraction(1))
-            fiber = MarkedFiber(end.fiber_id, end.ftype, Fraction(1), state)
-            out.append((fiber, g.peer_of(cid).component))
         return out
 
     def trees_on(self, cid: str) -> tuple[TreeAttachment, ...]:
@@ -693,10 +680,12 @@ def validate(X: BrokenEllipticSurface) -> list[Violation]:
                 else:
                     seen[i] = f"{owner}/{f.fid}"
 
-    # per-fiber states, coefficients, eq. (4.1)
+    # per-fiber states, coefficients, eq. (4.1); a marker outside 1..r has
+    # no weight, and its fiber is already reported above
     for owner, fibers in owners:
         for f in fibers:
-            _check_fiber_state(X, owner, f, hosts, out)
+            if all(1 <= i <= X.weights.r for i in f.markers):
+                _check_fiber_state(X, owner, f, hosts, out)
 
     # pseudo node attach types must admit a twisted model
     for node in X.pseudo_nodes():

@@ -6,6 +6,11 @@ equal to two over a rational base) (WII), and pseudoelliptic collapses on
 subset sums equal to a threshold constant (WIII).  Boundary walls at a
 coordinate equal to zero or one carry a flag.  Everything is exact; the full
 arrangement on r markers is exponential in r and is enumerated lazily.
+
+`felt_walls` is the one table of the walls a given model feels, each paired
+with the fiber, section or tree that crossing it rewrites.  It depends only on
+the model's structure, so the reduction walk rebuilds it only after a WII or
+WIII record.
 """
 
 from __future__ import annotations
@@ -14,11 +19,12 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .curves import WeightVector
 from .kodaira import THRESHOLD_CONSTANTS, KodairaType, lct_threshold
-from .surfaces import BrokenEllipticSurface, section_constant, subtree_markers
+from .rationals import rat_from_str, rat_to_str
+from .surfaces import BrokenEllipticSurface, PseudoComponent, section_constant, subtree_markers
 
 
 class WallKind(str, Enum):
@@ -164,55 +170,60 @@ def segment_walls(
     ]
 
 
-def active_walls(X: BrokenEllipticSurface, walls: Iterable[Wall]) -> list[Wall]:
-    """Filter an arrangement down to walls the given model can actually feel.
+class FeltWall(NamedTuple):
+    """One wall a model feels and the site it acts on: the fiber `fid` of
+    `owner` for WI, the component `owner` for WII, and for WIII the subtree
+    `node` hung off fiber `fid` of `owner`, `depth` levels below the top.
+    `node` is the subtree as the table was built; only its structure is read."""
 
-    A WI wall is active when its marker backs a single marked fiber whose type
-    carries that threshold (or, for the boundary wall, any threshold).  A WII
-    wall is active when the subset is exactly the marker set of an elliptic
-    component and the constant is where that section's degree vanishes: one
-    for a rational leaf, two for an irreducible rational base, each lowered by
-    the coefficients of the component's marker-less fibers.  A WIII wall is
-    active when the subset is exactly the marker set of an attached tree (at
-    any nesting depth) whose host fiber has that threshold.
+    wall: Wall
+    owner: str
+    fid: str = ""
+    node: PseudoComponent | None = None
+    depth: int = 0
+
+
+def felt_walls(X: BrokenEllipticSurface) -> list[FeltWall]:
+    """Every wall the model feels, with its site: WI, then WII, then WIII.
+
+    A marked fiber that hosts no tree, is not N2 and whose type has a
+    threshold feels that threshold and the boundary wall at one.  A component
+    with a section feels the sum of its markers at the value where the
+    section's degree vanishes: one for a rational leaf, two for an
+    irreducible rational base, each lowered by the coefficients of its
+    marker-less fibers.  A subtree at any depth whose host fiber has a
+    threshold feels its marker set at that threshold.  Only the structure
+    enters: weights and fiber states do not, so the table stays valid until
+    a section contracts or a tree collapses.
     """
     hosts = X.host_keys()
-    singleton_fibers: dict[int, KodairaType] = {}
+    out = []
     for owner, fibers in X.fiber_owners():
         for f in fibers:
-            if (owner, f.fid) not in hosts and len(f.markers) == 1:
-                (i,) = f.markers
-                singleton_fibers[i] = f.ftype
-
-    felt: set[tuple[WallKind, frozenset[int], Fraction]] = {
-        (WallKind.WII, X.marker_set(c.cid), -section_constant(X, c.cid)) for c in X.elliptic
-    }
-    for owner, fid, node, _ in X.subtrees():
-        c = lct_threshold(X.host_fiber(owner, fid).ftype)
-        if c is not None:
-            felt.add((WallKind.WIII, subtree_markers(node), c))
-
-    out = []
-    for w in sorted(walls, key=Wall.sort_key):
-        if w.kind == WallKind.WI:
-            if len(w.subset) != 1:
+            if not f.markers or (owner, f.fid) in hosts or f.ftype.family == "N2":
                 continue
-            (i,) = w.subset
-            ftype = singleton_fibers.get(i)
-            if ftype is None:
-                continue
-            if w.boundary and w.constant == 1:
-                out.append(w)
-            elif lct_threshold(ftype) == w.constant:
-                out.append(w)
-        elif (w.kind, w.subset, w.constant) in felt:
-            out.append(w)
+            a0 = lct_threshold(f.ftype)
+            if a0 is not None:
+                for c, boundary in ((a0, False), (Fraction(1), True)):
+                    out.append(FeltWall(Wall(WallKind.WI, f.markers, c, boundary), owner, f.fid))
+    for comp in X.elliptic:
+        wall = Wall(WallKind.WII, X.marker_set(comp.cid), -section_constant(X, comp.cid))
+        out.append(FeltWall(wall, comp.cid))
+    for owner, fid, node, depth in X.subtrees():
+        a0 = lct_threshold(X.host_fiber(owner, fid).ftype)
+        if a0 is not None:
+            wall = Wall(WallKind.WIII, subtree_markers(node), a0)
+            out.append(FeltWall(wall, owner, fid, node, depth))
     return out
 
 
-def wall_to_obj(w: Wall) -> dict:
-    from .rationals import rat_to_str
+def active_walls(X: BrokenEllipticSurface, walls: Iterable[Wall]) -> list[Wall]:
+    """The walls of an arrangement that the given model feels (`felt_walls`)."""
+    felt = {fw.wall for fw in felt_walls(X)}
+    return [w for w in sorted(walls, key=Wall.sort_key) if w in felt]
 
+
+def wall_to_obj(w: Wall) -> dict:
     return {
         "kind": w.kind.value,
         "subset": sorted(w.subset),
@@ -222,8 +233,6 @@ def wall_to_obj(w: Wall) -> dict:
 
 
 def wall_from_obj(obj: dict) -> Wall:
-    from .rationals import rat_from_str
-
     return Wall(
         WallKind(obj["kind"]),
         frozenset(int(i) for i in obj["subset"]),

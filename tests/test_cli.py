@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,7 @@ from mmp_elliptic.modeljson import serialize_model
 from modelkit import rational_degeneration
 
 F = Fraction
+EXAMPLE = Path(__file__).parent.parent / "demos" / "data" / "rational_example.json"
 
 TARGET = ",".join(["1"] * 10 + ["1/3", "1/3"])
 
@@ -136,6 +138,31 @@ def test_reduce_accepts_weight_files(capsys, model_file, tmp_path):
     status, out, _ = run(capsys, "reduce", str(model_file), "--to", str(to_file))
     assert status == 0
     assert len(json.loads(out)["records"]) == 2
+
+
+def test_marker_outside_range_is_reported_not_raised(capsys, tmp_path):
+    obj = json.loads(EXAMPLE.read_text())
+    obj["components"][0]["fibers"][0]["markers"] = [99]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    status, out, err = run(capsys, "validate", str(path))
+    assert status == 1
+    assert "[marker]" in out + err and "Traceback" not in out + err
+    status, out, err = run(capsys, "model", str(path))
+    assert status == 1
+    assert err.startswith("error: model-invalid:")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP 4a: base_curve gives the marker-less twisted fiber c3host no point",
+)
+def test_check_hassett_on_markerless_twisted_fiber(capsys):
+    # the valid final model of a walk halted by a collapse onto a curve
+    model = Path(__file__).parent / "data" / "markerless_twisted_after_curve_collapse.json"
+    target = "1/24,13/27,3/8,23/54,3/8,1/6,1/6"
+    status, _, err = run(capsys, "reduce", str(model), "--to", target, "--check-hassett")
+    assert status == 0, err
 
 
 def test_reduce_rejects_invalid_model(capsys, tmp_path):

@@ -3,13 +3,18 @@ from fractions import Fraction
 
 import pytest
 
+import mmp_elliptic
 from mmp_elliptic.curves import WeightVector, interpolate
 from mmp_elliptic.kodaira import UnsupportedFiberType, parse_fiber_type
+from mmp_elliptic.reduction import at_weights
+from mmp_elliptic.surfaces import BrokenEllipticSurface, Component
 from mmp_elliptic.walls import (
+    FeltWall,
     Wall,
     WallKind,
     active_walls,
     enumerate_walls,
+    felt_walls,
     locate,
     segment_walls,
     wall_from_obj,
@@ -17,7 +22,7 @@ from mmp_elliptic.walls import (
     walls_containing,
 )
 
-from modelkit import flipped_degeneration, rational_degeneration
+from modelkit import admissible_target, flipped_degeneration, mk_fiber, random_model, rational_degeneration
 from oracles import WALL_CONSTANTS, brute_force_walls, wall_keys
 
 F = Fraction
@@ -174,6 +179,35 @@ def test_active_walls_high_genus_base():
     X = BrokenEllipticSurface(w, (comp,))
     walls = enumerate_walls(1, [parse_fiber_type("I1")], rational_base=True)
     assert not any(w2.kind == WallKind.WII for w2 in active_walls(X, walls))
+
+
+def test_felt_walls_depend_only_on_structure():
+    # the subtree object carries its fibers' coefficients, so sites are
+    # compared by the id of the subtree root
+    def sites(X):
+        return [fw._replace(node=fw.node and fw.node.pid) for fw in felt_walls(X)]
+
+    rng = random.Random(7)
+    checked = 0
+    while checked < 40:
+        X = random_model(rng, max_components=4, max_markers=8, allow_isotrivial=True)
+        W = admissible_target(rng, X, tries=10)
+        if W is None:
+            continue
+        assert sites(X) == sites(at_weights(X, W))
+        checked += 1
+
+
+def test_active_walls_skip_boundary_wall_of_a_nodal_fiber():
+    w = WeightVector((F(1, 2),))
+    boundary = Wall(WallKind.WI, frozenset({1}), F(1), boundary=True)
+    threshold = Wall(WallKind.WI, frozenset({1}), F(5, 6))
+    nodal = BrokenEllipticSurface(w, (Component("c1", 1, 2, F(1), (mk_fiber("f1", "I1", 1, w),)),))
+    assert active_walls(nodal, [boundary, threshold]) == []
+    cusp = BrokenEllipticSurface(w, (Component("c1", 1, 2, F(1), (mk_fiber("f1", "II", 1, w),)),))
+    assert active_walls(cusp, [boundary, threshold]) == [threshold, boundary]
+    assert [fw.fid for fw in felt_walls(cusp)] == ["f1", "f1", ""]
+    assert (mmp_elliptic.felt_walls, mmp_elliptic.FeltWall) == (felt_walls, FeltWall)
 
 
 def test_wall_obj_round_trip():
