@@ -22,6 +22,7 @@ from .kodaira import (
     canonical_contribution,
     fiber_model_at,
     intersection_data,
+    is_settled,
     lct_threshold,
     parse_fiber_type,
     verify_threshold,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .rationals import rat, rat_to_str
 
@@ -128,8 +129,10 @@ class WeightVector:
     def leq(self, other: "WeightVector") -> bool:
         return self.r == other.r and all(a <= b for a, b in zip(self.entries, other.entries))
 
-    def total(self) -> Fraction:
-        return sum(self.entries, Fraction(0))
+    def sum(self, indices: Iterable[int]) -> Fraction:
+        """The weight sum over the given marker indices: the one marker-set
+        sum of the package.  Exact sums do not depend on the order."""
+        return sum((self.weight(i) for i in indices), Fraction(0))
 
 
 def interpolate(A: WeightVector, B: WeightVector, t: Fraction) -> WeightVector:
@@ -143,7 +146,7 @@ def component_degree(curve: MarkedNodalCurve, vid: int, weights: WeightVector) -
     """Degree of the weighted dualizing sheaf on one component:
     2g - 2 + valence + sum of marker weights on the vertex."""
     v = curve.vertex(vid)
-    total = sum((weights.weight(m.index) for m in curve.markers_on(vid)), Fraction(0))
+    total = weights.sum(m.index for m in curve.markers_on(vid))
     return 2 * v.genus - 2 + curve.valence(vid) + total
 
 

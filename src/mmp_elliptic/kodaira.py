@@ -125,15 +125,7 @@ _LCT: dict[str, Fraction] = {
 }
 
 #: The distinct non-boundary threshold constants, ascending.
-THRESHOLD_CONSTANTS: tuple[Fraction, ...] = (
-    Fraction(1, 6),
-    Fraction(1, 4),
-    Fraction(1, 3),
-    Fraction(1, 2),
-    Fraction(2, 3),
-    Fraction(3, 4),
-    Fraction(5, 6),
-)
+THRESHOLD_CONSTANTS: tuple[Fraction, ...] = tuple(sorted(set(_LCT.values())))
 
 
 def lct_threshold(ftype: KodairaType) -> Fraction | None:
@@ -161,6 +153,17 @@ def fiber_model_at(ftype: KodairaType, a: Fraction) -> FiberState:
     if a < 1:
         return FiberState.INTERMEDIATE
     return FiberState.TWISTED
+
+
+def is_settled(ftype: KodairaType, a: Fraction, state: FiberState) -> bool:
+    """Whether `state` is a log canonical model of a minimal marked fiber at
+    coefficient a: the state `fiber_model_at` gives, or at a = 1 also the
+    intermediate model of a type with a threshold, which stands for the model
+    just below one."""
+    want = fiber_model_at(ftype, a)
+    return state == want or (
+        a == 1 and state == FiberState.INTERMEDIATE and want == FiberState.TWISTED
+    )
 
 
 @dataclass(frozen=True)

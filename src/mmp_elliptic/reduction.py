@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .curves import WeightVector, interpolate
-from .kodaira import FiberState, fiber_model_at, lct_threshold
+from .kodaira import FiberState, fiber_model_at, is_settled, lct_threshold
 from .surfaces import (
     AttachEnd,
     BrokenEllipticSurface,
@@ -145,27 +145,6 @@ def _replace_fiber(
     return _map_fibers(X, lambda o, f: new if o == owner and f.fid == fid else f)
 
 
-def _with_weights(X: BrokenEllipticSurface, W: WeightVector) -> BrokenEllipticSurface:
-    """Move the model to new weights, recomputing every marker-backed coefficient."""
-    X2 = replace(X, weights=W)
-
-    def recoeff(owner: str, f: MarkedFiber) -> MarkedFiber:
-        if not f.markers:
-            return f
-        return replace(f, coeff=X2.fiber_coeff(f))
-
-    return _map_fibers(X2, recoeff)
-
-
-def at_weights(X: BrokenEllipticSurface, W: WeightVector) -> BrokenEllipticSurface:
-    """The model re-evaluated at other weights: coefficients recomputed from
-    the markers and plain fiber states moved to the log canonical model at the
-    new coefficient.  Tree hosts stay intermediate; their range is re-checked
-    by `validate`, not here."""
-    moved, _ = _fiber_transition_events(_with_weights(X, W))
-    return moved
-
-
 def _replace_component(X: BrokenEllipticSurface, cid: str, **changes) -> BrokenEllipticSurface:
     return replace(
         X,
@@ -173,51 +152,64 @@ def _replace_component(X: BrokenEllipticSurface, cid: str, **changes) -> BrokenE
     )
 
 
-def _weight_sum(W: WeightVector, markers: frozenset[int]) -> Fraction:
-    return sum((W.weight(i) for i in sorted(markers)), Fraction(0))
-
-
 # -- WI: fiber model transitions ----------------------------------------------
 
 
-def _fiber_transition_events(
-    X: BrokenEllipticSurface, allow_leave_one: WeightVector | None = None
+def _settle(
+    X: BrokenEllipticSurface, leave_one: WeightVector | None = None
 ) -> tuple[BrokenEllipticSurface, list[tuple[str, MarkedFiber, FiberState]]]:
-    """Recompute marked-fiber states at the current weights.
+    """Bring every fiber to the model's weights in one pass.
 
-    Tree-hosting intermediate fibers are pinned (their lifecycle is governed
-    by flips and collapses).  A twisted fiber at coefficient one only drops to
-    its intermediate model when `allow_leave_one` (the walk target) strictly
-    lowers its backing weight; an intermediate fiber at coefficient one is the
-    flip-boundary representative and is left alone.
+    Each marker-backed coefficient is recomputed from `X.weights`, and each
+    plain fiber (marked, hosting no tree, not N2) moves to the state
+    `fiber_model_at` gives unless `is_settled` already accepts its state.
+    Tree-hosting fibers keep their state: flips and collapses govern them.  A
+    twisted fiber at coefficient one drops to its intermediate model only when
+    `leave_one` (the walk target) strictly lowers its backing weight.  Returns
+    the model and each state change as (owner, fiber, new state).
     """
     hosts = X.host_keys()
     events: list[tuple[str, MarkedFiber, FiberState]] = []
 
-    def fix(owner: str, f: MarkedFiber) -> MarkedFiber:
-        if (owner, f.fid) in hosts or not f.markers or f.ftype.family == "N2":
+    def settle(owner: str, f: MarkedFiber) -> MarkedFiber:
+        if not f.markers:
             return f
-        want = fiber_model_at(f.ftype, f.coeff)
-        if want == f.state:
-            if (
-                f.state == FiberState.TWISTED
-                and allow_leave_one is not None
-                and _weight_sum(allow_leave_one, f.markers) < f.coeff
-            ):
-                events.append((owner, f, FiberState.INTERMEDIATE))
-                return replace(f, state=FiberState.INTERMEDIATE)
+        coeff = X.weights.sum(f.markers)
+        if coeff != f.coeff:
+            f = replace(f, coeff=coeff)
+        if (owner, f.fid) in hosts or f.ftype.family == "N2":
             return f
-        if want == FiberState.TWISTED and f.state == FiberState.INTERMEDIATE and f.coeff == 1:
-            return f  # boundary representative of the just-below-one model
+        if not is_settled(f.ftype, coeff, f.state):
+            want = fiber_model_at(f.ftype, coeff)
+        elif (
+            f.state == FiberState.TWISTED
+            and leave_one is not None
+            and leave_one.sum(f.markers) < coeff
+        ):
+            want = FiberState.INTERMEDIATE
+        else:
+            return f
         events.append((owner, f, want))
         return replace(f, state=want)
 
-    X2 = _map_fibers(X, fix)
-    return X2, events
+    return _map_fibers(X, settle), events
+
+
+def at_weights(X: BrokenEllipticSurface, W: WeightVector) -> BrokenEllipticSurface:
+    """The model re-evaluated at other weights: coefficients recomputed from
+    the markers and plain fiber states moved to the log canonical model at the
+    new coefficient.  Tree hosts stay intermediate; their range is re-checked
+    by `validate`, not here."""
+    return _settle(replace(X, weights=W))[0]
 
 
 def _record_fiber_event(
-    t: Fraction, owner: str, f: MarkedFiber, new_state: FiberState, snapshot: BrokenEllipticSurface
+    t: Fraction,
+    owner: str,
+    f: MarkedFiber,
+    new_state: FiberState,
+    snapshot: BrokenEllipticSurface,
+    note: str = "",
 ) -> TransformationRecord:
     if new_state == FiberState.WEIERSTRASS:
         kind = RecordKind.FIBER_TO_WEIERSTRASS
@@ -228,7 +220,7 @@ def _record_fiber_event(
     else:
         kind = RecordKind.FIBER_TO_TWISTED
         wall = Wall(WallKind.WI, f.markers, Fraction(1), boundary=True)
-    return TransformationRecord(t, wall, kind, (owner, f.fid), snapshot)
+    return TransformationRecord(t, wall, kind, (owner, f.fid), snapshot, note)
 
 
 # -- WII: section contractions -------------------------------------------------
@@ -248,7 +240,7 @@ def _attach_tree_to_end(
     host_fiber = MarkedFiber(
         end.fiber_id,
         end.ftype,
-        _weight_sum(X.weights, markers),
+        X.weights.sum(markers),
         FiberState.INTERMEDIATE,
         markers,
     )
@@ -302,7 +294,7 @@ def _apply_la_nave_flip(
     one step further along the chain.
     """
     wall_subset = X.marker_set(cid)
-    constant = _weight_sum(X.weights, wall_subset)
+    constant = X.weights.sum(wall_subset)
     affected = [cid]
     current, root, peer_end = _detach_component(X, cid)
     current = _attach_tree_to_end(current, peer_end, root)
@@ -335,7 +327,7 @@ def _apply_section_contraction(
         return _apply_la_nave_flip(X, cid, t)
     current = _replace_component(X, cid, has_section=False)
     subset = X.marker_set(cid)
-    constant = _weight_sum(X.weights, subset)
+    constant = X.weights.sum(subset)
     if n_ends == 0:
         kind, boundary = RecordKind.WHOLE_SECTION_CONTRACTION, constant != 2
     else:
@@ -384,8 +376,8 @@ def _collapse_subtree(
     fiber of its own type carrying the tree's markers, or an unmarked twisted
     fiber when the collapse is onto a curve."""
     markers = subtree_markers(node)
-    coeff = _weight_sum(X.weights, markers)
-    to_curve = node.isotrivial_jinf and node.degL == 0
+    coeff = X.weights.sum(markers)
+    to_curve = node.collapses_to_curve
     old = X.host_fiber(owner, fid)
     newf = _collapsed_fiber(old, markers, coeff, to_curve)
     current = _replace_fiber(X, owner, fid, newf)
@@ -426,52 +418,38 @@ def _apply_batch(
     records: list[TransformationRecord],
     leave_one_target: WeightVector | None,
 ) -> tuple[BrokenEllipticSurface, list[FeltWall], bool]:
-    """Apply all transformations pending at the current weights.
+    """Apply all transformations pending at the model's weights.
 
     `felt` is the model's `felt_walls` table.  Returns the rewritten model,
-    its table, and whether the walk must halt (curve collapse).  Batch order
-    per pass: WI fiber transitions, then WII section contractions in
-    ascending component id, then WIII collapses deepest-first; passes repeat
-    until the model is quiescent, so cascades stay inside one batch.  Fiber
-    transitions leave the structure alone, so the table is rebuilt only
-    after a WII or WIII record.
+    its table, and whether the walk must halt (curve collapse).  The fibers
+    are settled once (`_settle`, one WI record per state change); then one
+    WII section contraction (lowest component id first) or, when none is
+    due, one WIII collapse (deepest first) is applied at a time until
+    neither is due, so cascades stay inside one batch.  A flip or a collapse
+    leaves no plain fiber unsettled: hosts are pinned, a collapsed host is
+    built at its log canonical model, and fibers that move keep their state.
+    The table is rebuilt after each WII or WIII record.
     """
-    current = X
-    first = True
-    while True:
-        progressed = False
-
-        current, events = _fiber_transition_events(
-            current, leave_one_target if first else None
-        )
-        for owner, fiber, new_state in events:
-            records.append(_record_fiber_event(t, owner, fiber, new_state, current))
-            progressed = True
-        first = False
-
+    current, events = _settle(X, leave_one_target)
+    for owner, fiber, new_state in events:
+        records.append(_record_fiber_event(t, owner, fiber, new_state, current))
+    halted = False
+    while not halted:
         wii = _due(felt, WallKind.WII, current.weights)
         if wii:
             current, rec = _apply_section_contraction(current, wii[0].owner, t)
             if len(wii) > 1:
                 rec = replace(rec, note=(rec.note + "; simultaneous section walls").strip("; "))
-            records.append(rec)
-            felt = felt_walls(current)
-            progressed = True
-
-        if not progressed:
+        else:
             wiii = _due(felt, WallKind.WIII, current.weights)
-            if wiii:
-                # deepest first so nested collapses precede their hosts'
-                fw = min(wiii, key=lambda fw: (-fw.depth, fw.node.pid))
-                current, rec, halted = _collapse_subtree(current, fw.owner, fw.fid, fw.node, t)
-                records.append(rec)
-                felt = felt_walls(current)
-                if halted:
-                    return current, felt, True
-                progressed = True
-
-        if not progressed:
-            return current, felt, False
+            if not wiii:
+                break
+            # deepest first so nested collapses precede their hosts'
+            fw = min(wiii, key=lambda fw: (-fw.depth, fw.node.pid))
+            current, rec, halted = _collapse_subtree(current, fw.owner, fw.fid, fw.node, t)
+        records.append(rec)
+        felt = felt_walls(current)
+    return current, felt, halted
 
 
 # -- the public operations --------------------------------------------------------
@@ -553,12 +531,10 @@ def increase_to_one(
     w = X.weights.weight(marker_index)
     if w == 1:
         raise RuleNotApplicable(f"marker {marker_index} already has weight 1")
-    hosts = X.host_keys()
     found = None
-    for owner, fibers in X.fiber_owners():
-        for f in fibers:
-            if marker_index in f.markers and (owner, f.fid) not in hosts:
-                found = (owner, f)
+    for owner, f in X.marked_fibers():
+        if marker_index in f.markers:
+            found = (owner, f)
     if found is None:
         raise RuleNotApplicable(f"marker {marker_index} backs no marked fiber")
     owner, fiber = found
@@ -574,26 +550,14 @@ def increase_to_one(
         )
     entries = list(X.weights.entries)
     entries[marker_index - 1] = Fraction(1)
-    current = _with_weights(X, WeightVector(tuple(entries)))
-    if stable_like:
-        wall = Wall(WallKind.WI, fiber.markers, Fraction(1), boundary=True)
-        rec = TransformationRecord(
-            Fraction(1),
-            wall,
-            RecordKind.FIBER_TO_TWISTED,
-            (owner, fiber.fid),
-            current,
-            "stable fiber; birational model unchanged",
-        )
-        return current, rec
-
-    twisted = replace(fiber, coeff=Fraction(1), state=FiberState.TWISTED)
-    current = _replace_fiber(current, owner, fiber.fid, twisted)
-    wall = Wall(WallKind.WI, fiber.markers, Fraction(1), boundary=True)
-    rec = TransformationRecord(
-        Fraction(1), wall, RecordKind.FIBER_TO_TWISTED, (owner, fiber.fid), current
+    current = at_weights(X, WeightVector(tuple(entries)))
+    note = "stable fiber; birational model unchanged" if stable_like else ""
+    if not stable_like:
+        twisted = replace(fiber, coeff=Fraction(1), state=FiberState.TWISTED)
+        current = _replace_fiber(current, owner, fiber.fid, twisted)
+    return current, _record_fiber_event(
+        Fraction(1), owner, fiber, FiberState.TWISTED, current, note
     )
-    return current, rec
 
 
 def _event_times(
@@ -648,7 +612,7 @@ def reduce(X: BrokenEllipticSurface, target: WeightVector) -> ReductionTrace:
             if t_cur == 0:
                 break
             t_next = Fraction(0)
-        current = _with_weights(current, interpolate(A, B, t_next))
+        current = replace(current, weights=interpolate(A, B, t_next))
         current, felt, halted = _apply_batch(current, felt, t_next, records, leave_one_target=None)
         t_cur = t_next
         if t_cur == 0:

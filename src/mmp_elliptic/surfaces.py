@@ -37,6 +37,7 @@ from .kodaira import (
     canonical_contribution,
     fiber_model_at,
     intersection_data,
+    is_settled,
     lct_threshold,
 )
 
@@ -172,6 +173,12 @@ class PseudoComponent:
                 return f
         raise KeyError(f"pseudo component {self.pid} has no fiber {fid}")
 
+    @property
+    def collapses_to_curve(self) -> bool:
+        """An isotrivial j-infinity quotient with trivial fundamental line
+        bundle contracts onto a curve, not a point, when its tree collapses."""
+        return self.isotrivial_jinf and self.degL == 0
+
     def nodes(self) -> list["PseudoComponent"]:
         out = [self]
         for link in self.children:
@@ -291,6 +298,15 @@ class BrokenEllipticSurface:
         """(owner id, fiber id) of every fiber that hosts a subtree."""
         return {(owner, fid) for owner, fid, _, _ in self.subtrees()}
 
+    def marked_fibers(self) -> Iterator[tuple[str, MarkedFiber]]:
+        """Yield (owner id, fiber) for every fiber with markers that hosts no
+        tree: the fibers whose own markers back their coefficient."""
+        hosts = self.host_keys()
+        for owner, fibers in self.fiber_owners():
+            for f in fibers:
+                if f.markers and (owner, f.fid) not in hosts:
+                    yield owner, f
+
     def host_fiber(self, owner: str, fid: str) -> MarkedFiber:
         """The fiber `fid` of a component or pseudo node."""
         for o, fibers in self.fiber_owners():
@@ -310,7 +326,7 @@ class BrokenEllipticSurface:
         or the fixed boundary coefficient of a marker-less fiber."""
         if not fiber.markers:
             return fiber.coeff
-        return sum((self.weights.weight(i) for i in sorted(fiber.markers)), Fraction(0))
+        return self.weights.sum(fiber.markers)
 
     def marker_set(self, cid: str) -> frozenset[int]:
         """Every weight index whose marked fiber projects to this component's
@@ -407,10 +423,9 @@ def pseudo_fate(X: BrokenEllipticSurface, tree_id: str) -> str:
     c = lct_threshold(hfiber.ftype)
     if c is None:
         raise MissingThreshold(f"host fiber type {hfiber.ftype} has no threshold")
-    total = sum((X.weights.weight(i) for i in sorted(subtree_markers(att.root))), Fraction(0))
-    if total > c:
+    if X.weights.sum(subtree_markers(att.root)) > c:
         return PSEUDO_BIG
-    if att.root.isotrivial_jinf and att.root.degL == 0:
+    if att.root.collapses_to_curve:
         return PSEUDO_TO_CURVE
     return PSEUDO_TO_POINT
 
@@ -548,18 +563,13 @@ def _check_fiber_state(
                 )
             )
         return
-    want = fiber_model_at(f.ftype, derived)
-    boundary_intermediate = (
-        f.state == FiberState.INTERMEDIATE
-        and derived == 1
-        and lct_threshold(f.ftype) is not None
-    )
-    if f.state != want and not boundary_intermediate:
+    if not is_settled(f.ftype, derived, f.state):
         out.append(
             Violation(
                 "fiber-state",
                 f"{owner}/{f.fid}",
-                f"state {f.state} but coefficient {derived} implies {want}",
+                f"state {f.state} but coefficient {derived} implies"
+                f" {fiber_model_at(f.ftype, derived)}",
             )
         )
 
@@ -659,30 +669,26 @@ def validate(X: BrokenEllipticSurface) -> list[Violation]:
 
     # marker disjointness over non-host fibers
     seen: dict[int, str] = {}
-    owners = X.fiber_owners()
-    for owner, fibers in owners:
-        for f in fibers:
-            if (owner, f.fid) in hosts:
-                continue
-            for i in f.markers:
-                if not 1 <= i <= X.weights.r:
-                    out.append(
-                        Violation("marker", f"{owner}/{f.fid}", f"marker {i} outside 1..{X.weights.r}")
+    for owner, f in X.marked_fibers():
+        for i in f.markers:
+            if not 1 <= i <= X.weights.r:
+                out.append(
+                    Violation("marker", f"{owner}/{f.fid}", f"marker {i} outside 1..{X.weights.r}")
+                )
+            elif i in seen:
+                out.append(
+                    Violation(
+                        "marker",
+                        f"{owner}/{f.fid}",
+                        f"marker {i} already used by {seen[i]}",
                     )
-                elif i in seen:
-                    out.append(
-                        Violation(
-                            "marker",
-                            f"{owner}/{f.fid}",
-                            f"marker {i} already used by {seen[i]}",
-                        )
-                    )
-                else:
-                    seen[i] = f"{owner}/{f.fid}"
+                )
+            else:
+                seen[i] = f"{owner}/{f.fid}"
 
     # per-fiber states, coefficients, eq. (4.1); a marker outside 1..r has
     # no weight, and its fiber is already reported above
-    for owner, fibers in owners:
+    for owner, fibers in X.fiber_owners():
         for f in fibers:
             if all(1 <= i <= X.weights.r for i in f.markers):
                 _check_fiber_state(X, owner, f, hosts, out)

@@ -5,7 +5,8 @@ Walls come in three kinds: fiber-model transitions on single coordinates
 equal to two over a rational base) (WII), and pseudoelliptic collapses on
 subset sums equal to a threshold constant (WIII).  Boundary walls at a
 coordinate equal to zero or one carry a flag.  Everything is exact; the full
-arrangement on r markers is exponential in r and is enumerated lazily.
+arrangement on r markers is exponential in r, and `enumerate_walls` builds it
+as one sorted list.
 
 `felt_walls` is the one table of the walls a given model feels, each paired
 with the fiber, section or tree that crossing it rewrites.  It depends only on
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .curves import WeightVector
 from .kodaira import THRESHOLD_CONSTANTS, KodairaType, lct_threshold
@@ -46,7 +47,7 @@ class Wall:
     boundary: bool = False
 
     def value_at(self, weights: WeightVector) -> Fraction:
-        return sum((weights.weight(i) for i in sorted(self.subset)), Fraction(0))
+        return weights.sum(self.subset)
 
     def side(self, weights: WeightVector) -> str:
         v = self.value_at(weights)
@@ -92,30 +93,6 @@ class SegmentCrossing:
     walls_hit: tuple[Wall, ...]
 
 
-def iter_walls(
-    r: int, fiber_types: Iterable[KodairaType], rational_base: bool
-) -> Iterator[Wall]:
-    """Lazy enumeration of the full arrangement; see `enumerate_walls`."""
-    types = list(fiber_types)
-    if len(types) != r:
-        raise ValueError(f"expected {r} fiber types, got {len(types)}")
-    for i, ftype in enumerate(types, start=1):
-        c = lct_threshold(ftype)  # may raise UnsupportedFiberType for N2
-        if c is not None:
-            yield Wall(WallKind.WI, frozenset({i}), c)
-            yield Wall(WallKind.WI, frozenset({i}), Fraction(1), boundary=True)
-    indices = range(1, r + 1)
-    for size in range(1, r + 1):
-        for sub in combinations(indices, size):
-            yield Wall(WallKind.WII, frozenset(sub), Fraction(1))
-    if rational_base:
-        yield Wall(WallKind.WII, frozenset(indices), Fraction(2))
-    for size in range(1, r + 1):
-        for sub in combinations(indices, size):
-            for c in THRESHOLD_CONSTANTS:
-                yield Wall(WallKind.WIII, frozenset(sub), c)
-
-
 def enumerate_walls(
     r: int, fiber_types: Iterable[KodairaType], rational_base: bool = False
 ) -> list[Wall]:
@@ -129,7 +106,22 @@ def enumerate_walls(
     distinct, so the walls are distinct by construction.  Deterministically
     ordered.
     """
-    return sorted(iter_walls(r, fiber_types, rational_base), key=Wall.sort_key)
+    types = list(fiber_types)
+    if len(types) != r:
+        raise ValueError(f"expected {r} fiber types, got {len(types)}")
+    walls = []
+    for i, ftype in enumerate(types, start=1):
+        c = lct_threshold(ftype)  # may raise UnsupportedFiberType for N2
+        if c is not None:
+            walls.append(Wall(WallKind.WI, frozenset({i}), c))
+            walls.append(Wall(WallKind.WI, frozenset({i}), Fraction(1), boundary=True))
+    indices = range(1, r + 1)
+    subsets = [frozenset(sub) for size in indices for sub in combinations(indices, size)]
+    walls += [Wall(WallKind.WII, sub, Fraction(1)) for sub in subsets]
+    if rational_base:
+        walls.append(Wall(WallKind.WII, frozenset(indices), Fraction(2)))
+    walls += [Wall(WallKind.WIII, sub, c) for sub in subsets for c in THRESHOLD_CONSTANTS]
+    return sorted(walls, key=Wall.sort_key)
 
 
 def locate(weights: WeightVector, walls: Iterable[Wall]) -> Chamber:
@@ -196,16 +188,14 @@ def felt_walls(X: BrokenEllipticSurface) -> list[FeltWall]:
     enters: weights and fiber states do not, so the table stays valid until
     a section contracts or a tree collapses.
     """
-    hosts = X.host_keys()
     out = []
-    for owner, fibers in X.fiber_owners():
-        for f in fibers:
-            if not f.markers or (owner, f.fid) in hosts or f.ftype.family == "N2":
-                continue
-            a0 = lct_threshold(f.ftype)
-            if a0 is not None:
-                for c, boundary in ((a0, False), (Fraction(1), True)):
-                    out.append(FeltWall(Wall(WallKind.WI, f.markers, c, boundary), owner, f.fid))
+    for owner, f in X.marked_fibers():
+        if f.ftype.family == "N2":
+            continue
+        a0 = lct_threshold(f.ftype)
+        if a0 is not None:
+            for c, boundary in ((a0, False), (Fraction(1), True)):
+                out.append(FeltWall(Wall(WallKind.WI, f.markers, c, boundary), owner, f.fid))
     for comp in X.elliptic:
         wall = Wall(WallKind.WII, X.marker_set(comp.cid), -section_constant(X, comp.cid))
         out.append(FeltWall(wall, comp.cid))

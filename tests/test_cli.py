@@ -236,6 +236,10 @@ def test_validate_command(capsys, tmp_path):
     assert "degL" in out
 
 
+def test_validate_command_accepts_the_shipped_example(capsys):
+    assert run(capsys, "validate", str(EXAMPLE)) == (0, "ok\n", "")
+
+
 def test_usage_errors_exit_two(capsys, tmp_path):
     status, _, _ = run(capsys, "walls", "-r", "2", "--types", "I1")
     assert status == 2

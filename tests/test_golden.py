@@ -1,10 +1,11 @@
 """Byte-for-byte CLI output pinned against the files in tests/golden/.
 
 The files hold every rendering of the shipped example at three weights
-(model reports, reduction traces, per-step DOT snapshots) and the DOT of a
+(model reports, reduction traces, per-step DOT snapshots), the DOT of a
 chain whose type II middle sorts between its elliptic ends by id, while its
-cluster is emitted after theirs.  A deliberate output change rewrites the
-file from the command its test runs.
+cluster is emitted after theirs, and the final model of the nested-tree walk
+in `test_reduction.py` (a tree whose root hosts a child) with its reports.
+A deliberate output change rewrites the file from the command its test runs.
 """
 
 from pathlib import Path
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from mmp_elliptic.cli import main
+from mmp_elliptic.modeljson import parse_model, serialize_model
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 EXAMPLE = GOLDEN.parent.parent / "demos" / "data" / "rational_example.json"
@@ -49,3 +51,14 @@ def test_reduce_trace_and_dot_snapshots(capsys, tmp_path, tag):
 def test_type_ii_chain_dot_lists_sections_first(capsys):
     out = run(capsys, "model", str(GOLDEN / "chain_type2.json"), "--format", "dot")
     assert out == (GOLDEN / "chain_type2.dot").read_text()
+
+
+def test_nested_tree_round_trips_through_json():
+    text = (GOLDEN / "nested_tree.json").read_text()
+    assert serialize_model(parse_model(text)) == text
+
+
+@pytest.mark.parametrize("fmt", ["md", "dot"])
+def test_nested_tree_report(capsys, fmt):
+    out = run(capsys, "model", str(GOLDEN / "nested_tree.json"), "--format", fmt)
+    assert out == (GOLDEN / f"nested_tree.{fmt}").read_text()

@@ -12,6 +12,7 @@ from mmp_elliptic.reduction import (
     RecordKind,
     RuleNotApplicable,
     WallNotSatisfied,
+    at_weights,
     cross_wall,
     increase_to_one,
     reduce,
@@ -378,6 +379,28 @@ def test_increase_to_one_intermediate_fiber():
     assert validate(Y) == []
 
 
+def test_increase_to_one_refusals():
+    w = weights(1, 1, 1, F(3, 4))
+    fibers = tuple(mk_fiber(f"f{i}", "I1", i, w) for i in (1, 2, 3)) + (
+        mk_fiber("f4", "III", 4, w),
+    )
+    X = BrokenEllipticSurface(w, (Component("c1", 1, 0, F(1), fibers),))
+    with pytest.raises(RuleNotApplicable, match="only intermediate or stable"):
+        increase_to_one(X, 4)  # Weierstrass at its threshold
+
+    on_wall = flipped_degeneration(F(5, 12))
+    collapse = Wall(WallKind.WIII, frozenset({11, 12}), F(5, 6))
+    to_point, _ = cross_wall(on_wall, collapse)
+    with pytest.raises(RuleNotApplicable, match="composite fiber a1"):
+        increase_to_one(to_point, 11)
+
+    att = on_wall.trees[0]
+    iso = replace(att, root=replace(att.root, isotrivial_jinf=True, degL=F(0)))
+    to_curve, _ = cross_wall(replace(on_wall, trees=(iso,)), collapse)
+    with pytest.raises(RuleNotApplicable, match="backs no marked fiber"):
+        increase_to_one(to_curve, 11)
+
+
 def last_record_per_time(records):
     """Commutativity with the curve reduction holds once a whole time-step's
     batch has been applied, i.e. after the last record at each crossing time."""
@@ -479,3 +502,54 @@ def test_isotrivial_tree_collapse_to_curve_halts():
     assert host.state == FiberState.TWISTED and host.coeff == 1 and not host.markers
     # the walk stopped at the wall, not at the target
     assert final.weights.weight(11) == F(5, 12)
+
+
+def test_cross_wall_boundary_wall_at_one_both_ways():
+    # a III fiber at weight one is twisted; the boundary wall a4 = 1 blows it
+    # up to its intermediate model going down and contracts it back going up
+    w = weights(1, 1, 1, 1)
+    fibers = tuple(mk_fiber(f"f{i}", "I1", i, w) for i in (1, 2, 3)) + (
+        mk_fiber("f4", "III", 4, w),
+    )
+    X = BrokenEllipticSurface(w, (Component("c1", 1, 0, F(1), fibers),))
+    assert X.component("c1").fiber("f4").state == FiberState.TWISTED
+    wall = Wall(WallKind.WI, frozenset({4}), F(1), boundary=True)
+    with pytest.raises(RuleNotApplicable, match="only an intermediate fiber"):
+        cross_wall(X, wall, decreasing=False)
+
+    Y, rec = cross_wall(X, wall, decreasing=True)
+    assert rec.kind == RecordKind.FIBER_TO_INTERMEDIATE
+    assert (rec.t, rec.wall, rec.affected) == (F(1), wall, ("c1", "f4"))
+    assert Y.component("c1").fiber("f4").state == FiberState.INTERMEDIATE
+    assert validate(Y) == []
+    with pytest.raises(RuleNotApplicable, match="not twisted"):
+        cross_wall(Y, wall, decreasing=True)
+
+    Z, rec = cross_wall(Y, wall, decreasing=False)
+    assert rec.kind == RecordKind.FIBER_TO_TWISTED and rec.wall == wall
+    assert Z == X
+    on_threshold = at_weights(X, weights(1, 1, 1, F(3, 4)))
+    with pytest.raises(RuleNotApplicable, match="only cross the boundary wall at one"):
+        cross_wall(on_threshold, Wall(WallKind.WI, frozenset({4}), F(3, 4)), decreasing=False)
+
+
+def test_walk_snapshots_are_settled_at_their_weights():
+    # a batch settles the fibers once, before its flips and collapses; that
+    # is sound only if every snapshot is a fixed point of `at_weights`
+    rng = random.Random(61)
+    walks = halted = 0
+    while walks < 300:
+        X = random_model(rng, max_components=5, max_markers=12, allow_isotrivial=True)
+        A = admissible_target(rng, X)
+        if A is None:
+            continue
+        trace = reduce(X, A)
+        walks += 1
+        models = [rec.snapshot_after for rec in trace.records]
+        if trace.halted is None:
+            models.append(trace.final)
+        else:
+            halted += 1
+        for s in models:
+            assert at_weights(s, s.weights) == s
+    assert halted > 0
