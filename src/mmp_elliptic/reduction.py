@@ -526,7 +526,9 @@ def increase_to_one(
 
     Stable (type I_n) and N0 fibers keep their birational model; an
     intermediate fiber contracts its reduced component and becomes twisted.
-    The record kind marks the boundary-wall event in both cases.
+    The record kind marks the boundary-wall event in both cases.  Refused when
+    the new weight would lift the coefficient of a fiber the marker backs, such
+    as the host of a pseudoelliptic tree carrying it, above one.
     """
     w = X.weights.weight(marker_index)
     if w == 1:
@@ -550,7 +552,15 @@ def increase_to_one(
         )
     entries = list(X.weights.entries)
     entries[marker_index - 1] = Fraction(1)
-    current = at_weights(X, WeightVector(tuple(entries)))
+    W = WeightVector(tuple(entries))
+    for host, fibers in X.fiber_owners():
+        for f in fibers:
+            if marker_index in f.markers and W.sum(f.markers) > 1:
+                raise RuleNotApplicable(
+                    f"marker {marker_index} at weight 1 lifts fiber {f.fid} of {host}"
+                    f" to coefficient {W.sum(f.markers)}, above 1"
+                )
+    current = at_weights(X, W)
     note = "stable fiber; birational model unchanged" if stable_like else ""
     if not stable_like:
         twisted = replace(fiber, coeff=Fraction(1), state=FiberState.TWISTED)

@@ -5,8 +5,15 @@ Walls come in three kinds: fiber-model transitions on single coordinates
 equal to two over a rational base) (WII), and pseudoelliptic collapses on
 subset sums equal to a threshold constant (WIII).  Boundary walls at a
 coordinate equal to zero or one carry a flag.  Everything is exact; the full
-arrangement on r markers is exponential in r, and `enumerate_walls` builds it
-as one sorted list.
+arrangement on r markers is exponential in r.  `enumerate_walls` emits it
+already in `Wall.sort_key` order, sorting the 2^r - 1 subsets once.
+
+`locate`, `walls_containing` and `segment_walls` read one integer kernel,
+`_integer_sums`: over one common denominator D, the lcm of the weight and
+wall-constant denominators, every weight and constant is an integer, and each
+distinct wall subset's sum is added up once per weight vector.  A comparison
+with a constant is then an integer comparison, and a `Fraction` is built only
+for a crossing time.  `Wall.value_at` and `Wall.side` answer for one wall.
 
 `felt_walls` is the one table of the walls a given model feels, each paired
 with the fiber, section or tree that crossing it rewrites.  It depends only on
@@ -20,6 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterable, NamedTuple
 
 from .curves import WeightVector
@@ -103,35 +111,86 @@ def enumerate_walls(
     nonempty subset sums equal to one, plus the total sum equal to two over a
     rational base; WIII walls are all nonempty subset sums equal to each
     threshold constant.  Every threshold is below one and the constants are
-    distinct, so the walls are distinct by construction.  Deterministically
-    ordered.
+    distinct, so the walls are distinct by construction.  Emitted in
+    `Wall.sort_key` order; the WII and WIII walls on one subset share its
+    frozenset.
     """
     types = list(fiber_types)
     if len(types) != r:
         raise ValueError(f"expected {r} fiber types, got {len(types)}")
+    one = Fraction(1)
     walls = []
     for i, ftype in enumerate(types, start=1):
         c = lct_threshold(ftype)  # may raise UnsupportedFiberType for N2
         if c is not None:
             walls.append(Wall(WallKind.WI, frozenset({i}), c))
-            walls.append(Wall(WallKind.WI, frozenset({i}), Fraction(1), boundary=True))
+            walls.append(Wall(WallKind.WI, frozenset({i}), one, boundary=True))
     indices = range(1, r + 1)
-    subsets = [frozenset(sub) for size in indices for sub in combinations(indices, size)]
-    walls += [Wall(WallKind.WII, sub, Fraction(1)) for sub in subsets]
+    subsets = sorted(sub for size in indices for sub in combinations(indices, size))
+    frozen = [frozenset(sub) for sub in subsets]
+    wii = [Wall(WallKind.WII, sub, one) for sub in frozen]
     if rational_base:
-        walls.append(Wall(WallKind.WII, frozenset(indices), Fraction(2)))
-    walls += [Wall(WallKind.WIII, sub, c) for sub in subsets for c in THRESHOLD_CONSTANTS]
-    return sorted(walls, key=Wall.sort_key)
+        # the full set (1, ..., r) is the r-th subset in lexicographic order,
+        # and its wall at two sorts right after its wall at one
+        wii.insert(r, Wall(WallKind.WII, frozenset(indices), Fraction(2)))
+    walls += wii
+    walls += [Wall(WallKind.WIII, sub, c) for sub in frozen for c in THRESHOLD_CONSTANTS]
+    return walls
+
+
+def _integer_sums(
+    walls: list[Wall], *vectors: WeightVector
+) -> tuple[list[dict[frozenset[int], int]], dict[int, int]]:
+    """The integer kernel behind `locate`, `walls_containing` and
+    `segment_walls`.
+
+    Takes D, the lcm of every weight denominator and every wall-constant
+    denominator.  Returns, for each weight vector, a dict from each distinct
+    wall subset to its weight sum times D, and a dict giving each wall
+    constant c times D under the key `id(c)`: hashing a `Fraction` costs more
+    than the comparison it serves, and `walls` keeps every constant alive
+    while the caller reads the dict.  Walls from `enumerate_walls` share
+    their subsets and constants, so both dicts stay small.  Raises `KeyError`
+    for a subset naming a marker outside 1..r.
+    """
+    subsets = {w.subset for w in walls}
+    constants = {id(w.constant): w.constant for w in walls}
+    D = lcm(
+        *(c.denominator for c in constants.values()),
+        *(x.denominator for v in vectors for x in v.entries),
+    )
+    sums = []
+    for v in vectors:
+        numerators = {i: x.numerator * (D // x.denominator) for i, x in enumerate(v.entries, 1)}
+        try:
+            sums.append({sub: sum(map(numerators.__getitem__, sub)) for sub in subsets})
+        except KeyError as exc:
+            raise KeyError(f"marker index {exc.args[0]} outside 1..{v.r}") from None
+    return sums, {k: c.numerator * (D // c.denominator) for k, c in constants.items()}
 
 
 def locate(weights: WeightVector, walls: Iterable[Wall]) -> Chamber:
-    """Sign vector of the weight vector against each wall."""
-    ordered = sorted(walls, key=Wall.sort_key)
-    return Chamber(tuple((w, w.side(weights)) for w in ordered))
+    """Sign vector of the weight vector against each wall, in
+    `Wall.sort_key` order."""
+    walls = list(walls)
+    (sums,), scaled = _integer_sums(walls, weights)
+    ordered = {sub: tuple(sorted(sub)) for sub in sums}
+    # `Wall.sort_key` read off the kernel: the kind is a str enum, and scaling
+    # by D keeps the constants' order
+    walls.sort(key=lambda w: (w.kind, ordered[w.subset], scaled[id(w.constant)], w.boundary))
+    signs = []
+    for w in walls:
+        v, at_c = sums[w.subset], scaled[id(w.constant)]
+        signs.append((w, "below" if v < at_c else "above" if v > at_c else "on"))
+    return Chamber(tuple(signs))
 
 
 def walls_containing(weights: WeightVector, walls: Iterable[Wall]) -> list[Wall]:
-    return [w for w in sorted(walls, key=Wall.sort_key) if w.side(weights) == "on"]
+    """The walls through the weight vector, in `Wall.sort_key` order."""
+    walls = list(walls)
+    (sums,), scaled = _integer_sums(walls, weights)
+    on = [w for w in walls if sums[w.subset] == scaled[id(w.constant)]]
+    return sorted(on, key=Wall.sort_key)
 
 
 def segment_walls(
@@ -146,16 +205,18 @@ def segment_walls(
     """
     if not A.leq(B):
         raise ValueError("segment requires A <= B entrywise")
+    walls = list(walls)
+    (at_a, at_b), scaled = _integer_sums(walls, A, B)
     hits: dict[Fraction, list[Wall]] = {}
     for w in walls:
-        at_a = w.value_at(A) - w.constant
-        at_b = w.value_at(B) - w.constant
-        slope = at_b - at_a  # value along the segment is at_a + t * slope
-        if slope == 0:
-            continue
-        t = -at_a / slope
-        if 0 < t < 1:
-            hits.setdefault(t, []).append(w)
+        # A <= B, so a subset sum rises along the segment: a wall is crossed
+        # inside it exactly when its constant lies strictly between the ends
+        at_c = scaled[id(w.constant)]
+        lo = at_a[w.subset]
+        if lo < at_c:
+            hi = at_b[w.subset]
+            if at_c < hi:
+                hits.setdefault(Fraction(at_c - lo, hi - lo), []).append(w)
     return [
         SegmentCrossing(t, tuple(sorted(hits[t], key=Wall.sort_key)))
         for t in sorted(hits, reverse=True)
@@ -210,7 +271,7 @@ def felt_walls(X: BrokenEllipticSurface) -> list[FeltWall]:
 def active_walls(X: BrokenEllipticSurface, walls: Iterable[Wall]) -> list[Wall]:
     """The walls of an arrangement that the given model feels (`felt_walls`)."""
     felt = {fw.wall for fw in felt_walls(X)}
-    return [w for w in sorted(walls, key=Wall.sort_key) if w in felt]
+    return sorted((w for w in walls if w in felt), key=Wall.sort_key)
 
 
 def wall_to_obj(w: Wall) -> dict:

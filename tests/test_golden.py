@@ -3,8 +3,10 @@
 The files hold every rendering of the shipped example at three weights
 (model reports, reduction traces, per-step DOT snapshots), the DOT of a
 chain whose type II middle sorts between its elliptic ends by id, while its
-cluster is emitted after theirs, and the final model of the nested-tree walk
-in `test_reduction.py` (a tree whose root hosts a child) with its reports.
+cluster is emitted after theirs, the final model of the nested-tree walk
+in `test_reduction.py` (a tree whose root hosts a child) with its reports, a
+`walls` listing at r = 3 over a rational base, and the `walls --segment` scan
+of the worked path at r = 12.
 A deliberate output change rewrites the file from the command its test runs.
 """
 
@@ -62,3 +64,14 @@ def test_nested_tree_round_trips_through_json():
 def test_nested_tree_report(capsys, fmt):
     out = run(capsys, "model", str(GOLDEN / "nested_tree.json"), "--format", fmt)
     assert out == (GOLDEN / f"nested_tree.{fmt}").read_text()
+
+
+def test_walls_listing(capsys):
+    out = run(capsys, "walls", "-r", "3", "--types", "I1,II,IV*", "--rational-base")
+    assert out == (GOLDEN / "walls_r3.json").read_text()
+
+
+def test_walls_segment_of_the_worked_path(capsys):
+    lower, upper = ",".join(["1"] * 10 + ["1/3"] * 2), ",".join(["1"] * 12)
+    out = run(capsys, "walls", "-r", "12", "--types", ",".join(["I1"] * 12), "--segment", lower, upper)
+    assert out == (GOLDEN / "walls_segment_r12.json").read_text()

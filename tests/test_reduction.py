@@ -401,6 +401,14 @@ def test_increase_to_one_refusals():
         increase_to_one(to_curve, 11)
 
 
+def test_increase_to_one_refuses_to_lift_a_tree_host_above_one():
+    # marker 11 rides the tree hung off a1, whose coefficient a11 + a12
+    # would reach 1 + 9/20
+    X = flipped_degeneration(F(9, 20))
+    with pytest.raises(RuleNotApplicable, match="lifts fiber a1 of c1 to coefficient 29/20"):
+        increase_to_one(X, 11)
+
+
 def last_record_per_time(records):
     """Commutativity with the curve reduction holds once a whole time-step's
     batch has been applied, i.e. after the last record at each crossing time."""

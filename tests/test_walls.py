@@ -64,6 +64,7 @@ def test_enumeration_matches_brute_force_oracle():
         walls = enumerate_walls(r, types, rational)
         assert wall_keys(walls) == brute_force_walls(r, types, rational)
         assert len(walls) == len(wall_keys(walls))
+        assert walls == sorted(walls, key=Wall.sort_key)
 
 
 def test_closed_form_count():
@@ -116,26 +117,106 @@ def test_segment_crossings_of_the_example_path():
             assert w.value_at(at) == w.constant
 
 
+def per_wall_crossings(A, B, walls):
+    """The per-wall Fraction answer: solve each wall's linear equation for t."""
+    expected: dict[Fraction, list] = {}
+    for w in walls:
+        va, vb = w.value_at(A), w.value_at(B)
+        if va == vb:
+            continue
+        t = (w.constant - va) / (vb - va)
+        if 0 < t < 1:
+            expected.setdefault(t, []).append(w)
+    return [(t, sorted(expected[t], key=Wall.sort_key)) for t in sorted(expected, reverse=True)]
+
+
+def assert_per_wall_answers(A, B, walls):
+    """`segment_walls`, `walls_containing` and `locate` agree with
+    `Wall.value_at` and `Wall.side`, one wall at a time, duplicates kept."""
+    crossings = segment_walls(A, B, iter(walls))
+    assert [(c.t, list(c.walls_hit)) for c in crossings] == per_wall_crossings(A, B, walls)
+    ordered = sorted(walls, key=Wall.sort_key)
+    for W in (A, B, interpolate(A, B, F(1, 2))):
+        assert locate(W, iter(walls)).signs == tuple((w, w.side(W)) for w in ordered)
+        assert walls_containing(W, iter(walls)) == [w for w in ordered if w.side(W) == "on"]
+
+
+def hand_built_walls(rng, r, count):
+    """Walls read back from JSON objects, so no two share a subset or constant
+    object, with constants such as 2/7 and 7/5 whose denominators divide no
+    weight's; shuffled, with repeats."""
+    constants = ["2/7", "7/5", "3/11", "1", "5/6", "1/2", "13/9"]
+    walls = [
+        wall_from_obj({
+            "kind": rng.choice(["WI", "WII", "WIII"]),
+            "subset": rng.sample(range(1, r + 1), rng.randint(1, min(r, 4))),
+            "constant": rng.choice(constants),
+            "boundary": rng.random() < 0.2,
+        })
+        for _ in range(count)
+    ]
+    walls += [wall_from_obj(wall_to_obj(w)) for w in rng.sample(walls, count // 3)]
+    rng.shuffle(walls)
+    return walls
+
+
 def test_segment_oracle_random():
     rng = random.Random(23)
     pool = ["I1", "II", "III", "I*0", "IV*"]
+    cases = []
     for _ in range(10):
         r = rng.randint(1, 5)
         types = [parse_fiber_type(rng.choice(pool)) for _ in range(r)]
         walls = enumerate_walls(r, types, rational_base=True)
         B = WeightVector(tuple(F(rng.randint(6, 12), 12) for _ in range(r)))
         A = WeightVector(tuple(F(rng.randint(0, 6), 12) for _ in range(r)))
-        crossings = segment_walls(A, B, walls)
-        # oracle: solve each wall's linear equation for t directly
-        expected: dict[Fraction, set] = {}
-        for w in walls:
-            va, vb = w.value_at(A), w.value_at(B)
-            if va == vb:
-                continue
-            t = (w.constant - va) / (vb - va)
-            if 0 < t < 1:
-                expected.setdefault(t, set()).add(w)
-        assert {c.t: set(c.walls_hit) for c in crossings} == expected
+        cases.append((A, B, walls))
+    for _ in range(10):
+        r = rng.randint(1, 6)
+        B = WeightVector(tuple(F(rng.randint(2, 4), 4) for _ in range(r)))
+        A = WeightVector(tuple(b - F(rng.randint(0, 2), 4) for b in B.entries))
+        cases.append((A, B, hand_built_walls(rng, r, 30)))
+    # a few-marker wall list at r = 12 on the worked path, with the walls its
+    # start and end lie on
+    A = WeightVector(tuple([F(1)] * 10 + [F(1, 3), F(1, 3)]))
+    B = WeightVector(tuple([F(1)] * 12))
+    few = [
+        Wall(WallKind.WIII, frozenset({11, 12}), F(5, 6)),
+        Wall(WallKind.WII, frozenset({11, 12}), F(1)),
+        Wall(WallKind.WII, frozenset({1, 11}), F(7, 5)),
+        Wall(WallKind.WIII, frozenset({12}), F(2, 7)),
+        Wall(WallKind.WI, frozenset({5}), F(1), boundary=True),
+        Wall(WallKind.WII, frozenset({11, 12}), F(2, 3)),
+        Wall(WallKind.WII, frozenset({11, 12}), F(1)),
+    ]
+    cases.append((A, B, few))
+    cases.append((A, B, hand_built_walls(rng, 12, 40)))
+    for A, B, walls in cases:
+        assert_per_wall_answers(A, B, walls)
+    # alpha = 1/3 + (2/3) t: a11 + a12 hits 1 at t = 1/4 (twice, as listed)
+    # and 5/6 at t = 1/8, a1 + a11 hits 7/5 at t = 1/10; a12 stays above 2/7
+    crossings = segment_walls(A, B, few)
+    assert [(c.t, c.walls_hit) for c in crossings] == [
+        (F(1, 4), (few[1], few[6])), (F(1, 8), (few[0],)), (F(1, 10), (few[2],))
+    ]
+    assert walls_containing(A, few) == [few[4], few[5]]
+    assert walls_containing(B, few) == [few[4]]
+
+
+def test_wall_functions_reject_a_marker_outside_the_vector():
+    A = WeightVector((F(1, 4), F(1, 2)))
+    B = WeightVector((F(1, 2), F(1, 2)))
+    for bad in (3, 0):
+        walls = [Wall(WallKind.WII, frozenset({1}), F(1)), Wall(WallKind.WII, frozenset({1, bad}), F(2, 7))]
+        with pytest.raises(KeyError):
+            locate(A, walls)
+        with pytest.raises(KeyError):
+            walls_containing(A, walls)
+        with pytest.raises(KeyError):
+            segment_walls(A, B, walls)
+        # the order of the ends is checked first
+        with pytest.raises(ValueError, match="A <= B"):
+            segment_walls(B, A, walls)
 
 
 def test_segment_requires_entrywise_order():
