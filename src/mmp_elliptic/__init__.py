@@ -58,6 +58,7 @@ from .surfaces import (
     UnsupportedConfiguration,
     Violation,
     base_curve,
+    base_weights,
     model_shape,
     pseudo_fate,
     section_constant,

@@ -42,6 +42,7 @@ from .reduction import (
 from .surfaces import (
     UnsupportedConfiguration,
     base_curve,
+    base_weights,
     pseudo_fate,
     section_degree,
     validate,
@@ -229,7 +230,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
             per_step[rec.t] = rec
         for rec in per_step.values():
             got = base_curve(rec.snapshot_after)
-            want = hassett_reduce(original, rec.snapshot_after.weights)
+            want = hassett_reduce(original, base_weights(rec.snapshot_after))
             if got != want:
                 raise CliError(
                     f"base-curve commutativity failed at t = {rat_to_str(rec.t)}",

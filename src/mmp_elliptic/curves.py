@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable
 
 from .rationals import rat, rat_to_str
@@ -78,14 +80,19 @@ class MarkedNodalCurve:
         self.vertex(vid)
         return sum((a == vid) + (b == vid) for a, b in self.edges)
 
-    def neighbors(self, vid: int) -> list[int]:
-        out = set()
+    @cached_property
+    def _adjacency(self) -> dict[int, set[int]]:
+        """Vertex id -> ids of the other vertices it shares an edge with; the
+        curve is frozen, so this is built once, on first use."""
+        adjacency: dict[int, set[int]] = {v.vid: set() for v in self.vertices}
         for a, b in self.edges:
-            if a == vid and b != vid:
-                out.add(b)
-            elif b == vid and a != vid:
-                out.add(a)
-        return sorted(out)
+            if a != b:
+                adjacency[a].add(b)
+                adjacency[b].add(a)
+        return adjacency
+
+    def neighbors(self, vid: int) -> list[int]:
+        return sorted(self._adjacency.get(vid, ()))
 
     def markers_on(self, vid: int) -> tuple[Marker, ...]:
         return tuple(m for m in self.markers if m.vertex == vid)
@@ -97,7 +104,7 @@ class MarkedNodalCurve:
         frontier = [self.vertices[0].vid]
         while frontier:
             v = frontier.pop()
-            for w in self.neighbors(v):
+            for w in self._adjacency[v]:
                 if w not in seen:
                     seen.add(w)
                     frontier.append(w)
@@ -113,7 +120,8 @@ class WeightVector:
     def __post_init__(self) -> None:
         ent = tuple(rat(e) for e in self.entries)
         for e in ent:
-            if not 0 <= e <= 1:
+            # 0 <= e <= 1 on the integers of e: its denominator is positive
+            if not 0 <= e.numerator <= e.denominator:
                 raise ValueError(f"weight {e} outside [0, 1]")
         object.__setattr__(self, "entries", ent)
 
@@ -142,12 +150,29 @@ def interpolate(A: WeightVector, B: WeightVector, t: Fraction) -> WeightVector:
     return WeightVector(tuple((1 - t) * a + t * b for a, b in zip(A.entries, B.entries)))
 
 
+def _degree_table(curve: MarkedNodalCurve, weights: WeightVector) -> tuple[dict[int, int], int]:
+    """The degree of the weighted dualizing sheaf on every component, in
+    vertex order, as an integer over one common denominator D:
+    D (2g - 2 + valence + sum of marker weights on the vertex), taken in one
+    sweep over the edges (a self-loop counts twice) and the markers.  Returns
+    the table and D."""
+    marked = [(m.vertex, weights.weight(m.index)) for m in curve.markers]
+    D = lcm(*(w.denominator for _, w in marked))
+    table = {v.vid: D * (2 * v.genus - 2) for v in curve.vertices}
+    for a, b in curve.edges:
+        table[a] += D
+        table[b] += D
+    for vid, w in marked:
+        table[vid] += w.numerator * (D // w.denominator)
+    return table, D
+
+
 def component_degree(curve: MarkedNodalCurve, vid: int, weights: WeightVector) -> Fraction:
     """Degree of the weighted dualizing sheaf on one component:
     2g - 2 + valence + sum of marker weights on the vertex."""
-    v = curve.vertex(vid)
-    total = weights.sum(m.index for m in curve.markers_on(vid))
-    return 2 * v.genus - 2 + curve.valence(vid) + total
+    curve.vertex(vid)
+    table, D = _degree_table(curve, weights)
+    return Fraction(table[vid], D)
 
 
 def is_hassett_stable(curve: MarkedNodalCurve, weights: WeightVector) -> bool:
@@ -155,7 +180,7 @@ def is_hassett_stable(curve: MarkedNodalCurve, weights: WeightVector) -> bool:
     every marker present on the curve carries a strictly positive weight."""
     if any(weights.weight(m.index) <= 0 for m in curve.markers):
         return False
-    return all(component_degree(curve, v.vid, weights) > 0 for v in curve.vertices)
+    return all(d > 0 for d in _degree_table(curve, weights)[0].values())
 
 
 def contract_into_neighbor(curve: MarkedNodalCurve, vid: int) -> MarkedNodalCurve:
@@ -202,14 +227,11 @@ def hassett_reduce(curve: MarkedNodalCurve, weights: WeightVector) -> MarkedNoda
         raise CurveError("cannot reduce a disconnected curve")
     current = curve
     while len(current.vertices) > 1:
-        unstable = [
-            v.vid
-            for v in current.vertices
-            if component_degree(current, v.vid, weights) <= 0
-        ]
-        if not unstable:
+        degrees, _ = _degree_table(current, weights)
+        unstable = next((vid for vid, d in degrees.items() if d <= 0), None)
+        if unstable is None:
             break
-        current = contract_into_neighbor(current, unstable[0])
+        current = contract_into_neighbor(current, unstable)
     return current
 
 

@@ -9,6 +9,16 @@ to a point or a curve once their marked weight drops to the host threshold
 (WIII walls).  `reduce` walks a weight segment, applies every transformation
 at its exact crossing time in the batch order WI, WII, WIII, and returns the
 ordered trace with a model snapshot after each record.
+
+The walk runs in integer form (`_Segment`).  Over one common denominator per
+walk, the weights at time t are (low + t * rise) / D, so each felt wall's
+marker sum is an integer affine in t.  Each time the felt-wall table is built
+(at the start and after each WII or WIII record), every wall's crossing time
+is fixed as one integer ratio; `_due` and `_event_times` then compare
+integers, and a `Fraction` is built only for an event time and a snapshot's
+weights.  Each batch settles only the fibers whose markers move (A_i < B_i),
+which includes any such fiber a WII or WIII rewrite has created; the others
+keep their coefficient, so they stay settled.
 """
 
 from __future__ import annotations
@@ -16,9 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Callable
+from math import lcm
+from typing import Callable, Iterable
 
-from .curves import WeightVector, interpolate
+from .curves import WeightVector
 from .kodaira import FiberState, fiber_model_at, is_settled, lct_threshold
 from .surfaces import (
     AttachEnd,
@@ -124,25 +135,32 @@ def _map_node(node: PseudoComponent, fn: Callable[[str, MarkedFiber], MarkedFibe
     )
 
 
-def _map_fibers(
-    X: BrokenEllipticSurface, fn: Callable[[str, MarkedFiber], MarkedFiber]
+def _replace_fibers(
+    X: BrokenEllipticSurface, new: dict[tuple[str, str], MarkedFiber]
 ) -> BrokenEllipticSurface:
+    """The model with each fiber keyed (owner id, fiber id) in `new` swapped
+    in.  Components and trees that keep all their fibers are reused as they
+    are, so a rewrite costs the owners it touches, not the whole model."""
+    if not new:
+        return X
+    owners = {owner for owner, _ in new}
+
+    def swap(owner: str, f: MarkedFiber) -> MarkedFiber:
+        return new.get((owner, f.fid), f)
+
     return replace(
         X,
         components=tuple(
-            replace(c, fibers=tuple(fn(c.cid, f) for f in c.fibers)) for c in X.components
+            replace(c, fibers=tuple(swap(c.cid, f) for f in c.fibers)) if c.cid in owners else c
+            for c in X.components
         ),
         trees=tuple(
-            TreeAttachment(t.host_component, t.host_fiber, _map_node(t.root, fn))
+            TreeAttachment(t.host_component, t.host_fiber, _map_node(t.root, swap))
+            if any(n.pid in owners for n in t.root.nodes())
+            else t
             for t in X.trees
         ),
     )
-
-
-def _replace_fiber(
-    X: BrokenEllipticSurface, owner: str, fid: str, new: MarkedFiber
-) -> BrokenEllipticSurface:
-    return _map_fibers(X, lambda o, f: new if o == owner and f.fid == fid else f)
 
 
 def _replace_component(X: BrokenEllipticSurface, cid: str, **changes) -> BrokenEllipticSurface:
@@ -156,43 +174,35 @@ def _replace_component(X: BrokenEllipticSurface, cid: str, **changes) -> BrokenE
 
 
 def _settle(
-    X: BrokenEllipticSurface, leave_one: WeightVector | None = None
+    X: BrokenEllipticSurface, markers: Iterable[int], leave_one: bool = False
 ) -> tuple[BrokenEllipticSurface, list[tuple[str, MarkedFiber, FiberState]]]:
-    """Bring every fiber to the model's weights in one pass.
+    """Bring every fiber that carries one of `markers` to the model's weights.
 
-    Each marker-backed coefficient is recomputed from `X.weights`, and each
-    plain fiber (marked, hosting no tree, not N2) moves to the state
-    `fiber_model_at` gives unless `is_settled` already accepts its state.
-    Tree-hosting fibers keep their state: flips and collapses govern them.  A
-    twisted fiber at coefficient one drops to its intermediate model only when
-    `leave_one` (the walk target) strictly lowers its backing weight.  Returns
-    the model and each state change as (owner, fiber, new state).
+    Each such coefficient is recomputed from `X.weights`, and each plain fiber
+    among them (hosting no tree, not N2) moves to the state `fiber_model_at`
+    gives unless `is_settled` already accepts its state.  Tree-hosting fibers
+    keep their state: flips and collapses govern them.  With `leave_one` a
+    twisted fiber at coefficient one drops to its intermediate model: the
+    walk asks for that at its start, where every listed marker is about to
+    fall.  Fibers without a listed marker are left as they are.  Returns the
+    model and each state change as (owner, fiber, new state).
     """
     hosts = X.host_keys()
     events: list[tuple[str, MarkedFiber, FiberState]] = []
-
-    def settle(owner: str, f: MarkedFiber) -> MarkedFiber:
-        if not f.markers:
-            return f
+    new: dict[tuple[str, str], MarkedFiber] = {}
+    for owner, f in X.fibers_with(markers):
         coeff = X.weights.sum(f.markers)
-        if coeff != f.coeff:
-            f = replace(f, coeff=coeff)
-        if (owner, f.fid) in hosts or f.ftype.family == "N2":
-            return f
-        if not is_settled(f.ftype, coeff, f.state):
-            want = fiber_model_at(f.ftype, coeff)
-        elif (
-            f.state == FiberState.TWISTED
-            and leave_one is not None
-            and leave_one.sum(f.markers) < coeff
-        ):
-            want = FiberState.INTERMEDIATE
-        else:
-            return f
-        events.append((owner, f, want))
-        return replace(f, state=want)
-
-    return _map_fibers(X, settle), events
+        state = f.state
+        if (owner, f.fid) not in hosts and f.ftype.family != "N2":
+            if not is_settled(f.ftype, coeff, state):
+                state = fiber_model_at(f.ftype, coeff)
+            elif state == FiberState.TWISTED and leave_one:
+                state = FiberState.INTERMEDIATE
+            if state != f.state:
+                events.append((owner, f, state))
+        if coeff != f.coeff or state != f.state:
+            new[owner, f.fid] = replace(f, coeff=coeff, state=state)
+    return _replace_fibers(X, new), events
 
 
 def at_weights(X: BrokenEllipticSurface, W: WeightVector) -> BrokenEllipticSurface:
@@ -200,7 +210,8 @@ def at_weights(X: BrokenEllipticSurface, W: WeightVector) -> BrokenEllipticSurfa
     the markers and plain fiber states moved to the log canonical model at the
     new coefficient.  Tree hosts stay intermediate; their range is re-checked
     by `validate`, not here."""
-    return _settle(replace(X, weights=W))[0]
+    every = {i for _, fibers in X.fiber_owners() for f in fibers for i in f.markers}
+    return _settle(replace(X, weights=W), every)[0]
 
 
 def _record_fiber_event(
@@ -380,7 +391,7 @@ def _collapse_subtree(
     to_curve = node.collapses_to_curve
     old = X.host_fiber(owner, fid)
     newf = _collapsed_fiber(old, markers, coeff, to_curve)
-    current = _replace_fiber(X, owner, fid, newf)
+    current = _replace_fibers(X, {(owner, fid): newf})
     current = replace(
         current,
         trees=tuple(
@@ -406,50 +417,107 @@ def _collapse_subtree(
 # -- batch application at one time ----------------------------------------------
 
 
-def _due(felt: list[FeltWall], kind: WallKind, W: WeightVector) -> list[FeltWall]:
-    """The felt walls of one kind whose marked weight is down to their constant."""
-    return [fw for fw in felt if fw.wall.kind == kind and fw.wall.value_at(W) <= fw.wall.constant]
+# a walk's felt walls, each as (num, den, felt wall): see `_Segment.table`
+_Table = list[tuple[int, int, FeltWall]]
+
+
+class _Segment:
+    """The walk's weight segment in integer form, from A (t = 0) up to B (t = 1).
+
+    Over D, the lcm of the denominators of A and B, marker i sits at
+    (low[i] + t * rise[i]) / D, so every marker-set sum times D is an integer
+    affine in t.  `moving` lists the markers with A_i < B_i: the only ones
+    whose fibers the walk has to settle again.
+    """
+
+    def __init__(self, A: WeightVector, B: WeightVector) -> None:
+        self.A = A
+        self.D = lcm(*(x.denominator for x in A.entries + B.entries))
+        self.low = [0] + [a.numerator * (self.D // a.denominator) for a in A.entries]
+        self.rise = [0] + [
+            b.numerator * (self.D // b.denominator) - lo for b, lo in zip(B.entries, self.low[1:])
+        ]
+        self.moving = [i for i in range(1, A.r + 1) if self.rise[i]]
+
+    def weights_at(self, t: Fraction) -> WeightVector:
+        """The weights (1 - t) A + t B; a `Fraction` is built only for a
+        moving marker."""
+        p, q = t.numerator, t.denominator
+        entries = list(self.A.entries)
+        for i in self.moving:
+            entries[i - 1] = Fraction(self.low[i] * q + p * self.rise[i], q * self.D)
+        return WeightVector(tuple(entries))
+
+    def table(self, X: BrokenEllipticSurface) -> _Table:
+        """The walls of `felt_walls(X)` the segment can still reach, each as
+        (num, den, felt wall).
+
+        Over the lcm of D and the walls' constant denominators, a wall with
+        constant c over a subset with sum s(t) gives num = c - s(0) and
+        den = s(1) - s(0).  It is due (s(t) <= c) exactly when t * den <= num,
+        and the segment crosses it from above at t = num / den.  A wall with
+        num < 0 stays above its constant on the whole segment and is left out.
+        """
+        felt = felt_walls(X)
+        D = lcm(self.D, *(fw.wall.constant.denominator for fw in felt))
+        scale = D // self.D
+        out = []
+        for fw in felt:
+            c, subset = fw.wall.constant, fw.wall.subset
+            num = c.numerator * (D // c.denominator) - scale * sum(map(self.low.__getitem__, subset))
+            if num >= 0:
+                out.append((num, scale * sum(map(self.rise.__getitem__, subset)), fw))
+        return out
+
+
+def _due(table: _Table, kind: WallKind, t: Fraction) -> list[FeltWall]:
+    """The walls of one kind in the walk's table whose marked weight is down
+    to their constant at time t."""
+    p, q = t.numerator, t.denominator
+    return [fw for num, den, fw in table if fw.wall.kind == kind and p * den <= num * q]
 
 
 def _apply_batch(
     X: BrokenEllipticSurface,
-    felt: list[FeltWall],
+    segment: _Segment,
+    table: _Table,
     t: Fraction,
     records: list[TransformationRecord],
-    leave_one_target: WeightVector | None,
-) -> tuple[BrokenEllipticSurface, list[FeltWall], bool]:
-    """Apply all transformations pending at the model's weights.
+    leave_one: bool,
+) -> tuple[BrokenEllipticSurface, _Table, bool]:
+    """Apply all transformations pending at time t of the walk.
 
-    `felt` is the model's `felt_walls` table.  Returns the rewritten model,
-    its table, and whether the walk must halt (curve collapse).  The fibers
-    are settled once (`_settle`, one WI record per state change); then one
-    WII section contraction (lowest component id first) or, when none is
-    due, one WIII collapse (deepest first) is applied at a time until
-    neither is due, so cascades stay inside one batch.  A flip or a collapse
-    leaves no plain fiber unsettled: hosts are pinned, a collapsed host is
-    built at its log canonical model, and fibers that move keep their state.
-    The table is rebuilt after each WII or WIII record.
+    `table` is the segment's table of the model's felt walls.  Returns the
+    rewritten model, its table, and whether the walk must halt (curve
+    collapse).  The fibers of the moving markers are settled once (`_settle`,
+    one WI record per state change); then one WII section contraction
+    (lowest component id first) or, when none is due, one WIII collapse
+    (deepest first) is applied at a time until neither is due, so cascades
+    stay inside one batch.  A flip or a collapse leaves no plain fiber
+    unsettled: hosts are pinned, a collapsed host is built at its log
+    canonical model, and fibers that move keep their state.  The table is
+    rebuilt after each WII or WIII record.
     """
-    current, events = _settle(X, leave_one_target)
+    current, events = _settle(X, segment.moving, leave_one)
     for owner, fiber, new_state in events:
         records.append(_record_fiber_event(t, owner, fiber, new_state, current))
     halted = False
     while not halted:
-        wii = _due(felt, WallKind.WII, current.weights)
+        wii = _due(table, WallKind.WII, t)
         if wii:
             current, rec = _apply_section_contraction(current, wii[0].owner, t)
             if len(wii) > 1:
                 rec = replace(rec, note=(rec.note + "; simultaneous section walls").strip("; "))
         else:
-            wiii = _due(felt, WallKind.WIII, current.weights)
+            wiii = _due(table, WallKind.WIII, t)
             if not wiii:
                 break
             # deepest first so nested collapses precede their hosts'
             fw = min(wiii, key=lambda fw: (-fw.depth, fw.node.pid))
             current, rec, halted = _collapse_subtree(current, fw.owner, fw.fid, fw.node, t)
         records.append(rec)
-        felt = felt_walls(current)
-    return current, felt, halted
+        table = segment.table(current)
+    return current, table, halted
 
 
 # -- the public operations --------------------------------------------------------
@@ -508,7 +576,7 @@ def cross_wall(
             new_state = FiberState.WEIERSTRASS
         else:
             raise RuleNotApplicable("weight increases only cross the boundary wall at one")
-        current = _replace_fiber(X, site.owner, site.fid, replace(fiber, state=new_state))
+        current = _replace_fibers(X, {(site.owner, site.fid): replace(fiber, state=new_state)})
         return current, _record_fiber_event(t, site.owner, fiber, new_state, current)
 
     if not decreasing:
@@ -533,13 +601,12 @@ def increase_to_one(
     w = X.weights.weight(marker_index)
     if w == 1:
         raise RuleNotApplicable(f"marker {marker_index} already has weight 1")
-    found = None
-    for owner, f in X.marked_fibers():
-        if marker_index in f.markers:
-            found = (owner, f)
-    if found is None:
+    carrying = X.fibers_with([marker_index])
+    hosts = X.host_keys()
+    found = [(owner, f) for owner, f in carrying if (owner, f.fid) not in hosts]
+    if not found:
         raise RuleNotApplicable(f"marker {marker_index} backs no marked fiber")
-    owner, fiber = found
+    owner, fiber = found[-1]
     if fiber.markers != frozenset({marker_index}):
         raise RuleNotApplicable(
             f"marker {marker_index} is folded into the composite fiber {fiber.fid}"
@@ -553,41 +620,31 @@ def increase_to_one(
     entries = list(X.weights.entries)
     entries[marker_index - 1] = Fraction(1)
     W = WeightVector(tuple(entries))
-    for host, fibers in X.fiber_owners():
-        for f in fibers:
-            if marker_index in f.markers and W.sum(f.markers) > 1:
-                raise RuleNotApplicable(
-                    f"marker {marker_index} at weight 1 lifts fiber {f.fid} of {host}"
-                    f" to coefficient {W.sum(f.markers)}, above 1"
-                )
+    for host, f in carrying:
+        if W.sum(f.markers) > 1:
+            raise RuleNotApplicable(
+                f"marker {marker_index} at weight 1 lifts fiber {f.fid} of {host}"
+                f" to coefficient {W.sum(f.markers)}, above 1"
+            )
     current = at_weights(X, W)
     note = "stable fiber; birational model unchanged" if stable_like else ""
     if not stable_like:
         twisted = replace(fiber, coeff=Fraction(1), state=FiberState.TWISTED)
-        current = _replace_fiber(current, owner, fiber.fid, twisted)
+        current = _replace_fibers(current, {(owner, fiber.fid): twisted})
     return current, _record_fiber_event(
         Fraction(1), owner, fiber, FiberState.TWISTED, current, note
     )
 
 
-def _event_times(
-    felt: list[FeltWall], W: WeightVector, A: WeightVector, t_cur: Fraction
-) -> Fraction | None:
-    """Largest t in [0, t_cur) where the segment from A (t = 0) to the
-    current weights W (t = t_cur) crosses a felt wall from above."""
-    best: Fraction | None = None
-    for fw in felt:
-        c = fw.wall.constant
-        vW = fw.wall.value_at(W)
-        if vW <= c:
-            continue
-        vA = fw.wall.value_at(A)
-        if vA > c:
-            continue
-        t = t_cur * (c - vA) / (vW - vA)
-        if best is None or t > best:
-            best = t
-    return best
+def _event_times(table: _Table, t: Fraction) -> Fraction | None:
+    """Largest crossing time in [0, t) among the walls of the walk's table:
+    the next time the segment meets a felt wall from above."""
+    p, q = t.numerator, t.denominator
+    best_num, best_den = -1, 1
+    for num, den, _ in table:
+        if num * q < p * den and num * best_den > best_num * den:
+            best_num, best_den = num, den
+    return Fraction(best_num, best_den) if best_num >= 0 else None
 
 
 def reduce(X: BrokenEllipticSurface, target: WeightVector) -> ReductionTrace:
@@ -612,18 +669,20 @@ def reduce(X: BrokenEllipticSurface, target: WeightVector) -> ReductionTrace:
     if target.entries == X.weights.entries:
         return ReductionTrace(X, target, (), X)
 
-    A, B = target, X.weights
+    segment = _Segment(target, X.weights)
     records: list[TransformationRecord] = []
-    current, felt, halted = _apply_batch(X, felt_walls(X), Fraction(1), records, leave_one_target=A)
     t_cur = Fraction(1)
+    current, table, halted = _apply_batch(
+        X, segment, segment.table(X), t_cur, records, leave_one=True
+    )
     while not halted:
-        t_next = _event_times(felt, current.weights, A, t_cur)
+        t_next = _event_times(table, t_cur)
         if t_next is None:
             if t_cur == 0:
                 break
             t_next = Fraction(0)
-        current = replace(current, weights=interpolate(A, B, t_next))
-        current, felt, halted = _apply_batch(current, felt, t_next, records, leave_one_target=None)
+        current = replace(current, weights=segment.weights_at(t_next))
+        current, table, halted = _apply_batch(current, segment, table, t_next, records, leave_one=False)
         t_cur = t_next
         if t_cur == 0:
             break

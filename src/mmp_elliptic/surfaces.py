@@ -14,13 +14,23 @@ sum of the weights of every marker carried by the attached subtree, with each
 marker counted once.  The validator re-checks that identity together with the
 per-fiber state rules, so inconsistent configurations are reported as data
 rather than silently propagated.
+
+Lookups read one index per surface, a cached property built on first use:
+components by id, glue ends per component, owner -> fibers, the host keys of
+every subtree level, the marked fibers, and marker -> the fibers it backs.
+The surface is frozen, so the index cannot go stale; each part is built in
+one pass the first time it is read, and a rewrite that returns a new surface
+starts a new index.  `component`, `glue_ends`, `host_fiber`, `fiber_owners`,
+`host_keys`, `marked_fibers`, `fibers_with`, `marker_set` and
+`section_constant` all answer from it without scanning the model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from functools import cached_property
+from typing import Iterable, Iterator
 
 from .curves import (
     MarkedNodalCurve,
@@ -215,6 +225,84 @@ def subtree_markers(node: PseudoComponent) -> frozenset[int]:
     return frozenset(out)
 
 
+class _SurfaceIndex:
+    """The lookups of one surface, each built in one pass on first use.
+
+    Components by id, glue ends per component, owner -> fibers in
+    `fiber_owners` order (the first of a repeated owner or fiber id wins, as
+    in a scan), every subtree level and its host key, the marked fibers, and
+    marker -> the fibers whose markers contain it.  Only the structure is
+    read, never the weights.
+    """
+
+    def __init__(self, X: "BrokenEllipticSurface") -> None:
+        # the parts, not the surface: a reference back to it would make every
+        # indexed surface a reference cycle that only the collector frees
+        self._components, self._glues, self._trees = X.components, X.glues, X.trees
+
+    @cached_property
+    def components(self) -> dict[str, Component]:
+        return {c.cid: c for c in reversed(self._components)}
+
+    @cached_property
+    def ends(self) -> dict[str, list[tuple[Glue, AttachEnd]]]:
+        out: dict[str, list[tuple[Glue, AttachEnd]]] = {}
+        for g in self._glues:
+            for end in g.ends():
+                out.setdefault(end.component, []).append((g, end))
+        return out
+
+    @cached_property
+    def owners(self) -> list[tuple[str, tuple[MarkedFiber, ...]]]:
+        return [(c.cid, c.fibers) for c in self._components] + [
+            (n.pid, n.fibers) for t in self._trees for n in t.root.nodes()
+        ]
+
+    @cached_property
+    def fibers(self) -> list[tuple[str, MarkedFiber]]:
+        return [(owner, f) for owner, fibers in self.owners for f in fibers]
+
+    @cached_property
+    def owned(self) -> dict[str, tuple[MarkedFiber, ...]]:
+        """Owner id -> its fibers, those of a repeated id appended in order."""
+        out: dict[str, tuple[MarkedFiber, ...]] = {}
+        for owner, fibers in self.owners:
+            out[owner] = out[owner] + fibers if owner in out else fibers
+        return out
+
+    @cached_property
+    def by_marker(self) -> dict[int, list[int]]:
+        """Marker -> positions in `fibers` of the fibers it backs."""
+        out: dict[int, list[int]] = {}
+        for k, (_, f) in enumerate(self.fibers):
+            for i in f.markers:
+                out.setdefault(i, []).append(k)
+        return out
+
+    @cached_property
+    def subtrees(self) -> list[tuple[str, str, PseudoComponent, int]]:
+        out = []
+
+        def walk(owner: str, fid: str, node: PseudoComponent, depth: int) -> None:
+            out.append((owner, fid, node, depth))
+            for link in node.children:
+                walk(node.pid, link.via_fiber, link.node, depth + 1)
+
+        for att in self._trees:
+            walk(att.host_component, att.host_fiber, att.root, 0)
+        return out
+
+    @cached_property
+    def hosts(self) -> frozenset[tuple[str, str]]:
+        return frozenset((owner, fid) for owner, fid, _, _ in self.subtrees)
+
+    @cached_property
+    def marked(self) -> list[tuple[str, MarkedFiber]]:
+        hosts = self.hosts
+        # the entries of `fibers` themselves, not copies
+        return [e for e in self.fibers if e[1].markers and (e[0], e[1].fid) not in hosts]
+
+
 @dataclass(frozen=True)
 class BrokenEllipticSurface:
     """The full decorated dual graph of a weighted broken elliptic surface."""
@@ -237,6 +325,11 @@ class BrokenEllipticSurface:
 
     # -- lookups ----------------------------------------------------------
 
+    @cached_property
+    def _index(self) -> "_SurfaceIndex":
+        # the surface is frozen, so the index built on first use never goes stale
+        return _SurfaceIndex(self)
+
     @property
     def elliptic(self) -> tuple[Component, ...]:
         """The components that keep their section."""
@@ -248,19 +341,14 @@ class BrokenEllipticSurface:
         return tuple(c for c in self.components if not c.has_section)
 
     def component(self, cid: str) -> Component:
-        for c in self.components:
-            if c.cid == cid:
-                return c
-        raise KeyError(f"no component {cid}")
+        try:
+            return self._index.components[cid]
+        except KeyError:
+            raise KeyError(f"no component {cid}") from None
 
     def glue_ends(self, cid: str) -> list[tuple[Glue, AttachEnd]]:
         """Every attaching-fiber end on the given component, glue included."""
-        out = []
-        for g in self.glues:
-            for end in g.ends():
-                if end.component == cid:
-                    out.append((g, end))
-        return out
+        return list(self._index.ends.get(cid, ()))
 
     def trees_on(self, cid: str) -> tuple[TreeAttachment, ...]:
         return tuple(t for t in self.trees if t.host_component == cid)
@@ -279,45 +367,37 @@ class BrokenEllipticSurface:
 
     def fiber_owners(self) -> list[tuple[str, tuple[MarkedFiber, ...]]]:
         """(owner id, fibers) for every component, then every pseudo node."""
-        return [(c.cid, c.fibers) for c in self.components] + [
-            (n.pid, n.fibers) for n in self.pseudo_nodes()
-        ]
+        return list(self._index.owners)
 
     def subtrees(self) -> Iterator[tuple[str, str, PseudoComponent, int]]:
         """Yield (host owner id, host fiber id, subtree root, depth), all levels."""
+        return iter(self._index.subtrees)
 
-        def walk(owner: str, fid: str, node: PseudoComponent, depth: int):
-            yield (owner, fid, node, depth)
-            for link in node.children:
-                yield from walk(node.pid, link.via_fiber, link.node, depth + 1)
-
-        for att in self.trees:
-            yield from walk(att.host_component, att.host_fiber, att.root, 0)
-
-    def host_keys(self) -> set[tuple[str, str]]:
+    def host_keys(self) -> frozenset[tuple[str, str]]:
         """(owner id, fiber id) of every fiber that hosts a subtree."""
-        return {(owner, fid) for owner, fid, _, _ in self.subtrees()}
+        return self._index.hosts
 
     def marked_fibers(self) -> Iterator[tuple[str, MarkedFiber]]:
         """Yield (owner id, fiber) for every fiber with markers that hosts no
         tree: the fibers whose own markers back their coefficient."""
-        hosts = self.host_keys()
-        for owner, fibers in self.fiber_owners():
-            for f in fibers:
-                if f.markers and (owner, f.fid) not in hosts:
-                    yield owner, f
+        return iter(self._index.marked)
+
+    def fibers_with(self, markers: Iterable[int]) -> list[tuple[str, MarkedFiber]]:
+        """(owner id, fiber) for every fiber, tree hosts included, whose
+        markers meet `markers`, in `fiber_owners` order."""
+        index = self._index
+        at = sorted({k for i in markers for k in index.by_marker.get(i, ())})
+        return [index.fibers[k] for k in at]
 
     def host_fiber(self, owner: str, fid: str) -> MarkedFiber:
         """The fiber `fid` of a component or pseudo node."""
-        for o, fibers in self.fiber_owners():
-            if o == owner:
-                for f in fibers:
-                    if f.fid == fid:
-                        return f
+        for f in self._index.owned.get(owner, ()):
+            if f.fid == fid:
+                return f
         raise KeyError(f"{owner} has no fiber {fid}")
 
     def all_ids(self) -> list[str]:
-        return [owner for owner, _ in self.fiber_owners()]
+        return [owner for owner, _ in self._index.owners]
 
     # -- derived quantities -------------------------------------------------
 
@@ -331,18 +411,28 @@ class BrokenEllipticSurface:
     def marker_set(self, cid: str) -> frozenset[int]:
         """Every weight index whose marked fiber projects to this component's
         base point set, including markers carried by hosted trees."""
-        comp = self.component(cid)
-        out: set[int] = set()
-        for f in comp.fibers:
-            out |= f.markers
-        return frozenset(out)
+        return frozenset(i for f in self.component(cid).fibers for i in f.markers)
 
 
 # -- base curve projection ----------------------------------------------------
 
 
+def _fixed_points(X: BrokenEllipticSurface) -> list[tuple[int, Fraction]]:
+    """(base vertex, coefficient) of every marker-less fiber on a component,
+    in component and fiber order.  Such a fiber is a twisted fiber of fixed
+    coefficient one (e.g. the residue of a collapse onto a curve), and the
+    surface keeps its section there, so on the base curve it is a point of
+    weight one that no weight change moves."""
+    return [(c.vertex, f.coeff) for c in X.components for f in c.fibers if not f.markers]
+
+
 def pre_base_curve(X: BrokenEllipticSurface) -> MarkedNodalCurve:
-    """Dual graph before contracting type II pseudoelliptic vertices."""
+    """Dual graph before contracting type II pseudoelliptic vertices.
+
+    Marker i of the weight vector sits on the vertex of the component whose
+    fiber it backs; the k-th marker-less fiber becomes marker r + k, weighted
+    by `base_weights`.
+    """
     vertices = tuple(Vertex(c.vertex, c.genus) for c in X.components)
     vmap = {c.cid: c.vertex for c in X.components}
     edges = tuple(
@@ -353,17 +443,27 @@ def pre_base_curve(X: BrokenEllipticSurface) -> MarkedNodalCurve:
         for f in c.fibers:
             for i in sorted(f.markers):
                 markers.append(Marker(i, c.vertex))
+    r = X.weights.r
+    markers += [Marker(r + k, v) for k, (v, _) in enumerate(_fixed_points(X), start=1)]
     return MarkedNodalCurve(vertices, edges, tuple(markers))
 
 
+def base_weights(X: BrokenEllipticSurface) -> WeightVector:
+    """The weights of the markers of `base_curve`: the model's weights, then
+    the fixed coefficient of each marker-less fiber.  The Hassett reduction of
+    a base curve is taken at these weights."""
+    return WeightVector(X.weights.entries + tuple(a for _, a in _fixed_points(X)))
+
+
 def base_curve(X: BrokenEllipticSurface) -> MarkedNodalCurve:
-    """The dual graph of the image curve.
+    """The dual graph of the image curve, marked as `pre_base_curve` marks it.
 
     Type II pseudoelliptic components are contracted by the fibration, so
     their vertices collapse onto a neighbor with the same deterministic rule
     the weighted-curve reducer uses; pseudoelliptic trees contribute nothing.
     A component with no neighbor (a whole-surface pseudoelliptic) keeps its
-    vertex so the projection stays a curve.
+    vertex so the projection stays a curve.  Its markers carry the weights
+    `base_weights` gives.
     """
     curve = pre_base_curve(X)
     for c in sorted(X.pseudo2, key=lambda c: c.vertex):
@@ -379,7 +479,7 @@ def section_constant(X: BrokenEllipticSurface, cid: str) -> Fraction:
     """The weight-independent part of `section_degree`: 2g - 2 + (number of
     attaching fibers) + (coefficients of marker-less fibers, fixed at one)."""
     comp = X.component(cid)
-    base = Fraction(2 * comp.genus - 2 + len(X.glue_ends(cid)))
+    base = Fraction(2 * comp.genus - 2 + len(X._index.ends.get(cid, ())))
     return sum((f.coeff for f in comp.fibers if not f.markers), base)
 
 

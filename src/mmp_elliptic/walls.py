@@ -18,7 +18,8 @@ for a crossing time.  `Wall.value_at` and `Wall.side` answer for one wall.
 `felt_walls` is the one table of the walls a given model feels, each paired
 with the fiber, section or tree that crossing it rewrites.  It depends only on
 the model's structure, so the reduction walk rebuilds it only after a WII or
-WIII record.
+WIII record; it reads the model's sites from the surface's index, so one
+build is linear in the size of the model.
 """
 
 from __future__ import annotations

@@ -2,8 +2,10 @@
 
 Each function here deliberately re-derives its answer by a different route
 than the library: the volume oracle expands the self-intersection against a
-full pairing matrix instead of the closed form, and the wall oracle
-re-enumerates the arrangement over raw bitmask subsets.
+full pairing matrix instead of the closed form, the wall oracle
+re-enumerates the arrangement over raw bitmask subsets, the surface lookups
+scan the model where the library reads its index, and the curve degree is
+counted edge by edge for one vertex where the library sweeps all of them.
 """
 
 from __future__ import annotations
@@ -87,3 +89,98 @@ def brute_force_walls(r, types, rational_base):
 
 def wall_keys(walls):
     return {(w.kind.value, w.subset, w.constant, w.boundary) for w in walls}
+
+
+# -- surface lookups by scanning the model ---------------------------------------
+
+
+def scan_owners(X):
+    """(owner id, fibers) of every component, then of every pseudo node in
+    tree order, each node before its children."""
+    out = [(c.cid, c.fibers) for c in X.components]
+
+    def visit(node):
+        out.append((node.pid, node.fibers))
+        for link in node.children:
+            visit(link.node)
+
+    for att in X.trees:
+        visit(att.root)
+    return out
+
+
+def scan_component(X, cid):
+    for c in X.components:
+        if c.cid == cid:
+            return c
+    raise KeyError(cid)
+
+
+def scan_glue_ends(X, cid):
+    return [(g, end) for g in X.glues for end in (g.a, g.b) if end.component == cid]
+
+
+def scan_host_fiber(X, owner, fid):
+    for o, fibers in scan_owners(X):
+        if o == owner:
+            for f in fibers:
+                if f.fid == fid:
+                    return f
+    raise KeyError((owner, fid))
+
+
+def scan_host_keys(X):
+    keys = set()
+
+    def visit(owner, fid, node):
+        keys.add((owner, fid))
+        for link in node.children:
+            visit(node.pid, link.via_fiber, link.node)
+
+    for att in X.trees:
+        visit(att.host_component, att.host_fiber, att.root)
+    return keys
+
+
+def scan_marked_fibers(X):
+    hosts = scan_host_keys(X)
+    return [
+        (owner, f)
+        for owner, fibers in scan_owners(X)
+        for f in fibers
+        if f.markers and (owner, f.fid) not in hosts
+    ]
+
+
+# -- weighted curves -------------------------------------------------------------
+
+
+def vertex_degree(curve, vid, weights):
+    """2g - 2 + valence + marker weights at one vertex, with the valence
+    counted edge by edge: a self-loop adds two, each parallel edge one."""
+    genus = next(v.genus for v in curve.vertices if v.vid == vid)
+    valence = 0
+    for a, b in curve.edges:
+        if a == vid:
+            valence += 1
+        if b == vid:
+            valence += 1
+    marked = F(0)
+    for m in curve.markers:
+        if m.vertex == vid:
+            marked += weights.entries[m.index - 1]
+    return 2 * genus - 2 + valence + marked
+
+
+def hassett_by_vertex(curve, weights):
+    """Hassett reduction with every degree taken from `vertex_degree`:
+    contract the lowest-id vertex of non-positive degree into its lowest-id
+    neighbour until none is left or one vertex remains."""
+    from mmp_elliptic.curves import contract_into_neighbor
+
+    while len(curve.vertices) > 1:
+        bad = [v.vid for v in curve.vertices if vertex_degree(curve, v.vid, weights) <= 0]
+        if not bad:
+            break
+        curve = contract_into_neighbor(curve, min(bad))
+    return curve

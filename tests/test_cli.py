@@ -153,10 +153,6 @@ def test_marker_outside_range_is_reported_not_raised(capsys, tmp_path):
     assert err.startswith("error: model-invalid:")
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP 4a: base_curve gives the marker-less twisted fiber c3host no point",
-)
 def test_check_hassett_on_markerless_twisted_fiber(capsys):
     # the valid final model of a walk halted by a collapse onto a curve
     model = Path(__file__).parent / "data" / "markerless_twisted_after_curve_collapse.json"

@@ -18,6 +18,8 @@ from mmp_elliptic.curves import (
     is_hassett_stable,
 )
 
+from oracles import hassett_by_vertex, vertex_degree
+
 F = Fraction
 
 
@@ -188,6 +190,35 @@ def test_parallel_edges_become_self_loop():
     reduced = hassett_reduce(curve, w)
     assert len(reduced.vertices) == 1
     assert reduced.edges == ((1, 1),)
+
+
+def test_degrees_match_the_per_vertex_oracle():
+    # connected multigraphs with self-loops and parallel edges: every degree,
+    # the stability test and the reduction agree with edge-by-edge counting
+    rng = random.Random(29)
+    loops = parallels = 0
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        vertices = tuple(Vertex(v, rng.choice([0, 0, 0, 1, 2])) for v in range(1, n + 1))
+        edges = [(v, rng.randint(1, v - 1)) for v in range(2, n + 1)]
+        for _ in range(rng.randint(0, 4)):
+            a = rng.randint(1, n)
+            edges.append((a, a) if rng.random() < 0.4 else (a, rng.randint(1, n)))
+        loops += any(a == b for a, b in edges)
+        parallels += len({tuple(sorted(e)) for e in edges}) < len(edges)
+        r = rng.randint(0, 8)
+        markers = tuple(Marker(i, rng.randint(1, n)) for i in range(1, r + 1))
+        curve = MarkedNodalCurve(vertices, tuple(edges), markers)
+        dens = [rng.choice([12, 7, 5]) for _ in range(r)]
+        w = WeightVector(tuple(F(rng.randint(0, d), d) for d in dens))
+        for v in curve.vertices:
+            assert component_degree(curve, v.vid, w) == vertex_degree(curve, v.vid, w)
+        stable = all(x > 0 for x in w.entries) and all(
+            vertex_degree(curve, v.vid, w) > 0 for v in curve.vertices
+        )
+        assert is_hassett_stable(curve, w) == stable
+        assert hassett_reduce(curve, w) == hassett_by_vertex(curve, w)
+    assert loops >= 30 and parallels >= 30
 
 
 def test_interpolate_endpoints_and_midpoint():

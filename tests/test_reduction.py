@@ -561,3 +561,21 @@ def test_walk_snapshots_are_settled_at_their_weights():
         for s in models:
             assert at_weights(s, s.weights) == s
     assert halted > 0
+
+
+def test_every_record_lies_on_its_wall():
+    # each record's time is its wall's crossing: the segment's weights at t
+    # put the record's marker sum exactly on the wall's constant
+    rng = random.Random(67)
+    walks = records = 0
+    while walks < 400:
+        X = random_model(rng, max_components=5, max_markers=12, allow_isotrivial=True)
+        A = admissible_target(rng, X)
+        if A is None:
+            continue
+        trace = reduce(X, A)
+        walks += 1
+        for rec in trace.records:
+            assert rec.wall.side(interpolate(A, X.weights, rec.t)) == "on", (rec.kind, rec.t)
+            records += 1
+    assert records >= 1000

@@ -1,10 +1,11 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from mmp_elliptic.curves import WeightVector, component_degree, is_hassett_stable
+from mmp_elliptic.curves import Marker, WeightVector, component_degree, is_hassett_stable
 from mmp_elliptic.kodaira import FiberState, parse_fiber_type
 from mmp_elliptic.surfaces import (
     AttachEnd,
@@ -19,6 +20,7 @@ from mmp_elliptic.surfaces import (
     TreeAttachment,
     UnsupportedConfiguration,
     base_curve,
+    base_weights,
     model_shape,
     pseudo_fate,
     section_degree,
@@ -28,8 +30,25 @@ from mmp_elliptic.surfaces import (
     volume,
 )
 
-from modelkit import flipped_degeneration, mk_fiber, random_model, rational_degeneration
-from oracles import gram_volume
+from mmp_elliptic.modeljson import parse_model
+from mmp_elliptic.reduction import reduce
+
+from modelkit import (
+    admissible_target,
+    flipped_degeneration,
+    mk_fiber,
+    random_model,
+    rational_degeneration,
+)
+from oracles import (
+    gram_volume,
+    scan_component,
+    scan_glue_ends,
+    scan_host_fiber,
+    scan_host_keys,
+    scan_marked_fibers,
+    scan_owners,
+)
 
 F = Fraction
 
@@ -196,6 +215,62 @@ def test_base_curve_contracts_type_ii_components():
     curve = base_curve(X)
     assert [v.vid for v in curve.vertices] == [1, 3]
     assert curve.edges == ((1, 3),)
+
+
+def test_base_curve_marks_markerless_fibers_at_weight_one():
+    # the valid final model of a walk halted by a collapse onto a curve: the
+    # marker-less twisted fiber c3host is a fixed point of weight one
+    path = Path(__file__).parent / "data" / "markerless_twisted_after_curve_collapse.json"
+    X = parse_model(path.read_text())
+    r = X.weights.r
+    curve = base_curve(X)
+    assert [m for m in curve.markers if m.index > r] == [
+        Marker(r + 1, X.component("c3").vertex)
+    ]
+    assert base_weights(X).entries == X.weights.entries + (F(1),)
+    for comp in X.elliptic:
+        assert section_degree(X, comp.cid) == component_degree(
+            curve, comp.vertex, base_weights(X)
+        )
+
+
+def _check_index(X, rng):
+    owners = scan_owners(X)
+    assert X.fiber_owners() == owners
+    assert X.all_ids() == [owner for owner, _ in owners]
+    for c in X.components:
+        assert X.component(c.cid) is scan_component(X, c.cid)
+        assert X.glue_ends(c.cid) == scan_glue_ends(X, c.cid)
+    for owner, fibers in owners:
+        for f in fibers:
+            assert X.host_fiber(owner, f.fid) is scan_host_fiber(X, owner, f.fid)
+    with pytest.raises(KeyError):
+        X.component("nowhere")
+    with pytest.raises(KeyError):
+        X.host_fiber(owners[0][0], "nowhere")
+    assert X.glue_ends("nowhere") == []
+    assert X.host_keys() == scan_host_keys(X)
+    assert list(X.marked_fibers()) == scan_marked_fibers(X)
+    picked = {i for i in range(1, X.weights.r + 1) if rng.random() < 0.3}
+    assert X.fibers_with(picked) == [
+        (owner, f) for owner, fibers in owners for f in fibers if f.markers & picked
+    ]
+
+
+def test_index_matches_scans_on_models_and_walks():
+    rng = random.Random(404)
+    models = 0
+    for _ in range(60):
+        X = random_model(rng, max_components=6, max_markers=12, allow_isotrivial=True)
+        walk = [X]
+        target = admissible_target(rng, X)
+        if target is not None:
+            trace = reduce(X, target)
+            walk += [rec.snapshot_after for rec in trace.records] + [trace.final]
+        for Y in walk:
+            _check_index(Y, rng)
+        models += len(walk)
+    assert models >= 200
 
 
 def test_section_degree_agrees_with_base_curve_projection():
