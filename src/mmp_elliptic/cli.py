@@ -70,35 +70,43 @@ def _bold(text: str) -> str:
     return f"\033[1m{text}\033[0m" if _color_enabled() else text
 
 
+def _read_input(path_text: str, what: str) -> bytes:
+    """The bytes of an input file; a usage error when it cannot be read."""
+    path = Path(path_text)
+    try:
+        return path.read_bytes()
+    except FileNotFoundError:
+        raise CliError(f"{what} file not found: {path}", USAGE_ERROR)
+    except OSError as exc:
+        raise CliError(f"cannot read {what} file {path}: {exc.strerror}", USAGE_ERROR)
+
+
 def _parse_weights(spec: str) -> WeightVector:
     """Comma-separated rationals, or a JSON file holding a list of them
     (either a plain path or @path)."""
 
-    def from_file(path: Path) -> WeightVector:
-        if not path.exists():
-            raise CliError(f"weights file not found: {path}", USAGE_ERROR)
-        entries = json.loads(path.read_text())
+    def from_file(path_text: str) -> WeightVector:
+        entries = json.loads(_read_input(path_text, "weights"))
+        if not isinstance(entries, list):
+            raise ValueError(f"expected a JSON list, got {json.dumps(entries)}")
         return WeightVector(tuple(rat_from_str(str(e)) for e in entries))
 
     try:
         if spec.startswith("@"):
-            return from_file(Path(spec[1:]))
+            return from_file(spec[1:])
         try:
             return WeightVector(tuple(rat_from_str(p) for p in spec.split(",")))
         except ValueError:
             if Path(spec).exists():
-                return from_file(Path(spec))
+                return from_file(spec)
             raise
-    except (ValueError, ZeroDivisionError, json.JSONDecodeError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"bad weight vector {spec!r}: {exc}", USAGE_ERROR)
 
 
 def _load_model(path_text: str, override: str | None):
-    path = Path(path_text)
-    if not path.exists():
-        raise CliError(f"model file not found: {path}", USAGE_ERROR)
     try:
-        model = parse_model(path.read_text())
+        model = parse_model(_read_input(path_text, "model"))
     except ModelJSONError as exc:
         raise CliError(str(exc), DATA_ERROR)
     if override is not None:
@@ -265,12 +273,10 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_hassett(args: argparse.Namespace) -> int:
-    path = Path(args.curve)
-    if not path.exists():
-        raise CliError(f"curve file not found: {path}", USAGE_ERROR)
+    text = _read_input(args.curve, "curve")
     try:
-        curve = curve_from_json(path.read_text())
-    except json.JSONDecodeError as exc:
+        curve = curve_from_json(text)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CliError(f"malformed-json: {exc}", DATA_ERROR)
     except CurveError as exc:
         raise CliError(str(exc), DATA_ERROR)
@@ -297,11 +303,8 @@ def _cmd_volume(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    path = Path(args.model)
-    if not path.exists():
-        raise CliError(f"model file not found: {path}", USAGE_ERROR)
     try:
-        model = parse_model(path.read_text(), check=False)
+        model = parse_model(_read_input(args.model, "model"), check=False)
     except ModelJSONError as exc:
         raise CliError(str(exc), DATA_ERROR)
     problems = validate(model)

@@ -262,7 +262,7 @@ def curve_to_json(curve: MarkedNodalCurve) -> str:
     return json.dumps(curve_to_obj(curve), indent=2, sort_keys=True)
 
 
-def curve_from_json(text: str) -> MarkedNodalCurve:
+def curve_from_json(text: str | bytes) -> MarkedNodalCurve:
     return curve_from_obj(json.loads(text))
 
 

@@ -50,9 +50,25 @@ class ModelJSONError(Exception):
 
 
 def _need(obj: dict, key: str, where: str):
+    if not isinstance(obj, dict):
+        raise ModelJSONError("schema-violation", f"{where}: expected an object, got {obj!r}")
     if key not in obj:
         raise ModelJSONError("schema-violation", f"{where}: missing field {key!r}")
     return obj[key]
+
+
+def _list(obj: dict, key: str, where: str, required: bool = False) -> list:
+    value = _need(obj, key, where) if required else obj.get(key, [])
+    if not isinstance(value, list):
+        raise ModelJSONError("schema-violation", f"{where}: {key!r} must be a list, got {value!r}")
+    return value
+
+
+def _int(value, where: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ModelJSONError("schema-violation", f"{where}: bad integer {value!r}")
 
 
 def _rational(value, where: str) -> Fraction:
@@ -87,15 +103,17 @@ def _fiber(obj: dict, where: str) -> MarkedFiber:
             state = fiber_model_at(ftype, coeff)
         except UnsupportedFiberType:
             state = FiberState.WEIERSTRASS
-    markers = frozenset(int(i) for i in obj.get("markers", []))
+    markers = frozenset(
+        _int(i, f"{where}/{fid}/markers") for i in _list(obj, "markers", f"{where}/{fid}")
+    )
     return MarkedFiber(fid, ftype, coeff, state, markers, bool(obj.get("nonminimal_cusp", False)))
 
 
 def _node(obj: dict, where: str) -> PseudoComponent:
     pid = str(_need(obj, "id", where))
-    fibers = tuple(_fiber(f, f"{where}/{pid}") for f in obj.get("fibers", []))
+    fibers = tuple(_fiber(f, f"{where}/{pid}") for f in _list(obj, "fibers", f"{where}/{pid}"))
     children = []
-    for child in obj.get("children", []):
+    for child in _list(obj, "children", f"{where}/{pid}"):
         via = str(_need(child, "via_fiber", f"{where}/{pid}"))
         children.append(ChildLink(via, _node(_need(child, "node", f"{where}/{pid}"), f"{where}/{pid}")))
     return PseudoComponent(
@@ -119,7 +137,7 @@ def _end(obj: dict, where: str) -> AttachEnd:
 def model_from_obj(obj: dict, check: bool = True) -> BrokenEllipticSurface:
     if not isinstance(obj, dict):
         raise ModelJSONError("schema-violation", "top level must be an object")
-    raw_weights = _need(obj, "weights", "model")
+    raw_weights = _list(obj, "weights", "model", required=True)
     weights_list = [
         _rational(w, f"weights[{i}]") for i, w in enumerate(raw_weights, start=1)
     ]
@@ -134,14 +152,14 @@ def model_from_obj(obj: dict, check: bool = True) -> BrokenEllipticSurface:
         raise ModelJSONError("schema-violation", f"weights: {exc}")
 
     components = []
-    for cobj in _need(obj, "components", "model"):
+    for cobj in _list(obj, "components", "model", required=True):
         cid = str(_need(cobj, "id", "components"))
         kind = str(cobj.get("kind", "elliptic"))
-        fibers = tuple(_fiber(f, cid) for f in cobj.get("fibers", []))
+        fibers = tuple(_fiber(f, cid) for f in _list(cobj, "fibers", cid))
         fields = dict(
             cid=cid,
-            vertex=int(_need(cobj, "vertex", cid)),
-            genus=int(_need(cobj, "genus", cid)),
+            vertex=_int(_need(cobj, "vertex", cid), f"{cid}/vertex"),
+            genus=_int(_need(cobj, "genus", cid), f"{cid}/genus"),
             degL=_rational(_need(cobj, "degL", cid), cid),
             fibers=fibers,
             isotrivial_jinf=bool(cobj.get("isotrivial_jinf", False)),
@@ -151,14 +169,14 @@ def model_from_obj(obj: dict, check: bool = True) -> BrokenEllipticSurface:
         components.append(Component(**fields, has_section=_KINDS[kind]))
 
     glues = []
-    for gobj in obj.get("attachments", []):
+    for gobj in _list(obj, "attachments", "model"):
         gid = str(_need(gobj, "id", "attachments"))
         glues.append(
             Glue(gid, _end(_need(gobj, "a", gid), gid), _end(_need(gobj, "b", gid), gid))
         )
 
     trees = []
-    for tobj in obj.get("trees", []):
+    for tobj in _list(obj, "trees", "model"):
         trees.append(
             TreeAttachment(
                 str(_need(tobj, "host", "trees")),
@@ -186,6 +204,8 @@ def parse_model(text: str | bytes, check: bool = True) -> BrokenEllipticSurface:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelJSONError("malformed-json", f"line {exc.lineno} col {exc.colno}: {exc.msg}")
+    except UnicodeDecodeError as exc:
+        raise ModelJSONError("malformed-json", f"byte {exc.start}: {exc.reason}")
     return model_from_obj(obj, check=check)
 
 

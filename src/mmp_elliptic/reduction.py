@@ -10,6 +10,12 @@ to a point or a curve once their marked weight drops to the host threshold
 at its exact crossing time in the batch order WI, WII, WIII, and returns the
 ordered trace with a model snapshot after each record.
 
+Each record kind is built in one place.  `_apply_section_contraction` is the
+one WII path: a leaf flips (La Nave), taking along every type II
+pseudoelliptic the flip leaves with a single attachment, and any other
+component's section contracts in place.  `_collapse_subtree` is the one WIII
+path, and its record carries the felt wall (`walls.felt_walls`) that fired.
+
 The walk runs in integer form (`_Segment`).  Over one common denominator per
 walk, the weights at time t are (low + t * rise) / D, so each felt wall's
 marker sum is an integer affine in t.  Each time the felt-wall table is built
@@ -32,7 +38,6 @@ from typing import Callable, Iterable
 from .curves import WeightVector
 from .kodaira import FiberState, fiber_model_at, is_settled, lct_threshold
 from .surfaces import (
-    AttachEnd,
     BrokenEllipticSurface,
     ChildLink,
     MarkedFiber,
@@ -163,13 +168,6 @@ def _replace_fibers(
     )
 
 
-def _replace_component(X: BrokenEllipticSurface, cid: str, **changes) -> BrokenEllipticSurface:
-    return replace(
-        X,
-        components=tuple(replace(c, **changes) if c.cid == cid else c for c in X.components),
-    )
-
-
 # -- WI: fiber model transitions ----------------------------------------------
 
 
@@ -225,11 +223,9 @@ def _record_fiber_event(
     if new_state == FiberState.WEIERSTRASS:
         kind = RecordKind.FIBER_TO_WEIERSTRASS
         wall = Wall(WallKind.WI, f.markers, lct_threshold(f.ftype) or Fraction(0))
-    elif new_state == FiberState.INTERMEDIATE:
-        kind = RecordKind.FIBER_TO_INTERMEDIATE
-        wall = Wall(WallKind.WI, f.markers, Fraction(1), boundary=True)
     else:
-        kind = RecordKind.FIBER_TO_TWISTED
+        intermediate = new_state == FiberState.INTERMEDIATE
+        kind = RecordKind.FIBER_TO_INTERMEDIATE if intermediate else RecordKind.FIBER_TO_TWISTED
         wall = Wall(WallKind.WI, f.markers, Fraction(1), boundary=True)
     return TransformationRecord(t, wall, kind, (owner, f.fid), snapshot, note)
 
@@ -237,90 +233,48 @@ def _record_fiber_event(
 # -- WII: section contractions -------------------------------------------------
 
 
-def _attach_tree_to_end(
-    X: BrokenEllipticSurface, end: "AttachEnd", root: PseudoComponent
-) -> BrokenEllipticSurface:
-    """Turn a former attaching fiber into the intermediate host of a new tree."""
-    peer = X.component(end.component)
-    c = lct_threshold(end.ftype)
-    if c is None:
-        raise RuleNotApplicable(
-            f"attaching fiber {end.fiber_id} of type {end.ftype} admits no intermediate model"
-        )
-    markers = subtree_markers(root)
-    host_fiber = MarkedFiber(
-        end.fiber_id,
-        end.ftype,
-        X.weights.sum(markers),
-        FiberState.INTERMEDIATE,
-        markers,
-    )
-    X = _replace_component(X, end.component, fibers=peer.fibers + (host_fiber,))
-    return replace(
-        X, trees=X.trees + (TreeAttachment(end.component, end.fiber_id, root),)
-    )
+def _hang_off_peer(X: BrokenEllipticSurface, cid: str) -> tuple[BrokenEllipticSurface, str]:
+    """Hang a 1-attachment component, with or without a section, off its
+    peer's attaching fiber as the root of a pseudo tree.
 
-
-def _detach_component(
-    X: BrokenEllipticSurface, cid: str
-) -> tuple[BrokenEllipticSurface, PseudoComponent, "AttachEnd"]:
-    """Remove a 1-attachment component, with or without a section, and
-    package it as a pseudo tree root.
-
-    Returns the stripped model, the new root (with the component's hosted
-    trees as children), and the peer attaching end the root must be glued to.
+    The root takes the component's fibers and, as children, the trees it
+    hosts; the attaching fiber becomes the tree's intermediate host.  Returns
+    the model and the peer's component id.
     """
     ends = X.glue_ends(cid)
     if len(ends) != 1:
         raise RuleNotApplicable(f"component {cid} has {len(ends)} attachments; need exactly 1")
     glue, my_end = ends[0]
-    peer_end = glue.peer_of(cid)
+    peer = glue.peer_of(cid)
+    if lct_threshold(peer.ftype) is None:
+        raise RuleNotApplicable(
+            f"attaching fiber {peer.fiber_id} of type {peer.ftype} admits no intermediate model"
+        )
     comp = X.component(cid)
-    children = tuple(ChildLink(t.host_fiber, t.root) for t in X.trees_on(cid))
     root = PseudoComponent(
         pid=cid,
         degL=comp.degL,
         attach_ftype=my_end.ftype,
         fibers=comp.fibers,
-        children=children,
+        children=tuple(ChildLink(t.host_fiber, t.root) for t in X.trees_on(cid)),
         isotrivial_jinf=comp.isotrivial_jinf,
     )
-    stripped = replace(
-        X,
-        components=tuple(c for c in X.components if c.cid != cid),
-        glues=tuple(g for g in X.glues if g.gid != glue.gid),
-        trees=tuple(t for t in X.trees if t.host_component != cid),
+    markers = subtree_markers(root)
+    host = MarkedFiber(
+        peer.fiber_id, peer.ftype, X.weights.sum(markers), FiberState.INTERMEDIATE, markers
     )
-    return stripped, root, peer_end
-
-
-def _apply_la_nave_flip(
-    X: BrokenEllipticSurface, cid: str, t: Fraction
-) -> tuple[BrokenEllipticSurface, TransformationRecord]:
-    """Contract the section of a leaf component and re-attach it as the root
-    of a type I pseudoelliptic tree on the peer's attaching fiber.
-
-    Any type II pseudoelliptic left with a single attachment by this move has
-    lost its right to exist and is folded into the tree as well, re-rooting it
-    one step further along the chain.
-    """
-    wall_subset = X.marker_set(cid)
-    constant = X.weights.sum(wall_subset)
-    affected = [cid]
-    current, root, peer_end = _detach_component(X, cid)
-    current = _attach_tree_to_end(current, peer_end, root)
-    # chain cascade: a type II pseudoelliptic attached along one remaining
-    # fiber is a type I pseudoelliptic, so the tree swallows it
-    while (
-        not current.component(peer_end.component).has_section
-        and len(current.glue_ends(peer_end.component)) == 1
-    ):
-        affected.append(peer_end.component)
-        current, root, peer_end = _detach_component(current, peer_end.component)
-        current = _attach_tree_to_end(current, peer_end, root)
-    wall = Wall(WallKind.WII, wall_subset, constant, boundary=constant != 1)
-    rec = TransformationRecord(t, wall, RecordKind.LA_NAVE_FLIP, tuple(affected), current)
-    return current, rec
+    rewritten = replace(
+        X,
+        components=tuple(
+            replace(c, fibers=c.fibers + (host,)) if c.cid == peer.component else c
+            for c in X.components
+            if c.cid != cid
+        ),
+        glues=tuple(g for g in X.glues if g.gid != glue.gid),
+        trees=tuple(t for t in X.trees if t.host_component != cid)
+        + (TreeAttachment(peer.component, peer.fiber_id, root),),
+    )
+    return rewritten, peer.component
 
 
 def _apply_section_contraction(
@@ -328,44 +282,41 @@ def _apply_section_contraction(
 ) -> tuple[BrokenEllipticSurface, TransformationRecord]:
     """Contract the section of a component.
 
-    A leaf flips into a pseudoelliptic tree.  Otherwise the section contracts
-    in place: a multiply-attached component becomes a type II pseudoelliptic,
-    and an unattached one makes the whole surface pseudoelliptic, keeping its
-    base vertex so the model still projects to a curve.
+    A leaf flips (La Nave): it becomes the root of a type I pseudoelliptic
+    tree on its peer's attaching fiber.  A type II pseudoelliptic that the
+    flip leaves with a single attachment has lost its right to exist and is
+    folded into the tree as well, re-rooting it one step further along the
+    chain.  Otherwise the section contracts in place: a multiply-attached
+    component becomes a type II pseudoelliptic, and an unattached one makes
+    the whole surface pseudoelliptic, keeping its base vertex so the model
+    still projects to a curve.
     """
-    n_ends = len(X.glue_ends(cid))
-    if n_ends == 1:
-        return _apply_la_nave_flip(X, cid, t)
-    current = _replace_component(X, cid, has_section=False)
     subset = X.marker_set(cid)
     constant = X.weights.sum(subset)
-    if n_ends == 0:
-        kind, boundary = RecordKind.WHOLE_SECTION_CONTRACTION, constant != 2
+    n_ends = len(X.glue_ends(cid))
+    affected = [cid]
+    if n_ends == 1:
+        kind, boundary = RecordKind.LA_NAVE_FLIP, constant != 1
+        current, peer = _hang_off_peer(X, cid)
+        while not current.component(peer).has_section and len(current.glue_ends(peer)) == 1:
+            affected.append(peer)
+            current, peer = _hang_off_peer(current, peer)
     else:
-        kind, boundary = RecordKind.TYPE_II_PSEUDO_FORMATION, True
+        if n_ends == 0:
+            kind, boundary = RecordKind.WHOLE_SECTION_CONTRACTION, constant != 2
+        else:
+            kind, boundary = RecordKind.TYPE_II_PSEUDO_FORMATION, True
+        current = replace(
+            X,
+            components=tuple(
+                replace(c, has_section=False) if c.cid == cid else c for c in X.components
+            ),
+        )
     wall = Wall(WallKind.WII, subset, constant, boundary=boundary)
-    return current, TransformationRecord(t, wall, kind, (cid,), current)
+    return current, TransformationRecord(t, wall, kind, tuple(affected), current)
 
 
 # -- WIII: pseudoelliptic collapses ---------------------------------------------
-
-
-def _collapsed_fiber(
-    old: MarkedFiber, markers: frozenset[int], coeff: Fraction, to_curve: bool
-) -> MarkedFiber:
-    if to_curve:
-        # the tree contracts onto the E component, which survives as an
-        # unmarked twisted fiber of coefficient one; the tree's markers have
-        # no home afterwards and the caller must halt the walk
-        return MarkedFiber(old.fid, old.ftype, Fraction(1), FiberState.TWISTED, frozenset())
-    return MarkedFiber(
-        old.fid,
-        old.ftype,
-        coeff,
-        fiber_model_at(old.ftype, coeff),
-        markers,
-        nonminimal_cusp=True,
-    )
 
 
 def _prune(node: PseudoComponent, owner: str, fid: str) -> PseudoComponent:
@@ -381,16 +332,24 @@ def _prune(node: PseudoComponent, owner: str, fid: str) -> PseudoComponent:
 
 
 def _collapse_subtree(
-    X: BrokenEllipticSurface, owner: str, fid: str, node: PseudoComponent, t: Fraction
+    X: BrokenEllipticSurface, fw: FeltWall, t: Fraction
 ) -> tuple[BrokenEllipticSurface, TransformationRecord, bool]:
-    """Remove one attached subtree; the host fiber becomes the Weierstrass
-    fiber of its own type carrying the tree's markers, or an unmarked twisted
-    fiber when the collapse is onto a curve."""
-    markers = subtree_markers(node)
-    coeff = X.weights.sum(markers)
-    to_curve = node.collapses_to_curve
+    """Remove the attached subtree of the WIII wall `fw` that fired; the record
+    carries that wall.  The host fiber becomes the Weierstrass fiber of its
+    own type carrying the tree's markers or, when the tree collapses onto a
+    curve, an unmarked twisted fiber of coefficient one: the tree's markers
+    then have no home, and the caller must halt the walk."""
+    owner, fid, node = fw.owner, fw.fid, fw.node
+    markers = fw.wall.subset
     old = X.host_fiber(owner, fid)
-    newf = _collapsed_fiber(old, markers, coeff, to_curve)
+    to_curve = node.collapses_to_curve
+    if to_curve:
+        newf = MarkedFiber(fid, old.ftype, Fraction(1), FiberState.TWISTED, frozenset())
+    else:
+        coeff = X.weights.sum(markers)
+        newf = MarkedFiber(
+            fid, old.ftype, coeff, fiber_model_at(old.ftype, coeff), markers, nonminimal_cusp=True
+        )
     current = _replace_fibers(X, {(owner, fid): newf})
     current = replace(
         current,
@@ -401,8 +360,6 @@ def _collapse_subtree(
         ),
     )
     kind = RecordKind.TREE_COLLAPSE_TO_CURVE if to_curve else RecordKind.TREE_COLLAPSE_TO_POINT
-    c = lct_threshold(old.ftype)
-    wall = Wall(WallKind.WIII, markers, c if c is not None else coeff)
     note = f"host {owner}/{fid}"
     if to_curve:
         note += (
@@ -410,7 +367,7 @@ def _collapse_subtree(
             " requires manual review"
         )
     affected = tuple(n.pid for n in node.nodes())
-    rec = TransformationRecord(t, wall, kind, affected, current, note)
+    rec = TransformationRecord(t, fw.wall, kind, affected, current, note)
     return current, rec, to_curve
 
 
@@ -514,7 +471,7 @@ def _apply_batch(
                 break
             # deepest first so nested collapses precede their hosts'
             fw = min(wiii, key=lambda fw: (-fw.depth, fw.node.pid))
-            current, rec, halted = _collapse_subtree(current, fw.owner, fw.fid, fw.node, t)
+            current, rec, halted = _collapse_subtree(current, fw, t)
         records.append(rec)
         table = segment.table(current)
     return current, table, halted
@@ -583,7 +540,7 @@ def cross_wall(
         raise RuleNotApplicable("section contractions and collapses only occur when decreasing")
     if wall.kind == WallKind.WII:
         return _apply_section_contraction(X, site.owner, t)
-    current, rec, _ = _collapse_subtree(X, site.owner, site.fid, site.node, t)
+    current, rec, _ = _collapse_subtree(X, site, t)
     return current, rec
 
 

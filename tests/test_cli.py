@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -272,3 +275,69 @@ def test_dot_of_markerless_model_has_single_cluster(capsys, tmp_path):
     assert status == 0
     assert out.count("subgraph cluster_") == 1
     assert "style=bold" not in out
+
+
+def _edited_example(path, value) -> bytes:
+    """The example model as JSON bytes with the field at `path` set to `value`."""
+    obj = json.loads(serialize_model(rational_degeneration(F(1))))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return json.dumps(obj).encode()
+
+
+# model files `parse_model` must refuse with a `ModelJSONError`
+MALFORMED = {
+    "vertex-x": _edited_example(("components", 0, "vertex"), "x"),
+    "markers-a": _edited_example(("components", 0, "fibers", 0, "markers"), ["a"]),
+    "genus-null": _edited_example(("components", 0, "genus"), None),
+    "component-5": _edited_example(("components", 0), 5),
+    "weights-5": _edited_example(("weights",), 5),
+    "undecodable": b'{"weights": ["\xff"]}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_model_exits_one_without_traceback(capsys, tmp_path, name):
+    path = tmp_path / "model.json"
+    path.write_bytes(MALFORMED[name])
+    kind = "malformed-json" if name == "undecodable" else "schema-violation"
+    for argv in (["validate"], ["model"], ["reduce", "--to", TARGET]):
+        status, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (status, out) == (1, "") and err.startswith(f"error: {kind}: ")
+    proc = subprocess.run(
+        [sys.executable, "-m", "mmp_elliptic.cli", "reduce", str(path), "--to", TARGET],
+        env=dict(os.environ, PYTHONPATH=str(EXAMPLE.parent.parent.parent / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: {kind}: ")
+
+
+# each command reads one input that is a directory or a weights file holding
+# a JSON non-list; "{model}" is a valid model file
+UNREADABLE = {
+    "model-dir": ["model", "{dir}"],
+    "validate-dir": ["validate", "{dir}"],
+    "volume-dir": ["volume", "{dir}"],
+    "reduce-dir": ["reduce", "{dir}", "--to", TARGET],
+    "weights-dir": ["reduce", "{model}", "--to", "{dir}"],
+    "curve-dir": ["hassett", "{dir}", "--weights", "1"],
+    "weights-5": ["reduce", "{model}", "--to", "{five}"],
+    "weights-null": ["reduce", "{model}", "--to", "@{null}"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE))
+def test_unreadable_input_exits_two(capsys, tmp_path, model_file, name):
+    (tmp_path / "folder").mkdir()
+    (tmp_path / "five.json").write_text("5")
+    (tmp_path / "null.json").write_text("null")
+    paths = {"dir": "folder", "model": model_file.name, "five": "five.json", "null": "null.json"}
+    argv = [a.format(**{k: str(tmp_path / v) for k, v in paths.items()}) for a in UNREADABLE[name]]
+    status, out, err = run(capsys, *argv)
+    assert (status, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1

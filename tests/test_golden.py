@@ -7,6 +7,11 @@ cluster is emitted after theirs, the final model of the nested-tree walk
 in `test_reduction.py` (a tree whose root hosts a child) with its reports, a
 `walls` listing at r = 3 over a rational base, and the `walls --segment` scan
 of the worked path at r = 12.
+The `reduce` traces in `REWRITE_WALKS` pin one walk per section contraction
+and tree collapse: a La Nave flip that folds the chain's type II middle into
+its tree, a type II formation, a whole-section contraction, two nested
+collapses due at one time (the inner one first), and an isotrivial tree's
+collapse onto a curve, where the walk halts.
 A deliberate output change rewrites the file from the command its test runs.
 """
 
@@ -48,6 +53,22 @@ def test_reduce_trace_and_dot_snapshots(capsys, tmp_path, tag):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in want.iterdir())
     for p in want.iterdir():
         assert (tmp_path / p.name).read_text() == p.read_text()
+
+
+# model file (and trace file, prefixed "reduce_") -> `reduce --to` target
+REWRITE_WALKS = {
+    "chain_type2": "1,1,1/3,1/3",
+    "type2_formation": "1,1,0,1,1",
+    "whole_section": "1/2,1/2,1/2",
+    "nested_collapse": "1,1,1/2,1/12,1/12",
+    "curve_collapse": ",".join(["1"] * 10 + ["1/6"] * 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REWRITE_WALKS))
+def test_reduce_trace_of_each_rewrite(capsys, name):
+    out = run(capsys, "reduce", str(GOLDEN / f"{name}.json"), "--to", REWRITE_WALKS[name])
+    assert out == (GOLDEN / f"reduce_{name}.json").read_text()
 
 
 def test_type_ii_chain_dot_lists_sections_first(capsys):

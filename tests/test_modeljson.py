@@ -49,6 +49,36 @@ def test_malformed_json():
     assert err.value.kind == "malformed-json"
 
 
+@pytest.mark.parametrize(
+    "path, value, field",
+    [
+        (("components", 0, "vertex"), "x", "c1/vertex"),
+        (("components", 0, "fibers", 0, "markers"), ["a"], "c1/f1/markers"),
+        (("components", 0, "genus"), None, "c1/genus"),
+        (("components", 0), 5, "components"),
+        (("weights",), 5, "'weights'"),
+    ],
+    ids=["vertex-x", "markers-a", "genus-null", "component-5", "weights-5"],
+)
+def test_ill_typed_field_is_schema_violation(path, value, field):
+    obj = model_to_obj(rational_degeneration(F(1)))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    for check in (True, False):
+        with pytest.raises(ModelJSONError) as err:
+            parse_model(json.dumps(obj), check=check)
+        assert err.value.kind == "schema-violation"
+        assert field in str(err.value)
+
+
+def test_undecodable_bytes_are_malformed_json():
+    with pytest.raises(ModelJSONError) as err:
+        parse_model(b'{"weights": ["\xff\xfe"]}')
+    assert err.value.kind == "malformed-json"
+
+
 def test_out_of_range_coefficient_is_schema_violation():
     obj = model_to_obj(rational_degeneration(F(1)))
     obj["components"][0]["fibers"][0]["coeff"] = "7/6"

@@ -1,11 +1,13 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from mmp_elliptic.curves import WeightVector, hassett_reduce, interpolate
 from mmp_elliptic.kodaira import FiberState, parse_fiber_type
+from mmp_elliptic.modeljson import parse_model
 from mmp_elliptic.reduction import (
     InconsistentTarget,
     InvalidModel,
@@ -257,6 +259,20 @@ def test_nested_tree_forms_when_host_leaf_contracts():
     inner = att.root.fiber("b2")
     assert inner.markers == frozenset({4, 5}) and inner.coeff == F(11, 12)
     assert base_curve(final) == hassett_reduce(base_curve(X), target)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=RuleNotApplicable,
+    reason="a leaf glued along a stable fiber (I2 ~ I2) has no flip: the peer's"
+    " attaching fiber admits no intermediate model to host the tree",
+)
+def test_leaf_glued_along_a_stable_fiber_walks_to_a_valid_final():
+    # `validate` accepts the model; the walk fails when the leaf c1 flips
+    X = parse_model((Path(__file__).parent / "data" / "stable_gluing.json").read_text())
+    trace = reduce(X, weights(F(1, 8), F(1, 8), F(3, 4), F(3, 4)))
+    assert trace.halted is None
+    assert validate(trace.final) == []
 
 
 def test_cross_wall_fiber_transitions():
