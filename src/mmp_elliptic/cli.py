@@ -246,11 +246,14 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
                 )
     if args.dot_dir:
         outdir = Path(args.dot_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "step_000.dot").write_text(emit_dot(model))
-        for i, rec in enumerate(trace.records, start=1):
-            (outdir / f"step_{i:03d}.dot").write_text(emit_dot(rec.snapshot_after))
-        (outdir / "final.dot").write_text(emit_dot(trace.final))
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+            (outdir / "step_000.dot").write_text(emit_dot(model))
+            for i, rec in enumerate(trace.records, start=1):
+                (outdir / f"step_{i:03d}.dot").write_text(emit_dot(rec.snapshot_after))
+            (outdir / "final.dot").write_text(emit_dot(trace.final))
+        except OSError as exc:
+            raise CliError(f"cannot write DOT snapshots into {outdir}: {exc.strerror}", USAGE_ERROR)
     obj = {
         "start_weights": [rat_to_str(w) for w in model.weights.entries],
         "target_weights": [rat_to_str(w) for w in target.entries],

@@ -4,13 +4,18 @@ Components render as clusters of fiber nodes, pseudoelliptic trees as nested
 subgraphs inside an outer tree cluster, gluings as bold edges labeled with the
 two fiber types, and tree attachments as bold edges labeled with the host
 fiber's type and coefficient.  Identical models produce byte-identical text.
+Every label escapes `\\` and `"` (`_label`).  Each frozen `Component` keeps its
+cluster and each `Glue` its edge on itself (`modeljson.stored_text`), built on
+first use; a rewrite builds new objects, so a stored text cannot go stale.
+Tree clusters and tree edges are built on every call.
 """
 
 from __future__ import annotations
 
 from .kodaira import FiberState
+from .modeljson import stored_text
 from .rationals import rat_to_str
-from .surfaces import BrokenEllipticSurface, Component, MarkedFiber, PseudoComponent
+from .surfaces import BrokenEllipticSurface, Component, Glue, MarkedFiber, PseudoComponent
 
 _STATE_TAG = {
     FiberState.WEIERSTRASS: "W",
@@ -23,75 +28,77 @@ def _sanitize(name: str) -> str:
     return "".join(ch if ch.isalnum() else "_" for ch in name)
 
 
-def _fiber_label(f: MarkedFiber) -> str:
+def _label(text: str) -> str:
+    """A DOT label attribute; `\\` and `"` in ids are escaped."""
+    return 'label="' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _fiber_node(tag: str, f: MarkedFiber, indent: str) -> str:
     label = f"{f.fid}: {f.ftype} a={rat_to_str(f.coeff)} [{_STATE_TAG[f.state]}]"
     if f.markers:
         label += " m" + ",".join(str(i) for i in sorted(f.markers))
     if f.nonminimal_cusp:
         label += " (cusp)"
-    return label
+    return f"{indent}  {tag}__{_sanitize(f.fid)} [shape=box, {_label(label)}];"
 
 
-def _component_cluster(lines: list[str], c: Component, indent: str) -> None:
+def _component_cluster(c: Component) -> str:
     tag = _sanitize(c.cid)
     kind = "elliptic" if c.has_section else "pseudo II"
-    lines.append(f"{indent}subgraph cluster_{tag} {{")
-    lines.append(f'{indent}  label="{c.cid} ({kind}) g={c.genus} degL={rat_to_str(c.degL)}";')
-    lines.append(f'{indent}  anchor_{tag} [shape=point, label=""];')
-    for f in c.fibers:
-        lines.append(f'{indent}  {tag}__{_sanitize(f.fid)} [shape=box, label="{_fiber_label(f)}"];')
-    lines.append(f"{indent}}}")
+    lines = [
+        f"  subgraph cluster_{tag} {{",
+        f"    {_label(f'{c.cid} ({kind}) g={c.genus} degL={rat_to_str(c.degL)}')};",
+        f'    anchor_{tag} [shape=point, label=""];',
+    ]
+    lines += [_fiber_node(tag, f, "  ") for f in c.fibers]
+    lines.append("  }")
+    return "\n".join(lines)
 
 
 def _node_cluster(lines: list[str], node: PseudoComponent, indent: str) -> None:
     tag = _sanitize(node.pid)
     lines.append(f"{indent}subgraph cluster_{tag} {{")
     flag = " isotrivial" if node.isotrivial_jinf else ""
-    lines.append(
-        f'{indent}  label="{node.pid} (pseudo I) degL={rat_to_str(node.degL)}'
-        f' via {node.attach_ftype}{flag}";'
-    )
+    label = f"{node.pid} (pseudo I) degL={rat_to_str(node.degL)} via {node.attach_ftype}{flag}"
+    lines.append(f"{indent}  {_label(label)};")
     lines.append(f'{indent}  anchor_{tag} [shape=point, label=""];')
-    for f in node.fibers:
-        lines.append(f'{indent}  {tag}__{_sanitize(f.fid)} [shape=box, label="{_fiber_label(f)}"];')
+    lines += [_fiber_node(tag, f, indent) for f in node.fibers]
     for link in node.children:
         _node_cluster(lines, link.node, indent + "  ")
     lines.append(f"{indent}}}")
 
 
+def _tree_edge(owner: str, host: MarkedFiber, node: PseudoComponent) -> str:
+    label = _label(f"{host.ftype}, {rat_to_str(host.coeff)}")
+    tail = f"{_sanitize(owner)}__{_sanitize(host.fid)}"
+    return f"  {tail} -> anchor_{_sanitize(node.pid)} [style=bold, {label}];"
+
+
 def _tree_edges(lines: list[str], node: PseudoComponent) -> None:
-    tag = _sanitize(node.pid)
     for link in node.children:
-        host = node.fiber(link.via_fiber)
-        label = f"{host.ftype}, {rat_to_str(host.coeff)}"
-        lines.append(
-            f"  {tag}__{_sanitize(link.via_fiber)} -> anchor_{_sanitize(link.node.pid)}"
-            f' [style=bold, label="{label}"];'
-        )
+        lines.append(_tree_edge(node.pid, node.fiber(link.via_fiber), link.node))
         _tree_edges(lines, link.node)
+
+
+def _glue_edge(g: Glue) -> str:
+    a, b = sorted(g.ends(), key=lambda e: (e.component, e.fiber_id))
+    return (
+        f"  anchor_{_sanitize(a.component)} -> anchor_{_sanitize(b.component)}"
+        f" [style=bold, dir=none, {_label(f'{g.gid}: {a.ftype} ~ {b.ftype}, 1')}];"
+    )
 
 
 def emit_dot(X: BrokenEllipticSurface) -> str:
     """Render the model; stable node ordering makes the output deterministic."""
     lines = ["digraph broken_surface {", "  compound=true;", "  rankdir=LR;"]
-    for c in X.elliptic + X.pseudo2:  # clusters with a section first
-        _component_cluster(lines, c, "  ")
+    # clusters with a section first
+    lines += [stored_text(c, "_dot_text", _component_cluster) for c in X.elliptic + X.pseudo2]
     for t in X.trees:
         _node_cluster(lines, t.root, "  ")
-    for g in X.glues:
-        a, b = sorted(g.ends(), key=lambda e: (e.component, e.fiber_id))
-        label = f"{g.gid}: {a.ftype} ~ {b.ftype}, 1"
-        lines.append(
-            f"  anchor_{_sanitize(a.component)} -> anchor_{_sanitize(b.component)}"
-            f' [style=bold, dir=none, label="{label}"];'
-        )
+    lines += [stored_text(g, "_dot_text", _glue_edge) for g in X.glues]
     for t in X.trees:
         host = X.component(t.host_component).fiber(t.host_fiber)
-        label = f"{host.ftype}, {rat_to_str(host.coeff)}"
-        lines.append(
-            f"  {_sanitize(t.host_component)}__{_sanitize(t.host_fiber)} ->"
-            f' anchor_{_sanitize(t.root.pid)} [style=bold, label="{label}"];'
-        )
+        lines.append(_tree_edge(t.host_component, host, t.root))
         _tree_edges(lines, t.root)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -5,6 +5,12 @@ invariant is checkable at parse time: a weight list, a component list (kind
 "elliptic" with a section, "pseudo2" without), a top-level attachment list
 pairing the two ends of each gluing, and nested pseudoelliptic trees.
 Parsing validates; serialization is canonical and round-trips exactly.
+
+`serialize_model` keeps the text of each frozen `Component` and `Glue` on the
+object (`stored_text`), laid out on first use by the builders behind
+`model_to_obj`; a rewrite builds new objects, so a stored text cannot go
+stale, and a walk lays out each shared one once.  Weights and trees are laid
+out on every call.
 """
 
 from __future__ import annotations
@@ -237,40 +243,66 @@ def _node_obj(n: PseudoComponent) -> dict:
     return out
 
 
-def model_to_obj(X: BrokenEllipticSurface) -> dict:
-    components = [
-        {
-            "id": c.cid,
-            "kind": "elliptic" if c.has_section else "pseudo2",
-            "vertex": c.vertex,
-            "genus": c.genus,
-            "degL": rat_to_str(c.degL),
-            "isotrivial_jinf": c.isotrivial_jinf,
-            "fibers": [_fiber_obj(f) for f in c.fibers],
-        }
-        for c in X.components
-    ]
-
-    def end_obj(e: AttachEnd) -> dict:
-        return {"component": e.component, "fiber": e.fiber_id, "type": str(e.ftype)}
-
+def _component_obj(c: Component) -> dict:
     return {
-        "weights": [rat_to_str(w) for w in X.weights.entries],
-        "components": components,
-        "attachments": [
-            {"id": g.gid, "a": end_obj(g.a), "b": end_obj(g.b)} for g in X.glues
-        ],
-        "trees": [
-            {
-                "host": t.host_component,
-                "host_fiber": t.host_fiber,
-                "root": _node_obj(t.root),
-            }
-            for t in X.trees
-        ],
+        "id": c.cid,
+        "kind": "elliptic" if c.has_section else "pseudo2",
+        "vertex": c.vertex,
+        "genus": c.genus,
+        "degL": rat_to_str(c.degL),
+        "isotrivial_jinf": c.isotrivial_jinf,
+        "fibers": [_fiber_obj(f) for f in c.fibers],
     }
 
 
+def _end_obj(e: AttachEnd) -> dict:
+    return {"component": e.component, "fiber": e.fiber_id, "type": str(e.ftype)}
+
+
+def _glue_obj(g: Glue) -> dict:
+    return {"id": g.gid, "a": _end_obj(g.a), "b": _end_obj(g.b)}
+
+
+def _tree_obj(t: TreeAttachment) -> dict:
+    return {"host": t.host_component, "host_fiber": t.host_fiber, "root": _node_obj(t.root)}
+
+
+def model_to_obj(X: BrokenEllipticSurface) -> dict:
+    return {
+        "weights": [rat_to_str(w) for w in X.weights.entries],
+        "components": [_component_obj(c) for c in X.components],
+        "attachments": [_glue_obj(g) for g in X.glues],
+        "trees": [_tree_obj(t) for t in X.trees],
+    }
+
+
+def stored_text(obj, key: str, build) -> str:
+    """`build(obj)`, kept under `key` in the instance dict of the frozen `obj`:
+    like the surface index, built on first use, it lives and dies with `obj`."""
+    memo = obj.__dict__
+    if key not in memo:
+        memo[key] = build(obj)
+    return memo[key]
+
+
+def _entry(obj) -> str:
+    """`obj` laid out as `json.dumps(indent=2)` lays out an entry of a top-level list."""
+    return json.dumps(obj, indent=2).replace("\n", "\n    ")
+
+
 def serialize_model(X: BrokenEllipticSurface) -> str:
-    """Canonical JSON text: fixed key order, sorted components, two-space indent."""
-    return json.dumps(model_to_obj(X), indent=2) + "\n"
+    """Canonical JSON text: fixed key order, sorted components, two-space indent;
+    the bytes of `json.dumps(model_to_obj(X), indent=2)` and a newline."""
+    lists = {
+        "weights": [json.dumps(rat_to_str(w)) for w in X.weights.entries],
+        "components": [
+            stored_text(c, "_json_text", lambda o: _entry(_component_obj(o))) for c in X.components
+        ],
+        "attachments": [stored_text(g, "_json_text", lambda o: _entry(_glue_obj(o))) for g in X.glues],
+        "trees": [_entry(_tree_obj(t)) for t in X.trees],
+    }
+    body = ",\n".join(
+        f'  "{key}": ' + ("[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]")
+        for key, items in lists.items()
+    )
+    return "{\n" + body + "\n}\n"

@@ -4,12 +4,15 @@ Each function here deliberately re-derives its answer by a different route
 than the library: the volume oracle expands the self-intersection against a
 full pairing matrix instead of the closed form, the wall oracle
 re-enumerates the arrangement over raw bitmask subsets, the surface lookups
-scan the model where the library reads its index, and the curve degree is
-counted edge by edge for one vertex where the library sweeps all of them.
+scan the model where the library reads its index, the curve degree is
+counted edge by edge for one vertex where the library sweeps all of them, and
+the model JSON is laid out whole by `json.dumps` where the library joins the
+texts it stores on components and glues.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 from mmp_elliptic.kodaira import (
@@ -18,6 +21,7 @@ from mmp_elliptic.kodaira import (
     intersection_data,
     lct_threshold,
 )
+from mmp_elliptic.modeljson import model_to_obj
 
 F = Fraction
 
@@ -184,3 +188,8 @@ def hassett_by_vertex(curve, weights):
             break
         curve = contract_into_neighbor(curve, min(bad))
     return curve
+
+
+def serialize_oracle(X):
+    """The canonical model JSON, laid out in one `json.dumps` call."""
+    return json.dumps(model_to_obj(X), indent=2) + "\n"

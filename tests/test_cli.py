@@ -341,3 +341,13 @@ def test_unreadable_input_exits_two(capsys, tmp_path, model_file, name):
     status, out, err = run(capsys, *argv)
     assert (status, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ["file", "under-file"])
+def test_dot_dir_that_cannot_be_a_directory_exits_two(capsys, tmp_path, where):
+    (tmp_path / "taken.json").write_text("{}")
+    dot_dir = tmp_path / "taken.json" if where == "file" else tmp_path / "taken.json" / "dots"
+    status, out, err = run(capsys, "reduce", str(EXAMPLE), "--to", TARGET, "--dot-dir", str(dot_dir))
+    assert (status, out) == (2, "")
+    assert err.startswith(f"error: cannot write DOT snapshots into {dot_dir}: ")
+    assert err.count("\n") == 1
