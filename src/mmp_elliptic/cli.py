@@ -284,9 +284,12 @@ def _cmd_hassett(args: argparse.Namespace) -> int:
     except CurveError as exc:
         raise CliError(str(exc), DATA_ERROR)
     weights = _parse_weights(args.weights)
+    bad = [m.index for m in curve.markers if not 1 <= m.index <= weights.r]
+    if bad:
+        raise CliError(f"marker index {bad[0]} outside 1..{weights.r}", DATA_ERROR)
     try:
         reduced = hassett_reduce(curve, weights)
-    except (CurveError, KeyError) as exc:
+    except CurveError as exc:
         raise CliError(str(exc), DATA_ERROR)
     if args.format == "dot":
         sys.stdout.write(curve_to_dot(reduced, weights))

@@ -12,6 +12,8 @@ Tree clusters and tree edges are built on every call.
 
 from __future__ import annotations
 
+import re
+
 from .kodaira import FiberState
 from .modeljson import stored_text
 from .rationals import rat_to_str
@@ -23,9 +25,15 @@ _STATE_TAG = {
     FiberState.TWISTED: "tw",
 }
 
+_PLAIN = re.compile(r"[^\W_]+(?:_[^\W_]+)*")
+
 
 def _sanitize(name: str) -> str:
-    return "".join(ch if ch.isalnum() else "_" for ch in name)
+    """An id as a part of DOT names: itself when it is letters and digits
+    joined by single underscores, else `__x` and the hex of its UTF-8 bytes.
+    No two ids share a part, and `{owner}__{fid}` splits at its first `__`
+    past the start, so it names one fiber and never an `anchor_{id}`."""
+    return name if _PLAIN.fullmatch(name) else "__x" + name.encode().hex()
 
 
 def _label(text: str) -> str:

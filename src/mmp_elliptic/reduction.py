@@ -180,10 +180,10 @@ def _settle(
     among them (hosting no tree, not N2) moves to the state `fiber_model_at`
     gives unless `is_settled` already accepts its state.  Tree-hosting fibers
     keep their state: flips and collapses govern them.  With `leave_one` a
-    twisted fiber at coefficient one drops to its intermediate model: the
-    walk asks for that at its start, where every listed marker is about to
-    fall.  Fibers without a listed marker are left as they are.  Returns the
-    model and each state change as (owner, fiber, new state).
+    twisted fiber at coefficient one drops to its intermediate model, as the
+    walk asks on each batch; below t = 1 no listed fiber is at one.  Fibers
+    without a listed marker are left as they are.  Returns the model and
+    each state change as (owner, fiber, new state).
     """
     hosts = X.host_keys()
     events: list[tuple[str, MarkedFiber, FiberState]] = []
@@ -440,7 +440,6 @@ def _apply_batch(
     table: _Table,
     t: Fraction,
     records: list[TransformationRecord],
-    leave_one: bool,
 ) -> tuple[BrokenEllipticSurface, _Table, bool]:
     """Apply all transformations pending at time t of the walk.
 
@@ -455,7 +454,7 @@ def _apply_batch(
     canonical model, and fibers that move keep their state.  The table is
     rebuilt after each WII or WIII record.
     """
-    current, events = _settle(X, segment.moving, leave_one)
+    current, events = _settle(X, segment.moving, leave_one=True)
     for owner, fiber, new_state in events:
         records.append(_record_fiber_event(t, owner, fiber, new_state, current))
     halted = False
@@ -629,17 +628,13 @@ def reduce(X: BrokenEllipticSurface, target: WeightVector) -> ReductionTrace:
     segment = _Segment(target, X.weights)
     records: list[TransformationRecord] = []
     t_cur = Fraction(1)
-    current, table, halted = _apply_batch(
-        X, segment, segment.table(X), t_cur, records, leave_one=True
-    )
+    current, table, halted = _apply_batch(X, segment, segment.table(X), t_cur, records)
     while not halted:
         t_next = _event_times(table, t_cur)
         if t_next is None:
-            if t_cur == 0:
-                break
             t_next = Fraction(0)
         current = replace(current, weights=segment.weights_at(t_next))
-        current, table, halted = _apply_batch(current, segment, table, t_next, records, leave_one=False)
+        current, table, halted = _apply_batch(current, segment, table, t_next, records)
         t_cur = t_next
         if t_cur == 0:
             break

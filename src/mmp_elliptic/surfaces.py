@@ -15,14 +15,15 @@ marker counted once.  The validator re-checks that identity together with the
 per-fiber state rules, so inconsistent configurations are reported as data
 rather than silently propagated.
 
-Lookups read one index per surface, a cached property built on first use:
-components by id, glue ends per component, owner -> fibers, the host keys of
-every subtree level, the marked fibers, and marker -> the fibers it backs.
-The surface is frozen, so the index cannot go stale; each part is built in
-one pass the first time it is read, and a rewrite that returns a new surface
-starts a new index.  `component`, `glue_ends`, `host_fiber`, `fiber_owners`,
-`host_keys`, `marked_fibers`, `fibers_with`, `marker_set` and
-`section_constant` all answer from it without scanning the model.
+Lookups read private cached properties of the frozen surface, each built in
+one pass the first time it is read: components by id, glue ends per
+component, owner -> fibers, every subtree level and its host key, the marked
+fibers, and marker -> the fibers it backs.  They hold the surface's parts,
+never the surface, and a rewrite that returns a new surface starts afresh, so
+no lookup can go stale.  `component`, `glue_ends`, `host_fiber`,
+`fiber_owners`, `subtrees`, `pseudo_nodes`, `host_keys`, `marked_fibers`,
+`fibers_with`, `marker_set` and `section_constant` all answer from them
+without scanning the model.
 """
 
 from __future__ import annotations
@@ -225,84 +226,6 @@ def subtree_markers(node: PseudoComponent) -> frozenset[int]:
     return frozenset(out)
 
 
-class _SurfaceIndex:
-    """The lookups of one surface, each built in one pass on first use.
-
-    Components by id, glue ends per component, owner -> fibers in
-    `fiber_owners` order (the first of a repeated owner or fiber id wins, as
-    in a scan), every subtree level and its host key, the marked fibers, and
-    marker -> the fibers whose markers contain it.  Only the structure is
-    read, never the weights.
-    """
-
-    def __init__(self, X: "BrokenEllipticSurface") -> None:
-        # the parts, not the surface: a reference back to it would make every
-        # indexed surface a reference cycle that only the collector frees
-        self._components, self._glues, self._trees = X.components, X.glues, X.trees
-
-    @cached_property
-    def components(self) -> dict[str, Component]:
-        return {c.cid: c for c in reversed(self._components)}
-
-    @cached_property
-    def ends(self) -> dict[str, list[tuple[Glue, AttachEnd]]]:
-        out: dict[str, list[tuple[Glue, AttachEnd]]] = {}
-        for g in self._glues:
-            for end in g.ends():
-                out.setdefault(end.component, []).append((g, end))
-        return out
-
-    @cached_property
-    def owners(self) -> list[tuple[str, tuple[MarkedFiber, ...]]]:
-        return [(c.cid, c.fibers) for c in self._components] + [
-            (n.pid, n.fibers) for t in self._trees for n in t.root.nodes()
-        ]
-
-    @cached_property
-    def fibers(self) -> list[tuple[str, MarkedFiber]]:
-        return [(owner, f) for owner, fibers in self.owners for f in fibers]
-
-    @cached_property
-    def owned(self) -> dict[str, tuple[MarkedFiber, ...]]:
-        """Owner id -> its fibers, those of a repeated id appended in order."""
-        out: dict[str, tuple[MarkedFiber, ...]] = {}
-        for owner, fibers in self.owners:
-            out[owner] = out[owner] + fibers if owner in out else fibers
-        return out
-
-    @cached_property
-    def by_marker(self) -> dict[int, list[int]]:
-        """Marker -> positions in `fibers` of the fibers it backs."""
-        out: dict[int, list[int]] = {}
-        for k, (_, f) in enumerate(self.fibers):
-            for i in f.markers:
-                out.setdefault(i, []).append(k)
-        return out
-
-    @cached_property
-    def subtrees(self) -> list[tuple[str, str, PseudoComponent, int]]:
-        out = []
-
-        def walk(owner: str, fid: str, node: PseudoComponent, depth: int) -> None:
-            out.append((owner, fid, node, depth))
-            for link in node.children:
-                walk(node.pid, link.via_fiber, link.node, depth + 1)
-
-        for att in self._trees:
-            walk(att.host_component, att.host_fiber, att.root, 0)
-        return out
-
-    @cached_property
-    def hosts(self) -> frozenset[tuple[str, str]]:
-        return frozenset((owner, fid) for owner, fid, _, _ in self.subtrees)
-
-    @cached_property
-    def marked(self) -> list[tuple[str, MarkedFiber]]:
-        hosts = self.hosts
-        # the entries of `fibers` themselves, not copies
-        return [e for e in self.fibers if e[1].markers and (e[0], e[1].fid) not in hosts]
-
-
 @dataclass(frozen=True)
 class BrokenEllipticSurface:
     """The full decorated dual graph of a weighted broken elliptic surface."""
@@ -323,12 +246,72 @@ class BrokenEllipticSurface:
             tuple(sorted(self.trees, key=lambda t: (t.host_component, t.host_fiber))),
         )
 
-    # -- lookups ----------------------------------------------------------
+    # -- lookups, each read from the structure alone on first use ---------
 
     @cached_property
-    def _index(self) -> "_SurfaceIndex":
-        # the surface is frozen, so the index built on first use never goes stale
-        return _SurfaceIndex(self)
+    def _components_by_id(self) -> dict[str, Component]:
+        # the first of a repeated id wins, as in a scan
+        return {c.cid: c for c in reversed(self.components)}
+
+    @cached_property
+    def _ends(self) -> dict[str, list[tuple[Glue, AttachEnd]]]:
+        out: dict[str, list[tuple[Glue, AttachEnd]]] = {}
+        for g in self.glues:
+            for end in g.ends():
+                out.setdefault(end.component, []).append((g, end))
+        return out
+
+    @cached_property
+    def _subtrees(self) -> list[tuple[str, str, PseudoComponent, int]]:
+        """Every subtree level in preorder, so its roots are the pseudo nodes
+        in `PseudoComponent.nodes` order."""
+        out = []
+
+        def walk(owner: str, fid: str, node: PseudoComponent, depth: int) -> None:
+            out.append((owner, fid, node, depth))
+            for link in node.children:
+                walk(node.pid, link.via_fiber, link.node, depth + 1)
+
+        for att in self.trees:
+            walk(att.host_component, att.host_fiber, att.root, 0)
+        return out
+
+    @cached_property
+    def _owners(self) -> list[tuple[str, tuple[MarkedFiber, ...]]]:
+        return [(c.cid, c.fibers) for c in self.components] + [
+            (node.pid, node.fibers) for _, _, node, _ in self._subtrees
+        ]
+
+    @cached_property
+    def _fibers(self) -> list[tuple[str, MarkedFiber]]:
+        return [(owner, f) for owner, fibers in self._owners for f in fibers]
+
+    @cached_property
+    def _owned(self) -> dict[str, tuple[MarkedFiber, ...]]:
+        """Owner id -> its fibers, those of a repeated id appended in order."""
+        out: dict[str, tuple[MarkedFiber, ...]] = {}
+        for owner, fibers in self._owners:
+            out[owner] = out[owner] + fibers if owner in out else fibers
+        return out
+
+    @cached_property
+    def _by_marker(self) -> dict[int, list[int]]:
+        """Marker -> positions in `_fibers` of the fibers it backs."""
+        out: dict[int, list[int]] = {}
+        for k, (_, f) in enumerate(self._fibers):
+            for i in f.markers:
+                out.setdefault(i, []).append(k)
+        return out
+
+    @cached_property
+    def _hosts(self) -> frozenset[tuple[str, str]]:
+        return frozenset((owner, fid) for owner, fid, _, _ in self._subtrees)
+
+    @cached_property
+    def _marked(self) -> list[tuple[str, MarkedFiber]]:
+        hosts = self._hosts
+        # the entries of `_fibers` themselves, not copies
+        return [e for e in self._fibers if e[1].markers and (e[0], e[1].fid) not in hosts]
 
     @property
     def elliptic(self) -> tuple[Component, ...]:
@@ -342,13 +325,13 @@ class BrokenEllipticSurface:
 
     def component(self, cid: str) -> Component:
         try:
-            return self._index.components[cid]
+            return self._components_by_id[cid]
         except KeyError:
             raise KeyError(f"no component {cid}") from None
 
     def glue_ends(self, cid: str) -> list[tuple[Glue, AttachEnd]]:
         """Every attaching-fiber end on the given component, glue included."""
-        return list(self._index.ends.get(cid, ()))
+        return list(self._ends.get(cid, ()))
 
     def trees_on(self, cid: str) -> tuple[TreeAttachment, ...]:
         return tuple(t for t in self.trees if t.host_component == cid)
@@ -360,44 +343,40 @@ class BrokenEllipticSurface:
         raise KeyError(f"no attached tree rooted at {tree_id}")
 
     def pseudo_nodes(self) -> list[PseudoComponent]:
-        out: list[PseudoComponent] = []
-        for t in self.trees:
-            out.extend(t.root.nodes())
-        return out
+        return [node for _, _, node, _ in self._subtrees]
 
     def fiber_owners(self) -> list[tuple[str, tuple[MarkedFiber, ...]]]:
         """(owner id, fibers) for every component, then every pseudo node."""
-        return list(self._index.owners)
+        return list(self._owners)
 
     def subtrees(self) -> Iterator[tuple[str, str, PseudoComponent, int]]:
         """Yield (host owner id, host fiber id, subtree root, depth), all levels."""
-        return iter(self._index.subtrees)
+        return iter(self._subtrees)
 
     def host_keys(self) -> frozenset[tuple[str, str]]:
         """(owner id, fiber id) of every fiber that hosts a subtree."""
-        return self._index.hosts
+        return self._hosts
 
     def marked_fibers(self) -> Iterator[tuple[str, MarkedFiber]]:
         """Yield (owner id, fiber) for every fiber with markers that hosts no
         tree: the fibers whose own markers back their coefficient."""
-        return iter(self._index.marked)
+        return iter(self._marked)
 
     def fibers_with(self, markers: Iterable[int]) -> list[tuple[str, MarkedFiber]]:
         """(owner id, fiber) for every fiber, tree hosts included, whose
         markers meet `markers`, in `fiber_owners` order."""
-        index = self._index
-        at = sorted({k for i in markers for k in index.by_marker.get(i, ())})
-        return [index.fibers[k] for k in at]
+        at = sorted({k for i in markers for k in self._by_marker.get(i, ())})
+        return [self._fibers[k] for k in at]
 
     def host_fiber(self, owner: str, fid: str) -> MarkedFiber:
         """The fiber `fid` of a component or pseudo node."""
-        for f in self._index.owned.get(owner, ()):
+        for f in self._owned.get(owner, ()):
             if f.fid == fid:
                 return f
         raise KeyError(f"{owner} has no fiber {fid}")
 
     def all_ids(self) -> list[str]:
-        return [owner for owner, _ in self._index.owners]
+        return [owner for owner, _ in self._owners]
 
     # -- derived quantities -------------------------------------------------
 
@@ -479,7 +458,7 @@ def section_constant(X: BrokenEllipticSurface, cid: str) -> Fraction:
     """The weight-independent part of `section_degree`: 2g - 2 + (number of
     attaching fibers) + (coefficients of marker-less fibers, fixed at one)."""
     comp = X.component(cid)
-    base = Fraction(2 * comp.genus - 2 + len(X._index.ends.get(cid, ())))
+    base = Fraction(2 * comp.genus - 2 + len(X._ends.get(cid, ())))
     return sum((f.coeff for f in comp.fibers if not f.markers), base)
 
 

@@ -4,7 +4,7 @@ Each function here deliberately re-derives its answer by a different route
 than the library: the volume oracle expands the self-intersection against a
 full pairing matrix instead of the closed form, the wall oracle
 re-enumerates the arrangement over raw bitmask subsets, the surface lookups
-scan the model where the library reads its index, the curve degree is
+scan the model where the library reads its cached lookups, the curve degree is
 counted edge by edge for one vertex where the library sweeps all of them, and
 the model JSON is laid out whole by `json.dumps` where the library joins the
 texts it stores on components and glues.
@@ -98,19 +98,41 @@ def wall_keys(walls):
 # -- surface lookups by scanning the model ---------------------------------------
 
 
-def scan_owners(X):
-    """(owner id, fibers) of every component, then of every pseudo node in
-    tree order, each node before its children."""
-    out = [(c.cid, c.fibers) for c in X.components]
+def scan_pseudo_nodes(X):
+    """Every pseudo node, tree by tree, each node before its children."""
+    out = []
 
     def visit(node):
-        out.append((node.pid, node.fibers))
+        out.append(node)
         for link in node.children:
             visit(link.node)
 
     for att in X.trees:
         visit(att.root)
     return out
+
+
+def scan_subtrees(X):
+    """(host owner id, host fiber id, subtree root, depth) of every subtree
+    level, in `scan_pseudo_nodes` order."""
+    out = []
+
+    def visit(owner, fid, node, depth):
+        out.append((owner, fid, node, depth))
+        for link in node.children:
+            visit(node.pid, link.via_fiber, link.node, depth + 1)
+
+    for att in X.trees:
+        visit(att.host_component, att.host_fiber, att.root, 0)
+    return out
+
+
+def scan_owners(X):
+    """(owner id, fibers) of every component, then of every pseudo node in
+    tree order, each node before its children."""
+    return [(c.cid, c.fibers) for c in X.components] + [
+        (node.pid, node.fibers) for node in scan_pseudo_nodes(X)
+    ]
 
 
 def scan_component(X, cid):
@@ -134,16 +156,7 @@ def scan_host_fiber(X, owner, fid):
 
 
 def scan_host_keys(X):
-    keys = set()
-
-    def visit(owner, fid, node):
-        keys.add((owner, fid))
-        for link in node.children:
-            visit(node.pid, link.via_fiber, link.node)
-
-    for att in X.trees:
-        visit(att.host_component, att.host_fiber, att.root)
-    return keys
+    return {(owner, fid) for owner, fid, _, _ in scan_subtrees(X)}
 
 
 def scan_marked_fibers(X):

@@ -223,6 +223,8 @@ def test_hassett_command(capsys, tmp_path):
     reduced = json.loads(out)
     assert len(reduced["vertices"]) == 1
     assert len(reduced["markers"]) == 12
+    status, out, _ = run(capsys, "hassett", str(path), "--weights", ",".join(["1"] * 12), "--format", "dot")
+    assert status == 0 and out.startswith("graph dual {\n")
 
 
 def test_validate_command(capsys, tmp_path):
@@ -246,6 +248,63 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert status == 2
     status, _, _ = run(capsys, "nonsense")
     assert status == 2
+
+
+# commands refused with one `error:` line: (argv, exit status, the line's
+# start); "{model}" is the shipped example, "{curve}" a two-vertex curve with
+# twelve markers, "{point}" a one-vertex curve with three
+REFUSED = {
+    "walls-unknown-type": (["walls", "-r", "2", "--types", "I1,XX"], 2, "unrecognized fiber type"),
+    "walls-n2-type": (["walls", "-r", "2", "--types", "I1,N2"], 1, "thresholds for N2"),
+    "segment-size": (
+        ["walls", "-r", "2", "--types", "I1,I1", "--segment", "1/2", "1,1"],
+        2,
+        "segment endpoints must match --markers",
+    ),
+    "segment-order": (
+        ["walls", "-r", "2", "--types", "I1,I1", "--segment", "1,1", "1/2,1/2"],
+        2,
+        "segment requires A <= B",
+    ),
+    "glob-empty": (["model", "{model}", "--glob", "{tmp}/none/*.json"], 2, "--glob"),
+    "from-size": (
+        ["reduce", "{model}", "--from", "1,1", "--to", TARGET],
+        2,
+        "override has 2 weights; the model has 12",
+    ),
+    "target-above": (
+        ["reduce", "{model}", "--from", TARGET, "--to", ",".join(["1"] * 12)],
+        1,
+        "target must be entrywise <= the current weights",
+    ),
+    # the message itself, not the repr of a KeyError, and also where the
+    # reduction reads no weight
+    "curve-marker": (["hassett", "{curve}", "--weights", "1"], 1, "marker index 2 outside 1..1\n"),
+    "point-marker": (
+        ["hassett", "{point}", "--weights", "1", "--format", "dot"],
+        1,
+        "marker index 2 outside 1..1\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_refused_commands_print_one_error_line(capsys, tmp_path, name):
+    curve = {
+        "vertices": [{"id": 1, "genus": 0}, {"id": 2, "genus": 0}],
+        "edges": [[1, 2]],
+        "markers": [{"index": i, "vertex": 1 + (i > 10)} for i in range(1, 13)],
+    }
+    point = {"vertices": [{"id": 1, "genus": 0}], "edges": [], "markers": curve["markers"][:3]}
+    paths = {"model": str(EXAMPLE), "tmp": str(tmp_path)}
+    for key, obj in (("curve", curve), ("point", point)):
+        paths[key] = str(tmp_path / f"{key}.json")
+        Path(paths[key]).write_text(json.dumps(obj))
+    argv, want, line = REFUSED[name]
+    status, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert (status, out) == (want, "")
+    assert err.startswith("error: " + line) and err.count("\n") == 1, err
+    assert "Traceback" not in err
 
 
 def test_dot_output_is_deterministic(capsys, model_file):

@@ -216,3 +216,25 @@ def test_dot_labels_escape_quotes_and_backslashes():
             labels += [json.loads(q) for q in QUOTED.findall(line)]
         assert set(expected[name]) <= set(labels)
         assert any(label.startswith('f"1\\: I1 a=1 [W] m1') for label in labels)
+
+
+DOT_EDGE = re.compile(r"^\s*(\S+) -> (\S+) \[")
+
+
+def test_dot_names_differ_for_ids_that_differ_only_in_symbols():
+    # JSON spellings: components c-2 and c_2; components a and a_ whose first
+    # fibers are _b and b
+    for renames in (
+        {'"c1"': '"c-2"', '"c2"': '"c_2"'},
+        {'"c1"': '"a"', '"c2"': '"a_"', '"f1"': '"_b"', '"f11"': '"b"'},
+    ):
+        text = serialize_model(rational_degeneration(F(1)))
+        for old, new in renames.items():
+            text = text.replace(old, new)
+        lines = emit_dot(parse_model(text)).splitlines()
+        clusters = [line.split()[1] for line in lines if line.lstrip().startswith("subgraph ")]
+        nodes = [line.split()[0] for line in lines if " [shape=" in line]
+        edges = [m.groups() for m in map(DOT_EDGE.match, lines) if m]
+        assert len(set(clusters)) == len(clusters) == 2, clusters
+        assert len(set(nodes)) == len(nodes) == 2 + 12, nodes
+        assert edges and all(a != b and {a, b} <= set(nodes) for a, b in edges), edges

@@ -48,6 +48,8 @@ from oracles import (
     scan_host_keys,
     scan_marked_fibers,
     scan_owners,
+    scan_pseudo_nodes,
+    scan_subtrees,
 )
 
 F = Fraction
@@ -249,6 +251,8 @@ def _check_index(X, rng):
     with pytest.raises(KeyError):
         X.host_fiber(owners[0][0], "nowhere")
     assert X.glue_ends("nowhere") == []
+    assert X.pseudo_nodes() == scan_pseudo_nodes(X)
+    assert list(X.subtrees()) == scan_subtrees(X)
     assert X.host_keys() == scan_host_keys(X)
     assert list(X.marked_fibers()) == scan_marked_fibers(X)
     picked = {i for i in range(1, X.weights.r + 1) if rng.random() < 0.3}
