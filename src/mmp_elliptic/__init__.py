@@ -69,6 +69,7 @@ from .surfaces import (
     volume,
 )
 from .walls import (
+    Arrangement,
     Chamber,
     FeltWall,
     SegmentCrossing,

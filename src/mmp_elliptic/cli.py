@@ -120,6 +120,24 @@ def _load_model(path_text: str, override: str | None):
     return model
 
 
+def _walls_listing(walls) -> str:
+    """`json.dumps([wall_to_obj(w) for w in walls], indent=2)` for a nonempty
+    list of walls on nonempty subsets, laying out each subset's text once for
+    all the walls on it."""
+    subsets: dict[frozenset[int], str] = {}
+    entries = []
+    for w in walls:
+        subset = subsets.get(w.subset)
+        if subset is None:
+            subset = subsets[w.subset] = ",\n".join(f"      {i}" for i in sorted(w.subset))
+        entries.append(
+            f'  {{\n    "kind": "{w.kind.value}",\n    "subset": [\n{subset}\n    ],\n'
+            f'    "constant": "{rat_to_str(w.constant)}",\n'
+            f'    "boundary": {"true" if w.boundary else "false"}\n  }}'
+        )
+    return "[\n" + ",\n".join(entries) + "\n]"
+
+
 def _cmd_walls(args: argparse.Namespace) -> int:
     try:
         types = [parse_fiber_type(t.strip()) for t in args.types.split(",")]
@@ -135,7 +153,7 @@ def _cmd_walls(args: argparse.Namespace) -> int:
     except UnsupportedFiberType as exc:
         raise CliError(str(exc), DATA_ERROR)
     if not args.segment:
-        print(json.dumps([wall_to_obj(w) for w in walls], indent=2))
+        print(_walls_listing(walls))
         return 0
     A = _parse_weights(args.segment[0])
     B = _parse_weights(args.segment[1])

@@ -25,12 +25,13 @@ _STATE_TAG = {
     FiberState.TWISTED: "tw",
 }
 
-_PLAIN = re.compile(r"[^\W_]+(?:_[^\W_]+)*")
+_PLAIN = re.compile(r"(?![0-9])[^\W_]+(?:_[^\W_]+)*")
 
 
 def _sanitize(name: str) -> str:
     """An id as a part of DOT names: itself when it is letters and digits
-    joined by single underscores, else `__x` and the hex of its UTF-8 bytes.
+    joined by single underscores and does not start with an ASCII digit (a
+    DOT ID may not), else `__x` and the hex of its UTF-8 bytes.
     No two ids share a part, and `{owner}__{fid}` splits at its first `__`
     past the start, so it names one fiber and never an `anchor_{id}`."""
     return name if _PLAIN.fullmatch(name) else "__x" + name.encode().hex()

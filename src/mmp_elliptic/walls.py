@@ -5,15 +5,18 @@ Walls come in three kinds: fiber-model transitions on single coordinates
 equal to two over a rational base) (WII), and pseudoelliptic collapses on
 subset sums equal to a threshold constant (WIII).  Boundary walls at a
 coordinate equal to zero or one carry a flag.  Everything is exact; the full
-arrangement on r markers is exponential in r.  `enumerate_walls` emits it
-already in `Wall.sort_key` order, sorting the 2^r - 1 subsets once.
+arrangement on r markers is exponential in r.
 
-`locate`, `walls_containing` and `segment_walls` read one integer kernel,
-`_integer_sums`: over one common denominator D, the lcm of the weight and
-wall-constant denominators, every weight and constant is an integer, and each
-distinct wall subset's sum is added up once per weight vector.  A comparison
-with a constant is then an integer comparison, and a `Fraction` is built only
-for a crossing time.  `Wall.value_at` and `Wall.side` answer for one wall.
+`enumerate_walls` returns an `Arrangement`: a read-only list of the walls in
+`Wall.sort_key` order that also carries integer columns, built once with the
+walls: each wall's subset as a bitmask and its constant times one common
+denominator (12 for the Kodaira constants).  `locate`, `walls_containing` and
+`segment_walls` read every list through `Arrangement.of`, which builds the
+same columns for any other iterable.  A query takes each weight over the lcm
+of that denominator and its own, adds up every subset sum once from a table
+of integers, compares integers only, and builds a `Fraction` only for a
+crossing time that is hit.  `Wall.value_at` and `Wall.side` answer for one
+wall.
 
 `felt_walls` is the one table of the walls a given model feels, each paired
 with the fiber, section or tree that crossing it rewrites.  It depends only on
@@ -27,8 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from itertools import compress
 from math import lcm
+from operator import eq
 from typing import Iterable, NamedTuple
 
 from .curves import WeightVector
@@ -46,8 +50,7 @@ class WallKind(str, Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Wall:
+class Wall(NamedTuple):
     """The locus where the weight sum over `subset` equals `constant`."""
 
     kind: WallKind
@@ -73,6 +76,97 @@ class Wall:
         lhs = " + ".join(f"a{i}" for i in sorted(self.subset))
         tag = " (boundary)" if self.boundary else ""
         return f"{self.kind.value}: {lhs} = {self.constant}{tag}"
+
+
+# the constants are shared objects, so walls and chambers of two enumerations
+# compare them by identity
+_ONE, _TWO = Fraction(1), Fraction(2)
+
+
+class Arrangement(list):
+    """Walls in `Wall.sort_key` order, with integer columns.
+
+    `masks[i]` has bit k - 1 set for each marker k of wall i's subset;
+    `scaled[i]` is wall i's constant times `den`, the lcm of the constants'
+    denominators; `r` is the highest marker of any wall.  A query adds up
+    its subset sums on a table of subsets closed under dropping the highest
+    marker: wall i reads slot `_slots[i]`, and each step (k, parents) appends
+    the sums of the parents' subsets plus the weight of marker k + 1.  For
+    `enumerate_walls` the table is every subset, in mask order; for any other
+    list it holds at most one entry per marker of each wall, so its cost does
+    not grow with the marker indices.  The list refuses in-place changes, so
+    it cannot drift from its columns.
+    """
+
+    __slots__ = ("masks", "scaled", "den", "r", "_slots", "_steps")
+
+    def __init__(self, walls, masks, scaled, den, r, slots, steps) -> None:
+        super().__init__(walls)
+        self.masks, self.scaled, self.den, self.r = masks, scaled, den, r
+        self._slots, self._steps = slots, steps
+
+    @classmethod
+    def of(cls, walls: Iterable[Wall]) -> Arrangement:
+        """`walls` itself when it is an Arrangement; else its walls, in a
+        stable sort by `Wall.sort_key`, with their columns.  Raises `KeyError`
+        for a marker below 1."""
+        if isinstance(walls, Arrangement):
+            return walls
+        walls = sorted(walls, key=Wall.sort_key)
+        masks = []
+        for w in walls:
+            if min(w.subset, default=1) < 1:
+                raise KeyError(f"marker index {min(w.subset)} below 1")
+            masks.append(sum(1 << (i - 1) for i in w.subset))
+        den = lcm(*(w.constant.denominator for w in walls))
+        table = {0}
+        for m in set(masks):
+            while m not in table:
+                table.add(m)
+                m ^= 1 << (m.bit_length() - 1)
+        table = sorted(table)
+        slot = {m: j for j, m in enumerate(table)}
+        steps: dict[int, list[int]] = {}
+        for m in table[1:]:
+            k = m.bit_length() - 1
+            steps.setdefault(k, []).append(slot[m ^ 1 << k])
+        return cls(
+            walls,
+            masks,
+            [w.constant.numerator * (den // w.constant.denominator) for w in walls],
+            den,
+            table[-1].bit_length(),
+            [slot[m] for m in masks],
+            list(steps.items()),
+        )
+
+    def _over(self, *vectors: WeightVector) -> list[list[int]]:
+        """Per wall, in order, as integers over D, the lcm of `den` and every
+        weight denominator: the constants, then each vector's subset sums.
+        Raises `KeyError` for a marker outside 1..r of a vector."""
+        for v in vectors:
+            if self.r > v.r:
+                raise KeyError(f"marker index {self.r} outside 1..{v.r}")
+        D = lcm(self.den, *(x.denominator for v in vectors for x in v.entries))
+        scale = D // self.den
+        out = [[c * scale for c in self.scaled]]
+        for v in vectors:
+            weights = [x.numerator * (D // x.denominator) for x in v.entries]
+            sums = [0]
+            for k, parents in self._steps:
+                x = weights[k]
+                sums += [sums[p] + x for p in parents]
+            out.append(list(map(sums.__getitem__, self._slots)))
+        return out
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("an Arrangement cannot change in place; build a new one with Arrangement.of")
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+    append = extend = insert = pop = remove = clear = sort = reverse = _read_only
+
+    def __reduce__(self):
+        return Arrangement.of, (list(self),)
 
 
 @dataclass(frozen=True)
@@ -104,7 +198,7 @@ class SegmentCrossing:
 
 def enumerate_walls(
     r: int, fiber_types: Iterable[KodairaType], rational_base: bool = False
-) -> list[Wall]:
+) -> Arrangement:
     """The finite wall set for r markers of the given types.
 
     WI walls exist only for markers whose type has a threshold (a transition
@@ -113,85 +207,65 @@ def enumerate_walls(
     rational base; WIII walls are all nonempty subset sums equal to each
     threshold constant.  Every threshold is below one and the constants are
     distinct, so the walls are distinct by construction.  Emitted in
-    `Wall.sort_key` order; the WII and WIII walls on one subset share its
-    frozenset.
+    `Wall.sort_key` order, with the columns of an `Arrangement` over every
+    subset; the walls on one subset share its frozenset.
     """
     types = list(fiber_types)
     if len(types) != r:
         raise ValueError(f"expected {r} fiber types, got {len(types)}")
-    one = Fraction(1)
-    walls = []
-    for i, ftype in enumerate(types, start=1):
+    den = lcm(*(c.denominator for c in THRESHOLD_CONSTANTS))  # every threshold is one of them
+    walls, masks, scaled = [], [], []
+    for i, ftype in enumerate(types):
         c = lct_threshold(ftype)  # may raise UnsupportedFiberType for N2
         if c is not None:
-            walls.append(Wall(WallKind.WI, frozenset({i}), c))
-            walls.append(Wall(WallKind.WI, frozenset({i}), one, boundary=True))
-    indices = range(1, r + 1)
-    subsets = sorted(sub for size in indices for sub in combinations(indices, size))
-    frozen = [frozenset(sub) for sub in subsets]
-    wii = [Wall(WallKind.WII, sub, one) for sub in frozen]
+            subset = frozenset((i + 1,))
+            walls += [Wall(WallKind.WI, subset, c), Wall(WallKind.WI, subset, _ONE, True)]
+            masks += [1 << i, 1 << i]
+            scaled += [c.numerator * (den // c.denominator), den]
+    # every nonempty subset of k..r in the order of its sorted tuple: {k}, then
+    # {k} with each subset of k+1..r, then the subsets of k+1..r
+    subsets: list[frozenset[int]] = []
+    lex: list[int] = []
+    for k in range(r, 0, -1):
+        single, bit = frozenset((k,)), 1 << (k - 1)
+        subsets = [single, *[single | s for s in subsets], *subsets]
+        lex = [bit, *[bit | m for m in lex], *lex]
+    # tuple.__new__ skips the keyword handling of Wall(...), the cost of this loop
+    new, WII, WIII = tuple.__new__, WallKind.WII, WallKind.WIII
+    wii = [new(Wall, (WII, s, _ONE, False)) for s in subsets]
+    wii_masks, wii_scaled = lex[:], [den] * len(lex)
     if rational_base:
         # the full set (1, ..., r) is the r-th subset in lexicographic order,
         # and its wall at two sorts right after its wall at one
-        wii.insert(r, Wall(WallKind.WII, frozenset(indices), Fraction(2)))
+        wii.insert(r, Wall(WII, frozenset(range(1, r + 1)), _TWO))
+        wii_masks.insert(r, (1 << r) - 1)
+        wii_scaled.insert(r, 2 * den)
     walls += wii
-    walls += [Wall(WallKind.WIII, sub, c) for sub in frozen for c in THRESHOLD_CONSTANTS]
-    return walls
-
-
-def _integer_sums(
-    walls: list[Wall], *vectors: WeightVector
-) -> tuple[list[dict[frozenset[int], int]], dict[int, int]]:
-    """The integer kernel behind `locate`, `walls_containing` and
-    `segment_walls`.
-
-    Takes D, the lcm of every weight denominator and every wall-constant
-    denominator.  Returns, for each weight vector, a dict from each distinct
-    wall subset to its weight sum times D, and a dict giving each wall
-    constant c times D under the key `id(c)`: hashing a `Fraction` costs more
-    than the comparison it serves, and `walls` keeps every constant alive
-    while the caller reads the dict.  Walls from `enumerate_walls` share
-    their subsets and constants, so both dicts stay small.  Raises `KeyError`
-    for a subset naming a marker outside 1..r.
-    """
-    subsets = {w.subset for w in walls}
-    constants = {id(w.constant): w.constant for w in walls}
-    D = lcm(
-        *(c.denominator for c in constants.values()),
-        *(x.denominator for v in vectors for x in v.entries),
-    )
-    sums = []
-    for v in vectors:
-        numerators = {i: x.numerator * (D // x.denominator) for i, x in enumerate(v.entries, 1)}
-        try:
-            sums.append({sub: sum(map(numerators.__getitem__, sub)) for sub in subsets})
-        except KeyError as exc:
-            raise KeyError(f"marker index {exc.args[0]} outside 1..{v.r}") from None
-    return sums, {k: c.numerator * (D // c.denominator) for k, c in constants.items()}
+    walls += [new(Wall, (WIII, s, c, False)) for s in subsets for c in THRESHOLD_CONSTANTS]
+    masks += wii_masks
+    masks += [m for m in lex for _ in THRESHOLD_CONSTANTS]
+    scaled += wii_scaled
+    scaled += [c.numerator * (den // c.denominator) for c in THRESHOLD_CONSTANTS] * len(lex)
+    steps = [(k, range(1 << k)) for k in range(r)]
+    return Arrangement(walls, masks, scaled, den, r, masks, steps)
 
 
 def locate(weights: WeightVector, walls: Iterable[Wall]) -> Chamber:
     """Sign vector of the weight vector against each wall, in
     `Wall.sort_key` order."""
-    walls = list(walls)
-    (sums,), scaled = _integer_sums(walls, weights)
-    ordered = {sub: tuple(sorted(sub)) for sub in sums}
-    # `Wall.sort_key` read off the kernel: the kind is a str enum, and scaling
-    # by D keeps the constants' order
-    walls.sort(key=lambda w: (w.kind, ordered[w.subset], scaled[id(w.constant)], w.boundary))
-    signs = []
-    for w in walls:
-        v, at_c = sums[w.subset], scaled[id(w.constant)]
-        signs.append((w, "below" if v < at_c else "above" if v > at_c else "on"))
-    return Chamber(tuple(signs))
+    walls = Arrangement.of(walls)
+    constants, sums = walls._over(weights)
+    return Chamber(tuple([
+        (w, "below" if v < c else "above" if v > c else "on")
+        for w, v, c in zip(walls, sums, constants)
+    ]))
 
 
 def walls_containing(weights: WeightVector, walls: Iterable[Wall]) -> list[Wall]:
     """The walls through the weight vector, in `Wall.sort_key` order."""
-    walls = list(walls)
-    (sums,), scaled = _integer_sums(walls, weights)
-    on = [w for w in walls if sums[w.subset] == scaled[id(w.constant)]]
-    return sorted(on, key=Wall.sort_key)
+    walls = Arrangement.of(walls)
+    constants, sums = walls._over(weights)
+    return list(compress(walls, map(eq, sums, constants)))
 
 
 def segment_walls(
@@ -202,26 +276,19 @@ def segment_walls(
     Requires A <= B entrywise.  Walls containing the whole segment are not
     crossings and are omitted; endpoints on walls are reported separately by
     `walls_containing`.  Output is sorted by decreasing t, each crossing
-    listing every wall hit at that time.
+    listing every wall hit at that time in `Wall.sort_key` order.
     """
     if not A.leq(B):
         raise ValueError("segment requires A <= B entrywise")
-    walls = list(walls)
-    (at_a, at_b), scaled = _integer_sums(walls, A, B)
+    walls = Arrangement.of(walls)
+    constants, at_a, at_b = walls._over(A, B)
     hits: dict[Fraction, list[Wall]] = {}
-    for w in walls:
+    for w, c, lo, hi in zip(walls, constants, at_a, at_b):
         # A <= B, so a subset sum rises along the segment: a wall is crossed
         # inside it exactly when its constant lies strictly between the ends
-        at_c = scaled[id(w.constant)]
-        lo = at_a[w.subset]
-        if lo < at_c:
-            hi = at_b[w.subset]
-            if at_c < hi:
-                hits.setdefault(Fraction(at_c - lo, hi - lo), []).append(w)
-    return [
-        SegmentCrossing(t, tuple(sorted(hits[t], key=Wall.sort_key)))
-        for t in sorted(hits, reverse=True)
-    ]
+        if lo < c < hi:
+            hits.setdefault(Fraction(c - lo, hi - lo), []).append(w)
+    return [SegmentCrossing(t, tuple(hits[t])) for t in sorted(hits, reverse=True)]
 
 
 class FeltWall(NamedTuple):

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,7 +10,9 @@ import pytest
 
 from mmp_elliptic.cli import main
 from mmp_elliptic.curves import WeightVector
+from mmp_elliptic.kodaira import parse_fiber_type
 from mmp_elliptic.modeljson import serialize_model
+from mmp_elliptic.walls import enumerate_walls, wall_to_obj
 
 from modelkit import rational_degeneration
 
@@ -41,6 +44,17 @@ def test_walls_command(capsys):
     assert kinds.count("WIII") == 21
     assert "WI" not in kinds
 
+
+
+def test_walls_listing_is_the_json_layout(capsys):
+    rng = random.Random(41)
+    pool = ["I1", "I3", "II", "III", "IV", "I*0", "II*", "III*", "IV*", "N1"]
+    for r in range(1, 7):
+        types = [rng.choice(pool) for _ in range(r)]
+        for base in ([], ["--rational-base"]):
+            status, out, _ = run(capsys, "walls", "-r", str(r), "--types", ",".join(types), *base)
+            walls = enumerate_walls(r, map(parse_fiber_type, types), bool(base))
+            assert (status, out) == (0, json.dumps([wall_to_obj(w) for w in walls], indent=2) + "\n")
 
 def test_walls_segment(capsys):
     status, out, _ = run(

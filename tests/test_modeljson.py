@@ -238,3 +238,25 @@ def test_dot_names_differ_for_ids_that_differ_only_in_symbols():
         assert len(set(clusters)) == len(clusters) == 2, clusters
         assert len(set(nodes)) == len(nodes) == 2 + 12, nodes
         assert edges and all(a != b and {a, b} <= set(nodes) for a, b in edges), edges
+
+
+DOT_ID = re.compile(r"[A-Za-z_\x80-\xff][A-Za-z0-9_\x80-\xff]*")
+
+
+def test_dot_names_are_ids_when_an_id_starts_with_a_digit():
+    # JSON spellings: components (and the pseudo node c2 of the tree) 1 and
+    # 2c, fibers c1, 1 and 2c
+    renames = {'"c1"': '"1"', '"c2"': '"2c"', '"f1"': '"c1"', '"f11"': '"1"', '"f2"': '"2c"'}
+    for X in (rational_degeneration(F(1)), flipped_degeneration(F(9, 20))):
+        text = serialize_model(X)
+        for old, new in renames.items():
+            text = text.replace(old, new)
+        lines = emit_dot(parse_model(text)).splitlines()
+        clusters = [line.split()[1] for line in lines if line.lstrip().startswith("subgraph ")]
+        nodes = [line.split()[0] for line in lines if " [shape=" in line]
+        edges = [m.groups() for m in map(DOT_EDGE.match, lines) if m]
+        names = clusters + nodes + [name for edge in edges for name in edge]
+        assert all(DOT_ID.fullmatch(name) for name in names), names
+        assert len(set(clusters)) == len(clusters) == 2, clusters
+        assert len(set(nodes)) == len(nodes), nodes
+        assert {"anchor___x31", "__x31__c1", "__x31____x3263", "__x3263____x31"} <= set(nodes)

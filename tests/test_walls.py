@@ -1,4 +1,7 @@
+import operator
+import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +12,7 @@ from mmp_elliptic.kodaira import UnsupportedFiberType, parse_fiber_type
 from mmp_elliptic.reduction import at_weights
 from mmp_elliptic.surfaces import BrokenEllipticSurface, Component
 from mmp_elliptic.walls import (
+    Arrangement,
     FeltWall,
     Wall,
     WallKind,
@@ -294,3 +298,82 @@ def test_active_walls_skip_boundary_wall_of_a_nodal_fiber():
 def test_wall_obj_round_trip():
     w = Wall(WallKind.WIII, frozenset({2, 5}), F(5, 6))
     assert wall_from_obj(wall_to_obj(w)) == w
+
+
+def assert_columns_match(walls):
+    assert len(walls.masks) == len(walls.scaled) == len(walls)
+    for w, mask, scaled in zip(walls, walls.masks, walls.scaled):
+        assert mask == sum(1 << (i - 1) for i in w.subset), w
+        assert scaled == w.constant * walls.den, w
+    assert walls.r == max((max(w.subset) for w in walls), default=0)
+
+
+def test_arrangement_columns_agree_with_each_wall():
+    rng = random.Random(29)
+    pool = ["I1", "I3", "II", "III", "IV", "I*0", "II*", "III*", "IV*", "N1"]
+    for r in range(1, 9):
+        types = [parse_fiber_type(rng.choice(pool)) for _ in range(r)]
+        for rational in (False, True):
+            walls = enumerate_walls(r, types, rational)
+            assert isinstance(walls, Arrangement) and Arrangement.of(walls) is walls
+            assert walls.den == 12
+            assert_columns_match(walls)
+    for r in (1, 4, 12, 22):
+        given = hand_built_walls(rng, r, 30)
+        walls = Arrangement.of(iter(given))
+        assert walls == sorted(given, key=Wall.sort_key)
+        assert_columns_match(walls)
+
+
+def test_arrangement_refuses_in_place_changes():
+    walls = enumerate_walls(3, [parse_fiber_type(t) for t in ("II", "I1", "IV*")], rational_base=True)
+    fresh = list(walls)
+    extra = Wall(WallKind.WII, frozenset({1}), F(1, 2))
+    changes = [
+        lambda a: a.append(extra),
+        lambda a: a.extend([extra]),
+        lambda a: a.insert(0, extra),
+        lambda a: a.pop(),
+        lambda a: a.remove(a[0]),
+        lambda a: a.clear(),
+        lambda a: a.sort(key=str),
+        lambda a: a.reverse(),
+        lambda a: operator.setitem(a, 0, extra),
+        lambda a: operator.setitem(a, slice(0, 2), []),
+        lambda a: operator.delitem(a, 0),
+        lambda a: operator.iadd(a, [extra]),
+        lambda a: operator.imul(a, 2),
+    ]
+    for change in changes:
+        with pytest.raises(TypeError):
+            change(walls)
+    assert walls == fresh
+    copied = pickle.loads(pickle.dumps(walls))
+    assert isinstance(copied, Arrangement) and copied == fresh
+    A = WeightVector((F(1, 6), F(1, 4), F(1, 3)))
+    B = WeightVector((F(5, 6), F(3, 4), F(2, 3)))
+    for W in (A, B, interpolate(A, B, F(1, 2))):
+        for arr in (walls, copied):
+            assert locate(W, arr) == locate(W, fresh)
+            assert walls_containing(W, arr) == walls_containing(W, fresh)
+    assert segment_walls(A, B, walls) == segment_walls(A, B, copied) == segment_walls(A, B, fresh)
+
+
+def test_few_walls_on_a_high_marker_answer_at_once():
+    walls = [
+        Wall(WallKind.WII, frozenset({1, 22}), F(1)),
+        Wall(WallKind.WIII, frozenset({22}), F(1, 2)),
+        Wall(WallKind.WI, frozenset({1}), F(5, 6)),
+    ]
+    A = WeightVector((F(1, 4),) + (F(1),) * 20 + (F(1, 4),))
+    B = WeightVector((F(3, 4),) + (F(1),) * 20 + (F(3, 4),))
+    mid = interpolate(A, B, F(1, 2))
+    start = time.perf_counter()
+    chamber = locate(mid, walls)
+    on = walls_containing(mid, walls)
+    crossings = segment_walls(A, B, walls)
+    assert time.perf_counter() - start < 0.1
+    assert [s for _, s in chamber.signs] == ["below", "on", "on"]
+    assert on == [walls[0], walls[1]]
+    assert [(c.t, c.walls_hit) for c in crossings] == [(F(1, 2), (walls[0], walls[1]))]
+    assert_per_wall_answers(A, B, walls)
