@@ -75,7 +75,6 @@ from .walls import (
     SegmentCrossing,
     Wall,
     WallKind,
-    active_walls,
     enumerate_walls,
     felt_walls,
     locate,

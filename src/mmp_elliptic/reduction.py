@@ -18,21 +18,27 @@ path, and its record carries the felt wall (`walls.felt_walls`) that fired.
 
 The walk runs in integer form (`_Segment`).  Over one common denominator per
 walk, the weights at time t are (low + t * rise) / D, so each felt wall's
-marker sum is an integer affine in t.  Each time the felt-wall table is built
-(at the start and after each WII or WIII record), every wall's crossing time
-is fixed as one integer ratio; `_due` and `_event_times` then compare
-integers, and a `Fraction` is built only for an event time and a snapshot's
-weights.  Each batch settles only the fibers whose markers move (A_i < B_i),
-which includes any such fiber a WII or WIII rewrite has created; the others
-keep their coefficient, so they stay settled.
+marker sum is an integer affine in t, and each wall's crossing time is fixed
+as one integer ratio when its row enters the walk's table; `_due` and
+`_event_times` then compare integers, and a `Fraction` is built only for an
+event time and a snapshot's weights.  The table is built once, from
+`felt_walls` of the start, and kept for the whole walk: a WII or WIII record
+replaces only the rows of the component it rewrote and of the trees that
+component hosts (`felt_rows`), and drops the rows of the components it hung
+and the pseudo nodes it pruned; every other row stays as it was.  Each batch
+settles only the fibers whose markers move (A_i < B_i), which includes any
+such fiber a WII or WIII rewrite has created; the others keep their
+coefficient, so they stay settled.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from math import lcm
+from operator import attrgetter
 from typing import Callable, Iterable
 
 from .curves import WeightVector
@@ -46,7 +52,7 @@ from .surfaces import (
     subtree_markers,
     validate,
 )
-from .walls import FeltWall, Wall, WallKind, felt_walls
+from .walls import FeltWall, Wall, WallKind, felt_rows, felt_walls
 
 
 class WallNotSatisfied(Exception):
@@ -374,8 +380,9 @@ def _collapse_subtree(
 # -- batch application at one time ----------------------------------------------
 
 
-# a walk's felt walls, each as (num, den, felt wall): see `_Segment.table`
-_Table = list[tuple[int, int, FeltWall]]
+# the walk's felt walls by row (`FeltWall.row`), each wall as
+# (num, den, felt wall): see `_Segment.reach`
+_Table = dict[str, list[tuple[int, int, FeltWall]]]
 
 
 class _Segment:
@@ -405,33 +412,75 @@ class _Segment:
             entries[i - 1] = Fraction(self.low[i] * q + p * self.rise[i], q * self.D)
         return WeightVector(tuple(entries))
 
-    def table(self, X: BrokenEllipticSurface) -> _Table:
-        """The walls of `felt_walls(X)` the segment can still reach, each as
-        (num, den, felt wall).
+    def reach(self, walls: Iterable[FeltWall]) -> list[tuple[int, int, FeltWall]]:
+        """The walls the segment can still reach, each as (num, den, felt wall).
 
-        Over the lcm of D and the walls' constant denominators, a wall with
+        Over the lcm of D and the wall's constant denominator, a wall with
         constant c over a subset with sum s(t) gives num = c - s(0) and
         den = s(1) - s(0).  It is due (s(t) <= c) exactly when t * den <= num,
         and the segment crosses it from above at t = num / den.  A wall with
         num < 0 stays above its constant on the whole segment and is left out.
         """
-        felt = felt_walls(X)
-        D = lcm(self.D, *(fw.wall.constant.denominator for fw in felt))
-        scale = D // self.D
         out = []
-        for fw in felt:
+        for fw in walls:
             c, subset = fw.wall.constant, fw.wall.subset
+            D = lcm(self.D, c.denominator)
+            scale = D // self.D
             num = c.numerator * (D // c.denominator) - scale * sum(map(self.low.__getitem__, subset))
             if num >= 0:
                 out.append((num, scale * sum(map(self.rise.__getitem__, subset)), fw))
         return out
+
+    def table(self, X: BrokenEllipticSurface) -> _Table:
+        """The walk's table of `felt_walls(X)`: the reachable walls of each
+        row, keyed by the row's owner.  The walk builds it once, at the
+        start, and keeps it up to date with `update`."""
+        table: _Table = {}
+        for entry in self.reach(felt_walls(X)):
+            table.setdefault(entry[2].row, []).append(entry)
+        return table
+
+    def update(
+        self,
+        table: _Table,
+        X: BrokenEllipticSurface,
+        Y: BrokenEllipticSurface,
+        site: str,
+        gone: Iterable[str],
+    ) -> None:
+        """Replace the rows of `table` that a WII or WIII record from X to Y
+        rewrote.  It fired at `site` (the contracted component or the
+        collapsed tree's host); `gone`, its affected ids, are the components
+        it hung or the pseudo nodes it pruned.
+
+        The rows of `gone` are dropped, and those of the component at the top
+        of `site`'s tree in Y and of the trees it hosts are built again
+        (`felt_rows`), the hung components among them as pseudo nodes.  No
+        other component's section, fibers, attaching fibers or trees change,
+        so no other row does.  No lookup of Y is built: the component is
+        bisected out of Y's components, which are sorted by id, its attaching
+        fibers are X's less those glued to a hung component, and its trees
+        are read off Y's trees.
+        """
+        gone = set(gone)
+        for owner in gone:
+            table.pop(owner, None)
+        top = next(
+            (t.host_component for t in Y.trees if any(n.pid == site for n in t.root.nodes())),
+            site,
+        )
+        comp = Y.components[bisect_left(Y.components, top, key=attrgetter("cid"))]
+        attachments = sum(g.peer_of(top).component not in gone for g, _ in X.glue_ends(top))
+        for owner, row in felt_rows(comp, attachments, Y.trees_on(top)):
+            table[owner] = self.reach(row)
 
 
 def _due(table: _Table, kind: WallKind, t: Fraction) -> list[FeltWall]:
     """The walls of one kind in the walk's table whose marked weight is down
     to their constant at time t."""
     p, q = t.numerator, t.denominator
-    return [fw for num, den, fw in table if fw.wall.kind == kind and p * den <= num * q]
+    rows = table.values()
+    return [fw for row in rows for num, den, fw in row if fw.wall.kind == kind and p * den <= num * q]
 
 
 def _apply_batch(
@@ -440,28 +489,33 @@ def _apply_batch(
     table: _Table,
     t: Fraction,
     records: list[TransformationRecord],
-) -> tuple[BrokenEllipticSurface, _Table, bool]:
+) -> tuple[BrokenEllipticSurface, bool]:
     """Apply all transformations pending at time t of the walk.
 
-    `table` is the segment's table of the model's felt walls.  Returns the
-    rewritten model, its table, and whether the walk must halt (curve
-    collapse).  The fibers of the moving markers are settled once (`_settle`,
-    one WI record per state change); then one WII section contraction
-    (lowest component id first) or, when none is due, one WIII collapse
-    (deepest first) is applied at a time until neither is due, so cascades
-    stay inside one batch.  A flip or a collapse leaves no plain fiber
-    unsettled: hosts are pinned, a collapsed host is built at its log
-    canonical model, and fibers that move keep their state.  The table is
-    rebuilt after each WII or WIII record.
+    `table` is the segment's table of the model's felt walls; it is updated
+    in place.  Returns the rewritten model and whether the walk must halt
+    (curve collapse).  The fibers of the moving markers are settled once
+    (`_settle`, one WI record per state change); then one WII section
+    contraction (lowest component id first) or, when none is due, one WIII
+    collapse (deepest first, ties by pseudo node id) is applied at a time
+    until neither is due, so cascades stay inside one batch.  A flip or a
+    collapse leaves no plain fiber unsettled: hosts are pinned, a collapsed
+    host is built at its log canonical model, and fibers that move keep
+    their state.  WI records change no felt wall, so they leave the table as
+    it is; after each WII or WIII record, `_Segment.update` replaces the rows
+    of the component the record rewrote and of its trees, and drops those of
+    the components and pseudo nodes it took away.
     """
     current, events = _settle(X, segment.moving, leave_one=True)
     for owner, fiber, new_state in events:
         records.append(_record_fiber_event(t, owner, fiber, new_state, current))
     halted = False
     while not halted:
+        before = current
         wii = _due(table, WallKind.WII, t)
         if wii:
-            current, rec = _apply_section_contraction(current, wii[0].owner, t)
+            fw = min(wii, key=attrgetter("owner"))
+            current, rec = _apply_section_contraction(current, fw.owner, t)
             if len(wii) > 1:
                 rec = replace(rec, note=(rec.note + "; simultaneous section walls").strip("; "))
         else:
@@ -472,8 +526,8 @@ def _apply_batch(
             fw = min(wiii, key=lambda fw: (-fw.depth, fw.node.pid))
             current, rec, halted = _collapse_subtree(current, fw, t)
         records.append(rec)
-        table = segment.table(current)
-    return current, table, halted
+        segment.update(table, before, current, fw.owner, rec.affected)
+    return current, halted
 
 
 # -- the public operations --------------------------------------------------------
@@ -597,7 +651,7 @@ def _event_times(table: _Table, t: Fraction) -> Fraction | None:
     the next time the segment meets a felt wall from above."""
     p, q = t.numerator, t.denominator
     best_num, best_den = -1, 1
-    for num, den, _ in table:
+    for num, den, _ in (entry for row in table.values() for entry in row):
         if num * q < p * den and num * best_den > best_num * den:
             best_num, best_den = num, den
     return Fraction(best_num, best_den) if best_num >= 0 else None
@@ -628,13 +682,14 @@ def reduce(X: BrokenEllipticSurface, target: WeightVector) -> ReductionTrace:
     segment = _Segment(target, X.weights)
     records: list[TransformationRecord] = []
     t_cur = Fraction(1)
-    current, table, halted = _apply_batch(X, segment, segment.table(X), t_cur, records)
+    table = segment.table(X)
+    current, halted = _apply_batch(X, segment, table, t_cur, records)
     while not halted:
         t_next = _event_times(table, t_cur)
         if t_next is None:
             t_next = Fraction(0)
         current = replace(current, weights=segment.weights_at(t_next))
-        current, table, halted = _apply_batch(current, segment, table, t_next, records)
+        current, halted = _apply_batch(current, segment, table, t_next, records)
         t_cur = t_next
         if t_cur == 0:
             break

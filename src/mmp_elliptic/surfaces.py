@@ -155,6 +155,19 @@ class Component:
                 return f
         raise KeyError(f"component {self.cid} has no fiber {fid}")
 
+    @property
+    def marker_set(self) -> frozenset[int]:
+        """Every weight index marked on the component's fibers, tree hosts
+        included: the markers whose weights count on its section."""
+        return frozenset(i for f in self.fibers for i in f.markers)
+
+    def section_constant(self, attachments: int) -> Fraction:
+        """The weight-independent part of the section's degree when the
+        component has `attachments` attaching fibers: 2g - 2 + attachments +
+        (coefficients of marker-less fibers, fixed at one)."""
+        base = Fraction(2 * self.genus - 2 + attachments)
+        return sum((f.coeff for f in self.fibers if not f.markers), base)
+
 
 @dataclass(frozen=True)
 class PseudoComponent:
@@ -390,7 +403,7 @@ class BrokenEllipticSurface:
     def marker_set(self, cid: str) -> frozenset[int]:
         """Every weight index whose marked fiber projects to this component's
         base point set, including markers carried by hosted trees."""
-        return frozenset(i for f in self.component(cid).fibers for i in f.markers)
+        return self.component(cid).marker_set
 
 
 # -- base curve projection ----------------------------------------------------
@@ -457,9 +470,7 @@ def base_curve(X: BrokenEllipticSurface) -> MarkedNodalCurve:
 def section_constant(X: BrokenEllipticSurface, cid: str) -> Fraction:
     """The weight-independent part of `section_degree`: 2g - 2 + (number of
     attaching fibers) + (coefficients of marker-less fibers, fixed at one)."""
-    comp = X.component(cid)
-    base = Fraction(2 * comp.genus - 2 + len(X._ends.get(cid, ())))
-    return sum((f.coeff for f in comp.fibers if not f.markers), base)
+    return X.component(cid).section_constant(len(X._ends.get(cid, ())))
 
 
 def section_degree(X: BrokenEllipticSurface, cid: str) -> Fraction:

@@ -19,10 +19,12 @@ crossing time that is hit.  `Wall.value_at` and `Wall.side` answer for one
 wall.
 
 `felt_walls` is the one table of the walls a given model feels, each paired
-with the fiber, section or tree that crossing it rewrites.  It depends only on
-the model's structure, so the reduction walk rebuilds it only after a WII or
-WIII record; it reads the model's sites from the surface's index, so one
-build is linear in the size of the model.
+with the fiber, section or tree that crossing it rewrites.  It is made of
+rows, one per component and one per pseudo node, and `felt_rows` builds the
+rows of one component and the trees it hosts from those parts alone.  The
+table depends only on the model's structure, so the reduction walk builds it
+once and, after a WII or WIII record, replaces only the rows of the component
+the record rewrote; one full build is linear in the size of the model.
 """
 
 from __future__ import annotations
@@ -33,12 +35,19 @@ from fractions import Fraction
 from itertools import compress
 from math import lcm
 from operator import eq
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .curves import WeightVector
 from .kodaira import THRESHOLD_CONSTANTS, KodairaType, lct_threshold
 from .rationals import rat_from_str, rat_to_str
-from .surfaces import BrokenEllipticSurface, PseudoComponent, section_constant, subtree_markers
+from .surfaces import (
+    BrokenEllipticSurface,
+    Component,
+    MarkedFiber,
+    PseudoComponent,
+    TreeAttachment,
+    subtree_markers,
+)
 
 
 class WallKind(str, Enum):
@@ -303,43 +312,85 @@ class FeltWall(NamedTuple):
     node: PseudoComponent | None = None
     depth: int = 0
 
+    @property
+    def row(self) -> str:
+        """The owner whose row in `felt_rows` holds the wall: the root of the
+        subtree for WIII, `owner` otherwise."""
+        return self.owner if self.node is None else self.node.pid
 
-def felt_walls(X: BrokenEllipticSurface) -> list[FeltWall]:
-    """Every wall the model feels, with its site: WI, then WII, then WIII.
 
-    A marked fiber that hosts no tree, is not N2 and whose type has a
-    threshold feels that threshold and the boundary wall at one.  A component
-    with a section feels the sum of its markers at the value where the
-    section's degree vanishes: one for a rational leaf, two for an
-    irreducible rational base, each lowered by the coefficients of its
-    marker-less fibers.  A subtree at any depth whose host fiber has a
-    threshold feels its marker set at that threshold.  Only the structure
-    enters: weights and fiber states do not, so the table stays valid until
-    a section contracts or a tree collapses.
-    """
+def _fiber_walls(owner: str, fibers: Iterable[MarkedFiber], hosts: set[str]) -> list[FeltWall]:
+    """The WI walls of one owner: a marked fiber that hosts no tree, is not
+    N2 and whose type has a threshold feels that threshold and the boundary
+    wall at one."""
     out = []
-    for owner, f in X.marked_fibers():
-        if f.ftype.family == "N2":
-            continue
-        a0 = lct_threshold(f.ftype)
-        if a0 is not None:
-            for c, boundary in ((a0, False), (Fraction(1), True)):
-                out.append(FeltWall(Wall(WallKind.WI, f.markers, c, boundary), owner, f.fid))
-    for comp in X.elliptic:
-        wall = Wall(WallKind.WII, X.marker_set(comp.cid), -section_constant(X, comp.cid))
-        out.append(FeltWall(wall, comp.cid))
-    for owner, fid, node, depth in X.subtrees():
-        a0 = lct_threshold(X.host_fiber(owner, fid).ftype)
-        if a0 is not None:
-            wall = Wall(WallKind.WIII, subtree_markers(node), a0)
-            out.append(FeltWall(wall, owner, fid, node, depth))
+    for f in fibers:
+        if f.markers and f.fid not in hosts and f.ftype.family != "N2":
+            a0 = lct_threshold(f.ftype)
+            if a0 is not None:
+                for c, boundary in ((a0, False), (_ONE, True)):
+                    out.append(FeltWall(Wall(WallKind.WI, f.markers, c, boundary), owner, f.fid))
     return out
 
 
-def active_walls(X: BrokenEllipticSurface, walls: Iterable[Wall]) -> list[Wall]:
-    """The walls of an arrangement that the given model feels (`felt_walls`)."""
-    felt = {fw.wall for fw in felt_walls(X)}
-    return sorted((w for w in walls if w in felt), key=Wall.sort_key)
+def felt_rows(
+    comp: Component, attachments: int, trees: Sequence[TreeAttachment]
+) -> list[tuple[str, list[FeltWall]]]:
+    """The rows of `felt_walls` for one component, with `attachments`
+    attaching fibers, and for `trees`, the trees it hosts: (owner id, walls)
+    for the component, then for every pseudo node in preorder.
+
+    A component's row holds the WI walls of its marked fibers, then, while it
+    has a section, its marker set at the value where the section's degree
+    vanishes (WII): one for a rational leaf, two for an irreducible rational
+    base, each lowered by the coefficients of its marker-less fibers.  A
+    pseudo node's row holds the subtree it roots at its host fiber's
+    threshold (WIII), when that type has one, then the WI walls of its
+    marked fibers.  A fiber that hosts a subtree feels no WI wall.
+    """
+    row = _fiber_walls(comp.cid, comp.fibers, {t.host_fiber for t in trees})
+    if comp.has_section:
+        constant = -comp.section_constant(attachments)
+        row.append(FeltWall(Wall(WallKind.WII, comp.marker_set, constant), comp.cid))
+    out = [(comp.cid, row)]
+    for t in trees:
+        _tree_rows(comp.cid, comp.fiber(t.host_fiber), t.root, 0, out)
+    return out
+
+
+def _tree_rows(owner: str, host: MarkedFiber, node: PseudoComponent, depth: int, out: list) -> None:
+    """Append to `out` the rows of the subtree `node`, hung off fiber `host`
+    of `owner` at `depth`, in preorder (see `felt_rows`)."""
+    a0 = lct_threshold(host.ftype)
+    row = [] if a0 is None else [
+        FeltWall(Wall(WallKind.WIII, subtree_markers(node), a0), owner, host.fid, node, depth)
+    ]
+    row += _fiber_walls(node.pid, node.fibers, {link.via_fiber for link in node.children})
+    out.append((node.pid, row))
+    for link in node.children:
+        _tree_rows(node.pid, node.fiber(link.via_fiber), link.node, depth + 1, out)
+
+
+def felt_walls(X: BrokenEllipticSurface) -> list[FeltWall]:
+    """Every wall the model feels, with its site, row by row (`felt_rows`):
+    each component in id order, followed by the pseudo nodes of the trees it
+    hosts.
+
+    Only the structure enters: weights and fiber states do not.  A
+    component's rows change only with its section, fibers, attaching fibers
+    or trees, so the reduction walk builds this table once and, after a
+    section contraction or a tree collapse, replaces only the rows of the
+    component that the record rewrote.
+    """
+    hosted: dict[str, list[TreeAttachment]] = {}
+    for t in X.trees:
+        hosted.setdefault(t.host_component, []).append(t)
+    return [
+        fw
+        for comp in X.components
+        for _, row in felt_rows(comp, len(X.glue_ends(comp.cid)), hosted.get(comp.cid, ()))
+        for fw in row
+    ]
 
 
 def wall_to_obj(w: Wall) -> dict:

@@ -1,10 +1,15 @@
+import importlib.util
+import json
 import random
+import sys
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from mmp_elliptic import reduction, walls
 from mmp_elliptic.curves import WeightVector, hassett_reduce, interpolate
 from mmp_elliptic.kodaira import FiberState, parse_fiber_type
 from mmp_elliptic.modeljson import parse_model
@@ -30,7 +35,7 @@ from mmp_elliptic.surfaces import (
     section_degree,
     validate,
 )
-from mmp_elliptic.walls import Wall, WallKind, active_walls, enumerate_walls, locate
+from mmp_elliptic.walls import Wall, WallKind, enumerate_walls, felt_walls, locate
 
 from modelkit import (
     admissible_target,
@@ -40,6 +45,7 @@ from modelkit import (
     random_target,
     rational_degeneration,
 )
+from test_golden import GOLDEN, REWRITE_WALKS
 
 F = Fraction
 
@@ -363,8 +369,8 @@ def test_markerless_twisted_fiber_counts_its_coefficient_one():
     assert trace.final.weights == target and trace.final.elliptic
     walls = enumerate_walls(2, [parse_fiber_type("I1")] * 2, rational_base=True)
     # the section degree vanishes on a1 + a2 = 1, not on the sum-two wall
-    felt = [wall for wall in active_walls(X, walls) if wall.kind == WallKind.WII]
-    assert felt == [Wall(WallKind.WII, frozenset({1, 2}), F(1))]
+    felt = [fw.wall for fw in felt_walls(X) if fw.wall.kind == WallKind.WII]
+    assert felt == [Wall(WallKind.WII, frozenset({1, 2}), F(1))] and felt[0] in walls
 
 
 def test_increase_to_one_stable_fiber():
@@ -595,3 +601,86 @@ def test_every_record_lies_on_its_wall():
             assert rec.wall.side(interpolate(A, X.weights, rec.t)) == "on", (rec.kind, rec.t)
             records += 1
     assert records >= 1000
+
+
+def _bench_inputs():
+    """The benchmark's own input generator, `bench/inputs.py`, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _chain(n, seed=1):
+    case = _bench_inputs().chain_case(random.Random(seed), n, k=3)
+    return parse_model(json.dumps(case.model)), WeightVector(case.target)
+
+
+def _kept(table):
+    return Counter(
+        (num, den, fw.wall, fw.owner, fw.fid, fw.depth, fw.node and fw.node.pid)
+        for row in table.values()
+        for num, den, fw in row
+    )
+
+
+def test_kept_table_equals_a_fresh_build_after_every_batch(monkeypatch):
+    # the walk builds its felt-wall table once and replaces only the rows a
+    # record touched; after every batch that table must equal the one built
+    # from scratch on the batch's model
+    apply = reduction._apply_batch
+    batches = []
+
+    def checked(X, segment, table, t, records):
+        current, halted = apply(X, segment, table, t, records)
+        assert _kept(table) == _kept(segment.table(current)), (t, records[-1:])
+        batches.append(t)
+        return current, halted
+
+    monkeypatch.setattr(reduction, "_apply_batch", checked)
+    rng = random.Random(61)
+    walks = 0
+    while walks < 300:
+        X = random_model(rng, max_components=5, max_markers=12, allow_isotrivial=True)
+        A = admissible_target(rng, X)
+        if A is None:
+            continue
+        reduce(X, A)
+        walks += 1
+    for n in (40, 160):
+        reduce(*_chain(n))
+    # one walk per section contraction and tree collapse: a cascading flip,
+    # a type II formation, a whole-section contraction, nested collapses and
+    # a collapse onto a curve
+    for name, to in REWRITE_WALKS.items():
+        X = parse_model((GOLDEN / f"{name}.json").read_text())
+        reduce(X, WeightVector(tuple(F(w) for w in to.split(","))))
+    assert len(batches) > 600
+
+
+def test_a_chain_walk_builds_its_table_once(monkeypatch):
+    # the full felt-wall build runs once per walk; each WII or WIII record
+    # rebuilds a fixed number of rows, whatever the length of the chain
+    builds = []
+    rows = []
+
+    def counted(fn, log, size):
+        def wrapper(*args):
+            out = fn(*args)
+            log.append(size(out))
+            return out
+
+        return wrapper
+
+    monkeypatch.setattr(walls, "felt_walls", counted(walls.felt_walls, builds, len))
+    monkeypatch.setattr(reduction, "felt_walls", walls.felt_walls)
+    monkeypatch.setattr(reduction, "felt_rows", counted(walls.felt_rows, rows, len))
+    per_record = []
+    for n in (40, 160):
+        del builds[:], rows[:]
+        trace = reduce(*_chain(n))
+        structural = [r for r in trace.records if r.wall.kind != WallKind.WI]
+        assert len(builds) == 1 and len(rows) == len(structural) == 6
+        per_record.append(list(rows))
+    assert per_record[0] == per_record[1]

@@ -16,7 +16,6 @@ from mmp_elliptic.walls import (
     FeltWall,
     Wall,
     WallKind,
-    active_walls,
     enumerate_walls,
     felt_walls,
     locate,
@@ -238,32 +237,36 @@ def test_empty_segment_has_no_crossings():
     assert Wall(WallKind.WII, frozenset({1, 2}), F(1)) in walls_containing(A, walls)
 
 
-def test_active_walls_of_fixture_models():
+def felt_in(X, walls):
+    """The walls of an arrangement that the model feels."""
+    felt = {fw.wall for fw in felt_walls(X)}
+    return [w for w in walls if w in felt]
+
+
+def test_felt_walls_of_fixture_models():
     types = [parse_fiber_type("I1")] * 12
     walls = enumerate_walls(12, types)
     X = rational_degeneration(F(3, 5))
-    active = active_walls(X, walls)
+    active = felt_in(X, walls)
     assert Wall(WallKind.WII, frozenset({11, 12}), F(1)) in active
-    # no pseudoelliptic trees yet: no WIII walls are active
+    # no pseudoelliptic trees yet: no WIII walls are felt
     assert not any(w.kind == WallKind.WIII for w in active)
     # markers are nodal fibers: no WI walls anywhere
     assert not any(w.kind == WallKind.WI for w in active)
 
     Y = flipped_degeneration(F(9, 20))
-    active_y = active_walls(Y, walls)
+    active_y = felt_in(Y, walls)
     assert Wall(WallKind.WIII, frozenset({11, 12}), F(5, 6)) in active_y
     assert not any(w.kind == WallKind.WII and w.subset == frozenset({11, 12}) for w in active_y)
 
 
-def test_active_walls_high_genus_base():
-    from modelkit import mk_fiber
-    from mmp_elliptic.surfaces import BrokenEllipticSurface, Component
-
+def test_felt_walls_high_genus_base():
     w = WeightVector((F(1, 2),))
     comp = Component("c1", 1, 2, F(1), (mk_fiber("f1", "I1", 1, w),))
     X = BrokenEllipticSurface(w, (comp,))
     walls = enumerate_walls(1, [parse_fiber_type("I1")], rational_base=True)
-    assert not any(w2.kind == WallKind.WII for w2 in active_walls(X, walls))
+    # the genus-2 section feels its markers at -2, on no wall of the arrangement
+    assert not any(w2.kind == WallKind.WII for w2 in felt_in(X, walls))
 
 
 def test_felt_walls_depend_only_on_structure():
@@ -283,14 +286,14 @@ def test_felt_walls_depend_only_on_structure():
         checked += 1
 
 
-def test_active_walls_skip_boundary_wall_of_a_nodal_fiber():
+def test_felt_walls_skip_boundary_wall_of_a_nodal_fiber():
     w = WeightVector((F(1, 2),))
     boundary = Wall(WallKind.WI, frozenset({1}), F(1), boundary=True)
     threshold = Wall(WallKind.WI, frozenset({1}), F(5, 6))
     nodal = BrokenEllipticSurface(w, (Component("c1", 1, 2, F(1), (mk_fiber("f1", "I1", 1, w),)),))
-    assert active_walls(nodal, [boundary, threshold]) == []
+    assert felt_in(nodal, [boundary, threshold]) == []
     cusp = BrokenEllipticSurface(w, (Component("c1", 1, 2, F(1), (mk_fiber("f1", "II", 1, w),)),))
-    assert active_walls(cusp, [boundary, threshold]) == [threshold, boundary]
+    assert [fw.wall for fw in felt_walls(cusp) if fw.wall.kind == WallKind.WI] == [threshold, boundary]
     assert [fw.fid for fw in felt_walls(cusp)] == ["f1", "f1", ""]
     assert (mmp_elliptic.felt_walls, mmp_elliptic.FeltWall) == (felt_walls, FeltWall)
 
