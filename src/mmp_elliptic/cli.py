@@ -29,7 +29,7 @@ from .curves import (
 )
 from .dot import emit_dot
 from .kodaira import UnsupportedFiberType, parse_fiber_type
-from .modeljson import ModelJSONError, model_to_obj, parse_model
+from .modeljson import ModelJSONError, json_list, parse_model, quote, serialize_model
 from .rationals import rat_from_str, rat_to_str
 from .reduction import (
     InconsistentTarget,
@@ -48,7 +48,7 @@ from .surfaces import (
     validate,
     volume,
 )
-from .walls import enumerate_walls, segment_walls, wall_to_obj, walls_containing
+from .walls import enumerate_walls, segment_walls, walls_containing
 
 USAGE_ERROR = 2
 DATA_ERROR = 1
@@ -120,22 +120,29 @@ def _load_model(path_text: str, override: str | None):
     return model
 
 
-def _walls_listing(walls) -> str:
-    """`json.dumps([wall_to_obj(w) for w in walls], indent=2)` for a nonempty
-    list of walls on nonempty subsets, laying out each subset's text once for
-    all the walls on it."""
-    subsets: dict[frozenset[int], str] = {}
-    entries = []
-    for w in walls:
-        subset = subsets.get(w.subset)
-        if subset is None:
-            subset = subsets[w.subset] = ",\n".join(f"      {i}" for i in sorted(w.subset))
-        entries.append(
-            f'  {{\n    "kind": "{w.kind.value}",\n    "subset": [\n{subset}\n    ],\n'
-            f'    "constant": "{rat_to_str(w.constant)}",\n'
-            f'    "boundary": {"true" if w.boundary else "false"}\n  }}'
-        )
-    return "[\n" + ",\n".join(entries) + "\n]"
+def _wall_text(w, subsets: dict) -> str:
+    """`json.dumps(wall_to_obj(w), indent=2)` as an entry of a top-level list,
+    its lines after the first indented by two spaces; `subsets` keeps each
+    subset's text for all the walls on it."""
+    subset = subsets.get(w.subset)
+    if subset is None:
+        subset = subsets[w.subset] = json_list([str(i) for i in sorted(w.subset)], "    ")
+    return (
+        f'{{\n    "kind": "{w.kind.value}",\n    "subset": {subset},\n'
+        f'    "constant": "{rat_to_str(w.constant)}",\n'
+        f'    "boundary": {"true" if w.boundary else "false"}\n  }}'
+    )
+
+
+def _walls_listing(walls, subsets: dict) -> str:
+    """`json.dumps([wall_to_obj(w) for w in walls], indent=2)`."""
+    return json_list([_wall_text(w, subsets) for w in walls], "")
+
+
+def _indent(text: str, pad: str) -> str:
+    """The JSON value `text` moved deeper: every line after the first
+    indented by `pad` more."""
+    return text.replace("\n", "\n" + pad)
 
 
 def _cmd_walls(args: argparse.Namespace) -> int:
@@ -152,8 +159,9 @@ def _cmd_walls(args: argparse.Namespace) -> int:
         walls = enumerate_walls(args.markers, types, args.rational_base)
     except UnsupportedFiberType as exc:
         raise CliError(str(exc), DATA_ERROR)
+    subsets: dict[frozenset[int], str] = {}
     if not args.segment:
-        print(_walls_listing(walls))
+        print(_walls_listing(walls, subsets))
         return 0
     A = _parse_weights(args.segment[0])
     B = _parse_weights(args.segment[1])
@@ -163,15 +171,17 @@ def _cmd_walls(args: argparse.Namespace) -> int:
         crossings = segment_walls(A, B, walls)
     except ValueError as exc:
         raise CliError(str(exc), USAGE_ERROR)
-    out = {
-        "crossings": [
-            {"t": rat_to_str(c.t), "walls": [wall_to_obj(w) for w in c.walls_hit]}
-            for c in crossings
-        ],
-        "on_walls_at_start": [wall_to_obj(w) for w in walls_containing(B, walls)],
-        "on_walls_at_end": [wall_to_obj(w) for w in walls_containing(A, walls)],
-    }
-    print(json.dumps(out, indent=2))
+    rows = [
+        f'{{\n      "t": "{rat_to_str(c.t)}",\n'
+        f'      "walls": {_indent(_walls_listing(c.walls_hit, subsets), "      ")}\n    }}'
+        for c in crossings
+    ]
+    start, end = (_indent(_walls_listing(walls_containing(W, walls), subsets), "  ") for W in (B, A))
+    print(
+        f'{{\n  "crossings": {json_list(rows, "  ")},\n'
+        f'  "on_walls_at_start": {start},\n'
+        f'  "on_walls_at_end": {end}\n}}'
+    )
     return 0
 
 
@@ -272,25 +282,35 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
             (outdir / "final.dot").write_text(emit_dot(trace.final))
         except OSError as exc:
             raise CliError(f"cannot write DOT snapshots into {outdir}: {exc.strerror}", USAGE_ERROR)
-    obj = {
-        "start_weights": [rat_to_str(w) for w in model.weights.entries],
-        "target_weights": [rat_to_str(w) for w in target.entries],
-        "records": [
-            {
-                "t": rat_to_str(rec.t),
-                "kind": str(rec.kind),
-                "wall": wall_to_obj(rec.wall),
-                "affected": list(rec.affected),
-                "note": rec.note,
-                "snapshot_after": model_to_obj(rec.snapshot_after),
-            }
-            for rec in trace.records
-        ],
-        "final": model_to_obj(trace.final),
-        "halted": trace.halted,
-    }
-    print(json.dumps(obj, indent=2))
+    print(_trace_text(model, target, trace))
     return 0
+
+
+def _trace_text(model, target, trace) -> str:
+    """The trace as `json.dumps(indent=2)` lays out its object: start and
+    target weights, every record with the model after it, the final model and
+    the halting reason (null for a finished walk)."""
+    subsets: dict[frozenset[int], str] = {}
+    records = [
+        f'{{\n      "t": "{rat_to_str(rec.t)}",\n'
+        f'      "kind": "{rec.kind!s}",\n'
+        f'      "wall": {_indent(_wall_text(rec.wall, subsets), "    ")},\n'
+        f'      "affected": {json_list([quote(a) for a in rec.affected], "      ")},\n'
+        f'      "note": {quote(rec.note)},\n'
+        f'      "snapshot_after": {_indent(serialize_model(rec.snapshot_after)[:-1], "      ")}\n    }}'
+        for rec in trace.records
+    ]
+    start, end = (
+        json_list(['"' + rat_to_str(w) + '"' for w in W.entries], "  ") for W in (model.weights, target)
+    )
+    halted = "null" if trace.halted is None else quote(trace.halted)
+    return (
+        f'{{\n  "start_weights": {start},\n'
+        f'  "target_weights": {end},\n'
+        f'  "records": {json_list(records, "  ")},\n'
+        f'  "final": {_indent(serialize_model(trace.final)[:-1], "  ")},\n'
+        f'  "halted": {halted}\n}}'
+    )
 
 
 def _cmd_hassett(args: argparse.Namespace) -> int:
@@ -403,10 +423,18 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return status
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.status
+    except BrokenPipeError:
+        # the reader left early (`| head`); Python flushes stdout again at
+        # exit, so point it at devnull to keep that flush from raising too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return DATA_ERROR
 
 
 if __name__ == "__main__":

@@ -6,17 +6,24 @@ invariant is checkable at parse time: a weight list, a component list (kind
 pairing the two ends of each gluing, and nested pseudoelliptic trees.
 Parsing validates; serialization is canonical and round-trips exactly.
 
-`serialize_model` keeps the text of each frozen `Component` and `Glue` on the
-object (`stored_text`), laid out on first use by the builders behind
-`model_to_obj`; a rewrite builds new objects, so a stored text cannot go
-stale, and a walk lays out each shared one once.  Weights and trees are laid
-out on every call.
+`serialize_model` writes the text directly: the bytes `json.dumps(indent=2)`
+gives for the model's object form, without building that object or running
+json's pure-Python indent encoder.  Each schema object (fiber, pseudo node with
+its children, component, glue, tree) has one writer, an f-string laid out for
+its depth, and every id goes through json's own escaper (`quote`).  The
+weights, the trees and the frame of the four lists are written on every call.
+The text of each `Component` and `Glue` is stored on the object on first use
+(`stored_text`), so a walk writes a component that several snapshots share
+once.  A stored text cannot go stale: the objects are frozen, and a rewrite
+builds new ones, which start with no stored text.  The CLI's `reduce` trace
+re-indents these model texts to their depth.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as quote
 
 from .curves import WeightVector
 from .kodaira import FiberState, KodairaType, UnsupportedFiberType, fiber_model_at, parse_fiber_type
@@ -215,65 +222,87 @@ def parse_model(text: str | bytes, check: bool = True) -> BrokenEllipticSurface:
     return model_from_obj(obj, check=check)
 
 
-def _fiber_obj(f: MarkedFiber) -> dict:
-    out = {
-        "id": f.fid,
-        "type": str(f.ftype),
-        "coeff": rat_to_str(f.coeff),
-        "state": str(f.state),
-        "markers": sorted(f.markers),
-    }
-    if f.nonminimal_cusp:
-        out["nonminimal_cusp"] = True
-    return out
+def json_list(items: list[str], pad: str) -> str:
+    """The JSON list of `items` as `json.dumps(indent=2)` lays it out with its
+    closing bracket indented by `pad`; each item is already laid out for the
+    indent `pad` plus two spaces."""
+    if not items:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
 
 
-def _node_obj(n: PseudoComponent) -> dict:
-    out = {
-        "id": n.pid,
-        "degL": rat_to_str(n.degL),
-        "attach_type": str(n.attach_ftype),
-        "fibers": [_fiber_obj(f) for f in n.fibers],
-        "children": [
-            {"via_fiber": l.via_fiber, "node": _node_obj(l.node)} for l in n.children
-        ],
-    }
-    if n.isotrivial_jinf:
-        out["isotrivial_jinf"] = True
-    return out
+def _fiber_text(f: MarkedFiber, pad: str) -> str:
+    p = pad + "  "
+    markers = json_list([str(i) for i in sorted(f.markers)], p)
+    cusp = f',\n{p}"nonminimal_cusp": true' if f.nonminimal_cusp else ""
+    return (
+        f'{{\n{p}"id": {quote(f.fid)},\n'
+        f'{p}"type": "{f.ftype!s}",\n'
+        f'{p}"coeff": "{rat_to_str(f.coeff)}",\n'
+        f'{p}"state": "{f.state!s}",\n'
+        f'{p}"markers": {markers}{cusp}\n{pad}}}'
+    )
 
 
-def _component_obj(c: Component) -> dict:
-    return {
-        "id": c.cid,
-        "kind": "elliptic" if c.has_section else "pseudo2",
-        "vertex": c.vertex,
-        "genus": c.genus,
-        "degL": rat_to_str(c.degL),
-        "isotrivial_jinf": c.isotrivial_jinf,
-        "fibers": [_fiber_obj(f) for f in c.fibers],
-    }
+def _node_text(n: PseudoComponent, pad: str) -> str:
+    p = pad + "  "
+    q = p + "  "
+    fibers = json_list([_fiber_text(f, q) for f in n.fibers], p)
+    links = [
+        f'{{\n{q}  "via_fiber": {quote(link.via_fiber)},\n'
+        f'{q}  "node": {_node_text(link.node, q + "  ")}\n{q}}}'
+        for link in n.children
+    ]
+    jinf = f',\n{p}"isotrivial_jinf": true' if n.isotrivial_jinf else ""
+    return (
+        f'{{\n{p}"id": {quote(n.pid)},\n'
+        f'{p}"degL": "{rat_to_str(n.degL)}",\n'
+        f'{p}"attach_type": "{n.attach_ftype!s}",\n'
+        f'{p}"fibers": {fibers},\n'
+        f'{p}"children": {json_list(links, p)}{jinf}\n{pad}}}'
+    )
 
 
-def _end_obj(e: AttachEnd) -> dict:
-    return {"component": e.component, "fiber": e.fiber_id, "type": str(e.ftype)}
+# components, glues and trees are entries of the top-level lists: closing
+# brace at four spaces, keys at six
 
 
-def _glue_obj(g: Glue) -> dict:
-    return {"id": g.gid, "a": _end_obj(g.a), "b": _end_obj(g.b)}
+def _component_text(c: Component) -> str:
+    fibers = json_list([_fiber_text(f, "        ") for f in c.fibers], "      ")
+    return (
+        f'{{\n      "id": {quote(c.cid)},\n'
+        f'      "kind": "{"elliptic" if c.has_section else "pseudo2"}",\n'
+        f'      "vertex": {c.vertex},\n'
+        f'      "genus": {c.genus},\n'
+        f'      "degL": "{rat_to_str(c.degL)}",\n'
+        f'      "isotrivial_jinf": {"true" if c.isotrivial_jinf else "false"},\n'
+        f'      "fibers": {fibers}\n    }}'
+    )
 
 
-def _tree_obj(t: TreeAttachment) -> dict:
-    return {"host": t.host_component, "host_fiber": t.host_fiber, "root": _node_obj(t.root)}
+def _end_text(e: AttachEnd) -> str:
+    return (
+        f'{{\n        "component": {quote(e.component)},\n'
+        f'        "fiber": {quote(e.fiber_id)},\n'
+        f'        "type": "{e.ftype!s}"\n      }}'
+    )
 
 
-def model_to_obj(X: BrokenEllipticSurface) -> dict:
-    return {
-        "weights": [rat_to_str(w) for w in X.weights.entries],
-        "components": [_component_obj(c) for c in X.components],
-        "attachments": [_glue_obj(g) for g in X.glues],
-        "trees": [_tree_obj(t) for t in X.trees],
-    }
+def _glue_text(g: Glue) -> str:
+    return (
+        f'{{\n      "id": {quote(g.gid)},\n'
+        f'      "a": {_end_text(g.a)},\n'
+        f'      "b": {_end_text(g.b)}\n    }}'
+    )
+
+
+def _tree_text(t: TreeAttachment) -> str:
+    return (
+        f'{{\n      "host": {quote(t.host_component)},\n'
+        f'      "host_fiber": {quote(t.host_fiber)},\n'
+        f'      "root": {_node_text(t.root, "      ")}\n    }}'
+    )
 
 
 def stored_text(obj, key: str, build) -> str:
@@ -285,24 +314,15 @@ def stored_text(obj, key: str, build) -> str:
     return memo[key]
 
 
-def _entry(obj) -> str:
-    """`obj` laid out as `json.dumps(indent=2)` lays out an entry of a top-level list."""
-    return json.dumps(obj, indent=2).replace("\n", "\n    ")
-
-
 def serialize_model(X: BrokenEllipticSurface) -> str:
     """Canonical JSON text: fixed key order, sorted components, two-space indent;
-    the bytes of `json.dumps(model_to_obj(X), indent=2)` and a newline."""
+    the bytes `json.dumps(indent=2)` gives for the model's object form, and a
+    newline."""
     lists = {
-        "weights": [json.dumps(rat_to_str(w)) for w in X.weights.entries],
-        "components": [
-            stored_text(c, "_json_text", lambda o: _entry(_component_obj(o))) for c in X.components
-        ],
-        "attachments": [stored_text(g, "_json_text", lambda o: _entry(_glue_obj(o))) for g in X.glues],
-        "trees": [_entry(_tree_obj(t)) for t in X.trees],
+        "weights": ['"' + rat_to_str(w) + '"' for w in X.weights.entries],
+        "components": [stored_text(c, "_json_text", _component_text) for c in X.components],
+        "attachments": [stored_text(g, "_json_text", _glue_text) for g in X.glues],
+        "trees": [_tree_text(t) for t in X.trees],
     }
-    body = ",\n".join(
-        f'  "{key}": ' + ("[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]")
-        for key, items in lists.items()
-    )
+    body = ",\n".join(f'  "{key}": {json_list(items, "  ")}' for key, items in lists.items())
     return "{\n" + body + "\n}\n"

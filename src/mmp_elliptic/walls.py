@@ -39,7 +39,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .curves import WeightVector
 from .kodaira import THRESHOLD_CONSTANTS, KodairaType, lct_threshold
-from .rationals import rat_from_str, rat_to_str
+from .rationals import rat_from_str
 from .surfaces import (
     BrokenEllipticSurface,
     Component,
@@ -391,15 +391,6 @@ def felt_walls(X: BrokenEllipticSurface) -> list[FeltWall]:
         for _, row in felt_rows(comp, len(X.glue_ends(comp.cid)), hosted.get(comp.cid, ()))
         for fw in row
     ]
-
-
-def wall_to_obj(w: Wall) -> dict:
-    return {
-        "kind": w.kind.value,
-        "subset": sorted(w.subset),
-        "constant": rat_to_str(w.constant),
-        "boundary": w.boundary,
-    }
 
 
 def wall_from_obj(obj: dict) -> Wall:

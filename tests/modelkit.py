@@ -5,7 +5,8 @@ of a rational elliptic surface with twelve marked nodal fibers: ten carry
 weight one next to a type II twisted attaching fiber, two carry weight alpha
 next to a type II* twisted attaching fiber.  `flipped_degeneration` is the
 same model after the section of the second component has contracted.
-`random_model` grows stable broken surfaces for fuzzing.
+`random_model` grows stable broken surfaces for fuzzing, and `chain_cascade`
+builds long chains that flip from the leaf inwards.
 """
 
 from __future__ import annotations
@@ -219,6 +220,24 @@ def random_model(
     return BrokenEllipticSurface(
         WeightVector(tuple(weights)), tuple(comps), tuple(glues), tuple(trees)
     )
+
+
+def chain_cascade(rng, n, k):
+    """A path of n components, each with two I1 markers at 3/4, glued II* ~ II,
+    and a target that lowers the first 2k markers: k La Nave flips from the
+    leaf inwards, each flipped tree collapsing to a point."""
+    w = WeightVector(tuple([F(3, 4)] * (2 * n)))
+    comps = [
+        Component(f"c{j}", j, 0, F(1), tuple(mk_fiber(f"c{j}m{s}", "I1", 2 * j - 2 + s, w) for s in (1, 2)))
+        for j in range(1, n + 1)
+    ]
+    glues = [
+        Glue(f"g{j}", AttachEnd(f"c{j - 1}", f"c{j - 1}next", parse_fiber_type("II*")),
+             AttachEnd(f"c{j}", f"c{j}prev", parse_fiber_type("II")))
+        for j in range(2, n + 1)
+    ]
+    target = [F(rng.randint(1, 3), 8 * k) for _ in range(2 * k)] + list(w.entries[2 * k:])
+    return BrokenEllipticSurface(w, tuple(comps), tuple(glues)), WeightVector(tuple(target))
 
 
 def random_target(rng: random.Random, start: WeightVector, den: int = 12) -> WeightVector:

@@ -6,8 +6,10 @@ full pairing matrix instead of the closed form, the wall oracle
 re-enumerates the arrangement over raw bitmask subsets, the surface lookups
 scan the model where the library reads its cached lookups, the curve degree is
 counted edge by edge for one vertex where the library sweeps all of them, and
-the model JSON is laid out whole by `json.dumps` where the library joins the
-texts it stores on components and glues.
+and the model JSON, the `reduce` trace and the `walls --segment` listing are
+built as plain objects and laid out whole by `json.dumps(indent=2)`, where the
+library writes each text directly and joins the texts it stores on components
+and glues.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from mmp_elliptic.kodaira import (
     intersection_data,
     lct_threshold,
 )
-from mmp_elliptic.modeljson import model_to_obj
+from mmp_elliptic.rationals import rat_to_str
 
 F = Fraction
 
@@ -203,6 +205,107 @@ def hassett_by_vertex(curve, weights):
     return curve
 
 
+# -- JSON layouts ------------------------------------------------------------------
+
+
+def _fiber_obj(f):
+    out = {
+        "id": f.fid,
+        "type": str(f.ftype),
+        "coeff": rat_to_str(f.coeff),
+        "state": str(f.state),
+        "markers": sorted(f.markers),
+    }
+    if f.nonminimal_cusp:
+        out["nonminimal_cusp"] = True
+    return out
+
+
+def _node_obj(n):
+    out = {
+        "id": n.pid,
+        "degL": rat_to_str(n.degL),
+        "attach_type": str(n.attach_ftype),
+        "fibers": [_fiber_obj(f) for f in n.fibers],
+        "children": [{"via_fiber": l.via_fiber, "node": _node_obj(l.node)} for l in n.children],
+    }
+    if n.isotrivial_jinf:
+        out["isotrivial_jinf"] = True
+    return out
+
+
+def _end_obj(e):
+    return {"component": e.component, "fiber": e.fiber_id, "type": str(e.ftype)}
+
+
+def wall_to_obj(w):
+    return {
+        "kind": w.kind.value,
+        "subset": sorted(w.subset),
+        "constant": rat_to_str(w.constant),
+        "boundary": w.boundary,
+    }
+
+
+def model_to_obj(X):
+    """The model as the plain object its canonical JSON text lays out."""
+    return {
+        "weights": [rat_to_str(w) for w in X.weights.entries],
+        "components": [
+            {
+                "id": c.cid,
+                "kind": "elliptic" if c.has_section else "pseudo2",
+                "vertex": c.vertex,
+                "genus": c.genus,
+                "degL": rat_to_str(c.degL),
+                "isotrivial_jinf": c.isotrivial_jinf,
+                "fibers": [_fiber_obj(f) for f in c.fibers],
+            }
+            for c in X.components
+        ],
+        "attachments": [{"id": g.gid, "a": _end_obj(g.a), "b": _end_obj(g.b)} for g in X.glues],
+        "trees": [
+            {"host": t.host_component, "host_fiber": t.host_fiber, "root": _node_obj(t.root)}
+            for t in X.trees
+        ],
+    }
+
+
 def serialize_oracle(X):
     """The canonical model JSON, laid out in one `json.dumps` call."""
     return json.dumps(model_to_obj(X), indent=2) + "\n"
+
+
+def trace_oracle(start, target, trace):
+    """The stdout of `reduce` from `start` to the weight vector `target`."""
+    obj = {
+        "start_weights": [rat_to_str(w) for w in start.weights.entries],
+        "target_weights": [rat_to_str(w) for w in target.entries],
+        "records": [
+            {
+                "t": rat_to_str(rec.t),
+                "kind": str(rec.kind),
+                "wall": wall_to_obj(rec.wall),
+                "affected": list(rec.affected),
+                "note": rec.note,
+                "snapshot_after": model_to_obj(rec.snapshot_after),
+            }
+            for rec in trace.records
+        ],
+        "final": model_to_obj(trace.final),
+        "halted": trace.halted,
+    }
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def segment_oracle(crossings, on_start, on_end):
+    """The stdout of `walls --segment` for its crossings and the walls through
+    the segment's start and end."""
+    obj = {
+        "crossings": [
+            {"t": rat_to_str(c.t), "walls": [wall_to_obj(w) for w in c.walls_hit]} for c in crossings
+        ],
+        "on_walls_at_start": [wall_to_obj(w) for w in on_start],
+        "on_walls_at_end": [wall_to_obj(w) for w in on_end],
+    }
+    return json.dumps(obj, indent=2) + "\n"

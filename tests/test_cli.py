@@ -12,9 +12,11 @@ from mmp_elliptic.cli import main
 from mmp_elliptic.curves import WeightVector
 from mmp_elliptic.kodaira import parse_fiber_type
 from mmp_elliptic.modeljson import serialize_model
-from mmp_elliptic.walls import enumerate_walls, wall_to_obj
+from mmp_elliptic.rationals import rat_to_str
+from mmp_elliptic.walls import enumerate_walls, segment_walls, walls_containing
 
-from modelkit import rational_degeneration
+from modelkit import chain_cascade, rational_degeneration
+from oracles import segment_oracle, wall_to_obj
 
 F = Fraction
 EXAMPLE = Path(__file__).parent.parent / "demos" / "data" / "rational_example.json"
@@ -49,12 +51,55 @@ def test_walls_command(capsys):
 def test_walls_listing_is_the_json_layout(capsys):
     rng = random.Random(41)
     pool = ["I1", "I3", "II", "III", "IV", "I*0", "II*", "III*", "IV*", "N1"]
+    empty = {"crossings": 0, "on_walls_at_start": 0, "on_walls_at_end": 0}
     for r in range(1, 7):
         types = [rng.choice(pool) for _ in range(r)]
         for base in ([], ["--rational-base"]):
-            status, out, _ = run(capsys, "walls", "-r", str(r), "--types", ",".join(types), *base)
+            argv = ["walls", "-r", str(r), "--types", ",".join(types), *base]
+            status, out, _ = run(capsys, *argv)
             walls = enumerate_walls(r, map(parse_fiber_type, types), bool(base))
             assert (status, out) == (0, json.dumps([wall_to_obj(w) for w in walls], indent=2) + "\n")
+            for den in (12, 12, 60, 60):  # often on walls at 1/12, seldom at 1/60
+                B = [F(rng.randint(1, den), den) for _ in range(r)]
+                A = [b if rng.random() < 0.4 else F(rng.randint(1, int(b * den)), den) for b in B]
+                A, B = WeightVector(tuple(A)), WeightVector(tuple(B))
+                spec = [",".join(map(rat_to_str, W.entries)) for W in (A, B)]
+                status, out, _ = run(capsys, *argv, "--segment", *spec)
+                crossings = segment_walls(A, B, walls)
+                on_start, on_end = walls_containing(B, walls), walls_containing(A, walls)
+                assert (status, out) == (0, segment_oracle(crossings, on_start, on_end))
+                for key, listed in zip(empty, (crossings, on_start, on_end)):
+                    empty[key] += not listed
+    assert min(empty.values()) > 0, empty
+
+
+@pytest.mark.parametrize("command", ["walls", "reduce"])
+def test_closed_pipe_exits_one_without_traceback(tmp_path, command):
+    """`| head -1`: the reader leaves while the output, far larger than a
+    pipe buffer, is still being written."""
+    if command == "walls":
+        argv = ["walls", "-r", "10", "--types", ",".join(["I1"] * 10)]
+    else:
+        X, target = chain_cascade(random.Random(5), 40, 3)
+        path = tmp_path / "chain.json"
+        path.write_text(serialize_model(X))
+        argv = ["reduce", str(path), "--to", ",".join(map(rat_to_str, target.entries))]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mmp_elliptic.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(EXAMPLE.parent.parent.parent / "src")),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        assert proc.stdout.readline() == ("[\n" if command == "walls" else "{\n")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == "", err  # no traceback, and no error at exit either
 
 def test_walls_segment(capsys):
     status, out, _ = run(

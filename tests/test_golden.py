@@ -13,14 +13,23 @@ its tree, a type II formation, a whole-section contraction, two nested
 collapses due at one time (the inner one first), and an isotrivial tree's
 collapse onto a curve, where the walk halts.
 A deliberate output change rewrites the file from the command its test runs.
+Every `reduce` input here, and a seeded set of random walks, also pins the
+trace to `json.dumps(indent=2)` of its object (`oracles.trace_oracle`).
 """
 
+import random
 from pathlib import Path
 
 import pytest
 
 from mmp_elliptic.cli import main
+from mmp_elliptic.curves import WeightVector
 from mmp_elliptic.modeljson import parse_model, serialize_model
+from mmp_elliptic.rationals import rat_from_str, rat_to_str
+from mmp_elliptic.reduction import reduce
+
+from modelkit import random_model, random_target
+from oracles import serialize_oracle, trace_oracle
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 EXAMPLE = GOLDEN.parent.parent / "demos" / "data" / "rational_example.json"
@@ -96,3 +105,25 @@ def test_walls_segment_of_the_worked_path(capsys):
     lower, upper = ",".join(["1"] * 10 + ["1/3"] * 2), ",".join(["1"] * 12)
     out = run(capsys, "walls", "-r", "12", "--types", ",".join(["I1"] * 12), "--segment", lower, upper)
     assert out == (GOLDEN / "walls_segment_r12.json").read_text()
+
+
+def test_reduce_trace_is_the_json_layout_of_its_object(capsys, tmp_path):
+    walks = [(EXAMPLE, at_alpha(tag)) for tag in sorted(ALPHAS)]
+    walks += [(GOLDEN / f"{name}.json", to) for name, to in sorted(REWRITE_WALKS.items())]
+    rng = random.Random(808)
+    for j in range(80):  # isotrivial trees, so some walks halt at a curve collapse
+        X = random_model(rng, allow_isotrivial=True)
+        path = tmp_path / f"m{j}.json"
+        path.write_text(serialize_oracle(X))
+        walks.append((path, ",".join(map(rat_to_str, random_target(rng, X.weights).entries))))
+    seen = {"records": 0, "halted": 0, "trees": 0}
+    for path, to in walks:
+        out = run(capsys, "reduce", str(path), "--to", to)
+        start = parse_model(path.read_text())
+        target = WeightVector(tuple(map(rat_from_str, to.split(","))))
+        trace = reduce(start, target)
+        assert out == trace_oracle(start, target, trace)
+        seen["records"] += len(trace.records)
+        seen["halted"] += trace.halted is not None
+        seen["trees"] += any(rec.snapshot_after.trees for rec in trace.records)
+    assert min(seen.values()) > 0, seen

@@ -7,14 +7,23 @@ from fractions import Fraction
 import pytest
 
 from mmp_elliptic.dot import emit_dot
-from mmp_elliptic.kodaira import parse_fiber_type
-from mmp_elliptic.modeljson import ModelJSONError, model_to_obj, parse_model, serialize_model
+from mmp_elliptic.kodaira import FiberState, parse_fiber_type
+from mmp_elliptic.modeljson import ModelJSONError, parse_model, serialize_model
 from mmp_elliptic.reduction import reduce
 from mmp_elliptic.curves import WeightVector
-from mmp_elliptic.surfaces import AttachEnd, BrokenEllipticSurface, Component, Glue
+from mmp_elliptic.surfaces import (
+    AttachEnd,
+    BrokenEllipticSurface,
+    ChildLink,
+    Component,
+    Glue,
+    MarkedFiber,
+    PseudoComponent,
+    TreeAttachment,
+)
 
-from modelkit import flipped_degeneration, mk_fiber, random_model, random_target, rational_degeneration
-from oracles import serialize_oracle
+from modelkit import chain_cascade, flipped_degeneration, random_model, random_target, rational_degeneration
+from oracles import model_to_obj, serialize_oracle
 
 F = Fraction
 
@@ -133,24 +142,6 @@ def test_state_defaults_to_model_state():
     assert X == rational_degeneration(F(1))
 
 
-def _chain_cascade(rng, n, k):
-    """A path of n components, each with two I1 markers at 3/4, glued II* ~ II,
-    and a target that lowers the first 2k markers: k La Nave flips from the
-    leaf inwards, each flipped tree collapsing to a point."""
-    w = WeightVector(tuple([F(3, 4)] * (2 * n)))
-    comps = [
-        Component(f"c{j}", j, 0, F(1), tuple(mk_fiber(f"c{j}m{s}", "I1", 2 * j - 2 + s, w) for s in (1, 2)))
-        for j in range(1, n + 1)
-    ]
-    glues = [
-        Glue(f"g{j}", AttachEnd(f"c{j - 1}", f"c{j - 1}next", parse_fiber_type("II*")),
-             AttachEnd(f"c{j}", f"c{j}prev", parse_fiber_type("II")))
-        for j in range(2, n + 1)
-    ]
-    target = [F(rng.randint(1, 3), 8 * k) for _ in range(2 * k)] + list(w.entries[2 * k:])
-    return BrokenEllipticSurface(w, tuple(comps), tuple(glues)), WeightVector(tuple(target))
-
-
 def _walks():
     """Each start with its snapshots and final, in walk order: 300 seeded
     random walks (isotrivial trees, targets down to where sections contract)
@@ -160,7 +151,7 @@ def _walks():
     for _ in range(300):
         X = random_model(rng, allow_isotrivial=True)
         starts.append((X, random_target(rng, X.weights)))
-    starts += [_chain_cascade(rng, n, k) for n, k in ((4, 1), (6, 2), (8, 3), (12, 3))]
+    starts += [chain_cascade(rng, n, k) for n, k in ((4, 1), (6, 2), (8, 3), (12, 3))]
     for X, target in starts:
         trace = reduce(X, target)
         yield [X] + [rec.snapshot_after for rec in trace.records] + [trace.final]
@@ -194,6 +185,43 @@ def test_a_replaced_component_gets_a_new_text():
     assert serialize_model(Y) == serialize_oracle(Y) != text
     assert emit_dot(Y) == emit_dot(parse_model(serialize_oracle(Y), check=False)) != dot
     assert (serialize_model(X), emit_dot(X)) == (text, dot)
+
+
+def _odd_models():
+    """Hand-built surfaces, not validated, whose ids need escaping in JSON (a
+    quote, a backslash, control characters, non-ASCII letters) and that carry
+    every optional or empty part of the schema: a nonminimal cusp, isotrivial
+    components and pseudo nodes, a tree nested two levels deep, a component
+    with no fibers, fibers with no markers, and a model with no parts."""
+    T = parse_fiber_type
+    w = WeightVector((F(1), F(1, 2), F(1, 3), F(0)))
+
+    def fiber(fid, ftype, markers=(), cusp=False):
+        return MarkedFiber(fid, T(ftype), F(1, 2), FiberState.WEIERSTRASS, frozenset(markers), cusp)
+
+    leaf = PseudoComponent("p\x1f", F(1), T("II"), (fiber("q", "I1", (3,)),), isotrivial_jinf=True)
+    mid = PseudoComponent("p\u00e9", F(1, 2), T("II*"), (fiber("v\\", "II"),), (ChildLink("v\\", leaf),))
+    root = PseudoComponent('p"', F(1), T("II"), (), (ChildLink("r", mid),))
+    components = (
+        Component('c"1', 1, 0, F(1), (fiber('f"1', "I1", (1,)), fiber("f\\2", "II", cusp=True)), True),
+        Component("c\\2", 2, 1, F(2), (), has_section=False),
+        Component("c\x013", 3, 0, F(1, 2), (fiber("f\u00e9", "I*0", (2, 4)), fiber("f\u4e00", "I3"))),
+    )
+    glues = (Glue('g"\\', AttachEnd('c"1', 'f"1', T("I1")), AttachEnd("c\\2", "x\n", T("I1"))),)
+    trees = (TreeAttachment("c\x013", "f\u00e9", root),)
+    return [
+        BrokenEllipticSurface(w, components, glues, trees),
+        BrokenEllipticSurface(w, components[1:]),
+        BrokenEllipticSurface(w, ()),
+    ]
+
+
+def test_written_texts_match_the_oracle_on_odd_ids_and_empty_parts():
+    for X in _odd_models():
+        text = serialize_model(X)
+        assert text == serialize_oracle(X)
+        assert serialize_model(X) == text  # the stored texts, warm
+        assert parse_model(text, check=False) == X
 
 
 QUOTED = re.compile(r'"(?:[^"\\]|\\.)*"')

@@ -21,12 +21,11 @@ from mmp_elliptic.walls import (
     locate,
     segment_walls,
     wall_from_obj,
-    wall_to_obj,
     walls_containing,
 )
 
 from modelkit import admissible_target, flipped_degeneration, mk_fiber, random_model, rational_degeneration
-from oracles import WALL_CONSTANTS, brute_force_walls, wall_keys
+from oracles import WALL_CONSTANTS, brute_force_walls, wall_keys, wall_to_obj
 
 F = Fraction
 
