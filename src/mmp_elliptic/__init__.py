@@ -61,7 +61,6 @@ from .surfaces import (
     base_weights,
     model_shape,
     pseudo_fate,
-    section_constant,
     section_degree,
     should_contract_section,
     subtree_markers,

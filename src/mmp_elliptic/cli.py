@@ -116,7 +116,10 @@ def _load_model(path_text: str, override: str | None):
                 f"override has {weights.r} weights; the model has {model.weights.r}",
                 USAGE_ERROR,
             )
-        model = at_weights(model, weights)
+        try:
+            model = at_weights(model, weights)
+        except ValueError as exc:  # a fiber's coefficient leaves [0, 1]
+            raise CliError(f"at weights {override}: {exc}", DATA_ERROR)
     return model
 
 

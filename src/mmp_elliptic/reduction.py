@@ -297,7 +297,7 @@ def _apply_section_contraction(
     the whole surface pseudoelliptic, keeping its base vertex so the model
     still projects to a curve.
     """
-    subset = X.marker_set(cid)
+    subset = X.component(cid).marker_set
     constant = X.weights.sum(subset)
     n_ends = len(X.glue_ends(cid))
     affected = [cid]

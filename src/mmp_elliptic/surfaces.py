@@ -15,15 +15,16 @@ marker counted once.  The validator re-checks that identity together with the
 per-fiber state rules, so inconsistent configurations are reported as data
 rather than silently propagated.
 
-Lookups read private cached properties of the frozen surface, each built in
-one pass the first time it is read: components by id, glue ends per
-component, owner -> fibers, every subtree level and its host key, the marked
-fibers, and marker -> the fibers it backs.  They hold the surface's parts,
-never the surface, and a rewrite that returns a new surface starts afresh, so
-no lookup can go stale.  `component`, `glue_ends`, `host_fiber`,
-`fiber_owners`, `subtrees`, `pseudo_nodes`, `host_keys`, `marked_fibers`,
-`fibers_with`, `marker_set` and `section_constant` all answer from them
-without scanning the model.
+Three lookups are cached on the frozen surface, each built in one pass the
+first time it is read: components by id (`component`), glue ends per
+component (`glue_ends`), and every subtree level with its host key
+(`pseudo_nodes`, `fiber_owners`, `host_keys`).  Each is read several times
+per build on the snapshots of a walk: components by id 4 (random models) to
+59 (long chains) times, glue ends 2.5 to 13, subtree levels 3 to 5.
+`fibers_with` and `host_fiber` are asked about once per surface, so they scan
+`fiber_owners` instead of keeping a lookup of their own.  A lookup holds the
+surface's parts, never the surface, and a rewrite that returns a new surface
+starts afresh, so no lookup can go stale.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .curves import (
     MarkedNodalCurve,
@@ -275,56 +276,18 @@ class BrokenEllipticSurface:
         return out
 
     @cached_property
-    def _subtrees(self) -> list[tuple[str, str, PseudoComponent, int]]:
-        """Every subtree level in preorder, so its roots are the pseudo nodes
-        in `PseudoComponent.nodes` order."""
+    def _subtrees(self) -> list[tuple[str, str, PseudoComponent]]:
+        """(host owner id, host fiber id, subtree root) of every subtree level
+        in preorder, so its roots are the pseudo nodes in
+        `PseudoComponent.nodes` order."""
         out = []
-
-        def walk(owner: str, fid: str, node: PseudoComponent, depth: int) -> None:
-            out.append((owner, fid, node, depth))
-            for link in node.children:
-                walk(node.pid, link.via_fiber, link.node, depth + 1)
-
-        for att in self.trees:
-            walk(att.host_component, att.host_fiber, att.root, 0)
+        stack = [(t.host_component, t.host_fiber, t.root) for t in reversed(self.trees)]
+        while stack:
+            entry = stack.pop()
+            out.append(entry)
+            node = entry[2]
+            stack += [(node.pid, link.via_fiber, link.node) for link in reversed(node.children)]
         return out
-
-    @cached_property
-    def _owners(self) -> list[tuple[str, tuple[MarkedFiber, ...]]]:
-        return [(c.cid, c.fibers) for c in self.components] + [
-            (node.pid, node.fibers) for _, _, node, _ in self._subtrees
-        ]
-
-    @cached_property
-    def _fibers(self) -> list[tuple[str, MarkedFiber]]:
-        return [(owner, f) for owner, fibers in self._owners for f in fibers]
-
-    @cached_property
-    def _owned(self) -> dict[str, tuple[MarkedFiber, ...]]:
-        """Owner id -> its fibers, those of a repeated id appended in order."""
-        out: dict[str, tuple[MarkedFiber, ...]] = {}
-        for owner, fibers in self._owners:
-            out[owner] = out[owner] + fibers if owner in out else fibers
-        return out
-
-    @cached_property
-    def _by_marker(self) -> dict[int, list[int]]:
-        """Marker -> positions in `_fibers` of the fibers it backs."""
-        out: dict[int, list[int]] = {}
-        for k, (_, f) in enumerate(self._fibers):
-            for i in f.markers:
-                out.setdefault(i, []).append(k)
-        return out
-
-    @cached_property
-    def _hosts(self) -> frozenset[tuple[str, str]]:
-        return frozenset((owner, fid) for owner, fid, _, _ in self._subtrees)
-
-    @cached_property
-    def _marked(self) -> list[tuple[str, MarkedFiber]]:
-        hosts = self._hosts
-        # the entries of `_fibers` themselves, not copies
-        return [e for e in self._fibers if e[1].markers and (e[0], e[1].fid) not in hosts]
 
     @property
     def elliptic(self) -> tuple[Component, ...]:
@@ -356,40 +319,34 @@ class BrokenEllipticSurface:
         raise KeyError(f"no attached tree rooted at {tree_id}")
 
     def pseudo_nodes(self) -> list[PseudoComponent]:
-        return [node for _, _, node, _ in self._subtrees]
+        return [node for _, _, node in self._subtrees]
 
     def fiber_owners(self) -> list[tuple[str, tuple[MarkedFiber, ...]]]:
         """(owner id, fibers) for every component, then every pseudo node."""
-        return list(self._owners)
-
-    def subtrees(self) -> Iterator[tuple[str, str, PseudoComponent, int]]:
-        """Yield (host owner id, host fiber id, subtree root, depth), all levels."""
-        return iter(self._subtrees)
+        return [(c.cid, c.fibers) for c in self.components] + [
+            (node.pid, node.fibers) for _, _, node in self._subtrees
+        ]
 
     def host_keys(self) -> frozenset[tuple[str, str]]:
         """(owner id, fiber id) of every fiber that hosts a subtree."""
-        return self._hosts
-
-    def marked_fibers(self) -> Iterator[tuple[str, MarkedFiber]]:
-        """Yield (owner id, fiber) for every fiber with markers that hosts no
-        tree: the fibers whose own markers back their coefficient."""
-        return iter(self._marked)
+        return frozenset((owner, fid) for owner, fid, _ in self._subtrees)
 
     def fibers_with(self, markers: Iterable[int]) -> list[tuple[str, MarkedFiber]]:
         """(owner id, fiber) for every fiber, tree hosts included, whose
         markers meet `markers`, in `fiber_owners` order."""
-        at = sorted({k for i in markers for k in self._by_marker.get(i, ())})
-        return [self._fibers[k] for k in at]
+        markers = set(markers)
+        owners = self.fiber_owners()
+        return [(o, f) for o, fibers in owners for f in fibers if not f.markers.isdisjoint(markers)]
 
     def host_fiber(self, owner: str, fid: str) -> MarkedFiber:
-        """The fiber `fid` of a component or pseudo node."""
-        for f in self._owned.get(owner, ()):
-            if f.fid == fid:
-                return f
+        """The fiber `fid` of a component or pseudo node; under a repeated id,
+        the first such fiber of any owner with that id."""
+        for o, fibers in self.fiber_owners():
+            if o == owner:
+                for f in fibers:
+                    if f.fid == fid:
+                        return f
         raise KeyError(f"{owner} has no fiber {fid}")
-
-    def all_ids(self) -> list[str]:
-        return [owner for owner, _ in self._owners]
 
     # -- derived quantities -------------------------------------------------
 
@@ -399,11 +356,6 @@ class BrokenEllipticSurface:
         if not fiber.markers:
             return fiber.coeff
         return self.weights.sum(fiber.markers)
-
-    def marker_set(self, cid: str) -> frozenset[int]:
-        """Every weight index whose marked fiber projects to this component's
-        base point set, including markers carried by hosted trees."""
-        return self.component(cid).marker_set
 
 
 # -- base curve projection ----------------------------------------------------
@@ -467,23 +419,19 @@ def base_curve(X: BrokenEllipticSurface) -> MarkedNodalCurve:
 # -- section adjunction -------------------------------------------------------
 
 
-def section_constant(X: BrokenEllipticSurface, cid: str) -> Fraction:
-    """The weight-independent part of `section_degree`: 2g - 2 + (number of
-    attaching fibers) + (coefficients of marker-less fibers, fixed at one)."""
-    return X.component(cid).section_constant(len(X._ends.get(cid, ())))
-
-
 def section_degree(X: BrokenEllipticSurface, cid: str) -> Fraction:
     """Degree of the log canonical divisor on the section over one component:
-    2g - 2 + (number of attaching fibers) + (sum of marked-fiber coefficients).
+    2g - 2 + (number of attaching fibers) + (sum of fiber coefficients), where
+    a marker-less fiber keeps its fixed coefficient one.
 
-    Coefficients are evaluated from the weight vector, so the result is exact
-    even if cached fiber coefficients are stale.
+    Marked coefficients are evaluated from the weight vector, so the result is
+    exact even if cached fiber coefficients are stale.
     """
     comp = X.component(cid)
     if not comp.has_section:
         raise NoSectionError(f"component {cid} is pseudoelliptic; its section is contracted")
-    return sum((X.fiber_coeff(f) for f in comp.fibers if f.markers), section_constant(X, cid))
+    base = comp.section_constant(len(X.glue_ends(cid)))
+    return sum((X.fiber_coeff(f) for f in comp.fibers if f.markers), base)
 
 
 def should_contract_section(X: BrokenEllipticSurface, cid: str) -> bool:
@@ -668,7 +616,8 @@ def validate(X: BrokenEllipticSurface) -> list[Violation]:
     """Every invariant violation in the model, as data; empty means valid."""
     out: list[Violation] = []
 
-    ids = X.all_ids()
+    owners = X.fiber_owners()
+    ids = [owner for owner, _ in owners]
     if len(set(ids)) != len(ids):
         out.append(Violation("ids", "surface", "component/node ids are not unique"))
     verts = [c.vertex for c in X.components]
@@ -722,8 +671,8 @@ def validate(X: BrokenEllipticSurface) -> list[Violation]:
         if len(set(fids)) != len(fids):
             out.append(Violation("ids", node.pid, "duplicate pseudofiber ids"))
 
-    # host fiber map: (owner, fiber id) -> markers required by eq. (4.1)
-    hosts: dict[tuple[str, str], frozenset[int]] = {}
+    # (host key, subtree root) of every tree and child link whose host exists
+    links: list[tuple[tuple[str, str], PseudoComponent]] = []
     for att in X.trees:
         try:
             host = X.component(att.host_component)
@@ -741,7 +690,7 @@ def validate(X: BrokenEllipticSurface) -> list[Violation]:
                 )
             )
             continue
-        hosts[(att.host_component, att.host_fiber)] = subtree_markers(att.root)
+        links.append(((att.host_component, att.host_fiber), att.root))
     for node in X.pseudo_nodes():
         for link in node.children:
             try:
@@ -755,30 +704,35 @@ def validate(X: BrokenEllipticSurface) -> list[Violation]:
                     )
                 )
                 continue
-            hosts[(node.pid, link.via_fiber)] = subtree_markers(link.node)
+            links.append(((node.pid, link.via_fiber), link.node))
 
-    # marker disjointness over non-host fibers
+    # host fiber map: (owner, fiber id) -> markers required by eq. (4.1).  A
+    # fiber hosts one subtree: each later one is reported, and all count
+    hosts: dict[tuple[str, str], frozenset[int]] = {}
+    for key, node in links:
+        if key in hosts:
+            out.append(Violation("tree", "/".join(key), f"also hosts the subtree of {node.pid}"))
+        hosts[key] = hosts.get(key, frozenset()) | subtree_markers(node)
+
+    # marker disjointness over the marked fibers that host no subtree
     seen: dict[int, str] = {}
-    for owner, f in X.marked_fibers():
-        for i in f.markers:
-            if not 1 <= i <= X.weights.r:
-                out.append(
-                    Violation("marker", f"{owner}/{f.fid}", f"marker {i} outside 1..{X.weights.r}")
-                )
-            elif i in seen:
-                out.append(
-                    Violation(
-                        "marker",
-                        f"{owner}/{f.fid}",
-                        f"marker {i} already used by {seen[i]}",
-                    )
-                )
-            else:
-                seen[i] = f"{owner}/{f.fid}"
+    host_keys = X.host_keys()
+    for owner, fibers in owners:
+        for f in fibers:
+            if (owner, f.fid) in host_keys:
+                continue
+            where = f"{owner}/{f.fid}"
+            for i in f.markers:
+                if not 1 <= i <= X.weights.r:
+                    out.append(Violation("marker", where, f"marker {i} outside 1..{X.weights.r}"))
+                elif i in seen:
+                    out.append(Violation("marker", where, f"marker {i} already used by {seen[i]}"))
+                else:
+                    seen[i] = where
 
     # per-fiber states, coefficients, eq. (4.1); a marker outside 1..r has
     # no weight, and its fiber is already reported above
-    for owner, fibers in X.fiber_owners():
+    for owner, fibers in owners:
         for f in fibers:
             if all(1 <= i <= X.weights.r for i in f.markers):
                 _check_fiber_state(X, owner, f, hosts, out)

@@ -114,21 +114,6 @@ def scan_pseudo_nodes(X):
     return out
 
 
-def scan_subtrees(X):
-    """(host owner id, host fiber id, subtree root, depth) of every subtree
-    level, in `scan_pseudo_nodes` order."""
-    out = []
-
-    def visit(owner, fid, node, depth):
-        out.append((owner, fid, node, depth))
-        for link in node.children:
-            visit(node.pid, link.via_fiber, link.node, depth + 1)
-
-    for att in X.trees:
-        visit(att.host_component, att.host_fiber, att.root, 0)
-    return out
-
-
 def scan_owners(X):
     """(owner id, fibers) of every component, then of every pseudo node in
     tree order, each node before its children."""
@@ -158,17 +143,11 @@ def scan_host_fiber(X, owner, fid):
 
 
 def scan_host_keys(X):
-    return {(owner, fid) for owner, fid, _, _ in scan_subtrees(X)}
-
-
-def scan_marked_fibers(X):
-    hosts = scan_host_keys(X)
-    return [
-        (owner, f)
-        for owner, fibers in scan_owners(X)
-        for f in fibers
-        if f.markers and (owner, f.fid) not in hosts
-    ]
+    """(owner id, fiber id) of the host fiber of every tree root and child."""
+    out = {(att.host_component, att.host_fiber) for att in X.trees}
+    for node in scan_pseudo_nodes(X):
+        out |= {(node.pid, link.via_fiber) for link in node.children}
+    return out
 
 
 # -- weighted curves -------------------------------------------------------------

@@ -435,6 +435,31 @@ def test_malformed_model_exits_one_without_traceback(capsys, tmp_path, name):
     assert proc.stderr.startswith(f"error: {kind}: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["model", "--weights", "1,1,1,1,1"],
+        ["volume", "--weights", "1,1,1,1,1"],
+        ["reduce", "--from", "1,1,1,1,1", "--to", "1,1,1,1,1"],
+    ],
+    ids=["model", "volume", "reduce"],
+)
+def test_override_lifting_a_fiber_above_one_exits_one(argv):
+    # at these weights the tree host c1/a1 of the nested model would have
+    # coefficient 3
+    nested = Path(__file__).parent / "golden" / "nested_tree.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mmp_elliptic.cli", argv[0], str(nested), *argv[1:]],
+        env=dict(os.environ, PYTHONPATH=str(EXAMPLE.parent.parent.parent / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "coefficient 3 outside [0, 1]" in proc.stderr and "Traceback" not in proc.stderr
+
+
 # each command reads one input that is a directory or a weights file holding
 # a JSON non-list; "{model}" is a valid model file
 UNREADABLE = {

@@ -29,6 +29,21 @@ GLUE_2 = {
 # a tree that lost its host leaves its markers counted twice: on the would-be
 # host fiber c1/a1 and on the tree's own fibers
 HOST_MARKERS = [("marker", "c2/f3"), ("marker", "c3/f4"), ("marker", "c3/f5")]
+# a second tree on the nested model's host fiber c1/a1, carrying a new marker:
+# reported in either listing order, with both trees' markers due on the host
+NESTED_ROOT_TREE = json.loads(BASES["nested"].read_text())["trees"][0]
+TREE_C9 = {
+    "host": "c1",
+    "host_fiber": "a1",
+    "root": {
+        "id": "c9",
+        "degL": "1",
+        "attach_type": "II*",
+        "fibers": [{"id": "f6", "type": "I1", "coeff": "1/2", "state": "Weierstrass",
+                    "markers": [6]}],
+        "children": [],
+    },
+}
 
 # (id, base, edits, expected (code, where) pairs)
 ROWS = [
@@ -90,6 +105,11 @@ ROWS = [
     ("node-id-repeats-component", "nested", {"trees.0.root.id": "c1"}, [("ids", "surface")]),
     ("duplicate-pseudofiber-ids", "nested", {"trees.0.root.fibers.1.id": "b2"},
      [("ids", "c2"), ("eq-4.1", "c2/b2")]),
+    ("second-tree-on-host-listed-first", "nested",
+     {"weights.5": "1/2", "trees.0": TREE_C9, "trees.1": NESTED_ROOT_TREE},
+     [("tree", "c1/a1"), ("eq-4.1", "c1/a1")]),
+    ("second-tree-on-host-listed-last", "nested", {"weights.5": "1/2", "trees.1": TREE_C9},
+     [("tree", "c1/a1"), ("eq-4.1", "c1/a1")]),
 ]
 
 
