@@ -17,7 +17,7 @@ from functools import cached_property
 from math import lcm
 from typing import Iterable
 
-from .rationals import rat, rat_to_str
+from .rationals import json_int, rat, rat_to_str
 
 
 class CurveError(Exception):
@@ -248,18 +248,14 @@ def curve_to_obj(curve: MarkedNodalCurve) -> dict:
 
 def curve_from_obj(obj: dict) -> MarkedNodalCurve:
     try:
-        vertices = tuple(Vertex(int(v["id"]), int(v["genus"])) for v in obj["vertices"])
-        edges = tuple((int(a), int(b)) for a, b in obj.get("edges", []))
+        vertices = tuple(Vertex(json_int(v["id"]), json_int(v["genus"])) for v in obj["vertices"])
+        edges = tuple((json_int(a), json_int(b)) for a, b in obj.get("edges", []))
         markers = tuple(
-            Marker(int(m["index"]), int(m["vertex"])) for m in obj.get("markers", [])
+            Marker(json_int(m["index"]), json_int(m["vertex"])) for m in obj.get("markers", [])
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CurveError(f"malformed curve object: {exc}") from exc
     return MarkedNodalCurve(vertices, edges, markers)
-
-
-def curve_to_json(curve: MarkedNodalCurve) -> str:
-    return json.dumps(curve_to_obj(curve), indent=2, sort_keys=True)
 
 
 def curve_from_json(text: str | bytes) -> MarkedNodalCurve:

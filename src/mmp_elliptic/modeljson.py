@@ -27,7 +27,7 @@ from json.encoder import encode_basestring_ascii as quote
 
 from .curves import WeightVector
 from .kodaira import FiberState, KodairaType, UnsupportedFiberType, fiber_model_at, parse_fiber_type
-from .rationals import rat_from_str, rat_to_str
+from .rationals import json_int, rat_from_str, rat_to_str
 from .surfaces import (
     AttachEnd,
     BrokenEllipticSurface,
@@ -79,9 +79,9 @@ def _list(obj: dict, key: str, where: str, required: bool = False) -> list:
 
 def _int(value, where: str) -> int:
     try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ModelJSONError("schema-violation", f"{where}: bad integer {value!r}")
+        return json_int(value)
+    except ValueError as exc:
+        raise ModelJSONError("schema-violation", f"{where}: {exc}")
 
 
 def _rational(value, where: str) -> Fraction:
@@ -159,10 +159,7 @@ def model_from_obj(obj: dict, check: bool = True) -> BrokenEllipticSurface:
             raise ModelJSONError(
                 "schema-violation", f"weights[{i}]: {rat_to_str(w)} outside [0, 1]"
             )
-    try:
-        weights = WeightVector(tuple(weights_list))
-    except ValueError as exc:
-        raise ModelJSONError("schema-violation", f"weights: {exc}")
+    weights = WeightVector(tuple(weights_list))
 
     components = []
     for cobj in _list(obj, "components", "model", required=True):
@@ -198,10 +195,7 @@ def model_from_obj(obj: dict, check: bool = True) -> BrokenEllipticSurface:
             )
         )
 
-    try:
-        surface = BrokenEllipticSurface(weights, tuple(components), tuple(glues), tuple(trees))
-    except (ValueError, KeyError) as exc:
-        raise ModelJSONError("schema-violation", str(exc))
+    surface = BrokenEllipticSurface(weights, tuple(components), tuple(glues), tuple(trees))
     if check:
         problems = validate(surface)
         if problems:

@@ -1,8 +1,9 @@
-"""Exact rational helpers: parsing and canonical "p/q" serialization.
+"""Exact number helpers: parsing and canonical "p/q" serialization.
 
 Every quantity in this package is a `fractions.Fraction`; floats are never
 introduced anywhere.  The wire format is "p/q" in lowest terms with q > 0,
-and plain "n" for integers.
+and plain "n" for integers.  A count or an id read from JSON must be a JSON
+integer (`json_int`): a float or a boolean is refused, never truncated.
 """
 
 from __future__ import annotations
@@ -37,3 +38,11 @@ def rat_to_str(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def json_int(value) -> int:
+    """A JSON integer, an `int` that is not a `bool`; anything else raises
+    `ValueError`."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"bad integer {value!r}")

@@ -21,14 +21,13 @@ walk, the weights at time t are (low + t * rise) / D, so each felt wall's
 marker sum is an integer affine in t, and each wall's crossing time is fixed
 as one integer ratio when its row enters the walk's table; `_due` and
 `_event_times` then compare integers, and a `Fraction` is built only for an
-event time and a snapshot's weights.  The table is built once, from
-`felt_walls` of the start, and kept for the whole walk: a WII or WIII record
-replaces only the rows of the component it rewrote and of the trees that
-component hosts (`felt_rows`), and drops the rows of the components it hung
-and the pseudo nodes it pruned; every other row stays as it was.  Each batch
-settles only the fibers whose markers move (A_i < B_i), which includes any
-such fiber a WII or WIII rewrite has created; the others keep their
-coefficient, so they stay settled.
+event time and a snapshot's weights.  The table holds one row per component
+(`felt_rows`), built once from the start and kept for the whole walk: a WII
+or WIII record replaces only the row of the component it rewrote, trees
+included (`felt_row`), and drops the rows of the components it hung; every
+other row stays as it was.  Each batch settles only the fibers whose markers
+move (A_i < B_i), which includes any such fiber a WII or WIII rewrite has
+created; the others keep their coefficient, so they stay settled.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from .surfaces import (
     subtree_markers,
     validate,
 )
-from .walls import FeltWall, Wall, WallKind, felt_rows, felt_walls
+from .walls import FeltWall, Wall, WallKind, felt_row, felt_rows, felt_walls
 
 
 class WallNotSatisfied(Exception):
@@ -380,8 +379,8 @@ def _collapse_subtree(
 # -- batch application at one time ----------------------------------------------
 
 
-# the walk's felt walls by row (`FeltWall.row`), each wall as
-# (num, den, felt wall): see `_Segment.reach`
+# the walk's felt walls by component id, each wall as (num, den, felt wall):
+# see `_Segment.reach`
 _Table = dict[str, list[tuple[int, int, FeltWall]]]
 
 
@@ -432,47 +431,33 @@ class _Segment:
         return out
 
     def table(self, X: BrokenEllipticSurface) -> _Table:
-        """The walk's table of `felt_walls(X)`: the reachable walls of each
-        row, keyed by the row's owner.  The walk builds it once, at the
-        start, and keeps it up to date with `update`."""
-        table: _Table = {}
-        for entry in self.reach(felt_walls(X)):
-            table.setdefault(entry[2].row, []).append(entry)
-        return table
+        """The walk's table of `felt_rows(X)`: the reachable walls of each
+        component's row, keyed by component id.  The walk builds it once, at
+        the start, and keeps it up to date with `update`."""
+        return {cid: self.reach(row) for cid, row in felt_rows(X).items()}
 
-    def update(
-        self,
-        table: _Table,
-        X: BrokenEllipticSurface,
-        Y: BrokenEllipticSurface,
-        site: str,
-        gone: Iterable[str],
-    ) -> None:
-        """Replace the rows of `table` that a WII or WIII record from X to Y
-        rewrote.  It fired at `site` (the contracted component or the
-        collapsed tree's host); `gone`, its affected ids, are the components
-        it hung or the pseudo nodes it pruned.
+    def update(self, table: _Table, Y: BrokenEllipticSurface, site: str, gone: Iterable[str]) -> None:
+        """Replace the row of `table` that a WII or WIII record rewrote into
+        Y.  It fired at `site` (the contracted component or the collapsed
+        tree's host); the rows of `gone`, its affected ids, are dropped: the
+        components a flip hung now sit in the trees of another row.
 
-        The rows of `gone` are dropped, and those of the component at the top
-        of `site`'s tree in Y and of the trees it hosts are built again
-        (`felt_rows`), the hung components among them as pseudo nodes.  No
-        other component's section, fibers, attaching fibers or trees change,
-        so no other row does.  No lookup of Y is built: the component is
-        bisected out of Y's components, which are sorted by id, its attaching
-        fibers are X's less those glued to a hung component, and its trees
+        The row of the component at the top of `site`'s tree in Y is built
+        again (`felt_row`); no other component's section, fibers, attaching
+        fibers or trees change, so no other row does.  No lookup is built:
+        the component is bisected out of Y's components, which are sorted by
+        id, its attaching fibers are counted over Y's glues, and its trees
         are read off Y's trees.
         """
-        gone = set(gone)
-        for owner in gone:
-            table.pop(owner, None)
+        for cid in gone:
+            table.pop(cid, None)
         top = next(
             (t.host_component for t in Y.trees if any(n.pid == site for n in t.root.nodes())),
             site,
         )
         comp = Y.components[bisect_left(Y.components, top, key=attrgetter("cid"))]
-        attachments = sum(g.peer_of(top).component not in gone for g, _ in X.glue_ends(top))
-        for owner, row in felt_rows(comp, attachments, Y.trees_on(top)):
-            table[owner] = self.reach(row)
+        attachments = sum((g.a.component == top) + (g.b.component == top) for g in Y.glues)
+        table[top] = self.reach(felt_row(comp, attachments, Y.trees_on(top)))
 
 
 def _due(table: _Table, kind: WallKind, t: Fraction) -> list[FeltWall]:
@@ -502,16 +487,15 @@ def _apply_batch(
     collapse leaves no plain fiber unsettled: hosts are pinned, a collapsed
     host is built at its log canonical model, and fibers that move keep
     their state.  WI records change no felt wall, so they leave the table as
-    it is; after each WII or WIII record, `_Segment.update` replaces the rows
-    of the component the record rewrote and of its trees, and drops those of
-    the components and pseudo nodes it took away.
+    it is; after each WII or WIII record, `_Segment.update` replaces the row
+    of the component the record rewrote, trees included, and drops those of
+    the components a flip hung.
     """
     current, events = _settle(X, segment.moving, leave_one=True)
     for owner, fiber, new_state in events:
         records.append(_record_fiber_event(t, owner, fiber, new_state, current))
     halted = False
     while not halted:
-        before = current
         wii = _due(table, WallKind.WII, t)
         if wii:
             fw = min(wii, key=attrgetter("owner"))
@@ -526,7 +510,7 @@ def _apply_batch(
             fw = min(wiii, key=lambda fw: (-fw.depth, fw.node.pid))
             current, rec, halted = _collapse_subtree(current, fw, t)
         records.append(rec)
-        segment.update(table, before, current, fw.owner, rec.affected)
+        segment.update(table, current, fw.owner, rec.affected)
     return current, halted
 
 
@@ -603,7 +587,8 @@ def increase_to_one(
     """Push one marker's weight to 1 across the boundary wall.
 
     Stable (type I_n) and N0 fibers keep their birational model; an
-    intermediate fiber contracts its reduced component and becomes twisted.
+    intermediate fiber contracts its reduced component and becomes twisted,
+    as `cross_wall` crosses the boundary wall at one with `decreasing=False`.
     The record kind marks the boundary-wall event in both cases.  Refused when
     the new weight would lift the coefficient of a fiber the marker backs, such
     as the host of a pseudoelliptic tree carrying it, above one.
@@ -637,13 +622,11 @@ def increase_to_one(
                 f" to coefficient {W.sum(f.markers)}, above 1"
             )
     current = at_weights(X, W)
-    note = "stable fiber; birational model unchanged" if stable_like else ""
     if not stable_like:
-        twisted = replace(fiber, coeff=Fraction(1), state=FiberState.TWISTED)
-        current = _replace_fibers(current, {(owner, fiber.fid): twisted})
-    return current, _record_fiber_event(
-        Fraction(1), owner, fiber, FiberState.TWISTED, current, note
-    )
+        boundary = Wall(WallKind.WI, fiber.markers, Fraction(1), boundary=True)
+        return cross_wall(current, boundary, decreasing=False)
+    note = "stable fiber; birational model unchanged"
+    return current, _record_fiber_event(Fraction(1), owner, fiber, FiberState.TWISTED, current, note)
 
 
 def _event_times(table: _Table, t: Fraction) -> Fraction | None:

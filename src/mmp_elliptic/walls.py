@@ -20,10 +20,10 @@ wall.
 
 `felt_walls` is the one table of the walls a given model feels, each paired
 with the fiber, section or tree that crossing it rewrites.  It is made of
-rows, one per component and one per pseudo node, and `felt_rows` builds the
-rows of one component and the trees it hosts from those parts alone.  The
+one row per component, keyed by its id in `felt_rows`; `felt_row` builds the
+row of one component and the trees it hosts from those parts alone.  The
 table depends only on the model's structure, so the reduction walk builds it
-once and, after a WII or WIII record, replaces only the rows of the component
+once and, after a WII or WIII record, replaces only the row of the component
 the record rewrote; one full build is linear in the size of the model.
 """
 
@@ -312,12 +312,6 @@ class FeltWall(NamedTuple):
     node: PseudoComponent | None = None
     depth: int = 0
 
-    @property
-    def row(self) -> str:
-        """The owner whose row in `felt_rows` holds the wall: the root of the
-        subtree for WIII, `owner` otherwise."""
-        return self.owner if self.node is None else self.node.pid
-
 
 def _fiber_walls(owner: str, fibers: Iterable[MarkedFiber], hosts: set[str]) -> list[FeltWall]:
     """The WI walls of one owner: a marked fiber that hosts no tree, is not
@@ -333,18 +327,16 @@ def _fiber_walls(owner: str, fibers: Iterable[MarkedFiber], hosts: set[str]) -> 
     return out
 
 
-def felt_rows(
-    comp: Component, attachments: int, trees: Sequence[TreeAttachment]
-) -> list[tuple[str, list[FeltWall]]]:
-    """The rows of `felt_walls` for one component, with `attachments`
-    attaching fibers, and for `trees`, the trees it hosts: (owner id, walls)
-    for the component, then for every pseudo node in preorder.
+def felt_row(comp: Component, attachments: int, trees: Sequence[TreeAttachment]) -> list[FeltWall]:
+    """The row of `felt_walls` for one component, with `attachments`
+    attaching fibers, and for `trees`, the trees it hosts: the component's
+    walls, then those of every pseudo node in preorder.
 
-    A component's row holds the WI walls of its marked fibers, then, while it
+    The component feels the WI walls of its marked fibers, then, while it
     has a section, its marker set at the value where the section's degree
     vanishes (WII): one for a rational leaf, two for an irreducible rational
     base, each lowered by the coefficients of its marker-less fibers.  A
-    pseudo node's row holds the subtree it roots at its host fiber's
+    pseudo node's walls are the subtree it roots at its host fiber's
     threshold (WIII), when that type has one, then the WI walls of its
     marked fibers.  A fiber that hosts a subtree feels no WI wall.
     """
@@ -352,45 +344,46 @@ def felt_rows(
     if comp.has_section:
         constant = -comp.section_constant(attachments)
         row.append(FeltWall(Wall(WallKind.WII, comp.marker_set, constant), comp.cid))
-    out = [(comp.cid, row)]
     for t in trees:
-        _tree_rows(comp.cid, comp.fiber(t.host_fiber), t.root, 0, out)
-    return out
+        _tree_walls(comp.cid, comp.fiber(t.host_fiber), t.root, 0, row)
+    return row
 
 
-def _tree_rows(owner: str, host: MarkedFiber, node: PseudoComponent, depth: int, out: list) -> None:
-    """Append to `out` the rows of the subtree `node`, hung off fiber `host`
-    of `owner` at `depth`, in preorder (see `felt_rows`)."""
+def _tree_walls(owner: str, host: MarkedFiber, node: PseudoComponent, depth: int, row: list) -> None:
+    """Append to `row` the walls of the subtree `node`, hung off fiber `host`
+    of `owner` at `depth`, in preorder (see `felt_row`)."""
     a0 = lct_threshold(host.ftype)
-    row = [] if a0 is None else [
-        FeltWall(Wall(WallKind.WIII, subtree_markers(node), a0), owner, host.fid, node, depth)
-    ]
+    if a0 is not None:
+        row.append(FeltWall(Wall(WallKind.WIII, subtree_markers(node), a0), owner, host.fid, node, depth))
     row += _fiber_walls(node.pid, node.fibers, {link.via_fiber for link in node.children})
-    out.append((node.pid, row))
     for link in node.children:
-        _tree_rows(node.pid, node.fiber(link.via_fiber), link.node, depth + 1, out)
+        _tree_walls(node.pid, node.fiber(link.via_fiber), link.node, depth + 1, row)
 
 
-def felt_walls(X: BrokenEllipticSurface) -> list[FeltWall]:
-    """Every wall the model feels, with its site, row by row (`felt_rows`):
-    each component in id order, followed by the pseudo nodes of the trees it
-    hosts.
+def felt_rows(X: BrokenEllipticSurface) -> dict[str, list[FeltWall]]:
+    """The rows of `felt_walls` keyed by component id, in id order
+    (`felt_row`); a repeated id, which `validate` refuses, shares one row.
 
     Only the structure enters: weights and fiber states do not.  A
-    component's rows change only with its section, fibers, attaching fibers
-    or trees, so the reduction walk builds this table once and, after a
-    section contraction or a tree collapse, replaces only the rows of the
+    component's row changes only with its section, fibers, attaching fibers
+    or trees, so the reduction walk builds these rows once and, after a
+    section contraction or a tree collapse, replaces only the row of the
     component that the record rewrote.
     """
     hosted: dict[str, list[TreeAttachment]] = {}
     for t in X.trees:
         hosted.setdefault(t.host_component, []).append(t)
-    return [
-        fw
-        for comp in X.components
-        for _, row in felt_rows(comp, len(X.glue_ends(comp.cid)), hosted.get(comp.cid, ()))
-        for fw in row
-    ]
+    rows: dict[str, list[FeltWall]] = {}
+    for comp in X.components:
+        row = felt_row(comp, len(X.glue_ends(comp.cid)), hosted.get(comp.cid, ()))
+        rows.setdefault(comp.cid, []).extend(row)
+    return rows
+
+
+def felt_walls(X: BrokenEllipticSurface) -> list[FeltWall]:
+    """Every wall the model feels, with its site: the rows of `felt_rows`
+    one after another."""
+    return [fw for row in felt_rows(X).values() for fw in row]
 
 
 def wall_from_obj(obj: dict) -> Wall:

@@ -311,7 +311,8 @@ def test_usage_errors_exit_two(capsys, tmp_path):
 
 # commands refused with one `error:` line: (argv, exit status, the line's
 # start); "{model}" is the shipped example, "{curve}" a two-vertex curve with
-# twelve markers, "{point}" a one-vertex curve with three
+# twelve markers, "{point}" a one-vertex curve with three, "{float}" a curve
+# whose vertex id is 1.9
 REFUSED = {
     "walls-unknown-type": (["walls", "-r", "2", "--types", "I1,XX"], 2, "unrecognized fiber type"),
     "walls-n2-type": (["walls", "-r", "2", "--types", "I1,N2"], 1, "thresholds for N2"),
@@ -344,6 +345,12 @@ REFUSED = {
         1,
         "marker index 2 outside 1..1\n",
     ),
+    # a vertex id that is not a JSON integer is refused, not truncated to 1
+    "float-vertex": (
+        ["hassett", "{float}", "--weights", "1"],
+        1,
+        "malformed curve object: bad integer 1.9\n",
+    ),
 }
 
 
@@ -355,8 +362,9 @@ def test_refused_commands_print_one_error_line(capsys, tmp_path, name):
         "markers": [{"index": i, "vertex": 1 + (i > 10)} for i in range(1, 13)],
     }
     point = {"vertices": [{"id": 1, "genus": 0}], "edges": [], "markers": curve["markers"][:3]}
+    floated = {"vertices": [{"id": 1.9, "genus": 0}], "markers": [{"index": 1, "vertex": 1}]}
     paths = {"model": str(EXAMPLE), "tmp": str(tmp_path)}
-    for key, obj in (("curve", curve), ("point", point)):
+    for key, obj in (("curve", curve), ("point", point), ("float", floated)):
         paths[key] = str(tmp_path / f"{key}.json")
         Path(paths[key]).write_text(json.dumps(obj))
     argv, want, line = REFUSED[name]
@@ -413,6 +421,10 @@ MALFORMED = {
     "component-5": _edited_example(("components", 0), 5),
     "weights-5": _edited_example(("weights",), 5),
     "undecodable": b'{"weights": ["\xff"]}',
+    # a JSON number that is not an integer, or a boolean, is refused, not truncated
+    "markers-1.7": _edited_example(("components", 0, "fibers", 0, "markers"), [1.7]),
+    "genus-0.9": _edited_example(("components", 0, "genus"), 0.9),
+    "vertex-true": _edited_example(("components", 0, "vertex"), True),
 }
 
 

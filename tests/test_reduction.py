@@ -618,11 +618,14 @@ def _chain(n, seed=1):
 
 
 def _kept(table):
-    return Counter(
-        (num, den, fw.wall, fw.owner, fw.fid, fw.depth, fw.node and fw.node.pid)
-        for row in table.values()
-        for num, den, fw in row
-    )
+    """Each component id's row as a multiset of its walls and their sites."""
+    return {
+        cid: Counter(
+            (num, den, fw.wall, fw.owner, fw.fid, fw.depth, fw.node and fw.node.pid)
+            for num, den, fw in row
+        )
+        for cid, row in table.items()
+    }
 
 
 def test_kept_table_equals_a_fresh_build_after_every_batch(monkeypatch):
@@ -661,7 +664,8 @@ def test_kept_table_equals_a_fresh_build_after_every_batch(monkeypatch):
 
 def test_a_chain_walk_builds_its_table_once(monkeypatch):
     # the full felt-wall build runs once per walk; each WII or WIII record
-    # rebuilds a fixed number of rows, whatever the length of the chain
+    # rebuilds one component's row, of the same size whatever the length of
+    # the chain
     builds = []
     rows = []
 
@@ -673,14 +677,48 @@ def test_a_chain_walk_builds_its_table_once(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(walls, "felt_walls", counted(walls.felt_walls, builds, len))
-    monkeypatch.setattr(reduction, "felt_walls", walls.felt_walls)
-    monkeypatch.setattr(reduction, "felt_rows", counted(walls.felt_rows, rows, len))
+    monkeypatch.setattr(reduction, "felt_rows", counted(walls.felt_rows, builds, len))
+    monkeypatch.setattr(reduction, "felt_row", counted(walls.felt_row, rows, len))
     per_record = []
     for n in (40, 160):
         del builds[:], rows[:]
         trace = reduce(*_chain(n))
         structural = [r for r in trace.records if r.wall.kind != WallKind.WI]
-        assert len(builds) == 1 and len(rows) == len(structural) == 6
+        assert builds == [n] and len(rows) == len(structural) == 6
         per_record.append(list(rows))
     assert per_record[0] == per_record[1]
+
+
+def test_table_update_builds_no_lookup(monkeypatch):
+    # a record rewrites one component, so the table update reads the new
+    # model's parts directly: around every update, no model of the walk, the
+    # input of each rewrite included, gains a cached glue-end or component
+    # lookup
+    lookups = ("_ends", "_components_by_id")
+    seen = []
+
+    def remember(fn):
+        def wrapper(X, *args):
+            seen.append(X)
+            return fn(X, *args)
+
+        return wrapper
+
+    update = reduction._Segment.update
+    calls = []
+
+    def checked(self, table, Y, site, gone):
+        models = seen + [Y]
+        before = [[k for k in lookups if k in m.__dict__] for m in models]
+        update(self, table, Y, site, gone)
+        assert [[k for k in lookups if k in m.__dict__] for m in models] == before, site
+        calls.append(site)
+
+    for name in ("_apply_section_contraction", "_collapse_subtree"):
+        monkeypatch.setattr(reduction, name, remember(getattr(reduction, name)))
+    monkeypatch.setattr(reduction._Segment, "update", checked)
+    for name, to in REWRITE_WALKS.items():
+        X = parse_model((GOLDEN / f"{name}.json").read_text())
+        reduce(X, WeightVector(tuple(F(w) for w in to.split(","))))
+    reduce(*_chain(40))
+    assert len(calls) >= len(REWRITE_WALKS) + 6

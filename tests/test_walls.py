@@ -17,6 +17,7 @@ from mmp_elliptic.walls import (
     Wall,
     WallKind,
     enumerate_walls,
+    felt_rows,
     felt_walls,
     locate,
     segment_walls,
@@ -295,6 +296,17 @@ def test_felt_walls_skip_boundary_wall_of_a_nodal_fiber():
     assert [fw.wall for fw in felt_walls(cusp) if fw.wall.kind == WallKind.WI] == [threshold, boundary]
     assert [fw.fid for fw in felt_walls(cusp)] == ["f1", "f1", ""]
     assert (mmp_elliptic.felt_walls, mmp_elliptic.FeltWall) == (felt_walls, FeltWall)
+
+
+def test_felt_walls_keep_both_components_of_a_repeated_id():
+    # `validate` refuses a repeated component id, but `cross_wall` reads the
+    # felt walls of an unchecked model: both components' walls stay, in the
+    # one row of the shared id
+    w = WeightVector((F(1, 2), F(1, 2)))
+    comps = tuple(Component("c1", v, 0, F(1), (mk_fiber(f"f{v}", "II", v, w),)) for v in (1, 2))
+    X = BrokenEllipticSurface(w, comps)
+    assert list(felt_rows(X)) == ["c1"]
+    assert [fw.fid for fw in felt_walls(X)] == ["f1", "f1", "", "f2", "f2", ""]
 
 
 def test_wall_obj_round_trip():
