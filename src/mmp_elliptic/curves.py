@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import attrgetter
 from typing import Iterable
 
 from .rationals import json_int, rat, rat_to_str
@@ -40,6 +41,10 @@ class Marker:
     vertex: int
 
 
+_VID = attrgetter("vid")
+_INDEX = attrgetter("index")
+
+
 @dataclass(frozen=True)
 class MarkedNodalCurve:
     """Dual graph of a pointed nodal curve. Canonicalized on construction."""
@@ -49,25 +54,25 @@ class MarkedNodalCurve:
     markers: tuple[Marker, ...]
 
     def __post_init__(self) -> None:
-        verts = tuple(sorted(self.vertices, key=lambda v: v.vid))
-        ids = [v.vid for v in verts]
-        if len(set(ids)) != len(ids):
+        verts = tuple(sorted(self.vertices, key=_VID))
+        known = {v.vid for v in verts}
+        if len(known) != len(verts):
             raise CurveError("duplicate vertex ids")
-        known = set(ids)
         edges = []
         for a, b in self.edges:
             if a not in known or b not in known:
                 raise CurveError(f"edge ({a},{b}) references unknown vertex")
-            edges.append((min(a, b), max(a, b)))
+            edges.append((a, b) if a <= b else (b, a))
         for m in self.markers:
             if m.vertex not in known:
                 raise CurveError(f"marker {m.index} sits on unknown vertex {m.vertex}")
-        idx = [m.index for m in self.markers]
-        if len(set(idx)) != len(idx):
+        markers = tuple(sorted(self.markers, key=_INDEX))
+        if len({m.index for m in markers}) != len(markers):
             raise CurveError("marker indices must be distinct")
+        edges.sort()
         object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "edges", tuple(sorted(edges)))
-        object.__setattr__(self, "markers", tuple(sorted(self.markers, key=lambda m: m.index)))
+        object.__setattr__(self, "edges", tuple(edges))
+        object.__setattr__(self, "markers", markers)
 
     def vertex(self, vid: int) -> Vertex:
         for v in self.vertices:
@@ -188,8 +193,9 @@ def contract_into_neighbor(curve: MarkedNodalCurve, vid: int) -> MarkedNodalCurv
 
     One connecting edge disappears; further edges at `vid` are rerouted to the
     absorber (an edge back to the absorber becomes a self-loop), genera add,
-    and markers are transported.  This is the single primitive used both by
-    the reduction loop and by the surface engine's base-curve projection.
+    and markers are transported.  This is the one-step rule by which
+    `surfaces.base_curve` contracts type II pseudoelliptic vertices;
+    `hassett_reduce` makes the same contractions in one pass.
     """
     nbrs = curve.neighbors(vid)
     if not nbrs:
@@ -219,20 +225,79 @@ def contract_into_neighbor(curve: MarkedNodalCurve, vid: int) -> MarkedNodalCurv
 def hassett_reduce(curve: MarkedNodalCurve, weights: WeightVector) -> MarkedNodalCurve:
     """Repeatedly collapse components of non-positive weighted degree.
 
-    Scans vertices in ascending id and contracts the first offender into its
-    lowest-id neighbor; the result is independent of this convention, which
-    exists only for determinism.  Stops at a stable curve or a single vertex.
+    Contracts the lowest-id vertex of non-positive degree into its lowest-id
+    neighbor, as `contract_into_neighbor` does, until the curve is stable or
+    one vertex is left; the result is independent of this convention, which
+    exists only for determinism.
+
+    Degrees add under a contraction: deg(t ∪ v) = deg(t) + deg(v).  Genera,
+    marker weights and valences add, except that the edge that closes up
+    takes 2 off the valence, and the merged vertex counts the -2 of 2g - 2
+    once instead of twice, which puts the 2 back.  So one degree table
+    serves the whole reduction: only the absorber's degree changes, it only
+    falls (deg(v) <= 0), and an unstable vertex stays unstable until it is
+    contracted.  A contracted vertex has a neighbor, so its degree is at
+    least 2g - 1: it has genus 0, and no genus changes.  Vertices merge into
+    classes named by their absorbing vertex, and one curve is built at the
+    end.  The cost is one degree table and one curve, plus, per contraction,
+    a minimum over the unstable ids and one update per neighbor class of the
+    contracted vertex; a new table and curve per contraction would be
+    quadratic on a long chain.
     """
     if not curve.is_connected():
         raise CurveError("cannot reduce a disconnected curve")
-    current = curve
-    while len(current.vertices) > 1:
-        degrees, _ = _degree_table(current, weights)
-        unstable = next((vid for vid, d in degrees.items() if d <= 0), None)
-        if unstable is None:
-            break
-        current = contract_into_neighbor(current, unstable)
-    return current
+    if len(curve.vertices) == 1:
+        return curve
+    degree, _ = _degree_table(curve, weights)
+    unstable = {vid for vid, d in degree.items() if d <= 0}
+    if not unstable:
+        return curve
+    # class id -> ids of the classes it shares an edge with
+    adjacency = {vid: set(nbrs) for vid, nbrs in curve._adjacency.items()}
+    parent: dict[int, int] = {}  # contracted vertex -> the class that absorbed it
+    while unstable and len(adjacency) > 1:
+        vid = min(unstable)
+        unstable.remove(vid)
+        nbrs = adjacency.pop(vid)
+        target = min(nbrs)
+        nbrs.discard(target)
+        into = adjacency[target]
+        into.discard(vid)
+        into |= nbrs
+        for w in nbrs:
+            around = adjacency[w]
+            around.discard(vid)
+            around.add(target)
+        degree[target] += degree.pop(vid)
+        parent[vid] = target
+        if degree[target] <= 0:
+            unstable.add(target)
+
+    def find(vid: int) -> int:
+        root = vid
+        while root in parent:
+            root = parent[root]
+        while vid != root:
+            parent[vid], vid = root, parent[vid]
+        return root
+
+    # each contraction closes one edge of its class up into nothing; the
+    # other edges between the two classes become self-loops of the absorber
+    closed = dict.fromkeys(adjacency, 0)
+    for vid in parent:
+        closed[find(vid)] += 1
+    edges = []
+    for a, b in curve.edges:
+        a, b = find(a), find(b)
+        if a == b and closed[a]:
+            closed[a] -= 1
+        else:
+            edges.append((a, b))
+    markers = tuple(
+        Marker(m.index, find(m.vertex)) if m.vertex in parent else m for m in curve.markers
+    )
+    vertices = tuple(v for v in curve.vertices if v.vid in adjacency)
+    return MarkedNodalCurve(vertices, tuple(edges), markers)
 
 
 # -- serialization ----------------------------------------------------------

@@ -27,7 +27,7 @@ from json.encoder import encode_basestring_ascii as quote
 
 from .curves import WeightVector
 from .kodaira import FiberState, KodairaType, UnsupportedFiberType, fiber_model_at, parse_fiber_type
-from .rationals import json_int, rat_from_str, rat_to_str
+from .rationals import json_bool, json_int, rat_from_str, rat_to_str
 from .surfaces import (
     AttachEnd,
     BrokenEllipticSurface,
@@ -84,6 +84,13 @@ def _int(value, where: str) -> int:
         raise ModelJSONError("schema-violation", f"{where}: {exc}")
 
 
+def _bool(value, where: str) -> bool:
+    try:
+        return json_bool(value)
+    except ValueError as exc:
+        raise ModelJSONError("schema-violation", f"{where}: {exc}")
+
+
 def _rational(value, where: str) -> Fraction:
     try:
         return rat_from_str(str(value))
@@ -119,7 +126,8 @@ def _fiber(obj: dict, where: str) -> MarkedFiber:
     markers = frozenset(
         _int(i, f"{where}/{fid}/markers") for i in _list(obj, "markers", f"{where}/{fid}")
     )
-    return MarkedFiber(fid, ftype, coeff, state, markers, bool(obj.get("nonminimal_cusp", False)))
+    cusp = _bool(obj.get("nonminimal_cusp", False), f"{where}/{fid}/nonminimal_cusp")
+    return MarkedFiber(fid, ftype, coeff, state, markers, cusp)
 
 
 def _node(obj: dict, where: str) -> PseudoComponent:
@@ -135,7 +143,7 @@ def _node(obj: dict, where: str) -> PseudoComponent:
         attach_ftype=_ftype(_need(obj, "attach_type", f"{where}/{pid}"), f"{where}/{pid}"),
         fibers=fibers,
         children=tuple(children),
-        isotrivial_jinf=bool(obj.get("isotrivial_jinf", False)),
+        isotrivial_jinf=_bool(obj.get("isotrivial_jinf", False), f"{where}/{pid}/isotrivial_jinf"),
     )
 
 
@@ -172,7 +180,7 @@ def model_from_obj(obj: dict, check: bool = True) -> BrokenEllipticSurface:
             genus=_int(_need(cobj, "genus", cid), f"{cid}/genus"),
             degL=_rational(_need(cobj, "degL", cid), cid),
             fibers=fibers,
-            isotrivial_jinf=bool(cobj.get("isotrivial_jinf", False)),
+            isotrivial_jinf=_bool(cobj.get("isotrivial_jinf", False), f"{cid}/isotrivial_jinf"),
         )
         if kind not in _KINDS:
             raise ModelJSONError("schema-violation", f"{cid}: unknown component kind {kind!r}")

@@ -3,7 +3,9 @@
 Every quantity in this package is a `fractions.Fraction`; floats are never
 introduced anywhere.  The wire format is "p/q" in lowest terms with q > 0,
 and plain "n" for integers.  A count or an id read from JSON must be a JSON
-integer (`json_int`): a float or a boolean is refused, never truncated.
+integer (`json_int`): a float or a boolean is refused, never truncated.  A
+flag read from JSON must be a JSON boolean (`json_bool`): a string such as
+"false" is refused, never read by its truthiness.
 """
 
 from __future__ import annotations
@@ -46,3 +48,10 @@ def json_int(value) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise ValueError(f"bad integer {value!r}")
+
+
+def json_bool(value) -> bool:
+    """A JSON boolean, `True` or `False`; anything else raises `ValueError`."""
+    if isinstance(value, bool):
+        return value
+    raise ValueError(f"bad boolean {value!r}")

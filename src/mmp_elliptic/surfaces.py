@@ -25,6 +25,11 @@ per build on the snapshots of a walk: components by id 4 (random models) to
 `fiber_owners` instead of keeping a lookup of their own.  A lookup holds the
 surface's parts, never the surface, and a rewrite that returns a new surface
 starts afresh, so no lookup can go stale.
+
+The verdict of `validate` is cached beside them, as a tuple of violations
+(empty for a valid model), because it is read twice per model: once by the
+caller (`parse_model`, the CLI's `validate`) and once by `reduce` on its
+input.  Each call of `validate` returns a new list.
 """
 
 from __future__ import annotations
@@ -289,6 +294,11 @@ class BrokenEllipticSurface:
             stack += [(node.pid, link.via_fiber, link.node) for link in reversed(node.children)]
         return out
 
+    @cached_property
+    def _verdict(self) -> tuple[Violation, ...]:
+        """What `validate` finds, found once per surface."""
+        return tuple(_violations(self))
+
     @property
     def elliptic(self) -> tuple[Component, ...]:
         """The components that keep their section."""
@@ -382,11 +392,8 @@ def pre_base_curve(X: BrokenEllipticSurface) -> MarkedNodalCurve:
     edges = tuple(
         (vmap[g.a.component], vmap[g.b.component]) for g in X.glues
     )
-    markers = []
-    for c in X.components:
-        for f in c.fibers:
-            for i in sorted(f.markers):
-                markers.append(Marker(i, c.vertex))
+    # the constructor orders the markers by index
+    markers = [Marker(i, c.vertex) for c in X.components for f in c.fibers for i in f.markers]
     r = X.weights.r
     markers += [Marker(r + k, v) for k, (v, _) in enumerate(_fixed_points(X), start=1)]
     return MarkedNodalCurve(vertices, edges, tuple(markers))
@@ -613,7 +620,13 @@ def _check_fiber_state(
 
 
 def validate(X: BrokenEllipticSurface) -> list[Violation]:
-    """Every invariant violation in the model, as data; empty means valid."""
+    """Every invariant violation in the model, as data; empty means valid.
+    The verdict is found once per surface; each call returns a new list."""
+    return list(X._verdict)
+
+
+def _violations(X: BrokenEllipticSurface) -> list[Violation]:
+    """The checks behind `validate`, uncached: `_verdict` keeps their result."""
     out: list[Violation] = []
 
     owners = X.fiber_owners()

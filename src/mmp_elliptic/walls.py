@@ -39,7 +39,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .curves import WeightVector
 from .kodaira import THRESHOLD_CONSTANTS, KodairaType, lct_threshold
-from .rationals import rat_from_str
+from .rationals import json_bool, json_int, rat_from_str
 from .surfaces import (
     BrokenEllipticSurface,
     Component,
@@ -389,7 +389,7 @@ def felt_walls(X: BrokenEllipticSurface) -> list[FeltWall]:
 def wall_from_obj(obj: dict) -> Wall:
     return Wall(
         WallKind(obj["kind"]),
-        frozenset(int(i) for i in obj["subset"]),
+        frozenset(json_int(i) for i in obj["subset"]),
         rat_from_str(obj["constant"]),
-        bool(obj.get("boundary", False)),
+        json_bool(obj.get("boundary", False)),
     )

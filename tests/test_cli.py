@@ -425,6 +425,8 @@ MALFORMED = {
     "markers-1.7": _edited_example(("components", 0, "fibers", 0, "markers"), [1.7]),
     "genus-0.9": _edited_example(("components", 0, "genus"), 0.9),
     "vertex-true": _edited_example(("components", 0, "vertex"), True),
+    # a flag given as a string is refused, not read by its truthiness
+    "cusp-false": _edited_example(("components", 0, "fibers", 0, "nonminimal_cusp"), "false"),
 }
 
 
@@ -445,6 +447,14 @@ def test_malformed_model_exits_one_without_traceback(capsys, tmp_path, name):
     )
     assert proc.returncode == 1 and "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"error: {kind}: ")
+
+
+def test_string_flag_gives_one_error_line(capsys, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_bytes(MALFORMED["cusp-false"])
+    status, out, err = run(capsys, "validate", str(path))
+    assert (status, out) == (1, "")
+    assert err == "error: schema-violation: c1/f1/nonminimal_cusp: bad boolean 'false'\n"
 
 
 @pytest.mark.parametrize(

@@ -222,6 +222,72 @@ def test_degrees_match_the_per_vertex_oracle():
     assert loops >= 30 and parallels >= 30
 
 
+def cascading_curve(rng, n):
+    """A connected multigraph on n shuffled vertex ids, mostly of genus 0, with
+    self-loops, parallel edges and light markers (zero weights included), so
+    that its Hassett reduction contracts long runs of vertices."""
+    ids = rng.sample(range(1, 3 * n), n)
+    vertices = tuple(Vertex(v, rng.choice([0] * 8 + [1, 2])) for v in ids)
+    edges = [(ids[k], ids[rng.randrange(k)]) for k in range(1, n)]
+    for _ in range(rng.randint(0, n // 3)):
+        a = rng.choice(ids)
+        edges.append((a, a) if rng.random() < 0.3 else (a, rng.choice(ids)))
+    edges += rng.sample(edges, rng.randint(1, 3))  # parallel copies
+    r = rng.randint(0, n)
+    markers = tuple(Marker(i, rng.choice(ids)) for i in range(1, r + 1))
+    if rng.random() < 0.3:
+        w = WeightVector((F(0),) * r)
+    else:
+        w = WeightVector(tuple(F(rng.choice([0, 0, 1, 1, 2, 5, 12]), 12) for _ in range(r)))
+    return MarkedNodalCurve(vertices, tuple(edges), markers), w
+
+
+def test_reduction_matches_the_per_vertex_oracle_on_long_cascades():
+    # curves of 10-60 vertices whose reductions contract up to nearly every
+    # vertex, one contraction at a time in the oracle, in one pass here
+    rng = random.Random(31)
+    cascades = zero = 0
+    for _ in range(60):
+        curve, w = cascading_curve(rng, rng.randint(10, 60))
+        reduced = hassett_reduce(curve, w)
+        assert reduced == hassett_by_vertex(curve, w)
+        cascades += len(curve.vertices) - len(reduced.vertices) >= 10
+        zero += not any(w.entries)
+    assert cascades >= 30 and zero >= 10
+
+
+def test_zero_weight_chain_reduces_to_one_vertex():
+    # the stepwise loop took a new degree table and curve per contraction,
+    # quadratic in the length of the chain
+    n = 800
+    curve = MarkedNodalCurve(
+        tuple(Vertex(v, 0) for v in range(1, n + 1)),
+        tuple((v, v + 1) for v in range(1, n)),
+        tuple(Marker(v, v) for v in range(1, n + 1)),
+    )
+    # vertex 1 falls into 2, that class into 3, and so on up the chain
+    reduced = hassett_reduce(curve, WeightVector((F(0),) * n))
+    assert reduced.vertices == (Vertex(n, 0),)
+    assert reduced.edges == ()
+    assert {m.vertex for m in reduced.markers} == {n}
+
+
+def test_one_reduction_builds_one_curve(monkeypatch):
+    curve, w = cascading_curve(random.Random(5), 40)
+    steps = len(curve.vertices) - len(hassett_by_vertex(curve, w).vertices)
+    assert steps >= 10
+    built = []
+    post_init = MarkedNodalCurve.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(MarkedNodalCurve, "__post_init__", counted)
+    hassett_reduce(curve, w)
+    assert len(built) == 1
+
+
 def test_interpolate_endpoints_and_midpoint():
     A = WeightVector((F(0), F(1, 3)))
     B = WeightVector((F(1), F(1)))

@@ -73,8 +73,23 @@ def test_malformed_json():
         (("components", 0, "genus"), None, "c1/genus"),
         (("components", 0), 5, "components"),
         (("weights",), 5, "'weights'"),
+        # a flag is a JSON boolean, never read by its truthiness
+        (("components", 0, "fibers", 0, "nonminimal_cusp"), "false", "c1/f1/nonminimal_cusp"),
+        (("components", 0, "fibers", 0, "nonminimal_cusp"), 0, "c1/f1/nonminimal_cusp"),
+        (("components", 0, "isotrivial_jinf"), "false", "c1/isotrivial_jinf"),
+        (("components", 0, "isotrivial_jinf"), None, "c1/isotrivial_jinf"),
     ],
-    ids=["vertex-x", "markers-a", "genus-null", "component-5", "weights-5"],
+    ids=[
+        "vertex-x",
+        "markers-a",
+        "genus-null",
+        "component-5",
+        "weights-5",
+        "cusp-string",
+        "cusp-0",
+        "jinf-string",
+        "jinf-null",
+    ],
 )
 def test_ill_typed_field_is_schema_violation(path, value, field):
     obj = model_to_obj(rational_degeneration(F(1)))
@@ -87,6 +102,19 @@ def test_ill_typed_field_is_schema_violation(path, value, field):
             parse_model(json.dumps(obj), check=check)
         assert err.value.kind == "schema-violation"
         assert field in str(err.value)
+
+
+def test_pseudo_node_flag_must_be_a_boolean():
+    obj = model_to_obj(flipped_degeneration(F(9, 20)))
+    for value in ("true", 1, [True]):
+        obj["trees"][0]["root"]["isotrivial_jinf"] = value
+        with pytest.raises(ModelJSONError) as err:
+            parse_model(json.dumps(obj))
+        assert err.value.kind == "schema-violation"
+        assert "trees/c2/isotrivial_jinf: bad boolean" in str(err.value)
+    for value in (True, False):
+        obj["trees"][0]["root"]["isotrivial_jinf"] = value
+        assert parse_model(json.dumps(obj)).trees[0].root.isotrivial_jinf is value
 
 
 def test_undecodable_bytes_are_malformed_json():

@@ -32,9 +32,10 @@ from mmp_elliptic.surfaces import (
     volume,
 )
 
+from mmp_elliptic import surfaces
 from mmp_elliptic.dot import emit_dot
 from mmp_elliptic.modeljson import model_from_obj, parse_model, serialize_model
-from mmp_elliptic.reduction import reduce
+from mmp_elliptic.reduction import InvalidModel, at_weights, reduce
 
 from modelkit import (
     admissible_target,
@@ -110,6 +111,79 @@ def test_marker_reuse_is_flagged():
     comp = Component("c1", 1, 1, F(1), (f1, f2))
     problems = validate(BrokenEllipticSurface(w, (comp,)))
     assert any(p.code == "marker" for p in problems)
+
+
+def counted_checks(monkeypatch):
+    """The surfaces whose validity is worked out, one entry per run of the
+    uncached checks behind `validate`."""
+    seen = []
+    checks = surfaces._violations
+
+    def counted(X):
+        seen.append(X)
+        return checks(X)
+
+    monkeypatch.setattr(surfaces, "_violations", counted)
+    return seen
+
+
+def test_validity_is_worked_out_once_per_surface(monkeypatch):
+    seen = counted_checks(monkeypatch)
+    X = parse_model(serialize_model(rational_degeneration(F(1))))
+    assert validate(X) == []
+    trace = reduce(X, WeightVector(tuple([F(1)] * 10 + [F(1, 3), F(1, 3)])))
+    assert trace.records
+    assert seen == [X]
+
+
+def test_validate_returns_a_new_list_each_call():
+    X = rational_degeneration(F(1))
+    problems = validate(X)
+    problems.append("junk")
+    assert validate(X) == []
+    bad = replace(X, glues=())
+    problems = validate(bad)
+    assert [p.code for p in problems] == ["connectivity"]
+    problems.clear()
+    assert [p.code for p in validate(bad)] == ["connectivity"]
+
+
+def test_new_surfaces_get_a_new_verdict(monkeypatch):
+    seen = counted_checks(monkeypatch)
+    X = rational_degeneration(F(1))
+    assert validate(X) == []
+    # a rewrite makes a new surface, whose verdict is its own
+    bad = replace(X, glues=())
+    assert [p.code for p in validate(bad)] == ["connectivity"]
+    assert validate(X) == []
+    moved = at_weights(X, WeightVector(tuple([F(1)] * 10 + [F(1, 2), F(1, 2)])))
+    assert validate(moved) == []
+    assert seen == [X, bad, moved]
+
+
+def test_an_invalid_model_is_refused_with_every_violation():
+    X = flipped_degeneration(F(9, 20))
+    c1 = X.elliptic[0]
+    bad_host = replace(c1.fiber("a1"), coeff=F(9, 20))
+    bad = replace(
+        X,
+        components=(
+            replace(c1, fibers=tuple(bad_host if f.fid == "a1" else f for f in c1.fibers)),
+        ),
+        glues=(
+            Glue(
+                "g1",
+                AttachEnd("c9", "a9", parse_fiber_type("II")),
+                AttachEnd("c1", "a2", parse_fiber_type("II*")),
+            ),
+        ),
+    )
+    want = "; ".join(str(p) for p in surfaces._violations(bad))
+    assert "eq-4.1" in want and "unknown component c9" in want
+    for _ in range(2):  # the second walk reads the cached verdict
+        with pytest.raises(InvalidModel) as err:
+            reduce(bad, WeightVector(tuple([F(1)] * 10 + [F(5, 12), F(5, 12)])))
+        assert str(err.value) == want
 
 
 def test_section_degree_examples():

@@ -314,6 +314,23 @@ def test_wall_obj_round_trip():
     assert wall_from_obj(wall_to_obj(w)) == w
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("boundary", "false"),
+        ("boundary", 0),
+        ("subset", [2, 5.0]),
+        ("subset", [True]),
+        ("subset", ["2"]),
+    ],
+)
+def test_wall_obj_takes_json_booleans_and_integers(field, value):
+    obj = wall_to_obj(Wall(WallKind.WI, frozenset({2, 5}), F(5, 6), True))
+    obj[field] = value
+    with pytest.raises(ValueError, match="bad (boolean|integer)"):
+        wall_from_obj(obj)
+
+
 def assert_columns_match(walls):
     assert len(walls.masks) == len(walls.scaled) == len(walls)
     for w, mask, scaled in zip(walls, walls.masks, walls.scaled):
