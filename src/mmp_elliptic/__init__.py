@@ -62,7 +62,6 @@ from .surfaces import (
     model_shape,
     pseudo_fate,
     section_degree,
-    should_contract_section,
     subtree_markers,
     validate,
     volume,

@@ -3,9 +3,11 @@
 A curve is a connected dual graph: vertices carry a geometric genus, edges are
 nodes (self-loops allowed, parallel edges allowed), and markers are weighted
 smooth points assigned to vertices.  The module provides the weighted
-stability test and the reduction that collapses components of non-positive
-weighted degree.  The surface engine projects onto this module, which makes it
-the independent cross-check for every base-curve assertion.
+stability test and one contraction routine, `_contract`: the reduction that
+collapses components of non-positive weighted degree runs it, and so does the
+surface engine's base curve, which contracts its type II vertices.  The
+surface engine projects onto this module, which makes it the independent
+cross-check for every base-curve assertion.
 """
 
 from __future__ import annotations
@@ -96,9 +98,6 @@ class MarkedNodalCurve:
                 adjacency[b].add(a)
         return adjacency
 
-    def neighbors(self, vid: int) -> list[int]:
-        return sorted(self._adjacency.get(vid, ()))
-
     def markers_on(self, vid: int) -> tuple[Marker, ...]:
         return tuple(m for m in self.markers if m.vertex == vid)
 
@@ -188,77 +187,33 @@ def is_hassett_stable(curve: MarkedNodalCurve, weights: WeightVector) -> bool:
     return all(d > 0 for d in _degree_table(curve, weights)[0].values())
 
 
-def contract_into_neighbor(curve: MarkedNodalCurve, vid: int) -> MarkedNodalCurve:
-    """Collapse the component at `vid` onto its lowest-id neighbor.
+def _contract(
+    curve: MarkedNodalCurve, pending: set[int], degree: dict[int, int] | None = None
+) -> MarkedNodalCurve:
+    """Collapse the pending vertices, each onto a neighbor, in one pass.
 
-    One connecting edge disappears; further edges at `vid` are rerouted to the
-    absorber (an edge back to the absorber becomes a self-loop), genera add,
-    and markers are transported.  This is the one-step rule by which
-    `surfaces.base_curve` contracts type II pseudoelliptic vertices;
-    `hassett_reduce` makes the same contractions in one pass.
+    The lowest pending id merges into its lowest-id neighbor class, and a
+    pending vertex with no neighbor (the last one left, or an isolated one)
+    is skipped.  Genera add and markers move along.  With a `degree` table,
+    the absorber takes the contracted vertex's degree and joins the pending
+    set once that degree is non-positive.  Classes are named by their
+    absorbing vertex, a union-find resolves them at the end, and one curve is
+    built; with nothing contracted the input curve comes back.  A new curve
+    per contraction would be quadratic on a long chain.  `pending` and
+    `degree` are consumed.
     """
-    nbrs = curve.neighbors(vid)
-    if not nbrs:
-        raise CurveError(f"vertex {vid} has no neighbor to absorb it")
-    target = nbrs[0]
-    removed_one = False
-    new_edges = []
-    for a, b in curve.edges:
-        if not removed_one and {a, b} == {vid, target}:
-            removed_one = True
-            continue
-        na = target if a == vid else a
-        nb = target if b == vid else b
-        new_edges.append((na, nb))
-    old = curve.vertex(vid)
-    new_vertices = tuple(
-        Vertex(v.vid, v.genus + old.genus) if v.vid == target else v
-        for v in curve.vertices
-        if v.vid != vid
-    )
-    new_markers = tuple(
-        Marker(m.index, target) if m.vertex == vid else m for m in curve.markers
-    )
-    return MarkedNodalCurve(new_vertices, tuple(new_edges), new_markers)
-
-
-def hassett_reduce(curve: MarkedNodalCurve, weights: WeightVector) -> MarkedNodalCurve:
-    """Repeatedly collapse components of non-positive weighted degree.
-
-    Contracts the lowest-id vertex of non-positive degree into its lowest-id
-    neighbor, as `contract_into_neighbor` does, until the curve is stable or
-    one vertex is left; the result is independent of this convention, which
-    exists only for determinism.
-
-    Degrees add under a contraction: deg(t ∪ v) = deg(t) + deg(v).  Genera,
-    marker weights and valences add, except that the edge that closes up
-    takes 2 off the valence, and the merged vertex counts the -2 of 2g - 2
-    once instead of twice, which puts the 2 back.  So one degree table
-    serves the whole reduction: only the absorber's degree changes, it only
-    falls (deg(v) <= 0), and an unstable vertex stays unstable until it is
-    contracted.  A contracted vertex has a neighbor, so its degree is at
-    least 2g - 1: it has genus 0, and no genus changes.  Vertices merge into
-    classes named by their absorbing vertex, and one curve is built at the
-    end.  The cost is one degree table and one curve, plus, per contraction,
-    a minimum over the unstable ids and one update per neighbor class of the
-    contracted vertex; a new table and curve per contraction would be
-    quadratic on a long chain.
-    """
-    if not curve.is_connected():
-        raise CurveError("cannot reduce a disconnected curve")
-    if len(curve.vertices) == 1:
-        return curve
-    degree, _ = _degree_table(curve, weights)
-    unstable = {vid for vid, d in degree.items() if d <= 0}
-    if not unstable:
+    if not pending:
         return curve
     # class id -> ids of the classes it shares an edge with
     adjacency = {vid: set(nbrs) for vid, nbrs in curve._adjacency.items()}
     parent: dict[int, int] = {}  # contracted vertex -> the class that absorbed it
-    while unstable and len(adjacency) > 1:
-        vid = min(unstable)
-        unstable.remove(vid)
-        nbrs = adjacency.pop(vid)
+    while pending:
+        vid = min(pending)
+        pending.remove(vid)
+        nbrs = adjacency[vid]
+        if not nbrs:
+            continue
+        del adjacency[vid]
         target = min(nbrs)
         nbrs.discard(target)
         into = adjacency[target]
@@ -268,10 +223,13 @@ def hassett_reduce(curve: MarkedNodalCurve, weights: WeightVector) -> MarkedNoda
             around = adjacency[w]
             around.discard(vid)
             around.add(target)
-        degree[target] += degree.pop(vid)
         parent[vid] = target
-        if degree[target] <= 0:
-            unstable.add(target)
+        if degree is not None:
+            degree[target] += degree.pop(vid)
+            if degree[target] <= 0:
+                pending.add(target)
+    if not parent:
+        return curve
 
     def find(vid: int) -> int:
         root = vid
@@ -296,8 +254,44 @@ def hassett_reduce(curve: MarkedNodalCurve, weights: WeightVector) -> MarkedNoda
     markers = tuple(
         Marker(m.index, find(m.vertex)) if m.vertex in parent else m for m in curve.markers
     )
-    vertices = tuple(v for v in curve.vertices if v.vid in adjacency)
-    return MarkedNodalCurve(vertices, tuple(edges), markers)
+    vertices = []
+    gained: dict[int, int] = {}  # class id -> genus of the vertices it absorbed
+    for v in curve.vertices:
+        if v.vid not in parent:
+            vertices.append(v)
+        elif v.genus:
+            root = find(v.vid)
+            gained[root] = gained.get(root, 0) + v.genus
+    if gained:
+        vertices = [
+            Vertex(v.vid, v.genus + gained[v.vid]) if v.vid in gained else v for v in vertices
+        ]
+    return MarkedNodalCurve(tuple(vertices), tuple(edges), markers)
+
+
+def hassett_reduce(curve: MarkedNodalCurve, weights: WeightVector) -> MarkedNodalCurve:
+    """Repeatedly collapse components of non-positive weighted degree.
+
+    Contracts the lowest-id vertex of non-positive degree into its lowest-id
+    neighbor until the curve is stable or one vertex is left; the result is
+    independent of this convention, which exists only for determinism.  The
+    contractions are `_contract`'s, the routine `surfaces.base_curve` uses
+    for type II vertices.
+
+    Degrees add under a contraction: deg(t ∪ v) = deg(t) + deg(v).  Genera,
+    marker weights and valences add, except that the edge that closes up
+    takes 2 off the valence, and the merged vertex counts the -2 of 2g - 2
+    once instead of twice, which puts the 2 back.  So one degree table
+    serves the whole reduction: only the absorber's degree changes, it only
+    falls (deg(v) <= 0), and an unstable vertex stays unstable until it is
+    contracted.
+    """
+    if not curve.is_connected():
+        raise CurveError("cannot reduce a disconnected curve")
+    if len(curve.vertices) == 1:
+        return curve
+    degree, _ = _degree_table(curve, weights)
+    return _contract(curve, {vid for vid, d in degree.items() if d <= 0}, degree)
 
 
 # -- serialization ----------------------------------------------------------

@@ -39,13 +39,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
-from .curves import (
-    MarkedNodalCurve,
-    Marker,
-    Vertex,
-    WeightVector,
-    contract_into_neighbor,
-)
+from .curves import MarkedNodalCurve, Marker, Vertex, WeightVector, _contract
 from .kodaira import (
     FiberState,
     KodairaType,
@@ -410,17 +404,14 @@ def base_curve(X: BrokenEllipticSurface) -> MarkedNodalCurve:
     """The dual graph of the image curve, marked as `pre_base_curve` marks it.
 
     Type II pseudoelliptic components are contracted by the fibration, so
-    their vertices collapse onto a neighbor with the same deterministic rule
-    the weighted-curve reducer uses; pseudoelliptic trees contribute nothing.
-    A component with no neighbor (a whole-surface pseudoelliptic) keeps its
-    vertex so the projection stays a curve.  Its markers carry the weights
-    `base_weights` gives.
+    their vertices collapse onto a neighbor, lowest id first, through
+    `curves._contract`, the code the weighted-curve reducer runs; genera add,
+    and pseudoelliptic trees contribute nothing.  A component with no
+    neighbor (a whole-surface pseudoelliptic) keeps its vertex so the
+    projection stays a curve.  Its markers carry the weights `base_weights`
+    gives.
     """
-    curve = pre_base_curve(X)
-    for c in sorted(X.pseudo2, key=lambda c: c.vertex):
-        if len(curve.vertices) > 1 and curve.neighbors(c.vertex):
-            curve = contract_into_neighbor(curve, c.vertex)
-    return curve
+    return _contract(pre_base_curve(X), {c.vertex for c in X.pseudo2})
 
 
 # -- section adjunction -------------------------------------------------------
@@ -439,11 +430,6 @@ def section_degree(X: BrokenEllipticSurface, cid: str) -> Fraction:
         raise NoSectionError(f"component {cid} is pseudoelliptic; its section is contracted")
     base = comp.section_constant(len(X.glue_ends(cid)))
     return sum((X.fiber_coeff(f) for f in comp.fibers if f.markers), base)
-
-
-def should_contract_section(X: BrokenEllipticSurface, cid: str) -> bool:
-    """True exactly when the weighted degree on the section is non-positive."""
-    return section_degree(X, cid) <= 0
 
 
 # -- pseudoelliptic fate ------------------------------------------------------

@@ -257,15 +257,20 @@ def admissible_target(
     Outside the admissible weight domain every component collapses and only
     an arbitrary label survives, so reduction targets are screened through
     the weighted-curve side: the reduced base curve must keep a component of
-    positive degree.
+    positive degree.  The base curve marks each marker-less fiber after the
+    model's markers, so the target is extended by their fixed coefficients,
+    as `base_weights` extends the model's weights; the bare target is
+    returned.
     """
     from mmp_elliptic.curves import component_degree, hassett_reduce
-    from mmp_elliptic.surfaces import base_curve
+    from mmp_elliptic.surfaces import base_curve, base_weights
 
     base = base_curve(X)
+    fixed = base_weights(X).entries[X.weights.r :]
     for _ in range(tries):
         A = random_target(rng, X.weights)
-        red = hassett_reduce(base, A)
-        if len(red.vertices) > 1 or component_degree(red, red.vertices[0].vid, A) > 0:
+        at = WeightVector(A.entries + fixed)
+        red = hassett_reduce(base, at)
+        if len(red.vertices) > 1 or component_degree(red, red.vertices[0].vid, at) > 0:
             return A
     return None

@@ -5,11 +5,12 @@ than the library: the volume oracle expands the self-intersection against a
 full pairing matrix instead of the closed form, the wall oracle
 re-enumerates the arrangement over raw bitmask subsets, the surface lookups
 scan the model where the library reads its cached lookups, the curve degree is
-counted edge by edge for one vertex where the library sweeps all of them, and
-and the model JSON, the `reduce` trace and the `walls --segment` listing are
-built as plain objects and laid out whole by `json.dumps(indent=2)`, where the
-library writes each text directly and joins the texts it stores on components
-and glues.
+counted edge by edge for one vertex where the library sweeps all of them,
+curves are contracted one vertex at a time where the library contracts in one
+union-find pass, and the model JSON, the `reduce` trace and the
+`walls --segment` listing are built as plain objects and laid out whole by
+`json.dumps(indent=2)`, where the library writes each text directly and joins
+the texts it stores on components and glues.
 """
 
 from __future__ import annotations
@@ -170,12 +171,56 @@ def vertex_degree(curve, vid, weights):
     return 2 * genus - 2 + valence + marked
 
 
+def contract_into_neighbor(curve, vid):
+    """Collapse the component at `vid` onto its lowest-id neighbour, one step.
+
+    The neighbours are read off the edges.  One connecting edge disappears;
+    further edges at `vid` are rerouted to the absorber (an edge back to the
+    absorber becomes a self-loop), genera add, and markers are transported.
+    """
+    from mmp_elliptic.curves import MarkedNodalCurve, Marker, Vertex
+
+    nbrs = sorted({b if a == vid else a for a, b in curve.edges if (a == vid) != (b == vid)})
+    if not nbrs:
+        raise ValueError(f"vertex {vid} has no neighbour to absorb it")
+    target = nbrs[0]
+    removed_one = False
+    new_edges = []
+    for a, b in curve.edges:
+        if not removed_one and {a, b} == {vid, target}:
+            removed_one = True
+            continue
+        new_edges.append((target if a == vid else a, target if b == vid else b))
+    old = curve.vertex(vid)
+    new_vertices = tuple(
+        Vertex(v.vid, v.genus + old.genus) if v.vid == target else v
+        for v in curve.vertices
+        if v.vid != vid
+    )
+    new_markers = tuple(Marker(m.index, target) if m.vertex == vid else m for m in curve.markers)
+    return MarkedNodalCurve(new_vertices, tuple(new_edges), new_markers)
+
+
+def contract_by_step(curve, pending):
+    """Contract the pending vertices one step at a time, in increasing id
+    order, skipping each one that has no neighbour left."""
+    for vid in sorted(pending):
+        if any((a == vid) != (b == vid) for a, b in curve.edges):
+            curve = contract_into_neighbor(curve, vid)
+    return curve
+
+
+def base_curve_by_step(X):
+    """The base curve with its type II vertices contracted one step at a time."""
+    from mmp_elliptic.surfaces import pre_base_curve
+
+    return contract_by_step(pre_base_curve(X), {c.vertex for c in X.pseudo2})
+
+
 def hassett_by_vertex(curve, weights):
     """Hassett reduction with every degree taken from `vertex_degree`:
     contract the lowest-id vertex of non-positive degree into its lowest-id
     neighbour until none is left or one vertex remains."""
-    from mmp_elliptic.curves import contract_into_neighbor
-
     while len(curve.vertices) > 1:
         bad = [v.vid for v in curve.vertices if vertex_degree(curve, v.vid, weights) <= 0]
         if not bad:

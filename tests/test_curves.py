@@ -10,6 +10,7 @@ from mmp_elliptic.curves import (
     Marker,
     Vertex,
     WeightVector,
+    _contract,
     component_degree,
     curve_from_json,
     curve_to_dot,
@@ -19,7 +20,11 @@ from mmp_elliptic.curves import (
     is_hassett_stable,
 )
 
-from oracles import hassett_by_vertex, vertex_degree
+from mmp_elliptic.kodaira import parse_fiber_type
+from mmp_elliptic.surfaces import AttachEnd, BrokenEllipticSurface, Component, Glue, base_curve, validate
+
+from modelkit import mk_fiber, rational_degeneration
+from oracles import contract_by_step, hassett_by_vertex, vertex_degree
 
 F = Fraction
 
@@ -286,6 +291,78 @@ def test_one_reduction_builds_one_curve(monkeypatch):
     monkeypatch.setattr(MarkedNodalCurve, "__post_init__", counted)
     hassett_reduce(curve, w)
     assert len(built) == 1
+    # a base curve is the curve before contraction plus at most one more,
+    # however many type II vertices it contracts
+    built.clear()
+    assert len(base_curve(two_type_ii_chain()).vertices) == 2
+    assert len(built) == 2
+    built.clear()
+    base_curve(rational_degeneration(F(3, 5)))
+    assert len(built) == 1
+
+
+def two_type_ii_chain():
+    """left - mid1 - mid2 - right: two type II components between two
+    elliptic ones, each glued along twisted fibers."""
+    w = WeightVector((F(1),) * 4)
+
+    def end(cid, fid, ftype):
+        return AttachEnd(cid, fid, parse_fiber_type(ftype))
+
+    left = Component("left", 1, 0, F(1), (mk_fiber("f1", "I1", 1, w), mk_fiber("f2", "I1", 2, w)))
+    right = Component("right", 4, 0, F(1), (mk_fiber("f3", "I1", 3, w), mk_fiber("f4", "I1", 4, w)))
+    mid1 = Component("mid1", 2, 0, F(1), (), has_section=False)
+    mid2 = Component("mid2", 3, 1, F(1), (), has_section=False)
+    glues = (
+        Glue("g1", end("left", "a1", "II"), end("mid1", "b1", "II*")),
+        Glue("g2", end("mid1", "b2", "IV"), end("mid2", "c1", "IV*")),
+        Glue("g3", end("mid2", "c2", "II"), end("right", "a2", "II*")),
+    )
+    X = BrokenEllipticSurface(w, (left, mid1, mid2, right), glues)
+    assert validate(X) == []
+    return X
+
+
+def random_multigraph(rng):
+    """A curve of 1-30 vertices of genus 0-2 with self-loops and parallel
+    edges; about one in ten is disconnected."""
+    n = rng.randint(1, 30)
+    ids = rng.sample(range(1, 3 * n + 1), n)
+    vertices = tuple(Vertex(v, rng.choice([0, 0, 1, 2])) for v in ids)
+    # ids[:split] and ids[split:] are each spanned by a tree
+    split = rng.randrange(1, n) if n > 1 and rng.random() < 0.1 else n
+    edges = [
+        (ids[k], ids[rng.randrange(0 if k < split else split, k)]) for k in range(1, n) if k != split
+    ]
+    for _ in range(rng.randint(0, n // 2)):
+        a = rng.choice(ids[:split])
+        edges.append((a, a) if rng.random() < 0.3 else (a, rng.choice(ids[:split])))
+    if edges:
+        edges += rng.sample(edges, rng.randint(0, min(3, len(edges))))
+    markers = tuple(Marker(i, rng.choice(ids)) for i in range(1, rng.randint(0, n) + 1))
+    return MarkedNodalCurve(vertices, tuple(edges), markers)
+
+
+def test_contraction_matches_the_stepwise_oracle_on_random_curves():
+    # arbitrary pending sets, as base_curve passes its type II vertices:
+    # one pass here, one `contract_into_neighbor` step at a time in the oracle
+    rng = random.Random(16)
+    genus_moved = loops = parallels = disconnected = skipped = 0
+    for _ in range(400):
+        curve = random_multigraph(rng)
+        pending = {v.vid for v in curve.vertices if rng.random() < rng.random()}
+        expected = contract_by_step(curve, pending)
+        got = _contract(curve, set(pending))
+        assert got == expected
+        if not pending:
+            assert got is curve
+        genus_moved += any(v.genus != curve.vertex(v.vid).genus for v in got.vertices)
+        loops += any(a == b for a, b in curve.edges)
+        parallels += len(set(curve.edges)) < len(curve.edges)
+        disconnected += not curve.is_connected()
+        skipped += any(v.vid in pending for v in got.vertices)
+    assert genus_moved >= 200 and loops >= 150 and parallels >= 200
+    assert disconnected >= 20 and skipped >= 10
 
 
 def test_interpolate_endpoints_and_midpoint():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from mmp_elliptic.curves import Marker, WeightVector, component_degree, is_hassett_stable
+from mmp_elliptic.curves import Marker, Vertex, WeightVector, component_degree, is_hassett_stable
 from mmp_elliptic.kodaira import FiberState, parse_fiber_type
 from mmp_elliptic.surfaces import (
     AttachEnd,
@@ -26,7 +26,6 @@ from mmp_elliptic.surfaces import (
     model_shape,
     pseudo_fate,
     section_degree,
-    should_contract_section,
     subtree_markers,
     validate,
     volume,
@@ -42,9 +41,11 @@ from modelkit import (
     flipped_degeneration,
     mk_fiber,
     random_model,
+    random_target,
     rational_degeneration,
 )
 from oracles import (
+    base_curve_by_step,
     gram_volume,
     scan_component,
     scan_glue_ends,
@@ -209,11 +210,11 @@ def test_section_degree_needs_a_section():
 
 def test_should_contract_examples():
     X = rational_degeneration(F(1, 4))
-    assert should_contract_section(X, "c2")  # 2*(1/4) - 1 < 0
+    assert section_degree(X, "c2") <= 0  # 2*(1/4) - 1 < 0
     Y = irreducible(2, 1, [], [])
-    assert not should_contract_section(Y, "c1")
+    assert section_degree(Y, "c1") > 0
     Z = irreducible(0, 1, [("I1", 1), ("I1", 2)], [F(1), F(1)])
-    assert should_contract_section(Z, "c1")  # sum = 2 exactly, boundary wall
+    assert section_degree(Z, "c1") <= 0  # sum = 2 exactly, boundary wall
 
 
 def test_pseudo_fate_thresholds():
@@ -282,16 +283,19 @@ def test_base_curve_contracts_type_ii_components():
     right = Component(
         "right", 3, 0, F(1), (mk_fiber("f3", "I1", 3, w), mk_fiber("f4", "I1", 4, w))
     )
-    middle = Component("mid", 2, 0, F(1), (), has_section=False)
     glues = (
         Glue("g1", AttachEnd("left", "a1", parse_fiber_type("II")), AttachEnd("mid", "b1", parse_fiber_type("II*"))),
         Glue("g2", AttachEnd("mid", "b2", parse_fiber_type("IV")), AttachEnd("right", "a2", parse_fiber_type("IV*"))),
     )
-    X = BrokenEllipticSurface(w, (left, middle, right), glues)
-    assert validate(X) == []
-    curve = base_curve(X)
-    assert [v.vid for v in curve.vertices] == [1, 3]
-    assert curve.edges == ((1, 3),)
+    for genus in (0, 1):
+        middle = Component("mid", 2, genus, F(1), (), has_section=False)
+        X = BrokenEllipticSurface(w, (left, middle, right), glues)
+        assert validate(X) == []
+        curve = base_curve(X)
+        # the middle vertex falls into its lowest-id neighbor, and genera add
+        assert curve.vertices == (Vertex(1, genus), Vertex(3, 0))
+        assert curve.edges == ((1, 3),)
+        assert curve == base_curve_by_step(X)
 
 
 def test_base_curve_marks_markerless_fibers_at_weight_one():
@@ -309,6 +313,19 @@ def test_base_curve_marks_markerless_fibers_at_weight_one():
         assert section_degree(X, comp.cid) == component_degree(
             curve, comp.vertex, base_weights(X)
         )
+
+
+def test_admissible_target_screens_models_with_markerless_fibers():
+    # the base curve marks the marker-less fiber as marker r + 1, so each draw
+    # is screened at the target extended by its fixed coefficient one; the
+    # bare target comes back, and the walk to it runs
+    path = Path(__file__).parent / "data" / "markerless_twisted_after_curve_collapse.json"
+    X = parse_model(path.read_text())
+    rng = random.Random(16)
+    for _ in range(10):
+        A = admissible_target(rng, X)
+        assert A is not None and A.r == X.weights.r
+        reduce(X, A)
 
 
 def _check_index(X, rng):
@@ -331,6 +348,7 @@ def _check_index(X, rng):
     assert X.fibers_with(picked) == [
         (owner, f) for owner, fibers in owners for f in fibers if f.markers & picked
     ]
+    assert base_curve(X) == base_curve_by_step(X)
 
 
 def test_index_matches_scans_on_models_and_walks():
@@ -347,6 +365,20 @@ def test_index_matches_scans_on_models_and_walks():
             _check_index(Y, rng)
         models += len(walk)
     assert models >= 200
+
+
+def test_base_curve_matches_the_stepwise_oracle_on_type_ii_walks():
+    # screened targets rarely form a type II component; walks to unscreened
+    # targets form them, and every snapshot's base curve is checked
+    rng = random.Random(16)
+    with_type_ii = 0
+    for i in range(80):
+        X = random_model(rng, allow_isotrivial=i % 2 == 1)
+        trace = reduce(X, random_target(rng, X.weights))
+        for Y in [X] + [rec.snapshot_after for rec in trace.records] + [trace.final]:
+            assert base_curve(Y) == base_curve_by_step(Y)
+            with_type_ii += bool(Y.pseudo2)
+    assert with_type_ii >= 20
 
 
 def test_lookups_find_both_owners_of_a_repeated_id():
