@@ -59,7 +59,6 @@ from .surfaces import (
     Violation,
     base_curve,
     base_weights,
-    model_shape,
     pseudo_fate,
     section_degree,
     subtree_markers,

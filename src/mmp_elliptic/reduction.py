@@ -15,6 +15,8 @@ one WII path: a leaf flips (La Nave), taking along every type II
 pseudoelliptic the flip leaves with a single attachment, and any other
 component's section contracts in place.  `_collapse_subtree` is the one WIII
 path, and its record carries the felt wall (`walls.felt_walls`) that fired.
+Every fiber swap and subtree cut goes through one helper, `_rewrite`, which
+reuses each component and tree that the change does not touch.
 
 The walk runs in integer form (`_Segment`).  Over one common denominator per
 walk, the weights at time t are (low + t * rise) / D, so each felt wall's
@@ -38,7 +40,7 @@ from enum import Enum
 from fractions import Fraction
 from math import lcm
 from operator import attrgetter
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .curves import WeightVector
 from .kodaira import FiberState, fiber_model_at, is_settled, lct_threshold
@@ -137,38 +139,48 @@ class ReductionTrace:
 # -- structural rewriting helpers ---------------------------------------------
 
 
-def _map_node(node: PseudoComponent, fn: Callable[[str, MarkedFiber], MarkedFiber]) -> PseudoComponent:
-    return replace(
-        node,
-        fibers=tuple(fn(node.pid, f) for f in node.fibers),
-        children=tuple(ChildLink(l.via_fiber, _map_node(l.node, fn)) for l in node.children),
-    )
-
-
-def _replace_fibers(
-    X: BrokenEllipticSurface, new: dict[tuple[str, str], MarkedFiber]
+def _rewrite(
+    X: BrokenEllipticSurface,
+    new: dict[tuple[str, str], MarkedFiber],
+    drop: tuple[str, str] | None = None,
 ) -> BrokenEllipticSurface:
     """The model with each fiber keyed (owner id, fiber id) in `new` swapped
-    in.  Components and trees that keep all their fibers are reused as they
-    are, so a rewrite costs the owners it touches, not the whole model."""
+    in and, when `drop` is one of those keys, the subtree hung off that fiber
+    cut away, in one pass.  Components and trees that no change touches are
+    reused as they are, so a rewrite costs the owners it touches, not the
+    whole model."""
     if not new:
         return X
     owners = {owner for owner, _ in new}
-
-    def swap(owner: str, f: MarkedFiber) -> MarkedFiber:
-        return new.get((owner, f.fid), f)
-
     return replace(
         X,
         components=tuple(
-            replace(c, fibers=tuple(swap(c.cid, f) for f in c.fibers)) if c.cid in owners else c
+            replace(c, fibers=tuple(new.get((c.cid, f.fid), f) for f in c.fibers))
+            if c.cid in owners
+            else c
             for c in X.components
         ),
         trees=tuple(
-            TreeAttachment(t.host_component, t.host_fiber, _map_node(t.root, swap))
+            TreeAttachment(t.host_component, t.host_fiber, _rewrite_node(t.root, new, drop))
             if any(n.pid in owners for n in t.root.nodes())
             else t
             for t in X.trees
+            if (t.host_component, t.host_fiber) != drop
+        ),
+    )
+
+
+def _rewrite_node(
+    node: PseudoComponent, new: dict[tuple[str, str], MarkedFiber], drop: tuple[str, str] | None
+) -> PseudoComponent:
+    """The tree below `node` rebuilt as `_rewrite` asks."""
+    return replace(
+        node,
+        fibers=tuple(new.get((node.pid, f.fid), f) for f in node.fibers),
+        children=tuple(
+            ChildLink(l.via_fiber, _rewrite_node(l.node, new, drop))
+            for l in node.children
+            if (node.pid, l.via_fiber) != drop
         ),
     )
 
@@ -205,7 +217,7 @@ def _settle(
                 events.append((owner, f, state))
         if coeff != f.coeff or state != f.state:
             new[owner, f.fid] = replace(f, coeff=coeff, state=state)
-    return _replace_fibers(X, new), events
+    return _rewrite(X, new), events
 
 
 def at_weights(X: BrokenEllipticSurface, W: WeightVector) -> BrokenEllipticSurface:
@@ -324,18 +336,6 @@ def _apply_section_contraction(
 # -- WIII: pseudoelliptic collapses ---------------------------------------------
 
 
-def _prune(node: PseudoComponent, owner: str, fid: str) -> PseudoComponent:
-    """The tree below `node` without the child hung off fiber `fid` of `owner`."""
-    return replace(
-        node,
-        children=tuple(
-            ChildLink(l.via_fiber, _prune(l.node, owner, fid))
-            for l in node.children
-            if (node.pid, l.via_fiber) != (owner, fid)
-        ),
-    )
-
-
 def _collapse_subtree(
     X: BrokenEllipticSurface, fw: FeltWall, t: Fraction
 ) -> tuple[BrokenEllipticSurface, TransformationRecord, bool]:
@@ -355,15 +355,7 @@ def _collapse_subtree(
         newf = MarkedFiber(
             fid, old.ftype, coeff, fiber_model_at(old.ftype, coeff), markers, nonminimal_cusp=True
         )
-    current = _replace_fibers(X, {(owner, fid): newf})
-    current = replace(
-        current,
-        trees=tuple(
-            TreeAttachment(a.host_component, a.host_fiber, _prune(a.root, owner, fid))
-            for a in current.trees
-            if (a.host_component, a.host_fiber) != (owner, fid)
-        ),
-    )
+    current = _rewrite(X, {(owner, fid): newf}, drop=(owner, fid))
     kind = RecordKind.TREE_COLLAPSE_TO_CURVE if to_curve else RecordKind.TREE_COLLAPSE_TO_POINT
     note = f"host {owner}/{fid}"
     if to_curve:
@@ -570,7 +562,7 @@ def cross_wall(
             new_state = FiberState.WEIERSTRASS
         else:
             raise RuleNotApplicable("weight increases only cross the boundary wall at one")
-        current = _replace_fibers(X, {(site.owner, site.fid): replace(fiber, state=new_state)})
+        current = _rewrite(X, {(site.owner, site.fid): replace(fiber, state=new_state)})
         return current, _record_fiber_event(t, site.owner, fiber, new_state, current)
 
     if not decreasing:

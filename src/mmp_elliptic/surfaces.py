@@ -810,44 +810,3 @@ def _violations(X: BrokenEllipticSurface) -> list[Violation]:
             out.append(Violation("connectivity", "surface", "component graph is disconnected"))
 
     return out
-
-
-# -- isomorphism signature ----------------------------------------------------
-
-
-def model_shape(X: BrokenEllipticSurface):
-    """Weight-independent structure of the model, for graph-isomorphism checks.
-
-    Two reductions of one input model land in the same chamber exactly when
-    these shapes coincide: same components, gluings, trees, fiber types,
-    states, and marker assignments; coefficients are deliberately omitted.
-    """
-
-    def fiber_shape(f: MarkedFiber):
-        return (f.fid, str(f.ftype), int(f.state), tuple(sorted(f.markers)), f.nonminimal_cusp)
-
-    def node_shape(n: PseudoComponent):
-        return (
-            n.pid,
-            n.degL,
-            str(n.attach_ftype),
-            tuple(fiber_shape(f) for f in n.fibers),
-            tuple((l.via_fiber, node_shape(l.node)) for l in n.children),
-            n.isotrivial_jinf,
-        )
-
-    return (
-        tuple(
-            (c.cid, c.vertex, c.genus, c.degL, c.has_section, tuple(map(fiber_shape, c.fibers)))
-            for c in X.components
-        ),
-        tuple(
-            (g.gid,)
-            + tuple(
-                (e.component, e.fiber_id, str(e.ftype))
-                for e in sorted(g.ends(), key=lambda e: (e.component, e.fiber_id))
-            )
-            for g in X.glues
-        ),
-        tuple((t.host_component, t.host_fiber, node_shape(t.root)) for t in X.trees),
-    )

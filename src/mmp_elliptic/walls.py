@@ -29,6 +29,7 @@ the record rewrote; one full build is linear in the size of the model.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -39,7 +40,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .curves import WeightVector
 from .kodaira import THRESHOLD_CONSTANTS, KodairaType, lct_threshold
-from .rationals import json_bool, json_int, rat_from_str
 from .surfaces import (
     BrokenEllipticSurface,
     Component,
@@ -180,14 +180,15 @@ class Arrangement(list):
 
 @dataclass(frozen=True)
 class Chamber:
-    """Sign vector of a weight vector against a wall collection."""
+    """Sign vector of a weight vector against a wall collection, in `Wall.sort_key` order."""
 
     signs: tuple[tuple[Wall, str], ...]
 
     def sign(self, wall: Wall) -> str:
-        for w, s in self.signs:
-            if w == wall:
-                return s
+        """The sign of `wall`, bisected on `Wall.sort_key`; a repeated wall reads its first copy."""
+        i = bisect_left(self.signs, wall.sort_key(), key=lambda pair: pair[0].sort_key())
+        if i < len(self.signs) and self.signs[i][0] == wall:
+            return self.signs[i][1]
         raise KeyError(f"wall {wall} not part of this chamber's arrangement")
 
     def on_walls(self) -> tuple[Wall, ...]:
@@ -384,12 +385,3 @@ def felt_walls(X: BrokenEllipticSurface) -> list[FeltWall]:
     """Every wall the model feels, with its site: the rows of `felt_rows`
     one after another."""
     return [fw for row in felt_rows(X).values() for fw in row]
-
-
-def wall_from_obj(obj: dict) -> Wall:
-    return Wall(
-        WallKind(obj["kind"]),
-        frozenset(json_int(i) for i in obj["subset"]),
-        rat_from_str(obj["constant"]),
-        json_bool(obj.get("boundary", False)),
-    )

@@ -10,7 +10,8 @@ curves are contracted one vertex at a time where the library contracts in one
 union-find pass, and the model JSON, the `reduce` trace and the
 `walls --segment` listing are built as plain objects and laid out whole by
 `json.dumps(indent=2)`, where the library writes each text directly and joins
-the texts it stores on components and glues.
+the texts it stores on components and glues.  `wall_from_obj` reads such a
+wall object back.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from mmp_elliptic.kodaira import (
     intersection_data,
     lct_threshold,
 )
-from mmp_elliptic.rationals import rat_to_str
+from mmp_elliptic.rationals import json_bool, json_int, rat_from_str, rat_to_str
+from mmp_elliptic.walls import Wall, WallKind
 
 F = Fraction
 
@@ -269,6 +271,15 @@ def wall_to_obj(w):
         "constant": rat_to_str(w.constant),
         "boundary": w.boundary,
     }
+
+
+def wall_from_obj(obj):
+    return Wall(
+        WallKind(obj["kind"]),
+        frozenset(json_int(i) for i in obj["subset"]),
+        rat_from_str(obj["constant"]),
+        json_bool(obj.get("boundary", False)),
+    )
 
 
 def model_to_obj(X):

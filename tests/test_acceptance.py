@@ -14,14 +14,13 @@ from mmp_elliptic.kodaira import (
     parse_fiber_type,
     verify_threshold,
 )
-from mmp_elliptic.reduction import RecordKind, reduce
+from mmp_elliptic.reduction import RecordKind, at_weights, reduce
 from mmp_elliptic.surfaces import (
     BrokenEllipticSurface,
     Component,
     MarkedFiber,
     base_curve,
     base_weights,
-    model_shape,
     validate,
     volume,
 )
@@ -183,9 +182,12 @@ def test_criterion_6_chamber_invariance():
                 break
         if B is None:
             continue
-        shape_a = model_shape(reduce(X, A).final)
-        shape_b = model_shape(reduce(X, B).final)
-        assert shape_a == shape_b
+        # each final, re-evaluated at the other's own weights (a halted walk
+        # stops short of its target), equals the other; both ways, so each
+        # one's fiber states are checked too
+        final_a, final_b = reduce(X, A).final, reduce(X, B).final
+        assert at_weights(final_a, final_b.weights) == final_b
+        assert at_weights(final_b, final_a.weights) == final_a
         checked += 1
     report(6, f"same-chamber targets give isomorphic stable models ({checked} pairs)", started)
 

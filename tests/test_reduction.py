@@ -27,11 +27,13 @@ from mmp_elliptic.reduction import (
 from mmp_elliptic.surfaces import (
     AttachEnd,
     BrokenEllipticSurface,
+    ChildLink,
     Component,
     Glue,
     MarkedFiber,
+    PseudoComponent,
+    TreeAttachment,
     base_curve,
-    model_shape,
     section_degree,
     validate,
 )
@@ -112,7 +114,8 @@ def test_reduce_same_chamber_is_trivial():
     assert locate(t1, walls) == locate(t2, walls)
     r1, r2 = reduce(X, t1), reduce(X, t2)
     assert r1.records == () and r2.records == ()
-    assert model_shape(r1.final) == model_shape(r2.final)
+    assert at_weights(r1.final, r2.final.weights) == r2.final
+    assert at_weights(r2.final, r1.final.weights) == r1.final
 
 
 def test_reduce_rejects_bad_targets_and_models():
@@ -267,6 +270,55 @@ def test_nested_tree_forms_when_host_leaf_contracts():
     assert base_curve(final) == hassett_reduce(base_curve(X), target)
 
 
+def two_tree_model():
+    """c1 hosts the nested tree c2 > c3 on a1 and the tree c4 on a2."""
+    w = weights(1, 1, F(1, 2), F(1, 4), F(1, 4), F(1, 2), F(1, 2))
+
+    def host(fid, ftype, markers):
+        ftype = parse_fiber_type(ftype)
+        return MarkedFiber(fid, ftype, w.sum(markers), FiberState.INTERMEDIATE, frozenset(markers))
+
+    def node(pid, attach, fibers, children=()):
+        return PseudoComponent(pid, F(1), parse_fiber_type(attach), fibers, children)
+
+    inner = node("c3", "IV", (mk_fiber("f4", "I1", 4, w), mk_fiber("f5", "I1", 5, w)))
+    outer_fibers = (mk_fiber("f3", "I1", 3, w), host("b2", "IV*", {4, 5}))
+    outer = node("c2", "II*", outer_fibers, (ChildLink("b2", inner),))
+    other = node("c4", "II*", (mk_fiber("f6", "I1", 6, w), mk_fiber("f7", "I1", 7, w)))
+    fibers = (mk_fiber("f1", "I1", 1, w), mk_fiber("f2", "I1", 2, w))
+    fibers += (host("a1", "II", {3, 4, 5}), host("a2", "II", {6, 7}))
+    trees = (TreeAttachment("c1", "a1", outer), TreeAttachment("c1", "a2", other))
+    return BrokenEllipticSurface(w, (Component("c1", 1, 0, F(1), fibers),), (), trees)
+
+
+@pytest.mark.parametrize(
+    "target, collapsed",
+    [
+        # the nested c3 collapses first, then its host tree c2
+        ((1, 1, F(1, 2), F(1, 12), F(1, 12), F(1, 2), F(1, 2)), [("c3",), ("c2",)]),
+        # the whole tree c2 > c3 collapses at once
+        ((1, 1, F(1, 12), F(1, 4), F(1, 4), F(1, 2), F(1, 2)), [("c2", "c3")]),
+    ],
+)
+def test_a_collapse_reuses_the_trees_it_does_not_touch(target, collapsed):
+    X = two_tree_model()
+    assert validate(X) == []
+    untouched = X.tree("c4")
+    trace = reduce(X, weights(*target))
+    assert [r.kind for r in trace.records] == [RecordKind.TREE_COLLAPSE_TO_POINT] * len(collapsed)
+    assert [r.affected for r in trace.records] == collapsed
+    for rec in trace.records:
+        # c4's markers never move, so no record rebuilds its attachment
+        assert rec.snapshot_after.tree("c4") is untouched
+    first = trace.records[0].snapshot_after
+    if collapsed[0] == ("c3",):
+        root = first.tree("c2").root
+        assert root.children == () and root.fiber("b2").state == FiberState.WEIERSTRASS
+    else:
+        assert [t.root.pid for t in first.trees] == ["c4"]
+    assert validate(trace.final) == []
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=RuleNotApplicable,
@@ -317,7 +369,9 @@ def test_cross_wall_flip_matches_reduce():
     wall = Wall(WallKind.WII, frozenset({11, 12}), F(1))
     Y, rec = cross_wall(X, wall, decreasing=True)
     assert rec.kind == RecordKind.LA_NAVE_FLIP
-    assert model_shape(Y) == model_shape(flipped_degeneration(F(1, 2)))
+    flipped = flipped_degeneration(F(1, 2))
+    assert at_weights(Y, flipped.weights) == flipped
+    assert at_weights(flipped, Y.weights) == Y
     with pytest.raises(RuleNotApplicable):
         cross_wall(X, wall, decreasing=False)
 

@@ -23,7 +23,6 @@ from mmp_elliptic.surfaces import (
     UnsupportedConfiguration,
     base_curve,
     base_weights,
-    model_shape,
     pseudo_fate,
     section_degree,
     subtree_markers,
@@ -466,7 +465,13 @@ def test_random_models_are_stable_at_start():
 
 
 def test_subtree_markers_and_shape():
+    # one chamber holds one stable model: re-evaluated at the weights of
+    # another model of its chamber, a model equals it; the unflipped model
+    # differs from the flipped one
     X = flipped_degeneration(F(9, 20))
     assert subtree_markers(X.trees[0].root) == frozenset({11, 12})
-    assert model_shape(X) == model_shape(flipped_degeneration(F(19, 40)))
-    assert model_shape(X) != model_shape(rational_degeneration(F(9, 20)))
+    same = flipped_degeneration(F(19, 40))
+    assert at_weights(X, same.weights) == same
+    assert at_weights(same, X.weights) == X
+    other = rational_degeneration(F(9, 20))
+    assert at_weights(X, other.weights) != other

@@ -21,12 +21,11 @@ from mmp_elliptic.walls import (
     felt_walls,
     locate,
     segment_walls,
-    wall_from_obj,
     walls_containing,
 )
 
 from modelkit import admissible_target, flipped_degeneration, mk_fiber, random_model, rational_degeneration
-from oracles import WALL_CONSTANTS, brute_force_walls, wall_keys, wall_to_obj
+from oracles import WALL_CONSTANTS, brute_force_walls, wall_from_obj, wall_keys, wall_to_obj
 
 F = Fraction
 
@@ -161,6 +160,30 @@ def hand_built_walls(rng, r, count):
     walls += [wall_from_obj(wall_to_obj(w)) for w in rng.sample(walls, count // 3)]
     rng.shuffle(walls)
     return walls
+
+
+def test_chamber_sign_is_the_side_of_every_wall():
+    # `Chamber.sign` bisects the pairs `locate` emits in `Wall.sort_key`
+    # order; each answer must be the wall's own side, repeats included
+    rng = random.Random(8)
+    r = 8
+    enumerated = enumerate_walls(r, [parse_fiber_type("I1")] * r)
+    given = hand_built_walls(rng, r, 60)
+    assert len(set(given)) < len(given)
+    missing = [
+        Wall(WallKind.WI, frozenset({1}), F(0)),  # sorts before every wall
+        Wall(WallKind.WII, frozenset({1, 2}), F(3, 7)),
+        Wall(WallKind.WIII, frozenset({r}), F(99)),  # sorts after every wall
+    ]
+    for walls in (enumerated, Arrangement.of(given)):
+        for _ in range(3):
+            W = WeightVector(tuple(F(rng.randint(1, 12), 12) for _ in range(r)))
+            ch = locate(W, walls)
+            for w in walls:
+                assert ch.sign(w) == w.side(W), w
+            for w in missing:
+                with pytest.raises(KeyError):
+                    ch.sign(w)
 
 
 def test_segment_oracle_random():
