@@ -118,7 +118,7 @@ def _load_model(path_text: str, override: str | None):
             )
         try:
             model = at_weights(model, weights)
-        except ValueError as exc:  # a fiber's coefficient leaves [0, 1]
+        except RuleNotApplicable as exc:  # a fiber's coefficient leaves [0, 1]
             raise CliError(f"at weights {override}: {exc}", DATA_ERROR)
     return model
 

@@ -117,7 +117,17 @@ class MarkedNodalCurve:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Rational weights in [0,1], indexed by marker index starting at 1."""
+    """Rational weights in [0,1], indexed by marker index starting at 1.
+
+    The public constructor coerces every entry to a `Fraction` and checks its
+    range.  `_checked_weights` builds one from entries that are `Fraction`s
+    already known to lie in [0, 1], with no re-check; three callers use it,
+    each on entries that cannot leave the range: the model reader, which has
+    range-checked every weight it read; `reduction._Segment.weights_at`, a
+    convex combination of two checked vectors; and `surfaces.base_weights`,
+    checked weights followed by the coefficients of marker-less fibers, which
+    `MarkedFiber` has range-checked.
+    """
 
     entries: tuple[Fraction, ...]
 
@@ -142,9 +152,27 @@ class WeightVector:
         return self.r == other.r and all(a <= b for a, b in zip(self.entries, other.entries))
 
     def sum(self, indices: Iterable[int]) -> Fraction:
-        """The weight sum over the given marker indices: the one marker-set
-        sum of the package.  Exact sums do not depend on the order."""
-        return sum((self.weight(i) for i in indices), Fraction(0))
+        """The weight sum over the given marker indices, each counted as often
+        as it is listed: the one marker-set sum of the package.  A single
+        index gives its entry and none gives 0; more are added as integers,
+        numerators over the lcm of the denominators, into one `Fraction`."""
+        entries = self.entries
+        r = len(entries)
+        # an index out of range goes to `weight`, which raises its KeyError
+        terms = [entries[i - 1] if 0 < i <= r else self.weight(i) for i in indices]
+        if len(terms) < 2:
+            return terms[0] if terms else Fraction(0)
+        D = lcm(*[w.denominator for w in terms])
+        return Fraction(sum([w.numerator * (D // w.denominator) for w in terms]), D)
+
+
+def _checked_weights(entries: tuple[Fraction, ...]) -> WeightVector:
+    """The `WeightVector` of `entries`, `Fraction`s already known to lie in
+    [0, 1], built without the public constructor's re-check (see the class
+    docstring for its three callers)."""
+    W = object.__new__(WeightVector)
+    object.__setattr__(W, "entries", entries)
+    return W
 
 
 def interpolate(A: WeightVector, B: WeightVector, t: Fraction) -> WeightVector:

@@ -141,16 +141,16 @@ def fiber_model_at(ftype: KodairaType, a: Fraction) -> FiberState:
     """Model state of a minimal marked fiber of the given type at coefficient a.
 
     The boundary a = a0 belongs to the Weierstrass range; the twisted model
-    occurs exactly at a = 1 for types with a threshold.
+    occurs exactly at a = 1 for types with a threshold.  With a = p/q (q > 0,
+    as for a `Fraction` or an `int`) every test compares integers.
     """
-    if not 0 <= a <= 1:
+    p, q = a.numerator, a.denominator
+    if not 0 <= p <= q:
         raise ValueError(f"coefficient {a} outside [0, 1]")
     a0 = lct_threshold(ftype)
-    if a0 is None:
+    if a0 is None or p * a0.denominator <= a0.numerator * q:
         return FiberState.WEIERSTRASS
-    if a <= a0:
-        return FiberState.WEIERSTRASS
-    if a < 1:
+    if p < q:
         return FiberState.INTERMEDIATE
     return FiberState.TWISTED
 
@@ -159,11 +159,10 @@ def is_settled(ftype: KodairaType, a: Fraction, state: FiberState) -> bool:
     """Whether `state` is a log canonical model of a minimal marked fiber at
     coefficient a: the state `fiber_model_at` gives, or at a = 1 also the
     intermediate model of a type with a threshold, which stands for the model
-    just below one."""
+    just below one.  `fiber_model_at` gives the twisted model only at a = 1,
+    so no coefficient is compared here."""
     want = fiber_model_at(ftype, a)
-    return state == want or (
-        a == 1 and state == FiberState.INTERMEDIATE and want == FiberState.TWISTED
-    )
+    return state == want or (want == FiberState.TWISTED and state == FiberState.INTERMEDIATE)
 
 
 @dataclass(frozen=True)

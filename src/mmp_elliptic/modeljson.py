@@ -6,6 +6,13 @@ invariant is checkable at parse time: a weight list, a component list (kind
 pairing the two ends of each gluing, and nested pseudoelliptic trees.
 Parsing validates; serialization is canonical and round-trips exactly.
 
+`model_from_obj` reads one document through a `_Reader`, which parses each
+literal text and each fiber type text once, at its first occurrence, and is
+dropped when the call returns.  The reader range-checks every weight and
+coefficient on the integers of the `Fraction` it read, and builds the weight
+vector through `curves._checked_weights`, so the weights are not checked a
+second time.
+
 `serialize_model` writes the text directly: the bytes `json.dumps(indent=2)`
 gives for the model's object form, without building that object or running
 json's pure-Python indent encoder.  Each schema object (fiber, pseudo node with
@@ -25,7 +32,7 @@ import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as quote
 
-from .curves import WeightVector
+from .curves import _checked_weights
 from .kodaira import FiberState, KodairaType, UnsupportedFiberType, fiber_model_at, parse_fiber_type
 from .rationals import json_bool, json_int, rat_from_str, rat_to_str
 from .surfaces import (
@@ -91,94 +98,114 @@ def _bool(value, where: str) -> bool:
         raise ModelJSONError("schema-violation", f"{where}: {exc}")
 
 
-def _rational(value, where: str) -> Fraction:
-    try:
-        return rat_from_str(str(value))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ModelJSONError("schema-violation", f"{where}: bad rational {value!r} ({exc})")
+class _Reader:
+    """The reader of one document.  Each literal and each fiber type is parsed
+    once: the reader keeps literal text -> `Fraction` and type text ->
+    `KodairaType` for the call that made it, and drops both with it.  Both
+    are keyed on `str` of the JSON value, never on the value itself: `1`,
+    `1.0` and `true` hash alike, and a value key would take `1.0` or `true`
+    wherever `"1"` came first.  Only successful parses are kept, so a bad
+    literal is refused with the `where` of its first occurrence."""
 
+    def __init__(self) -> None:
+        self.rats: dict[str, Fraction] = {}
+        self.types: dict[str, KodairaType] = {}
 
-def _ftype(value, where: str) -> KodairaType:
-    try:
-        return parse_fiber_type(str(value))
-    except ValueError as exc:
-        raise ModelJSONError("schema-violation", f"{where}: {exc}")
+    def rational(self, value, where: str) -> Fraction:
+        text = str(value)
+        q = self.rats.get(text)
+        if q is None:
+            try:
+                q = self.rats[text] = rat_from_str(text)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ModelJSONError("schema-violation", f"{where}: bad rational {value!r} ({exc})")
+        return q
 
+    def ftype(self, value, where: str) -> KodairaType:
+        text = str(value)
+        ftype = self.types.get(text)
+        if ftype is None:
+            try:
+                ftype = self.types[text] = parse_fiber_type(text)
+            except ValueError as exc:
+                raise ModelJSONError("schema-violation", f"{where}: {exc}")
+        return ftype
 
-def _fiber(obj: dict, where: str) -> MarkedFiber:
-    fid = str(_need(obj, "id", where))
-    ftype = _ftype(_need(obj, "type", where), f"{where}/{fid}")
-    coeff = _rational(_need(obj, "coeff", where), f"{where}/{fid}")
-    if not 0 <= coeff <= 1:
-        raise ModelJSONError(
-            "schema-violation", f"{where}/{fid}: coefficient {rat_to_str(coeff)} outside [0, 1]"
+    def fiber(self, obj: dict, where: str) -> MarkedFiber:
+        fid = str(_need(obj, "id", where))
+        here = f"{where}/{fid}"
+        ftype = self.ftype(_need(obj, "type", where), here)
+        coeff = self.rational(_need(obj, "coeff", where), here)
+        if not 0 <= coeff.numerator <= coeff.denominator:
+            raise ModelJSONError(
+                "schema-violation", f"{here}: coefficient {rat_to_str(coeff)} outside [0, 1]"
+            )
+        state_name = str(obj.get("state", ""))
+        if state_name:
+            if state_name not in _STATES:
+                raise ModelJSONError("schema-violation", f"{here}: unknown state {state_name!r}")
+            state = _STATES[state_name]
+        else:
+            try:
+                state = fiber_model_at(ftype, coeff)
+            except UnsupportedFiberType:
+                state = FiberState.WEIERSTRASS
+        markers_where = f"{here}/markers"
+        markers = frozenset(_int(i, markers_where) for i in _list(obj, "markers", here))
+        cusp = _bool(obj.get("nonminimal_cusp", False), f"{here}/nonminimal_cusp")
+        return MarkedFiber(fid, ftype, coeff, state, markers, cusp)
+
+    def node(self, obj: dict, where: str) -> PseudoComponent:
+        pid = str(_need(obj, "id", where))
+        here = f"{where}/{pid}"
+        fibers = tuple(self.fiber(f, here) for f in _list(obj, "fibers", here))
+        children = []
+        for child in _list(obj, "children", here):
+            via = str(_need(child, "via_fiber", here))
+            children.append(ChildLink(via, self.node(_need(child, "node", here), here)))
+        return PseudoComponent(
+            pid=pid,
+            degL=self.rational(_need(obj, "degL", here), here),
+            attach_ftype=self.ftype(_need(obj, "attach_type", here), here),
+            fibers=fibers,
+            children=tuple(children),
+            isotrivial_jinf=_bool(obj.get("isotrivial_jinf", False), f"{here}/isotrivial_jinf"),
         )
-    state_name = str(obj.get("state", ""))
-    if state_name:
-        if state_name not in _STATES:
-            raise ModelJSONError("schema-violation", f"{where}/{fid}: unknown state {state_name!r}")
-        state = _STATES[state_name]
-    else:
-        try:
-            state = fiber_model_at(ftype, coeff)
-        except UnsupportedFiberType:
-            state = FiberState.WEIERSTRASS
-    markers = frozenset(
-        _int(i, f"{where}/{fid}/markers") for i in _list(obj, "markers", f"{where}/{fid}")
-    )
-    cusp = _bool(obj.get("nonminimal_cusp", False), f"{where}/{fid}/nonminimal_cusp")
-    return MarkedFiber(fid, ftype, coeff, state, markers, cusp)
 
-
-def _node(obj: dict, where: str) -> PseudoComponent:
-    pid = str(_need(obj, "id", where))
-    fibers = tuple(_fiber(f, f"{where}/{pid}") for f in _list(obj, "fibers", f"{where}/{pid}"))
-    children = []
-    for child in _list(obj, "children", f"{where}/{pid}"):
-        via = str(_need(child, "via_fiber", f"{where}/{pid}"))
-        children.append(ChildLink(via, _node(_need(child, "node", f"{where}/{pid}"), f"{where}/{pid}")))
-    return PseudoComponent(
-        pid=pid,
-        degL=_rational(_need(obj, "degL", f"{where}/{pid}"), f"{where}/{pid}"),
-        attach_ftype=_ftype(_need(obj, "attach_type", f"{where}/{pid}"), f"{where}/{pid}"),
-        fibers=fibers,
-        children=tuple(children),
-        isotrivial_jinf=_bool(obj.get("isotrivial_jinf", False), f"{where}/{pid}/isotrivial_jinf"),
-    )
-
-
-def _end(obj: dict, where: str) -> AttachEnd:
-    return AttachEnd(
-        str(_need(obj, "component", where)),
-        str(_need(obj, "fiber", where)),
-        _ftype(_need(obj, "type", where), where),
-    )
+    def end(self, obj: dict, where: str) -> AttachEnd:
+        return AttachEnd(
+            str(_need(obj, "component", where)),
+            str(_need(obj, "fiber", where)),
+            self.ftype(_need(obj, "type", where), where),
+        )
 
 
 def model_from_obj(obj: dict, check: bool = True) -> BrokenEllipticSurface:
     if not isinstance(obj, dict):
         raise ModelJSONError("schema-violation", "top level must be an object")
+    read = _Reader()
     raw_weights = _list(obj, "weights", "model", required=True)
     weights_list = [
-        _rational(w, f"weights[{i}]") for i, w in enumerate(raw_weights, start=1)
+        read.rational(w, f"weights[{i}]") for i, w in enumerate(raw_weights, start=1)
     ]
     for i, w in enumerate(weights_list, start=1):
-        if not 0 <= w <= 1:
+        if not 0 <= w.numerator <= w.denominator:
             raise ModelJSONError(
                 "schema-violation", f"weights[{i}]: {rat_to_str(w)} outside [0, 1]"
             )
-    weights = WeightVector(tuple(weights_list))
+    # every entry is a `Fraction` checked to lie in [0, 1] just above
+    weights = _checked_weights(tuple(weights_list))
 
     components = []
     for cobj in _list(obj, "components", "model", required=True):
         cid = str(_need(cobj, "id", "components"))
         kind = str(cobj.get("kind", "elliptic"))
-        fibers = tuple(_fiber(f, cid) for f in _list(cobj, "fibers", cid))
+        fibers = tuple(read.fiber(f, cid) for f in _list(cobj, "fibers", cid))
         fields = dict(
             cid=cid,
             vertex=_int(_need(cobj, "vertex", cid), f"{cid}/vertex"),
             genus=_int(_need(cobj, "genus", cid), f"{cid}/genus"),
-            degL=_rational(_need(cobj, "degL", cid), cid),
+            degL=read.rational(_need(cobj, "degL", cid), cid),
             fibers=fibers,
             isotrivial_jinf=_bool(cobj.get("isotrivial_jinf", False), f"{cid}/isotrivial_jinf"),
         )
@@ -190,7 +217,7 @@ def model_from_obj(obj: dict, check: bool = True) -> BrokenEllipticSurface:
     for gobj in _list(obj, "attachments", "model"):
         gid = str(_need(gobj, "id", "attachments"))
         glues.append(
-            Glue(gid, _end(_need(gobj, "a", gid), gid), _end(_need(gobj, "b", gid), gid))
+            Glue(gid, read.end(_need(gobj, "a", gid), gid), read.end(_need(gobj, "b", gid), gid))
         )
 
     trees = []
@@ -199,7 +226,7 @@ def model_from_obj(obj: dict, check: bool = True) -> BrokenEllipticSurface:
             TreeAttachment(
                 str(_need(tobj, "host", "trees")),
                 str(_need(tobj, "host_fiber", "trees")),
-                _node(_need(tobj, "root", "trees"), "trees"),
+                read.node(_need(tobj, "root", "trees"), "trees"),
             )
         )
 

@@ -42,7 +42,7 @@ from math import lcm
 from operator import attrgetter
 from typing import Iterable
 
-from .curves import WeightVector
+from .curves import WeightVector, _checked_weights
 from .kodaira import FiberState, fiber_model_at, is_settled, lct_threshold
 from .surfaces import (
     BrokenEllipticSurface,
@@ -223,9 +223,19 @@ def _settle(
 def at_weights(X: BrokenEllipticSurface, W: WeightVector) -> BrokenEllipticSurface:
     """The model re-evaluated at other weights: coefficients recomputed from
     the markers and plain fiber states moved to the log canonical model at the
-    new coefficient.  Tree hosts stay intermediate; their range is re-checked
-    by `validate`, not here."""
-    every = {i for _, fibers in X.fiber_owners() for f in fibers for i in f.markers}
+    new coefficient.  Tree hosts stay intermediate.  Refused with
+    `RuleNotApplicable`, before any fiber is rebuilt, when W lifts the
+    coefficient of a fiber, such as a tree host's derived one, above one."""
+    every: set[int] = set()
+    for owner, fibers in X.fiber_owners():
+        for f in fibers:
+            if f.markers:
+                coeff = W.sum(f.markers)
+                if coeff > 1:
+                    raise RuleNotApplicable(
+                        f"fiber {f.fid} of {owner}: coefficient {coeff} outside [0, 1]"
+                    )
+                every |= f.markers
     return _settle(replace(X, weights=W), every)[0]
 
 
@@ -396,12 +406,13 @@ class _Segment:
 
     def weights_at(self, t: Fraction) -> WeightVector:
         """The weights (1 - t) A + t B; a `Fraction` is built only for a
-        moving marker."""
+        moving marker.  For t in [0, 1] this convex combination of two
+        checked vectors lies in [0, 1], so it is not checked again."""
         p, q = t.numerator, t.denominator
         entries = list(self.A.entries)
         for i in self.moving:
             entries[i - 1] = Fraction(self.low[i] * q + p * self.rise[i], q * self.D)
-        return WeightVector(tuple(entries))
+        return _checked_weights(tuple(entries))
 
     def reach(self, walls: Iterable[FeltWall]) -> list[tuple[int, int, FeltWall]]:
         """The walls the segment can still reach, each as (num, den, felt wall).

@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
-from .curves import MarkedNodalCurve, Marker, Vertex, WeightVector, _contract
+from .curves import MarkedNodalCurve, Marker, Vertex, WeightVector, _checked_weights, _contract
 from .kodaira import (
     FiberState,
     KodairaType,
@@ -95,7 +95,8 @@ class MarkedFiber:
     nonminimal_cusp: bool = False
 
     def __post_init__(self) -> None:
-        if not 0 <= self.coeff <= 1:
+        # 0 <= coeff <= 1 on the integers of coeff: its denominator is positive
+        if not 0 <= self.coeff.numerator <= self.coeff.denominator:
             raise ValueError(f"fiber {self.fid}: coefficient {self.coeff} outside [0, 1]")
 
 
@@ -396,8 +397,10 @@ def pre_base_curve(X: BrokenEllipticSurface) -> MarkedNodalCurve:
 def base_weights(X: BrokenEllipticSurface) -> WeightVector:
     """The weights of the markers of `base_curve`: the model's weights, then
     the fixed coefficient of each marker-less fiber.  The Hassett reduction of
-    a base curve is taken at these weights."""
-    return WeightVector(X.weights.entries + tuple(a for _, a in _fixed_points(X)))
+    a base curve is taken at these weights.  Both parts are already checked
+    (a `MarkedFiber` keeps its coefficient in [0, 1]), so they are not
+    checked again."""
+    return _checked_weights(X.weights.entries + tuple(a for _, a in _fixed_points(X)))
 
 
 def base_curve(X: BrokenEllipticSurface) -> MarkedNodalCurve:

@@ -7,7 +7,9 @@ re-enumerates the arrangement over raw bitmask subsets, the surface lookups
 scan the model where the library reads its cached lookups, the curve degree is
 counted edge by edge for one vertex where the library sweeps all of them,
 curves are contracted one vertex at a time where the library contracts in one
-union-find pass, and the model JSON, the `reduce` trace and the
+union-find pass, marker-set sums and fiber states are taken by `Fraction`
+arithmetic and comparison where the library compares integers, and the model
+JSON, the `reduce` trace and the
 `walls --segment` listing are built as plain objects and laid out whole by
 `json.dumps(indent=2)`, where the library writes each text directly and joins
 the texts it stores on components and glues.  `wall_from_obj` reads such a
@@ -75,6 +77,33 @@ def gram_volume(X):
         for y, cy in divisor.items():
             total += cx * cy * get(x, y)
     return total
+
+
+def weight_sum_fold(W, indices):
+    """`WeightVector.sum` as a `Fraction` fold, one term at a time."""
+    return sum((W.weight(i) for i in indices), F(0))
+
+
+def fiber_model_by_fractions(ftype, a):
+    """`kodaira.fiber_model_at` by `Fraction` comparisons of a with 0, its
+    type's threshold a0 and 1."""
+    if not 0 <= a <= 1:
+        raise ValueError(f"coefficient {a} outside [0, 1]")
+    a0 = lct_threshold(ftype)
+    if a0 is None or a <= a0:
+        return FiberState.WEIERSTRASS
+    if a < 1:
+        return FiberState.INTERMEDIATE
+    return FiberState.TWISTED
+
+
+def is_settled_by_fractions(ftype, a, state):
+    """`kodaira.is_settled`: the state `fiber_model_by_fractions` gives, or
+    the intermediate model in place of the twisted one at a = 1."""
+    want = fiber_model_by_fractions(ftype, a)
+    return state == want or (
+        a == 1 and state == FiberState.INTERMEDIATE and want == FiberState.TWISTED
+    )
 
 
 def brute_force_walls(r, types, rational_base):

@@ -24,7 +24,7 @@ from mmp_elliptic.kodaira import parse_fiber_type
 from mmp_elliptic.surfaces import AttachEnd, BrokenEllipticSurface, Component, Glue, base_curve, validate
 
 from modelkit import mk_fiber, rational_degeneration
-from oracles import contract_by_step, hassett_by_vertex, vertex_degree
+from oracles import contract_by_step, hassett_by_vertex, vertex_degree, weight_sum_fold
 
 F = Fraction
 
@@ -385,3 +385,28 @@ def test_dot_is_deterministic():
     w = WeightVector((F(1, 2), F(1, 3)))
     assert curve_to_dot(curve, w) == curve_to_dot(curve, w)
     assert "v1 -- v2" in curve_to_dot(curve)
+
+
+def test_weight_sum_equals_the_fraction_fold():
+    rng = random.Random(2024)
+    checked = 0
+    for _ in range(60):
+        r = rng.choice([1, 2, 5, 12, 60, 200])
+        dens = [rng.choice([1, 2, 3, 12, 20, 120, 97]) for _ in range(r)]
+        W = WeightVector(tuple(F(rng.randint(0, d), d) for d in dens))
+        cases = [[], [rng.randint(1, r)], [1, 1], list(range(1, r + 1))]
+        cases += [rng.choices(range(1, r + 1), k=rng.randint(2, r + 3)) for _ in range(5)]  # repeats
+        cases += [rng.sample(range(1, r + 1), rng.randint(1, r)) for _ in range(5)]
+        for indices in cases:
+            # a list or an iterator counts repeats; a set holds each index once
+            for form, listed in ((indices, indices), (iter(indices), indices), (frozenset(indices),) * 2):
+                got = W.sum(form)
+                assert type(got) is Fraction and got == weight_sum_fold(W, listed)
+                checked += 1
+        for bad in ([0], [r + 1], [1, -1], [r, r + 5, 0]):
+            with pytest.raises(KeyError) as got:
+                W.sum(bad)
+            with pytest.raises(KeyError) as want:
+                weight_sum_fold(W, bad)
+            assert str(got.value) == str(want.value)
+    assert checked >= 2000

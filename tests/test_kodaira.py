@@ -22,10 +22,14 @@ from mmp_elliptic.kodaira import (
     canonical_contribution,
     fiber_model_at,
     intersection_data,
+    is_settled,
     lct_threshold,
     parse_fiber_type,
     verify_threshold,
 )
+
+from modelkit import MARKABLE, TWISTABLE
+from oracles import fiber_model_by_fractions, is_settled_by_fractions
 
 F = Fraction
 
@@ -144,3 +148,37 @@ def test_type_validation():
         parse_fiber_type("V")
     with pytest.raises(ValueError):
         KodairaType("I", -1)
+
+
+def _outcome(f, *args):
+    """What `f(*args)` returns, or the type and text of what it raises."""
+    try:
+        return f(*args)
+    except (ValueError, UnsupportedFiberType) as exc:
+        return type(exc), str(exc)
+
+
+# every type a fiber or an attaching end of a generated model may have, plus
+# N0 and N2
+KERNEL_TYPES = [parse_fiber_type(tag) for tag in sorted(set(MARKABLE + TWISTABLE + ["N0", "N2"]))]
+# the 1/120 grid holds every threshold; the ends and one step past them are
+# included, as Fractions and as ints
+KERNEL_GRID = [F(k, 120) for k in range(-2, 123)] + [-1, 0, 1, 2]
+
+
+def test_fiber_model_at_equals_the_fraction_form():
+    for ftype in KERNEL_TYPES:
+        for a in KERNEL_GRID:
+            assert _outcome(fiber_model_at, ftype, a) == _outcome(fiber_model_by_fractions, ftype, a), (ftype, a)
+    assert _outcome(fiber_model_at, II, F(121, 120)) == (ValueError, "coefficient 121/120 outside [0, 1]")
+    assert _outcome(fiber_model_at, N2, F(1, 2))[0] is UnsupportedFiberType
+
+
+def test_is_settled_equals_the_fraction_form():
+    for ftype in KERNEL_TYPES:
+        for a in KERNEL_GRID:
+            for state in FiberState:
+                got = _outcome(is_settled, ftype, a, state)
+                assert got == _outcome(is_settled_by_fractions, ftype, a, state), (ftype, a, state)
+    assert is_settled(II, F(1), FiberState.INTERMEDIATE) and is_settled(II, 1, FiberState.TWISTED)
+    assert not is_settled(II, F(5, 6), FiberState.INTERMEDIATE)

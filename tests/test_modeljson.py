@@ -2,6 +2,7 @@ import json
 import random
 import re
 from dataclasses import replace
+from pathlib import Path
 from fractions import Fraction
 
 import pytest
@@ -316,3 +317,90 @@ def test_dot_names_are_ids_when_an_id_starts_with_a_digit():
         assert len(set(clusters)) == len(clusters) == 2, clusters
         assert len(set(nodes)) == len(nodes), nodes
         assert {"anchor___x31", "__x31__c1", "__x31____x3263", "__x3263____x31"} <= set(nodes)
+
+
+def _edited(edits):
+    """The worked model at weights one, each fiber coefficient "1", with
+    `edits` ((path, value) pairs) applied to its object form."""
+    obj = model_to_obj(rational_degeneration(F(1)))
+    for path, value in edits:
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    return json.dumps(obj)
+
+
+C1F1 = ("components", 0, "fibers", 0)  # c1/f1, the first fiber of the document
+C1F10 = ("components", 0, "fibers", 1)  # c1/f10, its second
+C2F11 = ("components", 1, "fibers", 0)  # c2/f11
+
+
+@pytest.mark.parametrize("value", [1.0, True], ids=["float", "bool"])
+@pytest.mark.parametrize("first", ["1", 1], ids=["string", "integer"])
+@pytest.mark.parametrize(
+    "path, where",
+    [(("weights", 1), "weights[2]"), (C1F1 + ("coeff",), "c1/f1"), (C2F11 + ("coeff",), "c2/f11")],
+    ids=["weight", "first-coeff", "later-coeff"],
+)
+def test_a_literal_read_before_does_not_admit_a_float_or_a_boolean(path, where, first, value):
+    # the first weight, read first, is "1" or the JSON integer 1, which the
+    # reader takes as its text "1"; the reader parses each literal text once,
+    # keyed on that text, so 1.0 and true, whose values equal 1 and hash
+    # alike, are still refused
+    with pytest.raises(ModelJSONError) as err:
+        parse_model(_edited([(("weights", 0), first), (path, value)]))
+    assert str(err.value) == (
+        f"schema-violation: {where}: bad rational {value!r}"
+        f" (invalid literal for int() with base 10: '{value!r}')"
+    )
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        (
+            [(("weights", 3), "x/2"), (C1F1 + ("coeff",), "x/2")],
+            "weights[4]: bad rational 'x/2' (invalid literal for int() with base 10: 'x')",
+        ),
+        (
+            [(C1F10 + ("coeff",), "1/0"), (C2F11 + ("coeff",), "1/0")],
+            "c1/f10: bad rational '1/0' (Fraction(1, 0))",
+        ),
+        (
+            [(C1F10 + ("type",), "I*x"), (C2F11 + ("type",), "I*x")],
+            "c1/f10: invalid literal for int() with base 10: 'x'",
+        ),
+        ([(("weights", 0), "3/2"), (("weights", 5), "3/2")], "weights[1]: 3/2 outside [0, 1]"),
+    ],
+    ids=["weight-then-coeff", "two-coeffs", "two-types", "two-weights-out-of-range"],
+)
+def test_a_repeated_bad_literal_is_refused_where_it_first_occurs(edits, message):
+    for check in (True, False):
+        with pytest.raises(ModelJSONError) as err:
+            parse_model(_edited(edits), check=check)
+        assert str(err.value) == "schema-violation: " + message
+
+
+def _model_texts():
+    """Every model file of the repository, and every model in the golden
+    `reduce` traces, in the layout `serialize_model` writes."""
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted((root / "tests" / "golden").glob("*.json")) + sorted((root / "tests" / "data").glob("*.json"))
+    paths.append(root / "demos" / "data" / "rational_example.json")
+    texts = []
+    for path in paths:
+        obj = json.loads(path.read_text())
+        if isinstance(obj, dict) and "weights" in obj and "vertex" in obj["components"][0]:
+            texts.append((path.name, path.read_text()))
+        elif isinstance(obj, dict) and "records" in obj:
+            models = [rec["snapshot_after"] for rec in obj["records"]] + [obj["final"]]
+            texts += [(path.name, json.dumps(m, indent=2) + "\n") for m in models]
+    return texts
+
+
+def test_every_model_file_round_trips_byte_for_byte():
+    texts = _model_texts()
+    for name, text in texts:
+        assert serialize_model(parse_model(text, check=False)) == text, name
+    assert len({name for name, _ in texts}) == 17 and len(texts) >= 28

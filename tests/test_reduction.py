@@ -12,7 +12,7 @@ import pytest
 from mmp_elliptic import reduction, walls
 from mmp_elliptic.curves import WeightVector, hassett_reduce, interpolate
 from mmp_elliptic.kodaira import FiberState, parse_fiber_type
-from mmp_elliptic.modeljson import parse_model
+from mmp_elliptic.modeljson import parse_model, serialize_model
 from mmp_elliptic.reduction import (
     InconsistentTarget,
     InvalidModel,
@@ -34,6 +34,7 @@ from mmp_elliptic.surfaces import (
     PseudoComponent,
     TreeAttachment,
     base_curve,
+    base_weights,
     section_degree,
     validate,
 )
@@ -776,3 +777,51 @@ def test_table_update_builds_no_lookup(monkeypatch):
         reduce(X, WeightVector(tuple(F(w) for w in to.split(","))))
     reduce(*_chain(40))
     assert len(calls) >= len(REWRITE_WALKS) + 6
+
+
+def test_at_weights_refuses_to_lift_a_tree_host_above_one(monkeypatch):
+    # the final model of the worked walk at 9/20 hangs the flipped leaf off
+    # c1/a1, whose derived coefficient is the tree's two weights: at all
+    # weights one it would be 2
+    example = Path(__file__).resolve().parents[1] / "demos" / "data" / "rational_example.json"
+    X = parse_model(example.read_text())
+    final = reduce(X, weights(*([1] * 10 + [F(9, 20)] * 2))).final
+    built = []
+    check = MarkedFiber.__post_init__
+    monkeypatch.setattr(MarkedFiber, "__post_init__", lambda f: (built.append(f), check(f)))
+    with pytest.raises(RuleNotApplicable, match=r"^fiber a1 of c1: coefficient 2 outside \[0, 1\]$"):
+        at_weights(final, WeightVector((1,) * 12))
+    assert built == []
+
+
+def _checked(W):
+    """Whether W holds `Fraction`s that the public constructor accepts as they are."""
+    return all(type(w) is Fraction for w in W.entries) and WeightVector(W.entries) == W
+
+
+def test_weights_built_without_a_recheck_pass_the_public_checks(monkeypatch):
+    # `_Segment.weights_at`, `base_weights` and the reader build their
+    # weights through `curves._checked_weights`, which does not check
+    stepped = []
+    weights_at = reduction._Segment.weights_at
+    monkeypatch.setattr(
+        reduction._Segment, "weights_at", lambda self, t: stepped.append(weights_at(self, t)) or stepped[-1]
+    )
+    walks = [_chain(n, seed) for n, seed in ((40, 1), (100, 2), (160, 3))]
+    deep = _bench_inputs().chain_case(random.Random(4), 60, k=12)  # 12 cascading flips
+    walks.append((parse_model(json.dumps(deep.model)), WeightVector(deep.target)))
+    rng = random.Random(71)
+    while len(walks) < 204:
+        X = random_model(rng, max_components=5, max_markers=12, allow_isotrivial=True)
+        A = admissible_target(rng, X)
+        if A is not None:
+            walks.append((X, A))
+    snapshots = 0
+    for X, A in walks:
+        trace = reduce(X, A)
+        for s in [X] + [rec.snapshot_after for rec in trace.records] + [trace.final]:
+            assert _checked(s.weights) and _checked(base_weights(s))
+            assert _checked(parse_model(serialize_model(s), check=False).weights)
+            snapshots += 1
+    assert all(_checked(W) for W in stepped)
+    assert len(stepped) > 500 and snapshots > 1000
