@@ -13,12 +13,11 @@ cross-check for every base-curve assertion.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from operator import attrgetter
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .rationals import json_int, rat, rat_to_str
 
@@ -27,18 +26,21 @@ class CurveError(Exception):
     """Structural problem with a marked nodal curve (unknown vertex, disconnected graph)."""
 
 
-@dataclass(frozen=True)
-class Vertex:
+class _Vertex(NamedTuple):
     vid: int
     genus: int
 
-    def __post_init__(self) -> None:
-        if self.genus < 0:
+
+class Vertex(_Vertex):
+    __slots__ = ()
+
+    def __new__(cls, vid, genus):
+        if genus < 0:
             raise ValueError("genus must be non-negative")
+        return tuple.__new__(cls, (vid, genus))
 
 
-@dataclass(frozen=True)
-class Marker:
+class Marker(NamedTuple):
     index: int
     vertex: int
 
@@ -47,34 +49,35 @@ _VID = attrgetter("vid")
 _INDEX = attrgetter("index")
 
 
-@dataclass(frozen=True)
-class MarkedNodalCurve:
-    """Dual graph of a pointed nodal curve. Canonicalized on construction."""
-
+class _MarkedNodalCurve(NamedTuple):
     vertices: tuple[Vertex, ...]
     edges: tuple[tuple[int, int], ...]
     markers: tuple[Marker, ...]
 
-    def __post_init__(self) -> None:
-        verts = tuple(sorted(self.vertices, key=_VID))
+
+class MarkedNodalCurve(_MarkedNodalCurve):
+    """Dual graph of a pointed nodal curve. Canonicalized on construction.
+
+    The record keeps an instance dict, for its adjacency, built on first use."""
+
+    def __new__(cls, vertices, edges, markers):
+        verts = tuple(sorted(vertices, key=_VID))
         known = {v.vid for v in verts}
         if len(known) != len(verts):
             raise CurveError("duplicate vertex ids")
-        edges = []
-        for a, b in self.edges:
+        pairs = []
+        for a, b in edges:
             if a not in known or b not in known:
                 raise CurveError(f"edge ({a},{b}) references unknown vertex")
-            edges.append((a, b) if a <= b else (b, a))
-        for m in self.markers:
+            pairs.append((a, b) if a <= b else (b, a))
+        for m in markers:
             if m.vertex not in known:
                 raise CurveError(f"marker {m.index} sits on unknown vertex {m.vertex}")
-        markers = tuple(sorted(self.markers, key=_INDEX))
+        markers = tuple(sorted(markers, key=_INDEX))
         if len({m.index for m in markers}) != len(markers):
             raise CurveError("marker indices must be distinct")
-        edges.sort()
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "edges", tuple(edges))
-        object.__setattr__(self, "markers", markers)
+        pairs.sort()
+        return tuple.__new__(cls, (verts, tuple(pairs), markers))
 
     def vertex(self, vid: int) -> Vertex:
         for v in self.vertices:
@@ -90,7 +93,8 @@ class MarkedNodalCurve:
     @cached_property
     def _adjacency(self) -> dict[int, set[int]]:
         """Vertex id -> ids of the other vertices it shares an edge with; the
-        curve is frozen, so this is built once, on first use."""
+        curve's fields cannot be assigned, so this is built once, on first
+        use, and kept in the curve's instance dict."""
         adjacency: dict[int, set[int]] = {v.vid: set() for v in self.vertices}
         for a, b in self.edges:
             if a != b:
@@ -115,29 +119,33 @@ class MarkedNodalCurve:
         return len(seen) == len(self.vertices)
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class _WeightVector(NamedTuple):
+    entries: tuple[Fraction, ...]
+
+
+class WeightVector(_WeightVector):
     """Rational weights in [0,1], indexed by marker index starting at 1.
 
     The public constructor coerces every entry to a `Fraction` and checks its
-    range.  `_checked_weights` builds one from entries that are `Fraction`s
-    already known to lie in [0, 1], with no re-check; three callers use it,
-    each on entries that cannot leave the range: the model reader, which has
-    range-checked every weight it read; `reduction._Segment.weights_at`, a
-    convex combination of two checked vectors; and `surfaces.base_weights`,
-    checked weights followed by the coefficients of marker-less fibers, which
-    `MarkedFiber` has range-checked.
+    range.  `WeightVector._make((entries,))`, the trusted rebuild of every
+    record, takes entries that are `Fraction`s already known to lie in
+    [0, 1] and checks nothing; three callers use it, each on entries that
+    cannot leave the range: the model reader, which has range-checked every
+    weight it read; `reduction._Segment.weights_at`, a convex combination of
+    two checked vectors; and `surfaces.base_weights`, checked weights
+    followed by the coefficients of marker-less fibers, which `MarkedFiber`
+    has range-checked.
     """
 
-    entries: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        ent = tuple(rat(e) for e in self.entries)
+    def __new__(cls, entries):
+        ent = tuple(rat(e) for e in entries)
         for e in ent:
             # 0 <= e <= 1 on the integers of e: its denominator is positive
             if not 0 <= e.numerator <= e.denominator:
                 raise ValueError(f"weight {e} outside [0, 1]")
-        object.__setattr__(self, "entries", ent)
+        return tuple.__new__(cls, (ent,))
 
     @property
     def r(self) -> int:
@@ -164,15 +172,6 @@ class WeightVector:
             return terms[0] if terms else Fraction(0)
         D = lcm(*[w.denominator for w in terms])
         return Fraction(sum([w.numerator * (D // w.denominator) for w in terms]), D)
-
-
-def _checked_weights(entries: tuple[Fraction, ...]) -> WeightVector:
-    """The `WeightVector` of `entries`, `Fraction`s already known to lie in
-    [0, 1], built without the public constructor's re-check (see the class
-    docstring for its three callers)."""
-    W = object.__new__(WeightVector)
-    object.__setattr__(W, "entries", entries)
-    return W
 
 
 def interpolate(A: WeightVector, B: WeightVector, t: Fraction) -> WeightVector:

@@ -4,9 +4,10 @@ Components render as clusters of fiber nodes, pseudoelliptic trees as nested
 subgraphs inside an outer tree cluster, gluings as bold edges labeled with the
 two fiber types, and tree attachments as bold edges labeled with the host
 fiber's type and coefficient.  Identical models produce byte-identical text.
-Every label escapes `\\` and `"` (`_label`).  Each frozen `Component` keeps its
-cluster and each `Glue` its edge on itself (`modeljson.stored_text`), built on
-first use; a rewrite builds new objects, so a stored text cannot go stale.
+Every label escapes `\\` and `"` (`_label`).  Each `Component` keeps its
+cluster and each `Glue` its edge in its instance dict (`modeljson.stored_text`),
+built on first use; a rewrite builds new records, so a stored text cannot go
+stale.
 Tree clusters and tree edges are built on every call.
 """
 

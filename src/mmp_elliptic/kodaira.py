@@ -12,9 +12,9 @@ numbers; `verify_threshold` performs that independent derivation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
+from typing import NamedTuple
 
 
 class UnsupportedFiberType(Exception):
@@ -41,25 +41,29 @@ _PLAIN_FAMILIES = ("II", "III", "IV", "II*", "III*", "IV*", "N0", "N1", "N2")
 _INDEXED_FAMILIES = ("I", "I*")
 
 
-@dataclass(frozen=True, order=True)
-class KodairaType:
+class _KodairaType(NamedTuple):
+    family: str
+    n: int | None
+
+
+class KodairaType(_KodairaType):
     """A fiber type tag: an indexed family ("I", "I*") or a bare one.
 
     "I" with n = 0 is the smooth fiber I0, markable but never singular.
     """
 
-    family: str
-    n: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.family in _INDEXED_FAMILIES:
-            if self.n is None or self.n < 0:
-                raise ValueError(f"family {self.family} needs an index n >= 0")
-        elif self.family in _PLAIN_FAMILIES:
-            if self.n is not None:
-                raise ValueError(f"family {self.family} takes no index")
+    def __new__(cls, family, n=None):
+        if family in _INDEXED_FAMILIES:
+            if n is None or n < 0:
+                raise ValueError(f"family {family} needs an index n >= 0")
+        elif family in _PLAIN_FAMILIES:
+            if n is not None:
+                raise ValueError(f"family {family} takes no index")
         else:
-            raise ValueError(f"unknown fiber family {self.family!r}")
+            raise ValueError(f"unknown fiber family {family!r}")
+        return tuple.__new__(cls, (family, n))
 
     def __str__(self) -> str:
         if self.family == "I":
@@ -165,22 +169,26 @@ def is_settled(ftype: KodairaType, a: Fraction, state: FiberState) -> bool:
     return state == want or (want == FiberState.TWISTED and state == FiberState.INTERMEDIATE)
 
 
-@dataclass(frozen=True)
-class IntersectionData:
+class _IntersectionData(NamedTuple):
+    A_sq: Fraction
+    E_sq: Fraction
+    AE: Fraction
+    mult: int
+
+
+class IntersectionData(_IntersectionData):
     """Local pairings in a standard intermediate fiber A + E.
 
     A is the reduced component meeting the section, E supports the arithmetic
     genus one part; `mult` is the multiplicity of E in the full fiber.
     """
 
-    A_sq: Fraction
-    E_sq: Fraction
-    AE: Fraction
-    mult: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (self.A_sq < 0 and self.E_sq < 0 and self.AE > 0 and self.mult >= 1):
+    def __new__(cls, A_sq, E_sq, AE, mult):
+        if not (A_sq < 0 and E_sq < 0 and AE > 0 and mult >= 1):
             raise ValueError("intersection data fails sign constraints")
+        return tuple.__new__(cls, (A_sq, E_sq, AE, mult))
 
 
 _INTERSECTIONS: dict[str, IntersectionData] = {

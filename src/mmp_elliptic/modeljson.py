@@ -10,8 +10,8 @@ Parsing validates; serialization is canonical and round-trips exactly.
 literal text and each fiber type text once, at its first occurrence, and is
 dropped when the call returns.  The reader range-checks every weight and
 coefficient on the integers of the `Fraction` it read, and builds the weight
-vector through `curves._checked_weights`, so the weights are not checked a
-second time.
+vector through `WeightVector._make`, the unchecked trusted rebuild, so the
+weights are not checked a second time.
 
 `serialize_model` writes the text directly: the bytes `json.dumps(indent=2)`
 gives for the model's object form, without building that object or running
@@ -19,10 +19,11 @@ json's pure-Python indent encoder.  Each schema object (fiber, pseudo node with
 its children, component, glue, tree) has one writer, an f-string laid out for
 its depth, and every id goes through json's own escaper (`quote`).  The
 weights, the trees and the frame of the four lists are written on every call.
-The text of each `Component` and `Glue` is stored on the object on first use
-(`stored_text`), so a walk writes a component that several snapshots share
-once.  A stored text cannot go stale: the objects are frozen, and a rewrite
-builds new ones, which start with no stored text.  The CLI's `reduce` trace
+The text of each `Component` and `Glue` is stored in the record's instance
+dict on first use (`stored_text`), so a walk writes a component that several
+snapshots share once.  A stored text cannot go stale: a record's fields
+cannot be assigned, and a rewrite, through a constructor or `_replace`,
+builds new records, which start with an empty instance dict.  The CLI's `reduce` trace
 re-indents these model texts to their depth.
 """
 
@@ -32,7 +33,7 @@ import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as quote
 
-from .curves import _checked_weights
+from .curves import WeightVector
 from .kodaira import FiberState, KodairaType, UnsupportedFiberType, fiber_model_at, parse_fiber_type
 from .rationals import json_bool, json_int, rat_from_str, rat_to_str
 from .surfaces import (
@@ -194,7 +195,7 @@ def model_from_obj(obj: dict, check: bool = True) -> BrokenEllipticSurface:
                 "schema-violation", f"weights[{i}]: {rat_to_str(w)} outside [0, 1]"
             )
     # every entry is a `Fraction` checked to lie in [0, 1] just above
-    weights = _checked_weights(tuple(weights_list))
+    weights = WeightVector._make((tuple(weights_list),))
 
     components = []
     for cobj in _list(obj, "components", "model", required=True):
@@ -335,8 +336,9 @@ def _tree_text(t: TreeAttachment) -> str:
 
 
 def stored_text(obj, key: str, build) -> str:
-    """`build(obj)`, kept under `key` in the instance dict of the frozen `obj`:
-    like the surface index, built on first use, it lives and dies with `obj`."""
+    """`build(obj)`, kept under `key` in the instance dict of `obj`, a
+    `Component` or a `Glue`, the part records that keep one: like the
+    surface's lookups, built on first use, it lives and dies with `obj`."""
     memo = obj.__dict__
     if key not in memo:
         memo[key] = build(obj)

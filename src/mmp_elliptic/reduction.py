@@ -18,6 +18,15 @@ path, and its record carries the felt wall (`walls.felt_walls`) that fired.
 Every fiber swap and subtree cut goes through one helper, `_rewrite`, which
 reuses each component and tree that the change does not touch.
 
+A rewrite rebuilds the records it changes through `_replace`, the records'
+one trusted rebuild: it checks and sorts nothing (see `surfaces`).  Each call
+site may use it because its new parts keep the canonical order and stay in
+range: a swapped fiber keeps its id, a cut or a dropped section keeps every
+list in order, a walk's weights come from `_Segment.weights_at`, and a
+recomputed coefficient is a weight sum that cannot exceed one (`_settle`).
+The La Nave flip appends a fiber and a tree, which breaks the order, so
+`_hang_off_peer` builds through the public constructors, which sort.
+
 The walk runs in integer form (`_Segment`).  Over one common denominator per
 walk, the weights at time t are (low + t * rise) / D, so each felt wall's
 marker sum is an integer affine in t, and each wall's crossing time is fixed
@@ -35,18 +44,18 @@ created; the others keep their coefficient, so they stay settled.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from math import lcm
 from operator import attrgetter
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .curves import WeightVector, _checked_weights
+from .curves import WeightVector
 from .kodaira import FiberState, fiber_model_at, is_settled, lct_threshold
 from .surfaces import (
     BrokenEllipticSurface,
     ChildLink,
+    Component,
     MarkedFiber,
     PseudoComponent,
     TreeAttachment,
@@ -98,25 +107,29 @@ _WALL_OF_KIND = {
 }
 
 
-@dataclass(frozen=True)
-class TransformationRecord:
-    """One applied transformation: time on the walk, wall, kind, what moved,
-    and the full model immediately afterwards."""
-
+class _TransformationRecord(NamedTuple):
     t: Fraction
     wall: Wall
     kind: RecordKind
     affected: tuple[str, ...]
     snapshot_after: BrokenEllipticSurface
-    note: str = ""
-
-    def __post_init__(self) -> None:
-        if _WALL_OF_KIND[self.kind] != self.wall.kind:
-            raise ValueError(f"record kind {self.kind} inconsistent with wall kind {self.wall.kind}")
+    note: str
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class TransformationRecord(_TransformationRecord):
+    """One applied transformation: time on the walk, wall, kind, what moved,
+    and the full model immediately afterwards.  The constructor checks that
+    the kind belongs to the wall's kind."""
+
+    __slots__ = ()
+
+    def __new__(cls, t, wall, kind, affected, snapshot_after, note=""):
+        if _WALL_OF_KIND[kind] != wall.kind:
+            raise ValueError(f"record kind {kind} inconsistent with wall kind {wall.kind}")
+        return tuple.__new__(cls, (t, wall, kind, affected, snapshot_after, note))
+
+
+class ReductionTrace(NamedTuple):
     """Ordered log of a stable-reduction walk.
 
     Record times are non-increasing; several records share a time exactly when
@@ -148,14 +161,15 @@ def _rewrite(
     in and, when `drop` is one of those keys, the subtree hung off that fiber
     cut away, in one pass.  Components and trees that no change touches are
     reused as they are, so a rewrite costs the owners it touches, not the
-    whole model."""
+    whole model.  The owners it touches are rebuilt through `_replace`, with
+    no re-sort: a swapped fiber keeps its id and a cut only drops an entry,
+    so every list keeps its order."""
     if not new:
         return X
     owners = {owner for owner, _ in new}
-    return replace(
-        X,
+    return X._replace(
         components=tuple(
-            replace(c, fibers=tuple(new.get((c.cid, f.fid), f) for f in c.fibers))
+            c._replace(fibers=tuple(new.get((c.cid, f.fid), f) for f in c.fibers))
             if c.cid in owners
             else c
             for c in X.components
@@ -174,8 +188,7 @@ def _rewrite_node(
     node: PseudoComponent, new: dict[tuple[str, str], MarkedFiber], drop: tuple[str, str] | None
 ) -> PseudoComponent:
     """The tree below `node` rebuilt as `_rewrite` asks."""
-    return replace(
-        node,
+    return node._replace(
         fibers=tuple(new.get((node.pid, f.fid), f) for f in node.fibers),
         children=tuple(
             ChildLink(l.via_fiber, _rewrite_node(l.node, new, drop))
@@ -215,8 +228,10 @@ def _settle(
                 state = FiberState.INTERMEDIATE
             if state != f.state:
                 events.append((owner, f, state))
+        # coeff lies in [0, 1]: the walk only lowers weights from a valid
+        # start, and `at_weights` refuses a sum above one before it settles
         if coeff != f.coeff or state != f.state:
-            new[owner, f.fid] = replace(f, coeff=coeff, state=state)
+            new[owner, f.fid] = f._replace(coeff=coeff, state=state)
     return _rewrite(X, new), events
 
 
@@ -236,7 +251,7 @@ def at_weights(X: BrokenEllipticSurface, W: WeightVector) -> BrokenEllipticSurfa
                         f"fiber {f.fid} of {owner}: coefficient {coeff} outside [0, 1]"
                     )
                 every |= f.markers
-    return _settle(replace(X, weights=W), every)[0]
+    return _settle(X._replace(weights=W), every)[0]
 
 
 def _record_fiber_event(
@@ -290,15 +305,17 @@ def _hang_off_peer(X: BrokenEllipticSurface, cid: str) -> tuple[BrokenEllipticSu
     host = MarkedFiber(
         peer.fiber_id, peer.ftype, X.weights.sum(markers), FiberState.INTERMEDIATE, markers
     )
-    rewritten = replace(
-        X,
-        components=tuple(
-            replace(c, fibers=c.fibers + (host,)) if c.cid == peer.component else c
+    # the appended fiber and tree break the canonical order, so this rewrite
+    # goes through the public constructors, which sort them into place
+    rewritten = BrokenEllipticSurface(
+        X.weights,
+        tuple(
+            Component(*c._replace(fibers=c.fibers + (host,))) if c.cid == peer.component else c
             for c in X.components
             if c.cid != cid
         ),
-        glues=tuple(g for g in X.glues if g.gid != glue.gid),
-        trees=tuple(t for t in X.trees if t.host_component != cid)
+        tuple(g for g in X.glues if g.gid != glue.gid),
+        tuple(t for t in X.trees if t.host_component != cid)
         + (TreeAttachment(peer.component, peer.fiber_id, root),),
     )
     return rewritten, peer.component
@@ -333,10 +350,9 @@ def _apply_section_contraction(
             kind, boundary = RecordKind.WHOLE_SECTION_CONTRACTION, constant != 2
         else:
             kind, boundary = RecordKind.TYPE_II_PSEUDO_FORMATION, True
-        current = replace(
-            X,
+        current = X._replace(
             components=tuple(
-                replace(c, has_section=False) if c.cid == cid else c for c in X.components
+                c._replace(has_section=False) if c.cid == cid else c for c in X.components
             ),
         )
     wall = Wall(WallKind.WII, subset, constant, boundary=boundary)
@@ -392,7 +408,8 @@ class _Segment:
     Over D, the lcm of the denominators of A and B, marker i sits at
     (low[i] + t * rise[i]) / D, so every marker-set sum times D is an integer
     affine in t.  `moving` lists the markers with A_i < B_i: the only ones
-    whose fibers the walk has to settle again.
+    whose fibers the walk has to settle again.  `reduce` refuses a segment
+    with a negative rise (A_i > B_i) before it validates the model.
     """
 
     def __init__(self, A: WeightVector, B: WeightVector) -> None:
@@ -412,7 +429,7 @@ class _Segment:
         entries = list(self.A.entries)
         for i in self.moving:
             entries[i - 1] = Fraction(self.low[i] * q + p * self.rise[i], q * self.D)
-        return _checked_weights(tuple(entries))
+        return WeightVector._make((tuple(entries),))
 
     def reach(self, walls: Iterable[FeltWall]) -> list[tuple[int, int, FeltWall]]:
         """The walls the segment can still reach, each as (num, den, felt wall).
@@ -504,7 +521,7 @@ def _apply_batch(
             fw = min(wii, key=attrgetter("owner"))
             current, rec = _apply_section_contraction(current, fw.owner, t)
             if len(wii) > 1:
-                rec = replace(rec, note=(rec.note + "; simultaneous section walls").strip("; "))
+                rec = rec._replace(note=(rec.note + "; simultaneous section walls").strip("; "))
         else:
             wiii = _due(table, WallKind.WIII, t)
             if not wiii:
@@ -573,7 +590,7 @@ def cross_wall(
             new_state = FiberState.WEIERSTRASS
         else:
             raise RuleNotApplicable("weight increases only cross the boundary wall at one")
-        current = _rewrite(X, {(site.owner, site.fid): replace(fiber, state=new_state)})
+        current = _rewrite(X, {(site.owner, site.fid): fiber._replace(state=new_state)})
         return current, _record_fiber_event(t, site.owner, fiber, new_state, current)
 
     if not decreasing:
@@ -657,15 +674,15 @@ def reduce(X: BrokenEllipticSurface, target: WeightVector) -> ReductionTrace:
         raise InconsistentTarget(
             f"target has {target.r} entries; the model has {X.weights.r} markers"
         )
-    if not target.leq(X.weights):
+    segment = _Segment(target, X.weights)
+    if min(segment.rise) < 0:
         raise InconsistentTarget("target must be entrywise <= the current weights")
     problems = validate(X)
     if problems:
         raise InvalidModel("; ".join(str(p) for p in problems))
-    if target.entries == X.weights.entries:
+    if not segment.moving:
         return ReductionTrace(X, target, (), X)
 
-    segment = _Segment(target, X.weights)
     records: list[TransformationRecord] = []
     t_cur = Fraction(1)
     table = segment.table(X)
@@ -674,7 +691,7 @@ def reduce(X: BrokenEllipticSurface, target: WeightVector) -> ReductionTrace:
         t_next = _event_times(table, t_cur)
         if t_next is None:
             t_next = Fraction(0)
-        current = replace(current, weights=segment.weights_at(t_next))
+        current = current._replace(weights=segment.weights_at(t_next))
         current, halted = _apply_batch(current, segment, table, t_next, records)
         t_cur = t_next
         if t_cur == 0:

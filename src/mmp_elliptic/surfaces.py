@@ -15,16 +15,27 @@ marker counted once.  The validator re-checks that identity together with the
 per-fiber state rules, so inconsistent configurations are reported as data
 rather than silently propagated.
 
-Three lookups are cached on the frozen surface, each built in one pass the
-first time it is read: components by id (`component`), glue ends per
+Every part of a model is a `typing.NamedTuple` record, whose fields cannot
+be assigned.  A record that checks or sorts its parts does it in the `__new__`
+of a subclass, the public constructor.  `_replace` rebuilds a record through
+`tuple.__new__` and checks and sorts nothing: it is the one trusted rebuild,
+which the walk's rewrites (`reduction`) use where the new parts keep their
+order and their ranges.  Three records keep an instance dict for memos: the
+surface, for the lookups and the verdict below, and `Component` and `Glue`,
+for the texts the writers store (`modeljson.stored_text`); every other
+record has `__slots__ = ()`.
+
+Three lookups are cached on the surface, each built in one pass the first
+time it is read: components by id (`component`), glue ends per
 component (`glue_ends`), and every subtree level with its host key
 (`pseudo_nodes`, `fiber_owners`, `host_keys`).  Each is read several times
 per build on the snapshots of a walk: components by id 4 (random models) to
 59 (long chains) times, glue ends 2.5 to 13, subtree levels 3 to 5.
 `fibers_with` and `host_fiber` are asked about once per surface, so they scan
 `fiber_owners` instead of keeping a lookup of their own.  A lookup holds the
-surface's parts, never the surface, and a rewrite that returns a new surface
-starts afresh, so no lookup can go stale.
+surface's parts, never the surface, and a rewrite, through a constructor or
+`_replace`, returns a new surface with an empty instance dict, so no lookup
+can go stale.
 
 The verdict of `validate` is cached beside them, as a tuple of violations
 (empty for a valid model), because it is read twice per model: once by the
@@ -34,12 +45,12 @@ input.  Each call of `validate` returns a new list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
+from operator import attrgetter
+from typing import Iterable, NamedTuple
 
-from .curves import MarkedNodalCurve, Marker, Vertex, WeightVector, _checked_weights, _contract
+from .curves import MarkedNodalCurve, Marker, Vertex, WeightVector, _contract
 from .kodaira import (
     FiberState,
     KodairaType,
@@ -65,8 +76,7 @@ class MissingThreshold(Exception):
     """A pseudoelliptic fate query hit a host fiber type without a threshold."""
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One validation failure: a stable code, the offending location, detail text."""
 
     code: str
@@ -77,8 +87,16 @@ class Violation:
         return f"[{self.code}] {self.where}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class MarkedFiber:
+class _MarkedFiber(NamedTuple):
+    fid: str
+    ftype: KodairaType
+    coeff: Fraction
+    state: FiberState
+    markers: frozenset[int]
+    nonminimal_cusp: bool
+
+
+class MarkedFiber(_MarkedFiber):
     """A marked (pseudo)fiber: type, coefficient, model state, backing markers.
 
     `markers` lists the weight-vector indices whose weights sum to `coeff`;
@@ -87,37 +105,34 @@ class MarkedFiber:
     arose from such a collapse.
     """
 
-    fid: str
-    ftype: KodairaType
-    coeff: Fraction
-    state: FiberState
-    markers: frozenset[int] = frozenset()
-    nonminimal_cusp: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, fid, ftype, coeff, state, markers=frozenset(), nonminimal_cusp=False):
         # 0 <= coeff <= 1 on the integers of coeff: its denominator is positive
-        if not 0 <= self.coeff.numerator <= self.coeff.denominator:
-            raise ValueError(f"fiber {self.fid}: coefficient {self.coeff} outside [0, 1]")
+        if not 0 <= coeff.numerator <= coeff.denominator:
+            raise ValueError(f"fiber {fid}: coefficient {coeff} outside [0, 1]")
+        return tuple.__new__(cls, (fid, ftype, coeff, state, markers, nonminimal_cusp))
 
 
-@dataclass(frozen=True)
-class AttachEnd:
+class AttachEnd(NamedTuple):
     component: str
     fiber_id: str
     ftype: KodairaType
 
 
-@dataclass(frozen=True)
-class Glue:
-    """One gluing of two components along coefficient-one attaching fibers.
-
-    Each side names its own fiber; the two fibers are identified curves on the
-    surface but distinct fibers of their respective fibrations.
-    """
-
+class _Glue(NamedTuple):
     gid: str
     a: AttachEnd
     b: AttachEnd
+
+
+class Glue(_Glue):
+    """One gluing of two components along coefficient-one attaching fibers.
+
+    Each side names its own fiber; the two fibers are identified curves on the
+    surface but distinct fibers of their respective fibrations.  The record
+    keeps an instance dict, for the texts the writers store on it.
+    """
 
     def ends(self) -> tuple[AttachEnd, AttachEnd]:
         return (self.a, self.b)
@@ -130,25 +145,32 @@ class Glue:
         raise KeyError(f"glue {self.gid} does not touch {cid}")
 
 
-@dataclass(frozen=True)
-class Component:
-    """A surface component over one base vertex.
+_FID = attrgetter("fid")
 
-    With a section it is elliptic.  Without one it is a type II
-    pseudoelliptic attached along >= 2 twisted fibers, or the residue of a
-    whole-surface section contraction (then with no gluings).
-    """
 
+class _Component(NamedTuple):
     cid: str
     vertex: int
     genus: int
     degL: Fraction
     fibers: tuple[MarkedFiber, ...]
-    isotrivial_jinf: bool = False
-    has_section: bool = True
+    isotrivial_jinf: bool
+    has_section: bool
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "fibers", tuple(sorted(self.fibers, key=lambda f: f.fid)))
+
+class Component(_Component):
+    """A surface component over one base vertex.
+
+    With a section it is elliptic.  Without one it is a type II
+    pseudoelliptic attached along >= 2 twisted fibers, or the residue of a
+    whole-surface section contraction (then with no gluings).  The
+    constructor sorts the fibers by id.  The record keeps an instance dict,
+    for the texts the writers store on it.
+    """
+
+    def __new__(cls, cid, vertex, genus, degL, fibers, isotrivial_jinf=False, has_section=True):
+        fibers = tuple(sorted(fibers, key=_FID))
+        return tuple.__new__(cls, (cid, vertex, genus, degL, fibers, isotrivial_jinf, has_section))
 
     def fiber(self, fid: str) -> MarkedFiber:
         for f in self.fibers:
@@ -170,27 +192,30 @@ class Component:
         return sum((f.coeff for f in self.fibers if not f.markers), base)
 
 
-@dataclass(frozen=True)
-class PseudoComponent:
-    """A type I pseudoelliptic tree node.
-
-    The node glues upward along a twisted pseudofiber of type `attach_ftype`;
-    each child hangs off the E component of one of this node's intermediate
-    pseudofibers, named by the child link.
-    """
-
+class _PseudoComponent(NamedTuple):
     pid: str
     degL: Fraction
     attach_ftype: KodairaType
     fibers: tuple[MarkedFiber, ...]
-    children: tuple["ChildLink", ...] = ()
-    isotrivial_jinf: bool = False
+    children: tuple[ChildLink, ...]
+    isotrivial_jinf: bool
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "fibers", tuple(sorted(self.fibers, key=lambda f: f.fid)))
-        object.__setattr__(
-            self, "children", tuple(sorted(self.children, key=lambda c: c.node.pid))
-        )
+
+class PseudoComponent(_PseudoComponent):
+    """A type I pseudoelliptic tree node.
+
+    The node glues upward along a twisted pseudofiber of type `attach_ftype`;
+    each child hangs off the E component of one of this node's intermediate
+    pseudofibers, named by the child link.  The constructor sorts the fibers
+    by id and the children by the id of their node.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, pid, degL, attach_ftype, fibers, children=(), isotrivial_jinf=False):
+        fibers = tuple(sorted(fibers, key=_FID))
+        children = tuple(sorted(children, key=lambda c: c.node.pid))
+        return tuple.__new__(cls, (pid, degL, attach_ftype, fibers, children, isotrivial_jinf))
 
     def fiber(self, fid: str) -> MarkedFiber:
         for f in self.fibers:
@@ -211,14 +236,12 @@ class PseudoComponent:
         return out
 
 
-@dataclass(frozen=True)
-class ChildLink:
+class ChildLink(NamedTuple):
     via_fiber: str
     node: PseudoComponent
 
 
-@dataclass(frozen=True)
-class TreeAttachment:
+class TreeAttachment(NamedTuple):
     """A pseudoelliptic tree glued to the E component of an intermediate fiber
     on an elliptic or type II pseudoelliptic host."""
 
@@ -240,25 +263,26 @@ def subtree_markers(node: PseudoComponent) -> frozenset[int]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class BrokenEllipticSurface:
-    """The full decorated dual graph of a weighted broken elliptic surface."""
-
+class _BrokenEllipticSurface(NamedTuple):
     weights: WeightVector
     components: tuple[Component, ...]
-    glues: tuple[Glue, ...] = ()
-    trees: tuple[TreeAttachment, ...] = ()
+    glues: tuple[Glue, ...]
+    trees: tuple[TreeAttachment, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "components", tuple(sorted(self.components, key=lambda c: c.cid))
-        )
-        object.__setattr__(self, "glues", tuple(sorted(self.glues, key=lambda g: g.gid)))
-        object.__setattr__(
-            self,
-            "trees",
-            tuple(sorted(self.trees, key=lambda t: (t.host_component, t.host_fiber))),
-        )
+
+class BrokenEllipticSurface(_BrokenEllipticSurface):
+    """The full decorated dual graph of a weighted broken elliptic surface.
+
+    The constructor sorts the components, the glues and the trees by id
+    (a tree by its host component and host fiber).  The record keeps an
+    instance dict, for the lookups and the verdict below.
+    """
+
+    def __new__(cls, weights, components, glues=(), trees=()):
+        components = tuple(sorted(components, key=lambda c: c.cid))
+        glues = tuple(sorted(glues, key=lambda g: g.gid))
+        trees = tuple(sorted(trees, key=lambda t: (t.host_component, t.host_fiber)))
+        return tuple.__new__(cls, (weights, components, glues, trees))
 
     # -- lookups, each read from the structure alone on first use ---------
 
@@ -400,7 +424,7 @@ def base_weights(X: BrokenEllipticSurface) -> WeightVector:
     a base curve is taken at these weights.  Both parts are already checked
     (a `MarkedFiber` keeps its coefficient in [0, 1]), so they are not
     checked again."""
-    return _checked_weights(X.weights.entries + tuple(a for _, a in _fixed_points(X)))
+    return WeightVector._make((X.weights.entries + tuple(a for _, a in _fixed_points(X)),))
 
 
 def base_curve(X: BrokenEllipticSurface) -> MarkedNodalCurve:

@@ -30,7 +30,6 @@ the record rewrote; one full build is linear in the size of the model.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import compress
@@ -178,8 +177,7 @@ class Arrangement(list):
         return Arrangement.of, (list(self),)
 
 
-@dataclass(frozen=True)
-class Chamber:
+class Chamber(NamedTuple):
     """Sign vector of a weight vector against a wall collection, in `Wall.sort_key` order."""
 
     signs: tuple[tuple[Wall, str], ...]
@@ -198,8 +196,7 @@ class Chamber:
         return not self.on_walls()
 
 
-@dataclass(frozen=True)
-class SegmentCrossing:
+class SegmentCrossing(NamedTuple):
     """One crossing time along a weight segment, with every wall hit there."""
 
     t: Fraction

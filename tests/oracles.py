@@ -13,7 +13,9 @@ JSON, the `reduce` trace and the
 `walls --segment` listing are built as plain objects and laid out whole by
 `json.dumps(indent=2)`, where the library writes each text directly and joins
 the texts it stores on components and glues.  `wall_from_obj` reads such a
-wall object back.
+wall object back.  `rebuilt` builds a model again through the public
+constructors, which check and sort every part, where the walk rebuilds its
+snapshots through the unchecked `_replace`.
 """
 
 from __future__ import annotations
@@ -21,13 +23,25 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+from mmp_elliptic.curves import WeightVector
 from mmp_elliptic.kodaira import (
     FiberState,
+    KodairaType,
     canonical_contribution,
     intersection_data,
     lct_threshold,
 )
 from mmp_elliptic.rationals import json_bool, json_int, rat_from_str, rat_to_str
+from mmp_elliptic.surfaces import (
+    AttachEnd,
+    BrokenEllipticSurface,
+    ChildLink,
+    Component,
+    Glue,
+    MarkedFiber,
+    PseudoComponent,
+    TreeAttachment,
+)
 from mmp_elliptic.walls import Wall, WallKind
 
 F = Fraction
@@ -373,3 +387,47 @@ def segment_oracle(crossings, on_start, on_end):
         "on_walls_at_end": [wall_to_obj(w) for w in on_end],
     }
     return json.dumps(obj, indent=2) + "\n"
+
+
+def _rebuilt_fiber(f):
+    return MarkedFiber(
+        f.fid, KodairaType(*f.ftype), f.coeff, f.state, f.markers, f.nonminimal_cusp
+    )
+
+
+def _rebuilt_node(n):
+    return PseudoComponent(
+        n.pid,
+        n.degL,
+        KodairaType(*n.attach_ftype),
+        [_rebuilt_fiber(f) for f in n.fibers],
+        [ChildLink(link.via_fiber, _rebuilt_node(link.node)) for link in n.children],
+        n.isotrivial_jinf,
+    )
+
+
+def _rebuilt_end(e):
+    return AttachEnd(e.component, e.fiber_id, KodairaType(*e.ftype))
+
+
+def rebuilt(X):
+    """X built again through the public constructors, part by part: weights,
+    components with their fibers, glues with their ends, and trees with their
+    nodes; each constructor checks its part and sorts its lists."""
+    return BrokenEllipticSurface(
+        WeightVector(X.weights.entries),
+        [
+            Component(
+                c.cid,
+                c.vertex,
+                c.genus,
+                c.degL,
+                [_rebuilt_fiber(f) for f in c.fibers],
+                c.isotrivial_jinf,
+                c.has_section,
+            )
+            for c in X.components
+        ],
+        [Glue(g.gid, _rebuilt_end(g.a), _rebuilt_end(g.b)) for g in X.glues],
+        [TreeAttachment(t.host_component, t.host_fiber, _rebuilt_node(t.root)) for t in X.trees],
+    )

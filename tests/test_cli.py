@@ -73,6 +73,21 @@ def test_walls_listing_is_the_json_layout(capsys):
     assert min(empty.values()) > 0, empty
 
 
+def test_cli_start_up_builds_no_dataclass_machinery():
+    """Every command starts a fresh process: importing the CLI must not pull in
+    `dataclasses` or `inspect`, whose import and code generation once took
+    about half of the start-up."""
+    src = EXAMPLE.parent.parent.parent / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import mmp_elliptic.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 @pytest.mark.parametrize("command", ["walls", "reduce"])
 def test_closed_pipe_exits_one_without_traceback(tmp_path, command):
     """`| head -1`: the reader leaves while the output, far larger than a

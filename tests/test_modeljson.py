@@ -1,7 +1,6 @@
 import json
 import random
 import re
-from dataclasses import replace
 from pathlib import Path
 from fractions import Fraction
 
@@ -210,7 +209,7 @@ def test_a_replaced_component_gets_a_new_text():
     text, dot = serialize_model(X), emit_dot(X)
     c1 = X.component("c1")
     f = c1.fibers[0]
-    Y = replace(X, components=(replace(c1, fibers=(replace(f, coeff=F(1, 2)),) + c1.fibers[1:]),) + X.components[1:])
+    Y = X._replace(components=(c1._replace(fibers=(f._replace(coeff=F(1, 2)),) + c1.fibers[1:]),) + X.components[1:])
     assert serialize_model(Y) == serialize_oracle(Y) != text
     assert emit_dot(Y) == emit_dot(parse_model(serialize_oracle(Y), check=False)) != dot
     assert (serialize_model(X), emit_dot(X)) == (text, dot)

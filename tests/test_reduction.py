@@ -3,7 +3,6 @@ import json
 import random
 import sys
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -48,6 +47,7 @@ from modelkit import (
     random_target,
     rational_degeneration,
 )
+from oracles import rebuilt
 from test_golden import GOLDEN, REWRITE_WALKS
 
 F = Fraction
@@ -125,14 +125,21 @@ def test_reduce_rejects_bad_targets_and_models():
         reduce(X, weights(*([1] * 11)))
     with pytest.raises(InconsistentTarget):
         reduce(rational_degeneration(F(1, 3)), weights(*([1] * 10 + [F(1, 2), F(1, 2)])))
-    bad = replace(
-        X,
+    bad = X._replace(
         components=tuple(
-            replace(c, degL=F(-1)) if c.cid == "c1" else c for c in X.components
+            c._replace(degL=F(-1)) if c.cid == "c1" else c for c in X.components
         ),
     )
     with pytest.raises(InvalidModel):
         reduce(bad, weights(*([1] * 10 + [F(1, 3), F(1, 3)])))
+    # the target is checked against the start before the model is validated
+    low = rational_degeneration(F(1, 3))
+    low_bad = low._replace(components=(low.components[0]._replace(degL=F(-1)),) + low.components[1:])
+    assert validate(low_bad)
+    with pytest.raises(InconsistentTarget, match=r"^target must be entrywise <= the current weights$"):
+        reduce(low_bad, weights(*([1] * 10 + [F(1, 3), F(1, 2)])))
+    with pytest.raises(InconsistentTarget, match=r"^target has 11 entries; the model has 12 markers$"):
+        reduce(low_bad, weights(*([1] * 11)))
 
 
 def test_marked_twisted_fiber_steps_down_through_intermediate():
@@ -166,7 +173,7 @@ def test_type_ii_formation_at_zero_boundary():
         Glue("g2", AttachEnd("c2", "b2", parse_fiber_type("IV")), AttachEnd("c3", "a3", parse_fiber_type("I*0"))),
     )
     X = BrokenEllipticSurface(w, (c1, c3), glues)
-    X = replace(X, components=X.components + (c2,))
+    X = BrokenEllipticSurface(X.weights, X.components + (c2,), X.glues)
     assert validate(X) == []
     target = weights(1, 1, 0, 1, 1)
     trace = reduce(X, target)
@@ -345,13 +352,11 @@ def test_cross_wall_fiber_transitions():
     wall = Wall(WallKind.WI, frozenset({4}), F(3, 4))
     with pytest.raises(RuleNotApplicable):
         cross_wall(X, wall, decreasing=True)  # already Weierstrass at the boundary
-    inter = replace(
-        X,
+    inter = X._replace(
         components=(
-            replace(
-                comp,
+            comp._replace(
                 fibers=tuple(
-                    replace(f, state=FiberState.INTERMEDIATE) if f.fid == "f4" else f
+                    f._replace(state=FiberState.INTERMEDIATE) if f.fid == "f4" else f
                     for f in comp.fibers
                 ),
             ),
@@ -472,8 +477,8 @@ def test_increase_to_one_refusals():
         increase_to_one(to_point, 11)
 
     att = on_wall.trees[0]
-    iso = replace(att, root=replace(att.root, isotrivial_jinf=True, degL=F(0)))
-    to_curve, _ = cross_wall(replace(on_wall, trees=(iso,)), collapse)
+    iso = att._replace(root=att.root._replace(isotrivial_jinf=True, degL=F(0)))
+    to_curve, _ = cross_wall(on_wall._replace(trees=(iso,)), collapse)
     with pytest.raises(RuleNotApplicable, match="backs no marked fiber"):
         increase_to_one(to_curve, 11)
 
@@ -572,8 +577,8 @@ def test_factorization_through_intermediate_weights():
 def test_isotrivial_tree_collapse_to_curve_halts():
     X = flipped_degeneration(F(9, 20))
     att = X.trees[0]
-    iso_root = replace(att.root, isotrivial_jinf=True, degL=F(0))
-    X = replace(X, trees=(replace(att, root=iso_root),))
+    iso_root = att.root._replace(isotrivial_jinf=True, degL=F(0))
+    X = X._replace(trees=(att._replace(root=iso_root),))
     assert validate(X) == []
     target = weights(*([1] * 10 + [F(1, 6), F(1, 6)]))
     trace = reduce(X, target)
@@ -787,8 +792,18 @@ def test_at_weights_refuses_to_lift_a_tree_host_above_one(monkeypatch):
     X = parse_model(example.read_text())
     final = reduce(X, weights(*([1] * 10 + [F(9, 20)] * 2))).final
     built = []
-    check = MarkedFiber.__post_init__
-    monkeypatch.setattr(MarkedFiber, "__post_init__", lambda f: (built.append(f), check(f)))
+    new, make = MarkedFiber.__new__, MarkedFiber._make
+
+    def spied_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    def spied_make(cls, fields):  # `_replace` builds through `_make`
+        built.append(fields)
+        return make(fields)
+
+    monkeypatch.setattr(MarkedFiber, "__new__", spied_new)
+    monkeypatch.setattr(MarkedFiber, "_make", classmethod(spied_make))
     with pytest.raises(RuleNotApplicable, match=r"^fiber a1 of c1: coefficient 2 outside \[0, 1\]$"):
         at_weights(final, WeightVector((1,) * 12))
     assert built == []
@@ -801,7 +816,7 @@ def _checked(W):
 
 def test_weights_built_without_a_recheck_pass_the_public_checks(monkeypatch):
     # `_Segment.weights_at`, `base_weights` and the reader build their
-    # weights through `curves._checked_weights`, which does not check
+    # weights through `WeightVector._make`, which does not check
     stepped = []
     weights_at = reduction._Segment.weights_at
     monkeypatch.setattr(
@@ -825,3 +840,38 @@ def test_weights_built_without_a_recheck_pass_the_public_checks(monkeypatch):
             snapshots += 1
     assert all(_checked(W) for W in stepped)
     assert len(stepped) > 500 and snapshots > 1000
+
+
+def _assert_same(built, got, where="surface"):
+    """`built == got`, part by part, with the same record type at every level."""
+    assert type(got) is type(built), where
+    if isinstance(got, tuple):
+        assert len(got) == len(built), where
+        names = getattr(got, "_fields", range(len(got)))
+        for name, a, b in zip(names, built, got):
+            _assert_same(a, b, f"{where}.{name}")
+    else:
+        assert got == built, where
+
+
+def test_trusted_rewrites_equal_a_rebuild_through_the_public_constructors():
+    # the walk rebuilds its snapshots through `_replace`, which neither checks
+    # nor sorts; each snapshot and final must equal the model the public
+    # constructors build from the same parts
+    walks = [_chain(n, seed) for n, seed in ((40, 1), (100, 2), (160, 3))]
+    deep = _bench_inputs().chain_case(random.Random(4), 60, k=12)  # 12 cascading flips
+    walks.append((parse_model(json.dumps(deep.model)), WeightVector(deep.target)))
+    rng = random.Random(97)
+    while len(walks) < 204:
+        isotrivial = len(walks) % 2 == 1
+        X = random_model(rng, max_components=5, max_markers=12, allow_isotrivial=isotrivial)
+        A = admissible_target(rng, X)
+        if A is not None:
+            walks.append((X, A))
+    kinds = Counter()
+    for X, A in walks:
+        trace = reduce(X, A)
+        for s in [rec.snapshot_after for rec in trace.records] + [trace.final]:
+            _assert_same(rebuilt(s), s)
+        kinds.update(rec.kind for rec in trace.records)
+    assert kinds[RecordKind.LA_NAVE_FLIP] >= 100 and kinds[RecordKind.TREE_COLLAPSE_TO_CURVE] > 0, kinds

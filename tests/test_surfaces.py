@@ -1,7 +1,6 @@
 import gc
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -78,11 +77,10 @@ def test_flipped_fixture_is_valid_in_its_range():
 def test_eq41_violation_when_host_coeff_is_wrong():
     X = flipped_degeneration(F(9, 20))
     c1 = X.elliptic[0]
-    bad_host = replace(c1.fiber("a1"), coeff=F(9, 20))
-    bad = replace(
-        X,
+    bad_host = c1.fiber("a1")._replace(coeff=F(9, 20))
+    bad = X._replace(
         components=(
-            replace(c1, fibers=tuple(bad_host if f.fid == "a1" else f for f in c1.fibers)),
+            c1._replace(fibers=tuple(bad_host if f.fid == "a1" else f for f in c1.fibers)),
         ),
     )
     problems = validate(bad)
@@ -141,7 +139,7 @@ def test_validate_returns_a_new_list_each_call():
     problems = validate(X)
     problems.append("junk")
     assert validate(X) == []
-    bad = replace(X, glues=())
+    bad = X._replace(glues=())
     problems = validate(bad)
     assert [p.code for p in problems] == ["connectivity"]
     problems.clear()
@@ -153,7 +151,7 @@ def test_new_surfaces_get_a_new_verdict(monkeypatch):
     X = rational_degeneration(F(1))
     assert validate(X) == []
     # a rewrite makes a new surface, whose verdict is its own
-    bad = replace(X, glues=())
+    bad = X._replace(glues=())
     assert [p.code for p in validate(bad)] == ["connectivity"]
     assert validate(X) == []
     moved = at_weights(X, WeightVector(tuple([F(1)] * 10 + [F(1, 2), F(1, 2)])))
@@ -164,11 +162,10 @@ def test_new_surfaces_get_a_new_verdict(monkeypatch):
 def test_an_invalid_model_is_refused_with_every_violation():
     X = flipped_degeneration(F(9, 20))
     c1 = X.elliptic[0]
-    bad_host = replace(c1.fiber("a1"), coeff=F(9, 20))
-    bad = replace(
-        X,
+    bad_host = c1.fiber("a1")._replace(coeff=F(9, 20))
+    bad = X._replace(
         components=(
-            replace(c1, fibers=tuple(bad_host if f.fid == "a1" else f for f in c1.fibers)),
+            c1._replace(fibers=tuple(bad_host if f.fid == "a1" else f for f in c1.fibers)),
         ),
         glues=(
             Glue(
@@ -224,11 +221,11 @@ def test_pseudo_fate_thresholds():
 def test_pseudo_fate_curve_case_needs_flags():
     X = flipped_degeneration(F(5, 12))
     att = X.trees[0]
-    curve_root = replace(att.root, isotrivial_jinf=True, degL=F(0))
-    Y = replace(X, trees=(TreeAttachment(att.host_component, att.host_fiber, curve_root),))
+    curve_root = att.root._replace(isotrivial_jinf=True, degL=F(0))
+    Y = X._replace(trees=(TreeAttachment(att.host_component, att.host_fiber, curve_root),))
     assert pseudo_fate(Y, "c2") == PSEUDO_TO_CURVE
-    only_flag = replace(att.root, isotrivial_jinf=True)
-    Z = replace(X, trees=(TreeAttachment(att.host_component, att.host_fiber, only_flag),))
+    only_flag = att.root._replace(isotrivial_jinf=True)
+    Z = X._replace(trees=(TreeAttachment(att.host_component, att.host_fiber, only_flag),))
     assert pseudo_fate(Z, "c2") == PSEUDO_TO_POINT
 
 
