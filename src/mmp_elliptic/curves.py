@@ -127,9 +127,9 @@ class WeightVector(_WeightVector):
     """Rational weights in [0,1], indexed by marker index starting at 1.
 
     The public constructor coerces every entry to a `Fraction` and checks its
-    range.  `WeightVector._make((entries,))`, the trusted rebuild of every
-    record, takes entries that are `Fraction`s already known to lie in
-    [0, 1] and checks nothing; three callers use it, each on entries that
+    range.  `WeightVector._make((entries,))`, the records' unchecked rebuild
+    (see `surfaces`), takes entries that are `Fraction`s already known to lie
+    in [0, 1] and checks nothing; three callers use it, each on entries that
     cannot leave the range: the model reader, which has range-checked every
     weight it read; `reduction._Segment.weights_at`, a convex combination of
     two checked vectors; and `surfaces.base_weights`, checked weights

@@ -75,8 +75,8 @@ def test_walls_listing_is_the_json_layout(capsys):
 
 def test_cli_start_up_builds_no_dataclass_machinery():
     """Every command starts a fresh process: importing the CLI must not pull in
-    `dataclasses` or `inspect`, whose import and code generation once took
-    about half of the start-up."""
+    `dataclasses`, which imports `inspect`, `ast`, `dis` and `tokenize` and
+    builds each record's methods with `exec`, or `inspect` by another way."""
     src = EXAMPLE.parent.parent.parent / "src"
     code = (
         f"import sys; sys.path.insert(0, {str(src)!r}); import mmp_elliptic.cli; "
