@@ -7,16 +7,18 @@ subset sums equal to a threshold constant (WIII).  Boundary walls at a
 coordinate equal to zero or one carry a flag.  Everything is exact; the full
 arrangement on r markers is exponential in r.
 
-`enumerate_walls` returns an `Arrangement`: a read-only list of the walls in
-`Wall.sort_key` order that also carries integer columns, built once with the
-walls: each wall's subset as a bitmask and its constant times one common
-denominator (12 for the Kodaira constants).  `locate`, `walls_containing` and
+`enumerate_walls` returns an `Arrangement`: a read-only sequence of the
+walls in `Wall.sort_key` order, held as columns of ints and shared objects:
+each wall's kind, its subset as a bitmask, its constant times one common
+denominator (12 for the Kodaira constants) and its boundary flag.  It builds
+a `Wall` only when someone asks for one.  `locate`, `walls_containing` and
 `segment_walls` read every list through `Arrangement.of`, which builds the
 same columns for any other iterable.  A query takes each weight over the lcm
 of that denominator and its own, adds up every subset sum once from a table
-of integers, compares integers only, and builds a `Fraction` only for a
-crossing time that is hit.  `Wall.value_at` and `Wall.side` answer for one
-wall.
+of integers, compares integers only, and builds a `Wall` and a `Fraction`
+only for an answer: the walls through a point, or a crossing that is hit.
+A `Chamber` is two masks over the arrangement, of the walls a point lies
+below and on.  `Wall.value_at` and `Wall.side` answer for one wall.
 
 `felt_walls` is the one table of the walls a given model feels, each paired
 with the fiber, section or tree that crossing it rewrites.  It is made of
@@ -30,12 +32,13 @@ the record rewrote; one full build is linear in the size of the model.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, count, repeat
 from math import lcm
-from operator import eq
-from typing import Iterable, NamedTuple, Sequence
+from operator import add, eq, gt, lt
+from typing import Iterable, Iterator, NamedTuple
 
 from .curves import WeightVector
 from .kodaira import THRESHOLD_CONSTANTS, KodairaType, lct_threshold
@@ -86,49 +89,93 @@ class Wall(NamedTuple):
         return f"{self.kind.value}: {lhs} = {self.constant}{tag}"
 
 
-# the constants are shared objects, so walls and chambers of two enumerations
-# compare them by identity
+# the constants are shared objects, so walls of two enumerations meet equal
+# constants by identity; an enumeration keeps each one as its value times _DEN
+# and reads the object back from _KODAIRA
 _ONE, _TWO = Fraction(1), Fraction(2)
+_DEN = lcm(*(c.denominator for c in THRESHOLD_CONSTANTS))  # every threshold is one of them
+_KODAIRA = {c.numerator * (_DEN // c.denominator): c for c in (*THRESHOLD_CONSTANTS, _ONE, _TWO)}
+
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_SIDES = {"10": "below", "01": "on", "00": "above"}
 
 
-class Arrangement(list):
-    """Walls in `Wall.sort_key` order, with integer columns.
+def _mask(flags: Iterable[bool]) -> int:
+    """The int with bit i set where flag i is true."""
+    return int(bytes(flags).translate(_DIGITS)[::-1] or b"0", 2)
 
-    `masks[i]` has bit k - 1 set for each marker k of wall i's subset;
-    `scaled[i]` is wall i's constant times `den`, the lcm of the constants'
-    denominators; `r` is the highest marker of any wall.  A query adds up
-    its subset sums on a table of subsets closed under dropping the highest
-    marker: wall i reads slot `_slots[i]`, and each step (k, parents) appends
-    the sums of the parents' subsets plus the weight of marker k + 1.  For
-    `enumerate_walls` the table is every subset, in mask order; for any other
-    list it holds at most one entry per marker of each wall, so its cost does
-    not grow with the marker indices.  The list refuses in-place changes, so
-    it cannot drift from its columns.
+
+def _rows(mask: int) -> Iterator[int]:
+    """The indices of the set bits of `mask`, ascending."""
+    bits = format(mask, "b")[::-1]
+    i = bits.find("1")
+    while i >= 0:
+        yield i
+        i = bits.find("1", i + 1)
+
+
+def _integers(*vectors: WeightVector) -> tuple:
+    """D, the lcm of every weight denominator, then each vector's weights times D."""
+    D = lcm(*(x.denominator for v in vectors for x in v.entries))
+    return (D, *[[x.numerator * (D // x.denominator) for x in v.entries] for v in vectors])
+
+
+class Arrangement(Sequence):
+    """Walls in `Wall.sort_key` order, held as columns of ints and shared objects.
+
+    Row i is one wall: its kind, `masks[i]` with bit k - 1 set for each
+    marker k of its subset, `scaled[i]`, its constant times `den` (the lcm of
+    the constants' denominators), and its boundary flag; `r` is the highest
+    marker of any wall.  Each distinct subset and constant is one object,
+    looked up by mask and by scaled value, so the walls on one subset share
+    its frozenset and every enumeration shares the Kodaira constants.  A
+    `Wall` is built only when someone asks for one: by index, by iterating,
+    which builds them all in one pass, or as the answer of a query.
+
+    A query adds up its subset sums on a table of subsets closed under
+    dropping the highest marker: wall i reads slot `_slots[i]`, and each step
+    (k, parents) appends the sums of the parents' subsets plus the weight of
+    marker k + 1.  For `enumerate_walls` the table is every subset, in mask
+    order; for any other list it holds at most one entry per marker of each
+    wall, so its cost does not grow with the marker indices.  The constants
+    over a query's denominator are kept per scale.
+
+    It is a read-only `Sequence`, equal to a list of the same walls and to
+    an Arrangement of them; every in-place change raises `TypeError`.
     """
 
-    __slots__ = ("masks", "scaled", "den", "r", "_slots", "_steps")
+    __slots__ = (
+        "masks", "scaled", "den", "r", "_kinds", "_boundary", "_subsets", "_constants", "_slots", "_steps", "_at_scale"
+    )
 
-    def __init__(self, walls, masks, scaled, den, r, slots, steps) -> None:
-        super().__init__(walls)
-        self.masks, self.scaled, self.den, self.r = masks, scaled, den, r
+    def __init__(self, kinds, masks, scaled, boundary, den, r, subsets, constants, slots, steps) -> None:
+        self._kinds, self.masks, self.scaled, self._boundary = kinds, masks, scaled, boundary
+        self.den, self.r = den, r
+        self._subsets, self._constants = subsets, constants
         self._slots, self._steps = slots, steps
+        self._at_scale = {1: scaled}
 
     @classmethod
     def of(cls, walls: Iterable[Wall]) -> Arrangement:
         """`walls` itself when it is an Arrangement; else its walls, in a
-        stable sort by `Wall.sort_key`, with their columns.  Raises `KeyError`
-        for a marker below 1."""
+        stable sort by `Wall.sort_key`, as columns.  Raises `KeyError` for a
+        marker below 1."""
         if isinstance(walls, Arrangement):
             return walls
         walls = sorted(walls, key=Wall.sort_key)
-        masks = []
+        den = lcm(*(w.constant.denominator for w in walls))
+        masks, scaled, subsets, constants = [], [], {}, {}
         for w in walls:
             if min(w.subset, default=1) < 1:
                 raise KeyError(f"marker index {min(w.subset)} below 1")
-            masks.append(sum(1 << (i - 1) for i in w.subset))
-        den = lcm(*(w.constant.denominator for w in walls))
+            m = sum(1 << (i - 1) for i in w.subset)
+            c = w.constant.numerator * (den // w.constant.denominator)
+            masks.append(m)
+            scaled.append(c)
+            subsets.setdefault(m, w.subset)
+            constants.setdefault(c, w.constant)
         table = {0}
-        for m in set(masks):
+        for m in subsets:
             while m not in table:
                 table.add(m)
                 m ^= 1 << (m.bit_length() - 1)
@@ -139,32 +186,87 @@ class Arrangement(list):
             k = m.bit_length() - 1
             steps.setdefault(k, []).append(slot[m ^ 1 << k])
         return cls(
-            walls,
+            [w.kind for w in walls],
             masks,
-            [w.constant.numerator * (den // w.constant.denominator) for w in walls],
+            scaled,
+            [w.boundary for w in walls],
             den,
             table[-1].bit_length(),
+            subsets,
+            constants,
             [slot[m] for m in masks],
             list(steps.items()),
         )
 
-    def _over(self, *vectors: WeightVector) -> list[list[int]]:
-        """Per wall, in order, as integers over D, the lcm of `den` and every
-        weight denominator: the constants, then each vector's subset sums.
-        Raises `KeyError` for a marker outside 1..r of a vector."""
-        for v in vectors:
-            if self.r > v.r:
-                raise KeyError(f"marker index {self.r} outside 1..{v.r}")
-        D = lcm(self.den, *(x.denominator for v in vectors for x in v.entries))
-        scale = D // self.den
-        out = [[c * scale for c in self.scaled]]
-        for v in vectors:
-            weights = [x.numerator * (D // x.denominator) for x in v.entries]
+    def _walls(self, rows: Iterable[int] | None = None) -> Iterator[Wall]:
+        """The walls at `rows`, or every wall, in one pass over the columns:
+        the one place that builds a `Wall` of an arrangement."""
+        columns = self._kinds, self.masks, self.scaled, self._boundary
+        if rows is not None:
+            rows = list(rows)
+            columns = [map(column.__getitem__, rows) for column in columns]
+        kinds, masks, scaled, boundary = columns
+        # tuple.__new__ skips the keyword handling of Wall(...)
+        return map(tuple.__new__, repeat(Wall), zip(
+            kinds, map(self._subsets.__getitem__, masks), map(self._constants.__getitem__, scaled), boundary
+        ))
+
+    def __len__(self) -> int:
+        return len(self._kinds)
+
+    def __iter__(self) -> Iterator[Wall]:
+        return self._walls()
+
+    def __getitem__(self, i):
+        """One wall, or a list of the walls of a slice."""
+        rows = range(len(self))[i]
+        if isinstance(rows, range):
+            return list(self._walls(rows))
+        return next(self._walls((rows,)))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Arrangement) and other.den == self.den:
+            return (self._kinds, self.masks, self.scaled, self._boundary) == (
+                other._kinds, other.masks, other.scaled, other._boundary
+            )
+        if isinstance(other, (list, Arrangement)):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"<Arrangement of {len(self)} walls on markers up to {self.r}>"
+
+    def _sort_key(self, i: int) -> tuple:
+        """`Wall.sort_key` of row i, read from the columns."""
+        subset = self._subsets[self.masks[i]]
+        return (self._kinds[i].value, tuple(sorted(subset)), self._constants[self.scaled[i]], self._boundary[i])
+
+    def _find(self, wall: Wall) -> int | None:
+        """The row of the first copy of `wall`, bisected on `Wall.sort_key`;
+        None when the arrangement does not hold it."""
+        key = wall.sort_key()
+        i = bisect_left(range(len(self)), key, key=self._sort_key)
+        return i if i < len(self) and self._sort_key(i) == key else None
+
+    def _over(self, D: int, *weights: list[int]) -> list[list[int]]:
+        """As integers over L, the lcm of `den` and D: the constant of each
+        wall, in order, then for each list of weights over D the subset sum
+        of each slot, which wall i reads at `_slots[i]`.  Raises `KeyError`
+        for a marker outside 1..r of a list."""
+        for v in weights:
+            if self.r > len(v):
+                raise KeyError(f"marker index {self.r} outside 1..{len(v)}")
+        L = lcm(self.den, D)
+        scale, lift = L // self.den, L // D
+        constants = self._at_scale.get(scale)
+        if constants is None:
+            constants = self._at_scale[scale] = [c * scale for c in self.scaled]
+        out = [constants]
+        for v in weights:
             sums = [0]
             for k, parents in self._steps:
-                x = weights[k]
-                sums += [sums[p] + x for p in parents]
-            out.append(list(map(sums.__getitem__, self._slots)))
+                sums += map(add, map(sums.__getitem__, parents), repeat(v[k] * lift))
+            out.append(sums)
         return out
 
     def _read_only(self, *args, **kwargs):
@@ -178,22 +280,41 @@ class Arrangement(list):
 
 
 class Chamber(NamedTuple):
-    """Sign vector of a weight vector against a wall collection, in `Wall.sort_key` order."""
+    """Where a weight vector lies against the walls of an `Arrangement`: bit
+    i of `below` is set when it lies below wall i, bit i of `on` when it lies
+    on it, and neither when it lies above.  The masks come first, so two
+    chambers that differ compare unequal without reading their walls."""
 
-    signs: tuple[tuple[Wall, str], ...]
+    below: int
+    on: int
+    walls: Arrangement
+
+    @property
+    def signs(self) -> tuple[tuple[Wall, str], ...]:
+        """The sign of every wall, as (wall, side) pairs in `Wall.sort_key` order."""
+        n = len(self.walls)
+        codes = map(add, format(self.below, f"0{n}b")[::-1], format(self.on, f"0{n}b")[::-1])
+        return tuple(zip(self.walls, map(_SIDES.__getitem__, codes)))
 
     def sign(self, wall: Wall) -> str:
-        """The sign of `wall`, bisected on `Wall.sort_key`; a repeated wall reads its first copy."""
-        i = bisect_left(self.signs, wall.sort_key(), key=lambda pair: pair[0].sort_key())
-        if i < len(self.signs) and self.signs[i][0] == wall:
-            return self.signs[i][1]
-        raise KeyError(f"wall {wall} not part of this chamber's arrangement")
+        """The sign of `wall`, found by bisection; a repeated wall reads its first copy."""
+        i = self.walls._find(wall)
+        if i is None:
+            raise KeyError(f"wall {wall} not part of this chamber's arrangement")
+        return "below" if self.below >> i & 1 else "on" if self.on >> i & 1 else "above"
 
     def on_walls(self) -> tuple[Wall, ...]:
-        return tuple(w for w, s in self.signs if s == "on")
+        return tuple(self.walls._walls(_rows(self.on)))
 
     def interior(self) -> bool:
-        return not self.on_walls()
+        return not self.on
+
+    def __hash__(self) -> int:
+        return hash((self.below, self.on))
+
+    def __repr__(self) -> str:
+        # the masks have a bit per wall, too many digits to print
+        return f"Chamber(below={self.below.bit_count()} walls, on={self.on.bit_count()} walls, walls={self.walls!r})"
 
 
 class SegmentCrossing(NamedTuple):
@@ -214,65 +335,64 @@ def enumerate_walls(
     rational base; WIII walls are all nonempty subset sums equal to each
     threshold constant.  Every threshold is below one and the constants are
     distinct, so the walls are distinct by construction.  Emitted in
-    `Wall.sort_key` order, with the columns of an `Arrangement` over every
-    subset; the walls on one subset share its frozenset.
+    `Wall.sort_key` order as the columns of an `Arrangement` over every
+    subset; no `Wall` is built here.
     """
     types = list(fiber_types)
     if len(types) != r:
         raise ValueError(f"expected {r} fiber types, got {len(types)}")
-    den = lcm(*(c.denominator for c in THRESHOLD_CONSTANTS))  # every threshold is one of them
-    walls, masks, scaled = [], [], []
+    WI, WII, WIII = WallKind.WI, WallKind.WII, WallKind.WIII
+    kinds, masks, scaled, boundary = [], [], [], []
     for i, ftype in enumerate(types):
         c = lct_threshold(ftype)  # may raise UnsupportedFiberType for N2
         if c is not None:
-            subset = frozenset((i + 1,))
-            walls += [Wall(WallKind.WI, subset, c), Wall(WallKind.WI, subset, _ONE, True)]
-            masks += [1 << i, 1 << i]
-            scaled += [c.numerator * (den // c.denominator), den]
-    # every nonempty subset of k..r in the order of its sorted tuple: {k}, then
-    # {k} with each subset of k+1..r, then the subsets of k+1..r
-    subsets: list[frozenset[int]] = []
+            kinds += (WI, WI)
+            masks += (1 << i, 1 << i)
+            scaled += (c.numerator * (_DEN // c.denominator), _DEN)
+            boundary += (False, True)
+    # every nonempty subset of k..r as a mask, in the order of its sorted
+    # tuple: {k}, then {k} with each subset of k+1..r, then the subsets of k+1..r
     lex: list[int] = []
+    sets: list[frozenset[int]] = []
     for k in range(r, 0, -1):
-        single, bit = frozenset((k,)), 1 << (k - 1)
-        subsets = [single, *[single | s for s in subsets], *subsets]
+        bit, single = 1 << (k - 1), frozenset((k,))
         lex = [bit, *[bit | m for m in lex], *lex]
-    # tuple.__new__ skips the keyword handling of Wall(...), the cost of this loop
-    new, WII, WIII = tuple.__new__, WallKind.WII, WallKind.WIII
-    wii = [new(Wall, (WII, s, _ONE, False)) for s in subsets]
-    wii_masks, wii_scaled = lex[:], [den] * len(lex)
+        sets = [single, *[single | s for s in sets], *sets]
+    wii, wii_scaled = lex[:], [_DEN] * len(lex)
     if rational_base:
         # the full set (1, ..., r) is the r-th subset in lexicographic order,
         # and its wall at two sorts right after its wall at one
-        wii.insert(r, Wall(WII, frozenset(range(1, r + 1)), _TWO))
-        wii_masks.insert(r, (1 << r) - 1)
-        wii_scaled.insert(r, 2 * den)
-    walls += wii
-    walls += [new(Wall, (WIII, s, c, False)) for s in subsets for c in THRESHOLD_CONSTANTS]
-    masks += wii_masks
-    masks += [m for m in lex for _ in THRESHOLD_CONSTANTS]
+        wii.insert(r, (1 << r) - 1)
+        wii_scaled.insert(r, 2 * _DEN)
+    wiii_scaled = [c.numerator * (_DEN // c.denominator) for c in THRESHOLD_CONSTANTS]
+    kinds += [WII] * len(wii) + [WIII] * (len(wiii_scaled) * len(lex))
+    masks += wii
+    masks += chain.from_iterable(zip(*[lex] * len(wiii_scaled)))
     scaled += wii_scaled
-    scaled += [c.numerator * (den // c.denominator) for c in THRESHOLD_CONSTANTS] * len(lex)
+    scaled += wiii_scaled * len(lex)
+    boundary += [False] * (len(kinds) - len(boundary))
+    # the frozenset of each subset, indexed by its mask
+    subsets = [frozenset()] * (1 << r)
+    for m, s in zip(lex, sets):
+        subsets[m] = s
     steps = [(k, range(1 << k)) for k in range(r)]
-    return Arrangement(walls, masks, scaled, den, r, masks, steps)
+    return Arrangement(kinds, masks, scaled, boundary, _DEN, r, subsets, _KODAIRA, masks, steps)
 
 
 def locate(weights: WeightVector, walls: Iterable[Wall]) -> Chamber:
-    """Sign vector of the weight vector against each wall, in
-    `Wall.sort_key` order."""
+    """The chamber of the weight vector: its side of each wall, as the masks
+    of the walls it lies below and on."""
     walls = Arrangement.of(walls)
-    constants, sums = walls._over(weights)
-    return Chamber(tuple([
-        (w, "below" if v < c else "above" if v > c else "on")
-        for w, v, c in zip(walls, sums, constants)
-    ]))
+    constants, sums = walls._over(*_integers(weights))
+    values = list(map(sums.__getitem__, walls._slots))
+    return Chamber(_mask(map(lt, values, constants)), _mask(map(eq, values, constants)), walls)
 
 
 def walls_containing(weights: WeightVector, walls: Iterable[Wall]) -> list[Wall]:
     """The walls through the weight vector, in `Wall.sort_key` order."""
     walls = Arrangement.of(walls)
-    constants, sums = walls._over(weights)
-    return list(compress(walls, map(eq, sums, constants)))
+    constants, sums = walls._over(*_integers(weights))
+    return list(walls._walls([i for i, s, c in zip(count(), walls._slots, constants) if sums[s] == c]))
 
 
 def segment_walls(
@@ -285,16 +405,19 @@ def segment_walls(
     `walls_containing`.  Output is sorted by decreasing t, each crossing
     listing every wall hit at that time in `Wall.sort_key` order.
     """
-    if not A.leq(B):
+    D, a, b = _integers(A, B)
+    if len(a) != len(b) or any(map(gt, a, b)):
         raise ValueError("segment requires A <= B entrywise")
     walls = Arrangement.of(walls)
-    constants, at_a, at_b = walls._over(A, B)
+    constants, at_a, at_b = walls._over(D, a, b)
+    slots = walls._slots
+    # A <= B, so a subset sum rises along the segment: a wall is crossed
+    # inside it exactly when its constant lies strictly between the ends
+    rows = [i for i, s, c in zip(count(), slots, constants) if at_a[s] < c < at_b[s]]
     hits: dict[Fraction, list[Wall]] = {}
-    for w, c, lo, hi in zip(walls, constants, at_a, at_b):
-        # A <= B, so a subset sum rises along the segment: a wall is crossed
-        # inside it exactly when its constant lies strictly between the ends
-        if lo < c < hi:
-            hits.setdefault(Fraction(c - lo, hi - lo), []).append(w)
+    for i, w in zip(rows, walls._walls(rows)):
+        lo = at_a[slots[i]]
+        hits.setdefault(Fraction(constants[i] - lo, at_b[slots[i]] - lo), []).append(w)
     return [SegmentCrossing(t, tuple(hits[t])) for t in sorted(hits, reverse=True)]
 
 

@@ -3,7 +3,9 @@
 Each function here deliberately re-derives its answer by a different route
 than the library: the volume oracle expands the self-intersection against a
 full pairing matrix instead of the closed form, the wall oracle
-re-enumerates the arrangement over raw bitmask subsets, the surface lookups
+re-enumerates the arrangement over raw bitmask subsets, `eager_walls` builds
+every `Wall` of an arrangement in sort order where the library keeps columns
+and builds a wall only when asked, the surface lookups
 scan the model where the library reads its cached lookups, the curve degree is
 counted edge by edge for one vertex where the library sweeps all of them,
 curves are contracted one vertex at a time where the library contracts in one
@@ -137,6 +139,31 @@ def brute_force_walls(r, types, rational_base):
     if rational_base:
         found.add(("WII", frozenset(range(1, r + 1)), F(2), False))
     return found
+
+
+def eager_walls(r, types, rational_base):
+    """`enumerate_walls` as a list of `Wall`s built one by one, in
+    `Wall.sort_key` order, by combining subsets in lexicographic order."""
+    walls = []
+    for i, ftype in enumerate(types):
+        c = lct_threshold(ftype)
+        if c is not None:
+            subset = frozenset((i + 1,))
+            walls += [Wall(WallKind.WI, subset, c), Wall(WallKind.WI, subset, F(1), True)]
+    # every nonempty subset of k..r in the order of its sorted tuple: {k}, then
+    # {k} with each subset of k+1..r, then the subsets of k+1..r
+    subsets = []
+    for k in range(r, 0, -1):
+        single = frozenset((k,))
+        subsets = [single, *[single | s for s in subsets], *subsets]
+    wii = [Wall(WallKind.WII, s, F(1)) for s in subsets]
+    if rational_base:
+        # the full set is the r-th subset, and its wall at two sorts right
+        # after its wall at one
+        wii.insert(r, Wall(WallKind.WII, frozenset(range(1, r + 1)), F(2)))
+    walls += wii
+    walls += [Wall(WallKind.WIII, s, c) for s in subsets for c in WALL_CONSTANTS]
+    return walls
 
 
 def wall_keys(walls):

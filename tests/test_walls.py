@@ -13,6 +13,7 @@ from mmp_elliptic.reduction import at_weights
 from mmp_elliptic.surfaces import BrokenEllipticSurface, Component
 from mmp_elliptic.walls import (
     Arrangement,
+    Chamber,
     FeltWall,
     Wall,
     WallKind,
@@ -24,8 +25,8 @@ from mmp_elliptic.walls import (
     walls_containing,
 )
 
-from modelkit import admissible_target, flipped_degeneration, mk_fiber, random_model, rational_degeneration
-from oracles import WALL_CONSTANTS, brute_force_walls, wall_from_obj, wall_keys, wall_to_obj
+from modelkit import MARKABLE, admissible_target, flipped_degeneration, mk_fiber, random_model, rational_degeneration
+from oracles import WALL_CONSTANTS, brute_force_walls, eager_walls, wall_from_obj, wall_keys, wall_to_obj
 
 F = Fraction
 
@@ -379,11 +380,9 @@ def test_arrangement_columns_agree_with_each_wall():
         assert_columns_match(walls)
 
 
-def test_arrangement_refuses_in_place_changes():
-    walls = enumerate_walls(3, [parse_fiber_type(t) for t in ("II", "I1", "IV*")], rational_base=True)
-    fresh = list(walls)
-    extra = Wall(WallKind.WII, frozenset({1}), F(1, 2))
-    changes = [
+def in_place_changes(extra):
+    """Every in-place change a list takes, each as a call on the list."""
+    return [
         lambda a: a.append(extra),
         lambda a: a.extend([extra]),
         lambda a: a.insert(0, extra),
@@ -398,7 +397,12 @@ def test_arrangement_refuses_in_place_changes():
         lambda a: operator.iadd(a, [extra]),
         lambda a: operator.imul(a, 2),
     ]
-    for change in changes:
+
+
+def test_arrangement_refuses_in_place_changes():
+    walls = enumerate_walls(3, [parse_fiber_type(t) for t in ("II", "I1", "IV*")], rational_base=True)
+    fresh = list(walls)
+    for change in in_place_changes(Wall(WallKind.WII, frozenset({1}), F(1, 2))):
         with pytest.raises(TypeError):
             change(walls)
     assert walls == fresh
@@ -431,3 +435,133 @@ def test_few_walls_on_a_high_marker_answer_at_once():
     assert on == [walls[0], walls[1]]
     assert [(c.t, c.walls_hit) for c in crossings] == [(F(1, 2), (walls[0], walls[1]))]
     assert_per_wall_answers(A, B, walls)
+
+
+def assert_reads_like(arr, walls, rng):
+    """The Arrangement `arr` answers every read-only list operation as the
+    list `walls` does, pickles, and refuses every in-place change."""
+    n = len(walls)
+    assert len(arr) == n and bool(arr) == bool(walls)
+    assert [arr[i] for i in range(-n, n)] == walls + walls
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            arr[i]
+    for cut in (slice(None), slice(2, -3), slice(None, None, -1), slice(1, n, 3), slice(-5, None), slice(n, None)):
+        assert type(arr[cut]) is list and arr[cut] == walls[cut]
+    assert list(arr) == walls and list(reversed(arr)) == walls[::-1]
+    missing = Wall(WallKind.WII, frozenset({1}), F(3, 7))
+    for w in rng.sample(walls, min(n, 4)) + [missing]:
+        assert (w in arr) == (w in walls) and arr.count(w) == walls.count(w)
+        if w in walls:
+            assert arr.index(w) == walls.index(w)
+        else:
+            with pytest.raises(ValueError):
+                arr.index(w)
+    assert arr.index(walls[-1], -1) == n - 1
+    # equal to the list and to an Arrangement of it, both ways; unequal to a
+    # list that differs in one wall or is shorter, and to any tuple
+    for other in (walls, Arrangement.of(walls), Arrangement.of(reversed(walls))):
+        assert arr == other and other == arr and not arr != other
+    for other in (walls[:-1] + [missing], walls[:-1], Arrangement.of(walls[1:])):
+        assert arr != other and other != arr and not arr == other
+    assert arr != tuple(walls)
+    copied = pickle.loads(pickle.dumps(arr))
+    assert isinstance(copied, Arrangement) and copied == walls
+    for change in in_place_changes(missing):
+        with pytest.raises(TypeError):
+            change(arr)
+    assert arr == walls
+
+
+def test_arrangement_equals_the_eager_oracle():
+    # r = 1..8 over both bases, with the markable types laid out from every
+    # offset, so each type sits at each position; the read-only list
+    # operations run on one layout per r over a rational base and on
+    # hand-built lists with repeats
+    rng = random.Random(41)
+    for r in range(1, 9):
+        for shift in range(len(MARKABLE)):
+            types = [parse_fiber_type(MARKABLE[(i + shift) % len(MARKABLE)]) for i in range(r)]
+            for rational in (False, True):
+                walls = enumerate_walls(r, types, rational)
+                eager = eager_walls(r, types, rational)
+                assert walls == eager
+                again = enumerate_walls(r, types, rational)
+                assert walls == again and all(a.constant is b.constant for a, b in zip(walls, again))
+                shared: dict = {}
+                for w in walls:
+                    assert shared.setdefault(w.subset, w.subset) is w.subset
+                if shift == r and rational:
+                    assert_reads_like(walls, eager, rng)
+        given = hand_built_walls(rng, r, 24)
+        assert_reads_like(Arrangement.of(given), sorted(given, key=Wall.sort_key), rng)
+    # no walls: the enumeration and the empty list, whatever their denominators
+    assert enumerate_walls(0, []) == Arrangement.of([]) == []
+
+
+def worked_segment(r):
+    """The worked path on r nodal markers: the last two weights run from 1
+    down to 1/3, with the midpoint at 2/3."""
+    ends = [WeightVector((F(1),) * (r - 2) + (a,) * 2) for a in (F(1, 3), F(1), F(2, 3))]
+    return enumerate_walls(r, [parse_fiber_type("I1")] * r), *ends
+
+
+def test_queries_build_only_the_walls_they_return(monkeypatch):
+    built = []
+    build = Arrangement._walls
+
+    def counted(self, rows=None):
+        walls = list(build(self, rows))
+        built.append(len(walls))
+        return iter(walls)
+
+    monkeypatch.setattr(Arrangement, "_walls", counted)
+    walls, A, B, mid = worked_segment(16)
+    assert len(walls) == 524_280 and built == []
+    crossings = segment_walls(A, B, walls)
+    assert sum(built) == sum(len(c.walls_hit) for c in crossings) == 11
+    for W in (A, B):
+        built.clear()
+        on = walls_containing(W, walls)
+        assert sum(built) == len(on) > 0
+    built.clear()
+    chamber = locate(mid, walls)
+    assert built == []
+    wall = Wall(WallKind.WII, frozenset({15, 16}), F(1))
+    assert chamber.sign(wall) == "above" and not chamber.interior() and built == []
+    chamber = locate(A, walls)
+    assert built == []
+    on = chamber.on_walls()
+    assert sum(built) == len(on) > 0 and list(on) == walls_containing(A, walls)
+    assert all(chamber.sign(w) == "on" for w in on)
+
+
+def test_chambers_are_two_masks_over_their_arrangement():
+    walls, A, B, mid = worked_segment(8)
+    chamber = locate(mid, walls)
+    assert isinstance(chamber, Chamber) and chamber.walls is walls
+    assert chamber.signs == tuple((w, w.side(mid)) for w in eager_walls(8, [parse_fiber_type("I1")] * 8, False))
+    for mask, side in ((chamber.below, "below"), (chamber.on, "on")):
+        assert mask == sum(1 << i for i, (_, s) in enumerate(chamber.signs) if s == side)
+    assert chamber.on and not chamber.interior()
+    assert chamber.on_walls() == tuple(w for w, s in chamber.signs if s == "on")
+    # equal chambers of two enumerations, and of the same walls listed by hand
+    for other in (enumerate_walls(8, [parse_fiber_type("I1")] * 8), list(walls)):
+        twin = locate(mid, other)
+        assert twin == chamber and hash(twin) == hash(chamber) and twin.signs == chamber.signs
+    assert locate(A, walls) != chamber and locate(B, walls) != chamber
+    assert pickle.loads(pickle.dumps(chamber)) == chamber
+
+
+def test_segment_checks_the_order_of_its_ends_on_integers(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("WeightVector.leq called")
+
+    monkeypatch.setattr(WeightVector, "leq", refuse)
+    walls, A, B, _ = worked_segment(4)
+    crossings = segment_walls(A, B, walls)
+    assert [(c.t, list(c.walls_hit)) for c in crossings] == per_wall_crossings(A, B, walls)
+    short = WeightVector((F(1),) * 3)
+    for lo, hi in ((B, A), (A, short), (short, B)):
+        with pytest.raises(ValueError, match=r"^segment requires A <= B entrywise$"):
+            segment_walls(lo, hi, walls)
