@@ -140,8 +140,11 @@ def assert_per_wall_answers(A, B, walls):
     assert [(c.t, list(c.walls_hit)) for c in crossings] == per_wall_crossings(A, B, walls)
     ordered = sorted(walls, key=Wall.sort_key)
     for W in (A, B, interpolate(A, B, F(1, 2))):
-        assert locate(W, iter(walls)).signs == tuple((w, w.side(W)) for w in ordered)
-        assert walls_containing(W, iter(walls)) == [w for w in ordered if w.side(W) == "on"]
+        chamber = locate(W, iter(walls))
+        assert chamber.signs == tuple((w, w.side(W)) for w in ordered)
+        on = [w for w in ordered if w.side(W) == "on"]
+        assert walls_containing(W, iter(walls)) == list(chamber.on_walls()) == on
+        assert chamber.interior() == (not on)
 
 
 def hand_built_walls(rng, r, count):
@@ -462,7 +465,8 @@ def assert_reads_like(arr, walls, rng):
     # list that differs in one wall or is shorter, and to any tuple
     for other in (walls, Arrangement.of(walls), Arrangement.of(reversed(walls))):
         assert arr == other and other == arr and not arr != other
-    for other in (walls[:-1] + [missing], walls[:-1], Arrangement.of(walls[1:])):
+    flipped = walls[:-1] + [walls[-1]._replace(boundary=not walls[-1].boundary)]
+    for other in (walls[:-1] + [missing], walls[:-1], Arrangement.of(walls[1:]), Arrangement.of(flipped)):
         assert arr != other and other != arr and not arr == other
     assert arr != tuple(walls)
     copied = pickle.loads(pickle.dumps(arr))
