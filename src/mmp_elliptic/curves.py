@@ -156,9 +156,6 @@ class WeightVector(_WeightVector):
             raise KeyError(f"marker index {index} outside 1..{self.r}")
         return self.entries[index - 1]
 
-    def leq(self, other: "WeightVector") -> bool:
-        return self.r == other.r and all(a <= b for a, b in zip(self.entries, other.entries))
-
     def sum(self, indices: Iterable[int]) -> Fraction:
         """The weight sum over the given marker indices, each counted as often
         as it is listed: the one marker-set sum of the package.  A single

@@ -10,13 +10,17 @@ to a point or a curve once their marked weight drops to the host threshold
 at its exact crossing time in the batch order WI, WII, WIII, and returns the
 ordered trace with a model snapshot after each record.
 
-Each record kind is built in one place.  `_apply_section_contraction` is the
-one WII path: a leaf flips (La Nave), taking along every type II
+Where a wall acts is decided in one place, the felt-wall table
+(`walls.felt_walls`): the walk fires the walls of its rows, and `cross_wall`
+acts at the felt wall with the given wall's kind, markers and constant, or
+refuses.  Each record kind is built in one place.  `_apply_section_contraction`
+is the one WII path: a leaf flips (La Nave), taking along every type II
 pseudoelliptic the flip leaves with a single attachment, and any other
-component's section contracts in place.  `_collapse_subtree` is the one WIII
-path, and its record carries the felt wall (`walls.felt_walls`) that fired.
-Every fiber swap and subtree cut goes through one helper, `_rewrite`, which
-reuses each component and tree that the change does not touch.
+component's section contracts in place; it reads its markers from the wall
+that fired.  `_collapse_subtree` is the one WIII path, and its record
+carries that wall.  Every fiber swap and subtree cut goes through one
+helper, `_rewrite`, which reuses each component and tree that the change
+does not touch.
 
 A rewrite rebuilds the records it changes through `_replace`, the records'
 one trusted rebuild: it checks and sorts nothing (see `surfaces`).  Each call
@@ -36,9 +40,11 @@ event time and a snapshot's weights.  The table holds one row per component
 (`felt_rows`), built once from the start and kept for the whole walk: a WII
 or WIII record replaces only the row of the component it rewrote, trees
 included (`felt_row`), and drops the rows of the components it hung; every
-other row stays as it was.  Each batch settles only the fibers whose markers
-move (A_i < B_i), which includes any such fiber a WII or WIII rewrite has
-created; the others keep their coefficient, so they stay settled.
+other row stays as it was.  That component is known, not searched for: the
+one a section contraction returns, or the row of the collapsed tree's wall.
+Each batch settles only the fibers whose markers move (A_i < B_i), which
+includes any such fiber a WII or WIII rewrite has created; the others keep
+their coefficient, so they stay settled.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from bisect import bisect_left
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, NamedTuple
 
 from .curves import WeightVector
@@ -264,7 +270,7 @@ def _record_fiber_event(
 ) -> TransformationRecord:
     if new_state == FiberState.WEIERSTRASS:
         kind = RecordKind.FIBER_TO_WEIERSTRASS
-        wall = Wall(WallKind.WI, f.markers, lct_threshold(f.ftype) or Fraction(0))
+        wall = Wall(WallKind.WI, f.markers, lct_threshold(f.ftype))
     else:
         intermediate = new_state == FiberState.INTERMEDIATE
         kind = RecordKind.FIBER_TO_INTERMEDIATE if intermediate else RecordKind.FIBER_TO_TWISTED
@@ -283,10 +289,7 @@ def _hang_off_peer(X: BrokenEllipticSurface, cid: str) -> tuple[BrokenEllipticSu
     hosts; the attaching fiber becomes the tree's intermediate host.  Returns
     the model and the peer's component id.
     """
-    ends = X.glue_ends(cid)
-    if len(ends) != 1:
-        raise RuleNotApplicable(f"component {cid} has {len(ends)} attachments; need exactly 1")
-    glue, my_end = ends[0]
+    [(glue, my_end)] = X.glue_ends(cid)
     peer = glue.peer_of(cid)
     if lct_threshold(peer.ftype) is None:
         raise RuleNotApplicable(
@@ -322,9 +325,9 @@ def _hang_off_peer(X: BrokenEllipticSurface, cid: str) -> tuple[BrokenEllipticSu
 
 
 def _apply_section_contraction(
-    X: BrokenEllipticSurface, cid: str, t: Fraction
-) -> tuple[BrokenEllipticSurface, TransformationRecord]:
-    """Contract the section of a component.
+    X: BrokenEllipticSurface, fw: FeltWall, t: Fraction
+) -> tuple[BrokenEllipticSurface, TransformationRecord, str]:
+    """Contract the section of `fw.owner`, whose WII wall `fw` fired.
 
     A leaf flips (La Nave): it becomes the root of a type I pseudoelliptic
     tree on its peer's attaching fiber.  A type II pseudoelliptic that the
@@ -333,30 +336,28 @@ def _apply_section_contraction(
     chain.  Otherwise the section contracts in place: a multiply-attached
     component becomes a type II pseudoelliptic, and an unattached one makes
     the whole surface pseudoelliptic, keeping its base vertex so the model
-    still projects to a curve.
+    still projects to a curve.  Returns the model, the record and the
+    component whose row changes: the last peer of a flip, or `fw.owner`.
     """
-    subset = X.component(cid).marker_set
+    cid, subset = fw.owner, fw.wall.subset
     constant = X.weights.sum(subset)
     n_ends = len(X.glue_ends(cid))
-    affected = [cid]
+    affected, top = [cid], cid
     if n_ends == 1:
         kind, boundary = RecordKind.LA_NAVE_FLIP, constant != 1
-        current, peer = _hang_off_peer(X, cid)
-        while not current.component(peer).has_section and len(current.glue_ends(peer)) == 1:
-            affected.append(peer)
-            current, peer = _hang_off_peer(current, peer)
+        current, top = _hang_off_peer(X, cid)
+        while not current.component(top).has_section and len(current.glue_ends(top)) == 1:
+            affected.append(top)
+            current, top = _hang_off_peer(current, top)
     else:
         if n_ends == 0:
             kind, boundary = RecordKind.WHOLE_SECTION_CONTRACTION, constant != 2
         else:
             kind, boundary = RecordKind.TYPE_II_PSEUDO_FORMATION, True
-        current = X._replace(
-            components=tuple(
-                c._replace(has_section=False) if c.cid == cid else c for c in X.components
-            ),
-        )
+        contracted = (c._replace(has_section=False) if c.cid == cid else c for c in X.components)
+        current = X._replace(components=tuple(contracted))
     wall = Wall(WallKind.WII, subset, constant, boundary=boundary)
-    return current, TransformationRecord(t, wall, kind, tuple(affected), current)
+    return current, TransformationRecord(t, wall, kind, tuple(affected), current), top
 
 
 # -- WIII: pseudoelliptic collapses ---------------------------------------------
@@ -398,7 +399,7 @@ def _collapse_subtree(
 
 
 # the walk's felt walls by component id, each wall as (num, den, felt wall):
-# see `_Segment.reach`
+# see `_Segment.reach`; the id is the component whose row holds the wall
 _Table = dict[str, list[tuple[int, int, FeltWall]]]
 
 
@@ -456,36 +457,29 @@ class _Segment:
         the start, and keeps it up to date with `update`."""
         return {cid: self.reach(row) for cid, row in felt_rows(X).items()}
 
-    def update(self, table: _Table, Y: BrokenEllipticSurface, site: str, gone: Iterable[str]) -> None:
-        """Replace the row of `table` that a WII or WIII record rewrote into
-        Y.  It fired at `site` (the contracted component or the collapsed
-        tree's host); the rows of `gone`, its affected ids, are dropped: the
-        components a flip hung now sit in the trees of another row.
-
-        The row of the component at the top of `site`'s tree in Y is built
-        again (`felt_row`); no other component's section, fibers, attaching
-        fibers or trees change, so no other row does.  No lookup is built:
-        the component is bisected out of Y's components, which are sorted by
-        id, its attaching fibers are counted over Y's glues, and its trees
-        are read off Y's trees.
+    def update(self, table: _Table, Y: BrokenEllipticSurface, top: str, gone: Iterable[str]) -> None:
+        """Build again the row of component `top` (`felt_row`), which a WII
+        or WIII record rewrote into Y, and drop the rows of `gone`, the
+        record's affected ids: the components a flip hung now sit in `top`'s
+        tree.  No other component's section, fibers, attaching fibers or
+        trees change, so no other row does.  No lookup is built and no other
+        component's tree is read: `top` is bisected out of Y's components,
+        which are sorted by id, its attaching fibers are counted over Y's
+        glues, and its trees are picked out of Y's trees by host.
         """
         for cid in gone:
             table.pop(cid, None)
-        top = next(
-            (t.host_component for t in Y.trees if any(n.pid == site for n in t.root.nodes())),
-            site,
-        )
         comp = Y.components[bisect_left(Y.components, top, key=attrgetter("cid"))]
         attachments = sum((g.a.component == top) + (g.b.component == top) for g in Y.glues)
         table[top] = self.reach(felt_row(comp, attachments, Y.trees_on(top)))
 
 
-def _due(table: _Table, kind: WallKind, t: Fraction) -> list[FeltWall]:
+def _due(table: _Table, kind: WallKind, t: Fraction) -> list[tuple[str, FeltWall]]:
     """The walls of one kind in the walk's table whose marked weight is down
-    to their constant at time t."""
+    to their constant at time t, each with the id of its row."""
     p, q = t.numerator, t.denominator
-    rows = table.values()
-    return [fw for row in rows for num, den, fw in row if fw.wall.kind == kind and p * den <= num * q]
+    rows = table.items()
+    return [(cid, fw) for cid, row in rows for num, den, fw in row if fw.wall.kind == kind and p * den <= num * q]
 
 
 def _apply_batch(
@@ -518,8 +512,9 @@ def _apply_batch(
     while not halted:
         wii = _due(table, WallKind.WII, t)
         if wii:
-            fw = min(wii, key=attrgetter("owner"))
-            current, rec = _apply_section_contraction(current, fw.owner, t)
+            # lowest component id first: a WII wall's row is its component's
+            _, fw = min(wii, key=itemgetter(0))
+            current, rec, top = _apply_section_contraction(current, fw, t)
             if len(wii) > 1:
                 rec = rec._replace(note=(rec.note + "; simultaneous section walls").strip("; "))
         else:
@@ -527,17 +522,24 @@ def _apply_batch(
             if not wiii:
                 break
             # deepest first so nested collapses precede their hosts'
-            fw = min(wiii, key=lambda fw: (-fw.depth, fw.node.pid))
+            top, fw = min(wiii, key=lambda due: (-due[1].depth, due[1].node.pid))
             current, rec, halted = _collapse_subtree(current, fw, t)
         records.append(rec)
-        segment.update(table, current, fw.owner, rec.affected)
+        segment.update(table, current, top, rec.affected)
     return current, halted
 
 
 # -- the public operations --------------------------------------------------------
 
 
-_SITE = {WallKind.WI: "marked fiber", WallKind.WII: "elliptic component", WallKind.WIII: "attached tree"}
+# a WI crossing by (at the boundary wall at one, decreasing): the state the
+# fiber must be in, the state it moves to, and the refusal when it is not
+_TWISTED, _INTERMEDIATE, _WEIERSTRASS = FiberState.TWISTED, FiberState.INTERMEDIATE, FiberState.WEIERSTRASS
+_WI_STEPS = {
+    (True, True): (_TWISTED, _INTERMEDIATE, "fiber is not twisted; nothing to blow up at one"),
+    (True, False): (_INTERMEDIATE, _TWISTED, "only an intermediate fiber contracts to twisted at one"),
+    (False, True): (_INTERMEDIATE, _WEIERSTRASS, "fiber is not intermediate; no Weierstrass contraction"),
+}
 
 
 def cross_wall(
@@ -548,57 +550,35 @@ def cross_wall(
     The model's weights must lie on the wall.  The model may be the limit of
     the above-chamber family (states not yet transitioned), which is exactly
     the input the crossing consumes; full validation is therefore not required
-    here.  The site is looked up in `felt_walls`: the fiber or the component
-    (lowest id first) carrying exactly the wall's markers, or the tree
-    carrying them over a host with the wall's threshold.  Standalone records
-    carry t = 1.
+    here.  The site is the one rule the walk uses too: the first wall of
+    `felt_walls` with the kind, the markers and the constant of `wall`.  A
+    wall the model does not feel, such as a WII wall off its component's
+    section constant or a WI wall off its fiber's threshold, is refused with
+    `RuleNotApplicable`.  Standalone records carry t = 1.
     """
     if wall.side(X.weights) != "on":
         raise WallNotSatisfied(f"weights are not on {wall}")
-    site = next(
-        (
-            fw
-            for fw in felt_walls(X)
-            if fw.wall.kind == wall.kind
-            and fw.wall.subset == wall.subset
-            and (wall.kind != WallKind.WIII or fw.wall.constant == wall.constant)
-        ),
-        None,
-    )
+    # kind, markers and constant: every field of a wall but its boundary flag
+    site = next((fw for fw in felt_walls(X) if fw.wall[:3] == wall[:3]), None)
     if site is None:
-        raise RuleNotApplicable(
-            f"no {_SITE[wall.kind]} carries exactly markers {sorted(wall.subset)}"
-        )
+        raise RuleNotApplicable(f"the model does not feel {wall}")
     t = Fraction(1)
     if wall.kind == WallKind.WI:
-        fiber = X.host_fiber(site.owner, site.fid)
-        if decreasing and wall.constant == 1:
-            if fiber.state != FiberState.TWISTED:
-                raise RuleNotApplicable("fiber is not twisted; nothing to blow up at one")
-            new_state = FiberState.INTERMEDIATE
-        elif not decreasing and wall.constant == 1:
-            if fiber.state != FiberState.INTERMEDIATE:
-                raise RuleNotApplicable("only an intermediate fiber contracts to twisted at one")
-            new_state = FiberState.TWISTED
-        elif decreasing:
-            if fiber.state != FiberState.INTERMEDIATE:
-                raise RuleNotApplicable("fiber is not intermediate; no Weierstrass contraction")
-            if lct_threshold(fiber.ftype) != wall.constant:
-                raise WallNotSatisfied(
-                    f"wall constant {wall.constant} is not the threshold of {fiber.ftype}"
-                )
-            new_state = FiberState.WEIERSTRASS
-        else:
+        step = _WI_STEPS.get((wall.constant == 1, decreasing))
+        if step is None:
             raise RuleNotApplicable("weight increases only cross the boundary wall at one")
+        fiber = X.host_fiber(site.owner, site.fid)
+        state, new_state, refusal = step
+        if fiber.state != state:
+            raise RuleNotApplicable(refusal)
         current = _rewrite(X, {(site.owner, site.fid): fiber._replace(state=new_state)})
         return current, _record_fiber_event(t, site.owner, fiber, new_state, current)
 
     if not decreasing:
         raise RuleNotApplicable("section contractions and collapses only occur when decreasing")
     if wall.kind == WallKind.WII:
-        return _apply_section_contraction(X, site.owner, t)
-    current, rec, _ = _collapse_subtree(X, site, t)
-    return current, rec
+        return _apply_section_contraction(X, site, t)[:2]
+    return _collapse_subtree(X, site, t)[:2]
 
 
 def increase_to_one(
@@ -649,15 +629,15 @@ def increase_to_one(
     return current, _record_fiber_event(Fraction(1), owner, fiber, FiberState.TWISTED, current, note)
 
 
-def _event_times(table: _Table, t: Fraction) -> Fraction | None:
+def _event_times(table: _Table, t: Fraction) -> Fraction:
     """Largest crossing time in [0, t) among the walls of the walk's table:
-    the next time the segment meets a felt wall from above."""
+    the next time the segment meets a felt wall from above, or 0."""
     p, q = t.numerator, t.denominator
     best_num, best_den = -1, 1
     for num, den, _ in (entry for row in table.values() for entry in row):
         if num * q < p * den and num * best_den > best_num * den:
             best_num, best_den = num, den
-    return Fraction(best_num, best_den) if best_num >= 0 else None
+    return Fraction(max(best_num, 0), best_den)
 
 
 def reduce(X: BrokenEllipticSurface, target: WeightVector) -> ReductionTrace:
@@ -689,8 +669,6 @@ def reduce(X: BrokenEllipticSurface, target: WeightVector) -> ReductionTrace:
     current, halted = _apply_batch(X, segment, table, t_cur, records)
     while not halted:
         t_next = _event_times(table, t_cur)
-        if t_next is None:
-            t_next = Fraction(0)
         current = current._replace(weights=segment.weights_at(t_next))
         current, halted = _apply_batch(current, segment, table, t_next, records)
         t_cur = t_next

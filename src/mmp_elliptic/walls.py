@@ -36,8 +36,8 @@ from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, count, repeat
-from math import lcm
-from operator import add, eq, gt, lt
+from math import gcd, lcm
+from operator import add, eq, gt, itemgetter, lt
 from typing import Iterable, Iterator, NamedTuple
 
 from .curves import WeightVector
@@ -414,11 +414,15 @@ def segment_walls(
     # A <= B, so a subset sum rises along the segment: a wall is crossed
     # inside it exactly when its constant lies strictly between the ends
     rows = [i for i, s, c in zip(count(), slots, constants) if at_a[s] < c < at_b[s]]
-    hits: dict[Fraction, list[Wall]] = {}
+    # keyed on each time as a reduced integer pair: one `Fraction` per time
+    hits: dict[tuple[int, int], list[Wall]] = {}
     for i, w in zip(rows, walls._walls(rows)):
         lo = at_a[slots[i]]
-        hits.setdefault(Fraction(constants[i] - lo, at_b[slots[i]] - lo), []).append(w)
-    return [SegmentCrossing(t, tuple(hits[t])) for t in sorted(hits, reverse=True)]
+        num, den = constants[i] - lo, at_b[slots[i]] - lo
+        g = gcd(num, den)
+        hits.setdefault((num // g, den // g), []).append(w)
+    times = sorted(((Fraction(*key), hit) for key, hit in hits.items()), key=itemgetter(0), reverse=True)
+    return [SegmentCrossing(t, tuple(hit)) for t, hit in times]
 
 
 class FeltWall(NamedTuple):

@@ -301,6 +301,31 @@ def test_hassett_command(capsys, tmp_path):
     assert status == 0 and out.startswith("graph dual {\n")
 
 
+def test_hassett_refuses_malformed_json_and_a_disconnected_curve(capsys, tmp_path):
+    apart = {
+        "vertices": [{"id": 1, "genus": 0}, {"id": 2, "genus": 0}],
+        "edges": [],
+        "markers": [{"index": i, "vertex": 1 + (i > 3)} for i in range(1, 7)],
+    }
+    paths = {"malformed": tmp_path / "malformed.json", "apart": tmp_path / "apart.json"}
+    paths["malformed"].write_text("{")
+    paths["apart"].write_text(json.dumps(apart))
+    lines = {"malformed": "error: malformed-json: ", "apart": "error: cannot reduce a disconnected curve\n"}
+    for name, path in paths.items():
+        status, out, err = run(capsys, "hassett", str(path), "--weights", "1,1,1,1,1,1")
+        assert (status, out) == (1, "")
+        assert err.startswith(lines[name]) and err.count("\n") == 1, err
+
+
+def test_model_override_lifting_a_tree_host_names_the_weights(capsys):
+    # in process, unlike the subprocess test above: the tree host c1/a1 of
+    # the nested model would carry coefficient 3
+    nested = Path(__file__).parent / "golden" / "nested_tree.json"
+    status, out, err = run(capsys, "model", str(nested), "--weights", "1,1,1,1,1")
+    assert (status, out) == (1, "")
+    assert err == "error: at weights 1,1,1,1,1: fiber a1 of c1: coefficient 3 outside [0, 1]\n"
+
+
 def test_validate_command(capsys, tmp_path):
     obj = json.loads(serialize_model(rational_degeneration(F(1))))
     obj["components"][0]["degL"] = "-2"

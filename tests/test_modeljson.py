@@ -161,6 +161,34 @@ def test_unknown_fiber_type_is_schema_violation():
     assert err.value.kind == "schema-violation"
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda obj: obj["components"][0]["fibers"][0].update(state="Molten"), "c1/f1: unknown state 'Molten'"),
+        (lambda obj: obj["components"][0].update(kind="ghost"), "c1: unknown component kind 'ghost'"),
+        (lambda obj: [obj], "top level must be an object"),
+    ],
+    ids=["state", "kind", "top-level-list"],
+)
+def test_an_unknown_name_or_a_non_object_top_level_is_a_schema_violation(edit, message):
+    obj = model_to_obj(rational_degeneration(F(1)))
+    obj = edit(obj) or obj
+    for check in (True, False):
+        with pytest.raises(ModelJSONError) as err:
+            parse_model(json.dumps(obj), check=check)
+        assert str(err.value) == f"schema-violation: {message}"
+
+
+def test_an_n2_fiber_without_a_state_reads_as_weierstrass():
+    # N2 has no modelled thresholds, so no state can be derived for it
+    obj = model_to_obj(rational_degeneration(F(1)))
+    fiber = obj["components"][0]["fibers"][0]
+    fiber["type"] = "N2"
+    del fiber["state"]
+    X = parse_model(json.dumps(obj), check=False)
+    assert X.component("c1").fiber("f1").state == FiberState.WEIERSTRASS
+
+
 def test_state_defaults_to_model_state():
     obj = model_to_obj(rational_degeneration(F(1)))
     for comp in obj["components"]:

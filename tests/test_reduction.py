@@ -413,6 +413,31 @@ def test_cross_wall_collapse():
     assert Y.component("c1").fiber("a1").coeff == F(5, 6)
 
 
+def test_cross_wall_acts_only_on_a_wall_the_model_feels():
+    # c3 keeps an unmarked twisted fiber of coefficient one after a collapse
+    # onto a curve, so its section degree is -2 + 1 + 1 + a4 + a5: it feels
+    # the WII wall a4 + a5 = 0, and at a4 = a5 = 1/2 its degree is still one
+    Y = parse_model((Path(__file__).parent / "data" / "markerless_twisted_after_curve_collapse.json").read_text())
+    markers = frozenset({4, 5})
+
+    def on(a):
+        entries = list(Y.weights.entries)
+        entries[3] = entries[4] = a
+        return at_weights(Y, WeightVector(tuple(entries)))
+
+    at_half = on(F(1, 2))
+    with pytest.raises(RuleNotApplicable, match=r"^the model does not feel WII: a4 \+ a5 = 1$"):
+        cross_wall(at_half, Wall(WallKind.WII, markers, F(1)))
+    Z, rec = cross_wall(on(F(0)), Wall(WallKind.WII, markers, F(0)))
+    assert (rec.kind, rec.affected) == (RecordKind.LA_NAVE_FLIP, ("c3",))
+    assert rec.wall == Wall(WallKind.WII, markers, F(0), boundary=True)
+    assert [t.root.pid for t in Z.trees] == ["c3"]
+    # a WI wall off its fiber's threshold is refused the same way: c3m2 is
+    # III* (threshold 3/4), and a5 = 1/2 lies on a5 = 1/2, not on 3/4
+    with pytest.raises(RuleNotApplicable, match=r"^the model does not feel WI: a5 = 1/2$"):
+        cross_wall(at_half, Wall(WallKind.WI, frozenset({5}), F(1, 2)))
+
+
 def test_markerless_twisted_fiber_counts_its_coefficient_one():
     # genus 0, degL 1, an unmarked twisted II fiber and two I1 fibers at 3/4:
     # the section degree is -2 + 1 + 3/4 + 3/4 = 1/2, and lowering one weight

