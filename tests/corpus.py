@@ -28,7 +28,7 @@ the type and text of the exception it raised.  The families:
 - `file/.../wii-at-one/cid` for each model file:
   `cross_wall` on the WII wall at one over the markers of component cid,
   with each of them moved to weight 1 / (their number); only a component
-  whose section constant is one feels that wall.
+  whose felt WII wall sits at one feels that wall.
 
 An exception the package raises to refuse an input is an answer; any other
 one marks its item `UNEXPECTED`.  The corpus grows, and does not shrink,
@@ -45,8 +45,8 @@ import argparse
 import hashlib
 import importlib.util
 import json
-import random
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
