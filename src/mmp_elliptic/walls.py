@@ -7,17 +7,14 @@ subset sums equal to a threshold constant (WIII).  Boundary walls at a
 coordinate equal to zero or one carry a flag.  Everything is exact; the full
 arrangement on r markers is exponential in r.
 
-`enumerate_walls` returns an `Arrangement`: a read-only sequence of the
-walls in `Wall.sort_key` order, held as columns of ints and shared objects:
-each wall's kind, its subset as a bitmask, its constant times one common
-denominator (12 for the Kodaira constants) and its boundary flag.  It builds
-a `Wall` only when someone asks for one.  `locate`, `walls_containing` and
-`segment_walls` read every list through `Arrangement.of`, which builds the
-same columns for any other iterable.  A query takes each weight over the lcm
-of that denominator and its own, adds up every subset sum once from a table
-of integers, compares integers only, and builds a `Wall` and a `Fraction`
-only for an answer: the walls through a point, or a crossing that is hit.
-A `Chamber` is two masks over the arrangement, of the walls a point lies
+An `Arrangement` is a read-only sequence of walls in `Wall.sort_key` order.
+`enumerate_walls` returns one that holds only its definition, built in
+O(r); it builds its columns only when something iterates them, and its
+queries cost what they return (`_Enumerated`).  `Arrangement.of` holds any
+other list of walls as columns, and its queries scan every row.  Every
+query compares integers only, and builds a `Wall` and a `Fraction` only for
+an answer: the walls through a point, or a crossing that is hit.  A
+`Chamber` is two masks over the arrangement, of the walls a point lies
 below and on.  `Wall.value_at` and `Wall.side` answer for one wall.
 
 `felt_walls` is the one table of the walls a given model feels, each paired
@@ -31,13 +28,13 @@ the record rewrote; one full build is linear in the size of the model.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, count, repeat
+from itertools import chain, compress, count, repeat
 from math import gcd, lcm
-from operator import add, eq, gt, itemgetter, lt
+from operator import add, eq, gt, lt
 from typing import Iterable, Iterator, NamedTuple
 
 from .curves import WeightVector
@@ -98,11 +95,21 @@ _KODAIRA = {c.numerator * (_DEN // c.denominator): c for c in (*THRESHOLD_CONSTA
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 _SIDES = {"10": "below", "01": "on", "00": "above"}
+# the WIII constants times _DEN, ascending, as the walls on one subset list
+# them; a subset sum lies below those from place bisect_right(_WIII, sum) on,
+# and _BELOW[place] is that chunk of a chamber's below mask, one digit per wall
+_WIII = [c.numerator * (_DEN // c.denominator) for c in THRESHOLD_CONSTANTS]
+_BELOW = [b"0" * hi + b"1" * (len(_WIII) - hi) for hi in range(len(_WIII) + 1)]
 
 
-def _mask(flags: Iterable[bool]) -> int:
-    """The int with bit i set where flag i is true."""
-    return int(bytes(flags).translate(_DIGITS)[::-1] or b"0", 2)
+def _flags(flags: Iterable[bool]) -> bytes:
+    """The digit "1" for each true flag, "0" for each false one."""
+    return bytes(flags).translate(_DIGITS)
+
+
+def _mask(digits: bytes) -> int:
+    """The int with bit i set where digit i is "1"."""
+    return int(digits[::-1] or b"0", 2)
 
 
 def _rows(mask: int) -> Iterator[int]:
@@ -120,6 +127,68 @@ def _integers(*vectors: WeightVector) -> tuple:
     return (D, *[[x.numerator * (D // x.denominator) for x in v.entries] for v in vectors])
 
 
+def _check_markers(r: int, vectors) -> None:
+    """Raise `KeyError` when a vector has no weight for marker r."""
+    for v in vectors:
+        if r > len(v):
+            raise KeyError(f"marker index {r} outside 1..{len(v)}")
+
+
+def _place(rev: int, r: int) -> int:
+    """The place of a nonempty subset of 1..r in the order of the sorted
+    tuples of all of them, from `rev`, its mask with bit r - k for marker k.
+    The subsets before it number 2^(r - k) for each marker k below its
+    highest that it lacks, plus one for each marker it has besides its
+    highest: 2^r less the lowest bit of rev less rev, plus its size less one."""
+    return (1 << r) - (rev & -rev) - rev + rev.bit_count() - 1
+
+
+def _lex_subset(p: int, r: int) -> frozenset[int]:
+    """The subset of 1..r at place p of that order (`_place`), each marker
+    joined to the set of those above it as the enumeration joins them, so
+    that the set iterates in the same order."""
+    markers = []
+    for k in range(1, r + 1):
+        block = 1 << (r - k)  # the subsets whose lowest marker is k
+        if p >= block:
+            p -= block
+            continue
+        markers.append(k)
+        if not p:
+            break
+        p -= 1
+    subset = frozenset()
+    for k in reversed(markers):
+        subset = frozenset((k,)) | subset if subset else frozenset((k,))
+    return subset
+
+
+def _prefix_sums(values: list[int]) -> list[set[int]]:
+    """sets[k]: every subset sum of the first k values."""
+    sets = [{0}]
+    for v in values:
+        sets.append(sets[-1] | {s + v for s in sets[-1]})
+    return sets
+
+
+def _sum_masks(sets: list[set[int]], values: list[int], bits: list[int], s: int, k: int = -1, m: int = 0) -> list[int]:
+    """The masks (bits[i] for values[i]) of every subset of the first k
+    values (all by default) that adds up to s, which sets[k] must hold.  It
+    walks down the prefix sets of `_prefix_sums`, taking each value when the
+    rest of s is a sum of the values before it, and branches only where s is
+    also such a sum without it, so every branch reaches a subset."""
+    out, k = [], len(values) if k < 0 else k
+    while k:
+        k -= 1
+        if s - values[k] in sets[k]:
+            if s in sets[k]:
+                out += _sum_masks(sets, values, bits, s, k, m)
+            s -= values[k]
+            m |= bits[k]
+    out.append(m)
+    return out
+
+
 class Arrangement(Sequence):
     """Walls in `Wall.sort_key` order, held as columns of ints and shared objects.
 
@@ -132,13 +201,14 @@ class Arrangement(Sequence):
     `Wall` is built only when someone asks for one: by index, by iterating,
     which builds them all in one pass, or as the answer of a query.
 
-    A query adds up its subset sums on a table of subsets closed under
-    dropping the highest marker: wall i reads slot `_slots[i]`, and each step
-    (k, parents) appends the sums of the parents' subsets plus the weight of
-    marker k + 1.  For `enumerate_walls` the table is every subset, in mask
-    order; for any other list it holds at most one entry per marker of each
-    wall, so its cost does not grow with the marker indices.  The constants
-    over a query's denominator are kept per scale.
+    This is the arrangement of a hand-built list (`Arrangement.of`), and its
+    queries scan every row.  Each adds up its subset sums on a table of
+    subsets closed under dropping the highest marker: wall i reads slot
+    `_slots[i]`, and each step (k, parents) appends the sums of the parents'
+    subsets plus the weight of marker k + 1; the table holds at most one
+    entry per marker of each wall, so its cost does not grow with the marker
+    indices.  The constants over a query's denominator are kept per scale.
+    `enumerate_walls` returns the subclass that holds only its definition.
 
     It is a read-only `Sequence`, equal to a list of the same walls and to
     an Arrangement of them; every in-place change raises `TypeError`.
@@ -198,17 +268,21 @@ class Arrangement(Sequence):
             list(steps.items()),
         )
 
+    def _wall_at(self, i: int) -> Wall:
+        """Wall i, read from the columns."""
+        # tuple.__new__ skips the keyword handling of Wall(...)
+        return tuple.__new__(Wall, (
+            self._kinds[i], self._subsets[self.masks[i]], self._constants[self.scaled[i]], self._boundary[i]
+        ))
+
     def _walls(self, rows: Iterable[int] | None = None) -> Iterator[Wall]:
         """The walls at `rows`, or every wall, in one pass over the columns:
-        the one place that builds a `Wall` of an arrangement."""
-        columns = self._kinds, self.masks, self.scaled, self._boundary
+        the one place that builds the walls a caller gets."""
         if rows is not None:
-            rows = list(rows)
-            columns = [map(column.__getitem__, rows) for column in columns]
-        kinds, masks, scaled, boundary = columns
-        # tuple.__new__ skips the keyword handling of Wall(...)
+            return map(self._wall_at, rows)
         return map(tuple.__new__, repeat(Wall), zip(
-            kinds, map(self._subsets.__getitem__, masks), map(self._constants.__getitem__, scaled), boundary
+            self._kinds, map(self._subsets.__getitem__, self.masks), map(self._constants.__getitem__, self.scaled),
+            self._boundary,
         ))
 
     def __len__(self) -> int:
@@ -236,26 +310,19 @@ class Arrangement(Sequence):
     def __repr__(self) -> str:
         return f"<Arrangement of {len(self)} walls on markers up to {self.r}>"
 
-    def _sort_key(self, i: int) -> tuple:
-        """`Wall.sort_key` of row i, read from the columns."""
-        subset = self._subsets[self.masks[i]]
-        return (self._kinds[i].value, tuple(sorted(subset)), self._constants[self.scaled[i]], self._boundary[i])
-
     def _find(self, wall: Wall) -> int | None:
         """The row of the first copy of `wall`, bisected on `Wall.sort_key`;
         None when the arrangement does not hold it."""
         key = wall.sort_key()
-        i = bisect_left(range(len(self)), key, key=self._sort_key)
-        return i if i < len(self) and self._sort_key(i) == key else None
+        i = bisect_left(range(len(self)), key, key=lambda i: self._wall_at(i).sort_key())
+        return i if i < len(self) and self._wall_at(i) == wall else None
 
     def _over(self, D: int, *weights: list[int]) -> list[list[int]]:
         """As integers over L, the lcm of `den` and D: the constant of each
         wall, in order, then for each list of weights over D the subset sum
         of each slot, which wall i reads at `_slots[i]`.  Raises `KeyError`
         for a marker outside 1..r of a list."""
-        for v in weights:
-            if self.r > len(v):
-                raise KeyError(f"marker index {self.r} outside 1..{len(v)}")
+        _check_markers(self.r, weights)
         L = lcm(self.den, D)
         scale, lift = L // self.den, L // D
         constants = self._at_scale.get(scale)
@@ -269,6 +336,27 @@ class Arrangement(Sequence):
             out.append(sums)
         return out
 
+    def _signs(self, D: int, w: list[int]) -> tuple[int, int]:
+        """The masks of the walls that the weights `w` over D lie below and on."""
+        constants, sums = self._over(D, w)
+        values = list(map(sums.__getitem__, self._slots))
+        return _mask(_flags(map(lt, values, constants))), _mask(_flags(map(eq, values, constants)))
+
+    def _on(self, D: int, w: list[int]) -> list[int]:
+        """The rows of the walls through the weights `w` over D, ascending."""
+        constants, sums = self._over(D, w)
+        return [i for i, s, c in zip(count(), self._slots, constants) if sums[s] == c]
+
+    def _hits(self, D: int, a: list[int], b: list[int]) -> Iterator[tuple[int, int, int]]:
+        """(num, den, row) for each wall crossed strictly inside the segment
+        from `a` to `b` (over D, a <= b), at time num / den."""
+        constants, at_a, at_b = self._over(D, a, b)
+        # a subset sum rises along the segment: a wall is crossed inside it
+        # exactly when its constant lies strictly between the ends
+        for i, s, c in zip(count(), self._slots, constants):
+            if at_a[s] < c < at_b[s]:
+                yield c - at_a[s], at_b[s] - at_a[s], i
+
     def _read_only(self, *args, **kwargs):
         raise TypeError("an Arrangement cannot change in place; build a new one with Arrangement.of")
 
@@ -277,6 +365,205 @@ class Arrangement(Sequence):
 
     def __reduce__(self):
         return Arrangement.of, (list(self),)
+
+
+_COLUMNS = frozenset(("masks", "scaled", "_kinds", "_boundary", "_subsets", "_constants"))
+
+
+class _Enumerated(Arrangement):
+    """The arrangement `enumerate_walls` returns, held as its definition: r,
+    `_thresholds` (each marker's threshold times `den`, None for a type
+    without one) and `_rational` (the rational-base flag).
+
+    Its rows are the WI walls, two per marker with a threshold, then the WII
+    walls on every nonempty subset in the order of their sorted tuples (the
+    full set's wall at two is row r of that block over a rational base),
+    then the WIII walls of each subset; a row and its wall follow from each
+    other in O(r) (`_place`, `_lex_subset`).  The columns are built on the
+    first read of one, which iterating does.  The queries read only the
+    definition, and check the WI walls and the wall at two one by one:
+
+    - `_hits` splits the markers into moving (a < b) and fixed ones.  The
+      fixed part of a subset adds the same v at both ends, so for a nonempty
+      moving part S_M and a constant c the crossed subsets are those whose
+      fixed sum v lies in (c - b(S_M), c - a(S_M)).  The distinct fixed sums
+      are kept per prefix of the fixed markers: a bisection of the last set
+      finds the values hit, and backtracking through the prefix sets lists
+      only the subsets that reach them (Horowitz and Sahni's split of a
+      subset sum).
+    - `_on` does the same at one point, where every marker is fixed and the
+      interval is the constant itself.
+    - `_signs` adds up every subset sum once, in row order, compares each
+      with one for the WII block, takes each distinct sum's WIII digits from
+      one bisection into the sorted constants, and reads the walls through
+      the point off the sums equal to a constant.
+    """
+
+    __slots__ = ("_thresholds", "_rational", "_wi", "_top", "_wii", "_sets")
+
+    def __init__(self, r: int, thresholds: tuple, rational: bool) -> None:
+        self.r, self.den, self._thresholds, self._rational = r, _DEN, thresholds, rational
+        self._wi = [i for i, t in enumerate(thresholds) if t is not None]
+        # the WI rows, then the WII rows, then the WIII rows
+        self._top, self._wii = 2 * len(self._wi), (1 << r) - 1 + rational
+        self._sets: dict[int, frozenset[int]] = {}
+
+    def __getattr__(self, name: str):
+        """Build the columns on the first read of one."""
+        if name not in _COLUMNS:
+            raise AttributeError(f"'Arrangement' object has no attribute {name!r}")
+        r, WI, WII, WIII = self.r, WallKind.WI, WallKind.WII, WallKind.WIII
+        kinds, masks, scaled, boundary = [], [], [], []
+        for i in self._wi:
+            kinds += (WI, WI)
+            masks += (1 << i, 1 << i)
+            scaled += (self._thresholds[i], _DEN)
+            boundary += (False, True)
+        # every nonempty subset of k..r as a mask, in the order of its sorted
+        # tuple: {k}, then {k} with each subset of k+1..r, then the subsets of k+1..r
+        lex: list[int] = []
+        sets: list[frozenset[int]] = []
+        for k in range(r, 0, -1):
+            bit, single = 1 << (k - 1), frozenset((k,))
+            lex = [bit, *[bit | m for m in lex], *lex]
+            sets = [single, *[single | s for s in sets], *sets]
+        wii, wii_scaled = lex[:], [_DEN] * len(lex)
+        if self._rational:
+            # the full set (1, ..., r) is the r-th subset in lexicographic order,
+            # and its wall at two sorts right after its wall at one
+            wii.insert(r, (1 << r) - 1)
+            wii_scaled.insert(r, 2 * _DEN)
+        kinds += [WII] * len(wii) + [WIII] * (len(_WIII) * len(lex))
+        masks += wii
+        masks += chain.from_iterable(zip(*[lex] * len(_WIII)))
+        scaled += wii_scaled
+        scaled += _WIII * len(lex)
+        boundary += [False] * (len(kinds) - len(boundary))
+        # the frozenset of each subset, indexed by its mask
+        subsets = [frozenset()] * (1 << r)
+        for m, s in zip(lex, sets):
+            subsets[m] = s
+        self._kinds, self.masks, self.scaled, self._boundary = kinds, masks, scaled, boundary
+        self._subsets, self._constants = subsets, _KODAIRA
+        return getattr(self, name)
+
+    def __len__(self) -> int:
+        return self._top + (1 + len(_WIII)) * ((1 << self.r) - 1) + self._rational
+
+    def _wall_at(self, i: int) -> Wall:
+        """Wall i, read from the definition; the walls built on one subset
+        share its frozenset, kept by its place in `_sets`."""
+        r, i, boundary = self.r, i - self._top, False
+        if i >= self._wii:
+            (p, j), kind = divmod(i - self._wii, len(_WIII)), WallKind.WIII
+            constant = _KODAIRA[_WIII[j]]
+        elif i >= 0:
+            kind, p, constant = WallKind.WII, i, _ONE
+            if self._rational and i >= r:  # row r holds the full set's wall at two
+                p, constant = i - 1, _TWO if i == r else _ONE
+        else:
+            marker, boundary = self._wi[(i + self._top) >> 1], bool(i & 1)
+            kind, p = WallKind.WI, _place(1 << (r - 1 - marker), r)
+            constant = _KODAIRA[_DEN if boundary else self._thresholds[marker]]
+        subset = self._sets.get(p)
+        if subset is None:
+            subset = self._sets[p] = _lex_subset(p, r)
+        return tuple.__new__(Wall, (kind, subset, constant, boundary))
+
+    def _row(self, p: int, j: int | None) -> int:
+        """The row of the WII wall at one (j None) or of WIII wall j on the
+        subset at place p."""
+        if j is None:
+            return self._top + p + (self._rational and p >= self.r)
+        return self._top + self._wii + len(_WIII) * p + j
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _Enumerated):
+            return (self.r, self._thresholds, self._rational) == (other.r, other._thresholds, other._rational)
+        return super().__eq__(other)
+
+    def _lift(self, D: int, *vectors: list[int]) -> tuple:
+        """L, the lcm of `den` and D, then the first r weights of each vector
+        over D, over L; raises `KeyError` as `_over` does."""
+        _check_markers(self.r, vectors)
+        L = lcm(_DEN, D)
+        return (L, *[[x * (L // D) for x in v[: self.r]] for v in vectors])
+
+    def _direct(self, L: int, *vectors: list[int]) -> list[tuple[int, int, list[int]]]:
+        """(row, constant, value at each vector) over L of every WI wall and
+        of the wall at two: the walls that the queries check one by one."""
+        direct = []
+        for k, i in enumerate(self._wi):
+            values = [v[i] for v in vectors]
+            direct += (2 * k, self._thresholds[i] * (L // _DEN), values), (2 * k + 1, L, values)
+        if self._rational:
+            direct.append((self._top + self.r, 2 * L, [sum(v) for v in vectors]))
+        return direct
+
+    @staticmethod
+    def _subset_constants(L: int) -> tuple[list[int | None], list[int]]:
+        """The walls on one subset, ascending: the j of each WIII wall, then
+        None for the WII wall at one; and their constants over L."""
+        return [*range(len(_WIII)), None], [c * (L // _DEN) for c in (*_WIII, _DEN)]
+
+    def _signs(self, D: int, w: list[int]) -> tuple[int, int]:
+        L, w = self._lift(D, w)
+        js, constants = self._subset_constants(L)
+        sums: list[int] = []
+        for x in reversed(w):
+            sums = [x, *map(add, repeat(x), sums), *sums]
+        wii = _flags(map(lt, sums, repeat(L)))
+        if self._rational:
+            wii = wii[: self.r] + b"0" + wii[self.r :]
+        chunks = {s: _BELOW[bisect_right(constants, s, 0, len(_WIII))] for s in set(sums)}
+        below = _mask(b"0" * self._top + wii + b"".join(map(chunks.__getitem__, sums)))
+        # the walls through the point: the places whose sum is a constant
+        index = dict(zip(constants, js))
+        on = [self._row(p, index[sums[p]]) for p in compress(count(), map(index.__contains__, sums))]
+        direct = self._direct(L, w)
+        below |= sum(1 << row for row, c, (x,) in direct if x < c)
+        on += [row for row, c, (x,) in direct if x == c]
+        return below, sum(1 << row for row in on)
+
+    def _on(self, D: int, w: list[int]) -> list[int]:
+        L, w = self._lift(D, w)
+        rows = [row for row, c, (x,) in self._direct(L, w) if x == c]
+        # subsets as reversed masks, bit r - k for marker k (`_place`)
+        sets, bits = _prefix_sums(w), [1 << (self.r - 1 - k) for k in range(self.r)]
+        for j, c in zip(*self._subset_constants(L)):
+            if c in sets[-1]:
+                rows += [self._row(_place(s, self.r), j) for s in _sum_masks(sets, w, bits, c)]
+        return sorted(rows)
+
+    def _hits(self, D: int, a: list[int], b: list[int]) -> Iterator[tuple[int, int, int]]:
+        L, a, b = self._lift(D, a, b)
+        for row, c, (x, y) in self._direct(L, a, b):
+            if x < c < y:
+                yield c - x, y - x, row
+        # subsets as reversed masks, bit r - k for marker k (`_place`)
+        r, row = self.r, self._row
+        fixed = [k for k in range(r) if a[k] == b[k]]
+        values, bits = [a[k] for k in fixed], [1 << (r - 1 - k) for k in fixed]
+        sets = _prefix_sums(values)
+        sums = sorted(sets[-1])
+        parts = [(0, 0, 0)]  # (reversed mask, a, b) of every moving part
+        for k in range(r):
+            if a[k] < b[k]:
+                parts += [(m | 1 << (r - 1 - k), x + a[k], y + b[k]) for m, x, y in parts]
+        js, constants = self._subset_constants(L)
+        found: dict[int, list[int]] = {}  # the fixed subsets of each sum hit so far
+        for m, x, y in parts[1:]:
+            # only a constant in (x + least sum, y + greatest sum) can be hit
+            first, last = bisect_right(constants, x + sums[0]), bisect_left(constants, y + sums[-1])
+            for j, c in zip(js[first:last], constants[first:last]):
+                for v in sums[bisect_right(sums, c - y) : bisect_left(sums, c - x)]:
+                    if v not in found:
+                        found[v] = _sum_masks(sets, values, bits, v)
+                    for f in found[v]:
+                        yield c - x - v, y - x, row(_place(m | f, r), j)
+
+    def __reduce__(self):
+        return _Enumerated, (self.r, self._thresholds, self._rational)
 
 
 class Chamber(NamedTuple):
@@ -334,65 +621,31 @@ def enumerate_walls(
     nonempty subset sums equal to one, plus the total sum equal to two over a
     rational base; WIII walls are all nonempty subset sums equal to each
     threshold constant.  Every threshold is below one and the constants are
-    distinct, so the walls are distinct by construction.  Emitted in
-    `Wall.sort_key` order as the columns of an `Arrangement` over every
-    subset; no `Wall` is built here.
+    distinct, so the walls are distinct by construction.  Returns them in
+    `Wall.sort_key` order as an `Arrangement` that holds only this
+    definition, in O(r); no column and no `Wall` is built here.
     """
     types = list(fiber_types)
     if len(types) != r:
         raise ValueError(f"expected {r} fiber types, got {len(types)}")
-    WI, WII, WIII = WallKind.WI, WallKind.WII, WallKind.WIII
-    kinds, masks, scaled, boundary = [], [], [], []
-    for i, ftype in enumerate(types):
+    thresholds = []
+    for ftype in types:
         c = lct_threshold(ftype)  # may raise UnsupportedFiberType for N2
-        if c is not None:
-            kinds += (WI, WI)
-            masks += (1 << i, 1 << i)
-            scaled += (c.numerator * (_DEN // c.denominator), _DEN)
-            boundary += (False, True)
-    # every nonempty subset of k..r as a mask, in the order of its sorted
-    # tuple: {k}, then {k} with each subset of k+1..r, then the subsets of k+1..r
-    lex: list[int] = []
-    sets: list[frozenset[int]] = []
-    for k in range(r, 0, -1):
-        bit, single = 1 << (k - 1), frozenset((k,))
-        lex = [bit, *[bit | m for m in lex], *lex]
-        sets = [single, *[single | s for s in sets], *sets]
-    wii, wii_scaled = lex[:], [_DEN] * len(lex)
-    if rational_base:
-        # the full set (1, ..., r) is the r-th subset in lexicographic order,
-        # and its wall at two sorts right after its wall at one
-        wii.insert(r, (1 << r) - 1)
-        wii_scaled.insert(r, 2 * _DEN)
-    wiii_scaled = [c.numerator * (_DEN // c.denominator) for c in THRESHOLD_CONSTANTS]
-    kinds += [WII] * len(wii) + [WIII] * (len(wiii_scaled) * len(lex))
-    masks += wii
-    masks += chain.from_iterable(zip(*[lex] * len(wiii_scaled)))
-    scaled += wii_scaled
-    scaled += wiii_scaled * len(lex)
-    boundary += [False] * (len(kinds) - len(boundary))
-    # the frozenset of each subset, indexed by its mask
-    subsets = [frozenset()] * (1 << r)
-    for m, s in zip(lex, sets):
-        subsets[m] = s
-    steps = [(k, range(1 << k)) for k in range(r)]
-    return Arrangement(kinds, masks, scaled, boundary, _DEN, r, subsets, _KODAIRA, masks, steps)
+        thresholds.append(None if c is None else c.numerator * (_DEN // c.denominator))
+    return _Enumerated(r, tuple(thresholds), bool(rational_base))
 
 
 def locate(weights: WeightVector, walls: Iterable[Wall]) -> Chamber:
     """The chamber of the weight vector: its side of each wall, as the masks
     of the walls it lies below and on."""
     walls = Arrangement.of(walls)
-    constants, sums = walls._over(*_integers(weights))
-    values = list(map(sums.__getitem__, walls._slots))
-    return Chamber(_mask(map(lt, values, constants)), _mask(map(eq, values, constants)), walls)
+    return Chamber(*walls._signs(*_integers(weights)), walls)
 
 
 def walls_containing(weights: WeightVector, walls: Iterable[Wall]) -> list[Wall]:
     """The walls through the weight vector, in `Wall.sort_key` order."""
     walls = Arrangement.of(walls)
-    constants, sums = walls._over(*_integers(weights))
-    return list(walls._walls([i for i, s, c in zip(count(), walls._slots, constants) if sums[s] == c]))
+    return list(walls._walls(walls._on(*_integers(weights))))
 
 
 def segment_walls(
@@ -409,20 +662,21 @@ def segment_walls(
     if len(a) != len(b) or any(map(gt, a, b)):
         raise ValueError("segment requires A <= B entrywise")
     walls = Arrangement.of(walls)
-    constants, at_a, at_b = walls._over(D, a, b)
-    slots = walls._slots
-    # A <= B, so a subset sum rises along the segment: a wall is crossed
-    # inside it exactly when its constant lies strictly between the ends
-    rows = [i for i, s, c in zip(count(), slots, constants) if at_a[s] < c < at_b[s]]
-    # keyed on each time as a reduced integer pair: one `Fraction` per time
-    hits: dict[tuple[int, int], list[Wall]] = {}
-    for i, w in zip(rows, walls._walls(rows)):
-        lo = at_a[slots[i]]
-        num, den = constants[i] - lo, at_b[slots[i]] - lo
+    return _crossings(walls, walls._hits(D, a, b))
+
+
+def _crossings(walls: Arrangement, hits: Iterable[tuple[int, int, int]]) -> list[SegmentCrossing]:
+    """The crossings of (num, den, row) hits: grouped by the time as a
+    reduced integer pair, so each time is one `Fraction`, ordered by
+    decreasing time on integer keys over the lcm of the denominators, each
+    listing its walls in row order."""
+    rows: dict[tuple[int, int], list[int]] = {}
+    for num, den, row in hits:
         g = gcd(num, den)
-        hits.setdefault((num // g, den // g), []).append(w)
-    times = sorted(((Fraction(*key), hit) for key, hit in hits.items()), key=itemgetter(0), reverse=True)
-    return [SegmentCrossing(t, tuple(hit)) for t, hit in times]
+        rows.setdefault((num // g, den // g), []).append(row)
+    L = lcm(*(den for _, den in rows))
+    times = sorted(rows, key=lambda t: t[0] * (L // t[1]), reverse=True)
+    return [SegmentCrossing(Fraction(*t), tuple(walls._walls(sorted(rows[t])))) for t in times]
 
 
 class FeltWall(NamedTuple):

@@ -25,6 +25,9 @@ the type and text of the exception it raised.  The families:
   model;
 - `segment/...`: `segment_walls` and `walls_containing` at both ends of
   `bench/inputs.segment` segments on 1 to 9 markers, both bases;
+- `chamber/...`: the `locate` masks at both ends and the midpoint of each
+  `segment` case (`chamber/masks/j`), and the `segment` items on 11 to 14
+  markers with 1 to 3 moving ones (`chamber/wide/j`);
 - `file/.../wii-at-one/cid` for each model file:
   `cross_wall` on the WII wall at one over the markers of component cid,
   with each of them moved to weight 1 / (their number); only a component
@@ -58,8 +61,9 @@ FULL = {
     "file_targets": 20,  # targets per model file
     "chains": [(40, 3, 1), (160, 3, 2), (30, 12, 3), (60, 12, 4), (50, 25, 5), (100, 25, 6)],  # (n, k, seed)
     "segments": 300,
+    "wide_segments": 40,
 }
-SLICE = {"random": 8, "file_targets": 2, "chains": [(12, 3, 1), (16, 6, 2)], "segments": 18}
+SLICE = {"random": 8, "file_targets": 2, "chains": [(12, 3, 1), (16, 6, 2)], "segments": 18, "wide_segments": 4}
 
 
 def _bench_inputs():
@@ -99,7 +103,7 @@ def corpus(sizes: dict = FULL):
         increase_to_one,
         reduce,
     )
-    from mmp_elliptic.walls import Wall, WallKind, enumerate_walls, segment_walls, walls_containing
+    from mmp_elliptic.walls import Wall, WallKind, enumerate_walls, locate, segment_walls, walls_containing
     from modelkit import admissible_target, random_model, random_target
 
     refusals = (InconsistentTarget, InvalidModel, RuleNotApplicable, WallNotSatisfied)
@@ -163,17 +167,29 @@ def corpus(sizes: dict = FULL):
         X = parse_model(json.dumps(case.model))
         yield from walk(f"chain/{n}-{k}-{seed}", X, WeightVector(case.target))
 
-    rng = random.Random(7)
-    for j in range(sizes["segments"]):
-        r = 1 + j % 9
-        case = bench.segment(rng, r, j % 2 == 1, rng.randint(1, r))
+    def segment_case(rng, r, rational_base, moving):
+        """A `bench/inputs.segment` case, its arrangement and the text of its
+        crossings and of the walls through both ends."""
+        case = bench.segment(rng, r, rational_base, moving)
         arrangement = enumerate_walls(r, map(parse_fiber_type, case.types), case.rational_base)
         A, B = WeightVector(case.lower), WeightVector(case.upper)
         crossings = segment_walls(A, B, arrangement)
         text = "".join(f"{c.t}: {'; '.join(map(str, c.walls_hit))}\n" for c in crossings)
         for end in (A, B):
             text += "; ".join(map(str, walls_containing(end, arrangement))) + "\n"
+        return case, arrangement, text
+
+    rng = random.Random(7)
+    for j in range(sizes["segments"]):
+        r = 1 + j % 9
+        case, arrangement, text = segment_case(rng, r, j % 2 == 1, rng.randint(1, r))
         yield f"segment/{j}", text
+        points = (case.lower, case.upper, case.midpoint)
+        chambers = (locate(WeightVector(p), arrangement) for p in points)
+        yield f"chamber/masks/{j}", "".join(f"{c.below:x} {c.on:x}\n" for c in chambers)
+    rng = random.Random(11)
+    for j in range(sizes["wide_segments"]):
+        yield f"chamber/wide/{j}", segment_case(rng, 11 + j % 4, j % 2 == 1, rng.randint(1, 3))[2]
 
     rng = random.Random(77)
     for path in _model_files():

@@ -231,6 +231,45 @@ def test_segment_oracle_random():
     ]
     assert walls_containing(A, few) == [few[4], few[5]]
     assert walls_containing(B, few) == [few[4]]
+    # enumerated arrangements, which answer from their definition, against
+    # the column scan of the same walls listed by hand: r = 0..10, both
+    # bases, 0..r moving markers, weights drawn from zero, one, the
+    # thresholds and a 1/60 grid, and ends longer than r
+    for r in range(11):
+        for rational in (False, True):
+            types = [parse_fiber_type(MARKABLE[(i + 2 * r + rational) % len(MARKABLE)]) for i in range(r)]
+            walls = enumerate_walls(r, types, rational)
+            scan = Arrangement.of(list(walls))
+            for moving in range(r + 1):
+                extra = rng.choice([0, 0, 2])
+                B = [rng.choice([F(0), F(1), *WALL_CONSTANTS, F(rng.randint(0, 60), 60)]) for _ in range(r + extra)]
+                A = list(B)
+                for i in rng.sample(range(r + extra), moving):
+                    A[i] = F(rng.randint(0, 60 * B[i].numerator // B[i].denominator), 60)
+                assert_same_answers(WeightVector(tuple(A)), WeightVector(tuple(B)), walls, scan)
+    # zero weights, so a fixed sum is reached both with and without a
+    # marker; a full set that adds up to two over a rational base; ends on a
+    # threshold and at one
+    for r, A, B in (
+        (5, (F(0), F(1, 2), F(0), F(1, 4), F(0)), (F(0), F(1, 2), F(0), F(3, 4), F(1, 2))),
+        (4, (F(1, 4),) + (F(1, 2),) * 3, (F(1, 2),) * 4),
+        (3, (F(5, 6), F(0), F(1, 2)), (F(1), F(1, 2), F(1, 2))),
+    ):
+        types = [parse_fiber_type(t) for t in ("II", "I1", "IV*", "III", "I*0")[:r]]
+        walls = enumerate_walls(r, types, True)
+        assert_same_answers(WeightVector(A), WeightVector(B), walls, Arrangement.of(list(walls)))
+        if r == 4:
+            assert Wall(WallKind.WII, frozenset({1, 2, 3, 4}), F(2)) in walls_containing(WeightVector(B), walls)
+
+
+def assert_same_answers(A, B, walls, other):
+    """The three queries answer alike on two arrangements of the same walls:
+    the crossings of A -> B, and the walls through and the chamber masks of
+    both ends and the midpoint."""
+    assert segment_walls(A, B, walls) == segment_walls(A, B, other)
+    for W in (A, B, interpolate(A, B, F(1, 2))):
+        assert walls_containing(W, walls) == walls_containing(W, other)
+        assert locate(W, walls)[:2] == locate(W, other)[:2]
 
 
 def test_wall_functions_reject_a_marker_outside_the_vector():
@@ -489,6 +528,15 @@ def test_arrangement_equals_the_eager_oracle():
             for rational in (False, True):
                 walls = enumerate_walls(r, types, rational)
                 eager = eager_walls(r, types, rational)
+                # the closed-form length and each row read from the
+                # definition; the queries against a scan of the list up to
+                # r = 6, and on one layout per r above it
+                assert len(walls) == len(eager) and walls[:] == eager
+                if r <= 6 or shift == r:
+                    a = [rng.randint(0, 12) for _ in range(r)]
+                    b = [x + rng.randint(0, 12 - x) for x in a]
+                    ends = (WeightVector(tuple(F(x, 12) for x in v)) for v in (a, b))
+                    assert_same_answers(*ends, walls, Arrangement.of(eager))
                 assert walls == eager
                 again = enumerate_walls(r, types, rational)
                 assert walls == again and all(a.constant is b.constant for a, b in zip(walls, again))
@@ -501,6 +549,7 @@ def test_arrangement_equals_the_eager_oracle():
         assert_reads_like(Arrangement.of(given), sorted(given, key=Wall.sort_key), rng)
     # no walls: the enumeration and the empty list, whatever their denominators
     assert enumerate_walls(0, []) == Arrangement.of([]) == []
+    assert enumerate_walls(0, [], True) == eager_walls(0, [], True) == [Wall(WallKind.WII, frozenset(), F(2))]
 
 
 def worked_segment(r):
@@ -508,6 +557,39 @@ def worked_segment(r):
     down to 1/3, with the midpoint at 2/3."""
     ends = [WeightVector((F(1),) * (r - 2) + (a,) * 2) for a in (F(1, 3), F(1), F(2, 3))]
     return enumerate_walls(r, [parse_fiber_type("I1")] * r), *ends
+
+
+def test_worked_segment_answers_at_r_20_and_32_without_enumerating():
+    # aim 3: the arrangement stays usable up to r = 20 and beyond.  Along
+    # the worked path a subset of n of the two moving markers adds up to
+    # n / 3 + (2 n / 3) t; a subset with a fixed marker adds up to more than
+    # one, above every constant; so only those three subsets are crossed
+    start = time.perf_counter()
+    for r in (20, 32):
+        walls, A, B, _ = worked_segment(r)
+        assert len(walls) == 8 * (2**r - 1)
+        expected: dict = {}
+        for moving in ({r - 1}, {r}, {r - 1, r}):
+            n = len(moving)
+            for c in (*WALL_CONSTANTS, F(1)):
+                t = (c - F(n, 3)) / F(2 * n, 3)
+                if 0 < t < 1:
+                    kind = WallKind.WII if c == 1 else WallKind.WIII
+                    expected.setdefault(t, []).append(Wall(kind, frozenset(moving), c))
+        crossings = segment_walls(A, B, walls)
+        assert [(c.t, list(c.walls_hit)) for c in crossings] == [
+            (t, sorted(expected[t], key=Wall.sort_key)) for t in sorted(expected, reverse=True)
+        ]
+        assert sum(len(c.walls_hit) for c in crossings) == 11
+        ones = [Wall(WallKind.WII, frozenset({k}), F(1)) for k in range(1, r + 1)]
+        assert walls_containing(B, walls) == ones
+        assert walls_containing(A, walls) == ones[:-2] + [
+            Wall(WallKind.WIII, frozenset(s), c) for s, c in (({r - 1}, F(1, 3)), ({r - 1, r}, F(2, 3)), ({r}, F(1, 3)))
+        ]
+    assert time.perf_counter() - start < 1
+    # the closed form: two WI walls per marker with a threshold, eight walls
+    # per nonempty subset, and the wall at two over a rational base
+    assert len(enumerate_walls(32, [parse_fiber_type("II")] * 32, True)) == 2 * 32 + 8 * (2**32 - 1) + 1
 
 
 def test_queries_build_only_the_walls_they_return(monkeypatch):
