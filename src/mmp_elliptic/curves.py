@@ -8,6 +8,13 @@ collapses components of non-positive weighted degree runs it, and so does the
 surface engine's base curve, which contracts its type II vertices.  The
 surface engine projects onto this module, which makes it the independent
 cross-check for every base-curve assertion.
+
+A curve's fields cannot be assigned, so what its weighted degrees need that
+no weight changes is cached on it, beside its adjacency: 2g - 2 + valence
+per vertex, each marker's index and vertex, and whether it is connected
+(`_shape`).  A check that reduces one curve at the weights of every time
+step of a walk builds that once, and each reduction then makes one integer
+pass over its weights.
 """
 
 from __future__ import annotations
@@ -58,7 +65,8 @@ class _MarkedNodalCurve(NamedTuple):
 class MarkedNodalCurve(_MarkedNodalCurve):
     """Dual graph of a pointed nodal curve. Canonicalized on construction.
 
-    The record keeps an instance dict, for its adjacency, built on first use."""
+    The record keeps an instance dict, for its adjacency and its shape, each
+    built on first use."""
 
     def __new__(cls, vertices, edges, markers):
         verts = tuple(sorted(vertices, key=_VID))
@@ -66,10 +74,12 @@ class MarkedNodalCurve(_MarkedNodalCurve):
         if len(known) != len(verts):
             raise CurveError("duplicate vertex ids")
         pairs = []
-        for a, b in edges:
+        for edge in edges:
+            a, b = edge
             if a not in known or b not in known:
                 raise CurveError(f"edge ({a},{b}) references unknown vertex")
-            pairs.append((a, b) if a <= b else (b, a))
+            # an ordered tuple is kept, not copied
+            pairs.append((b, a) if a > b else edge if type(edge) is tuple else (a, b))
         for m in markers:
             if m.vertex not in known:
                 raise CurveError(f"marker {m.index} sits on unknown vertex {m.vertex}")
@@ -102,21 +112,32 @@ class MarkedNodalCurve(_MarkedNodalCurve):
                 adjacency[b].add(a)
         return adjacency
 
+    @cached_property
+    def _shape(self) -> tuple[dict[int, int], tuple[int, ...], tuple[int, ...], bool]:
+        """The part of the weighted degrees that no weight changes, kept
+        beside `_adjacency`: vertex id -> 2g - 2 + valence (a self-loop
+        counts twice), the marker indices in ascending order and the vertex
+        of each, and whether the curve is connected."""
+        base = {v.vid: 2 * v.genus - 2 for v in self.vertices}
+        for a, b in self.edges:
+            base[a] += 1
+            base[b] += 1
+        frontier = [self.vertices[0].vid] if self.vertices else []
+        seen = set(frontier)
+        while frontier:
+            for w in self._adjacency[frontier.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+        indices = tuple(m.index for m in self.markers)
+        where = tuple(m.vertex for m in self.markers)
+        return base, indices, where, 0 < len(seen) == len(self.vertices)
+
     def markers_on(self, vid: int) -> tuple[Marker, ...]:
         return tuple(m for m in self.markers if m.vertex == vid)
 
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return False
-        seen = {self.vertices[0].vid}
-        frontier = [self.vertices[0].vid]
-        while frontier:
-            v = frontier.pop()
-            for w in self._adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return len(seen) == len(self.vertices)
+        return self._shape[3]
 
 
 class _WeightVector(NamedTuple):
@@ -181,17 +202,20 @@ def interpolate(A: WeightVector, B: WeightVector, t: Fraction) -> WeightVector:
 def _degree_table(curve: MarkedNodalCurve, weights: WeightVector) -> tuple[dict[int, int], int]:
     """The degree of the weighted dualizing sheaf on every component, in
     vertex order, as an integer over one common denominator D:
-    D (2g - 2 + valence + sum of marker weights on the vertex), taken in one
-    sweep over the edges (a self-loop counts twice) and the markers.  Returns
-    the table and D."""
-    marked = [(m.vertex, weights.weight(m.index)) for m in curve.markers]
-    D = lcm(*(w.denominator for _, w in marked))
-    table = {v.vid: D * (2 * v.genus - 2) for v in curve.vertices}
-    for a, b in curve.edges:
-        table[a] += D
-        table[b] += D
-    for vid, w in marked:
-        table[vid] += w.numerator * (D // w.denominator)
+    D (2g - 2 + valence + sum of marker weights on the vertex), from the
+    curve's cached shape and one integer pass over the marker weights.  A
+    marker index outside the vector raises `WeightVector.weight`'s
+    `KeyError`, for the lowest such index.  Returns the table and D."""
+    base, indices, where, _ = curve._shape
+    entries = weights.entries
+    r = len(entries)
+    if indices and not (0 < indices[0] and indices[-1] <= r):
+        weights.weight(next(i for i in indices if not 0 < i <= r))
+    ratios = [entries[i - 1].as_integer_ratio() for i in indices]
+    D = lcm(*[d for _, d in ratios])
+    table = {vid: D * b for vid, b in base.items()}
+    for vid, (n, d) in zip(where, ratios):
+        table[vid] += n * (D // d)
     return table, D
 
 
@@ -221,15 +245,18 @@ def _contract(
     is skipped.  Genera add and markers move along.  With a `degree` table,
     the absorber takes the contracted vertex's degree and joins the pending
     set once that degree is non-positive.  Classes are named by their
-    absorbing vertex, a union-find resolves them at the end, and one curve is
-    built; with nothing contracted the input curve comes back.  A new curve
-    per contraction would be quadratic on a long chain.  `pending` and
-    `degree` are consumed.
+    absorbing vertex and resolved at the end, and one curve is built; with
+    nothing contracted the input curve comes back.  A new curve per
+    contraction would be quadratic on a long chain, and so would copying
+    every neighbour set, so only the sets that change are copied.
+    `pending` and `degree` are consumed.
     """
     if not pending:
         return curve
-    # class id -> ids of the classes it shares an edge with
-    adjacency = {vid: set(nbrs) for vid, nbrs in curve._adjacency.items()}
+    # class id -> ids of the classes it shares an edge with; a set is the
+    # curve's own until it changes, and is copied once, into `copied`
+    adjacency = dict(curve._adjacency)
+    copied: set[int] = set()
     parent: dict[int, int] = {}  # contracted vertex -> the class that absorbed it
     while pending:
         vid = min(pending)
@@ -239,7 +266,11 @@ def _contract(
             continue
         del adjacency[vid]
         target = min(nbrs)
-        nbrs.discard(target)
+        nbrs = nbrs - {target}
+        for w in (target, *nbrs):
+            if w not in copied:
+                copied.add(w)
+                adjacency[w] = set(adjacency[w])
         into = adjacency[target]
         into.discard(vid)
         into |= nbrs
@@ -254,43 +285,42 @@ def _contract(
                 pending.add(target)
     if not parent:
         return curve
-
-    def find(vid: int) -> int:
-        root = vid
-        while root in parent:
-            root = parent[root]
-        while vid != root:
-            parent[vid], vid = root, parent[vid]
-        return root
+    # a class absorbs only while it is alive, so each vertex's absorber is
+    # resolved before it, walking the contractions backwards
+    root: dict[int, int] = {}
+    for vid in reversed(parent):
+        root[vid] = root.get(parent[vid], parent[vid])
 
     # each contraction closes one edge of its class up into nothing; the
     # other edges between the two classes become self-loops of the absorber
-    closed = dict.fromkeys(adjacency, 0)
+    closed: dict[int, int] = {}
     for vid in parent:
-        closed[find(vid)] += 1
+        closed[root[vid]] = closed.get(root[vid], 0) + 1
+    # an edge no contraction touched is kept; any of a class's self-loops
+    # may close up, as they are all the same
     edges = []
-    for a, b in curve.edges:
-        a, b = find(a), find(b)
-        if a == b and closed[a]:
-            closed[a] -= 1
-        else:
-            edges.append((a, b))
-    markers = tuple(
-        Marker(m.index, find(m.vertex)) if m.vertex in parent else m for m in curve.markers
-    )
+    for edge in curve.edges:
+        a, b = edge
+        if a in root or b in root:
+            a, b = root.get(a, a), root.get(b, b)
+            if a == b and closed.get(a):
+                closed[a] -= 1
+                continue
+            edge = (a, b)
+        edges.append(edge)
+    markers = [Marker(m.index, root[m.vertex]) if m.vertex in root else m for m in curve.markers]
     vertices = []
     gained: dict[int, int] = {}  # class id -> genus of the vertices it absorbed
     for v in curve.vertices:
-        if v.vid not in parent:
+        if v.vid not in root:
             vertices.append(v)
         elif v.genus:
-            root = find(v.vid)
-            gained[root] = gained.get(root, 0) + v.genus
+            gained[root[v.vid]] = gained.get(root[v.vid], 0) + v.genus
     if gained:
         vertices = [
             Vertex(v.vid, v.genus + gained[v.vid]) if v.vid in gained else v for v in vertices
         ]
-    return MarkedNodalCurve(tuple(vertices), tuple(edges), markers)
+    return MarkedNodalCurve(tuple(vertices), tuple(edges), tuple(markers))
 
 
 def hassett_reduce(curve: MarkedNodalCurve, weights: WeightVector) -> MarkedNodalCurve:

@@ -5,9 +5,9 @@ subgraphs inside an outer tree cluster, gluings as bold edges labeled with the
 two fiber types, and tree attachments as bold edges labeled with the host
 fiber's type and coefficient.  Identical models produce byte-identical text.
 Every label escapes `\\` and `"` (`_label`).  Each `Component` keeps its
-cluster and each `Glue` its edge in its instance dict (`modeljson.stored_text`),
-built on first use; a rewrite builds new records, so a stored text cannot go
-stale.
+cluster and each `Glue` its edge in its instance dict
+(`surfaces.stored_text`), built on first use; a rewrite builds new records,
+so a stored text cannot go stale.
 Tree clusters and tree edges are built on every call.
 """
 
@@ -16,9 +16,8 @@ from __future__ import annotations
 import re
 
 from .kodaira import FiberState
-from .modeljson import stored_text
 from .rationals import rat_to_str
-from .surfaces import BrokenEllipticSurface, Component, Glue, MarkedFiber, PseudoComponent
+from .surfaces import BrokenEllipticSurface, Component, Glue, MarkedFiber, PseudoComponent, stored_text
 
 _STATE_TAG = {
     FiberState.WEIERSTRASS: "W",

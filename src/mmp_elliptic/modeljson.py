@@ -20,8 +20,8 @@ its children, component, glue, tree) has one writer, an f-string laid out for
 its depth, and every id goes through json's own escaper (`quote`).  The
 weights, the trees and the frame of the four lists are written on every call.
 The text of each `Component` and `Glue` is stored in the record's instance
-dict on first use (`stored_text`), so a walk writes a component that several
-snapshots share once.  A stored text cannot go stale: a record's fields
+dict on first use (`surfaces.stored_text`), so a walk writes a component
+that several snapshots share once.  A stored text cannot go stale: a record's fields
 cannot be assigned, and a rewrite, through a constructor or `_replace`,
 builds new records, which start with an empty instance dict.  The CLI's `reduce` trace
 re-indents these model texts to their depth.
@@ -45,6 +45,7 @@ from .surfaces import (
     MarkedFiber,
     PseudoComponent,
     TreeAttachment,
+    stored_text,
     validate,
 )
 
@@ -333,16 +334,6 @@ def _tree_text(t: TreeAttachment) -> str:
         f'      "host_fiber": {quote(t.host_fiber)},\n'
         f'      "root": {_node_text(t.root, "      ")}\n    }}'
     )
-
-
-def stored_text(obj, key: str, build) -> str:
-    """`build(obj)`, kept under `key` in the instance dict of `obj`, a
-    `Component` or a `Glue`, the part records that keep one: like the
-    surface's lookups, built on first use, it lives and dies with `obj`."""
-    memo = obj.__dict__
-    if key not in memo:
-        memo[key] = build(obj)
-    return memo[key]
 
 
 def serialize_model(X: BrokenEllipticSurface) -> str:

@@ -36,10 +36,9 @@ def rat_from_str(text: str) -> Fraction:
 
 
 def rat_to_str(q: Fraction) -> str:
-    """Canonical form: lowest terms, positive denominator, "n" for integers."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    """Canonical form: lowest terms, positive denominator, "n" for integers,
+    which is what `Fraction.__str__` writes."""
+    return str(q)
 
 
 def json_int(value) -> int:

@@ -22,8 +22,9 @@ of a subclass, the public constructor.  `_replace` rebuilds a record through
 which the walk's rewrites (`reduction`) use where the new parts keep their
 order and their ranges.  Three records keep an instance dict for memos: the
 surface, for the lookups and the verdict below, and `Component` and `Glue`,
-for the texts the writers store (`modeljson.stored_text`); every other
-record has `__slots__ = ()`.
+for the texts the writers store (`stored_text`) and, on a component, its
+part of the base curve (`_base_points`); every other record has
+`__slots__ = ()`.
 
 Three lookups are cached on the surface, each built in one pass the first
 time it is read: components by id (`component`), glue ends per
@@ -387,16 +388,66 @@ class BrokenEllipticSurface(_BrokenEllipticSurface):
         return self.weights.sum(fiber.markers)
 
 
+# -- texts stored on the part records -----------------------------------------
+
+
+def stored_text(obj, key: str, build) -> str:
+    """`build(obj)`, kept under `key` in the instance dict of `obj`, a
+    `Component` or a `Glue`, the part records that keep one: like the
+    surface's lookups, built on first use, it lives and dies with `obj`.
+    The JSON and DOT writers store their texts this way."""
+    memo = obj.__dict__
+    if key not in memo:
+        memo[key] = build(obj)
+    return memo[key]
+
+
 # -- base curve projection ----------------------------------------------------
 
 
-def _fixed_points(X: BrokenEllipticSurface) -> list[tuple[int, Fraction]]:
-    """(base vertex, coefficient) of every marker-less fiber on a component,
-    in component and fiber order.  Such a fiber is a twisted fiber of fixed
-    coefficient one (e.g. the residue of a collapse onto a curve), and the
-    surface keeps its section there, so on the base curve it is a point of
-    weight one that no weight change moves."""
-    return [(c.vertex, f.coeff) for c in X.components for f in c.fibers if not f.markers]
+def _base_points(
+    X: BrokenEllipticSurface,
+) -> tuple[list[Vertex], list[Marker], list[tuple[int, Fraction]], dict[str, int]]:
+    """One pass over the components: the base vertex of each, the markers of
+    the weight indices on its fibers, the (vertex, coefficient) of each
+    marker-less fiber in component and fiber order, and each component's
+    vertex by id.
+
+    A component's share (vertex, markers, coefficients of its marker-less
+    fibers) is kept in its instance dict under `_base_part`, as
+    `stored_text` keeps a text, but built inline in this pass, so a model's
+    first base curve costs what it did before parts were kept, and a
+    snapshot builds only the parts of the components its record replaced.
+    A marker-less fiber is a twisted fiber of fixed coefficient one (e.g.
+    the residue of a collapse onto a curve), and the surface keeps its
+    section there, so on the base curve it is a point of weight one that no
+    weight change moves.
+    """
+    vertices = []
+    markers: list[Marker] = []
+    fixed: list[tuple[int, Fraction]] = []
+    vmap = {}
+    for c in X.components:
+        v = c.vertex
+        memo = c.__dict__
+        part = memo.get("_base_part")
+        if part is None:
+            marks = []
+            coeffs = ()
+            for f in c.fibers:
+                if f.markers:
+                    for i in f.markers:
+                        marks.append(Marker(i, v))
+                else:
+                    coeffs += (f.coeff,)
+            part = memo["_base_part"] = (Vertex(v, c.genus), tuple(marks), coeffs)
+        vertex, marks, coeffs = part
+        vertices.append(vertex)
+        markers += marks
+        vmap[c.cid] = v
+        if coeffs:
+            fixed += [(v, a) for a in coeffs]
+    return vertices, markers, fixed, vmap
 
 
 def pre_base_curve(X: BrokenEllipticSurface) -> MarkedNodalCurve:
@@ -404,18 +455,16 @@ def pre_base_curve(X: BrokenEllipticSurface) -> MarkedNodalCurve:
 
     Marker i of the weight vector sits on the vertex of the component whose
     fiber it backs; the k-th marker-less fiber becomes marker r + k, weighted
-    by `base_weights`.
+    by `base_weights`.  The other parts are stored on the components
+    (`_base_points`); the markers r + k depend on every component, so they
+    are numbered on each call.
     """
-    vertices = tuple(Vertex(c.vertex, c.genus) for c in X.components)
-    vmap = {c.cid: c.vertex for c in X.components}
-    edges = tuple(
-        (vmap[g.a.component], vmap[g.b.component]) for g in X.glues
-    )
-    # the constructor orders the markers by index
-    markers = [Marker(i, c.vertex) for c in X.components for f in c.fibers for i in f.markers]
+    vertices, markers, fixed, vmap = _base_points(X)
+    edges = tuple((vmap[g.a.component], vmap[g.b.component]) for g in X.glues)
     r = X.weights.r
-    markers += [Marker(r + k, v) for k, (v, _) in enumerate(_fixed_points(X), start=1)]
-    return MarkedNodalCurve(vertices, edges, tuple(markers))
+    # the constructor orders the markers by index
+    markers += [Marker(r + k, v) for k, (v, _) in enumerate(fixed, start=1)]
+    return MarkedNodalCurve(tuple(vertices), edges, tuple(markers))
 
 
 def base_weights(X: BrokenEllipticSurface) -> WeightVector:
@@ -424,7 +473,8 @@ def base_weights(X: BrokenEllipticSurface) -> WeightVector:
     a base curve is taken at these weights.  Both parts are already checked
     (a `MarkedFiber` keeps its coefficient in [0, 1]), so they are not
     checked again."""
-    return WeightVector._make((X.weights.entries + tuple(a for _, a in _fixed_points(X)),))
+    fixed = tuple(a for _, a in _base_points(X)[2])
+    return WeightVector._make((X.weights.entries + fixed,))
 
 
 def base_curve(X: BrokenEllipticSurface) -> MarkedNodalCurve:

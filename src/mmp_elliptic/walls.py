@@ -211,7 +211,9 @@ class Arrangement(Sequence):
     `enumerate_walls` returns the subclass that holds only its definition.
 
     It is a read-only `Sequence`, equal to a list of the same walls and to
-    an Arrangement of them; every in-place change raises `TypeError`.
+    an Arrangement of them; every in-place change raises `TypeError`.  `in`,
+    `index` and `count` answer as a list does, by bisection (`_find`), so
+    they build only the walls they compare.
     """
 
     __slots__ = (
@@ -310,12 +312,42 @@ class Arrangement(Sequence):
     def __repr__(self) -> str:
         return f"<Arrangement of {len(self)} walls on markers up to {self.r}>"
 
-    def _find(self, wall: Wall) -> int | None:
-        """The row of the first copy of `wall`, bisected on `Wall.sort_key`;
-        None when the arrangement does not hold it."""
-        key = wall.sort_key()
-        i = bisect_left(range(len(self)), key, key=lambda i: self._wall_at(i).sort_key())
-        return i if i < len(self) and self._wall_at(i) == wall else None
+    def _find(self, value) -> list[int]:
+        """The rows of the walls equal to `value` as a list compares them: a
+        `Wall`, or a tuple of four equal to one.  Walls equal to one value
+        share its sort key, so they are one run of rows, bisected on
+        `Wall.sort_key`; a value that is no tuple of four, or whose parts do
+        not order against a wall's, equals none."""
+        if not isinstance(value, tuple) or len(value) != 4:
+            return []
+        kind, subset, constant, boundary = value
+        rows = range(len(self))
+
+        def key(i: int) -> tuple:
+            return self._wall_at(i).sort_key()
+
+        try:
+            target = (kind, tuple(sorted(subset)), constant, boundary)
+            lo = bisect_left(rows, target, key=key)
+            hi = bisect_right(rows, target, lo, key=key)
+        except TypeError:
+            return []
+        return [i for i in range(lo, hi) if self._wall_at(i) == value]
+
+    def __contains__(self, value) -> bool:
+        return bool(self._find(value))
+
+    def index(self, value, start: int = 0, stop: int | None = None) -> int:
+        """The first row in [start, stop) of a wall equal to `value`, with
+        the bounds read as a slice reads them, as `list.index` does."""
+        bounds = range(len(self))[start:stop]
+        for i in self._find(value):
+            if i in bounds:
+                return i
+        raise ValueError(f"{value!r} is not in the arrangement")
+
+    def count(self, value) -> int:
+        return len(self._find(value))
 
     def _over(self, D: int, *weights: list[int]) -> list[list[int]]:
         """As integers over L, the lcm of `den` and D: the constant of each
@@ -585,9 +617,10 @@ class Chamber(NamedTuple):
 
     def sign(self, wall: Wall) -> str:
         """The sign of `wall`, found by bisection; a repeated wall reads its first copy."""
-        i = self.walls._find(wall)
-        if i is None:
+        rows = self.walls._find(wall)
+        if not rows:
             raise KeyError(f"wall {wall} not part of this chamber's arrangement")
+        i = rows[0]
         return "below" if self.below >> i & 1 else "on" if self.on >> i & 1 else "above"
 
     def on_walls(self) -> tuple[Wall, ...]:

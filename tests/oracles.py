@@ -282,11 +282,27 @@ def contract_by_step(curve, pending):
     return curve
 
 
+def pre_base_curve_by_scan(X):
+    """The base curve before its type II vertices contract, read off the
+    components on every call, with no part stored on them: each weight index
+    a marker on its component's vertex, then each marker-less fiber, in
+    component and fiber order, marker r + k."""
+    from mmp_elliptic.curves import MarkedNodalCurve, Marker, Vertex
+
+    at = {c.cid: c.vertex for c in X.components}
+    markers = [Marker(i, c.vertex) for c in X.components for f in c.fibers for i in f.markers]
+    fixed = [c.vertex for c in X.components for f in c.fibers if not f.markers]
+    markers += [Marker(X.weights.r + k, v) for k, v in enumerate(fixed, start=1)]
+    return MarkedNodalCurve(
+        [Vertex(c.vertex, c.genus) for c in X.components],
+        [(at[g.a.component], at[g.b.component]) for g in X.glues],
+        markers,
+    )
+
+
 def base_curve_by_step(X):
     """The base curve with its type II vertices contracted one step at a time."""
-    from mmp_elliptic.surfaces import pre_base_curve
-
-    return contract_by_step(pre_base_curve(X), {c.vertex for c in X.pseudo2})
+    return contract_by_step(pre_base_curve_by_scan(X), {c.vertex for c in X.pseudo2})
 
 
 def hassett_by_vertex(curve, weights):

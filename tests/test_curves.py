@@ -261,6 +261,55 @@ def test_reduction_matches_the_per_vertex_oracle_on_long_cascades():
     assert cascades >= 30 and zero >= 10
 
 
+def test_one_curve_reduces_at_many_weights_as_the_oracle_does():
+    # the shape a curve keeps holds no weight: one curve object, reduced at
+    # 60 weight vectors, agrees with the per-vertex oracle every time
+    rng = random.Random(37)
+    curve, _ = cascading_curve(rng, 40)
+    r = len(curve.markers)
+    assert r >= 10
+    results = set()
+    for k in range(60):
+        w = WeightVector(tuple(F(rng.choice([0, 0, 1, 1, 2, 5, 7, 12]), 12) for _ in range(r)))
+        reduced = hassett_reduce(curve, w)
+        assert reduced == hassett_by_vertex(curve, w)
+        assert is_hassett_stable(curve, w) == (reduced == curve and all(w.entries))
+        if k == 0:
+            shape = curve._shape
+        assert curve._shape is shape
+        results.add(reduced)
+    assert len(results) >= 20
+
+
+@pytest.mark.parametrize("bad", [0, -1, 3])
+def test_marker_outside_the_weights_raises_the_weight_lookup_error(bad):
+    # r = 2 weights; the marker index 0, -1 or r + 1 raises the KeyError of
+    # WeightVector.weight, before and after the curve's shape is cached
+    w = WeightVector((F(1, 2), F(1, 3)))
+    with pytest.raises(KeyError) as lookup:
+        w.weight(bad)
+    curve = MarkedNodalCurve(
+        (Vertex(1, 0), Vertex(2, 0)), ((1, 2),), (Marker(1, 1), Marker(2, 2), Marker(bad, 2))
+    )
+    calls = (
+        lambda: hassett_reduce(curve, w),
+        lambda: is_hassett_stable(curve, w),
+        lambda: component_degree(curve, 1, w),
+    )
+    for _ in range(2):
+        for call in calls:
+            with pytest.raises(KeyError) as got:
+                call()
+            assert str(got.value) == str(lookup.value)
+    assert "_shape" in curve.__dict__
+    # a disconnected curve is still refused, with its shape cached too
+    apart = MarkedNodalCurve((Vertex(1, 0), Vertex(2, 0)), (), (Marker(1, 1),))
+    for _ in range(2):
+        assert not apart.is_connected()
+        with pytest.raises(CurveError):
+            hassett_reduce(apart, w)
+
+
 def test_zero_weight_chain_reduces_to_one_vertex():
     # the stepwise loop took a new degree table and curve per contraction,
     # quadratic in the length of the chain

@@ -47,7 +47,7 @@ from modelkit import (
     random_target,
     rational_degeneration,
 )
-from oracles import rebuilt
+from oracles import base_curve_by_step, rebuilt
 from test_golden import GOLDEN, REWRITE_WALKS
 
 F = Fraction
@@ -700,6 +700,29 @@ def _bench_inputs():
 def _chain(n, seed=1):
     case = _bench_inputs().chain_case(random.Random(seed), n, k=3)
     return parse_model(json.dumps(case.model)), WeightVector(case.target)
+
+
+def test_snapshot_base_curves_from_stored_parts_match_the_stepwise_oracle():
+    # the start's base-curve parts are stored before the walk, so each
+    # snapshot reuses those of the components its records kept and builds
+    # the rest; every snapshot's base curve equals the oracle's, which reads
+    # the components afresh
+    rng = random.Random(19)
+    starts = [_chain(40, seed) for seed in (1, 2, 3)]
+    starts += [(X, random_target(rng, X.weights)) for X in (random_model(rng, allow_isotrivial=i % 2 == 1) for i in range(40))]
+    reused = built = 0
+    for X, target in starts:
+        base_curve(X)
+        assert all("_base_part" in c.__dict__ for c in X.components)
+        stored = {id(c) for c in X.components}
+        trace = reduce(X, target)
+        for Y in [rec.snapshot_after for rec in trace.records] + [trace.final]:
+            kept = sum(id(c) in stored for c in Y.components)
+            reused += kept
+            built += len(Y.components) - kept
+            assert base_curve(Y) == base_curve_by_step(Y)
+            stored |= {id(c) for c in Y.components}
+    assert reused > 2 * built > 0
 
 
 def _kept(table):

@@ -363,6 +363,22 @@ def test_index_matches_scans_on_models_and_walks():
     assert models >= 200
 
 
+def test_a_replaced_component_carries_no_stored_part():
+    # the base curve and both writers store values on a component; a
+    # component rebuilt by `_replace` starts without them, so the base curve
+    # of a surface that holds it shows the change
+    X = rational_degeneration(F(3, 5))
+    base_curve(X), serialize_model(X), emit_dot(X)
+    c = X.components[0]
+    assert {"_base_part", "_json_text", "_dot_text"} <= c.__dict__.keys()
+    higher = c._replace(genus=c.genus + 1)
+    assert higher.__dict__ == {}
+    Y = X._replace(components=(higher,) + X.components[1:])
+    curve = base_curve(Y)
+    assert curve == base_curve_by_step(Y) != base_curve(X)
+    assert curve.vertex(c.vertex).genus == c.genus + 1
+
+
 def test_base_curve_matches_the_stepwise_oracle_on_type_ii_walks():
     # screened targets rarely form a type II component; walks to unscreened
     # targets form them, and every snapshot's base curve is checked

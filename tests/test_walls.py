@@ -622,6 +622,75 @@ def test_queries_build_only_the_walls_they_return(monkeypatch):
     assert all(chamber.sign(w) == "on" for w in on)
 
 
+def assert_index_like(arr, listed, value, *bounds):
+    """`arr.index(value, *bounds)` answers as `listed.index` does."""
+    try:
+        want = listed.index(value, *bounds)
+    except ValueError:
+        with pytest.raises(ValueError):
+            arr.index(value, *bounds)
+    else:
+        assert arr.index(value, *bounds) == want
+
+
+def test_membership_index_and_count_answer_as_a_list():
+    # every wall, the same wall as a plain tuple (and with a set, an int and
+    # a 0 for its parts), walls that are absent, and values that are no wall
+    rng = random.Random(23)
+    for r in range(7):
+        types = [parse_fiber_type(MARKABLE[(i + r) % len(MARKABLE)]) for i in range(r)]
+        for rational in (False, True):
+            walls = enumerate_walls(r, types, rational)
+            listed = list(walls)
+            n = len(listed)
+            absent = [
+                Wall(WallKind.WII, frozenset({r + 1}), F(1)),
+                Wall(WallKind.WIII, frozenset(range(1, r + 1)), F(3, 7)),
+                Wall(WallKind.WI, frozenset({1}), F(1, 2), True),
+            ]
+            odd = [None, "WII", 1, (), (1, 2), ("WII", 5, F(1), False), ("WII", frozenset({"a"}), F(1), False)]
+            odd.append([WallKind.WII, frozenset({1}), F(1), False])
+            # every wall up to r = 4, a sample of them above
+            some = listed if r <= 4 else rng.sample(listed, 60)
+            loose = [(str(w.kind), set(w.subset), int(w.constant) if w.constant == 1 else w.constant, int(w.boundary)) for w in some]
+            for value in listed + [tuple(w) for w in some] + loose + absent + odd:
+                assert (value in walls) == (value in listed)
+                assert walls.count(value) == listed.count(value)
+                assert_index_like(walls, listed, value)
+            for i, w in enumerate(rng.sample(listed, min(n, 6))):
+                at = listed.index(w)
+                for bounds in ((at,), (at + 1,), (at - n,), (at + 1 - n,), (0, at), (0, at + 1), (at, -1), (-n - 3, n + 3)):
+                    assert_index_like(walls, listed, w, *bounds)
+    # a hand-built arrangement counts and finds every copy of a repeated wall
+    for r in (3, 6):
+        given = hand_built_walls(rng, r, 24)
+        arr, listed = Arrangement.of(given), sorted(given, key=Wall.sort_key)
+        for w in listed:
+            assert arr.count(w) == listed.count(w) and w in arr
+            at = listed.index(w)
+            for bounds in ((), (at + 1,), (at + 1, len(listed)), (0, at)):
+                assert_index_like(arr, listed, w, *bounds)
+        assert any(listed.count(w) > 1 for w in listed)
+
+
+def test_membership_at_r_20_builds_no_column(monkeypatch):
+    walls = enumerate_walls(20, [parse_fiber_type("I1")] * 20)
+
+    def no_column(self, name):
+        raise AssertionError(f"column {name} built")
+
+    monkeypatch.setattr(type(walls), "__getattr__", no_column)
+    start = time.perf_counter()
+    wall = Wall(WallKind.WII, frozenset({19, 20}), F(1))
+    assert wall in walls and tuple(wall) in walls and walls.count(wall) == 1
+    assert walls[walls.index(wall)] == wall
+    absent = Wall(WallKind.WIII, frozenset({19, 20}), F(3, 7))
+    assert absent not in walls and walls.count(absent) == 0
+    with pytest.raises(ValueError):
+        walls.index(absent)
+    assert time.perf_counter() - start < 1
+
+
 def test_chambers_are_two_masks_over_their_arrangement():
     walls, A, B, mid = worked_segment(8)
     chamber = locate(mid, walls)
