@@ -253,8 +253,9 @@ def _contract(
     """
     if not pending:
         return curve
-    # class id -> ids of the classes it shares an edge with; a set is the
-    # curve's own until it changes, and is copied once, into `copied`
+    # class id -> ids of the classes it shares an edge with; each set is the
+    # curve's own until it first changes, when it is copied (`copied` lists
+    # the ids whose sets are copies)
     adjacency = dict(curve._adjacency)
     copied: set[int] = set()
     parent: dict[int, int] = {}  # contracted vertex -> the class that absorbed it

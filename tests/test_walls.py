@@ -657,7 +657,7 @@ def test_membership_index_and_count_answer_as_a_list():
                 assert (value in walls) == (value in listed)
                 assert walls.count(value) == listed.count(value)
                 assert_index_like(walls, listed, value)
-            for i, w in enumerate(rng.sample(listed, min(n, 6))):
+            for w in rng.sample(listed, min(n, 6)):
                 at = listed.index(w)
                 for bounds in ((at,), (at + 1,), (at - n,), (at + 1 - n,), (0, at), (0, at + 1), (at, -1), (-n - 3, n + 3)):
                     assert_index_like(walls, listed, w, *bounds)
