@@ -199,6 +199,14 @@ def interpolate(A: WeightVector, B: WeightVector, t: Fraction) -> WeightVector:
     return WeightVector(tuple((1 - t) * a + t * b for a, b in zip(A.entries, B.entries)))
 
 
+def _check_indices(indices: tuple[int, ...], weights: WeightVector) -> None:
+    """Raise `WeightVector.weight`'s `KeyError` for the lowest of the
+    ascending marker `indices` outside the vector, if any."""
+    r = len(weights.entries)
+    if indices and not (0 < indices[0] and indices[-1] <= r):
+        weights.weight(next(i for i in indices if not 0 < i <= r))
+
+
 def _degree_table(curve: MarkedNodalCurve, weights: WeightVector) -> tuple[dict[int, int], int]:
     """The degree of the weighted dualizing sheaf on every component, in
     vertex order, as an integer over one common denominator D:
@@ -208,9 +216,7 @@ def _degree_table(curve: MarkedNodalCurve, weights: WeightVector) -> tuple[dict[
     `KeyError`, for the lowest such index.  Returns the table and D."""
     base, indices, where, _ = curve._shape
     entries = weights.entries
-    r = len(entries)
-    if indices and not (0 < indices[0] and indices[-1] <= r):
-        weights.weight(next(i for i in indices if not 0 < i <= r))
+    _check_indices(indices, weights)
     ratios = [entries[i - 1].as_integer_ratio() for i in indices]
     D = lcm(*[d for _, d in ratios])
     table = {vid: D * b for vid, b in base.items()}
@@ -339,11 +345,13 @@ def hassett_reduce(curve: MarkedNodalCurve, weights: WeightVector) -> MarkedNoda
     once instead of twice, which puts the 2 back.  So one degree table
     serves the whole reduction: only the absorber's degree changes, it only
     falls (deg(v) <= 0), and an unstable vertex stays unstable until it is
-    contracted.
+    contracted.  A marker index outside `weights` raises `KeyError`, on a
+    one-vertex curve too.
     """
     if not curve.is_connected():
         raise CurveError("cannot reduce a disconnected curve")
     if len(curve.vertices) == 1:
+        _check_indices(curve._shape[1], weights)
         return curve
     degree, _ = _degree_table(curve, weights)
     return _contract(curve, {vid for vid, d in degree.items() if d <= 0}, degree)

@@ -7,11 +7,11 @@ subset sums equal to a threshold constant (WIII).  Boundary walls at a
 coordinate equal to zero or one carry a flag.  Everything is exact; the full
 arrangement on r markers is exponential in r.
 
-An `Arrangement` is a read-only sequence of walls in `Wall.sort_key` order.
-`enumerate_walls` returns one that holds only its definition, built in
-O(r); it builds its columns only when something iterates them, and its
-queries cost what they return (`_Enumerated`).  `Arrangement.of` holds any
-other list of walls as columns, and its queries scan every row.  Every
+`enumerate_walls` returns the walls on r markers as an `Arrangement`: a
+read-only sequence in `Wall.sort_key` order that holds only its
+definition, built in O(r).  Iterating it builds the walls in one pass; the
+queries `locate`, `walls_containing` and `segment_walls` take an
+Arrangement and never iterate it, so they cost what they return.  Every
 query compares integers only, and builds a `Wall` and a `Fraction` only for
 an answer: the walls through a point, or a crossing that is hit.  A
 `Chamber` is two masks over the arrangement, of the walls a point lies
@@ -32,7 +32,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, count, cycle, islice, repeat
 from math import gcd, lcm
 from operator import add, eq, gt, lt
 from typing import Iterable, Iterator, NamedTuple
@@ -87,7 +87,7 @@ class Wall(NamedTuple):
 
 
 # the constants are shared objects, so walls of two enumerations meet equal
-# constants by identity; an enumeration keeps each one as its value times _DEN
+# constants by identity; an Arrangement keeps each one as its value times _DEN
 # and reads the object back from _KODAIRA
 _ONE, _TWO = Fraction(1), Fraction(2)
 _DEN = lcm(*(c.denominator for c in THRESHOLD_CONSTANTS))  # every threshold is one of them
@@ -127,13 +127,6 @@ def _integers(*vectors: WeightVector) -> tuple:
     return (D, *[[x.numerator * (D // x.denominator) for x in v.entries] for v in vectors])
 
 
-def _check_markers(r: int, vectors) -> None:
-    """Raise `KeyError` when a vector has no weight for marker r."""
-    for v in vectors:
-        if r > len(v):
-            raise KeyError(f"marker index {r} outside 1..{len(v)}")
-
-
 def _place(rev: int, r: int) -> int:
     """The place of a nonempty subset of 1..r in the order of the sorted
     tuples of all of them, from `rev`, its mask with bit r - k for marker k.
@@ -145,8 +138,8 @@ def _place(rev: int, r: int) -> int:
 
 def _lex_subset(p: int, r: int) -> frozenset[int]:
     """The subset of 1..r at place p of that order (`_place`), each marker
-    joined to the set of those above it as the enumeration joins them, so
-    that the set iterates in the same order."""
+    joined to the set of those above it as `Arrangement.__iter__` joins
+    them, so that the set iterates in the same order."""
     markers = []
     for k in range(1, r + 1):
         block = 1 << (r - k)  # the subsets whose lowest marker is k
@@ -190,230 +183,20 @@ def _sum_masks(sets: list[set[int]], values: list[int], bits: list[int], s: int,
 
 
 class Arrangement(Sequence):
-    """Walls in `Wall.sort_key` order, held as columns of ints and shared objects.
-
-    Row i is one wall: its kind, `masks[i]` with bit k - 1 set for each
-    marker k of its subset, `scaled[i]`, its constant times `den` (the lcm of
-    the constants' denominators), and its boundary flag; `r` is the highest
-    marker of any wall.  Each distinct subset and constant is one object,
-    looked up by mask and by scaled value, so the walls on one subset share
-    its frozenset and every enumeration shares the Kodaira constants.  A
-    `Wall` is built only when someone asks for one: by index, by iterating,
-    which builds them all in one pass, or as the answer of a query.
-
-    This is the arrangement of a hand-built list (`Arrangement.of`), and its
-    queries scan every row.  Each adds up its subset sums on a table of
-    subsets closed under dropping the highest marker: wall i reads slot
-    `_slots[i]`, and each step (k, parents) appends the sums of the parents'
-    subsets plus the weight of marker k + 1; the table holds at most one
-    entry per marker of each wall, so its cost does not grow with the marker
-    indices.  The constants over a query's denominator are kept per scale.
-    `enumerate_walls` returns the subclass that holds only its definition.
-
-    It is a read-only `Sequence`, equal to a list of the same walls and to
-    an Arrangement of them; every in-place change raises `TypeError`.  `in`,
-    `index` and `count` answer as a list does, by bisection (`_find`), so
-    they build only the walls they compare.
-    """
-
-    __slots__ = (
-        "masks", "scaled", "den", "r", "_kinds", "_boundary", "_subsets", "_constants", "_slots", "_steps", "_at_scale"
-    )
-
-    def __init__(self, kinds, masks, scaled, boundary, den, r, subsets, constants, slots, steps) -> None:
-        self._kinds, self.masks, self.scaled, self._boundary = kinds, masks, scaled, boundary
-        self.den, self.r = den, r
-        self._subsets, self._constants = subsets, constants
-        self._slots, self._steps = slots, steps
-        self._at_scale = {1: scaled}
-
-    @classmethod
-    def of(cls, walls: Iterable[Wall]) -> Arrangement:
-        """`walls` itself when it is an Arrangement; else its walls, in a
-        stable sort by `Wall.sort_key`, as columns.  Raises `KeyError` for a
-        marker below 1."""
-        if isinstance(walls, Arrangement):
-            return walls
-        walls = sorted(walls, key=Wall.sort_key)
-        den = lcm(*(w.constant.denominator for w in walls))
-        masks, scaled, subsets, constants = [], [], {}, {}
-        for w in walls:
-            if min(w.subset, default=1) < 1:
-                raise KeyError(f"marker index {min(w.subset)} below 1")
-            m = sum(1 << (i - 1) for i in w.subset)
-            c = w.constant.numerator * (den // w.constant.denominator)
-            masks.append(m)
-            scaled.append(c)
-            subsets.setdefault(m, w.subset)
-            constants.setdefault(c, w.constant)
-        table = {0}
-        for m in subsets:
-            while m not in table:
-                table.add(m)
-                m ^= 1 << (m.bit_length() - 1)
-        table = sorted(table)
-        slot = {m: j for j, m in enumerate(table)}
-        steps: dict[int, list[int]] = {}
-        for m in table[1:]:
-            k = m.bit_length() - 1
-            steps.setdefault(k, []).append(slot[m ^ 1 << k])
-        return cls(
-            [w.kind for w in walls],
-            masks,
-            scaled,
-            [w.boundary for w in walls],
-            den,
-            table[-1].bit_length(),
-            subsets,
-            constants,
-            [slot[m] for m in masks],
-            list(steps.items()),
-        )
-
-    def _wall_at(self, i: int) -> Wall:
-        """Wall i, read from the columns."""
-        # tuple.__new__ skips the keyword handling of Wall(...)
-        return tuple.__new__(Wall, (
-            self._kinds[i], self._subsets[self.masks[i]], self._constants[self.scaled[i]], self._boundary[i]
-        ))
-
-    def _walls(self, rows: Iterable[int] | None = None) -> Iterator[Wall]:
-        """The walls at `rows`, or every wall, in one pass over the columns:
-        the one place that builds the walls a caller gets."""
-        if rows is not None:
-            return map(self._wall_at, rows)
-        return map(tuple.__new__, repeat(Wall), zip(
-            self._kinds, map(self._subsets.__getitem__, self.masks), map(self._constants.__getitem__, self.scaled),
-            self._boundary,
-        ))
-
-    def __len__(self) -> int:
-        return len(self._kinds)
-
-    def __iter__(self) -> Iterator[Wall]:
-        return self._walls()
-
-    def __getitem__(self, i):
-        """One wall, or a list of the walls of a slice."""
-        rows = range(len(self))[i]
-        if isinstance(rows, range):
-            return list(self._walls(rows))
-        return next(self._walls((rows,)))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Arrangement) and other.den == self.den:
-            return (self._kinds, self.masks, self.scaled, self._boundary) == (
-                other._kinds, other.masks, other.scaled, other._boundary
-            )
-        if isinstance(other, (list, Arrangement)):
-            return len(self) == len(other) and all(map(eq, self, other))
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"<Arrangement of {len(self)} walls on markers up to {self.r}>"
-
-    def _find(self, value) -> list[int]:
-        """The rows of the walls equal to `value` as a list compares them: a
-        `Wall`, or a tuple of four equal to one.  Walls equal to one value
-        share its sort key, so they are one run of rows, bisected on
-        `Wall.sort_key`; a value that is no tuple of four, or whose parts do
-        not order against a wall's, equals none."""
-        if not isinstance(value, tuple) or len(value) != 4:
-            return []
-        kind, subset, constant, boundary = value
-        rows = range(len(self))
-
-        def key(i: int) -> tuple:
-            return self._wall_at(i).sort_key()
-
-        try:
-            target = (kind, tuple(sorted(subset)), constant, boundary)
-            lo = bisect_left(rows, target, key=key)
-            hi = bisect_right(rows, target, lo, key=key)
-        except TypeError:
-            return []
-        return [i for i in range(lo, hi) if self._wall_at(i) == value]
-
-    def __contains__(self, value) -> bool:
-        return bool(self._find(value))
-
-    def index(self, value, start: int = 0, stop: int | None = None) -> int:
-        """The first row in [start, stop) of a wall equal to `value`, with
-        the bounds read as a slice reads them, as `list.index` does."""
-        bounds = range(len(self))[start:stop]
-        for i in self._find(value):
-            if i in bounds:
-                return i
-        raise ValueError(f"{value!r} is not in the arrangement")
-
-    def count(self, value) -> int:
-        return len(self._find(value))
-
-    def _over(self, D: int, *weights: list[int]) -> list[list[int]]:
-        """As integers over L, the lcm of `den` and D: the constant of each
-        wall, in order, then for each list of weights over D the subset sum
-        of each slot, which wall i reads at `_slots[i]`.  Raises `KeyError`
-        for a marker outside 1..r of a list."""
-        _check_markers(self.r, weights)
-        L = lcm(self.den, D)
-        scale, lift = L // self.den, L // D
-        constants = self._at_scale.get(scale)
-        if constants is None:
-            constants = self._at_scale[scale] = [c * scale for c in self.scaled]
-        out = [constants]
-        for v in weights:
-            sums = [0]
-            for k, parents in self._steps:
-                sums += map(add, map(sums.__getitem__, parents), repeat(v[k] * lift))
-            out.append(sums)
-        return out
-
-    def _signs(self, D: int, w: list[int]) -> tuple[int, int]:
-        """The masks of the walls that the weights `w` over D lie below and on."""
-        constants, sums = self._over(D, w)
-        values = list(map(sums.__getitem__, self._slots))
-        return _mask(_flags(map(lt, values, constants))), _mask(_flags(map(eq, values, constants)))
-
-    def _on(self, D: int, w: list[int]) -> list[int]:
-        """The rows of the walls through the weights `w` over D, ascending."""
-        constants, sums = self._over(D, w)
-        return [i for i, s, c in zip(count(), self._slots, constants) if sums[s] == c]
-
-    def _hits(self, D: int, a: list[int], b: list[int]) -> Iterator[tuple[int, int, int]]:
-        """(num, den, row) for each wall crossed strictly inside the segment
-        from `a` to `b` (over D, a <= b), at time num / den."""
-        constants, at_a, at_b = self._over(D, a, b)
-        # a subset sum rises along the segment: a wall is crossed inside it
-        # exactly when its constant lies strictly between the ends
-        for i, s, c in zip(count(), self._slots, constants):
-            if at_a[s] < c < at_b[s]:
-                yield c - at_a[s], at_b[s] - at_a[s], i
-
-    def _read_only(self, *args, **kwargs):
-        raise TypeError("an Arrangement cannot change in place; build a new one with Arrangement.of")
-
-    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
-    append = extend = insert = pop = remove = clear = sort = reverse = _read_only
-
-    def __reduce__(self):
-        return Arrangement.of, (list(self),)
-
-
-_COLUMNS = frozenset(("masks", "scaled", "_kinds", "_boundary", "_subsets", "_constants"))
-
-
-class _Enumerated(Arrangement):
-    """The arrangement `enumerate_walls` returns, held as its definition: r,
-    `_thresholds` (each marker's threshold times `den`, None for a type
-    without one) and `_rational` (the rational-base flag).
+    """The walls of `enumerate_walls`, in `Wall.sort_key` order, held as
+    their definition: r, `_thresholds` (each marker's threshold times
+    `_DEN`, None for a type without one) and `_rational` (the rational-base
+    flag).
 
     Its rows are the WI walls, two per marker with a threshold, then the WII
     walls on every nonempty subset in the order of their sorted tuples (the
     full set's wall at two is row r of that block over a rational base),
-    then the WIII walls of each subset; a row and its wall follow from each
-    other in O(r) (`_place`, `_lex_subset`).  The columns are built on the
-    first read of one, which iterating does.  The queries read only the
-    definition, and check the WI walls and the wall at two one by one:
+    then the WIII walls of each subset, in constant order.  A row and its
+    wall follow from each other in O(r) (`_place`, `_lex_subset`), and
+    iterating builds every wall in row order in one pass; the walls built on
+    one subset share its frozenset.  No query iterates: each reads only the
+    definition, checks the WI walls and the wall at two one by one, and
+    builds a `Wall` only for an answer:
 
     - `_hits` splits the markers into moving (a < b) and fixed ones.  The
       fixed part of a subset adds the same v at both ends, so for a nonempty
@@ -429,58 +212,49 @@ class _Enumerated(Arrangement):
       with one for the WII block, takes each distinct sum's WIII digits from
       one bisection into the sorted constants, and reads the walls through
       the point off the sums equal to a constant.
+
+    It is a read-only `Sequence`, equal to a list of the same walls and to
+    an Arrangement of the same definition; every in-place change raises
+    `TypeError`.  `in`, `index` and `count` answer as a list does, by
+    bisection (`_find`), so they build only the walls they compare.
     """
 
-    __slots__ = ("_thresholds", "_rational", "_wi", "_top", "_wii", "_sets")
+    __slots__ = ("r", "_thresholds", "_rational", "_wi", "_top", "_wii", "_sets")
 
     def __init__(self, r: int, thresholds: tuple, rational: bool) -> None:
-        self.r, self.den, self._thresholds, self._rational = r, _DEN, thresholds, rational
+        self.r, self._thresholds, self._rational = r, thresholds, rational
         self._wi = [i for i, t in enumerate(thresholds) if t is not None]
         # the WI rows, then the WII rows, then the WIII rows
         self._top, self._wii = 2 * len(self._wi), (1 << r) - 1 + rational
         self._sets: dict[int, frozenset[int]] = {}
 
-    def __getattr__(self, name: str):
-        """Build the columns on the first read of one."""
-        if name not in _COLUMNS:
-            raise AttributeError(f"'Arrangement' object has no attribute {name!r}")
-        r, WI, WII, WIII = self.r, WallKind.WI, WallKind.WII, WallKind.WIII
-        kinds, masks, scaled, boundary = [], [], [], []
-        for i in self._wi:
-            kinds += (WI, WI)
-            masks += (1 << i, 1 << i)
-            scaled += (self._thresholds[i], _DEN)
-            boundary += (False, True)
-        # every nonempty subset of k..r as a mask, in the order of its sorted
-        # tuple: {k}, then {k} with each subset of k+1..r, then the subsets of k+1..r
-        lex: list[int] = []
-        sets: list[frozenset[int]] = []
-        for k in range(r, 0, -1):
-            bit, single = 1 << (k - 1), frozenset((k,))
-            lex = [bit, *[bit | m for m in lex], *lex]
-            sets = [single, *[single | s for s in sets], *sets]
-        wii, wii_scaled = lex[:], [_DEN] * len(lex)
-        if self._rational:
-            # the full set (1, ..., r) is the r-th subset in lexicographic order,
-            # and its wall at two sorts right after its wall at one
-            wii.insert(r, (1 << r) - 1)
-            wii_scaled.insert(r, 2 * _DEN)
-        kinds += [WII] * len(wii) + [WIII] * (len(_WIII) * len(lex))
-        masks += wii
-        masks += chain.from_iterable(zip(*[lex] * len(_WIII)))
-        scaled += wii_scaled
-        scaled += _WIII * len(lex)
-        boundary += [False] * (len(kinds) - len(boundary))
-        # the frozenset of each subset, indexed by its mask
-        subsets = [frozenset()] * (1 << r)
-        for m, s in zip(lex, sets):
-            subsets[m] = s
-        self._kinds, self.masks, self.scaled, self._boundary = kinds, masks, scaled, boundary
-        self._subsets, self._constants = subsets, _KODAIRA
-        return getattr(self, name)
-
     def __len__(self) -> int:
         return self._top + (1 + len(_WIII)) * ((1 << self.r) - 1) + self._rational
+
+    def __iter__(self) -> Iterator[Wall]:
+        r, WI, WII, WIII = self.r, WallKind.WI, WallKind.WII, WallKind.WIII
+        # every nonempty subset of k..r in the order of its sorted tuple:
+        # {k}, then {k} joined to each subset of k+1..r, then the subsets of k+1..r
+        sets: list[frozenset[int]] = []
+        singles = [frozenset()] * r
+        for k in range(r, 0, -1):
+            singles[k - 1] = single = frozenset((k,))
+            sets = [single, *[single | s for s in sets], *sets]
+        wi = chain.from_iterable(
+            ((WI, singles[i], _KODAIRA[self._thresholds[i]], False), (WI, singles[i], _ONE, True)) for i in self._wi
+        )
+        wii = zip(repeat(WII), sets, repeat(_ONE), repeat(False))
+        if self._rational:
+            # the full set (1, ..., r) is the r-th subset in that order, and
+            # its wall at two sorts right after its wall at one
+            full = sets[r - 1] if r else frozenset()
+            wii = chain(islice(wii, r), [(WII, full, _TWO, False)], wii)
+        wiii = zip(
+            repeat(WIII), chain.from_iterable(map(repeat, sets, repeat(len(_WIII)))),
+            cycle([_KODAIRA[c] for c in _WIII]), repeat(False),
+        )
+        # tuple.__new__ skips the keyword handling of Wall(...)
+        return map(tuple.__new__, repeat(Wall), chain(wi, wii, wiii))
 
     def _wall_at(self, i: int) -> Wall:
         """Wall i, read from the definition; the walls built on one subset
@@ -502,6 +276,59 @@ class _Enumerated(Arrangement):
             subset = self._sets[p] = _lex_subset(p, r)
         return tuple.__new__(Wall, (kind, subset, constant, boundary))
 
+    def _walls(self, rows: Iterable[int]) -> Iterator[Wall]:
+        """The walls at `rows`: the one place that builds the walls a query
+        answers with."""
+        return map(self._wall_at, rows)
+
+    def __getitem__(self, i):
+        """One wall, or a list of the walls of a slice."""
+        rows = range(len(self))[i]
+        if isinstance(rows, range):
+            return list(self._walls(rows))
+        return self._wall_at(rows)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Arrangement):
+            return (self.r, self._thresholds, self._rational) == (other.r, other._thresholds, other._rational)
+        if isinstance(other, list):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"<Arrangement of {len(self)} walls on markers up to {self.r}>"
+
+    def _find(self, value) -> int | None:
+        """The row of the wall equal to `value` as a list compares them (a
+        `Wall`, or a tuple of four equal to one), or None.  The walls are
+        distinct, so only the row that bisection on `Wall.sort_key` finds
+        can hold it; a value that is no tuple of four, or whose parts do not
+        order against a wall's, equals none."""
+        if not isinstance(value, tuple) or len(value) != 4:
+            return None
+        kind, subset, constant, boundary = value
+        try:
+            target = (kind, tuple(sorted(subset)), constant, boundary)
+            i = bisect_left(range(len(self)), target, key=lambda i: self._wall_at(i).sort_key())
+        except TypeError:
+            return None
+        return i if i < len(self) and self._wall_at(i) == value else None
+
+    def __contains__(self, value) -> bool:
+        return self._find(value) is not None
+
+    def index(self, value, start: int = 0, stop: int | None = None) -> int:
+        """The row of the wall equal to `value` when it lies in [start,
+        stop), with the bounds read as a slice reads them, as `list.index`
+        does."""
+        i = self._find(value)
+        if i is None or i not in range(len(self))[start:stop]:
+            raise ValueError(f"{value!r} is not in the arrangement")
+        return i
+
+    def count(self, value) -> int:
+        return int(self._find(value) is not None)
+
     def _row(self, p: int, j: int | None) -> int:
         """The row of the WII wall at one (j None) or of WIII wall j on the
         subset at place p."""
@@ -509,15 +336,13 @@ class _Enumerated(Arrangement):
             return self._top + p + (self._rational and p >= self.r)
         return self._top + self._wii + len(_WIII) * p + j
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, _Enumerated):
-            return (self.r, self._thresholds, self._rational) == (other.r, other._thresholds, other._rational)
-        return super().__eq__(other)
-
     def _lift(self, D: int, *vectors: list[int]) -> tuple:
-        """L, the lcm of `den` and D, then the first r weights of each vector
-        over D, over L; raises `KeyError` as `_over` does."""
-        _check_markers(self.r, vectors)
+        """L, the lcm of `_DEN` and D, then the first r weights of each
+        vector over D, over L.  Raises `KeyError` when a vector has no
+        weight for marker r."""
+        for v in vectors:
+            if self.r > len(v):
+                raise KeyError(f"marker index {self.r} outside 1..{len(v)}")
         L = lcm(_DEN, D)
         return (L, *[[x * (L // D) for x in v[: self.r]] for v in vectors])
 
@@ -594,8 +419,14 @@ class _Enumerated(Arrangement):
                     for f in found[v]:
                         yield c - x - v, y - x, row(_place(m | f, r), j)
 
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("an Arrangement cannot change in place; list() of it gives a copy that can")
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+    append = extend = insert = pop = remove = clear = sort = reverse = _read_only
+
     def __reduce__(self):
-        return _Enumerated, (self.r, self._thresholds, self._rational)
+        return Arrangement, (self.r, self._thresholds, self._rational)
 
 
 class Chamber(NamedTuple):
@@ -616,11 +447,10 @@ class Chamber(NamedTuple):
         return tuple(zip(self.walls, map(_SIDES.__getitem__, codes)))
 
     def sign(self, wall: Wall) -> str:
-        """The sign of `wall`, found by bisection; a repeated wall reads its first copy."""
-        rows = self.walls._find(wall)
-        if not rows:
+        """The sign of `wall`, found by bisection."""
+        i = self.walls._find(wall)
+        if i is None:
             raise KeyError(f"wall {wall} not part of this chamber's arrangement")
-        i = rows[0]
         return "below" if self.below >> i & 1 else "on" if self.on >> i & 1 else "above"
 
     def on_walls(self) -> tuple[Wall, ...]:
@@ -656,7 +486,7 @@ def enumerate_walls(
     threshold constant.  Every threshold is below one and the constants are
     distinct, so the walls are distinct by construction.  Returns them in
     `Wall.sort_key` order as an `Arrangement` that holds only this
-    definition, in O(r); no column and no `Wall` is built here.
+    definition, in O(r); no `Wall` is built here.
     """
     types = list(fiber_types)
     if len(types) != r:
@@ -665,25 +495,31 @@ def enumerate_walls(
     for ftype in types:
         c = lct_threshold(ftype)  # may raise UnsupportedFiberType for N2
         thresholds.append(None if c is None else c.numerator * (_DEN // c.denominator))
-    return _Enumerated(r, tuple(thresholds), bool(rational_base))
+    return Arrangement(r, tuple(thresholds), bool(rational_base))
 
 
-def locate(weights: WeightVector, walls: Iterable[Wall]) -> Chamber:
+def _arrangement(walls) -> Arrangement:
+    """`walls`, which must be an `Arrangement`: the queries read its
+    definition, which a list of walls does not carry."""
+    if not isinstance(walls, Arrangement):
+        raise TypeError(f"expected the Arrangement that enumerate_walls returns, got {type(walls).__name__}")
+    return walls
+
+
+def locate(weights: WeightVector, walls: Arrangement) -> Chamber:
     """The chamber of the weight vector: its side of each wall, as the masks
     of the walls it lies below and on."""
-    walls = Arrangement.of(walls)
+    walls = _arrangement(walls)
     return Chamber(*walls._signs(*_integers(weights)), walls)
 
 
-def walls_containing(weights: WeightVector, walls: Iterable[Wall]) -> list[Wall]:
+def walls_containing(weights: WeightVector, walls: Arrangement) -> list[Wall]:
     """The walls through the weight vector, in `Wall.sort_key` order."""
-    walls = Arrangement.of(walls)
+    walls = _arrangement(walls)
     return list(walls._walls(walls._on(*_integers(weights))))
 
 
-def segment_walls(
-    A: WeightVector, B: WeightVector, walls: Iterable[Wall]
-) -> list[SegmentCrossing]:
+def segment_walls(A: WeightVector, B: WeightVector, walls: Arrangement) -> list[SegmentCrossing]:
     """Interior crossing times of the segment A(t) = (1-t)A + tB, t from 1 to 0.
 
     Requires A <= B entrywise.  Walls containing the whole segment are not
@@ -694,7 +530,7 @@ def segment_walls(
     D, a, b = _integers(A, B)
     if len(a) != len(b) or any(map(gt, a, b)):
         raise ValueError("segment requires A <= B entrywise")
-    walls = Arrangement.of(walls)
+    walls = _arrangement(walls)
     return _crossings(walls, walls._hits(D, a, b))
 
 

@@ -28,6 +28,10 @@ the type and text of the exception it raised.  The families:
 - `chamber/...`: the `locate` masks at both ends and the midpoint of each
   `segment` case (`chamber/masks/j`), and the `segment` items on 11 to 14
   markers with 1 to 3 moving ones (`chamber/wide/j`);
+- `walls/r/shift/base`: the `str` of every wall that iterating
+  `enumerate_walls` gives on r = 0 to 10 markers, both bases, with the
+  markable types laid out from each offset `shift`, and
+  `walls/r/shift/base/index`: `index` of a seeded sample of those walls;
 - `file/.../wii-at-one/cid` for each model file:
   `cross_wall` on the WII wall at one over the markers of component cid,
   with each of them moved to weight 1 / (their number); only a component
@@ -62,8 +66,16 @@ FULL = {
     "chains": [(40, 3, 1), (160, 3, 2), (30, 12, 3), (60, 12, 4), (50, 25, 5), (100, 25, 6)],  # (n, k, seed)
     "segments": 300,
     "wide_segments": 40,
+    "wall_markers": 11,  # wall listings on 0 .. wall_markers - 1 markers
 }
-SLICE = {"random": 8, "file_targets": 2, "chains": [(12, 3, 1), (16, 6, 2)], "segments": 18, "wide_segments": 4}
+SLICE = {
+    "random": 8,
+    "file_targets": 2,
+    "chains": [(12, 3, 1), (16, 6, 2)],
+    "segments": 18,
+    "wide_segments": 4,
+    "wall_markers": 4,
+}
 
 
 def _bench_inputs():
@@ -104,7 +116,7 @@ def corpus(sizes: dict = FULL):
         reduce,
     )
     from mmp_elliptic.walls import Wall, WallKind, enumerate_walls, locate, segment_walls, walls_containing
-    from modelkit import admissible_target, random_model, random_target
+    from modelkit import MARKABLE, admissible_target, random_model, random_target
 
     refusals = (InconsistentTarget, InvalidModel, RuleNotApplicable, WallNotSatisfied)
 
@@ -190,6 +202,18 @@ def corpus(sizes: dict = FULL):
     rng = random.Random(11)
     for j in range(sizes["wide_segments"]):
         yield f"chamber/wide/{j}", segment_case(rng, 11 + j % 4, j % 2 == 1, rng.randint(1, 3))[2]
+
+    rng = random.Random(13)
+    for r in range(sizes["wall_markers"]):
+        for shift in range(len(MARKABLE)):
+            types = [parse_fiber_type(MARKABLE[(i + shift) % len(MARKABLE)]) for i in range(r)]
+            for rational in (False, True):
+                name = f"walls/{r}/{shift}/{'rational' if rational else 'plain'}"
+                walls = enumerate_walls(r, types, rational)
+                listed = list(walls)
+                yield name, "".join(f"{w}\n" for w in listed)
+                sample = rng.sample(listed, min(len(listed), 12))
+                yield f"{name}/index", "".join(f"{w} {walls.index(w)}\n" for w in sample)
 
     rng = random.Random(77)
     for path in _model_files():

@@ -310,6 +310,23 @@ def test_marker_outside_the_weights_raises_the_weight_lookup_error(bad):
             hassett_reduce(apart, w)
 
 
+@pytest.mark.parametrize("bad", [0, -1, 3])
+def test_one_vertex_curve_checks_its_marker_indices(bad):
+    # a one-vertex curve is already reduced, but hassett_reduce still reads
+    # its marker indices: 0, -1 or r + 1 raises as the other checks do
+    w = WeightVector((F(1, 2), F(1, 3)))
+    with pytest.raises(KeyError) as lookup:
+        w.weight(bad)
+    curve = MarkedNodalCurve((Vertex(1, 1),), (), (Marker(1, 1), Marker(bad, 1), Marker(2, 1)))
+    for call in (hassett_reduce, is_hassett_stable, lambda c, v: component_degree(c, 1, v)):
+        with pytest.raises(KeyError) as got:
+            call(curve, w)
+        assert str(got.value) == str(lookup.value)
+    # in range, the curve comes back as it is
+    ok = MarkedNodalCurve((Vertex(1, 1),), (), (Marker(1, 1), Marker(2, 1)))
+    assert hassett_reduce(ok, w) is ok
+
+
 def test_zero_weight_chain_reduces_to_one_vertex():
     # the stepwise loop took a new degree table and curve per contraction,
     # quadratic in the length of the chain
