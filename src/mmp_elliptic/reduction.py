@@ -49,11 +49,10 @@ their coefficient, so they stay settled.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .curves import WeightVector
@@ -462,16 +461,15 @@ class _Segment:
         or WIII record rewrote into Y, and drop the rows of `gone`, the
         record's affected ids: the components a flip hung now sit in `top`'s
         tree.  No other component's section, fibers, attaching fibers or
-        trees change, so no other row does.  No lookup is built and no other
-        component's tree is read: `top` is bisected out of Y's components,
-        which are sorted by id, its attaching fibers are counted over Y's
-        glues, and its trees are picked out of Y's trees by host.
+        trees change, so no other row does.  `top` and its trees are
+        bisected out of Y (`component`, `trees_on`); its attaching fibers are
+        counted over Y's glues, since `glue_ends` would build Y's whole
+        `_ends` lookup (`test_table_update_builds_no_lookup` forbids it).
         """
         for cid in gone:
             table.pop(cid, None)
-        comp = Y.components[bisect_left(Y.components, top, key=attrgetter("cid"))]
         attachments = sum((g.a.component == top) + (g.b.component == top) for g in Y.glues)
-        table[top] = self.reach(felt_row(comp, attachments, Y.trees_on(top)))
+        table[top] = self.reach(felt_row(Y.component(top), attachments, Y.trees_on(top)))
 
 
 def _due(table: _Table, kind: WallKind, t: Fraction) -> list[tuple[str, FeltWall]]:

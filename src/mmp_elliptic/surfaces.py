@@ -21,22 +21,21 @@ of a subclass, the public constructor.  `_replace` rebuilds a record through
 `tuple.__new__` and checks and sorts nothing: it is the one trusted rebuild,
 which the walk's rewrites (`reduction`) use where the new parts keep their
 order and their ranges.  Three records keep an instance dict for memos: the
-surface, for the lookups and the verdict below, and `Component` and `Glue`,
-for the texts the writers store (`stored_text`) and, on a component, its
-part of the base curve (`_base_points`); every other record has
+surface, for the cached lookups and the verdict below, and `Component` and
+`Glue`, for the texts the writers store (`stored_text`) and, on a component,
+its part of the base curve (`_base_points`); every other record has
 `__slots__ = ()`.
 
-Three lookups are cached on the surface, each built in one pass the first
-time it is read: components by id (`component`), glue ends per
-component (`glue_ends`), and every subtree level with its host key
-(`pseudo_nodes`, `fiber_owners`, `host_keys`).  Each is read several times
-per build on the snapshots of a walk: components by id 4 (random models) to
-59 (long chains) times, glue ends 2.5 to 13, subtree levels 3 to 5.
-`fibers_with` and `host_fiber` are asked about once per surface, so they scan
-`fiber_owners` instead of keeping a lookup of their own.  A lookup holds the
-surface's parts, never the surface, and a rewrite, through a constructor or
-`_replace`, returns a new surface with an empty instance dict, so no lookup
-can go stale.
+Components are sorted by id, trees by (host component, host fiber) and
+fibers by id, and every `_replace` in the walk keeps that order, so
+`component`, `trees_on` and `fiber` bisect the sorted parts, store nothing,
+and find the first of a repeated id, as a scan would.  Two lookups are
+cached on the surface, each built in one pass the first time it is read:
+glue ends per component (`glue_ends`), and every subtree level with its host
+key (`pseudo_nodes`, `fiber_owners`, `host_keys`); `fibers_with` and
+`host_fiber` scan `fiber_owners`.  A lookup holds the surface's parts, never
+the surface, and a rewrite, through a constructor or `_replace`, returns a
+new surface with an empty instance dict, so no lookup can go stale.
 
 The verdict of `validate` is cached beside them, as a tuple of violations
 (empty for a valid model), because it is read twice per model: once by the
@@ -46,6 +45,7 @@ input.  Each call of `validate` returns a new list.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter
@@ -147,6 +147,16 @@ class Glue(_Glue):
 
 
 _FID = attrgetter("fid")
+_CID = attrgetter("cid")
+_HOST = attrgetter("host_component")
+
+
+def _fiber(fibers: tuple[MarkedFiber, ...], fid: str, kind: str, owner: str) -> MarkedFiber:
+    """The first fiber with id `fid` in the id-sorted `fibers` of `owner`."""
+    i = bisect_left(fibers, fid, key=_FID)
+    if i < len(fibers) and fibers[i].fid == fid:
+        return fibers[i]
+    raise KeyError(f"{kind} {owner} has no fiber {fid}")
 
 
 class _Component(NamedTuple):
@@ -174,10 +184,7 @@ class Component(_Component):
         return tuple.__new__(cls, (cid, vertex, genus, degL, fibers, isotrivial_jinf, has_section))
 
     def fiber(self, fid: str) -> MarkedFiber:
-        for f in self.fibers:
-            if f.fid == fid:
-                return f
-        raise KeyError(f"component {self.cid} has no fiber {fid}")
+        return _fiber(self.fibers, fid, "component", self.cid)
 
     @property
     def marker_set(self) -> frozenset[int]:
@@ -219,10 +226,7 @@ class PseudoComponent(_PseudoComponent):
         return tuple.__new__(cls, (pid, degL, attach_ftype, fibers, children, isotrivial_jinf))
 
     def fiber(self, fid: str) -> MarkedFiber:
-        for f in self.fibers:
-            if f.fid == fid:
-                return f
-        raise KeyError(f"pseudo component {self.pid} has no fiber {fid}")
+        return _fiber(self.fibers, fid, "pseudo component", self.pid)
 
     @property
     def collapses_to_curve(self) -> bool:
@@ -276,7 +280,7 @@ class BrokenEllipticSurface(_BrokenEllipticSurface):
 
     The constructor sorts the components, the glues and the trees by id
     (a tree by its host component and host fiber).  The record keeps an
-    instance dict, for the lookups and the verdict below.
+    instance dict, for the cached lookups and the verdict below.
     """
 
     def __new__(cls, weights, components, glues=(), trees=()):
@@ -285,12 +289,7 @@ class BrokenEllipticSurface(_BrokenEllipticSurface):
         trees = tuple(sorted(trees, key=lambda t: (t.host_component, t.host_fiber)))
         return tuple.__new__(cls, (weights, components, glues, trees))
 
-    # -- lookups, each read from the structure alone on first use ---------
-
-    @cached_property
-    def _components_by_id(self) -> dict[str, Component]:
-        # the first of a repeated id wins, as in a scan
-        return {c.cid: c for c in reversed(self.components)}
+    # -- lookups: bisections of the sorted parts, or built on first use -----
 
     @cached_property
     def _ends(self) -> dict[str, list[tuple[Glue, AttachEnd]]]:
@@ -330,17 +329,20 @@ class BrokenEllipticSurface(_BrokenEllipticSurface):
         return tuple(c for c in self.components if not c.has_section)
 
     def component(self, cid: str) -> Component:
-        try:
-            return self._components_by_id[cid]
-        except KeyError:
-            raise KeyError(f"no component {cid}") from None
+        """The first component with id `cid`, bisected out of the components."""
+        i = bisect_left(self.components, cid, key=_CID)
+        if i < len(self.components) and self.components[i].cid == cid:
+            return self.components[i]
+        raise KeyError(f"no component {cid}")
 
     def glue_ends(self, cid: str) -> list[tuple[Glue, AttachEnd]]:
         """Every attaching-fiber end on the given component, glue included."""
         return list(self._ends.get(cid, ()))
 
     def trees_on(self, cid: str) -> tuple[TreeAttachment, ...]:
-        return tuple(t for t in self.trees if t.host_component == cid)
+        """The trees hosted by `cid`, in order: a bisected run of the trees."""
+        lo = bisect_left(self.trees, cid, key=_HOST)
+        return self.trees[lo : bisect_right(self.trees, cid, lo, key=_HOST)]
 
     def tree(self, tree_id: str) -> TreeAttachment:
         for t in self.trees:
@@ -838,9 +840,11 @@ def _violations(X: BrokenEllipticSurface) -> list[Violation]:
                 )
             )
 
-    # degL bookkeeping: S^2 = -degL <= 0, and degL = 0 forces every singular
-    # fiber on an elliptic component to be twisted
+    # g >= 0 and S^2 = -degL <= 0; degL = 0 forces every singular fiber on
+    # an elliptic component to be twisted
     for comp in X.components:
+        if comp.genus < 0:
+            out.append(Violation("genus", comp.cid, f"negative genus {comp.genus}"))
         if comp.degL < 0:
             out.append(Violation("degL", comp.cid, "negative fundamental line bundle degree"))
     for node in X.pseudo_nodes():

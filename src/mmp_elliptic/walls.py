@@ -618,12 +618,9 @@ def felt_rows(X: BrokenEllipticSurface) -> dict[str, list[FeltWall]]:
     section contraction or a tree collapse, replaces only the row of the
     component that the record rewrote.
     """
-    hosted: dict[str, list[TreeAttachment]] = {}
-    for t in X.trees:
-        hosted.setdefault(t.host_component, []).append(t)
     rows: dict[str, list[FeltWall]] = {}
     for comp in X.components:
-        row = felt_row(comp, len(X.glue_ends(comp.cid)), hosted.get(comp.cid, ()))
+        row = felt_row(comp, len(X.glue_ends(comp.cid)), X.trees_on(comp.cid))
         rows.setdefault(comp.cid, []).extend(row)
     return rows
 

@@ -202,6 +202,18 @@ def scan_component(X, cid):
     raise KeyError(cid)
 
 
+def scan_trees_on(X, cid):
+    return tuple(t for t in X.trees if t.host_component == cid)
+
+
+def scan_fiber(fibers, fid):
+    """The first fiber with id `fid` in `fibers`."""
+    for f in fibers:
+        if f.fid == fid:
+            return f
+    raise KeyError(fid)
+
+
 def scan_glue_ends(X, cid):
     return [(g, end) for g in X.glues for end in (g.a, g.b) if end.component == cid]
 

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import runpy
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from mmp_elliptic import cli
 from mmp_elliptic.cli import main
 from mmp_elliptic.curves import WeightVector
 from mmp_elliptic.kodaira import parse_fiber_type
@@ -115,6 +117,26 @@ def test_closed_pipe_exits_one_without_traceback(tmp_path, command):
         proc.kill()
         proc.stderr.close()
     assert err == "", err  # no traceback, and no error at exit either
+
+
+def test_closed_pipe_exits_one_in_process(capsys, monkeypatch):
+    """The closed-pipe path of `main`, reached through the module's
+    `__main__` guard in this process: stdout is a pipe whose reader has
+    already left, so the first write fails."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    stdout = open(write_end, "w")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(sys, "argv", ["mmp-elliptic", "walls", "-r", "12", "--types", ",".join(["I1"] * 12)])
+    # a fresh copy runs as __main__; the imported module stays as it was
+    monkeypatch.delitem(sys.modules, "mmp_elliptic.cli")
+    try:
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module("mmp_elliptic.cli", run_name="__main__")
+    finally:
+        stdout.close()  # stdout now points at devnull, so this flush cannot fail
+    assert exit_.value.code == 1
+    assert capsys.readouterr().err == ""
 
 def test_walls_segment(capsys):
     status, out, _ = run(
@@ -238,6 +260,25 @@ def test_check_hassett_on_markerless_twisted_fiber(capsys):
     assert status == 0, err
 
 
+def test_check_hassett_failure_exits_one_with_no_output(capsys, monkeypatch):
+    # a reduction that disagrees with every base curve: the first time step
+    # is named, and no trace is printed
+    monkeypatch.setattr(cli, "hassett_reduce", lambda curve, weights: None)
+    status, out, err = run(capsys, "reduce", str(EXAMPLE), "--to", TARGET, "--check-hassett")
+    assert (status, out, err) == (1, "", "error: base-curve commutativity failed at t = 1/4\n")
+
+
+def test_negative_genus_is_refused_with_one_error_line(capsys, tmp_path):
+    obj = json.loads(EXAMPLE.read_text())
+    obj["components"][0]["genus"] = -1
+    path = tmp_path / "genus.json"
+    path.write_text(json.dumps(obj))
+    assert run(capsys, "validate", str(path)) == (1, "[genus] c1: negative genus -1\n", "")
+    for argv in (["model", "--format", "json"], ["reduce", "--to", TARGET, "--check-hassett"]):
+        status, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (status, out, err) == (1, "", "error: model-invalid: [genus] c1: negative genus -1\n")
+
+
 def test_reduce_rejects_invalid_model(capsys, tmp_path):
     obj = json.loads(serialize_model(rational_degeneration(F(1))))
     obj["components"][0]["degL"] = "-1"
@@ -347,6 +388,10 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert status == 2
     status, _, _ = run(capsys, "nonsense")
     assert status == 2
+    # a target that is neither a list of rationals nor a file
+    status, out, err = run(capsys, "reduce", str(EXAMPLE), "--to", "abc")
+    assert (status, out) == (2, "")
+    assert err == "error: bad weight vector 'abc': invalid literal for int() with base 10: 'abc'\n"
 
 
 # commands refused with one `error:` line: (argv, exit status, the line's

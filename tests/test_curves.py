@@ -117,6 +117,16 @@ def test_reduce_errors_on_disconnected():
         hassett_reduce(curve, WeightVector(()))
 
 
+def test_interpolate_and_vertex_lookup_name_what_is_wrong():
+    with pytest.raises(ValueError) as exc:
+        interpolate(WeightVector((F(1),)), WeightVector((F(1), F(1))), F(1, 2))
+    assert exc.value.args == ("weight vectors have different lengths",)
+    curve = MarkedNodalCurve((Vertex(1, 0),), (), (Marker(1, 1),))
+    with pytest.raises(CurveError) as exc:
+        curve.vertex(9)
+    assert exc.value.args == ("unknown vertex 9",)
+
+
 def test_reduce_idempotent_and_weight_preserving():
     rng = random.Random(7)
     for _ in range(50):

@@ -57,6 +57,12 @@ def test_no_threshold_types(ftype):
     assert lct_threshold(ftype) is None
 
 
+def test_n2_has_no_intersection_data():
+    with pytest.raises(UnsupportedFiberType) as exc:
+        intersection_data(N2)
+    assert exc.value.args == ("N2 fibers have no tabulated intermediate model",)
+
+
 def test_n2_threshold_unsupported():
     with pytest.raises(UnsupportedFiberType):
         lct_threshold(N2)

@@ -800,9 +800,9 @@ def test_a_chain_walk_builds_its_table_once(monkeypatch):
 def test_table_update_builds_no_lookup(monkeypatch):
     # a record rewrites one component, so the table update reads the new
     # model's parts directly: around every update, no model of the walk, the
-    # input of each rewrite included, gains a cached glue-end or component
-    # lookup
-    lookups = ("_ends", "_components_by_id")
+    # input of each rewrite included, gains a cached lookup, of glue ends or
+    # of subtree levels
+    lookups = ("_ends", "_subtrees")
     seen = []
 
     def remember(fn):

@@ -46,11 +46,13 @@ from oracles import (
     base_curve_by_step,
     gram_volume,
     scan_component,
+    scan_fiber,
     scan_glue_ends,
     scan_host_fiber,
     scan_host_keys,
     scan_owners,
     scan_pseudo_nodes,
+    scan_trees_on,
 )
 
 F = Fraction
@@ -229,6 +231,32 @@ def test_pseudo_fate_curve_case_needs_flags():
     assert pseudo_fate(Z, "c2") == PSEUDO_TO_POINT
 
 
+def test_lookups_and_fates_name_what_they_miss():
+    X = rational_degeneration(F(1))
+    glue, comp = X.glues[0], X.component("c1")
+    Y = flipped_degeneration(F(9, 20))
+    node = Y.trees[0].root
+    for call, args in (
+        (lambda: glue.peer_of("c9"), ("glue g1 does not touch c9",)),
+        (lambda: X.component("c9"), ("no component c9",)),
+        (lambda: comp.fiber("zz"), ("component c1 has no fiber zz",)),
+        (lambda: node.fiber("zz"), ("pseudo component c2 has no fiber zz",)),
+        (lambda: Y.tree("nowhere"), ("no attached tree rooted at nowhere",)),
+    ):
+        with pytest.raises(KeyError) as exc:
+            call()
+        assert exc.value.args == args
+    # the tree's host fiber c1/a1 retyped I1, which has no threshold
+    host = Y.component("c1")
+    nodal = host._replace(
+        fibers=tuple(f._replace(ftype=parse_fiber_type("I1")) if f.fid == "a1" else f for f in host.fibers)
+    )
+    Z = Y._replace(components=tuple(nodal if c.cid == "c1" else c for c in Y.components))
+    with pytest.raises(surfaces.MissingThreshold) as exc:
+        pseudo_fate(Z, "c2")
+    assert exc.value.args == ("host fiber type I1 has no threshold",)
+
+
 def test_volume_examples():
     X = irreducible(0, 1, [("I1", i) for i in range(1, 13)], [F(1)] * 12)
     assert volume(X) == 21
@@ -324,11 +352,23 @@ def test_admissible_target_screens_models_with_markerless_fibers():
         reduce(X, A)
 
 
+def _check_id_lookups(X):
+    """`component`, `trees_on` and each part's `fiber` answer as scans."""
+    for c in X.components:
+        assert X.component(c.cid) is scan_component(X, c.cid)
+        assert X.trees_on(c.cid) == scan_trees_on(X, c.cid)
+    for part in X.components + tuple(scan_pseudo_nodes(X)):
+        for f in part.fibers:
+            assert part.fiber(f.fid) is scan_fiber(part.fibers, f.fid)
+        with pytest.raises(KeyError):
+            part.fiber("nowhere")
+
+
 def _check_index(X, rng):
     owners = scan_owners(X)
     assert X.fiber_owners() == owners
+    _check_id_lookups(X)
     for c in X.components:
-        assert X.component(c.cid) is scan_component(X, c.cid)
         assert X.glue_ends(c.cid) == scan_glue_ends(X, c.cid)
     for owner, fibers in owners:
         for f in fibers:
@@ -338,6 +378,7 @@ def _check_index(X, rng):
     with pytest.raises(KeyError):
         X.host_fiber(owners[0][0], "nowhere")
     assert X.glue_ends("nowhere") == []
+    assert X.trees_on("nowhere") == ()
     assert X.pseudo_nodes() == scan_pseudo_nodes(X)
     assert X.host_keys() == scan_host_keys(X)
     picked = {i for i in range(1, X.weights.r + 1) if rng.random() < 0.3}
@@ -406,6 +447,50 @@ def test_lookups_find_both_owners_of_a_repeated_id():
         assert X.host_fiber("c1", f.fid) is f
     assert X.host_keys() == {("c1", "a1"), ("c1", "b2")}
     _check_index(X, random.Random(0))
+
+
+def test_lookups_find_the_first_of_a_repeated_id():
+    # models `validate` refuses: two components c1, two fibers f1 on c1, two
+    # pseudofibers b2 on node c2, and two trees on c1/a1; every lookup
+    # answers as a scan does, the first of a repeated id first
+    here = Path(__file__).parent
+    example = (here.parent / "demos" / "data" / "rational_example.json").read_text()
+    nested = (here / "golden" / "nested_tree.json").read_text()
+    second_tree = {
+        "host": "c1",
+        "host_fiber": "a1",
+        "root": {"id": "c9", "degL": "1", "attach_type": "II*", "fibers": [], "children": []},
+    }
+    edits = [
+        (example, lambda obj: obj["components"][1].update(id="c1")),
+        (example, lambda obj: obj["components"][0]["fibers"][1].update(id="f1")),
+        (nested, lambda obj: obj["trees"][0]["root"]["fibers"][1].update(id="b2")),
+        (nested, lambda obj: obj["trees"].append(second_tree)),
+    ]
+    for text, edit in edits:
+        obj = json.loads(text)
+        edit(obj)
+        X = model_from_obj(obj, check=False)
+        assert validate(X)
+        _check_id_lookups(X)
+
+
+def test_id_lookups_leave_the_instance_dicts_unchanged():
+    # `component`, `trees_on` and `fiber` bisect the sorted parts, so they
+    # store nothing on the surface or on a component
+    here = Path(__file__).parent
+    for path in (here / "golden" / "nested_tree.json", here.parent / "demos" / "data" / "rational_example.json"):
+        X = model_from_obj(json.loads(path.read_text()), check=False)
+        for c in X.components:
+            assert X.component(c.cid) is c
+            assert X.trees_on(c.cid) == scan_trees_on(X, c.cid)
+            for f in c.fibers:
+                assert c.fiber(f.fid) is f
+        for att in X.trees:
+            for node in att.root.nodes():
+                for f in node.fibers:
+                    assert node.fiber(f.fid) is f
+        assert X.__dict__ == {} and all(c.__dict__ == {} for c in X.components)
 
 
 def test_model_pipeline_leaves_no_reference_cycles():

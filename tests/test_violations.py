@@ -76,6 +76,7 @@ ROWS = [
     ("type-ii-with-one-attachment", "example", {"components.1.kind": "pseudo2"},
      [("type-ii", "c2")]),
     ("negative-component-degL", "example", {"components.0.degL": "-1"}, [("degL", "c1")]),
+    ("negative-component-genus", "example", {"components.0.genus": -1}, [("genus", "c1")]),
     ("degL-zero-with-nodal-fibers", "example", {"components.1.degL": "0"},
      [("degL", "c2/f11"), ("degL", "c2/f12")]),
     ("degL-zero-with-nodal-attachment", "example",

@@ -3,7 +3,7 @@ import pickle
 import random
 import time
 from fractions import Fraction
-from itertools import repeat
+from math import lcm
 
 import pytest
 
@@ -134,31 +134,41 @@ def per_wall_crossings(A, B, walls):
     return [(t, sorted(expected[t], key=Wall.sort_key)) for t in sorted(expected, reverse=True)]
 
 
-class SumsOnce:
-    """A weight vector for `Wall.value_at` and `Wall.side` that adds up each
-    subset once (`WeightVector.sum`), however many walls lie on it."""
-
-    def __init__(self, weights):
-        self.weights, self.sums = weights, {}
-
-    def sum(self, subset):
-        if subset not in self.sums:
-            self.sums[subset] = self.weights.sum(subset)
-        return self.sums[subset]
-
-
 def assert_per_wall_answers(A, B, walls, listed):
     """`segment_walls`, `walls_containing` and `locate` on the arrangement
-    `walls` agree with `Wall.value_at` and `Wall.side` on each wall of
-    `listed`, the same walls built one by one (`oracles.eager_walls`),
-    which the caller has found equal to the walls of `walls`."""
+    `walls` agree with each wall of `listed`, the same walls built one by
+    one (`oracles.eager_walls`), which the caller has found equal to the
+    walls of `walls`.  Each wall's equation is solved on integers: over D,
+    the lcm of 12 and every weight denominator of A, B and the midpoint,
+    each subset's sum at each point is added up once and each constant is
+    scaled by D, so a `Fraction` is built only for the time of a hit."""
+    points = (A, B, interpolate(A, B, F(1, 2)))
+    D = lcm(12, *(x.denominator for W in points for x in W.entries))
+    nums = [[0] + [x.numerator * (D // x.denominator) for x in W.entries] for W in points]
+    sums: dict = {}
+    expected: dict[Fraction, list] = {}
+    sides: tuple[list, ...] = ([], [], [])
+    for w in listed:
+        at = sums.get(w.subset)
+        if at is None:
+            at = sums[w.subset] = [sum(map(n.__getitem__, w.subset)) for n in nums]
+        c, rest = divmod(w.constant.numerator * D, w.constant.denominator)
+        assert rest == 0
+        for side, v in zip(sides, at):
+            side.append("below" if v < c else "above" if v > c else "on")
+        num, den = c - at[0], at[1] - at[0]
+        if den < 0:
+            num, den = -num, -den
+        if 0 < num < den:
+            expected.setdefault(Fraction(num, den), []).append(w)
     crossings = segment_walls(A, B, walls)
-    assert [(c.t, list(c.walls_hit)) for c in crossings] == per_wall_crossings(SumsOnce(A), SumsOnce(B), listed)
-    for W in (A, B, interpolate(A, B, F(1, 2))):
+    assert [(c.t, list(c.walls_hit)) for c in crossings] == [
+        (t, sorted(expected[t], key=Wall.sort_key)) for t in sorted(expected, reverse=True)
+    ]
+    for W, side in zip(points, sides):
         chamber = locate(W, walls)
-        sides = list(map(Wall.side, listed, repeat(SumsOnce(W))))
-        assert [side for _, side in chamber.signs] == sides
-        on = [w for w, side in zip(listed, sides) if side == "on"]
+        assert [s for _, s in chamber.signs] == side
+        on = [w for w, s in zip(listed, side) if s == "on"]
         assert walls_containing(W, walls) == list(chamber.on_walls()) == on
         assert chamber.interior() == (not on)
 
@@ -484,6 +494,15 @@ def worked_segment(r):
     down to 1/3, with the midpoint at 2/3."""
     ends = [WeightVector((F(1),) * (r - 2) + (a,) * 2) for a in (F(1, 3), F(1), F(2, 3))]
     return enumerate_walls(r, [parse_fiber_type("I1")] * r), *ends
+
+
+def test_arrangement_and_chamber_reprs_count_their_walls():
+    # on the worked path at r = 4 the midpoint lies below 6 walls and on 4
+    walls, _, _, mid = worked_segment(4)
+    assert repr(walls) == "<Arrangement of 120 walls on markers up to 4>"
+    sides = [w.side(mid) for w in walls]
+    assert (sides.count("below"), sides.count("on")) == (6, 4)
+    assert repr(locate(mid, walls)) == f"Chamber(below=6 walls, on=4 walls, walls={walls!r})"
 
 
 def test_worked_segment_answers_at_r_20_and_32_without_enumerating():
