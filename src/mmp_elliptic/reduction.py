@@ -36,31 +36,39 @@ walk, the weights at time t are (low + t * rise) / D, so each felt wall's
 marker sum is an integer affine in t, and each wall's crossing time is fixed
 as one integer ratio when its row enters the walk's table; `_due` and
 `_event_times` then compare integers, and a `Fraction` is built only for an
-event time and a snapshot's weights.  The table holds one row per component
-(`felt_rows`), built once from the start and kept for the whole walk: a WII
-or WIII record replaces only the row of the component it rewrote, trees
-included (`felt_row`), and drops the rows of the components it hung; every
-other row stays as it was.  That component is known, not searched for: the
-one a section contraction returns, or the row of the collapsed tree's wall.
-Each batch settles only the fibers whose markers move (A_i < B_i), which
-includes any such fiber a WII or WIII rewrite has created; the others keep
-their coefficient, so they stay settled.
+event time and a snapshot's weights.  The table holds the rows (`felt_row`)
+of the components that carry a moving marker (A_i < B_i), trees included,
+and of any other component with a WII or WIII wall already due: a wall whose
+markers all stay fixed never moves, so the walk never crosses the rest of
+`felt_rows`.  It is built once from the start and kept for the whole walk: a
+WII or WIII record builds again only the row of the component it rewrote and
+drops the rows of the components it hung; every other row stays as it was.
+That component is known, not searched for: the one a section contraction
+returns, or the row of the collapsed tree's wall.  Each batch settles only
+the fibers whose markers move, found on the table's components and their
+trees, which includes any such fiber a WII or WIII rewrite has created; the
+others keep their coefficient, so they stay settled.  A rewrite reads the
+glue ends of one component by a scan of the glues, so the walk builds no
+lookup on the models it passes through.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from enum import Enum
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
-from typing import Iterable, NamedTuple
+from typing import Container, Iterable, NamedTuple, Sequence
 
 from .curves import WeightVector
 from .kodaira import FiberState, fiber_model_at, is_settled, lct_threshold
 from .surfaces import (
+    AttachEnd,
     BrokenEllipticSurface,
     ChildLink,
     Component,
+    Glue,
     MarkedFiber,
     PseudoComponent,
     TreeAttachment,
@@ -207,23 +215,26 @@ def _rewrite_node(
 
 
 def _settle(
-    X: BrokenEllipticSurface, markers: Iterable[int], leave_one: bool = False
+    X: BrokenEllipticSurface,
+    fibers: Iterable[tuple[str, MarkedFiber]],
+    hosts: Container[tuple[str, str]],
+    leave_one: bool = False,
 ) -> tuple[BrokenEllipticSurface, list[tuple[str, MarkedFiber, FiberState]]]:
-    """Bring every fiber that carries one of `markers` to the model's weights.
+    """Bring `fibers`, each as (owner id, fiber), to the model's weights.
 
-    Each such coefficient is recomputed from `X.weights`, and each plain fiber
-    among them (hosting no tree, not N2) moves to the state `fiber_model_at`
-    gives unless `is_settled` already accepts its state.  Tree-hosting fibers
-    keep their state: flips and collapses govern them.  With `leave_one` a
-    twisted fiber at coefficient one drops to its intermediate model, as the
-    walk asks on each batch; below t = 1 no listed fiber is at one.  Fibers
-    without a listed marker are left as they are.  Returns the model and
-    each state change as (owner, fiber, new state).
+    Each coefficient is recomputed from `X.weights`, and each plain fiber
+    among them (its key not in `hosts`, not N2) moves to the state
+    `fiber_model_at` gives unless `is_settled` already accepts its state.
+    Tree-hosting fibers keep their state: flips and collapses govern them.
+    With `leave_one` a twisted fiber at coefficient one drops to its
+    intermediate model, as the walk asks on each batch; below t = 1 no listed
+    fiber is at one.  Fibers not listed are left as they are.  Returns the
+    model and each state change as (owner, fiber, new state), in the order of
+    `fibers`.
     """
-    hosts = X.host_keys()
     events: list[tuple[str, MarkedFiber, FiberState]] = []
     new: dict[tuple[str, str], MarkedFiber] = {}
-    for owner, f in X.fibers_with(markers):
+    for owner, f in fibers:
         coeff = X.weights.sum(f.markers)
         state = f.state
         if (owner, f.fid) not in hosts and f.ftype.family != "N2":
@@ -256,7 +267,7 @@ def at_weights(X: BrokenEllipticSurface, W: WeightVector) -> BrokenEllipticSurfa
                         f"fiber {f.fid} of {owner}: coefficient {coeff} outside [0, 1]"
                     )
                 every |= f.markers
-    return _settle(X._replace(weights=W), every)[0]
+    return _settle(X._replace(weights=W), X.fibers_with(every), X.host_keys())[0]
 
 
 def _record_fiber_event(
@@ -280,6 +291,12 @@ def _record_fiber_event(
 # -- WII: section contractions -------------------------------------------------
 
 
+def _glue_ends(X: BrokenEllipticSurface, cid: str) -> list[tuple[Glue, AttachEnd]]:
+    """`X.glue_ends(cid)` by a scan of `X.glues`: the walk reads one
+    component's ends per model, and builds no `_ends` lookup for it."""
+    return [(g, end) for g in X.glues for end in (g.a, g.b) if end.component == cid]
+
+
 def _hang_off_peer(X: BrokenEllipticSurface, cid: str) -> tuple[BrokenEllipticSurface, str]:
     """Hang a 1-attachment component, with or without a section, off its
     peer's attaching fiber as the root of a pseudo tree.
@@ -288,7 +305,7 @@ def _hang_off_peer(X: BrokenEllipticSurface, cid: str) -> tuple[BrokenEllipticSu
     hosts; the attaching fiber becomes the tree's intermediate host.  Returns
     the model and the peer's component id.
     """
-    [(glue, my_end)] = X.glue_ends(cid)
+    [(glue, my_end)] = _glue_ends(X, cid)
     peer = glue.peer_of(cid)
     if lct_threshold(peer.ftype) is None:
         raise RuleNotApplicable(
@@ -340,12 +357,12 @@ def _apply_section_contraction(
     """
     cid, subset = fw.owner, fw.wall.subset
     constant = X.weights.sum(subset)
-    n_ends = len(X.glue_ends(cid))
+    n_ends = len(_glue_ends(X, cid))
     affected, top = [cid], cid
     if n_ends == 1:
         kind, boundary = RecordKind.LA_NAVE_FLIP, constant != 1
         current, top = _hang_off_peer(X, cid)
-        while not current.component(top).has_section and len(current.glue_ends(top)) == 1:
+        while not current.component(top).has_section and len(_glue_ends(current, top)) == 1:
             affected.append(top)
             current, top = _hang_off_peer(current, top)
     else:
@@ -407,9 +424,10 @@ class _Segment:
 
     Over D, the lcm of the denominators of A and B, marker i sits at
     (low[i] + t * rise[i]) / D, so every marker-set sum times D is an integer
-    affine in t.  `moving` lists the markers with A_i < B_i: the only ones
-    whose fibers the walk has to settle again.  `reduce` refuses a segment
-    with a negative rise (A_i > B_i) before it validates the model.
+    affine in t.  `moving` holds the markers with A_i < B_i: the only ones
+    whose fibers the walk has to settle again, and the only ones that move a
+    wall (`holds`).  `reduce` refuses a segment with a negative rise
+    (A_i > B_i) before it validates the model.
     """
 
     def __init__(self, A: WeightVector, B: WeightVector) -> None:
@@ -419,7 +437,7 @@ class _Segment:
         self.rise = [0] + [
             b.numerator * (self.D // b.denominator) - lo for b, lo in zip(B.entries, self.low[1:])
         ]
-        self.moving = [i for i in range(1, A.r + 1) if self.rise[i]]
+        self.moving = frozenset(i for i in range(1, A.r + 1) if self.rise[i])
 
     def weights_at(self, t: Fraction) -> WeightVector:
         """The weights (1 - t) A + t B; a `Fraction` is built only for a
@@ -450,26 +468,87 @@ class _Segment:
                 out.append((num, scale * sum(map(self.rise.__getitem__, subset)), fw))
         return out
 
+    def holds(self, comp: Component, attachments: int, trees: Sequence[TreeAttachment]) -> bool:
+        """Whether the walk's table holds the row (`felt_row`) of `comp`,
+        with `attachments` attaching fibers and hosting `trees`.
+
+        It does when `comp` carries a moving marker; a host fiber carries
+        every marker of its tree, so this covers the trees.  Otherwise each
+        sum is the same at every time, the WI walls never cross, and the row
+        is held only when a WII or WIII wall there is already due, so that
+        it fires in the current batch.  That test runs on integers and builds
+        no wall: the section's degree (`section_constant` plus the marked
+        weights, each marker on one fiber) is at most zero, or a host fiber's
+        markers, which `validate` checks are its subtree's, sum to at most
+        the threshold of its type.
+        """
+        if any(not f.markers.isdisjoint(self.moving) for f in comp.fibers):
+            return True
+        D, low = self.D, self.low
+        if comp.has_section:
+            # marker-less coefficients are rare; with none, `fixed` is int 0
+            fixed = sum(f.coeff for f in comp.fibers if not f.markers)
+            marked = sum(low[i] for f in comp.fibers for i in f.markers)
+            degree = (2 * comp.genus - 2 + attachments) * D + marked
+            if degree * fixed.denominator + fixed.numerator * D <= 0:
+                return True
+        stack = [(comp.fiber(t.host_fiber), t.root) for t in trees]
+        while stack:
+            host, node = stack.pop()
+            a0 = lct_threshold(host.ftype)
+            if a0 is not None and a0.denominator * sum(low[i] for i in host.markers) <= a0.numerator * D:
+                return True
+            stack += [(node.fiber(link.via_fiber), link.node) for link in node.children]
+        return False
+
     def table(self, X: BrokenEllipticSurface) -> _Table:
-        """The walk's table of `felt_rows(X)`: the reachable walls of each
-        component's row, keyed by component id.  The walk builds it once, at
-        the start, and keeps it up to date with `update`."""
-        return {cid: self.reach(row) for cid, row in felt_rows(X).items()}
+        """The walk's start table: the reachable walls of each row it
+        `holds`, keyed by component id.  Every row of `felt_rows(X)` it
+        leaves out is one the walk never crosses.  The walk builds the table
+        once and keeps it up to date with `update`."""
+        attachments = Counter(end.component for g in X.glues for end in (g.a, g.b))
+        table: _Table = {}
+        for comp in X.components:
+            n, trees = attachments[comp.cid], X.trees_on(comp.cid)
+            if self.holds(comp, n, trees):
+                table[comp.cid] = self.reach(felt_row(comp, n, trees))
+        return table
 
     def update(self, table: _Table, Y: BrokenEllipticSurface, top: str, gone: Iterable[str]) -> None:
-        """Build again the row of component `top` (`felt_row`), which a WII
-        or WIII record rewrote into Y, and drop the rows of `gone`, the
-        record's affected ids: the components a flip hung now sit in `top`'s
-        tree.  No other component's section, fibers, attaching fibers or
-        trees change, so no other row does.  `top` and its trees are
-        bisected out of Y (`component`, `trees_on`); its attaching fibers are
-        counted over Y's glues, since `glue_ends` would build Y's whole
-        `_ends` lookup (`test_table_update_builds_no_lookup` forbids it).
+        """Drop the rows of `gone`, the affected ids of a WII or WIII record:
+        the components a flip hung now sit in `top`'s tree.  Then build again
+        the row of `top`, which the record rewrote into Y, or drop it when
+        the table `holds` it no more.  No other component's section, fibers,
+        attaching fibers or trees change, so no other row does, and the table
+        stays the one `table` builds on Y.  `top` and its trees are bisected
+        out of Y and its attaching fibers found by `_glue_ends`, so Y gains
+        no lookup (`test_table_update_builds_no_lookup`).
         """
         for cid in gone:
             table.pop(cid, None)
-        attachments = sum((g.a.component == top) + (g.b.component == top) for g in Y.glues)
-        table[top] = self.reach(felt_row(Y.component(top), attachments, Y.trees_on(top)))
+        comp, n, trees = Y.component(top), len(_glue_ends(Y, top)), Y.trees_on(top)
+        if self.holds(comp, n, trees):
+            table[top] = self.reach(felt_row(comp, n, trees))
+        else:
+            table.pop(top, None)
+
+    def fibers(
+        self, X: BrokenEllipticSurface, table: _Table
+    ) -> tuple[list[tuple[str, MarkedFiber]], set[tuple[str, str]]]:
+        """`X.fibers_with(self.moving)`, in its order, and the keys of the
+        host fibers among them, found on the components of `table` and their
+        trees only: the table `holds` the row of every component with a
+        moving marker, and a host fiber carries every marker of its tree."""
+        moving = self.moving
+        owners = [X.component(cid) for cid in sorted(table)]
+        fibers = [(c.cid, f) for c in owners for f in c.fibers if not f.markers.isdisjoint(moving)]
+        hosts = set()
+        for t in (t for c in owners for t in X.trees_on(c.cid)):
+            hosts.add((t.host_component, t.host_fiber))
+            for node in t.root.nodes():
+                hosts.update((node.pid, link.via_fiber) for link in node.children)
+                fibers += [(node.pid, f) for f in node.fibers if not f.markers.isdisjoint(moving)]
+        return fibers, hosts
 
 
 def _due(table: _Table, kind: WallKind, t: Fraction) -> list[tuple[str, FeltWall]]:
@@ -489,21 +568,22 @@ def _apply_batch(
 ) -> tuple[BrokenEllipticSurface, bool]:
     """Apply all transformations pending at time t of the walk.
 
-    `table` is the segment's table of the model's felt walls; it is updated
-    in place.  Returns the rewritten model and whether the walk must halt
-    (curve collapse).  The fibers of the moving markers are settled once
-    (`_settle`, one WI record per state change); then one WII section
+    `table` is the segment's table of the model's felt walls
+    (`_Segment.table`); it is updated in place.  Returns the rewritten model
+    and whether the walk must halt (curve collapse).  The fibers of the
+    moving markers, found by `_Segment.fibers`, are settled once (`_settle`,
+    one WI record per state change); then one WII section
     contraction (lowest component id first) or, when none is due, one WIII
     collapse (deepest first, ties by pseudo node id) is applied at a time
     until neither is due, so cascades stay inside one batch.  A flip or a
     collapse leaves no plain fiber unsettled: hosts are pinned, a collapsed
     host is built at its log canonical model, and fibers that move keep
     their state.  WI records change no felt wall, so they leave the table as
-    it is; after each WII or WIII record, `_Segment.update` replaces the row
-    of the component the record rewrote, trees included, and drops those of
-    the components a flip hung.
+    it is; after each WII or WIII record, `_Segment.update` builds again the
+    row of the component the record rewrote, trees included, and drops those
+    of the components a flip hung.
     """
-    current, events = _settle(X, segment.moving, leave_one=True)
+    current, events = _settle(X, *segment.fibers(X, table), leave_one=True)
     for owner, fiber, new_state in events:
         records.append(_record_fiber_event(t, owner, fiber, new_state, current))
     halted = False

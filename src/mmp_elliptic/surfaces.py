@@ -35,7 +35,11 @@ glue ends per component (`glue_ends`), and every subtree level with its host
 key (`pseudo_nodes`, `fiber_owners`, `host_keys`); `fibers_with` and
 `host_fiber` scan `fiber_owners`.  A lookup holds the surface's parts, never
 the surface, and a rewrite, through a constructor or `_replace`, returns a
-new surface with an empty instance dict, so no lookup can go stale.
+new surface with an empty instance dict, so no lookup can go stale.  The
+reduction walk reads the glue ends of one component on each model it passes
+through, so it scans the glues instead of building `glue_ends`, and it
+settles only the fibers of the components and trees it tracks, not those
+`fibers_with` scans.
 
 The verdict of `validate` is cached beside them, as a tuple of violations
 (empty for a valid model), because it is read twice per model: once by the

@@ -21,9 +21,11 @@ below and on.  `Wall.value_at` and `Wall.side` answer for one wall.
 with the fiber, section or tree that crossing it rewrites.  It is made of
 one row per component, keyed by its id in `felt_rows`; `felt_row` builds the
 row of one component and the trees it hosts from those parts alone.  The
-table depends only on the model's structure, so the reduction walk builds it
-once and, after a WII or WIII record, replaces only the row of the component
-the record rewrote; one full build is linear in the size of the model.
+table depends only on the model's structure.  The reduction walk builds the
+rows of the components whose walls its segment can move or has already
+brought down, and after a WII or WIII record builds again only the row of
+the component the record rewrote; one full build is linear in the size of
+the model, and `cross_wall` and the tests read the full table.
 """
 
 from __future__ import annotations
@@ -614,9 +616,9 @@ def felt_rows(X: BrokenEllipticSurface) -> dict[str, list[FeltWall]]:
 
     Only the structure enters: weights and fiber states do not.  A
     component's row changes only with its section, fibers, attaching fibers
-    or trees, so the reduction walk builds these rows once and, after a
-    section contraction or a tree collapse, replaces only the row of the
-    component that the record rewrote.
+    or trees, so the reduction walk builds the rows it needs once and, after
+    a section contraction or a tree collapse, builds again only the row of
+    the component that the record rewrote.
     """
     rows: dict[str, list[FeltWall]] = {}
     for comp in X.components:

@@ -17,13 +17,17 @@ JSON, the `reduce` trace and the
 the texts it stores on components and glues.  `wall_from_obj` reads such a
 wall object back.  `rebuilt` builds a model again through the public
 constructors, which check and sort every part, where the walk rebuilds its
-snapshots through the unchecked `_replace`.
+snapshots through the unchecked `_replace`.  `resolved_fiber` derives the
+Kodaira thresholds, intersection numbers and canonical corrections from
+each fiber type's resolution graph (`fiber_graph`) by plain elimination,
+where the library reads three hand-typed tables.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import NamedTuple
 
 from mmp_elliptic.curves import WeightVector
 from mmp_elliptic.kodaira import (
@@ -485,4 +489,185 @@ def rebuilt(X):
         ],
         [Glue(g.gid, _rebuilt_end(g.a), _rebuilt_end(g.b)) for g in X.glues],
         [TreeAttachment(t.host_component, t.host_fiber, _rebuilt_node(t.root)) for t in X.trees],
+    )
+
+
+# -- Kodaira fibers from their resolution graphs -------------------------------
+
+
+class FiberGraph(NamedTuple):
+    """The dual graph of a log resolution of one Weierstrass fiber, near the
+    fiber, on a relatively minimal elliptic surface blown up where needed.
+
+    `curves` lists each curve as (name, self-intersection, genus,
+    exceptional), exceptional meaning a blow-up made it; `meets` lists
+    (name, name, intersection number).  `A` is the component the section
+    meets, and `E` the curve the intermediate model keeps beside it, or None
+    for a type without an intermediate model.  On the normalization of a
+    non-normal surface, `double` lists (name, points) where the double curve
+    crosses a curve; the canonical class there is K + (double curve).
+    Multiplicities in the fiber and discrepancies are not given:
+    `resolved_fiber` derives them.
+    """
+
+    curves: tuple[tuple[str, int, int, bool], ...]
+    meets: tuple[tuple[str, str, int], ...]
+    A: str
+    E: str | None
+    double: tuple[tuple[str, int], ...] = ()
+
+
+def _path(names, start=None):
+    """The meets of a path of curves, hung off `start` when given."""
+    names = ([start] if start else []) + list(names)
+    return tuple((a, b, 1) for a, b in zip(names, names[1:]))
+
+
+def _minus_two(names):
+    return tuple((name, -2, 0, False) for name in names)
+
+
+def fiber_graph(ftype: KodairaType) -> FiberGraph | None:
+    """The resolution graph of a fiber of type `ftype`.
+
+    - I*n, II*, III*, IV*: the Kodaira fiber itself, (-2)-curves on the
+      extended Dynkin diagram D(n+4), E8, E7 or E6, with A an end of
+      multiplicity one and E the curve of largest multiplicity nearest to A.
+    - II, III, IV: the Kodaira fiber (a cuspidal curve, two curves tangent
+      at a point, three concurrent lines) blown up 3, 2 and 1 times until it
+      has normal crossings; E is the last exceptional curve.
+    - In: a cycle of n (-2)-curves for n >= 2, the nodal curve blown up at
+      its node for n = 1, and a smooth elliptic curve for n = 0.
+    - N0: the fiber of the normalization of the isotrivial j = infinity
+      surface, a smooth rational curve of multiplicity one, which the two
+      branches of the double curve cross transversally.
+    - N1 (there the double curve is tangent to the fiber) and N2: no graph
+      here; None.
+    """
+    family, n = ftype
+    if family == "I*":
+        chain = [f"c{i}" for i in range(n + 1)]
+        names = ["a", "l2", *chain, "l3", "l4"]
+        meets = (("a", "c0", 1), ("l2", "c0", 1)) + _path(chain) + ((chain[-1], "l3", 1), (chain[-1], "l4", 1))
+        return FiberGraph(_minus_two(names), meets, "a", "c0")
+    if family in ("II*", "III*", "IV*"):
+        # the arm through A to the centre e, then the other arms from e
+        main, others = {
+            "II*": (["a", "a2", "a3", "a4", "a5"], [["b4", "b2"], ["c3"]]),
+            "III*": (["a", "a2", "a3"], [["b3", "b2", "b1"], ["c2"]]),
+            "IV*": (["a", "a2"], [["b2", "b1"], ["c2", "c1"]]),
+        }[family]
+        names = main + ["e"] + [name for arm in others for name in arm]
+        meets = _path(main + ["e"]) + tuple(m for arm in others for m in _path(arm, "e"))
+        return FiberGraph(_minus_two(names), meets, "a", "e")
+    if family == "II":
+        curves = (("c", -6, 0, False), ("e1", -3, 0, True), ("e2", -2, 0, True), ("e3", -1, 0, True))
+        return FiberGraph(curves, (("e3", "c", 1), ("e3", "e1", 1), ("e3", "e2", 1)), "c", "e3")
+    if family == "III":
+        curves = (("c1", -4, 0, False), ("c2", -4, 0, False), ("e1", -2, 0, True), ("e2", -1, 0, True))
+        return FiberGraph(curves, (("e2", "c1", 1), ("e2", "c2", 1), ("e2", "e1", 1)), "c1", "e2")
+    if family == "IV":
+        curves = (("c1", -3, 0, False), ("c2", -3, 0, False), ("c3", -3, 0, False), ("e", -1, 0, True))
+        return FiberGraph(curves, tuple(("e", c, 1) for c in ("c1", "c2", "c3")), "c1", "e")
+    if family == "I":
+        if n == 0:
+            return FiberGraph((("c", 0, 1, False),), (), "c", None)
+        if n == 1:
+            return FiberGraph((("c", -4, 0, False), ("e", -1, 0, True)), (("c", "e", 2),), "c", None)
+        names = [f"c{i}" for i in range(n)]
+        meets = (("c0", "c1", 2),) if n == 2 else _path(names) + ((names[-1], "c0", 1),)
+        return FiberGraph(_minus_two(names), meets, "c0", None)
+    if family == "N0":
+        return FiberGraph((("c", 0, 0, False),), (), "c", None, (("c", 2),))
+    return None
+
+
+def _solve(M, B):
+    """X with M X = B, by Gauss-Jordan elimination over `Fraction`s; M is
+    square (possibly empty) and nonsingular, B a list of rows."""
+    n = len(M)
+    rows = [[F(x) for x in M[i]] + [F(x) for x in B[i]] for i in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+class ResolvedFiber(NamedTuple):
+    threshold: Fraction
+    E_threshold: Fraction | None
+    A_sq: Fraction | None
+    E_sq: Fraction | None
+    AE: Fraction | None
+    mult: Fraction | None
+    KE: Fraction | None
+
+
+def resolved_fiber(graph: FiberGraph) -> ResolvedFiber:
+    """What a fiber's resolution graph says of the `kodaira` tables.
+
+    - The intersection matrix M comes from the graph, and K.C = 2g - 2 - C^2
+      for each curve C (adjunction; K of the minimal surface meets no fiber
+      curve), plus the points of the double curve on C.
+    - The multiplicities m solve M m = 0 (the fiber meets each of its
+      curves in zero) with m = 1 on A; the discrepancies k solve M k = K.C
+      on the exceptional curves and are zero on the others.  Both systems
+      are checked on every curve.
+    - The threshold is min (1 + k) / m over the curves, and `E_threshold`
+      is (1 + k) / m on E.
+    - Contracting every curve but A and E gives the intermediate fiber: its
+      intersection form is the Schur complement of M onto A and E
+      (Mumford's pullback), and K.E there is K.E minus the pairing of E
+      with the pullback of K on the contracted curves.
+    """
+    names = [c[0] for c in graph.curves]
+    at = {name: i for i, name in enumerate(names)}
+    size = len(names)
+    M = [[0] * size for _ in range(size)]
+    for name, self_int, _, _ in graph.curves:
+        M[at[name]][at[name]] = self_int
+    for u, v, number in graph.meets:
+        M[at[u]][at[v]] += number
+        M[at[v]][at[u]] += number
+    double = dict(graph.double)
+    K = [2 * genus - 2 - self_int + double.get(name, 0) for name, self_int, genus, _ in graph.curves]
+
+    def restricted(rows, cols, rhs):
+        return _solve([[M[i][j] for j in cols] for i in rows], [rhs(i) for i in rows])
+
+    a = at[graph.A]
+    m = [F(1)] * size
+    rest = [i for i in range(size) if i != a]
+    for i, (x,) in zip(rest, restricted(rest, rest, lambda i: [-M[i][a]])):
+        m[i] = x
+    assert all(sum(M[i][j] * m[j] for j in range(size)) == 0 for i in range(size)), "not a fiber"
+    k = [F(0)] * size
+    exceptional = [i for i, c in enumerate(graph.curves) if c[3]]
+    for i, (x,) in zip(exceptional, restricted(exceptional, exceptional, lambda i: [K[i]])):
+        k[i] = x
+    assert all(sum(M[i][j] * k[j] for j in range(size)) == K[i] for i in range(size)), "no such K"
+    threshold = min((1 + k[i]) / m[i] for i in range(size))
+    if graph.E is None:
+        return ResolvedFiber(threshold, None, None, None, None, None, None)
+
+    e = at[graph.E]
+    cut = [i for i in range(size) if i not in (a, e)]
+    X = restricted(cut, cut, lambda i: [M[i][a], M[i][e], K[i]])
+
+    def contracted(u, column, value):
+        return value - sum(M[u][c] * x[column] for c, x in zip(cut, X))
+
+    return ResolvedFiber(
+        threshold,
+        (1 + k[e]) / m[e],
+        contracted(a, 0, F(M[a][a])),
+        contracted(e, 1, F(M[e][e])),
+        contracted(e, 0, F(M[e][a])),
+        m[e],
+        contracted(e, 2, F(K[e])),
     )

@@ -10,8 +10,9 @@ of the worked path at r = 12.
 The `reduce` traces in `REWRITE_WALKS` pin one walk per section contraction
 and tree collapse: a La Nave flip that folds the chain's type II middle into
 its tree, a type II formation, a whole-section contraction, two nested
-collapses due at one time (the inner one first), and an isotrivial tree's
-collapse onto a curve, where the walk halts.
+collapses due at one time (the inner one first), an isotrivial tree's
+collapse onto a curve, where the walk halts, and a leaf and a tree whose
+markers the walk does not move but whose walls are already due at the start.
 A deliberate output change rewrites the file from the command its test runs.
 Every `reduce` input here, and a seeded set of random walks, also pins the
 trace to `json.dumps(indent=2)` of its object (`oracles.trace_oracle`).
@@ -71,6 +72,7 @@ REWRITE_WALKS = {
     "whole_section": "1/2,1/2,1/2",
     "nested_collapse": "1,1,1/2,1/12,1/12",
     "curve_collapse": ",".join(["1"] * 10 + ["1/6"] * 2),
+    "fixed_due": "1/2,1/2,1/2,5/6,1",
 }
 
 

@@ -29,7 +29,7 @@ from mmp_elliptic.kodaira import (
 )
 
 from modelkit import MARKABLE, TWISTABLE
-from oracles import fiber_model_by_fractions, is_settled_by_fractions
+from oracles import fiber_graph, fiber_model_by_fractions, is_settled_by_fractions, resolved_fiber
 
 F = Fraction
 
@@ -188,3 +188,30 @@ def test_is_settled_equals_the_fraction_form():
                 assert got == _outcome(is_settled_by_fractions, ftype, a, state), (ftype, a, state)
     assert is_settled(II, F(1), FiberState.INTERMEDIATE) and is_settled(II, 1, FiberState.TWISTED)
     assert not is_settled(II, F(5, 6), FiberState.INTERMEDIATE)
+
+
+# every type with an intermediate model, I*n up to n = 20
+GRAPH_TYPES = [II, III, IV, *(Istar(n) for n in range(21)), IIstar, IIIstar, IVstar]
+
+
+@pytest.mark.parametrize("ftype", GRAPH_TYPES, ids=str)
+def test_tables_match_the_resolution_graph(ftype):
+    # the threshold, the intermediate fiber's pairings after contracting all
+    # but A and E, and K.E = alpha E^2, each derived from the fiber's graph
+    got = resolved_fiber(fiber_graph(ftype))
+    data = intersection_data(ftype)
+    assert got.threshold == got.E_threshold == lct_threshold(ftype)
+    assert (got.A_sq, got.E_sq, got.AE, got.mult) == tuple(data)
+    assert got.KE == canonical_contribution(ftype, FiberState.INTERMEDIATE) * data.E_sq
+
+
+@pytest.mark.parametrize("ftype", [I0, I(1), I(2), I(3), I(12), N0], ids=str)
+def test_weierstrass_at_every_coefficient_matches_the_resolution_graph(ftype):
+    # no threshold in the table: the graph's threshold is at least one
+    assert lct_threshold(ftype) is None and resolved_fiber(fiber_graph(ftype)).threshold >= 1
+
+
+def test_n1_and_n2_have_no_resolution_graph():
+    # N1's double curve is tangent to the fiber, so its threshold of 1/2
+    # rests on the table alone; N2 is not modeled
+    assert fiber_graph(N1) is None and fiber_graph(N2) is None

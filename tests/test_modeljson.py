@@ -430,4 +430,4 @@ def test_every_model_file_round_trips_byte_for_byte():
     texts = _model_texts()
     for name, text in texts:
         assert serialize_model(parse_model(text, check=False)) == text, name
-    assert len({name for name, _ in texts}) == 17 and len(texts) >= 28
+    assert len({name for name, _ in texts}) == 19 and len(texts) >= 33

@@ -10,7 +10,7 @@ import pytest
 
 from mmp_elliptic import reduction, walls
 from mmp_elliptic.curves import WeightVector, hassett_reduce, interpolate
-from mmp_elliptic.kodaira import FiberState, parse_fiber_type
+from mmp_elliptic.kodaira import FiberState, lct_threshold, parse_fiber_type
 from mmp_elliptic.modeljson import parse_model, serialize_model
 from mmp_elliptic.reduction import (
     InconsistentTarget,
@@ -771,11 +771,14 @@ def test_kept_table_equals_a_fresh_build_after_every_batch(monkeypatch):
 
 
 def test_a_chain_walk_builds_its_table_once(monkeypatch):
-    # the full felt-wall build runs once per walk; each WII or WIII record
-    # rebuilds one component's row, of the same size whatever the length of
-    # the chain
+    # the walk builds no whole-model table: its start table holds the rows of
+    # the components that carry a moving marker, c1, c2 and c3, whose six
+    # markers the target lowers, whatever the length of the chain; each WII
+    # or WIII record then rebuilds one component's row, of the same size at
+    # both lengths
     builds = []
     rows = []
+    starts = []
 
     def counted(fn, log, size):
         def wrapper(*args):
@@ -787,28 +790,99 @@ def test_a_chain_walk_builds_its_table_once(monkeypatch):
 
     monkeypatch.setattr(reduction, "felt_rows", counted(walls.felt_rows, builds, len))
     monkeypatch.setattr(reduction, "felt_row", counted(walls.felt_row, rows, len))
+    table = reduction._Segment.table
+    monkeypatch.setattr(reduction._Segment, "table", counted(table, starts, sorted))
     per_record = []
     for n in (40, 160):
-        del builds[:], rows[:]
+        del builds[:], rows[:], starts[:]
         trace = reduce(*_chain(n))
         structural = [r for r in trace.records if r.wall.kind != WallKind.WI]
-        assert builds == [n] and len(rows) == len(structural) == 6
+        assert builds == [] and starts == [["c1", "c2", "c3"]]
+        assert len(rows) == 3 + len(structural) and len(structural) == 6
         per_record.append(list(rows))
     assert per_record[0] == per_record[1]
+
+
+def test_a_fixed_component_already_due_fires_in_the_first_batch():
+    # only markers 2 and 3, on c2, move.  The leaf c1's section degree is
+    # already negative and the tree p1 on c3 already sits at its host's
+    # threshold, so both walls are due on the whole segment though neither
+    # component carries a moving marker: the start table holds their rows,
+    # and the first batch flips c1 (its tree then collapses at once) and
+    # collapses p1.  `test_golden` pins the whole trace
+    X = parse_model((GOLDEN / "fixed_due.json").read_text())
+    target = WeightVector(tuple(F(w) for w in REWRITE_WALKS["fixed_due"].split(",")))
+    assert validate(X) == [] and section_degree(X, "c1") == F(-1, 2)
+    assert X.weights.sum(X.tree("p1").root.fiber("f4").markers) == lct_threshold(parse_fiber_type("II"))
+    segment = reduction._Segment(target, X.weights)
+    assert segment.moving == {2, 3} and sorted(segment.table(X)) == ["c1", "c2", "c3"]
+    trace = reduce(X, target)
+    collapse = RecordKind.TREE_COLLAPSE_TO_POINT
+    assert [(rec.t, rec.kind, rec.affected) for rec in trace.records] == [
+        (1, RecordKind.LA_NAVE_FLIP, ("c1",)),
+        (1, collapse, ("c1",)),
+        (1, collapse, ("p1",)),
+    ]
+    assert trace.halted is None and validate(trace.final) == []
+
+
+def test_the_start_table_leaves_out_only_walls_the_walk_never_crosses():
+    # the start table is decided without building the rows it leaves out, so
+    # check it against the whole-model rows: every component with a moving
+    # marker, and every other one whose reachable walls include a WII or WIII
+    # wall (with no moving marker, a reachable wall is a due one).  The
+    # starts are the valid snapshots of random walks, with each marker held
+    # fixed or lowered at random; a record that leaves a wall due for the
+    # next one gives the fixed due components.  The fibers a batch settles
+    # are found on the table's components and their trees: the same as a
+    # scan of every owner
+    rng = random.Random(37)
+    fixed_due = Counter()
+    walks = 0
+    while walks < 200:
+        X = random_model(rng, max_components=5, max_markers=12, allow_isotrivial=True)
+        A = admissible_target(rng, X)
+        if A is None:
+            continue
+        walks += 1
+        for Y in [X] + [rec.snapshot_after for rec in reduce(X, A).records]:
+            if validate(Y):
+                continue
+            lowered = (F(rng.randint(0, int(12 * w)), 12) if rng.random() < 0.5 else w for w in Y.weights.entries)
+            segment = reduction._Segment(WeightVector(tuple(lowered)), Y.weights)
+            moves = {c.cid for c in Y.components if c.marker_set & segment.moving}
+            want = {}
+            for cid, row in walls.felt_rows(Y).items():
+                reached = segment.reach(row)
+                due = {fw.wall.kind for _, _, fw in reached} - {WallKind.WI}
+                if cid in moves or due:
+                    want[cid] = reached
+                if cid not in moves:
+                    fixed_due.update(due)
+            table = segment.table(Y)
+            assert _kept(table) == _kept(want)
+            fibers, hosts = segment.fibers(Y, table)
+            keys = {(owner, f.fid) for owner, f in fibers}
+            assert fibers == Y.fibers_with(segment.moving) and keys & hosts == keys & Y.host_keys()
+    assert min(fixed_due[WallKind.WII], fixed_due[WallKind.WIII]) > 0, fixed_due
 
 
 def test_table_update_builds_no_lookup(monkeypatch):
     # a record rewrites one component, so the table update reads the new
     # model's parts directly: around every update, no model of the walk, the
     # input of each rewrite included, gains a cached lookup, of glue ends or
-    # of subtree levels
+    # of subtree levels.  Nor does the walk build the glue-end lookup on any
+    # model after its start: not a section contraction, not a flip cascade's
+    # models in between, not a batch's settling
     lookups = ("_ends", "_subtrees")
     seen = []
 
     def remember(fn):
-        def wrapper(X, *args):
+        def wrapper(X, *args, **kwargs):
             seen.append(X)
-            return fn(X, *args)
+            out = fn(X, *args, **kwargs)
+            seen.append(out[0])
+            return out
 
         return wrapper
 
@@ -822,14 +896,20 @@ def test_table_update_builds_no_lookup(monkeypatch):
         assert [[k for k in lookups if k in m.__dict__] for m in models] == before, site
         calls.append(site)
 
-    for name in ("_apply_section_contraction", "_collapse_subtree"):
+    for name in ("_apply_section_contraction", "_collapse_subtree", "_hang_off_peer", "_settle"):
         monkeypatch.setattr(reduction, name, remember(getattr(reduction, name)))
     monkeypatch.setattr(reduction._Segment, "update", checked)
-    for name, to in REWRITE_WALKS.items():
-        X = parse_model((GOLDEN / f"{name}.json").read_text())
-        reduce(X, WeightVector(tuple(F(w) for w in to.split(","))))
-    reduce(*_chain(40))
-    assert len(calls) >= len(REWRITE_WALKS) + 6
+    starts = [parse_model((GOLDEN / f"{name}.json").read_text()) for name in REWRITE_WALKS]
+    targets = [WeightVector(tuple(F(w) for w in to.split(","))) for to in REWRITE_WALKS.values()]
+    chain = _chain(40)
+    hung = 0
+    for X, target in [*zip(starts, targets), chain]:
+        del seen[:]
+        trace = reduce(X, target)
+        later = [Y for Y in seen + [rec.snapshot_after for rec in trace.records] if Y is not X]
+        assert not [Y for Y in later if "_ends" in Y.__dict__]
+        hung += sum(len(rec.affected) > 1 for rec in trace.records if rec.kind == RecordKind.LA_NAVE_FLIP)
+    assert len(calls) >= len(REWRITE_WALKS) + 6 and hung > 0
 
 
 def test_at_weights_refuses_to_lift_a_tree_host_above_one(monkeypatch):
