@@ -29,7 +29,7 @@ from .curves import (
 )
 from .dot import emit_dot
 from .kodaira import UnsupportedFiberType, parse_fiber_type
-from .modeljson import ModelJSONError, json_list, parse_model, quote, serialize_model
+from .modeljson import ModelJSONError, json_list, parse_model, quote, serialize_model, weights_text
 from .rationals import rat_from_str, rat_to_str
 from .reduction import (
     InconsistentTarget,
@@ -303,9 +303,7 @@ def _trace_text(model, target, trace) -> str:
         f'      "snapshot_after": {_indent(serialize_model(rec.snapshot_after)[:-1], "      ")}\n    }}'
         for rec in trace.records
     ]
-    start, end = (
-        json_list(['"' + rat_to_str(w) + '"' for w in W.entries], "  ") for W in (model.weights, target)
-    )
+    start, end = weights_text(model.weights, "  "), weights_text(target, "  ")
     halted = "null" if trace.halted is None else quote(trace.halted)
     return (
         f'{{\n  "start_weights": {start},\n'

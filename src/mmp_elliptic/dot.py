@@ -4,26 +4,21 @@ Components render as clusters of fiber nodes, pseudoelliptic trees as nested
 subgraphs inside an outer tree cluster, gluings as bold edges labeled with the
 two fiber types, and tree attachments as bold edges labeled with the host
 fiber's type and coefficient.  Identical models produce byte-identical text.
-Every label escapes `\\` and `"` (`_label`).  Each `Component` keeps its
-cluster and each `Glue` its edge in its instance dict
-(`surfaces.stored_text`), built on first use; a rewrite builds new records,
-so a stored text cannot go stale.
-Tree clusters and tree edges are built on every call.
+Every label escapes `\\` and `"` (`_label`); a rational is written as `!s`
+(`rat_to_str` without the call) and a state's tag from a fixed table.  Each
+`Component` keeps its cluster and each `Glue` its edge in its instance dict
+(`surfaces.stored_texts`), built on first use; a rewrite builds new records,
+so a stored text cannot go stale.  Tree clusters and edges are built on every call.
 """
 
 from __future__ import annotations
 
 import re
 
-from .kodaira import FiberState
-from .rationals import rat_to_str
-from .surfaces import BrokenEllipticSurface, Component, Glue, MarkedFiber, PseudoComponent, stored_text
+from .surfaces import BrokenEllipticSurface, Component, Glue, MarkedFiber, PseudoComponent, stored_texts
 
-_STATE_TAG = {
-    FiberState.WEIERSTRASS: "W",
-    FiberState.INTERMEDIATE: "int",
-    FiberState.TWISTED: "tw",
-}
+# the tag of each `FiberState`, indexed by the state
+_STATE_TAGS = ("W", "int", "tw")
 
 _PLAIN = re.compile(r"(?![0-9])[^\W_]+(?:_[^\W_]+)*")
 
@@ -43,9 +38,9 @@ def _label(text: str) -> str:
 
 
 def _fiber_node(tag: str, f: MarkedFiber, indent: str) -> str:
-    label = f"{f.fid}: {f.ftype} a={rat_to_str(f.coeff)} [{_STATE_TAG[f.state]}]"
+    label = f"{f.fid}: {f.ftype!s} a={f.coeff!s} [{_STATE_TAGS[f.state]}]"
     if f.markers:
-        label += " m" + ",".join(str(i) for i in sorted(f.markers))
+        label += " m" + ",".join(map(str, sorted(f.markers)))
     if f.nonminimal_cusp:
         label += " (cusp)"
     return f"{indent}  {tag}__{_sanitize(f.fid)} [shape=box, {_label(label)}];"
@@ -56,7 +51,7 @@ def _component_cluster(c: Component) -> str:
     kind = "elliptic" if c.has_section else "pseudo II"
     lines = [
         f"  subgraph cluster_{tag} {{",
-        f"    {_label(f'{c.cid} ({kind}) g={c.genus} degL={rat_to_str(c.degL)}')};",
+        f"    {_label(f'{c.cid} ({kind}) g={c.genus} degL={c.degL!s}')};",
         f'    anchor_{tag} [shape=point, label=""];',
     ]
     lines += [_fiber_node(tag, f, "  ") for f in c.fibers]
@@ -68,7 +63,7 @@ def _node_cluster(lines: list[str], node: PseudoComponent, indent: str) -> None:
     tag = _sanitize(node.pid)
     lines.append(f"{indent}subgraph cluster_{tag} {{")
     flag = " isotrivial" if node.isotrivial_jinf else ""
-    label = f"{node.pid} (pseudo I) degL={rat_to_str(node.degL)} via {node.attach_ftype}{flag}"
+    label = f"{node.pid} (pseudo I) degL={node.degL!s} via {node.attach_ftype}{flag}"
     lines.append(f"{indent}  {_label(label)};")
     lines.append(f'{indent}  anchor_{tag} [shape=point, label=""];')
     lines += [_fiber_node(tag, f, indent) for f in node.fibers]
@@ -78,7 +73,7 @@ def _node_cluster(lines: list[str], node: PseudoComponent, indent: str) -> None:
 
 
 def _tree_edge(owner: str, host: MarkedFiber, node: PseudoComponent) -> str:
-    label = _label(f"{host.ftype}, {rat_to_str(host.coeff)}")
+    label = _label(f"{host.ftype}, {host.coeff!s}")
     tail = f"{_sanitize(owner)}__{_sanitize(host.fid)}"
     return f"  {tail} -> anchor_{_sanitize(node.pid)} [style=bold, {label}];"
 
@@ -90,7 +85,8 @@ def _tree_edges(lines: list[str], node: PseudoComponent) -> None:
 
 
 def _glue_edge(g: Glue) -> str:
-    a, b = sorted(g.ends(), key=lambda e: (e.component, e.fiber_id))
+    # the two ends in (component, fiber id) order; equal ones keep theirs
+    a, b = (g.a, g.b) if g.a[:2] <= g.b[:2] else (g.b, g.a)
     return (
         f"  anchor_{_sanitize(a.component)} -> anchor_{_sanitize(b.component)}"
         f" [style=bold, dir=none, {_label(f'{g.gid}: {a.ftype} ~ {b.ftype}, 1')}];"
@@ -101,10 +97,10 @@ def emit_dot(X: BrokenEllipticSurface) -> str:
     """Render the model; stable node ordering makes the output deterministic."""
     lines = ["digraph broken_surface {", "  compound=true;", "  rankdir=LR;"]
     # clusters with a section first
-    lines += [stored_text(c, "_dot_text", _component_cluster) for c in X.elliptic + X.pseudo2]
+    lines += stored_texts(X.elliptic + X.pseudo2, "_dot_text", _component_cluster)
     for t in X.trees:
         _node_cluster(lines, t.root, "  ")
-    lines += [stored_text(g, "_dot_text", _glue_edge) for g in X.glues]
+    lines += stored_texts(X.glues, "_dot_text", _glue_edge)
     for t in X.trees:
         host = X.component(t.host_component).fiber(t.host_fiber)
         lines.append(_tree_edge(t.host_component, host, t.root))

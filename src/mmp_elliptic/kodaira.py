@@ -26,15 +26,20 @@ class NoIntermediateModel(Exception):
     that has no tabulated standard intermediate model."""
 
 
+#: The wire text of each `FiberState`, indexed by the state.
+STATE_NAMES = ("Weierstrass", "Intermediate", "Twisted")
+
+
 class FiberState(IntEnum):
-    """Model state of a marked fiber; the order tracks increasing coefficient."""
+    """Model state of a marked fiber; the order tracks increasing coefficient.
+    Its text is `STATE_NAMES[state]`, a fixed table the writers index too."""
 
     WEIERSTRASS = 0
     INTERMEDIATE = 1
     TWISTED = 2
 
-    def __str__(self) -> str:  # serialized lowercase-free tag
-        return {0: "Weierstrass", 1: "Intermediate", 2: "Twisted"}[self.value]
+    def __str__(self) -> str:
+        return STATE_NAMES[self]
 
 
 _PLAIN_FAMILIES = ("II", "III", "IV", "II*", "III*", "IV*", "N0", "N1", "N2")
@@ -66,11 +71,7 @@ class KodairaType(_KodairaType):
         return tuple.__new__(cls, (family, n))
 
     def __str__(self) -> str:
-        if self.family == "I":
-            return f"I{self.n}"
-        if self.family == "I*":
-            return f"I*{self.n}"
-        return self.family
+        return self.family if self.n is None else f"{self.family}{self.n}"
 
     @property
     def is_smooth(self) -> bool:

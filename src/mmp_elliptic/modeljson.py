@@ -6,24 +6,27 @@ invariant is checkable at parse time: a weight list, a component list (kind
 pairing the two ends of each gluing, and nested pseudoelliptic trees.
 Parsing validates; serialization is canonical and round-trips exactly.
 
-`model_from_obj` reads one document through a `_Reader`, which parses each
-literal text and each fiber type text once, at its first occurrence, and is
-dropped when the call returns.  The reader range-checks every weight and
-coefficient on the integers of the `Fraction` it read, and builds the weight
-vector through `WeightVector._make`, the unchecked trusted rebuild, so the
-weights are not checked a second time.
+`model_from_obj` reads one document in one pass through a `_Reader`, which is
+dropped when the call returns.  It parses each literal and type text, and
+reads and range-checks each fiber's (type, coeff, state) texts, once, at their
+first occurrence; it builds an error's `where` text only when it raises.  Each
+weight, fiber and component is built through the unchecked trusted rebuild
+(`WeightVector._make`, `tuple.__new__`) from parts already checked and sorted,
+so nothing is checked a second time.
 
 `serialize_model` writes the text directly: the bytes `json.dumps(indent=2)`
 gives for the model's object form, without building that object or running
 json's pure-Python indent encoder.  Each schema object (fiber, pseudo node with
 its children, component, glue, tree) has one writer, an f-string laid out for
-its depth, and every id goes through json's own escaper (`quote`).  The
-weights, the trees and the frame of the four lists are written on every call.
-The text of each `Component` and `Glue` is stored in the record's instance
-dict on first use (`surfaces.stored_text`), so a walk writes a component
-that several snapshots share once.  A stored text cannot go stale: a record's fields
-cannot be assigned, and a rewrite, through a constructor or `_replace`,
-builds new records, which start with an empty instance dict.  The CLI's `reduce` trace
+its depth; every id goes through json's own escaper (`quote`), a rational is
+written as `!s` (what `rat_to_str` gives, without the call) and a state from
+the `STATE_NAMES` table.  The weights (`weights_text`, one `str` per entry),
+the trees and the frame of the four lists are written on every call.  The text
+of each `Component` and `Glue` is stored in the record's instance dict on first
+use (`surfaces.stored_texts`), so a walk writes a component that several
+snapshots share once.  A stored text cannot go stale: a record's fields cannot
+be assigned, and a rewrite, through a constructor or `_replace`, builds new
+records, which start with an empty instance dict.  The CLI's `reduce` trace
 re-indents these model texts to their depth.
 """
 
@@ -31,10 +34,11 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from operator import attrgetter, itemgetter
 from json.encoder import encode_basestring_ascii as quote
 
 from .curves import WeightVector
-from .kodaira import FiberState, KodairaType, UnsupportedFiberType, fiber_model_at, parse_fiber_type
+from .kodaira import STATE_NAMES, FiberState, KodairaType, UnsupportedFiberType, fiber_model_at, parse_fiber_type
 from .rationals import json_bool, json_int, rat_from_str, rat_to_str
 from .surfaces import (
     AttachEnd,
@@ -45,10 +49,12 @@ from .surfaces import (
     MarkedFiber,
     PseudoComponent,
     TreeAttachment,
-    stored_text,
+    stored_texts,
     validate,
 )
 
+_FID = attrgetter("fid")
+_END = itemgetter("component", "fiber", "type")
 _KINDS = {"elliptic": True, "pseudo2": False}  # JSON kind -> has_section
 
 _STATES = {
@@ -71,164 +77,177 @@ class ModelJSONError(Exception):
         self.detail = detail
 
 
-def _need(obj: dict, key: str, where: str):
+def _schema(where: tuple[str, ...], detail: str) -> ModelJSONError:
+    """A refusal at `where`, the path of a field as the tuple of its parts, as
+    every `where` below is; the parts are joined by "/" only here."""
+    return ModelJSONError("schema-violation", f"{'/'.join(where)}: {detail}")
+
+
+def _need(obj: dict, key: str, where: tuple[str, ...]):
     if not isinstance(obj, dict):
-        raise ModelJSONError("schema-violation", f"{where}: expected an object, got {obj!r}")
+        raise _schema(where, f"expected an object, got {obj!r}")
     if key not in obj:
-        raise ModelJSONError("schema-violation", f"{where}: missing field {key!r}")
+        raise _schema(where, f"missing field {key!r}")
     return obj[key]
 
 
-def _list(obj: dict, key: str, where: str, required: bool = False) -> list:
+def _list(obj: dict, key: str, where: tuple[str, ...], required: bool = False) -> list:
     value = _need(obj, key, where) if required else obj.get(key, [])
     if not isinstance(value, list):
-        raise ModelJSONError("schema-violation", f"{where}: {key!r} must be a list, got {value!r}")
+        raise _schema(where, f"{key!r} must be a list, got {value!r}")
     return value
 
 
-def _int(value, where: str) -> int:
+def _int(value, where: tuple[str, ...]) -> int:
     try:
         return json_int(value)
     except ValueError as exc:
-        raise ModelJSONError("schema-violation", f"{where}: {exc}")
+        raise _schema(where, str(exc))
 
 
-def _bool(value, where: str) -> bool:
+def _bool(value, where: tuple[str, ...]) -> bool:
     try:
         return json_bool(value)
     except ValueError as exc:
-        raise ModelJSONError("schema-violation", f"{where}: {exc}")
+        raise _schema(where, str(exc))
 
 
 class _Reader:
-    """The reader of one document.  Each literal and each fiber type is parsed
-    once: the reader keeps literal text -> `Fraction` and type text ->
-    `KodairaType` for the call that made it, and drops both with it.  Both
-    are keyed on `str` of the JSON value, never on the value itself: `1`,
-    `1.0` and `true` hash alike, and a value key would take `1.0` or `true`
-    wherever `"1"` came first.  Only successful parses are kept, so a bad
-    literal is refused with the `where` of its first occurrence."""
+    """The reader of one document.  It keeps, for the call that made it, each
+    literal text -> `Fraction`, each type text -> `KodairaType`, and each
+    fiber's (type, coeff, state) texts -> its checked (type, coefficient,
+    state), so each distinct text is parsed, range-checked and given its state
+    once.  The keys are `str` of the JSON values, never the values: `1`, `1.0`
+    and `true` hash alike, and a value key would take `1.0` or `true` wherever
+    `"1"` came first.  A missing field reads as `None`, whose text no parse
+    accepts, and only a parse that succeeds is kept, so a bad or missing field
+    is refused at its first occurrence, in the order the fields are read.  A
+    flag or a count of the right JSON type is taken as it is, with no call."""
 
     def __init__(self) -> None:
         self.rats: dict[str, Fraction] = {}
         self.types: dict[str, KodairaType] = {}
+        self.fields: dict[tuple[str, str, str], tuple[KodairaType, Fraction, FiberState]] = {}
 
-    def rational(self, value, where: str) -> Fraction:
+    def rational(self, value, where: tuple[str, ...]) -> Fraction:
         text = str(value)
         q = self.rats.get(text)
         if q is None:
             try:
                 q = self.rats[text] = rat_from_str(text)
             except (ValueError, ZeroDivisionError) as exc:
-                raise ModelJSONError("schema-violation", f"{where}: bad rational {value!r} ({exc})")
+                raise _schema(where, f"bad rational {value!r} ({exc})")
         return q
 
-    def ftype(self, value, where: str) -> KodairaType:
+    def ftype(self, value, where: tuple[str, ...]) -> KodairaType:
         text = str(value)
         ftype = self.types.get(text)
         if ftype is None:
             try:
                 ftype = self.types[text] = parse_fiber_type(text)
             except ValueError as exc:
-                raise ModelJSONError("schema-violation", f"{where}: {exc}")
+                raise _schema(where, str(exc))
         return ftype
 
-    def fiber(self, obj: dict, where: str) -> MarkedFiber:
+    def fiber(self, obj: dict, where: tuple[str, ...]) -> MarkedFiber:
         fid = str(_need(obj, "id", where))
-        here = f"{where}/{fid}"
-        ftype = self.ftype(_need(obj, "type", where), here)
-        coeff = self.rational(_need(obj, "coeff", where), here)
-        if not 0 <= coeff.numerator <= coeff.denominator:
-            raise ModelJSONError(
-                "schema-violation", f"{here}: coefficient {rat_to_str(coeff)} outside [0, 1]"
-            )
-        state_name = str(obj.get("state", ""))
-        if state_name:
-            if state_name not in _STATES:
-                raise ModelJSONError("schema-violation", f"{here}: unknown state {state_name!r}")
-            state = _STATES[state_name]
-        else:
+        key = (str(obj.get("type")), str(obj.get("coeff")), str(obj.get("state", "")))
+        fields = self.fields.get(key)
+        if fields is None:  # the first fiber with these texts reads and checks them
+            ftype = self.ftype(_need(obj, "type", where), (*where, fid))
+            coeff = self.rational(_need(obj, "coeff", where), (*where, fid))
+            if not 0 <= coeff.numerator <= coeff.denominator:
+                raise _schema((*where, fid), f"coefficient {rat_to_str(coeff)} outside [0, 1]")
+            if key[2] and key[2] not in _STATES:
+                raise _schema((*where, fid), f"unknown state {key[2]!r}")
             try:
-                state = fiber_model_at(ftype, coeff)
+                state = _STATES[key[2]] if key[2] else fiber_model_at(ftype, coeff)
             except UnsupportedFiberType:
                 state = FiberState.WEIERSTRASS
-        markers_where = f"{here}/markers"
-        markers = frozenset(_int(i, markers_where) for i in _list(obj, "markers", here))
-        cusp = _bool(obj.get("nonminimal_cusp", False), f"{here}/nonminimal_cusp")
-        return MarkedFiber(fid, ftype, coeff, state, markers, cusp)
+            fields = self.fields[key] = (ftype, coeff, state)
+        raw = obj.get("markers", [])
+        if not isinstance(raw, list):
+            raise _schema((*where, fid), f"'markers' must be a list, got {raw!r}")
+        try:
+            markers = frozenset(map(json_int, raw))
+        except ValueError as exc:
+            raise _schema((*where, fid, "markers"), str(exc))
+        if len(markers) != len(raw):
+            raise _schema((*where, fid, "markers"), f"repeated marker {next(i for i in raw if raw.count(i) > 1)}")
+        cusp = obj.get("nonminimal_cusp", False)
+        cusp = cusp if type(cusp) is bool else _bool(cusp, (*where, fid, "nonminimal_cusp"))
+        # the coefficient is range-checked with its texts: the trusted rebuild
+        return tuple.__new__(MarkedFiber, (fid, *fields, markers, cusp))
 
-    def node(self, obj: dict, where: str) -> PseudoComponent:
-        pid = str(_need(obj, "id", where))
-        here = f"{where}/{pid}"
+    def component(self, obj: dict) -> Component:
+        at = (cid := str(_need(obj, "id", ("components",))),)
+        kind = str(obj.get("kind", "elliptic"))
+        fibers = sorted([self.fiber(f, at) for f in _list(obj, "fibers", at)], key=_FID)
+        vertex = v if type(v := obj.get("vertex")) is int else _int(_need(obj, "vertex", at), (cid, "vertex"))
+        genus = g if type(g := obj.get("genus")) is int else _int(_need(obj, "genus", at), (cid, "genus"))
+        degL = self.rational(_need(obj, "degL", at), at)
+        jinf = j if type(j := obj.get("isotrivial_jinf", False)) is bool else _bool(j, (cid, "isotrivial_jinf"))
+        if kind not in _KINDS:
+            raise _schema(at, f"unknown component kind {kind!r}")
+        # the fibers are sorted as the public constructor sorts them: the trusted rebuild
+        return tuple.__new__(Component, (cid, vertex, genus, degL, tuple(fibers), jinf, _KINDS[kind]))
+
+    def node(self, obj: dict, where: tuple[str, ...]) -> PseudoComponent:
+        here = (*where, str(_need(obj, "id", where)))
         fibers = tuple(self.fiber(f, here) for f in _list(obj, "fibers", here))
         children = []
         for child in _list(obj, "children", here):
             via = str(_need(child, "via_fiber", here))
             children.append(ChildLink(via, self.node(_need(child, "node", here), here)))
         return PseudoComponent(
-            pid=pid,
+            pid=here[-1],
             degL=self.rational(_need(obj, "degL", here), here),
             attach_ftype=self.ftype(_need(obj, "attach_type", here), here),
             fibers=fibers,
             children=tuple(children),
-            isotrivial_jinf=_bool(obj.get("isotrivial_jinf", False), f"{here}/isotrivial_jinf"),
+            isotrivial_jinf=_bool(obj.get("isotrivial_jinf", False), (*here, "isotrivial_jinf")),
         )
 
-    def end(self, obj: dict, where: str) -> AttachEnd:
-        return AttachEnd(
-            str(_need(obj, "component", where)),
-            str(_need(obj, "fiber", where)),
-            self.ftype(_need(obj, "type", where), where),
-        )
+    def end(self, obj: dict, where: tuple[str, ...]) -> AttachEnd:
+        try:
+            component, fiber, ftype = _END(obj)
+        except (KeyError, TypeError):
+            for key in ("component", "fiber", "type"):  # the first field missed raises
+                _need(obj, key, where)
+            raise
+        return tuple.__new__(AttachEnd, (str(component), str(fiber), self.ftype(ftype, where)))
 
 
 def model_from_obj(obj: dict, check: bool = True) -> BrokenEllipticSurface:
     if not isinstance(obj, dict):
         raise ModelJSONError("schema-violation", "top level must be an object")
     read = _Reader()
-    raw_weights = _list(obj, "weights", "model", required=True)
-    weights_list = [
-        read.rational(w, f"weights[{i}]") for i, w in enumerate(raw_weights, start=1)
-    ]
-    for i, w in enumerate(weights_list, start=1):
+    raw_weights = _list(obj, "weights", ("model",), required=True)
+    texts = [str(w) for w in raw_weights]
+    for i, text in enumerate(texts):
+        if text not in read.rats:
+            read.rational(raw_weights[i], (f"weights[{i + 1}]",))
+    # the reader holds only the distinct weight texts, first occurrence first
+    for text, w in read.rats.items():
         if not 0 <= w.numerator <= w.denominator:
-            raise ModelJSONError(
-                "schema-violation", f"weights[{i}]: {rat_to_str(w)} outside [0, 1]"
-            )
+            raise _schema((f"weights[{texts.index(text) + 1}]",), f"{rat_to_str(w)} outside [0, 1]")
     # every entry is a `Fraction` checked to lie in [0, 1] just above
-    weights = WeightVector._make((tuple(weights_list),))
+    weights = WeightVector._make((tuple(map(read.rats.__getitem__, texts)),))
 
-    components = []
-    for cobj in _list(obj, "components", "model", required=True):
-        cid = str(_need(cobj, "id", "components"))
-        kind = str(cobj.get("kind", "elliptic"))
-        fibers = tuple(read.fiber(f, cid) for f in _list(cobj, "fibers", cid))
-        fields = dict(
-            cid=cid,
-            vertex=_int(_need(cobj, "vertex", cid), f"{cid}/vertex"),
-            genus=_int(_need(cobj, "genus", cid), f"{cid}/genus"),
-            degL=read.rational(_need(cobj, "degL", cid), cid),
-            fibers=fibers,
-            isotrivial_jinf=_bool(cobj.get("isotrivial_jinf", False), f"{cid}/isotrivial_jinf"),
-        )
-        if kind not in _KINDS:
-            raise ModelJSONError("schema-violation", f"{cid}: unknown component kind {kind!r}")
-        components.append(Component(**fields, has_section=_KINDS[kind]))
+    components = [read.component(cobj) for cobj in _list(obj, "components", ("model",), required=True)]
 
     glues = []
-    for gobj in _list(obj, "attachments", "model"):
-        gid = str(_need(gobj, "id", "attachments"))
-        glues.append(
-            Glue(gid, read.end(_need(gobj, "a", gid), gid), read.end(_need(gobj, "b", gid), gid))
-        )
+    for gobj in _list(obj, "attachments", ("model",)):
+        at = (str(_need(gobj, "id", ("attachments",))),)
+        glues.append(Glue(at[0], read.end(_need(gobj, "a", at), at), read.end(_need(gobj, "b", at), at)))
 
     trees = []
-    for tobj in _list(obj, "trees", "model"):
+    for tobj in _list(obj, "trees", ("model",)):
         trees.append(
             TreeAttachment(
-                str(_need(tobj, "host", "trees")),
-                str(_need(tobj, "host_fiber", "trees")),
-                read.node(_need(tobj, "root", "trees"), "trees"),
+                str(_need(tobj, "host", ("trees",))),
+                str(_need(tobj, "host_fiber", ("trees",))),
+                read.node(_need(tobj, "root", ("trees",)), ("trees",)),
             )
         )
 
@@ -263,15 +282,24 @@ def json_list(items: list[str], pad: str) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
 
 
+def weights_text(W: WeightVector, pad: str) -> str:
+    """The weights as `json_list` lays out their texts: one `str` per entry,
+    which is the canonical text `rat_to_str` gives, and no call beside it."""
+    if not W.entries:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return "[" + inner + '"' + ('",' + inner + '"').join(map(str, W.entries)) + '"\n' + pad + "]"
+
+
 def _fiber_text(f: MarkedFiber, pad: str) -> str:
     p = pad + "  "
-    markers = json_list([str(i) for i in sorted(f.markers)], p)
+    markers = json_list(list(map(str, sorted(f.markers))), p)
     cusp = f',\n{p}"nonminimal_cusp": true' if f.nonminimal_cusp else ""
     return (
         f'{{\n{p}"id": {quote(f.fid)},\n'
         f'{p}"type": "{f.ftype!s}",\n'
-        f'{p}"coeff": "{rat_to_str(f.coeff)}",\n'
-        f'{p}"state": "{f.state!s}",\n'
+        f'{p}"coeff": "{f.coeff!s}",\n'
+        f'{p}"state": "{STATE_NAMES[f.state]}",\n'
         f'{p}"markers": {markers}{cusp}\n{pad}}}'
     )
 
@@ -288,7 +316,7 @@ def _node_text(n: PseudoComponent, pad: str) -> str:
     jinf = f',\n{p}"isotrivial_jinf": true' if n.isotrivial_jinf else ""
     return (
         f'{{\n{p}"id": {quote(n.pid)},\n'
-        f'{p}"degL": "{rat_to_str(n.degL)}",\n'
+        f'{p}"degL": "{n.degL!s}",\n'
         f'{p}"attach_type": "{n.attach_ftype!s}",\n'
         f'{p}"fibers": {fibers},\n'
         f'{p}"children": {json_list(links, p)}{jinf}\n{pad}}}'
@@ -306,7 +334,7 @@ def _component_text(c: Component) -> str:
         f'      "kind": "{"elliptic" if c.has_section else "pseudo2"}",\n'
         f'      "vertex": {c.vertex},\n'
         f'      "genus": {c.genus},\n'
-        f'      "degL": "{rat_to_str(c.degL)}",\n'
+        f'      "degL": "{c.degL!s}",\n'
         f'      "isotrivial_jinf": {"true" if c.isotrivial_jinf else "false"},\n'
         f'      "fibers": {fibers}\n    }}'
     )
@@ -340,11 +368,9 @@ def serialize_model(X: BrokenEllipticSurface) -> str:
     """Canonical JSON text: fixed key order, sorted components, two-space indent;
     the bytes `json.dumps(indent=2)` gives for the model's object form, and a
     newline."""
-    lists = {
-        "weights": ['"' + rat_to_str(w) + '"' for w in X.weights.entries],
-        "components": [stored_text(c, "_json_text", _component_text) for c in X.components],
-        "attachments": [stored_text(g, "_json_text", _glue_text) for g in X.glues],
-        "trees": [_tree_text(t) for t in X.trees],
-    }
-    body = ",\n".join(f'  "{key}": {json_list(items, "  ")}' for key, items in lists.items())
-    return "{\n" + body + "\n}\n"
+    return (
+        f'{{\n  "weights": {weights_text(X.weights, "  ")},\n'
+        f'  "components": {json_list(stored_texts(X.components, "_json_text", _component_text), "  ")},\n'
+        f'  "attachments": {json_list(stored_texts(X.glues, "_json_text", _glue_text), "  ")},\n'
+        f'  "trees": {json_list([_tree_text(t) for t in X.trees], "  ")}\n}}\n'
+    )

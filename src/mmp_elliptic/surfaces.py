@@ -22,7 +22,7 @@ of a subclass, the public constructor.  `_replace` rebuilds a record through
 which the walk's rewrites (`reduction`) use where the new parts keep their
 order and their ranges.  Three records keep an instance dict for memos: the
 surface, for the cached lookups and the verdict below, and `Component` and
-`Glue`, for the texts the writers store (`stored_text`) and, on a component,
+`Glue`, for the texts the writers store (`stored_texts`) and, on a component,
 its part of the base curve (`_base_points`); every other record has
 `__slots__ = ()`.
 
@@ -44,7 +44,9 @@ settles only the fibers of the components and trees it tracks, not those
 The verdict of `validate` is cached beside them, as a tuple of violations
 (empty for a valid model), because it is read twice per model: once by the
 caller (`parse_model`, the CLI's `validate`) and once by `reduce` on its
-input.  Each call of `validate` returns a new list.
+input.  Each call of `validate` returns a new list.  The checks decide each
+fiber's coefficient (a one-marker fiber's is its weight entry itself) and state
+on integers, and build a `where` or detail text only for a violation.
 """
 
 from __future__ import annotations
@@ -397,15 +399,12 @@ class BrokenEllipticSurface(_BrokenEllipticSurface):
 # -- texts stored on the part records -----------------------------------------
 
 
-def stored_text(obj, key: str, build) -> str:
-    """`build(obj)`, kept under `key` in the instance dict of `obj`, a
-    `Component` or a `Glue`, the part records that keep one: like the
-    surface's lookups, built on first use, it lives and dies with `obj`.
+def stored_texts(objs: Iterable, key: str, build) -> list[str]:
+    """`build(obj)` for each of `objs`, kept under `key` in the instance dict
+    of `obj`, a `Component` or a `Glue`, the part records that keep one: like
+    the surface's lookups, built on first use, it lives and dies with `obj`.
     The JSON and DOT writers store their texts this way."""
-    memo = obj.__dict__
-    if key not in memo:
-        memo[key] = build(obj)
-    return memo[key]
+    return [obj.__dict__.get(key) or obj.__dict__.setdefault(key, build(obj)) for obj in objs]
 
 
 # -- base curve projection ----------------------------------------------------
@@ -594,7 +593,8 @@ def _check_fiber_state(
     hosts: dict[tuple[str, str], frozenset[int]],
     out: list[Violation],
 ) -> None:
-    derived = X.fiber_coeff(f)
+    # a one-marker fiber's coefficient is its weight entry itself
+    derived = X.weights.entries[min(f.markers) - 1] if len(f.markers) == 1 else X.fiber_coeff(f)
     key = (owner, f.fid)
     if key in hosts:
         expected = hosts[key]
@@ -659,7 +659,9 @@ def _check_fiber_state(
                 )
             )
         return
-    if f.coeff != derived:
+    # both are in lowest terms, so equal exactly when their integers are
+    p, q = derived.numerator, derived.denominator
+    if f.coeff is not derived and (f.coeff.numerator != p or f.coeff.denominator != q):
         out.append(
             Violation(
                 "coeff",
@@ -668,7 +670,7 @@ def _check_fiber_state(
             )
         )
     if f.ftype.family == "N2":
-        if derived != 0 or f.state != FiberState.WEIERSTRASS:
+        if p != 0 or f.state != FiberState.WEIERSTRASS:
             out.append(
                 Violation(
                     "fiber-type",
@@ -796,27 +798,30 @@ def _violations(X: BrokenEllipticSurface) -> list[Violation]:
             out.append(Violation("tree", "/".join(key), f"also hosts the subtree of {node.pid}"))
         hosts[key] = hosts.get(key, frozenset()) | subtree_markers(node)
 
-    # marker disjointness over the marked fibers that host no subtree
-    seen: dict[int, str] = {}
+    # marker disjointness over the marked fibers that host no subtree; each
+    # marker keeps the (owner, fiber id) that used it first
+    r = X.weights.r
+    seen: dict[int, tuple[str, str]] = {}
     host_keys = X.host_keys()
     for owner, fibers in owners:
         for f in fibers:
-            if (owner, f.fid) in host_keys:
+            key = (owner, f.fid)
+            if key in host_keys:
                 continue
-            where = f"{owner}/{f.fid}"
             for i in f.markers:
-                if not 1 <= i <= X.weights.r:
-                    out.append(Violation("marker", where, f"marker {i} outside 1..{X.weights.r}"))
+                if not 1 <= i <= r:
+                    out.append(Violation("marker", "/".join(key), f"marker {i} outside 1..{r}"))
                 elif i in seen:
-                    out.append(Violation("marker", where, f"marker {i} already used by {seen[i]}"))
+                    out.append(Violation("marker", "/".join(key), f"marker {i} already used by {'/'.join(seen[i])}"))
                 else:
-                    seen[i] = where
+                    seen[i] = key
 
     # per-fiber states, coefficients, eq. (4.1); a marker outside 1..r has
     # no weight, and its fiber is already reported above
+    indices = frozenset(range(1, r + 1))
     for owner, fibers in owners:
         for f in fibers:
-            if all(1 <= i <= X.weights.r for i in f.markers):
+            if f.markers <= indices:
                 _check_fiber_state(X, owner, f, hosts, out)
 
     # pseudo node attach types must admit a twisted model
@@ -849,13 +854,13 @@ def _violations(X: BrokenEllipticSurface) -> list[Violation]:
     for comp in X.components:
         if comp.genus < 0:
             out.append(Violation("genus", comp.cid, f"negative genus {comp.genus}"))
-        if comp.degL < 0:
+        if comp.degL.numerator < 0:
             out.append(Violation("degL", comp.cid, "negative fundamental line bundle degree"))
     for node in X.pseudo_nodes():
-        if node.degL < 0:
+        if node.degL.numerator < 0:
             out.append(Violation("degL", node.pid, "negative fundamental line bundle degree"))
     for comp in X.elliptic:
-        if comp.degL == 0:
+        if comp.degL.numerator == 0:
             for f in comp.fibers:
                 if not f.ftype.is_smooth and f.state != FiberState.TWISTED:
                     out.append(

@@ -195,10 +195,10 @@ class Arrangement(Sequence):
     full set's wall at two is row r of that block over a rational base),
     then the WIII walls of each subset, in constant order.  A row and its
     wall follow from each other in O(r) (`_place`, `_lex_subset`), and
-    iterating builds every wall in row order in one pass; the walls built on
-    one subset share its frozenset.  No query iterates: each reads only the
-    definition, checks the WI walls and the wall at two one by one, and
-    builds a `Wall` only for an answer:
+    iterating, or slicing, builds every wall in row order in one pass; the
+    walls built on one subset share its frozenset.  No query iterates: each
+    reads only the definition, checks the WI walls and the wall at two one
+    by one, and builds a `Wall` only for an answer:
 
     - `_hits` splits the markers into moving (a < b) and fixed ones.  The
       fixed part of a subset adds the same v at both ends, so for a nonempty
@@ -284,11 +284,14 @@ class Arrangement(Sequence):
         return map(self._wall_at, rows)
 
     def __getitem__(self, i):
-        """One wall, or a list of the walls of a slice."""
+        """One wall, or the list of a slice's walls, built as iterating builds
+        them, up to the slice's last row, and keeping no subset in `_sets`."""
         rows = range(len(self))[i]
-        if isinstance(rows, range):
-            return list(self._walls(rows))
-        return self._wall_at(rows)
+        if not isinstance(rows, range):
+            return self._wall_at(rows)
+        up = rows if rows.step > 0 else rows[::-1]
+        walls = list(islice(self, up.start, up.stop, up.step)) if up else []
+        return walls if rows.step > 0 else walls[::-1]
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Arrangement):

@@ -35,7 +35,14 @@ the type and text of the exception it raised.  The families:
 - `file/.../wii-at-one/cid` for each model file:
   `cross_wall` on the WII wall at one over the markers of component cid,
   with each of them moved to weight 1 / (their number); only a component
-  whose felt WII wall sits at one feels that wall.
+  whose felt WII wall sits at one feels that wall;
+- `parse/doc` and `parse/doc/kind/j`: the model reader and the validator on
+  each model file, a few `bench/inputs.chain_case` and `random_model`
+  documents, and seeded single-field mutations of each (`PARSE_KINDS`: a
+  dropped key, a value of another JSON type, a bad or an out-of-range
+  literal, a boolean for an integer, a string for a boolean, an unknown type,
+  state or kind, a repeated marker); each hashes the `ModelJSONError` text,
+  or `serialize_model` of the model read and the texts `validate` finds.
 
 An exception the package raises to refuse an input is an answer; any other
 one marks its item `UNEXPECTED`.  The corpus grows, and does not shrink,
@@ -67,6 +74,9 @@ FULL = {
     "segments": 300,
     "wide_segments": 40,
     "wall_markers": 11,  # wall listings on 0 .. wall_markers - 1 markers
+    "parse_chains": [(6, 1), (20, 2), (40, 3)],  # (n, seed) of chain_case documents, k = 1
+    "parse_randoms": 6,  # random_model documents, every other one with an isotrivial tree
+    "parse_mutations": 16,  # mutated copies of each document, the kinds in turn
 }
 SLICE = {
     "random": 8,
@@ -75,6 +85,9 @@ SLICE = {
     "segments": 18,
     "wide_segments": 4,
     "wall_markers": 4,
+    "parse_chains": [(6, 1)],
+    "parse_randoms": 2,
+    "parse_mutations": 8,
 }
 
 
@@ -98,6 +111,92 @@ def _model_files() -> list[Path]:
     )
 
 
+# the single-field mutations of the `parse/...` family, and the fields each reads
+PARSE_KINDS = (
+    "drop",
+    "wrong-type",
+    "bad-literal",
+    "out-of-range",
+    "bool-for-int",
+    "string-for-bool",
+    "unknown-name",
+    "repeated-marker",
+)
+_RATIONAL_KEYS = {"coeff", "degL"}
+_INT_KEYS = {"vertex", "genus"}
+_BOOL_KEYS = {"isotrivial_jinf", "nonminimal_cusp"}
+_NAME_KEYS = {
+    "type": ["I*x", "V", "i1", "I-1"],
+    "attach_type": ["Ix", "II**"],
+    "state": ["Sideways", "weierstrass"],
+    "kind": ["pseudo3", "Elliptic"],
+}
+
+
+def _nodes(node, path=()):
+    """(path, value) of every value in a JSON document, the document first."""
+    yield path, node
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+def _is_rational(path) -> bool:
+    return path[-1] in _RATIONAL_KEYS or (path[:1] == ("weights",) and len(path) == 2)
+
+
+def _is_int(path, value) -> bool:
+    return (path[-1] in _INT_KEYS or path[-2:-1] == ("markers",)) and type(value) is int
+
+
+def mutate(rng: random.Random, doc: dict, kind: str):
+    """A copy of `doc` with one field changed as `kind` says, or None when
+    no field of `doc` admits that change."""
+    doc = json.loads(json.dumps(doc))
+    fields = [(p, v) for p, v in _nodes(doc) if p]
+    if kind == "drop":
+        found = [p for p, _ in fields if isinstance(p[-1], str)]
+    elif kind == "wrong-type":
+        found = [p for p, _ in fields]
+    elif kind in ("bad-literal", "out-of-range"):
+        found = [p for p, v in fields if _is_rational(p) or (kind == "out-of-range" and _is_int(p, v))]
+    elif kind == "bool-for-int":
+        found = [p for p, v in fields if _is_int(p, v)]
+    elif kind == "string-for-bool":
+        found = [p for p, _ in fields if p[-1] in _BOOL_KEYS]
+    elif kind == "unknown-name":
+        found = [p for p, _ in fields if p[-1] in _NAME_KEYS]
+    else:  # a repeated marker
+        found = [p for p, v in fields if p[-1] == "markers" and v]
+    if not found:
+        return None
+    path = rng.choice(found)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    value, key = parent[path[-1]], path[-1]
+    if kind == "drop":
+        del parent[key]
+        return doc
+    if kind == "wrong-type":
+        others = {str: 7, bool: 1, int: [1], float: "x", list: {"x": 1}, dict: [1], type(None): {}}
+        new = others[type(value)]
+    elif kind == "bad-literal":
+        new = rng.choice(["x/2", "1/0", "0.5", "", 0.5, "1/2/3", " 1 / 2"])
+    elif kind == "out-of-range":
+        new = rng.choice(["3/2", "-1/3", "7/6"]) if _is_rational(path) else rng.choice([-1, 0, 99])
+    elif kind == "bool-for-int":
+        new = rng.choice([True, False])
+    elif kind == "string-for-bool":
+        new = rng.choice(["false", "true"])
+    elif kind == "unknown-name":
+        new = rng.choice(_NAME_KEYS[key])
+    else:
+        new = value + [rng.choice(value)]
+    parent[key] = new
+    return doc
+
+
 def corpus(sizes: dict = FULL):
     """Every item as (name, text): the text is what the item's line hashes."""
     from fractions import Fraction
@@ -105,7 +204,7 @@ def corpus(sizes: dict = FULL):
     from mmp_elliptic.curves import WeightVector
     from mmp_elliptic.dot import emit_dot
     from mmp_elliptic.kodaira import parse_fiber_type
-    from mmp_elliptic.modeljson import parse_model, serialize_model
+    from mmp_elliptic.modeljson import ModelJSONError, parse_model, serialize_model
     from mmp_elliptic.reduction import (
         InconsistentTarget,
         InvalidModel,
@@ -115,6 +214,7 @@ def corpus(sizes: dict = FULL):
         increase_to_one,
         reduce,
     )
+    from mmp_elliptic.surfaces import validate
     from mmp_elliptic.walls import Wall, WallKind, enumerate_walls, locate, segment_walls, walls_containing
     from modelkit import MARKABLE, admissible_target, random_model, random_target
 
@@ -223,6 +323,29 @@ def corpus(sizes: dict = FULL):
             target = random_target(rng, X.weights) if j else WeightVector((Fraction(1, 12),) * X.weights.r)
             yield from walk(f"{name}/{j}", X, target)
         yield from wii_at_one(name, X)
+
+    def read(doc) -> str:
+        try:
+            X = parse_model(json.dumps(doc, indent=2), check=False)
+        except ModelJSONError as exc:
+            return f"{type(exc).__name__}: {exc}"
+        except Exception as exc:  # noqa: BLE001 - the item reports it
+            return f"UNEXPECTED {type(exc).__name__}: {exc}"
+        return serialize_model(X) + "".join(f"{p}\n" for p in validate(X))
+
+    docs = [(f"file/{p.parent.name}/{p.stem}", json.loads(p.read_text())) for p in _model_files()]
+    for n, seed in sizes["parse_chains"]:
+        docs.append((f"chain/{n}-{seed}", bench.chain_case(random.Random(seed), n, 1).model))
+    rng = random.Random(2027)
+    for j in range(sizes["parse_randoms"]):
+        docs.append((f"random/{j}", bench.random_model(rng, isotrivial_tree=j % 2 == 1)))
+    for name, doc in docs:
+        yield f"parse/{name}", read(doc)
+        for j in range(sizes["parse_mutations"]):
+            kind = PARSE_KINDS[j % len(PARSE_KINDS)]
+            mutated = mutate(rng, doc, kind)
+            if mutated is not None:
+                yield f"parse/{name}/{kind}/{j}", read(mutated)
 
 
 def lines(sizes: dict = FULL):

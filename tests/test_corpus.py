@@ -17,7 +17,8 @@ def test_every_slice_item_runs_without_an_unexpected_exception():
         names.append(line.split(" ", 1)[0])
     assert len(names) == len(set(names))
     families = Counter(name.split("/", 1)[0] for name in names)
-    assert families.keys() == {"random", "chain", "segment", "chamber", "walls", "file"}
+    assert families.keys() == {"random", "chain", "segment", "chamber", "walls", "file", "parse"}
     assert any("/masks/" in n for n in names) and any("/wide/" in n for n in names)
     assert any("/cross/" in n for n in names) and any("/increase/" in n for n in names)
     assert any("/wii-at-one/" in n for n in names)
+    assert set(corpus.PARSE_KINDS) <= {n.split("/")[-2] for n in names if n.startswith("parse/")}

@@ -78,6 +78,9 @@ def test_malformed_json():
         (("components", 0, "fibers", 0, "nonminimal_cusp"), 0, "c1/f1/nonminimal_cusp"),
         (("components", 0, "isotrivial_jinf"), "false", "c1/isotrivial_jinf"),
         (("components", 0, "isotrivial_jinf"), None, "c1/isotrivial_jinf"),
+        # a fiber's markers are a set: an index listed twice would not round-trip
+        (("components", 0, "fibers", 0, "markers"), [1, 1], "c1/f1/markers: repeated marker 1"),
+        (("components", 1, "fibers", 0, "markers"), [11, 12, 11], "c2/f11/markers: repeated marker 11"),
     ],
     ids=[
         "vertex-x",
@@ -89,6 +92,8 @@ def test_malformed_json():
         "cusp-0",
         "jinf-string",
         "jinf-null",
+        "markers-repeated",
+        "markers-repeated-later",
     ],
 )
 def test_ill_typed_field_is_schema_violation(path, value, field):
@@ -115,6 +120,18 @@ def test_pseudo_node_flag_must_be_a_boolean():
     for value in (True, False):
         obj["trees"][0]["root"]["isotrivial_jinf"] = value
         assert parse_model(json.dumps(obj)).trees[0].root.isotrivial_jinf is value
+
+
+def test_a_repeated_marker_in_a_pseudo_node_fiber_is_a_schema_violation():
+    obj = model_to_obj(flipped_degeneration(F(9, 20)))
+    root = obj["trees"][0]["root"]
+    fiber = next(f for f in root["fibers"] if f["markers"])
+    fiber["markers"] = fiber["markers"] + fiber["markers"][:1]
+    with pytest.raises(ModelJSONError) as err:
+        parse_model(json.dumps(obj), check=False)
+    assert str(err.value) == (
+        f"schema-violation: trees/{root['id']}/{fiber['id']}/markers: repeated marker {fiber['markers'][0]}"
+    )
 
 
 def test_undecodable_bytes_are_malformed_json():
@@ -346,6 +363,9 @@ def test_dot_names_are_ids_when_an_id_starts_with_a_digit():
         assert {"anchor___x31", "__x31__c1", "__x31____x3263", "__x3263____x31"} <= set(nodes)
 
 
+DROP = object()  # an edit that deletes its field
+
+
 def _edited(edits):
     """The worked model at weights one, each fiber coefficient "1", with
     `edits` ((path, value) pairs) applied to its object form."""
@@ -354,7 +374,10 @@ def _edited(edits):
         parent = obj
         for key in path[:-1]:
             parent = parent[key]
-        parent[path[-1]] = value
+        if value is DROP:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
     return json.dumps(obj)
 
 
@@ -403,6 +426,46 @@ def test_a_literal_read_before_does_not_admit_a_float_or_a_boolean(path, where, 
     ids=["weight-then-coeff", "two-coeffs", "two-types", "two-weights-out-of-range"],
 )
 def test_a_repeated_bad_literal_is_refused_where_it_first_occurs(edits, message):
+    for check in (True, False):
+        with pytest.raises(ModelJSONError) as err:
+            parse_model(_edited(edits), check=check)
+        assert str(err.value) == "schema-violation: " + message
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ([(C2F11 + ("coeff",), DROP)], "c2: missing field 'coeff'"),
+        ([(C2F11 + ("type",), DROP)], "c2: missing field 'type'"),
+        ([(C2F11 + ("coeff",), None)], "c2/f11: bad rational None (invalid literal for int() with base 10: 'None')"),
+        ([(C2F11 + ("coeff",), "7/6")], "c2/f11: coefficient 7/6 outside [0, 1]"),
+        ([(C2F11 + ("state",), None)], "c2/f11: unknown state 'None'"),
+        ([(C2F11 + ("state",), "weierstrass")], "c2/f11: unknown state 'weierstrass'"),
+        # the fields are refused in the order they are read: type before coeff
+        (
+            [(C2F11 + ("type",), "I*x"), (C2F11 + ("coeff",), DROP)],
+            "c2/f11: invalid literal for int() with base 10: 'x'",
+        ),
+        (
+            [(C2F11 + ("coeff",), "x"), (C2F11 + ("state",), "Sideways")],
+            "c2/f11: bad rational 'x' (invalid literal for int() with base 10: 'x')",
+        ),
+    ],
+    ids=[
+        "no-coeff",
+        "no-type",
+        "null-coeff",
+        "coeff-above-one",
+        "null-state",
+        "lower-case-state",
+        "type-then-coeff",
+        "coeff-then-state",
+    ],
+)
+def test_a_fiber_is_checked_whenever_its_texts_are_new(edits, message):
+    # the ten fibers of c1 are read first, each with the texts ("I1", "1",
+    # "Weierstrass"); c2/f11, read after them with one field changed, is
+    # refused as the first fiber of the document would be
     for check in (True, False):
         with pytest.raises(ModelJSONError) as err:
             parse_model(_edited(edits), check=check)

@@ -627,6 +627,23 @@ def test_membership_at_r_20_builds_no_column(monkeypatch):
     assert time.perf_counter() - start < 1
 
 
+def test_a_slice_builds_its_walls_in_one_pass_and_keeps_no_subset():
+    # the walls of a slice come from one pass over the definition, as
+    # iterating gives them, each subset's walls sharing its frozenset; only a
+    # single row keeps its subset, for the queries that read rows one by one
+    for r, rational in ((5, True), (8, False)):
+        walls = enumerate_walls(r, [parse_fiber_type(t) for t in MARKABLE[:r]], rational)
+        listed = list(walls)
+        n = len(listed)
+        cuts = (slice(None), slice(3, n - 2, 4), slice(None, None, -3), slice(n - 1, 2, -2), slice(5, 5), slice(4, 2))
+        for cut in cuts:
+            assert walls[cut] == listed[cut]
+        sliced = walls[:]
+        assert len({id(w.subset) for w in sliced}) == len({w.subset for w in sliced}) == (1 << r) - 1
+        assert walls._sets == {}
+        assert walls[n // 2] == listed[n // 2] and len(walls._sets) == 1
+
+
 def test_chambers_are_two_masks_over_their_arrangement():
     walls, A, B, mid = worked_segment(8)
     chamber = locate(mid, walls)
