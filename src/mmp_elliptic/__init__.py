@@ -75,6 +75,7 @@ from .walls import (
     enumerate_walls,
     felt_walls,
     locate,
+    same_chamber,
     segment_walls,
     walls_containing,
 )

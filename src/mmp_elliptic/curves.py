@@ -156,9 +156,12 @@ class WeightVector(_WeightVector):
     two checked vectors; and `surfaces.base_weights`, checked weights
     followed by the coefficients of marker-less fibers, which `MarkedFiber`
     has range-checked.
-    """
 
-    __slots__ = ()
+    The record keeps an instance dict, for the texts of its weights that the
+    JSON writer stores (`modeljson._weight_texts`), and, on a vector the walk
+    derives from its target, that source and the moved markers; neither
+    enters `==` or `hash`.
+    """
 
     def __new__(cls, entries):
         ent = tuple(rat(e) for e in entries)

@@ -20,8 +20,9 @@ json's pure-Python indent encoder.  Each schema object (fiber, pseudo node with
 its children, component, glue, tree) has one writer, an f-string laid out for
 its depth; every id goes through json's own escaper (`quote`), a rational is
 written as `!s` (what `rat_to_str` gives, without the call) and a state from
-the `STATE_NAMES` table.  The weights (`weights_text`, one `str` per entry),
-the trees and the frame of the four lists are written on every call.  The text
+the `STATE_NAMES` table.  The weights' texts are kept on the weight vector
+(`_weight_texts`), and a walk's snapshot writes only its moved entries; the
+trees and the frame of the four lists are written on every call.  The text
 of each `Component` and `Glue` is stored in the record's instance dict on first
 use (`surfaces.stored_texts`), so a walk writes a component that several
 snapshots share once.  A stored text cannot go stale: a record's fields cannot
@@ -282,13 +283,28 @@ def json_list(items: list[str], pad: str) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
 
 
+def _weight_texts(W: WeightVector) -> list[str]:
+    """The `str` of each weight, the canonical text `rat_to_str` gives.  A
+    vector keeps them in its instance dict; one that the walk derived from a
+    source vector (`_texts_from`, set by `reduction._Segment.weights_at`)
+    copies the source's texts and writes only its moved entries."""
+    memo = W.__dict__
+    derived = memo.get("_texts_from")
+    if derived is None:
+        return memo.get("_texts") or memo.setdefault("_texts", list(map(str, W.entries)))
+    source, moved = derived
+    texts = _weight_texts(source).copy()
+    for i in moved:
+        texts[i - 1] = str(W.entries[i - 1])
+    return texts
+
+
 def weights_text(W: WeightVector, pad: str) -> str:
-    """The weights as `json_list` lays out their texts: one `str` per entry,
-    which is the canonical text `rat_to_str` gives, and no call beside it."""
+    """The weights as `json_list` lays out their texts (`_weight_texts`)."""
     if not W.entries:
         return "[]"
     inner = "\n" + pad + "  "
-    return "[" + inner + '"' + ('",' + inner + '"').join(map(str, W.entries)) + '"\n' + pad + "]"
+    return "[" + inner + '"' + ('",' + inner + '"').join(_weight_texts(W)) + '"\n' + pad + "]"
 
 
 def _fiber_text(f: MarkedFiber, pad: str) -> str:

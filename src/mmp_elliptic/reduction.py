@@ -447,7 +447,10 @@ class _Segment:
         entries = list(self.A.entries)
         for i in self.moving:
             entries[i - 1] = Fraction(self.low[i] * q + p * self.rise[i], q * self.D)
-        return WeightVector._make((tuple(entries),))
+        W = WeightVector._make((tuple(entries),))
+        # its weight texts are A's but for the moving markers (`_weight_texts`)
+        W.__dict__["_texts_from"] = self.A, self.moving
+        return W
 
     def reach(self, walls: Iterable[FeltWall]) -> list[tuple[int, int, FeltWall]]:
         """The walls the segment can still reach, each as (num, den, felt wall).

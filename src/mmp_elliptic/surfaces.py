@@ -20,10 +20,11 @@ be assigned.  A record that checks or sorts its parts does it in the `__new__`
 of a subclass, the public constructor.  `_replace` rebuilds a record through
 `tuple.__new__` and checks and sorts nothing: it is the one trusted rebuild,
 which the walk's rewrites (`reduction`) use where the new parts keep their
-order and their ranges.  Three records keep an instance dict for memos: the
-surface, for the cached lookups and the verdict below, and `Component` and
+order and their ranges.  Four records keep an instance dict for memos: the
+surface, for the cached lookups and the verdict below; `Component` and
 `Glue`, for the texts the writers store (`stored_texts`) and, on a component,
-its part of the base curve (`_base_points`); every other record has
+its part of the base curve (`_base_points`); and `curves.WeightVector`, for
+the texts of its weights (`modeljson._weight_texts`).  Every other record has
 `__slots__ = ()`.
 
 Components are sorted by id, trees by (host component, host fiber) and

@@ -10,12 +10,14 @@ arrangement on r markers is exponential in r.
 `enumerate_walls` returns the walls on r markers as an `Arrangement`: a
 read-only sequence in `Wall.sort_key` order that holds only its
 definition, built in O(r).  Iterating it builds the walls in one pass; the
-queries `locate`, `walls_containing` and `segment_walls` take an
-Arrangement and never iterate it, so they cost what they return.  Every
-query compares integers only, and builds a `Wall` and a `Fraction` only for
-an answer: the walls through a point, or a crossing that is hit.  A
-`Chamber` is two masks over the arrangement, of the walls a point lies
-below and on.  `Wall.value_at` and `Wall.side` answer for one wall.
+queries `locate`, `same_chamber`, `walls_containing` and `segment_walls`
+take an Arrangement and never iterate it.  Every query compares integers
+only, and builds a `Wall` and a `Fraction` only for an answer: the walls
+through a point, or a crossing that is hit.  A `Chamber` holds a point and
+its arrangement, so `locate` is O(r), and two chambers compare by
+`same_chamber`, a meet in the middle over the subset sums that lists
+2^ceil(r/2) sums per half.  `Wall.value_at` and `Wall.side` answer for one
+wall.
 
 `felt_walls` is the one table of the walls a given model feels, each paired
 with the fiber, section or tree that crossing it rewrites.  It is made of
@@ -34,9 +36,9 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, compress, count, cycle, islice, repeat
+from itertools import accumulate, chain, cycle, islice, repeat
 from math import gcd, lcm
-from operator import add, eq, gt, lt
+from operator import add, eq, gt
 from typing import Iterable, Iterator, NamedTuple
 
 from .curves import WeightVector
@@ -95,32 +97,10 @@ _ONE, _TWO = Fraction(1), Fraction(2)
 _DEN = lcm(*(c.denominator for c in THRESHOLD_CONSTANTS))  # every threshold is one of them
 _KODAIRA = {c.numerator * (_DEN // c.denominator): c for c in (*THRESHOLD_CONSTANTS, _ONE, _TWO)}
 
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
-_SIDES = {"10": "below", "01": "on", "00": "above"}
-# the WIII constants times _DEN, ascending, as the walls on one subset list
-# them; a subset sum lies below those from place bisect_right(_WIII, sum) on,
-# and _BELOW[place] is that chunk of a chamber's below mask, one digit per wall
+# a side by the sign of value - constant: 0 on, 1 above, -1 below
+_SIDE = ("on", "above", "below")
+# the WIII constants times _DEN, ascending, as the walls on one subset list them
 _WIII = [c.numerator * (_DEN // c.denominator) for c in THRESHOLD_CONSTANTS]
-_BELOW = [b"0" * hi + b"1" * (len(_WIII) - hi) for hi in range(len(_WIII) + 1)]
-
-
-def _flags(flags: Iterable[bool]) -> bytes:
-    """The digit "1" for each true flag, "0" for each false one."""
-    return bytes(flags).translate(_DIGITS)
-
-
-def _mask(digits: bytes) -> int:
-    """The int with bit i set where digit i is "1"."""
-    return int(digits[::-1] or b"0", 2)
-
-
-def _rows(mask: int) -> Iterator[int]:
-    """The indices of the set bits of `mask`, ascending."""
-    bits = format(mask, "b")[::-1]
-    i = bits.find("1")
-    while i >= 0:
-        yield i
-        i = bits.find("1", i + 1)
 
 
 def _integers(*vectors: WeightVector) -> tuple:
@@ -210,10 +190,16 @@ class Arrangement(Sequence):
       subset sum).
     - `_on` does the same at one point, where every marker is fixed and the
       interval is the constant itself.
-    - `_signs` adds up every subset sum once, in row order, compares each
-      with one for the WII block, takes each distinct sum's WIII digits from
-      one bisection into the sorted constants, and reads the walls through
-      the point off the sums equal to a constant.
+    - `_same` splits the markers into two halves and lists each half's
+      distinct (P-sum, Q-sum) pairs.  Two points differ on the wall of a
+      subset S at c when P(S) < c <= Q(S), Q(S) < c <= P(S), P(S) > c = Q(S)
+      or P(S) = c < Q(S); the left half, sorted by each sum with the prefix
+      maxima of the other and with the greatest of one sum at each value of
+      the other, answers each of the four for a right pair in one lookup.
+      The empty set never differs, since every constant is positive.
+    - `_sides` adds up every subset sum once, in row order, and takes each
+      distinct sum's WIII sides from two bisections into the sorted
+      constants: it builds every side, for `Chamber.signs`.
 
     It is a read-only `Sequence`, equal to a list of the same walls and to
     an Arrangement of the same definition; every in-place change raises
@@ -295,7 +281,7 @@ class Arrangement(Sequence):
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Arrangement):
-            return (self.r, self._thresholds, self._rational) == (other.r, other._thresholds, other._rational)
+            return self._definition == other._definition
         if isinstance(other, list):
             return len(self) == len(other) and all(map(eq, self, other))
         return NotImplemented
@@ -341,13 +327,17 @@ class Arrangement(Sequence):
             return self._top + p + (self._rational and p >= self.r)
         return self._top + self._wii + len(_WIII) * p + j
 
+    def _need(self, n: int) -> None:
+        """Raise `KeyError` when a vector of n weights has none for marker r."""
+        if self.r > n:
+            raise KeyError(f"marker index {self.r} outside 1..{n}")
+
     def _lift(self, D: int, *vectors: list[int]) -> tuple:
         """L, the lcm of `_DEN` and D, then the first r weights of each
         vector over D, over L.  Raises `KeyError` when a vector has no
         weight for marker r."""
         for v in vectors:
-            if self.r > len(v):
-                raise KeyError(f"marker index {self.r} outside 1..{len(v)}")
+            self._need(len(v))
         L = lcm(_DEN, D)
         return (L, *[[x * (L // D) for x in v[: self.r]] for v in vectors])
 
@@ -368,24 +358,22 @@ class Arrangement(Sequence):
         None for the WII wall at one; and their constants over L."""
         return [*range(len(_WIII)), None], [c * (L // _DEN) for c in (*_WIII, _DEN)]
 
-    def _signs(self, D: int, w: list[int]) -> tuple[int, int]:
+    def _sides(self, D: int, w: list[int]) -> Iterator[str]:
+        """The side of the point w over D of every wall, in row order."""
         L, w = self._lift(D, w)
-        js, constants = self._subset_constants(L)
         sums: list[int] = []
         for x in reversed(w):
             sums = [x, *map(add, repeat(x), sums), *sums]
-        wii = _flags(map(lt, sums, repeat(L)))
+        direct = [_SIDE[(x > c) - (x < c)] for _, c, (x,) in self._direct(L, w)]
+        wii = [_SIDE[(s > L) - (s < L)] for s in sums]
         if self._rational:
-            wii = wii[: self.r] + b"0" + wii[self.r :]
-        chunks = {s: _BELOW[bisect_right(constants, s, 0, len(_WIII))] for s in set(sums)}
-        below = _mask(b"0" * self._top + wii + b"".join(map(chunks.__getitem__, sums)))
-        # the walls through the point: the places whose sum is a constant
-        index = dict(zip(constants, js))
-        on = [self._row(p, index[sums[p]]) for p in compress(count(), map(index.__contains__, sums))]
-        direct = self._direct(L, w)
-        below |= sum(1 << row for row, c, (x,) in direct if x < c)
-        on += [row for row, c, (x,) in direct if x == c]
-        return below, sum(1 << row for row in on)
+            wii.insert(self.r, direct.pop())
+        constants = [c * (L // _DEN) for c in _WIII]
+        chunks = {}
+        for s in set(sums):
+            lo, hi = bisect_left(constants, s), bisect_right(constants, s)
+            chunks[s] = ("above",) * lo + ("on",) * (hi - lo) + ("below",) * (len(_WIII) - hi)
+        return chain(direct, wii, chain.from_iterable(map(chunks.__getitem__, sums)))
 
     def _on(self, D: int, w: list[int]) -> list[int]:
         L, w = self._lift(D, w)
@@ -424,52 +412,90 @@ class Arrangement(Sequence):
                     for f in found[v]:
                         yield c - x - v, y - x, row(_place(m | f, r), j)
 
+    def _same(self, D: int, p: list[int], q: list[int]) -> bool:
+        L, p, q = self._lift(D, p, q)
+        if any((x > c) - (x < c) != (y > c) - (y < c) for _, c, (x, y) in self._direct(L, p, q)):
+            return False
+        # the distinct (P-sum, Q-sum) of every subset of each half of the markers
+        h = (self.r + 1) // 2
+        halves = []
+        for part in (range(h), range(h, self.r)):
+            sums = {(0, 0)}
+            for k in part:
+                sums |= {(a + p[k], b + q[k]) for a, b in sums}
+            halves.append(sums)
+        left, right = halves
+        # the left half sorted by P-sum with the prefix maxima of its Q-sum,
+        # the other way round, and the greatest of one sum at each value of
+        # the other
+        by_p, by_q = sorted(left), sorted((b, a) for a, b in left)
+        ps, max_q = [a for a, _ in by_p], list(accumulate((b for _, b in by_p), max))
+        qs, max_p = [b for b, _ in by_q], list(accumulate((a for _, a in by_q), max))
+        top_q, top_p = dict(by_p), dict(by_q)
+        for c in self._subset_constants(L)[1]:
+            for a, b in right:
+                # a left part joined to (a, b) adds up to c at x and at y
+                x, y = c - a, c - b
+                i, j = bisect_left(ps, x), bisect_left(qs, y)
+                if i and max_q[i - 1] >= y or j and max_p[j - 1] >= x:
+                    return False  # P(S) < c <= Q(S) or Q(S) < c <= P(S)
+                if top_p.get(y, x) > x or top_q.get(x, y) > y:
+                    return False  # P(S) > c = Q(S) or P(S) = c < Q(S)
+        return True
+
     def _read_only(self, *args, **kwargs):
         raise TypeError("an Arrangement cannot change in place; list() of it gives a copy that can")
 
     __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
     append = extend = insert = pop = remove = clear = sort = reverse = _read_only
 
+    @property
+    def _definition(self) -> tuple:
+        return self.r, self._thresholds, self._rational
+
     def __reduce__(self):
-        return Arrangement, (self.r, self._thresholds, self._rational)
+        return Arrangement, self._definition
 
 
 class Chamber(NamedTuple):
-    """Where a weight vector lies against the walls of an `Arrangement`: bit
-    i of `below` is set when it lies below wall i, bit i of `on` when it lies
-    on it, and neither when it lies above.  The masks come first, so two
-    chambers that differ compare unequal without reading their walls."""
+    """The chamber of `point` in the arrangement `walls`: the points on the
+    same side of every wall as it.  It holds the point, so `locate` is O(r);
+    `sign`, `on_walls` and `interior` each make one query, `signs` builds
+    every wall, and `==` is `same_chamber` over one arrangement.  Sides have
+    no compact canonical form, so the hash is the arrangement's alone."""
 
-    below: int
-    on: int
+    point: WeightVector
     walls: Arrangement
 
     @property
     def signs(self) -> tuple[tuple[Wall, str], ...]:
         """The sign of every wall, as (wall, side) pairs in `Wall.sort_key` order."""
-        n = len(self.walls)
-        codes = map(add, format(self.below, f"0{n}b")[::-1], format(self.on, f"0{n}b")[::-1])
-        return tuple(zip(self.walls, map(_SIDES.__getitem__, codes)))
+        return tuple(zip(self.walls, self.walls._sides(*_integers(self.point))))
 
     def sign(self, wall: Wall) -> str:
-        """The sign of `wall`, found by bisection."""
+        """The side of `wall`, which must be a wall of the arrangement."""
         i = self.walls._find(wall)
         if i is None:
             raise KeyError(f"wall {wall} not part of this chamber's arrangement")
-        return "below" if self.below >> i & 1 else "on" if self.on >> i & 1 else "above"
+        return self.walls._wall_at(i).side(self.point)
 
     def on_walls(self) -> tuple[Wall, ...]:
-        return tuple(self.walls._walls(_rows(self.on)))
+        return tuple(walls_containing(self.point, self.walls))
 
     def interior(self) -> bool:
-        return not self.on
+        return not self.walls._on(*_integers(self.point))
+
+    # a chamber equals no plain tuple, though it is one
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Chamber) or self.walls != other.walls:
+            return False
+        return same_chamber(self.point, other.point, self.walls)
+
+    def __ne__(self, other) -> bool:
+        return not self == other
 
     def __hash__(self) -> int:
-        return hash((self.below, self.on))
-
-    def __repr__(self) -> str:
-        # the masks have a bit per wall, too many digits to print
-        return f"Chamber(below={self.below.bit_count()} walls, on={self.on.bit_count()} walls, walls={self.walls!r})"
+        return hash(self.walls._definition)
 
 
 class SegmentCrossing(NamedTuple):
@@ -512,10 +538,17 @@ def _arrangement(walls) -> Arrangement:
 
 
 def locate(weights: WeightVector, walls: Arrangement) -> Chamber:
-    """The chamber of the weight vector: its side of each wall, as the masks
-    of the walls it lies below and on."""
+    """The chamber of the weight vector, which must have a weight for every
+    marker of the arrangement; O(r), since the chamber holds the point."""
     walls = _arrangement(walls)
-    return Chamber(*walls._signs(*_integers(weights)), walls)
+    walls._need(weights.r)
+    return Chamber(weights, walls)
+
+
+def same_chamber(P: WeightVector, Q: WeightVector, walls: Arrangement) -> bool:
+    """Whether no wall of the arrangement has P and Q on different sides."""
+    walls = _arrangement(walls)
+    return walls._same(*_integers(P, Q))
 
 
 def walls_containing(weights: WeightVector, walls: Arrangement) -> list[Wall]:

@@ -16,6 +16,8 @@ the type and text of the exception it raised.  The families:
   trees, to screened (`admissible_target`) and unscreened (`random_target`)
   targets;
 - `chain/...`: `bench/inputs.chain_case`, deep cascades included;
+- `halting/...`: `bench/inputs.halting_case`, walks that halt at a tree
+  collapsed onto a curve;
 - `file/...`: random targets on every model under `tests/golden`,
   `tests/data` and `demos/data`;
 - `.../cross/i` after a walk: `cross_wall` replays record i on the snapshot
@@ -25,9 +27,10 @@ the type and text of the exception it raised.  The families:
   model;
 - `segment/...`: `segment_walls` and `walls_containing` at both ends of
   `bench/inputs.segment` segments on 1 to 9 markers, both bases;
-- `chamber/...`: the `locate` masks at both ends and the midpoint of each
-  `segment` case (`chamber/masks/j`), and the `segment` items on 11 to 14
-  markers with 1 to 3 moving ones (`chamber/wide/j`);
+- `chamber/...`: the side of every wall (`Chamber.signs`) at both ends and
+  the midpoint of each `segment` case, and whether the chambers of each two
+  of those points are equal (`chamber/sides/j`); and the `segment` items on
+  11 to 14 markers with 1 to 3 moving ones (`chamber/wide/j`);
 - `walls/r/shift/base`: the `str` of every wall that iterating
   `enumerate_walls` gives on r = 0 to 10 markers, both bases, with the
   markable types laid out from each offset `shift`, and
@@ -71,6 +74,7 @@ FULL = {
     "random": 300,  # walks per (screened or not, isotrivial or not)
     "file_targets": 20,  # targets per model file
     "chains": [(40, 3, 1), (160, 3, 2), (30, 12, 3), (60, 12, 4), (50, 25, 5), (100, 25, 6)],  # (n, k, seed)
+    "halting": 40,
     "segments": 300,
     "wide_segments": 40,
     "wall_markers": 11,  # wall listings on 0 .. wall_markers - 1 markers
@@ -82,6 +86,7 @@ SLICE = {
     "random": 8,
     "file_targets": 2,
     "chains": [(12, 3, 1), (16, 6, 2)],
+    "halting": 2,
     "segments": 18,
     "wide_segments": 4,
     "wall_markers": 4,
@@ -278,6 +283,10 @@ def corpus(sizes: dict = FULL):
         case = bench.chain_case(random.Random(seed), n, k)
         X = parse_model(json.dumps(case.model))
         yield from walk(f"chain/{n}-{k}-{seed}", X, WeightVector(case.target))
+    rng = random.Random(29)
+    for j in range(sizes["halting"]):
+        case = bench.halting_case(rng)
+        yield from walk(f"halting/{j}", parse_model(json.dumps(case.model)), WeightVector(case.target))
 
     def segment_case(rng, r, rational_base, moving):
         """A `bench/inputs.segment` case, its arrangement and the text of its
@@ -296,9 +305,9 @@ def corpus(sizes: dict = FULL):
         r = 1 + j % 9
         case, arrangement, text = segment_case(rng, r, j % 2 == 1, rng.randint(1, r))
         yield f"segment/{j}", text
-        points = (case.lower, case.upper, case.midpoint)
-        chambers = (locate(WeightVector(p), arrangement) for p in points)
-        yield f"chamber/masks/{j}", "".join(f"{c.below:x} {c.on:x}\n" for c in chambers)
+        lower, upper, mid = (locate(WeightVector(p), arrangement) for p in (case.lower, case.upper, case.midpoint))
+        text = "".join("".join(side[0] for _, side in c.signs) + "\n" for c in (lower, upper, mid))
+        yield f"chamber/sides/{j}", text + f"{lower == upper} {lower == mid} {upper == mid}\n"
     rng = random.Random(11)
     for j in range(sizes["wide_segments"]):
         yield f"chamber/wide/{j}", segment_case(rng, 11 + j % 4, j % 2 == 1, rng.randint(1, 3))[2]

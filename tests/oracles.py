@@ -4,8 +4,10 @@ Each function here deliberately re-derives its answer by a different route
 than the library: the volume oracle expands the self-intersection against a
 full pairing matrix instead of the closed form, the wall oracle
 re-enumerates the arrangement over raw bitmask subsets, `eager_walls` builds
-every `Wall` of an arrangement in sort order where the library keeps columns
-and builds a wall only when asked, the surface lookups
+every `Wall` of an arrangement in sort order where the library keeps its
+definition and builds a wall only when asked, `eager_signs` takes a point's
+side of each of those walls by `Wall.side` where a chamber holds its point
+and compares two by a meet in the middle, the surface lookups
 scan the model where the library reads its cached lookups, the curve degree is
 counted edge by edge for one vertex where the library sweeps all of them,
 curves are contracted one vertex at a time where the library contracts in one
@@ -168,6 +170,12 @@ def eager_walls(r, types, rational_base):
     walls += wii
     walls += [Wall(WallKind.WIII, s, c) for s in subsets for c in WALL_CONSTANTS]
     return walls
+
+
+def eager_signs(r, types, rational_base, W):
+    """The (wall, side) pairs of the point W on every wall of `eager_walls`,
+    each side by `Wall.side`, a `Fraction` sum and comparison per wall."""
+    return tuple((w, w.side(W)) for w in eager_walls(r, types, rational_base))
 
 
 def wall_keys(walls):

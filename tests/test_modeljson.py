@@ -8,7 +8,7 @@ import pytest
 
 from mmp_elliptic.dot import emit_dot
 from mmp_elliptic.kodaira import FiberState, parse_fiber_type
-from mmp_elliptic.modeljson import ModelJSONError, parse_model, serialize_model
+from mmp_elliptic.modeljson import ModelJSONError, parse_model, serialize_model, weights_text
 from mmp_elliptic.reduction import reduce
 from mmp_elliptic.curves import WeightVector
 from mmp_elliptic.surfaces import (
@@ -247,6 +247,24 @@ def test_stored_texts_match_a_cold_copy_and_the_oracle():
             seen["nested"] += _nested(X)
             seen["isotrivial"] += any(n.isotrivial_jinf for t in X.trees for n in t.root.nodes())
     assert seen["models"] >= 1000 and min(seen.values()) > 0, seen
+
+
+def test_a_walk_snapshot_writes_only_its_moved_weights():
+    # a snapshot's weights take their texts from the target's, kept on the
+    # target, and write only the entries of the markers that move
+    X = rational_degeneration(F(1))
+    target = WeightVector((F(1),) * 10 + (F(1, 3),) * 2)
+    trace = reduce(X, target)
+    snapshots = [rec.snapshot_after for rec in trace.records] + [trace.final]
+    assert len(snapshots) > 1
+    assert [serialize_model(Y) for Y in snapshots] == [serialize_oracle(Y) for Y in snapshots]
+    assert target.__dict__["_texts"] == ["1"] * 10 + ["1/3"] * 2
+    assert all(Y.weights.__dict__.keys() == {"_texts_from"} for Y in snapshots)
+    # texts marked on the target show which entries a snapshot copies
+    target.__dict__["_texts"] = [f"t{i}" for i in range(1, 13)]
+    Y = snapshots[0]
+    moved = [str(w) for w in Y.weights.entries[10:]]
+    assert json.loads(weights_text(Y.weights, "")) == [f"t{i}" for i in range(1, 11)] + moved
 
 
 def test_a_replaced_component_gets_a_new_text():

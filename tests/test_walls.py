@@ -22,12 +22,13 @@ from mmp_elliptic.walls import (
     felt_rows,
     felt_walls,
     locate,
+    same_chamber,
     segment_walls,
     walls_containing,
 )
 
 from modelkit import MARKABLE, admissible_target, flipped_degeneration, mk_fiber, random_model, rational_degeneration
-from oracles import WALL_CONSTANTS, brute_force_walls, eager_walls, wall_from_obj, wall_keys, wall_to_obj
+from oracles import WALL_CONSTANTS, brute_force_walls, eager_signs, eager_walls, wall_from_obj, wall_keys, wall_to_obj
 
 F = Fraction
 
@@ -195,6 +196,47 @@ def test_chamber_sign_is_the_side_of_every_wall():
                     ch.sign(w)
 
 
+def test_same_chamber_agrees_with_the_eager_signs():
+    # r = 0..10, both bases, the markable types laid out from a shifted
+    # offset, weights on the 1/12, 1/24 or 1/60 grid; a base point is
+    # compared with itself, with points a grid step or two away, with a far
+    # point, and with points put on a wall (a coordinate at a constant, or
+    # two that add up to one), and each of those with itself and the
+    # nearest point
+    rng = random.Random(28)
+    answers = []
+    for r in range(11):
+        for rational in (False, True):
+            types = [parse_fiber_type(MARKABLE[(i + r + 3 * rational) % len(MARKABLE)]) for i in range(r)]
+            walls = enumerate_walls(r, types, rational)
+            g = (12, 24, 60)[(2 * r + rational) % 3]
+            P = [F(rng.randint(0, g), g) for _ in range(r)]
+            points = [P, [F(rng.randint(0, g), g) for _ in range(r)]]
+            for steps in (1, 1, 2):
+                near = list(P)
+                for i in rng.sample(range(r), min(r, steps)):
+                    near[i] = min(F(1), max(F(0), near[i] + F(rng.choice((-1, 1)), g * rng.choice((1, 2)))))
+                points.append(near)
+            on_walls = []
+            if r:
+                on_walls.append(list(P))
+                on_walls[-1][rng.randrange(r)] = rng.choice((F(1), *WALL_CONSTANTS))
+            if r > 1:
+                i, j = rng.sample(range(r), 2)
+                on_walls.append(list(P))
+                on_walls[-1][j] = 1 - P[i]
+            vectors = {tuple(v): WeightVector(tuple(v)) for v in points + on_walls}
+            sides = {v: [s for _, s in eager_signs(r, types, rational, W)] for v, W in vectors.items()}
+            pairs = [(P, Q) for Q in points + on_walls] + [(on, Q) for on in on_walls for Q in (on, points[2])]
+            for a, b in pairs:
+                want = sides[tuple(a)] == sides[tuple(b)]
+                answers.append(want)
+                A, B = vectors[tuple(a)], vectors[tuple(b)]
+                assert same_chamber(A, B, walls) == same_chamber(B, A, walls) == want, (r, rational, A, B)
+                assert (locate(A, walls) == locate(B, walls)) == want
+    assert 40 < answers.count(True) and 40 < answers.count(False)
+
+
 def test_segment_oracle_random():
     rng = random.Random(23)
     pool = ["I1", "II", "III", "I*0", "IV*"]
@@ -245,6 +287,8 @@ def test_wall_functions_reject_a_marker_outside_the_vector():
         with pytest.raises(KeyError, match="marker index 3 outside 1..2"):
             locate(A, walls)
         with pytest.raises(KeyError, match="marker index 3 outside 1..2"):
+            same_chamber(A, B, walls)
+        with pytest.raises(KeyError, match="marker index 3 outside 1..2"):
             walls_containing(A, walls)
         with pytest.raises(KeyError, match="marker index 3 outside 1..2"):
             segment_walls(A, B, walls)
@@ -258,7 +302,12 @@ def test_wall_functions_take_only_an_arrangement():
     # the same walls does not carry
     walls, A, B, mid = worked_segment(4)
     for given in (list(walls), walls[:], tuple(walls), iter(walls)):
-        for call in (lambda: locate(mid, given), lambda: walls_containing(mid, given), lambda: segment_walls(A, B, given)):
+        for call in (
+            lambda: locate(mid, given),
+            lambda: same_chamber(A, mid, given),
+            lambda: walls_containing(mid, given),
+            lambda: segment_walls(A, B, given),
+        ):
             with pytest.raises(TypeError, match="enumerate_walls"):
                 call()
 
@@ -496,13 +545,14 @@ def worked_segment(r):
     return enumerate_walls(r, [parse_fiber_type("I1")] * r), *ends
 
 
-def test_arrangement_and_chamber_reprs_count_their_walls():
+def test_arrangement_repr_counts_its_walls_and_a_chamber_shows_its_point():
     # on the worked path at r = 4 the midpoint lies below 6 walls and on 4
     walls, _, _, mid = worked_segment(4)
     assert repr(walls) == "<Arrangement of 120 walls on markers up to 4>"
-    sides = [w.side(mid) for w in walls]
-    assert (sides.count("below"), sides.count("on")) == (6, 4)
-    assert repr(locate(mid, walls)) == f"Chamber(below=6 walls, on=4 walls, walls={walls!r})"
+    chamber = locate(mid, walls)
+    sides = [s for _, s in chamber.signs]
+    assert (sides.count("below"), sides.count("on")) == (6, len(chamber.on_walls())) == (6, 4)
+    assert repr(chamber) == f"Chamber(point={mid!r}, walls={walls!r})"
 
 
 def test_worked_segment_answers_at_r_20_and_32_without_enumerating():
@@ -512,7 +562,7 @@ def test_worked_segment_answers_at_r_20_and_32_without_enumerating():
     # one, above every constant; so only those three subsets are crossed
     start = time.perf_counter()
     for r in (20, 32):
-        walls, A, B, _ = worked_segment(r)
+        walls, A, B, mid = worked_segment(r)
         assert len(walls) == 8 * (2**r - 1)
         expected: dict = {}
         for moving in ({r - 1}, {r}, {r - 1, r}):
@@ -532,6 +582,7 @@ def test_worked_segment_answers_at_r_20_and_32_without_enumerating():
         assert walls_containing(A, walls) == ones[:-2] + [
             Wall(WallKind.WIII, frozenset(s), c) for s, c in (({r - 1}, F(1, 3)), ({r - 1, r}, F(2, 3)), ({r}, F(1, 3)))
         ]
+        assert same_chamber(mid, mid, walls) and not same_chamber(A, B, walls)
     assert time.perf_counter() - start < 1
     # the closed form: two WI walls per marker with a threshold, eight walls
     # per nonempty subset, and the wall at two over a rational base
@@ -644,20 +695,29 @@ def test_a_slice_builds_its_walls_in_one_pass_and_keeps_no_subset():
         assert walls[n // 2] == listed[n // 2] and len(walls._sets) == 1
 
 
-def test_chambers_are_two_masks_over_their_arrangement():
+def test_chambers_hold_their_point_and_arrangement():
     walls, A, B, mid = worked_segment(8)
+    types = [parse_fiber_type("I1")] * 8
     chamber = locate(mid, walls)
-    assert isinstance(chamber, Chamber) and chamber.walls is walls
-    assert chamber.signs == tuple((w, w.side(mid)) for w in eager_walls(8, [parse_fiber_type("I1")] * 8, False))
-    for mask, side in ((chamber.below, "below"), (chamber.on, "on")):
-        assert mask == sum(1 << i for i, (_, s) in enumerate(chamber.signs) if s == side)
-    assert chamber.on and not chamber.interior()
+    assert isinstance(chamber, Chamber) and chamber.walls is walls and chamber.point is mid
+    assert chamber.signs == eager_signs(8, types, False, mid)
+    assert chamber.on_walls() and not chamber.interior()
     assert chamber.on_walls() == tuple(w for w, s in chamber.signs if s == "on")
-    # equal chambers of two enumerations, and of a pickled copy
-    for other in (enumerate_walls(8, [parse_fiber_type("I1")] * 8), pickle.loads(pickle.dumps(walls))):
+    # equal chambers of two enumerations, and of a pickled copy; the hash
+    # is the arrangement's alone
+    for other in (enumerate_walls(8, types), pickle.loads(pickle.dumps(walls))):
         twin = locate(mid, other)
-        assert twin == chamber and hash(twin) == hash(chamber) and twin.signs == chamber.signs
-    assert locate(A, walls) != chamber and locate(B, walls) != chamber
+        assert twin == chamber and not twin != chamber and twin.signs == chamber.signs
+        assert hash(twin) == hash(chamber) and len({twin, chamber}) == 1
+    # two points of one chamber: the moving markers above every threshold
+    # and below one, the fixed ones at one
+    inner = [WeightVector((F(1),) * 6 + (a, b)) for a, b in ((F(9, 10), F(9, 10)), (F(7, 8), F(11, 12)))]
+    assert locate(inner[0], walls) == locate(inner[1], walls) and locate(inner[0], walls).interior() is False
+    assert locate(A, walls) != chamber and locate(B, walls) != chamber and not locate(A, walls) == chamber
+    # the same point against another arrangement is another chamber
+    assert locate(mid, enumerate_walls(8, types, True)) != chamber
+    # nor is it equal to a plain tuple of its fields, either way round
+    assert chamber != (mid, walls) and (mid, walls) != chamber and not chamber == (mid, walls)
     assert pickle.loads(pickle.dumps(chamber)) == chamber
 
 
