@@ -1,10 +1,18 @@
 """Command-line interface.
 
-Five commands: `walls` (enumerate the arrangement, optionally scan a weight
+Six commands: `walls` (enumerate the arrangement, optionally scan a weight
 segment), `model` (per-fiber states, section degrees, and pseudoelliptic
 fates of a model at given weights), `reduce` (walk a weight segment and emit
-the transformation trace), `hassett` (reduce a weighted marked curve), and
-`volume` (log canonical self-intersection of an irreducible model).
+the transformation trace), `hassett` (reduce a weighted marked curve),
+`volume` (log canonical self-intersection of an irreducible model), and
+`validate` (list a model file's invariant violations).
+
+Every command is a fresh process, so each loads only the layers it runs:
+the module loads `curves` and `rationals`, and each `_cmd_*` imports the
+rest.  `walls` adds `kodaira` and `walls`; `model`, `volume` and `validate`
+add the model layers (`modeljson`, `surfaces`), `reduction` only for a
+`--weights` override and `dot` only for `--format dot`; `reduce` loads every
+layer but `dot`, which it loads for `--dot-dir`; `hassett` loads nothing more.
 
 Exit status: 0 success, 1 validation or computation failure on well-formed
 input, 2 usage error.  Set MMP_ELLIPTIC_COLOR=0 to disable ANSI styling.
@@ -13,42 +21,13 @@ input, 2 usage error.  Set MMP_ELLIPTIC_COLOR=0 to disable ANSI styling.
 from __future__ import annotations
 
 import argparse
-import glob as globmod
 import json
 import os
 import sys
 from pathlib import Path
 
-from .curves import (
-    WeightVector,
-    curve_from_json,
-    curve_to_dot,
-    curve_to_obj,
-    hassett_reduce,
-    CurveError,
-)
-from .dot import emit_dot
-from .kodaira import UnsupportedFiberType, parse_fiber_type
-from .modeljson import ModelJSONError, json_list, parse_model, quote, serialize_model, weights_text
-from .rationals import rat_from_str, rat_to_str
-from .reduction import (
-    InconsistentTarget,
-    InvalidModel,
-    RuleNotApplicable,
-    WallNotSatisfied,
-    at_weights,
-    reduce as reduce_model,
-)
-from .surfaces import (
-    UnsupportedConfiguration,
-    base_curve,
-    base_weights,
-    pseudo_fate,
-    section_degree,
-    validate,
-    volume,
-)
-from .walls import enumerate_walls, segment_walls, walls_containing
+from .curves import CurveError, WeightVector, curve_from_json, curve_to_dot, curve_to_obj, hassett_reduce
+from .rationals import json_list, quote, rat_from_str, rat_to_str
 
 USAGE_ERROR = 2
 DATA_ERROR = 1
@@ -105,6 +84,8 @@ def _parse_weights(spec: str) -> WeightVector:
 
 
 def _load_model(path_text: str, override: str | None):
+    from .modeljson import ModelJSONError, parse_model
+
     try:
         model = parse_model(_read_input(path_text, "model"))
     except ModelJSONError as exc:
@@ -116,6 +97,8 @@ def _load_model(path_text: str, override: str | None):
                 f"override has {weights.r} weights; the model has {model.weights.r}",
                 USAGE_ERROR,
             )
+        from .reduction import RuleNotApplicable, at_weights
+
         try:
             model = at_weights(model, weights)
         except RuleNotApplicable as exc:  # a fiber's coefficient leaves [0, 1]
@@ -149,6 +132,9 @@ def _indent(text: str, pad: str) -> str:
 
 
 def _cmd_walls(args: argparse.Namespace) -> int:
+    from .kodaira import UnsupportedFiberType, parse_fiber_type
+    from .walls import enumerate_walls, segment_walls, walls_containing
+
     try:
         types = [parse_fiber_type(t.strip()) for t in args.types.split(",")]
     except ValueError as exc:
@@ -190,7 +176,11 @@ def _cmd_walls(args: argparse.Namespace) -> int:
 
 def _model_report(model, fmt: str) -> str:
     if fmt == "dot":
+        from .dot import emit_dot
+
         return emit_dot(model)
+    from .surfaces import base_curve, pseudo_fate, section_degree
+
     fates = {}
     for t in model.trees:
         fates[t.root.pid] = pseudo_fate(model, t.root.pid)
@@ -241,7 +231,9 @@ def _model_report(model, fmt: str) -> str:
 def _cmd_model(args: argparse.Namespace) -> int:
     paths = [args.model]
     if args.glob:
-        paths = sorted(globmod.glob(args.glob))
+        from glob import glob
+
+        paths = sorted(glob(args.glob))
         if not paths:
             raise CliError(f"--glob {args.glob!r} matched nothing", USAGE_ERROR)
 
@@ -256,6 +248,9 @@ def _cmd_model(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
+    from .reduction import InconsistentTarget, InvalidModel, RuleNotApplicable, WallNotSatisfied, reduce as reduce_model
+    from .surfaces import base_curve, base_weights
+
     model = _load_model(args.model, args.from_weights)
     target = _parse_weights(args.to)
     try:
@@ -276,6 +271,8 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
                     DATA_ERROR,
                 )
     if args.dot_dir:
+        from .dot import emit_dot
+
         outdir = Path(args.dot_dir)
         try:
             outdir.mkdir(parents=True, exist_ok=True)
@@ -293,6 +290,8 @@ def _trace_text(model, target, trace) -> str:
     """The trace as `json.dumps(indent=2)` lays out its object: start and
     target weights, every record with the model after it, the final model and
     the halting reason (null for a finished walk)."""
+    from .modeljson import serialize_model, weights_text
+
     subsets: dict[frozenset[int], str] = {}
     records = [
         f'{{\n      "t": "{rat_to_str(rec.t)}",\n'
@@ -338,6 +337,8 @@ def _cmd_hassett(args: argparse.Namespace) -> int:
 
 
 def _cmd_volume(args: argparse.Namespace) -> int:
+    from .surfaces import UnsupportedConfiguration, volume
+
     model = _load_model(args.model, args.weights)
     try:
         v = volume(model)
@@ -348,6 +349,9 @@ def _cmd_volume(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from .modeljson import ModelJSONError, parse_model
+    from .surfaces import validate
+
     try:
         model = parse_model(_read_input(args.model, "model"), check=False)
     except ModelJSONError as exc:

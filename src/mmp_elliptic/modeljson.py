@@ -36,11 +36,10 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from operator import attrgetter, itemgetter
-from json.encoder import encode_basestring_ascii as quote
 
 from .curves import WeightVector
 from .kodaira import STATE_NAMES, FiberState, KodairaType, UnsupportedFiberType, fiber_model_at, parse_fiber_type
-from .rationals import json_bool, json_int, rat_from_str, rat_to_str
+from .rationals import json_bool, json_int, json_list, quote, rat_from_str, rat_to_str
 from .surfaces import (
     AttachEnd,
     BrokenEllipticSurface,
@@ -271,16 +270,6 @@ def parse_model(text: str | bytes, check: bool = True) -> BrokenEllipticSurface:
     except UnicodeDecodeError as exc:
         raise ModelJSONError("malformed-json", f"byte {exc.start}: {exc.reason}")
     return model_from_obj(obj, check=check)
-
-
-def json_list(items: list[str], pad: str) -> str:
-    """The JSON list of `items` as `json.dumps(indent=2)` lays it out with its
-    closing bracket indented by `pad`; each item is already laid out for the
-    indent `pad` plus two spaces."""
-    if not items:
-        return "[]"
-    inner = "\n" + pad + "  "
-    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
 
 
 def _weight_texts(W: WeightVector) -> list[str]:

@@ -1,16 +1,22 @@
-"""Exact number helpers: parsing and canonical "p/q" serialization.
+"""Exact number helpers: parsing and canonical "p/q" serialization, and the
+JSON value helpers every writer and reader shares.
 
 Every quantity in this package is a `fractions.Fraction`; floats are never
 introduced anywhere.  The wire format is "p/q" in lowest terms with q > 0,
 and plain "n" for integers.  A count or an id read from JSON must be a JSON
 integer (`json_int`): a float or a boolean is refused, never truncated.  A
 flag read from JSON must be a JSON boolean (`json_bool`): a string such as
-"false" is refused, never read by its truthiness.
+"false" is refused, never read by its truthiness.  A text is written as JSON
+by json's own escaper (`quote`), and a list of laid-out items as
+`json.dumps(indent=2)` lays it out (`json_list`).  They live here, beside the
+number helpers, so that the CLI's `walls` listing writes its JSON without
+loading the model layers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as quote
 
 
 def rat(value: int | str | Fraction) -> Fraction:
@@ -54,3 +60,13 @@ def json_bool(value) -> bool:
     if isinstance(value, bool):
         return value
     raise ValueError(f"bad boolean {value!r}")
+
+
+def json_list(items: list[str], pad: str) -> str:
+    """The JSON list of `items` as `json.dumps(indent=2)` lays it out with its
+    closing bracket indented by `pad`; each item is already laid out for the
+    indent `pad` plus two spaces."""
+    if not items:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"

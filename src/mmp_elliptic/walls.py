@@ -39,18 +39,13 @@ from fractions import Fraction
 from itertools import accumulate, chain, cycle, islice, repeat
 from math import gcd, lcm
 from operator import add, eq, gt
-from typing import Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .curves import WeightVector
 from .kodaira import THRESHOLD_CONSTANTS, KodairaType, lct_threshold
-from .surfaces import (
-    BrokenEllipticSurface,
-    Component,
-    MarkedFiber,
-    PseudoComponent,
-    TreeAttachment,
-    subtree_markers,
-)
+
+if TYPE_CHECKING:
+    from .surfaces import BrokenEllipticSurface, Component, MarkedFiber, PseudoComponent, TreeAttachment
 
 
 class WallKind(str, Enum):
@@ -189,7 +184,10 @@ class Arrangement(Sequence):
       only the subsets that reach them (Horowitz and Sahni's split of a
       subset sum).
     - `_on` does the same at one point, where every marker is fixed and the
-      interval is the constant itself.
+      interval is the constant itself.  `_meets` asks only whether some
+      wall passes through the point: whether a WI value or the total meets
+      its constant, or a subset constant is among the last prefix set's
+      sums; it lists no subset.
     - `_same` splits the markers into two halves and lists each half's
       distinct (P-sum, Q-sum) pairs.  Two points differ on the wall of a
       subset S at c when P(S) < c <= Q(S), Q(S) < c <= P(S), P(S) > c = Q(S)
@@ -385,6 +383,15 @@ class Arrangement(Sequence):
                 rows += [self._row(_place(s, self.r), j) for s in _sum_masks(sets, w, bits, c)]
         return sorted(rows)
 
+    def _meets(self, D: int, w: list[int]) -> bool:
+        """Whether some wall passes through the point w over D.  Every
+        constant is positive, so the empty subset's sum 0 meets none."""
+        L, w = self._lift(D, w)
+        if any(x == c for _, c, (x,) in self._direct(L, w)):
+            return True
+        sums = _prefix_sums(w)[-1]
+        return any(c in sums for c in self._subset_constants(L)[1])
+
     def _hits(self, D: int, a: list[int], b: list[int]) -> Iterator[tuple[int, int, int]]:
         L, a, b = self._lift(D, a, b)
         for row, c, (x, y) in self._direct(L, a, b):
@@ -483,7 +490,7 @@ class Chamber(NamedTuple):
         return tuple(walls_containing(self.point, self.walls))
 
     def interior(self) -> bool:
-        return not self.walls._on(*_integers(self.point))
+        return not self.walls._meets(*_integers(self.point))
 
     # a chamber equals no plain tuple, though it is one
     def __eq__(self, other) -> bool:
@@ -640,6 +647,8 @@ def _tree_walls(owner: str, host: MarkedFiber, node: PseudoComponent, depth: int
     of `owner` at `depth`, in preorder (see `felt_row`)."""
     a0 = lct_threshold(host.ftype)
     if a0 is not None:
+        from .surfaces import subtree_markers  # here, so the wall queries load no model layer
+
         row.append(FeltWall(Wall(WallKind.WIII, subtree_markers(node), a0), owner, host.fid, node, depth))
     row += _fiber_walls(node.pid, node.fibers, {link.via_fiber for link in node.children})
     for link in node.children:

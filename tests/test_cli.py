@@ -90,6 +90,98 @@ def test_cli_start_up_builds_no_dataclass_machinery():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
+def loaded_layers(*argv: str) -> set[str]:
+    """The layers of `mmp_elliptic` that a fresh `-I -S` process holds after
+    running the CLI on `argv` through `runpy`, which must exit 0, or after a
+    bare `import mmp_elliptic` when `argv` is empty."""
+    src = EXAMPLE.parent.parent.parent / "src"
+    run = "runpy.run_module('mmp_elliptic.cli', run_name='__main__')" if argv else "import mmp_elliptic"
+    code = "\n".join([
+        f"import runpy, sys; sys.path.insert(0, {str(src)!r}); sys.argv[1:] = {list(argv)!r}",
+        "try:",
+        f"    {run}",
+        "except SystemExit as exc:",
+        "    assert not exc.code, exc.code",
+        "print(' '.join(sorted(k for k in sys.modules if k.startswith('mmp_elliptic.'))), file=sys.stderr)",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, *argv], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {name.removeprefix("mmp_elliptic.") for name in proc.stderr.split()} - {"cli"}
+
+
+def test_each_command_loads_only_the_layers_it_runs(tmp_path):
+    from mmp_elliptic.surfaces import BrokenEllipticSurface, Component
+    from modelkit import mk_fiber
+
+    model = str(EXAMPLE)
+    irreducible = tmp_path / "irr.json"
+    w = WeightVector((F(1),) * 3)
+    comp = Component("c1", 1, 0, F(1), tuple(mk_fiber(f"f{i}", "I1", i, w) for i in range(1, 4)))
+    irreducible.write_text(serialize_model(BrokenEllipticSurface(w, (comp,))))
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps({
+        "vertices": [{"id": 1, "genus": 0}, {"id": 2, "genus": 0}],
+        "edges": [[1, 2]],
+        "markers": [{"index": i, "vertex": 1 + (i > 2)} for i in range(1, 5)],
+    }))
+    assert loaded_layers() == set()
+    walls = ["walls", "-r", "10", "--types", "I1,II,III,IV,I*0,II*,III*,IV*,I3,N1", "--rational-base"]
+    segment = ["walls", "-r", "2", "--types", "I1,II", "--segment", "1/4,1/4", "1,1"]
+    for argv in (walls, segment):
+        assert loaded_layers(*argv) == {"curves", "rationals", "kodaira", "walls"}
+    model_layers = {"curves", "rationals", "kodaira", "surfaces", "modeljson"}
+    for argv in (["model", model], ["model", model, "--format", "json"], ["validate", model], ["volume", str(irreducible)]):
+        assert loaded_layers(*argv) == model_layers, argv
+    assert loaded_layers("model", model, "--format", "dot") == model_layers | {"dot"}
+    assert loaded_layers("hassett", str(curve), "--weights", "1,1,1,1") == {"curves", "rationals"}
+    assert loaded_layers("reduce", model, "--to", TARGET) == model_layers | {"walls", "reduction"}
+
+
+# the public names of the package, as the eager imports of every layer
+# defined them: each layer's exports and the eight layer modules
+PUBLIC_NAMES = [
+    "Arrangement", "AttachEnd", "BrokenEllipticSurface", "Chamber", "ChildLink", "Component", "CurveError",
+    "FeltWall", "FiberState", "Glue", "InconsistentTarget", "IntersectionData", "InvalidModel", "KodairaType",
+    "MarkedFiber", "MarkedNodalCurve", "Marker", "MissingThreshold", "ModelJSONError", "NoIntermediateModel",
+    "NoSectionError", "PSEUDO_BIG", "PSEUDO_TO_CURVE", "PSEUDO_TO_POINT", "PseudoComponent", "RecordKind",
+    "ReductionTrace", "RuleNotApplicable", "SegmentCrossing", "TransformationRecord", "TreeAttachment",
+    "UnsupportedConfiguration", "UnsupportedFiberType", "Vertex", "Violation", "Wall", "WallKind",
+    "WallNotSatisfied", "WeightVector", "at_weights", "base_curve", "base_weights", "canonical_contribution",
+    "component_degree", "cross_wall", "curves", "dot", "emit_dot", "enumerate_walls", "felt_walls",
+    "fiber_model_at", "hassett_reduce", "increase_to_one", "interpolate", "intersection_data",
+    "is_hassett_stable", "is_settled", "kodaira", "lct_threshold", "locate", "modeljson", "parse_fiber_type",
+    "parse_model", "pseudo_fate", "rationals", "reduce", "reduction", "same_chamber", "section_degree",
+    "segment_walls", "serialize_model", "subtree_markers", "surfaces", "validate", "verify_threshold", "volume",
+    "walls", "walls_containing",
+]
+
+
+def test_the_package_namespace_is_unchanged():
+    import types
+
+    import mmp_elliptic
+
+    assert sorted(mmp_elliptic.__all__) == PUBLIC_NAMES and len(PUBLIC_NAMES) == 78
+    namespace: dict = {}
+    exec("from mmp_elliptic import *", namespace)
+    assert set(PUBLIC_NAMES) <= set(namespace) and set(PUBLIC_NAMES) <= set(dir(mmp_elliptic))
+    layers = {name for name in PUBLIC_NAMES if isinstance(namespace[name], types.ModuleType)}
+    assert layers == {"curves", "dot", "kodaira", "modeljson", "rationals", "reduction", "surfaces", "walls"}
+    for name in PUBLIC_NAMES:
+        value = namespace[name]
+        assert getattr(mmp_elliptic, name) is value, name
+        if name in layers:
+            assert value is sys.modules[f"mmp_elliptic.{name}"]
+        else:
+            # the three fate texts are the only names that are no class or function
+            home = "mmp_elliptic.surfaces" if name.startswith("PSEUDO_") else value.__module__
+            assert getattr(sys.modules[home], name) is value, name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        mmp_elliptic.no_such_name
+
+
 @pytest.mark.parametrize("command", ["walls", "reduce"])
 def test_closed_pipe_exits_one_without_traceback(tmp_path, command):
     """`| head -1`: the reader leaves while the output, far larger than a

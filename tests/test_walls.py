@@ -237,6 +237,38 @@ def test_same_chamber_agrees_with_the_eager_signs():
     assert 40 < answers.count(True) and 40 < answers.count(False)
 
 
+def test_interior_is_no_wall_through_the_point():
+    # interior() stops at the first wall through the point; it must agree
+    # with the full list on_walls() gives.  r = 0..10, both bases, points on
+    # the 1/12, 1/24 or 1/60 grid (often on a wall), on a 1/1009 grid (seldom)
+    # and points put on a wall as in the test above
+    rng = random.Random(29)
+    # the empty subset adds up to 0, which must meet no subset constant
+    L = enumerate_walls(0, [])._lift(1)[0]
+    assert all(c > 0 for c in Arrangement._subset_constants(L)[1])
+    answers = []
+    for r in range(11):
+        for rational in (False, True):
+            types = [parse_fiber_type(MARKABLE[(i + 2 * r + rational) % len(MARKABLE)]) for i in range(r)]
+            walls = enumerate_walls(r, types, rational)
+            for g in (12, 24, 60, 1009):
+                for _ in range(4):
+                    P = [F(rng.randint(0, g), g) for _ in range(r)]
+                    points = [P]
+                    if r:
+                        points.append(list(P))
+                        points[-1][rng.randrange(r)] = rng.choice((F(1), *WALL_CONSTANTS))
+                    if r > 1:
+                        i, j = rng.sample(range(r), 2)
+                        points.append(list(P))
+                        points[-1][j] = 1 - P[i]
+                    for v in points:
+                        chamber = locate(WeightVector(tuple(v)), walls)
+                        answers.append(chamber.interior())
+                        assert answers[-1] == (not chamber.on_walls()), (r, rational, v)
+    assert 40 < answers.count(True) and 40 < answers.count(False)
+
+
 def test_segment_oracle_random():
     rng = random.Random(23)
     pool = ["I1", "II", "III", "I*0", "IV*"]
