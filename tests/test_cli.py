@@ -97,7 +97,7 @@ def loaded_layers(*argv: str) -> set[str]:
     src = EXAMPLE.parent.parent.parent / "src"
     run = "runpy.run_module('mmp_elliptic.cli', run_name='__main__')" if argv else "import mmp_elliptic"
     code = "\n".join([
-        f"import runpy, sys; sys.path.insert(0, {str(src)!r}); sys.argv[1:] = {list(argv)!r}",
+        f"import runpy, sys; sys.path.insert(0, {str(src)!r})",
         "try:",
         f"    {run}",
         "except SystemExit as exc:",
