@@ -7,12 +7,8 @@ the transformation trace), `hassett` (reduce a weighted marked curve),
 `volume` (log canonical self-intersection of an irreducible model), and
 `validate` (list a model file's invariant violations).
 
-Every command is a fresh process, so each loads only the layers it runs:
-the module loads `curves` and `rationals`, and each `_cmd_*` imports the
-rest.  `walls` adds `kodaira` and `walls`; `model`, `volume` and `validate`
-add the model layers (`modeljson`, `surfaces`), `reduction` only for a
-`--weights` override and `dot` only for `--format dot`; `reduce` loads every
-layer but `dot`, which it loads for `--dot-dir`; `hassett` loads nothing more.
+Every command is a fresh process, so each `_cmd_*` imports the layers it
+runs (README, "Layers").
 
 Exit status: 0 success, 1 validation or computation failure on well-formed
 input, 2 usage error.  Set MMP_ELLIPTIC_COLOR=0 to disable ANSI styling.

@@ -184,10 +184,9 @@ class Arrangement(Sequence):
       only the subsets that reach them (Horowitz and Sahni's split of a
       subset sum).
     - `_on` does the same at one point, where every marker is fixed and the
-      interval is the constant itself.  `_meets` asks only whether some
-      wall passes through the point: whether a WI value or the total meets
-      its constant, or a subset constant is among the last prefix set's
-      sums; it lists no subset.
+      interval is the constant itself.  Its first step, `_through`, finds
+      the direct walls through the point and the subset constants among the
+      last prefix set's sums; `Chamber.interior` stops there.
     - `_same` splits the markers into two halves and lists each half's
       distinct (P-sum, Q-sum) pairs.  Two points differ on the wall of a
       subset S at c when P(S) < c <= Q(S), Q(S) < c <= P(S), P(S) > c = Q(S)
@@ -373,24 +372,23 @@ class Arrangement(Sequence):
             chunks[s] = ("above",) * lo + ("on",) * (hi - lo) + ("below",) * (len(_WIII) - hi)
         return chain(direct, wii, chain.from_iterable(map(chunks.__getitem__, sums)))
 
-    def _on(self, D: int, w: list[int]) -> list[int]:
+    def _through(self, D: int, w: list[int]) -> tuple[list[int], list[tuple[int | None, int]], list[int], list[set[int]]]:
+        """The rows of the direct walls through the point w over D; the (j,
+        constant) of each subset wall whose constant is a subset sum of the
+        point; and the point over the common denominator with its prefix
+        sets.  Every constant is positive, so the empty subset meets none."""
         L, w = self._lift(D, w)
+        sets = _prefix_sums(w)
         rows = [row for row, c, (x,) in self._direct(L, w) if x == c]
-        # subsets as reversed masks, bit r - k for marker k (`_place`)
-        sets, bits = _prefix_sums(w), [1 << (self.r - 1 - k) for k in range(self.r)]
-        for j, c in zip(*self._subset_constants(L)):
-            if c in sets[-1]:
-                rows += [self._row(_place(s, self.r), j) for s in _sum_masks(sets, w, bits, c)]
-        return sorted(rows)
+        return rows, [(j, c) for j, c in zip(*self._subset_constants(L)) if c in sets[-1]], w, sets
 
-    def _meets(self, D: int, w: list[int]) -> bool:
-        """Whether some wall passes through the point w over D.  Every
-        constant is positive, so the empty subset's sum 0 meets none."""
-        L, w = self._lift(D, w)
-        if any(x == c for _, c, (x,) in self._direct(L, w)):
-            return True
-        sums = _prefix_sums(w)[-1]
-        return any(c in sums for c in self._subset_constants(L)[1])
+    def _on(self, D: int, w: list[int]) -> list[int]:
+        rows, met, w, sets = self._through(D, w)
+        # subsets as reversed masks, bit r - k for marker k (`_place`)
+        bits = [1 << (self.r - 1 - k) for k in range(self.r)]
+        for j, c in met:
+            rows += [self._row(_place(s, self.r), j) for s in _sum_masks(sets, w, bits, c)]
+        return sorted(rows)
 
     def _hits(self, D: int, a: list[int], b: list[int]) -> Iterator[tuple[int, int, int]]:
         L, a, b = self._lift(D, a, b)
@@ -490,7 +488,8 @@ class Chamber(NamedTuple):
         return tuple(walls_containing(self.point, self.walls))
 
     def interior(self) -> bool:
-        return not self.walls._meets(*_integers(self.point))
+        rows, met, _, _ = self.walls._through(*_integers(self.point))
+        return not rows and not met
 
     # a chamber equals no plain tuple, though it is one
     def __eq__(self, other) -> bool:

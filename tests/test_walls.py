@@ -238,7 +238,7 @@ def test_same_chamber_agrees_with_the_eager_signs():
 
 
 def test_interior_is_no_wall_through_the_point():
-    # interior() stops at the first wall through the point; it must agree
+    # interior() lists no subset through the point; it must agree
     # with the full list on_walls() gives.  r = 0..10, both bases, points on
     # the 1/12, 1/24 or 1/60 grid (often on a wall), on a 1/1009 grid (seldom)
     # and points put on a wall as in the test above
