@@ -28,8 +28,13 @@ site may use it because its new parts keep the canonical order and stay in
 range: a swapped fiber keeps its id, a cut or a dropped section keeps every
 list in order, a walk's weights come from `_Segment.weights_at`, and a
 recomputed coefficient is a weight sum that cannot exceed one (`_settle`).
-The La Nave flip appends a fiber and a tree, which breaks the order, so
-`_hang_off_peer` builds through the public constructors, which sort.
+The La Nave flip (`_hang_off_peer`) puts its new host fiber into its
+fid-ordered place on the peer and its new tree into its (host component,
+host fiber) place, where the public constructors would sort them, so no
+rewrite of the walk builds a surface through them.  Every rewrite finds the
+components, glues and trees it changes by bisecting the id-sorted tuples (a
+pseudo node by a walk of the trees only) and copies each tuple it changes
+once, with those places replaced.
 
 The walk runs in integer form (`_Segment`).  Over one common denominator per
 walk, the weights at time t are (low + t * rise) / D, so each felt wall's
@@ -47,23 +52,30 @@ That component is known, not searched for: the one a section contraction
 returns, or the row of the collapsed tree's wall.  Each batch settles only
 the fibers whose markers move, found on the table's components and their
 trees, which includes any such fiber a WII or WIII rewrite has created; the
-others keep their coefficient, so they stay settled.  A rewrite reads the
-glue ends of one component by a scan of the glues, so the walk builds no
-lookup on the models it passes through.
+others keep their coefficient, so they stay settled.  The glue ends of each
+component come from one index (`surfaces.glue_index`) that the walk builds
+from its start, in the pass that counts each component's attachments for
+the table, and that each flip patches as it removes its glue: a record reads
+the ends of the components it touches there, and the walk builds no lookup
+on the models it passes through.  `cross_wall` builds the index from its one
+input.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect_left, bisect_right
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Container, Iterable, NamedTuple, Sequence
 
 from .curves import WeightVector
 from .kodaira import FiberState, fiber_model_at, is_settled, lct_threshold
 from .surfaces import (
+    _CID,
+    _FID,
+    _HOST,
     AttachEnd,
     BrokenEllipticSurface,
     ChildLink,
@@ -72,6 +84,7 @@ from .surfaces import (
     MarkedFiber,
     PseudoComponent,
     TreeAttachment,
+    glue_index,
     subtree_markers,
     validate,
 )
@@ -165,6 +178,17 @@ class ReductionTrace(NamedTuple):
 # -- structural rewriting helpers ---------------------------------------------
 
 
+_GID = attrgetter("gid")
+_TREE_KEY = itemgetter(0, 1)  # a tree's (host component, host fiber)
+
+
+def _index(parts: tuple, key, value: str) -> int | None:
+    """The place of the first part of the sorted `parts` whose `key` is
+    `value`, by bisection, or None."""
+    i = bisect_left(parts, value, key=key)
+    return i if i < len(parts) and key(parts[i]) == value else None
+
+
 def _rewrite(
     X: BrokenEllipticSurface,
     new: dict[tuple[str, str], MarkedFiber],
@@ -172,29 +196,54 @@ def _rewrite(
 ) -> BrokenEllipticSurface:
     """The model with each fiber keyed (owner id, fiber id) in `new` swapped
     in and, when `drop` is one of those keys, the subtree hung off that fiber
-    cut away, in one pass.  Components and trees that no change touches are
-    reused as they are, so a rewrite costs the owners it touches, not the
-    whole model.  The owners it touches are rebuilt through `_replace`, with
-    no re-sort: a swapped fiber keeps its id and a cut only drops an entry,
-    so every list keeps its order."""
+    cut away.  A component owner is bisected out of the components; a pseudo
+    node is found by a walk of the trees only, and a dropped top-level tree
+    by bisecting the trees.  Every other component and tree is reused as it
+    is, and the new tuples are copies with the touched places replaced, so a
+    rewrite costs the owners it touches.  They are rebuilt through
+    `_replace`, with no re-sort: a swapped fiber keeps its id and a cut only
+    drops an entry, so every list keeps its order."""
     if not new:
         return X
-    owners = {owner for owner, _ in new}
-    return X._replace(
-        components=tuple(
-            c._replace(fibers=tuple(new.get((c.cid, f.fid), f) for f in c.fibers))
-            if c.cid in owners
-            else c
-            for c in X.components
-        ),
-        trees=tuple(
-            TreeAttachment(t.host_component, t.host_fiber, _rewrite_node(t.root, new, drop))
-            if any(n.pid in owners for n in t.root.nodes())
-            else t
-            for t in X.trees
-            if (t.host_component, t.host_fiber) != drop
-        ),
-    )
+    components, nodes = {}, set()
+    for owner in {owner for owner, _ in new}:
+        i = _index(X.components, _CID, owner)
+        if i is None:
+            nodes.add(owner)
+        else:
+            c = X.components[i]
+            components[i] = c._replace(fibers=tuple(new.get((owner, f.fid), f) for f in c.fibers))
+    trees = {}
+    if nodes:
+        for j, t in enumerate(X.trees):
+            if any(n.pid in nodes for n in t.root.nodes()):
+                trees[j] = TreeAttachment(t.host_component, t.host_fiber, _rewrite_node(t.root, new, drop))
+    if drop is not None:
+        lo = bisect_left(X.trees, drop, key=_TREE_KEY)
+        for j in range(lo, bisect_right(X.trees, drop, lo, key=_TREE_KEY)):
+            trees[j] = None
+    return X._replace(components=_patched(X.components, components), trees=_patched(X.trees, trees))
+
+
+def _patched(parts: tuple, changes: dict[int, object]) -> tuple:
+    """`parts` with the part at each place in `changes` replaced by its value,
+    or dropped for None, in one copy; `parts` itself when nothing changes."""
+    if not changes:
+        return parts
+    out = list(parts)
+    for i in sorted(changes, reverse=True):
+        if changes[i] is None:
+            del out[i]
+        else:
+            out[i] = changes[i]
+    return tuple(out)
+
+
+def _inserted(parts: tuple, part, key) -> tuple:
+    """The sorted `parts` with `part` put after every part whose `key` is at
+    most its own: where a stable sort puts a part appended to them."""
+    k = bisect_right(parts, key(part), key=key)
+    return parts[:k] + (part,) + parts[k:]
 
 
 def _rewrite_node(
@@ -291,57 +340,68 @@ def _record_fiber_event(
 # -- WII: section contractions -------------------------------------------------
 
 
-def _glue_ends(X: BrokenEllipticSurface, cid: str) -> list[tuple[Glue, AttachEnd]]:
-    """`X.glue_ends(cid)` by a scan of `X.glues`: the walk reads one
-    component's ends per model, and builds no `_ends` lookup for it."""
-    return [(g, end) for g in X.glues for end in (g.a, g.b) if end.component == cid]
+# the glue ends of each component of the model a walk is on (`glue_index`):
+# built once, and patched by each flip
+_Ends = dict[str, list[tuple[Glue, AttachEnd]]]
 
 
-def _hang_off_peer(X: BrokenEllipticSurface, cid: str) -> tuple[BrokenEllipticSurface, str]:
+def _hang_off_peer(X: BrokenEllipticSurface, cid: str, ends: _Ends) -> tuple[BrokenEllipticSurface, str]:
     """Hang a 1-attachment component, with or without a section, off its
     peer's attaching fiber as the root of a pseudo tree.
 
     The root takes the component's fibers and, as children, the trees it
-    hosts; the attaching fiber becomes the tree's intermediate host.  Returns
-    the model and the peer's component id.
+    hosts; the attaching fiber becomes the tree's intermediate host.  `ends`
+    is the glue-end index of X; it is patched into that of the new model.
+    Returns the model and the peer's component id.
+
+    The component, the peer, the glue and the hosted trees are bisected out
+    of X's sorted parts, and the new model is built from slices through
+    `_replace`, with no re-sort: the host fiber goes into its fid-ordered
+    place on the peer and the new tree into its (host component, host fiber)
+    place (`_inserted`), where the public constructors would sort them.
     """
-    [(glue, my_end)] = _glue_ends(X, cid)
+    [(glue, my_end)] = ends[cid]
     peer = glue.peer_of(cid)
     if lct_threshold(peer.ftype) is None:
         raise RuleNotApplicable(
             f"attaching fiber {peer.fiber_id} of type {peer.ftype} admits no intermediate model"
         )
-    comp = X.component(cid)
+    i = _index(X.components, _CID, cid)
+    comp = X.components[i]
+    lo_t = bisect_left(X.trees, cid, key=_HOST)
+    hi_t = bisect_right(X.trees, cid, lo_t, key=_HOST)
     root = PseudoComponent(
         pid=cid,
         degL=comp.degL,
         attach_ftype=my_end.ftype,
         fibers=comp.fibers,
-        children=tuple(ChildLink(t.host_fiber, t.root) for t in X.trees_on(cid)),
+        children=tuple(ChildLink(t.host_fiber, t.root) for t in X.trees[lo_t:hi_t]),
         isotrivial_jinf=comp.isotrivial_jinf,
     )
     markers = subtree_markers(root)
     host = MarkedFiber(
         peer.fiber_id, peer.ftype, X.weights.sum(markers), FiberState.INTERMEDIATE, markers
     )
-    # the appended fiber and tree break the canonical order, so this rewrite
-    # goes through the public constructors, which sort them into place
-    rewritten = BrokenEllipticSurface(
-        X.weights,
-        tuple(
-            Component(*c._replace(fibers=c.fibers + (host,))) if c.cid == peer.component else c
-            for c in X.components
-            if c.cid != cid
-        ),
-        tuple(g for g in X.glues if g.gid != glue.gid),
-        tuple(t for t in X.trees if t.host_component != cid)
-        + (TreeAttachment(peer.component, peer.fiber_id, root),),
+    p = _index(X.components, _CID, peer.component)
+    hung = X.components[p]._replace(fibers=_inserted(X.components[p].fibers, host, _FID))
+    lo = bisect_left(X.glues, glue.gid, key=_GID)
+    hi = bisect_right(X.glues, glue.gid, lo, key=_GID)
+    tree = TreeAttachment(peer.component, peer.fiber_id, root)
+    rewritten = X._replace(
+        components=_patched(X.components, {p: hung, i: None}),
+        glues=X.glues[:lo] + X.glues[hi:],
+        trees=_inserted(X.trees[:lo_t] + X.trees[hi_t:], tree, _TREE_KEY),
     )
+    del ends[cid]
+    for g in X.glues[lo:hi]:
+        for end in (g.a, g.b):
+            if end.component != cid:
+                ends[end.component].remove((g, end))
     return rewritten, peer.component
 
 
 def _apply_section_contraction(
-    X: BrokenEllipticSurface, fw: FeltWall, t: Fraction
+    X: BrokenEllipticSurface, fw: FeltWall, t: Fraction, ends: _Ends
 ) -> tuple[BrokenEllipticSurface, TransformationRecord, str]:
     """Contract the section of `fw.owner`, whose WII wall `fw` fired.
 
@@ -352,26 +412,27 @@ def _apply_section_contraction(
     chain.  Otherwise the section contracts in place: a multiply-attached
     component becomes a type II pseudoelliptic, and an unattached one makes
     the whole surface pseudoelliptic, keeping its base vertex so the model
-    still projects to a curve.  Returns the model, the record and the
-    component whose row changes: the last peer of a flip, or `fw.owner`.
+    still projects to a curve.  `ends` is the glue-end index of X, and each
+    flip patches it (`_hang_off_peer`).  Returns the model, the record and
+    the component whose row changes: the last peer of a flip, or `fw.owner`.
     """
     cid, subset = fw.owner, fw.wall.subset
     constant = X.weights.sum(subset)
-    n_ends = len(_glue_ends(X, cid))
+    n_ends = len(ends.get(cid, ()))
     affected, top = [cid], cid
     if n_ends == 1:
         kind, boundary = RecordKind.LA_NAVE_FLIP, constant != 1
-        current, top = _hang_off_peer(X, cid)
-        while not current.component(top).has_section and len(_glue_ends(current, top)) == 1:
+        current, top = _hang_off_peer(X, cid, ends)
+        while not current.component(top).has_section and len(ends.get(top, ())) == 1:
             affected.append(top)
-            current, top = _hang_off_peer(current, top)
+            current, top = _hang_off_peer(current, top, ends)
     else:
         if n_ends == 0:
             kind, boundary = RecordKind.WHOLE_SECTION_CONTRACTION, constant != 2
         else:
             kind, boundary = RecordKind.TYPE_II_PSEUDO_FORMATION, True
-        contracted = (c._replace(has_section=False) if c.cid == cid else c for c in X.components)
-        current = X._replace(components=tuple(contracted))
+        i = _index(X.components, _CID, cid)
+        current = X._replace(components=_patched(X.components, {i: X.components[i]._replace(has_section=False)}))
     wall = Wall(WallKind.WII, subset, constant, boundary=boundary)
     return current, TransformationRecord(t, wall, kind, tuple(affected), current), top
 
@@ -427,16 +488,18 @@ class _Segment:
     affine in t.  `moving` holds the markers with A_i < B_i: the only ones
     whose fibers the walk has to settle again, and the only ones that move a
     wall (`holds`).  `reduce` refuses a segment with a negative rise
-    (A_i > B_i) before it validates the model.
+    (A_i > B_i) before it validates the model.  `ends` is the glue-end
+    index (`glue_index`) of the model the walk is on: `table` builds it from
+    the start, and each flip patches it.
     """
 
     def __init__(self, A: WeightVector, B: WeightVector) -> None:
         self.A = A
-        self.D = lcm(*(x.denominator for x in A.entries + B.entries))
-        self.low = [0] + [a.numerator * (self.D // a.denominator) for a in A.entries]
-        self.rise = [0] + [
-            b.numerator * (self.D // b.denominator) - lo for b, lo in zip(B.entries, self.low[1:])
-        ]
+        # one call per weight for its numerator and denominator
+        a, b = (list(map(Fraction.as_integer_ratio, v.entries)) for v in (A, B))
+        D = self.D = lcm(*{d for _, d in a}, *{d for _, d in b})
+        self.low = [0] + [n * (D // d) for n, d in a]
+        self.rise = [0] + [n * (D // d) - lo for (n, d), lo in zip(b, self.low[1:])]
         self.moving = frozenset(i for i in range(1, A.r + 1) if self.rise[i])
 
     def weights_at(self, t: Fraction) -> WeightVector:
@@ -485,14 +548,14 @@ class _Segment:
         markers, which `validate` checks are its subtree's, sum to at most
         the threshold of its type.
         """
-        if any(not f.markers.isdisjoint(self.moving) for f in comp.fibers):
+        marks = [i for f in comp.fibers for i in f.markers]
+        if not self.moving.isdisjoint(marks):
             return True
         D, low = self.D, self.low
         if comp.has_section:
             # marker-less coefficients are rare; with none, `fixed` is int 0
-            fixed = sum(f.coeff for f in comp.fibers if not f.markers)
-            marked = sum(low[i] for f in comp.fibers for i in f.markers)
-            degree = (2 * comp.genus - 2 + attachments) * D + marked
+            fixed = sum([f.coeff for f in comp.fibers if not f.markers])
+            degree = (2 * comp.genus - 2 + attachments) * D + sum(map(low.__getitem__, marks))
             if degree * fixed.denominator + fixed.numerator * D <= 0:
                 return True
         stack = [(comp.fiber(t.host_fiber), t.root) for t in trees]
@@ -508,11 +571,12 @@ class _Segment:
         """The walk's start table: the reachable walls of each row it
         `holds`, keyed by component id.  Every row of `felt_rows(X)` it
         leaves out is one the walk never crosses.  The walk builds the table
-        once and keeps it up to date with `update`."""
-        attachments = Counter(end.component for g in X.glues for end in (g.a, g.b))
+        once and keeps it up to date with `update`.  The attachments of each
+        component are read from `ends`, which this builds from X."""
+        ends = self.ends = glue_index(X.glues)
         table: _Table = {}
         for comp in X.components:
-            n, trees = attachments[comp.cid], X.trees_on(comp.cid)
+            n, trees = len(ends.get(comp.cid, ())), X.trees_on(comp.cid)
             if self.holds(comp, n, trees):
                 table[comp.cid] = self.reach(felt_row(comp, n, trees))
         return table
@@ -524,12 +588,12 @@ class _Segment:
         the table `holds` it no more.  No other component's section, fibers,
         attaching fibers or trees change, so no other row does, and the table
         stays the one `table` builds on Y.  `top` and its trees are bisected
-        out of Y and its attaching fibers found by `_glue_ends`, so Y gains
-        no lookup (`test_table_update_builds_no_lookup`).
+        out of Y and its attaching fibers read from `ends`, so Y gains no
+        lookup (`test_table_update_builds_no_lookup`).
         """
         for cid in gone:
             table.pop(cid, None)
-        comp, n, trees = Y.component(top), len(_glue_ends(Y, top)), Y.trees_on(top)
+        comp, n, trees = Y.component(top), len(self.ends.get(top, ())), Y.trees_on(top)
         if self.holds(comp, n, trees):
             table[top] = self.reach(felt_row(comp, n, trees))
         else:
@@ -595,7 +659,7 @@ def _apply_batch(
         if wii:
             # lowest component id first: a WII wall's row is its component's
             _, fw = min(wii, key=itemgetter(0))
-            current, rec, top = _apply_section_contraction(current, fw, t)
+            current, rec, top = _apply_section_contraction(current, fw, t, segment.ends)
             if len(wii) > 1:
                 rec = rec._replace(note=(rec.note + "; simultaneous section walls").strip("; "))
         else:
@@ -658,7 +722,7 @@ def cross_wall(
     if not decreasing:
         raise RuleNotApplicable("section contractions and collapses only occur when decreasing")
     if wall.kind == WallKind.WII:
-        return _apply_section_contraction(X, site, t)[:2]
+        return _apply_section_contraction(X, site, t, glue_index(X.glues))[:2]
     return _collapse_subtree(X, site, t)[:2]
 
 

@@ -32,13 +32,14 @@ fibers by id, and every `_replace` in the walk keeps that order, so
 `component`, `trees_on` and `fiber` bisect the sorted parts, store nothing,
 and find the first of a repeated id, as a scan would.  Two lookups are
 cached on the surface, each built in one pass the first time it is read:
-glue ends per component (`glue_ends`), and every subtree level with its host
-key (`pseudo_nodes`, `fiber_owners`, `host_keys`); `fibers_with` and
-`host_fiber` scan `fiber_owners`.  A lookup holds the surface's parts, never
-the surface, and a rewrite, through a constructor or `_replace`, returns a
-new surface with an empty instance dict, so no lookup can go stale.  The
-reduction walk reads the glue ends of one component on each model it passes
-through, so it scans the glues instead of building `glue_ends`, and it
+glue ends per component (`glue_ends`, from `glue_index`), and every subtree
+level with its host key (`pseudo_nodes`, `fiber_owners`, `host_keys`);
+`fibers_with` scans `fiber_owners`, and `host_fiber` bisects the components
+and walks only the trees.  A lookup holds the surface's parts, never the
+surface, and a rewrite, through a constructor or `_replace`, returns a new
+surface with an empty instance dict, so no lookup can go stale.  The
+reduction walk builds no lookup on the models it passes through: it keeps
+its own `glue_index`, built from its start and patched by each flip, and it
 settles only the fibers of the components and trees it tracks, not those
 `fibers_with` scans.
 
@@ -55,6 +56,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from operator import attrgetter
 from typing import Iterable, NamedTuple
 
@@ -300,11 +302,7 @@ class BrokenEllipticSurface(_BrokenEllipticSurface):
 
     @cached_property
     def _ends(self) -> dict[str, list[tuple[Glue, AttachEnd]]]:
-        out: dict[str, list[tuple[Glue, AttachEnd]]] = {}
-        for g in self.glues:
-            for end in g.ends():
-                out.setdefault(end.component, []).append((g, end))
-        return out
+        return glue_index(self.glues)
 
     @cached_property
     def _subtrees(self) -> list[tuple[str, str, PseudoComponent]]:
@@ -379,12 +377,16 @@ class BrokenEllipticSurface(_BrokenEllipticSurface):
 
     def host_fiber(self, owner: str, fid: str) -> MarkedFiber:
         """The fiber `fid` of a component or pseudo node; under a repeated id,
-        the first such fiber of any owner with that id."""
-        for o, fibers in self.fiber_owners():
-            if o == owner:
-                for f in fibers:
-                    if f.fid == fid:
-                        return f
+        the first such fiber of any owner with that id, in `fiber_owners`
+        order.  The components with id `owner` are a bisected run, and only
+        the trees are walked, so no lookup is built."""
+        lo = bisect_left(self.components, owner, key=_CID)
+        comps = self.components[lo : bisect_right(self.components, owner, lo, key=_CID)]
+        nodes = (node for t in self.trees for node in t.root.nodes() if node.pid == owner)
+        for part in chain(comps, nodes):
+            for f in part.fibers:
+                if f.fid == fid:
+                    return f
         raise KeyError(f"{owner} has no fiber {fid}")
 
     # -- derived quantities -------------------------------------------------
@@ -395,6 +397,17 @@ class BrokenEllipticSurface(_BrokenEllipticSurface):
         if not fiber.markers:
             return fiber.coeff
         return self.weights.sum(fiber.markers)
+
+
+def glue_index(glues: Iterable[Glue]) -> dict[str, list[tuple[Glue, AttachEnd]]]:
+    """Each component's attaching-fiber ends, glue included, in glue order,
+    keyed by component id and built in one pass: the lookup behind
+    `glue_ends`, and the index the reduction walk keeps and patches."""
+    out: dict[str, list[tuple[Glue, AttachEnd]]] = {}
+    for g in glues:
+        for end in (g.a, g.b):
+            out.setdefault(end.component, []).append((g, end))
+    return out
 
 
 # -- texts stored on the part records -----------------------------------------

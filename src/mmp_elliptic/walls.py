@@ -16,7 +16,8 @@ only, and builds a `Wall` and a `Fraction` only for an answer: the walls
 through a point, or a crossing that is hit.  A `Chamber` holds a point and
 its arrangement, so `locate` is O(r), and two chambers compare by
 `same_chamber`, a meet in the middle over the subset sums that lists
-2^ceil(r/2) sums per half.  `Wall.value_at` and `Wall.side` answer for one
+2^ceil(r/2) sums per half; `walls_containing` and `Chamber.interior` meet
+in the middle the same way.  `Wall.value_at` and `Wall.side` answer for one
 wall.
 
 `felt_walls` is the one table of the walls a given model feels, each paired
@@ -141,6 +142,22 @@ def _prefix_sums(values: list[int]) -> list[set[int]]:
     return sets
 
 
+# the masks of the left-half and of the right-half subsets that join to one sum
+_Pair = tuple[list[int], list[int]]
+
+
+def _half_masks(values: list[int], bits: list[int]) -> dict[int, list[int]]:
+    """Every subset sum of `values` mapped to the masks (bits[i] for
+    values[i]) of the subsets that add up to it."""
+    pairs = [(0, 0)]
+    for v, b in zip(values, bits):
+        pairs += [(s + v, m | b) for s, m in pairs]
+    out: dict[int, list[int]] = {}
+    for s, m in pairs:
+        out.setdefault(s, []).append(m)
+    return out
+
+
 def _sum_masks(sets: list[set[int]], values: list[int], bits: list[int], s: int, k: int = -1, m: int = 0) -> list[int]:
     """The masks (bits[i] for values[i]) of every subset of the first k
     values (all by default) that adds up to s, which sets[k] must hold.  It
@@ -183,10 +200,12 @@ class Arrangement(Sequence):
       finds the values hit, and backtracking through the prefix sets lists
       only the subsets that reach them (Horowitz and Sahni's split of a
       subset sum).
-    - `_on` does the same at one point, where every marker is fixed and the
-      interval is the constant itself.  Its first step, `_through`, finds
-      the direct walls through the point and the subset constants among the
-      last prefix set's sums; `Chamber.interior` stops there.
+    - `_on` answers at one point by a meet in the middle.  Its first step,
+      `_through`, finds the direct walls through the point and splits the
+      markers as `_same` does; each half's subset sums map to their masks,
+      and a constant c is met when c - s is a left sum for some right sum
+      s.  `_on` joins the masks of every such pair, and `Chamber.interior`
+      stops at the first constant met.
     - `_same` splits the markers into two halves and lists each half's
       distinct (P-sum, Q-sum) pairs.  Two points differ on the wall of a
       subset S at c when P(S) < c <= Q(S), Q(S) < c <= P(S), P(S) > c = Q(S)
@@ -372,22 +391,34 @@ class Arrangement(Sequence):
             chunks[s] = ("above",) * lo + ("on",) * (hi - lo) + ("below",) * (len(_WIII) - hi)
         return chain(direct, wii, chain.from_iterable(map(chunks.__getitem__, sums)))
 
-    def _through(self, D: int, w: list[int]) -> tuple[list[int], list[tuple[int | None, int]], list[int], list[set[int]]]:
-        """The rows of the direct walls through the point w over D; the (j,
-        constant) of each subset wall whose constant is a subset sum of the
-        point; and the point over the common denominator with its prefix
-        sets.  Every constant is positive, so the empty subset meets none."""
+    def _through(self, D: int, w: list[int]) -> tuple[list[int], Iterator[tuple[int | None, list[_Pair]]]]:
+        """The rows of the direct walls through the point w over D, and,
+        lazily in ascending order, each subset wall's j with the (left masks,
+        right masks) whose subsets join to add up to its constant.  Each half
+        of the markers, split as `_same` splits them, maps its subset sums to
+        their reversed masks; a constant c is met when c - s is a left sum
+        for some right sum s.  Every constant is positive, so the empty
+        subset meets none."""
         L, w = self._lift(D, w)
-        sets = _prefix_sums(w)
         rows = [row for row, c, (x,) in self._direct(L, w) if x == c]
-        return rows, [(j, c) for j, c in zip(*self._subset_constants(L)) if c in sets[-1]], w, sets
+        # subsets as reversed masks, bit r - k for marker k (`_place`)
+        r, h = self.r, (self.r + 1) // 2
+        left, right = (
+            _half_masks([w[k] for k in part], [1 << (r - 1 - k) for k in part]) for part in (range(h), range(h, r))
+        )
+
+        def met() -> Iterator[tuple[int | None, list[_Pair]]]:
+            for j, c in zip(*self._subset_constants(L)):
+                pairs = [(left[c - s], masks) for s, masks in right.items() if c - s in left]
+                if pairs:
+                    yield j, pairs
+
+        return rows, met()
 
     def _on(self, D: int, w: list[int]) -> list[int]:
-        rows, met, w, sets = self._through(D, w)
-        # subsets as reversed masks, bit r - k for marker k (`_place`)
-        bits = [1 << (self.r - 1 - k) for k in range(self.r)]
-        for j, c in met:
-            rows += [self._row(_place(s, self.r), j) for s in _sum_masks(sets, w, bits, c)]
+        rows, met = self._through(D, w)
+        for j, pairs in met:
+            rows += [self._row(_place(a | b, self.r), j) for lefts, rights in pairs for a in lefts for b in rights]
         return sorted(rows)
 
     def _hits(self, D: int, a: list[int], b: list[int]) -> Iterator[tuple[int, int, int]]:
@@ -488,8 +519,8 @@ class Chamber(NamedTuple):
         return tuple(walls_containing(self.point, self.walls))
 
     def interior(self) -> bool:
-        rows, met, _, _ = self.walls._through(*_integers(self.point))
-        return not rows and not met
+        rows, met = self.walls._through(*_integers(self.point))
+        return not rows and next(met, None) is None
 
     # a chamber equals no plain tuple, though it is one
     def __eq__(self, other) -> bool:

@@ -982,15 +982,33 @@ def _assert_same(built, got, where="surface"):
         assert got == built, where
 
 
-def test_trusted_rewrites_equal_a_rebuild_through_the_public_constructors():
+def test_trusted_rewrites_equal_a_rebuild_through_the_public_constructors(monkeypatch):
     # the walk rebuilds its snapshots through `_replace`, which neither checks
     # nor sorts; each snapshot and final must equal the model the public
-    # constructors build from the same parts
+    # constructors build from the same parts, and so must each model a flip
+    # step (`_hang_off_peer`, between the steps of a cascade too) or a
+    # collapse returns
+    steps = Counter()
+
+    def checked(fn):
+        def wrapper(X, *args):
+            out = fn(X, *args)
+            _assert_same(rebuilt(out[0]), out[0], fn.__name__)
+            steps[fn.__name__] += 1
+            return out
+
+        return wrapper
+
+    for name in ("_hang_off_peer", "_collapse_subtree"):
+        monkeypatch.setattr(reduction, name, checked(getattr(reduction, name)))
     walks = [_chain(n, seed) for n, seed in ((40, 1), (100, 2), (160, 3))]
     deep = _bench_inputs().chain_case(random.Random(4), 60, k=12)  # 12 cascading flips
     walks.append((parse_model(json.dumps(deep.model)), WeightVector(deep.target)))
+    # the golden walks: a flip that folds a type II middle into its tree
+    for name, to in REWRITE_WALKS.items():
+        walks.append((parse_model((GOLDEN / f"{name}.json").read_text()), WeightVector(tuple(F(w) for w in to.split(",")))))
     rng = random.Random(97)
-    while len(walks) < 204:
+    while len(walks) < 210:
         isotrivial = len(walks) % 2 == 1
         X = random_model(rng, max_components=5, max_markers=12, allow_isotrivial=isotrivial)
         A = admissible_target(rng, X)
@@ -1003,3 +1021,83 @@ def test_trusted_rewrites_equal_a_rebuild_through_the_public_constructors():
             _assert_same(rebuilt(s), s)
         kinds.update(rec.kind for rec in trace.records)
     assert kinds[RecordKind.LA_NAVE_FLIP] >= 100 and kinds[RecordKind.TREE_COLLAPSE_TO_CURVE] > 0, kinds
+    # a cascade hangs more components than it makes flip records
+    assert steps["_hang_off_peer"] > kinds[RecordKind.LA_NAVE_FLIP], steps
+    assert steps["_collapse_subtree"] == kinds[RecordKind.TREE_COLLAPSE_TO_POINT] + kinds[RecordKind.TREE_COLLAPSE_TO_CURVE]
+
+
+def test_a_chain_walk_builds_no_surface_through_the_public_constructor(monkeypatch):
+    # every rewrite of the walk, a flip's included, slices the sorted parts
+    # and rebuilds through `_replace`, so nothing is sorted again
+    X, target = _chain(160)
+    calls = []
+    new = BrokenEllipticSurface.__new__
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(BrokenEllipticSurface, "__new__", counted)
+    trace = reduce(X, target)
+    flips = [rec for rec in trace.records if rec.kind == RecordKind.LA_NAVE_FLIP]
+    assert calls == [] and len(flips) == 3
+    rebuilt(trace.final)  # the spy sees the public constructor
+    assert len(calls) == 1
+
+
+def _fresh_ends(Y):
+    """Each component's glue ends read afresh, on a copy of Y that holds no
+    cached lookup, leaving out the components with none."""
+    Z = Y._replace()
+    return {c.cid: Z.glue_ends(c.cid) for c in Z.components if Z.glue_ends(c.cid)}
+
+
+def test_the_walk_keeps_its_glue_end_index_live(monkeypatch):
+    # the walk builds its glue-end index once, from its start, and each flip
+    # patches it: after every step of a flip cascade, after every WII or WIII
+    # record and after every batch it must equal the ends read afresh from
+    # the walk's model (an emptied list counts as no entry)
+    seen = Counter()
+
+    def live(ends):
+        return {cid: got for cid, got in ends.items() if got}
+
+    hang = reduction._hang_off_peer
+
+    def hang_checked(X, cid, ends):
+        Y, peer = hang(X, cid, ends)
+        assert live(ends) == _fresh_ends(Y), cid
+        seen["steps"] += 1
+        return Y, peer
+
+    update = reduction._Segment.update
+
+    def update_checked(self, table, Y, top, gone):
+        assert live(self.ends) == _fresh_ends(Y), top
+        seen["records"] += 1
+        update(self, table, Y, top, gone)
+
+    apply = reduction._apply_batch
+
+    def batch_checked(X, segment, table, t, records):
+        Y, halted = apply(X, segment, table, t, records)
+        assert live(segment.ends) == _fresh_ends(Y), t
+        seen["batches"] += 1
+        seen["halted"] += halted
+        return Y, halted
+
+    monkeypatch.setattr(reduction, "_hang_off_peer", hang_checked)
+    monkeypatch.setattr(reduction._Segment, "update", update_checked)
+    monkeypatch.setattr(reduction, "_apply_batch", batch_checked)
+    walks = [_chain(40), _chain(160)]
+    bench, rng = _bench_inputs(), random.Random(43)
+    for _ in range(20):
+        case = bench.halting_case(rng)
+        walks.append((parse_model(json.dumps(case.model)), WeightVector(case.target)))
+    for name, to in REWRITE_WALKS.items():
+        walks.append((parse_model((GOLDEN / f"{name}.json").read_text()), WeightVector(tuple(F(w) for w in to.split(",")))))
+    cascades = 0
+    for X, target in walks:
+        trace = reduce(X, target)
+        cascades += sum(len(rec.affected) > 1 for rec in trace.records if rec.kind == RecordKind.LA_NAVE_FLIP)
+    assert cascades > 0 and seen["halted"] >= 20 and seen["steps"] > 6, (cascades, seen)
