@@ -66,6 +66,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from enum import Enum
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 from operator import attrgetter, itemgetter
 from typing import Container, Iterable, NamedTuple, Sequence
@@ -500,7 +501,7 @@ class _Segment:
         D = self.D = lcm(*{d for _, d in a}, *{d for _, d in b})
         self.low = [0] + [n * (D // d) for n, d in a]
         self.rise = [0] + [n * (D // d) - lo for (n, d), lo in zip(b, self.low[1:])]
-        self.moving = frozenset(i for i in range(1, A.r + 1) if self.rise[i])
+        self.moving = frozenset(compress(range(A.r + 1), self.rise))
 
     def weights_at(self, t: Fraction) -> WeightVector:
         """The weights (1 - t) A + t B; a `Fraction` is built only for a
@@ -553,11 +554,13 @@ class _Segment:
             return True
         D, low = self.D, self.low
         if comp.has_section:
-            # marker-less coefficients are rare; with none, `fixed` is int 0
-            fixed = sum([f.coeff for f in comp.fibers if not f.markers])
             degree = (2 * comp.genus - 2 + attachments) * D + sum(map(low.__getitem__, marks))
-            if degree * fixed.denominator + fixed.numerator * D <= 0:
-                return True
+            # the marker-less coefficients only add, so they are summed only
+            # when the rest is not positive; with none, `fixed` is int 0
+            if degree <= 0:
+                fixed = sum([f.coeff for f in comp.fibers if not f.markers])
+                if degree * fixed.denominator + fixed.numerator * D <= 0:
+                    return True
         stack = [(comp.fiber(t.host_fiber), t.root) for t in trees]
         while stack:
             host, node = stack.pop()
@@ -574,9 +577,10 @@ class _Segment:
         once and keeps it up to date with `update`.  The attachments of each
         component are read from `ends`, which this builds from X."""
         ends = self.ends = glue_index(X.glues)
+        hosts = {t.host_component for t in X.trees}
         table: _Table = {}
         for comp in X.components:
-            n, trees = len(ends.get(comp.cid, ())), X.trees_on(comp.cid)
+            n, trees = len(ends.get(comp.cid, ())), X.trees_on(comp.cid) if comp.cid in hosts else ()
             if self.holds(comp, n, trees):
                 table[comp.cid] = self.reach(felt_row(comp, n, trees))
         return table

@@ -405,8 +405,9 @@ def glue_index(glues: Iterable[Glue]) -> dict[str, list[tuple[Glue, AttachEnd]]]
     `glue_ends`, and the index the reduction walk keeps and patches."""
     out: dict[str, list[tuple[Glue, AttachEnd]]] = {}
     for g in glues:
-        for end in (g.a, g.b):
-            out.setdefault(end.component, []).append((g, end))
+        _, a, b = g
+        out.setdefault(a.component, []).append((g, a))
+        out.setdefault(b.component, []).append((g, b))
     return out
 
 

@@ -702,6 +702,14 @@ def _chain(n, seed=1):
     return parse_model(json.dumps(case.model)), WeightVector(case.target)
 
 
+def _golden_walks():
+    """(start, target) of each walk in `REWRITE_WALKS`."""
+    return [
+        (parse_model((GOLDEN / f"{name}.json").read_text()), WeightVector(tuple(F(w) for w in to.split(","))))
+        for name, to in REWRITE_WALKS.items()
+    ]
+
+
 def test_snapshot_base_curves_from_stored_parts_match_the_stepwise_oracle():
     # the start's base-curve parts are stored before the walk, so each
     # snapshot reuses those of the components its records kept and builds
@@ -1004,9 +1012,7 @@ def test_trusted_rewrites_equal_a_rebuild_through_the_public_constructors(monkey
     walks = [_chain(n, seed) for n, seed in ((40, 1), (100, 2), (160, 3))]
     deep = _bench_inputs().chain_case(random.Random(4), 60, k=12)  # 12 cascading flips
     walks.append((parse_model(json.dumps(deep.model)), WeightVector(deep.target)))
-    # the golden walks: a flip that folds a type II middle into its tree
-    for name, to in REWRITE_WALKS.items():
-        walks.append((parse_model((GOLDEN / f"{name}.json").read_text()), WeightVector(tuple(F(w) for w in to.split(",")))))
+    walks += _golden_walks()  # a flip that folds a type II middle into its tree
     rng = random.Random(97)
     while len(walks) < 210:
         isotrivial = len(walks) % 2 == 1
@@ -1023,7 +1029,8 @@ def test_trusted_rewrites_equal_a_rebuild_through_the_public_constructors(monkey
     assert kinds[RecordKind.LA_NAVE_FLIP] >= 100 and kinds[RecordKind.TREE_COLLAPSE_TO_CURVE] > 0, kinds
     # a cascade hangs more components than it makes flip records
     assert steps["_hang_off_peer"] > kinds[RecordKind.LA_NAVE_FLIP], steps
-    assert steps["_collapse_subtree"] == kinds[RecordKind.TREE_COLLAPSE_TO_POINT] + kinds[RecordKind.TREE_COLLAPSE_TO_CURVE]
+    collapses = kinds[RecordKind.TREE_COLLAPSE_TO_POINT] + kinds[RecordKind.TREE_COLLAPSE_TO_CURVE]
+    assert steps["_collapse_subtree"] == collapses, steps
 
 
 def test_a_chain_walk_builds_no_surface_through_the_public_constructor(monkeypatch):
@@ -1094,10 +1101,9 @@ def test_the_walk_keeps_its_glue_end_index_live(monkeypatch):
     for _ in range(20):
         case = bench.halting_case(rng)
         walks.append((parse_model(json.dumps(case.model)), WeightVector(case.target)))
-    for name, to in REWRITE_WALKS.items():
-        walks.append((parse_model((GOLDEN / f"{name}.json").read_text()), WeightVector(tuple(F(w) for w in to.split(",")))))
+    walks += _golden_walks()
     cascades = 0
     for X, target in walks:
         trace = reduce(X, target)
         cascades += sum(len(rec.affected) > 1 for rec in trace.records if rec.kind == RecordKind.LA_NAVE_FLIP)
-    assert cascades > 0 and seen["halted"] >= 20 and seen["steps"] > 6, (cascades, seen)
+    assert cascades > 0 and seen["halted"] >= 20 and seen["steps"] > 6 and seen["records"] > 6, (cascades, seen)
