@@ -183,13 +183,6 @@ _GID = attrgetter("gid")
 _TREE_KEY = itemgetter(0, 1)  # a tree's (host component, host fiber)
 
 
-def _index(parts: tuple, key, value: str) -> int | None:
-    """The place of the first part of the sorted `parts` whose `key` is
-    `value`, by bisection, or None."""
-    i = bisect_left(parts, value, key=key)
-    return i if i < len(parts) and key(parts[i]) == value else None
-
-
 def _rewrite(
     X: BrokenEllipticSurface,
     new: dict[tuple[str, str], MarkedFiber],
@@ -206,14 +199,14 @@ def _rewrite(
     drops an entry, so every list keeps its order."""
     if not new:
         return X
-    components, nodes = {}, set()
+    parts, components, nodes = X.components, {}, set()
     for owner in {owner for owner, _ in new}:
-        i = _index(X.components, _CID, owner)
-        if i is None:
-            nodes.add(owner)
+        i = bisect_left(parts, owner, key=_CID)
+        if i < len(parts) and parts[i].cid == owner:
+            c = parts[i]
+            components[i] = c._replace(fibers=tuple([new.get((owner, f.fid), f) for f in c.fibers]))
         else:
-            c = X.components[i]
-            components[i] = c._replace(fibers=tuple(new.get((owner, f.fid), f) for f in c.fibers))
+            nodes.add(owner)
     trees = {}
     if nodes:
         for j, t in enumerate(X.trees):
@@ -223,7 +216,7 @@ def _rewrite(
         lo = bisect_left(X.trees, drop, key=_TREE_KEY)
         for j in range(lo, bisect_right(X.trees, drop, lo, key=_TREE_KEY)):
             trees[j] = None
-    return X._replace(components=_patched(X.components, components), trees=_patched(X.trees, trees))
+    return X._replace(components=_patched(parts, components), trees=_patched(X.trees, trees))
 
 
 def _patched(parts: tuple, changes: dict[int, object]) -> tuple:
@@ -251,14 +244,12 @@ def _rewrite_node(
     node: PseudoComponent, new: dict[tuple[str, str], MarkedFiber], drop: tuple[str, str] | None
 ) -> PseudoComponent:
     """The tree below `node` rebuilt as `_rewrite` asks."""
-    return node._replace(
-        fibers=tuple(new.get((node.pid, f.fid), f) for f in node.fibers),
-        children=tuple(
-            ChildLink(l.via_fiber, _rewrite_node(l.node, new, drop))
-            for l in node.children
-            if (node.pid, l.via_fiber) != drop
-        ),
-    )
+    children = [
+        ChildLink(l.via_fiber, _rewrite_node(l.node, new, drop))
+        for l in node.children
+        if (node.pid, l.via_fiber) != drop
+    ]
+    return node._replace(fibers=tuple([new.get((node.pid, f.fid), f) for f in node.fibers]), children=tuple(children))
 
 
 # -- WI: fiber model transitions ----------------------------------------------
@@ -367,7 +358,7 @@ def _hang_off_peer(X: BrokenEllipticSurface, cid: str, ends: _Ends) -> tuple[Bro
         raise RuleNotApplicable(
             f"attaching fiber {peer.fiber_id} of type {peer.ftype} admits no intermediate model"
         )
-    i = _index(X.components, _CID, cid)
+    i = bisect_left(X.components, cid, key=_CID)
     comp = X.components[i]
     lo_t = bisect_left(X.trees, cid, key=_HOST)
     hi_t = bisect_right(X.trees, cid, lo_t, key=_HOST)
@@ -383,7 +374,7 @@ def _hang_off_peer(X: BrokenEllipticSurface, cid: str, ends: _Ends) -> tuple[Bro
     host = MarkedFiber(
         peer.fiber_id, peer.ftype, X.weights.sum(markers), FiberState.INTERMEDIATE, markers
     )
-    p = _index(X.components, _CID, peer.component)
+    p = bisect_left(X.components, peer.component, key=_CID)
     hung = X.components[p]._replace(fibers=_inserted(X.components[p].fibers, host, _FID))
     lo = bisect_left(X.glues, glue.gid, key=_GID)
     hi = bisect_right(X.glues, glue.gid, lo, key=_GID)
@@ -432,7 +423,7 @@ def _apply_section_contraction(
             kind, boundary = RecordKind.WHOLE_SECTION_CONTRACTION, constant != 2
         else:
             kind, boundary = RecordKind.TYPE_II_PSEUDO_FORMATION, True
-        i = _index(X.components, _CID, cid)
+        i = bisect_left(X.components, cid, key=_CID)
         current = X._replace(components=_patched(X.components, {i: X.components[i]._replace(has_section=False)}))
     wall = Wall(WallKind.WII, subset, constant, boundary=boundary)
     return current, TransformationRecord(t, wall, kind, tuple(affected), current), top
