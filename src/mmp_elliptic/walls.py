@@ -13,12 +13,13 @@ definition, built in O(r).  Iterating it builds the walls in one pass; the
 queries `locate`, `same_chamber`, `walls_containing` and `segment_walls`
 take an Arrangement and never iterate it.  Every query compares integers
 only, and builds a `Wall` and a `Fraction` only for an answer: the walls
-through a point, or a crossing that is hit.  A `Chamber` holds a point and
-its arrangement, so `locate` is O(r), and two chambers compare by
-`same_chamber`, a meet in the middle over the subset sums that lists
-2^ceil(r/2) sums per half; `walls_containing` and `Chamber.interior` meet
-in the middle the same way.  `Wall.value_at` and `Wall.side` answer for one
-wall.
+through a point, or a crossing that is hit, on subsets from one table per
+process (`_lex_subset`), shared by every arrangement on r markers.  A
+`Chamber` holds a point and its arrangement, so `locate` is O(r), and two
+chambers compare by `same_chamber`, a meet in the middle over the subset
+sums that lists 2^ceil(r/2) sums per half; `walls_containing` and
+`Chamber.interior` meet in the middle the same way.  `Wall.value_at` and
+`Wall.side` answer for one wall.
 
 `felt_walls` is the one table of the walls a given model feels, each paired
 with the fiber, section or tree that crossing it rewrites.  It is made of
@@ -37,6 +38,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, chain, cycle, islice, repeat
 from math import gcd, lcm
 from operator import add, eq, gt
@@ -114,10 +116,11 @@ def _place(rev: int, r: int) -> int:
     return (1 << r) - (rev & -rev) - rev + rev.bit_count() - 1
 
 
+@lru_cache(maxsize=1 << 12)
 def _lex_subset(p: int, r: int) -> frozenset[int]:
-    """The subset of 1..r at place p of that order (`_place`), each marker
-    joined to the set of those above it as `Arrangement.__iter__` joins
-    them, so that the set iterates in the same order."""
+    """The subset of 1..r at place p of that order (`_place`), joined from
+    its top marker down as `Arrangement.__iter__` joins it, so that the set
+    iterates in the same order; one bounded table per process keeps it."""
     markers = []
     for k in range(1, r + 1):
         block = 1 << (r - k)  # the subsets whose lowest marker is k
@@ -186,11 +189,12 @@ class Arrangement(Sequence):
     walls on every nonempty subset in the order of their sorted tuples (the
     full set's wall at two is row r of that block over a rational base),
     then the WIII walls of each subset, in constant order.  A row and its
-    wall follow from each other in O(r) (`_place`, `_lex_subset`), and
-    iterating, or slicing, builds every wall in row order in one pass; the
-    walls built on one subset share its frozenset.  No query iterates: each
-    reads only the definition, checks the WI walls and the wall at two one
-    by one, and builds a `Wall` only for an answer:
+    wall follow from each other in O(r) (`_place`, and `_lex_subset`, one
+    table for the rows of every arrangement on r markers); iterating, or
+    slicing, builds every wall in row order in one pass, and the walls built
+    on one subset share its frozenset.  No query iterates: each reads only
+    the definition, checks the WI walls and the wall at two one by one, and
+    builds a `Wall` only for an answer:
 
     - `_hits` splits the markers into moving (a < b) and fixed ones.  The
       fixed part of a subset adds the same v at both ends, so for a nonempty
@@ -223,14 +227,13 @@ class Arrangement(Sequence):
     bisection (`_find`), so they build only the walls they compare.
     """
 
-    __slots__ = ("r", "_thresholds", "_rational", "_wi", "_top", "_wii", "_sets")
+    __slots__ = ("r", "_thresholds", "_rational", "_wi", "_top", "_wii")
 
     def __init__(self, r: int, thresholds: tuple, rational: bool) -> None:
         self.r, self._thresholds, self._rational = r, thresholds, rational
         self._wi = [i for i, t in enumerate(thresholds) if t is not None]
         # the WI rows, then the WII rows, then the WIII rows
         self._top, self._wii = 2 * len(self._wi), (1 << r) - 1 + rational
-        self._sets: dict[int, frozenset[int]] = {}
 
     def __len__(self) -> int:
         return self._top + (1 + len(_WIII)) * ((1 << self.r) - 1) + self._rational
@@ -261,8 +264,8 @@ class Arrangement(Sequence):
         return map(tuple.__new__, repeat(Wall), chain(wi, wii, wiii))
 
     def _wall_at(self, i: int) -> Wall:
-        """Wall i, read from the definition; the walls built on one subset
-        share its frozenset, kept by its place in `_sets`."""
+        """Wall i, read from the definition; its subset comes from the
+        process-wide table of `_lex_subset`, shared by every wall on it."""
         r, i, boundary = self.r, i - self._top, False
         if i >= self._wii:
             (p, j), kind = divmod(i - self._wii, len(_WIII)), WallKind.WIII
@@ -275,10 +278,7 @@ class Arrangement(Sequence):
             marker, boundary = self._wi[(i + self._top) >> 1], bool(i & 1)
             kind, p = WallKind.WI, _place(1 << (r - 1 - marker), r)
             constant = _KODAIRA[_DEN if boundary else self._thresholds[marker]]
-        subset = self._sets.get(p)
-        if subset is None:
-            subset = self._sets[p] = _lex_subset(p, r)
-        return tuple.__new__(Wall, (kind, subset, constant, boundary))
+        return tuple.__new__(Wall, (kind, _lex_subset(p, r), constant, boundary))
 
     def _walls(self, rows: Iterable[int]) -> Iterator[Wall]:
         """The walls at `rows`: the one place that builds the walls a query
@@ -287,7 +287,7 @@ class Arrangement(Sequence):
 
     def __getitem__(self, i):
         """One wall, or the list of a slice's walls, built as iterating builds
-        them, up to the slice's last row, and keeping no subset in `_sets`."""
+        them, up to the slice's last row, outside the `_lex_subset` table."""
         rows = range(len(self))[i]
         if not isinstance(rows, range):
             return self._wall_at(rows)

@@ -3,6 +3,7 @@ import pickle
 import random
 import time
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 import pytest
@@ -18,6 +19,7 @@ from mmp_elliptic.walls import (
     FeltWall,
     Wall,
     WallKind,
+    _lex_subset,
     enumerate_walls,
     felt_rows,
     felt_walls,
@@ -630,25 +632,66 @@ def test_queries_build_only_the_walls_they_return(monkeypatch):
         built.append(len(walls))
         return iter(walls)
 
+    # the subset table grows by exactly the subsets of each answer that it
+    # lacks, and holds no other
+    seen: set = set()
+
+    def new_subsets(answer) -> int:
+        new = {w.subset for w in answer} - seen
+        seen.update(new)
+        assert _lex_subset.cache_info().currsize == len(seen)
+        return len(new)
+
     monkeypatch.setattr(Arrangement, "_walls", counted)
+    _lex_subset.cache_clear()
     walls, A, B, mid = worked_segment(16)
-    assert len(walls) == 524_280 and built == []
+    assert len(walls) == 524_280 and built == [] and _lex_subset.cache_info().currsize == 0
     crossings = segment_walls(A, B, walls)
     assert sum(built) == sum(len(c.walls_hit) for c in crossings) == 11
-    for W in (A, B):
+    # the crossings are on {15}, {16} and {15, 16}; A adds the other
+    # singletons, and B, on the sixteen singletons, adds none
+    assert new_subsets(w for c in crossings for w in c.walls_hit) == 3
+    for W, new in ((A, 14), (B, 0)):
         built.clear()
         on = walls_containing(W, walls)
-        assert sum(built) == len(on) > 0
+        assert sum(built) == len(on) > 0 and new_subsets(on) == new
     built.clear()
     chamber = locate(mid, walls)
-    assert built == []
+    assert built == [] and not chamber.interior() and new_subsets([]) == 0
     wall = Wall(WallKind.WII, frozenset({15, 16}), F(1))
-    assert chamber.sign(wall) == "above" and not chamber.interior() and built == []
+    assert chamber.sign(wall) == "above" and built == []
     chamber = locate(A, walls)
     assert built == []
+    # every subset through A is in the table already, so it stays as it is
+    before = _lex_subset.cache_info().currsize
     on = chamber.on_walls()
     assert sum(built) == len(on) > 0 and list(on) == walls_containing(A, walls)
+    assert _lex_subset.cache_info().currsize == before
     assert all(chamber.sign(w) == "on" for w in on)
+
+
+def test_arrangements_on_the_same_r_share_one_subset_table():
+    # answers of two arrangements of other types and base flags hold the
+    # same frozenset for the same subset: both have the nine walls at one on
+    # {k} (k <= 6) and {7, 8}, at 1/3 on {7} and at 2/3 on {8}
+    point = WeightVector((F(1),) * 6 + (F(1, 3), F(2, 3)))
+    walls = [enumerate_walls(8, [parse_fiber_type(t)] * 8, rational) for t, rational in (("I1", False), ("II", True))]
+    first, second = (walls_containing(point, w) for w in walls)
+    shared = [(a, b) for a in first for b in second if a == b]
+    assert len(shared) == 9 and all(a.subset is b.subset for a, b in shared)
+    # one answer larger than the table's bound: at r = 14 with every weight
+    # 1/12 the walls through the point are every k-subset at constant k/12
+    r, info = 14, _lex_subset.cache_info()
+    point = WeightVector((F(1, 12),) * r)
+    expected = [
+        Wall(WallKind.WII if c == 1 else WallKind.WIII, frozenset(s), c)
+        for c in (*WALL_CONSTANTS, F(1))
+        if (c * 12).denominator == 1
+        for s in combinations(range(1, r + 1), int(c * 12))
+    ]
+    on = walls_containing(point, enumerate_walls(r, [parse_fiber_type("I1")] * r))
+    assert len(on) == 10_556 > info.maxsize and on == sorted(expected, key=Wall.sort_key)
+    assert _lex_subset.cache_info().currsize == info.maxsize
 
 
 def assert_index_like(arr, listed, value, *bounds):
@@ -713,8 +756,10 @@ def test_membership_at_r_20_builds_no_column(monkeypatch):
 def test_a_slice_builds_its_walls_in_one_pass_and_keeps_no_subset():
     # the walls of a slice come from one pass over the definition, as
     # iterating gives them, each subset's walls sharing its frozenset; only a
-    # single row keeps its subset, for the queries that read rows one by one
+    # single row keeps its subset in the process-wide table, for the queries
+    # that read rows one by one
     for r, rational in ((5, True), (8, False)):
+        _lex_subset.cache_clear()
         walls = enumerate_walls(r, [parse_fiber_type(t) for t in MARKABLE[:r]], rational)
         listed = list(walls)
         n = len(listed)
@@ -723,8 +768,8 @@ def test_a_slice_builds_its_walls_in_one_pass_and_keeps_no_subset():
             assert walls[cut] == listed[cut]
         sliced = walls[:]
         assert len({id(w.subset) for w in sliced}) == len({w.subset for w in sliced}) == (1 << r) - 1
-        assert walls._sets == {}
-        assert walls[n // 2] == listed[n // 2] and len(walls._sets) == 1
+        assert _lex_subset.cache_info().currsize == 0
+        assert walls[n // 2] == listed[n // 2] and _lex_subset.cache_info().currsize == 1
 
 
 def test_chambers_hold_their_point_and_arrangement():
