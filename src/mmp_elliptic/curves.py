@@ -157,10 +157,11 @@ class WeightVector(_WeightVector):
     followed by the coefficients of marker-less fibers, which `MarkedFiber`
     has range-checked.
 
-    The record keeps an instance dict, for the texts of its weights that the
-    JSON writer stores (`modeljson._weight_texts`), and, on a vector the walk
-    derives from its target, that source and the moved markers; neither
-    enters `==` or `hash`.
+    The record keeps an instance dict, built on first use and entering
+    neither `==` nor `hash`, for: the texts of its weights that the JSON
+    writer stores (`modeljson._weight_texts`); on a vector the walk derives
+    from its target, that source and the moved markers; and its integer lift,
+    which every wall query on it reads (`walls._integers`).
     """
 
     def __new__(cls, entries):

@@ -14,7 +14,10 @@ from __future__ import annotations
 
 from enum import IntEnum
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
+
+from .rationals import _TEXTS
 
 
 class UnsupportedFiberType(Exception):
@@ -84,8 +87,15 @@ class KodairaType(_KodairaType):
 
 
 def parse_fiber_type(text: str) -> KodairaType:
-    """Parse the string tags "I0", "I3", "II", "I*0", "II*", "N1", ..."""
-    s = text.strip()
+    """Parse the string tags "I0", "I3", "II", "I*0", "II*", "N1", ...
+    once per text per process, in a table of `rationals._TEXTS` entries that
+    keeps every success."""
+    return _fiber_type(text.strip(), text)
+
+
+@lru_cache(maxsize=_TEXTS)
+def _fiber_type(s: str, text: str) -> KodairaType:
+    """The type the stripped text s writes; an error names the text as given."""
     if s.startswith("I*"):
         return KodairaType("I*", int(s[2:]))
     if s in _PLAIN_FAMILIES:

@@ -113,41 +113,32 @@ def _bool(value, where: tuple[str, ...]) -> bool:
 
 
 class _Reader:
-    """The reader of one document.  It keeps, for the call that made it, each
-    literal text -> `Fraction`, each type text -> `KodairaType`, and each
-    fiber's (type, coeff, state) texts -> its checked (type, coefficient,
-    state), so each distinct text is parsed, range-checked and given its state
-    once.  The keys are `str` of the JSON values, never the values: `1`, `1.0`
-    and `true` hash alike, and a value key would take `1.0` or `true` wherever
-    `"1"` came first.  A missing field reads as `None`, whose text no parse
-    accepts, and only a parse that succeeds is kept, so a bad or missing field
-    is refused at its first occurrence, in the order the fields are read.  A
-    flag or a count of the right JSON type is taken as it is, with no call."""
+    """The reader of one document.  Each literal and type text is parsed once
+    per process (`rat_from_str`, `parse_fiber_type`), and the reader keeps,
+    for the call that made it, each fiber's (type, coeff, state) texts -> its
+    checked (type, coefficient, state), so each distinct fiber is
+    range-checked and given its state once.  The texts are `str` of the JSON
+    values, never the values: `1`, `1.0` and `true` hash alike, and a value
+    key would take `1.0` or `true` wherever `"1"` came first.  A missing field
+    reads as `None`, whose text no parse accepts, and only a parse that
+    succeeds is kept, so a bad or missing field is refused at its first
+    occurrence, in the order the fields are read.  A flag or a count of the
+    right JSON type is taken as it is, with no call."""
 
     def __init__(self) -> None:
-        self.rats: dict[str, Fraction] = {}
-        self.types: dict[str, KodairaType] = {}
         self.fields: dict[tuple[str, str, str], tuple[KodairaType, Fraction, FiberState]] = {}
 
     def rational(self, value, where: tuple[str, ...]) -> Fraction:
-        text = str(value)
-        q = self.rats.get(text)
-        if q is None:
-            try:
-                q = self.rats[text] = rat_from_str(text)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise _schema(where, f"bad rational {value!r} ({exc})")
-        return q
+        try:
+            return rat_from_str(str(value))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise _schema(where, f"bad rational {value!r} ({exc})")
 
     def ftype(self, value, where: tuple[str, ...]) -> KodairaType:
-        text = str(value)
-        ftype = self.types.get(text)
-        if ftype is None:
-            try:
-                ftype = self.types[text] = parse_fiber_type(text)
-            except ValueError as exc:
-                raise _schema(where, str(exc))
-        return ftype
+        try:
+            return parse_fiber_type(str(value))
+        except ValueError as exc:
+            raise _schema(where, str(exc))
 
     def fiber(self, obj: dict, where: tuple[str, ...]) -> MarkedFiber:
         fid = str(_need(obj, "id", where))
@@ -224,15 +215,15 @@ def model_from_obj(obj: dict, check: bool = True) -> BrokenEllipticSurface:
     read = _Reader()
     raw_weights = _list(obj, "weights", ("model",), required=True)
     texts = [str(w) for w in raw_weights]
+    rats: dict[str, Fraction] = {}  # the distinct weight texts, first occurrence first
     for i, text in enumerate(texts):
-        if text not in read.rats:
-            read.rational(raw_weights[i], (f"weights[{i + 1}]",))
-    # the reader holds only the distinct weight texts, first occurrence first
-    for text, w in read.rats.items():
+        if text not in rats:
+            rats[text] = read.rational(raw_weights[i], (f"weights[{i + 1}]",))
+    for text, w in rats.items():
         if not 0 <= w.numerator <= w.denominator:
             raise _schema((f"weights[{texts.index(text) + 1}]",), f"{rat_to_str(w)} outside [0, 1]")
     # every entry is a `Fraction` checked to lie in [0, 1] just above
-    weights = WeightVector._make((tuple(map(read.rats.__getitem__, texts)),))
+    weights = WeightVector._make((tuple(map(rats.__getitem__, texts)),))
 
     components = [read.component(cobj) for cobj in _list(obj, "components", ("model",), required=True)]
 

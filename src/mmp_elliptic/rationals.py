@@ -11,12 +11,21 @@ by json's own escaper (`quote`), and a list of laid-out items as
 `json.dumps(indent=2)` lays it out (`json_list`).  They live here, beside the
 number helpers, so that the CLI's `walls` listing writes its JSON without
 loading the model layers.
+
+A literal must match `[+-]?[0-9]+(/[0-9]+)?` once stripped, so no inner space,
+"_" or non-ASCII digit that `int` takes.  Each text is parsed once per process:
+a table of `_TEXTS` entries, as `kodaira`'s for types, keeps every success.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as quote
+
+_TEXTS = 1 << 12
+_LITERAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def rat(value: int | str | Fraction) -> Fraction:
@@ -32,13 +41,20 @@ def rat(value: int | str | Fraction) -> Fraction:
 
 def rat_from_str(text: str) -> Fraction:
     """Parse "p/q" or "n". Rejects floats and empty input."""
-    s = text.strip()
+    return _literal(text.strip())
+
+
+@lru_cache(maxsize=_TEXTS)
+def _literal(s: str) -> Fraction:
+    """The stripped text s as a rational.  What `int` refuses raises as
+    `int` does; what only the strict rule refuses raises after it."""
     if not s:
         raise ValueError("empty rational literal")
-    if "/" in s:
-        num, _, den = s.partition("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+    num, slash, den = s.partition("/")
+    q = Fraction(int(num), int(den)) if slash else Fraction(int(num))
+    if not _LITERAL.fullmatch(s):
+        raise ValueError(f"rational literal {s!r} is not p/q or n in the digits 0-9")
+    return q
 
 
 def rat_to_str(q: Fraction) -> str:

@@ -12,9 +12,10 @@ read-only sequence in `Wall.sort_key` order that holds only its
 definition, built in O(r).  Iterating it builds the walls in one pass; the
 queries `locate`, `same_chamber`, `walls_containing` and `segment_walls`
 take an Arrangement and never iterate it.  Every query compares integers
-only, and builds a `Wall` and a `Fraction` only for an answer: the walls
-through a point, or a crossing that is hit, on subsets from one table per
-process (`_lex_subset`), shared by every arrangement on r markers.  A
+only, on the lift each weight vector keeps from its first query on
+(`_integers`), and builds a `Wall` and a `Fraction` only for an answer: the
+walls through a point, or a crossing that is hit, on subsets from one table
+per process (`_lex_subset`), shared by every arrangement on r markers.  A
 `Chamber` holds a point and its arrangement, so `locate` is O(r), and two
 chambers compare by `same_chamber`, a meet in the middle over the subset
 sums that lists 2^ceil(r/2) sums per half; `walls_containing` and
@@ -40,7 +41,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, cycle, islice, repeat
-from math import gcd, lcm
+from math import lcm
 from operator import add, eq, gt
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
@@ -101,10 +102,18 @@ _SIDE = ("on", "above", "below")
 _WIII = [c.numerator * (_DEN // c.denominator) for c in THRESHOLD_CONSTANTS]
 
 
+def _vector_lift(v: WeightVector) -> tuple[int, list[int]]:
+    """L_v, the lcm of `_DEN` and v's denominators, then v's weights times L_v."""
+    L = lcm(_DEN, *[x.denominator for x in v.entries])
+    return L, [x.numerator * (L // x.denominator) for x in v.entries]
+
+
 def _integers(*vectors: WeightVector) -> tuple:
-    """D, the lcm of every weight denominator, then each vector's weights times D."""
-    D = lcm(*(x.denominator for v in vectors for x in v.entries))
-    return (D, *[[x.numerator * (D // x.denominator) for x in v.entries] for v in vectors])
+    """D, the lcm of the vectors' scales, then each one's weights times D, from
+    the lift it keeps in its instance dict from its first query on."""
+    lifts = [v.__dict__.get("_lift") or v.__dict__.setdefault("_lift", _vector_lift(v)) for v in vectors]
+    D = lcm(*[L for L, _ in lifts])
+    return (D, *[w if L == D else [x * (D // L) for x in w] for L, w in lifts])
 
 
 def _place(rev: int, r: int) -> int:
@@ -350,12 +359,12 @@ class Arrangement(Sequence):
 
     def _lift(self, D: int, *vectors: list[int]) -> tuple:
         """L, the lcm of `_DEN` and D, then the first r weights of each
-        vector over D, over L.  Raises `KeyError` when a vector has no
-        weight for marker r."""
+        vector over D, over L (a slice when D is L, as from `_integers`).
+        Raises `KeyError` when a vector has no weight for marker r."""
         for v in vectors:
             self._need(len(v))
-        L = lcm(_DEN, D)
-        return (L, *[[x * (L // D) for x in v[: self.r]] for v in vectors])
+        L, r = lcm(_DEN, D), self.r
+        return (L, *[v[:r] if L == D else [x * (L // D) for x in v[:r]] for v in vectors])
 
     def _direct(self, L: int, *vectors: list[int]) -> list[tuple[int, int, list[int]]]:
         """(row, constant, value at each vector) over L of every WI wall and
@@ -610,17 +619,15 @@ def segment_walls(A: WeightVector, B: WeightVector, walls: Arrangement) -> list[
 
 
 def _crossings(walls: Arrangement, hits: Iterable[tuple[int, int, int]]) -> list[SegmentCrossing]:
-    """The crossings of (num, den, row) hits: grouped by the time as a
-    reduced integer pair, so each time is one `Fraction`, ordered by
-    decreasing time on integer keys over the lcm of the denominators, each
-    listing its walls in row order."""
-    rows: dict[tuple[int, int], list[int]] = {}
+    """The crossings of (num, den, row) hits, grouped by the time's integer
+    numerator over L, the lcm of the denominators, so each time is one
+    `Fraction`; by decreasing time, each listing its walls in row order."""
+    hits = list(hits)
+    L = lcm(*{den for _, den, _ in hits})
+    rows: dict[int, list[int]] = {}
     for num, den, row in hits:
-        g = gcd(num, den)
-        rows.setdefault((num // g, den // g), []).append(row)
-    L = lcm(*(den for _, den in rows))
-    times = sorted(rows, key=lambda t: t[0] * (L // t[1]), reverse=True)
-    return [SegmentCrossing(Fraction(*t), tuple(walls._walls(sorted(rows[t])))) for t in times]
+        rows.setdefault(num * (L // den), []).append(row)
+    return [SegmentCrossing(Fraction(t, L), tuple(walls._walls(sorted(rows[t])))) for t in sorted(rows, reverse=True)]
 
 
 class FeltWall(NamedTuple):

@@ -812,3 +812,73 @@ def test_segment_checks_the_order_of_its_ends_on_integers():
     for lo, hi in ((B, A), (A, short), (short, B)):
         with pytest.raises(ValueError, match=r"^segment requires A <= B entrywise$"):
             segment_walls(lo, hi, walls)
+
+
+def test_a_vector_is_lifted_once_however_many_queries_read_it(monkeypatch):
+    # every query on one vector reads the lift it kept from its first query,
+    # on arrangements of any r up to its length; a fresh copy of the same
+    # entries answers alike
+    lifted = []
+    lift = mmp_elliptic.walls._vector_lift
+
+    def counted(v):
+        lifted.append(v)
+        return lift(v)
+
+    def answers(A, B, mid, walls):
+        return (
+            segment_walls(A, B, walls), walls_containing(A, walls), walls_containing(B, walls),
+            same_chamber(A, B, walls), same_chamber(mid, A, walls), locate(mid, walls).interior(),
+            locate(mid, walls).signs,
+        )
+
+    monkeypatch.setattr(mmp_elliptic.walls, "_vector_lift", counted)
+    rng = random.Random(32)
+    for r, rational in ((6, False), (8, True), (9, False)):
+        types = [parse_fiber_type(MARKABLE[(i + r) % len(MARKABLE)]) for i in range(r)]
+        arrangements = [enumerate_walls(k, types[:k], rational) for k in (r, r - 2)]
+        A = WeightVector(tuple(F(rng.randint(0, 6), rng.choice((6, 8, 15))) for _ in range(r)))
+        B = WeightVector(tuple(min(F(1), a + F(rng.randint(0, 2), 5)) for a in A.entries))
+        mid = interpolate(A, B, F(1, 2))
+        lifted.clear()
+        got = [answers(A, B, mid, walls) for walls in arrangements]
+        assert lifted == [A, B, mid]
+        assert all("_lift" in W.__dict__ for W in (A, B, mid))
+        fresh = [WeightVector(W.entries) for W in (A, B, mid)]
+        assert got == [answers(*fresh, walls) for walls in arrangements]
+        # a vector from the records' unchecked rebuild answers alike
+        made = [WeightVector._make((W.entries,)) for W in (A, B, mid)]
+        assert got == [answers(*made, walls) for walls in arrangements]
+    # a walk's snapshot weights carry their source's texts; a query adds the
+    # lift beside them, and the snapshot still writes as the oracle does
+    from mmp_elliptic.modeljson import serialize_model
+    from mmp_elliptic.reduction import reduce
+
+    from oracles import serialize_oracle
+
+    X = rational_degeneration(F(1))
+    trace = reduce(X, WeightVector((F(1),) * 10 + (F(1, 3),) * 2))
+    walls = enumerate_walls(12, [parse_fiber_type("I1")] * 12, True)
+    for Y in [rec.snapshot_after for rec in trace.records] + [trace.final]:
+        W = Y.weights
+        assert "_texts_from" in W.__dict__
+        got = [walls_containing(W, walls), locate(W, walls).interior(), same_chamber(W, X.weights, walls)]
+        assert W.__dict__.keys() == {"_texts_from", "_lift"}
+        fresh = WeightVector(W.entries)
+        assert got == [walls_containing(fresh, walls), locate(fresh, walls).interior(), same_chamber(fresh, X.weights, walls)]
+        assert serialize_model(Y) == serialize_oracle(Y)
+
+
+def test_walls_hit_at_one_time_by_parts_of_different_rises_share_one_crossing():
+    # marker 1 rises 3/12 and meets 1/6 at t = 2/3 (hit 2/3); marker 2 rises
+    # 6/12 from 5/12 and meets 3/4 at t = 2/3 too (hit 4/6); their sum meets
+    # no constant there
+    walls = enumerate_walls(2, [parse_fiber_type("I1")] * 2)
+    A, B = WeightVector((F(0), F(5, 12))), WeightVector((F(1, 4), F(11, 12)))
+    crossings = segment_walls(A, B, walls)
+    assert [(c.t, list(c.walls_hit)) for c in crossings] == per_wall_crossings(A, B, walls)
+    (hit,) = [c for c in crossings if c.t == F(2, 3)]
+    assert hit.walls_hit == (
+        Wall(WallKind.WIII, frozenset({1}), F(1, 6)), Wall(WallKind.WIII, frozenset({2}), F(3, 4))
+    )
+    assert [walls.index(w) for w in hit.walls_hit] == sorted(walls.index(w) for w in hit.walls_hit)
