@@ -11,7 +11,8 @@ import pytest
 import mmp_elliptic
 from mmp_elliptic.curves import WeightVector, interpolate
 from mmp_elliptic.kodaira import UnsupportedFiberType, lct_threshold, parse_fiber_type
-from mmp_elliptic.reduction import at_weights
+from mmp_elliptic.modeljson import serialize_model
+from mmp_elliptic.reduction import at_weights, reduce
 from mmp_elliptic.surfaces import BrokenEllipticSurface, Component
 from mmp_elliptic.walls import (
     Arrangement,
@@ -30,7 +31,9 @@ from mmp_elliptic.walls import (
 )
 
 from modelkit import MARKABLE, admissible_target, flipped_degeneration, mk_fiber, random_model, rational_degeneration
-from oracles import WALL_CONSTANTS, brute_force_walls, eager_signs, eager_walls, wall_from_obj, wall_keys, wall_to_obj
+from oracles import (
+    WALL_CONSTANTS, brute_force_walls, eager_signs, eager_walls, serialize_oracle, wall_from_obj, wall_keys, wall_to_obj,
+)
 
 F = Fraction
 
@@ -851,11 +854,6 @@ def test_a_vector_is_lifted_once_however_many_queries_read_it(monkeypatch):
         assert got == [answers(*made, walls) for walls in arrangements]
     # a walk's snapshot weights carry their source's texts; a query adds the
     # lift beside them, and the snapshot still writes as the oracle does
-    from mmp_elliptic.modeljson import serialize_model
-    from mmp_elliptic.reduction import reduce
-
-    from oracles import serialize_oracle
-
     X = rational_degeneration(F(1))
     trace = reduce(X, WeightVector((F(1),) * 10 + (F(1, 3),) * 2))
     walls = enumerate_walls(12, [parse_fiber_type("I1")] * 12, True)
