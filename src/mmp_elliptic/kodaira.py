@@ -12,6 +12,7 @@ numbers; `verify_threshold` performs that independent derivation.
 
 from __future__ import annotations
 
+import re
 from enum import IntEnum
 from fractions import Fraction
 from functools import lru_cache
@@ -89,19 +90,26 @@ class KodairaType(_KodairaType):
 def parse_fiber_type(text: str) -> KodairaType:
     """Parse the string tags "I0", "I3", "II", "I*0", "II*", "N1", ...
     once per text per process, in a table of `rationals._TEXTS` entries that
-    keeps every success."""
+    keeps every success.  An index is the digits 0-9 alone: no sign, inner
+    space, "_" or non-ASCII digit that `int` takes."""
     return _fiber_type(text.strip(), text)
+
+
+_INDEX = re.compile(r"[0-9]+")
 
 
 @lru_cache(maxsize=_TEXTS)
 def _fiber_type(s: str, text: str) -> KodairaType:
-    """The type the stripped text s writes; an error names the text as given."""
-    if s.startswith("I*"):
-        return KodairaType("I*", int(s[2:]))
+    """The type the stripped text s writes; an error names the text as given.
+    What `int` or `KodairaType` refuses raises as they do; what only the
+    index rule refuses raises after them."""
     if s in _PLAIN_FAMILIES:
         return KodairaType(s)
-    if s.startswith("I") and s[1:].isdigit():
-        return KodairaType("I", int(s[1:]))
+    family = "I*" if s.startswith("I*") else "I"
+    if family == "I*" or s.startswith("I") and s[1:].isdigit():
+        t = KodairaType(family, int(s[len(family) :]))
+        if _INDEX.fullmatch(s, len(family)):
+            return t
     raise ValueError(f"unrecognized fiber type {text!r}")
 
 

@@ -7,20 +7,19 @@ subset sums equal to a threshold constant (WIII).  Boundary walls at a
 coordinate equal to zero or one carry a flag.  Everything is exact; the full
 arrangement on r markers is exponential in r.
 
-`enumerate_walls` returns the walls on r markers as an `Arrangement`: a
-read-only sequence in `Wall.sort_key` order that holds only its
-definition, built in O(r).  Iterating it builds the walls in one pass; the
-queries `locate`, `same_chamber`, `walls_containing` and `segment_walls`
-take an Arrangement and never iterate it.  Every query compares integers
-only, on the lift each weight vector keeps from its first query on
-(`_integers`), and builds a `Wall` and a `Fraction` only for an answer: the
-walls through a point, or a crossing that is hit, on subsets from one table
-per process (`_lex_subset`), shared by every arrangement on r markers.  A
-`Chamber` holds a point and its arrangement, so `locate` is O(r), and two
-chambers compare by `same_chamber`, a meet in the middle over the subset
-sums that lists 2^ceil(r/2) sums per half; `walls_containing` and
-`Chamber.interior` meet in the middle the same way.  `Wall.value_at` and
-`Wall.side` answer for one wall.
+`enumerate_walls` returns the walls on r markers as an `Arrangement` that
+holds only its definition, built in O(r); iterating it builds the walls in
+`Wall.sort_key` order.  The queries `locate`, `same_chamber`,
+`walls_containing` and `segment_walls` never iterate it.  Each compares
+integers only, on the lift each weight vector keeps from its first query on
+(`_integers`), and builds a `Wall` and a `Fraction` only for an answer, from
+the subset mask it holds, on subsets from one table per process (`_subset`)
+shared by every arrangement on r markers.  A `Chamber` holds a point and its
+arrangement, so `locate` is O(r), and two chambers compare by
+`same_chamber`, a meet in the middle over the subset sums that lists
+2^ceil(r/2) sums per half; `walls_containing` and `Chamber.interior` meet in
+the middle the same way.  `Wall.value_at` and `Wall.side` answer for one
+wall.
 
 `felt_walls` is the one table of the walls a given model feels, each paired
 with the fiber, section or tree that crossing it rewrites.  It is made of
@@ -100,6 +99,8 @@ _KODAIRA = {c.numerator * (_DEN // c.denominator): c for c in (*THRESHOLD_CONSTA
 _SIDE = ("on", "above", "below")
 # the WIII constants times _DEN, ascending, as the walls on one subset list them
 _WIII = [c.numerator * (_DEN // c.denominator) for c in THRESHOLD_CONSTANTS]
+# the kind and constant of the walls on one subset, ascending: each WIII wall, then the WII wall at one
+_ON_SUBSET = [*((WallKind.WIII, c) for c in THRESHOLD_CONSTANTS), (WallKind.WII, _ONE)]
 
 
 def _vector_lift(v: WeightVector) -> tuple[int, list[int]]:
@@ -116,33 +117,17 @@ def _integers(*vectors: WeightVector) -> tuple:
     return (D, *[w if L == D else [x * (D // L) for x in w] for L, w in lifts])
 
 
-def _place(rev: int, r: int) -> int:
-    """The place of a nonempty subset of 1..r in the order of the sorted
-    tuples of all of them, from `rev`, its mask with bit r - k for marker k.
-    The subsets before it number 2^(r - k) for each marker k below its
-    highest that it lacks, plus one for each marker it has besides its
-    highest: 2^r less the lowest bit of rev less rev, plus its size less one."""
-    return (1 << r) - (rev & -rev) - rev + rev.bit_count() - 1
-
-
 @lru_cache(maxsize=1 << 12)
-def _lex_subset(p: int, r: int) -> frozenset[int]:
-    """The subset of 1..r at place p of that order (`_place`), joined from
-    its top marker down as `Arrangement.__iter__` joins it, so that the set
-    iterates in the same order; one bounded table per process keeps it."""
-    markers = []
-    for k in range(1, r + 1):
-        block = 1 << (r - k)  # the subsets whose lowest marker is k
-        if p >= block:
-            p -= block
-            continue
-        markers.append(k)
-        if not p:
-            break
-        p -= 1
-    subset = frozenset()
-    for k in reversed(markers):
-        subset = frozenset((k,)) | subset if subset else frozenset((k,))
+def _subset(rev: int, r: int) -> frozenset[int]:
+    """The subset of 1..r with the reversed mask rev (bit r - k for marker
+    k), joined from its top marker down as `Arrangement.__iter__` joins it,
+    so that the set iterates in the same order; one bounded table per process
+    keeps it, for every arrangement on r markers."""
+    subset: frozenset[int] = frozenset()
+    while rev:
+        low = rev & -rev
+        subset = frozenset((r + 1 - low.bit_length(),)) | subset
+        rev ^= low
     return subset
 
 
@@ -188,22 +173,19 @@ def _sum_masks(sets: list[set[int]], values: list[int], bits: list[int], s: int,
     return out
 
 
-class Arrangement(Sequence):
-    """The walls of `enumerate_walls`, in `Wall.sort_key` order, held as
-    their definition: r, `_thresholds` (each marker's threshold times
-    `_DEN`, None for a type without one) and `_rational` (the rational-base
-    flag).
+class Arrangement:
+    """The walls of `enumerate_walls`, held as their definition: r,
+    `_thresholds` (each marker's threshold times `_DEN`, None for a type
+    without one) and `_rational` (the rational-base flag).
 
-    Its rows are the WI walls, two per marker with a threshold, then the WII
-    walls on every nonempty subset in the order of their sorted tuples (the
-    full set's wall at two is row r of that block over a rational base),
-    then the WIII walls of each subset, in constant order.  A row and its
-    wall follow from each other in O(r) (`_place`, and `_lex_subset`, one
-    table for the rows of every arrangement on r markers); iterating, or
-    slicing, builds every wall in row order in one pass, and the walls built
-    on one subset share its frozenset.  No query iterates: each reads only
-    the definition, checks the WI walls and the wall at two one by one, and
-    builds a `Wall` only for an answer:
+    Iterating builds every wall in one pass, in `Wall.sort_key` order: the WI
+    walls, two per marker with a threshold, then the WII walls on every
+    nonempty subset in the order of their sorted tuples (the full set's wall
+    at two right after its wall at one, over a rational base), then the WIII
+    walls of each subset, in constant order; the walls on one subset share
+    its frozenset.  A wall's place in that order is its order key.  No query
+    iterates: each checks the WI walls and the wall at two (`_checks`) one
+    by one, and builds each answer from its mask through `_wall`:
 
     - `_hits` splits the markers into moving (a < b) and fixed ones.  The
       fixed part of a subset adds the same v at both ends, so for a nonempty
@@ -226,29 +208,38 @@ class Arrangement(Sequence):
       maxima of the other and with the greatest of one sum at each value of
       the other, answers each of the four for a right pair in one lookup.
       The empty set never differs, since every constant is positive.
-    - `_sides` adds up every subset sum once, in row order, and takes each
-      distinct sum's WIII sides from two bisections into the sorted
+    - `_sides` adds up every subset sum once, in iteration order, and takes
+      each distinct sum's WIII sides from two bisections into the sorted
       constants: it builds every side, for `Chamber.signs`.
 
-    It is a read-only `Sequence`, equal to a list of the same walls and to
-    an Arrangement of the same definition; every in-place change raises
-    `TypeError`.  `in`, `index` and `count` answer as a list does, by
-    bisection (`_find`), so they build only the walls they compare.
+    It equals a list of the same walls and an Arrangement of the same
+    definition, and pickles as its definition.  `in` (`_has`) compares a
+    value with the at most ten walls the definition puts on its subset.
     """
 
-    __slots__ = ("r", "_thresholds", "_rational", "_wi", "_top", "_wii")
+    __slots__ = ("r", "_thresholds", "_rational", "_top", "_wii", "_checks")
 
     def __init__(self, r: int, thresholds: tuple, rational: bool) -> None:
         self.r, self._thresholds, self._rational = r, thresholds, rational
-        self._wi = [i for i, t in enumerate(thresholds) if t is not None]
-        # the WI rows, then the WII rows, then the WIII rows
-        self._top, self._wii = 2 * len(self._wi), (1 << r) - 1 + rational
+        # the walls the queries check one by one: each WI wall, then the full
+        # set's wall at two, as (order key, marker or None for the full set,
+        # constant times _DEN, the arguments of `_wall`)
+        WI, checks = WallKind.WI, []
+        for i, c in enumerate(thresholds):
+            if c is not None:
+                rev, n = 1 << (r - 1 - i), len(checks)
+                checks += (n, i, c, (WI, rev, _KODAIRA[c], False)), (n + 1, i, _DEN, (WI, rev, _ONE, True))
+        # the WI walls, then the WII walls, then the WIII walls
+        self._top, self._wii = len(checks), (1 << r) - 1 + rational
+        if rational:
+            checks.append((self._top + r, None, 2 * _DEN, (WallKind.WII, (1 << r) - 1, _TWO, False)))
+        self._checks = checks
 
     def __len__(self) -> int:
         return self._top + (1 + len(_WIII)) * ((1 << self.r) - 1) + self._rational
 
     def __iter__(self) -> Iterator[Wall]:
-        r, WI, WII, WIII = self.r, WallKind.WI, WallKind.WII, WallKind.WIII
+        r, WII, WIII = self.r, WallKind.WII, WallKind.WIII
         # every nonempty subset of k..r in the order of its sorted tuple:
         # {k}, then {k} joined to each subset of k+1..r, then the subsets of k+1..r
         sets: list[frozenset[int]] = []
@@ -256,9 +247,7 @@ class Arrangement(Sequence):
         for k in range(r, 0, -1):
             singles[k - 1] = single = frozenset((k,))
             sets = [single, *[single | s for s in sets], *sets]
-        wi = chain.from_iterable(
-            ((WI, singles[i], _KODAIRA[self._thresholds[i]], False), (WI, singles[i], _ONE, True)) for i in self._wi
-        )
+        wi = [(kind, singles[i], c, boundary) for _, i, _, (kind, _, c, boundary) in self._checks[: self._top]]
         wii = zip(repeat(WII), sets, repeat(_ONE), repeat(False))
         if self._rational:
             # the full set (1, ..., r) is the r-th subset in that order, and
@@ -267,42 +256,27 @@ class Arrangement(Sequence):
             wii = chain(islice(wii, r), [(WII, full, _TWO, False)], wii)
         wiii = zip(
             repeat(WIII), chain.from_iterable(map(repeat, sets, repeat(len(_WIII)))),
-            cycle([_KODAIRA[c] for c in _WIII]), repeat(False),
+            cycle(THRESHOLD_CONSTANTS), repeat(False),
         )
         # tuple.__new__ skips the keyword handling of Wall(...)
         return map(tuple.__new__, repeat(Wall), chain(wi, wii, wiii))
 
-    def _wall_at(self, i: int) -> Wall:
-        """Wall i, read from the definition; its subset comes from the
-        process-wide table of `_lex_subset`, shared by every wall on it."""
-        r, i, boundary = self.r, i - self._top, False
-        if i >= self._wii:
-            (p, j), kind = divmod(i - self._wii, len(_WIII)), WallKind.WIII
-            constant = _KODAIRA[_WIII[j]]
-        elif i >= 0:
-            kind, p, constant = WallKind.WII, i, _ONE
-            if self._rational and i >= r:  # row r holds the full set's wall at two
-                p, constant = i - 1, _TWO if i == r else _ONE
-        else:
-            marker, boundary = self._wi[(i + self._top) >> 1], bool(i & 1)
-            kind, p = WallKind.WI, _place(1 << (r - 1 - marker), r)
-            constant = _KODAIRA[_DEN if boundary else self._thresholds[marker]]
-        return tuple.__new__(Wall, (kind, _lex_subset(p, r), constant, boundary))
+    def _wall(self, kind: WallKind, rev: int, constant: Fraction, boundary: bool = False) -> Wall:
+        """The wall of `kind` at `constant` on the subset with the reversed
+        mask rev: the one builder of the walls that the queries answer with."""
+        return tuple.__new__(Wall, (kind, _subset(rev, self.r), constant, boundary))
 
-    def _walls(self, rows: Iterable[int]) -> Iterator[Wall]:
-        """The walls at `rows`: the one place that builds the walls a query
-        answers with."""
-        return map(self._wall_at, rows)
-
-    def __getitem__(self, i):
-        """One wall, or the list of a slice's walls, built as iterating builds
-        them, up to the slice's last row, outside the `_lex_subset` table."""
-        rows = range(len(self))[i]
-        if not isinstance(rows, range):
-            return self._wall_at(rows)
-        up = rows if rows.step > 0 else rows[::-1]
-        walls = list(islice(self, up.start, up.stop, up.step)) if up else []
-        return walls if rows.step > 0 else walls[::-1]
+    def _subset_wall(self, rev: int, j: int) -> tuple[int, Wall]:
+        """(order key, wall) of wall j of `_ON_SUBSET` on the nonempty subset
+        with the reversed mask rev.  The key follows from p, the subset's
+        place in the order of the sorted tuples: the subsets before it number
+        2^(r - k) for each marker k below its highest that it lacks, plus one
+        for each marker it has besides its highest, so 2^r less the lowest bit
+        of rev less rev, plus its size less one."""
+        r, (kind, constant) = self.r, _ON_SUBSET[j]
+        p = (1 << r) - (rev & -rev) - rev + rev.bit_count() - 1
+        key = p + (self._rational and p >= r) if j == len(_WIII) else self._wii + len(_WIII) * p + j
+        return self._top + key, self._wall(kind, rev, constant)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Arrangement):
@@ -314,43 +288,24 @@ class Arrangement(Sequence):
     def __repr__(self) -> str:
         return f"<Arrangement of {len(self)} walls on markers up to {self.r}>"
 
-    def _find(self, value) -> int | None:
-        """The row of the wall equal to `value` as a list compares them (a
-        `Wall`, or a tuple of four equal to one), or None.  The walls are
-        distinct, so only the row that bisection on `Wall.sort_key` finds
-        can hold it; a value that is no tuple of four, or whose parts do not
-        order against a wall's, equals none."""
-        if not isinstance(value, tuple) or len(value) != 4:
-            return None
+    def _has(self, value) -> bool:
+        """Whether `value` equals a wall, as a list compares them: a tuple of
+        four whose subset is a set of markers 1..r and whose other parts equal
+        those of one of the at most ten walls the definition puts on that
+        subset.  O(r), and it builds no wall."""
+        if not isinstance(value, tuple) or len(value) != 4 or not isinstance(value[1], (set, frozenset)):
+            return False
         kind, subset, constant, boundary = value
-        try:
-            target = (kind, tuple(sorted(subset)), constant, boundary)
-            i = bisect_left(range(len(self)), target, key=lambda i: self._wall_at(i).sort_key())
-        except TypeError:
-            return None
-        return i if i < len(self) and self._wall_at(i) == value else None
+        r = self.r
+        rev = sum(1 << (r - k) for k in range(1, r + 1) if k in subset)
+        if rev.bit_count() != len(subset):
+            return False
+        on = [args for *_, args in self._checks if args[1] == rev]
+        if rev:
+            on += [(k, rev, c, False) for k, c in _ON_SUBSET]
+        return (kind, rev, constant, boundary) in on
 
-    def __contains__(self, value) -> bool:
-        return self._find(value) is not None
-
-    def index(self, value, start: int = 0, stop: int | None = None) -> int:
-        """The row of the wall equal to `value` when it lies in [start,
-        stop), with the bounds read as a slice reads them, as `list.index`
-        does."""
-        i = self._find(value)
-        if i is None or i not in range(len(self))[start:stop]:
-            raise ValueError(f"{value!r} is not in the arrangement")
-        return i
-
-    def count(self, value) -> int:
-        return int(self._find(value) is not None)
-
-    def _row(self, p: int, j: int | None) -> int:
-        """The row of the WII wall at one (j None) or of WIII wall j on the
-        subset at place p."""
-        if j is None:
-            return self._top + p + (self._rational and p >= self.r)
-        return self._top + self._wii + len(_WIII) * p + j
+    __contains__ = _has
 
     def _need(self, n: int) -> None:
         """Raise `KeyError` when a vector of n weights has none for marker r."""
@@ -366,30 +321,25 @@ class Arrangement(Sequence):
         L, r = lcm(_DEN, D), self.r
         return (L, *[v[:r] if L == D else [x * (L // D) for x in v[:r]] for v in vectors])
 
-    def _direct(self, L: int, *vectors: list[int]) -> list[tuple[int, int, list[int]]]:
-        """(row, constant, value at each vector) over L of every WI wall and
-        of the wall at two: the walls that the queries check one by one."""
-        direct = []
-        for k, i in enumerate(self._wi):
-            values = [v[i] for v in vectors]
-            direct += (2 * k, self._thresholds[i] * (L // _DEN), values), (2 * k + 1, L, values)
-        if self._rational:
-            direct.append((self._top + self.r, 2 * L, [sum(v) for v in vectors]))
-        return direct
+    def _direct(self, L: int, *vectors: list[int]) -> list[tuple[int, tuple, int, tuple[int, ...]]]:
+        """(order key, the arguments of `_wall`, constant, value at each
+        vector) over L of every wall in `_checks`."""
+        checks, scale = self._checks, L // _DEN
+        values = zip(*[[sum(v) if i is None else v[i] for _, i, _, _ in checks] for v in vectors])
+        return [(key, args, c * scale, x) for (key, _, c, args), x in zip(checks, values)]
 
     @staticmethod
-    def _subset_constants(L: int) -> tuple[list[int | None], list[int]]:
-        """The walls on one subset, ascending: the j of each WIII wall, then
-        None for the WII wall at one; and their constants over L."""
-        return [*range(len(_WIII)), None], [c * (L // _DEN) for c in (*_WIII, _DEN)]
+    def _subset_constants(L: int) -> list[int]:
+        """The constants over L of the walls on one subset (`_ON_SUBSET`), ascending."""
+        return [c * (L // _DEN) for c in (*_WIII, _DEN)]
 
     def _sides(self, D: int, w: list[int]) -> Iterator[str]:
-        """The side of the point w over D of every wall, in row order."""
+        """The side of the point w over D of every wall, in iteration order."""
         L, w = self._lift(D, w)
         sums: list[int] = []
         for x in reversed(w):
             sums = [x, *map(add, repeat(x), sums), *sums]
-        direct = [_SIDE[(x > c) - (x < c)] for _, c, (x,) in self._direct(L, w)]
+        direct = [_SIDE[(x > c) - (x < c)] for _, _, c, (x,) in self._direct(L, w)]
         wii = [_SIDE[(s > L) - (s < L)] for s in sums]
         if self._rational:
             wii.insert(self.r, direct.pop())
@@ -400,43 +350,48 @@ class Arrangement(Sequence):
             chunks[s] = ("above",) * lo + ("on",) * (hi - lo) + ("below",) * (len(_WIII) - hi)
         return chain(direct, wii, chain.from_iterable(map(chunks.__getitem__, sums)))
 
-    def _through(self, D: int, w: list[int]) -> tuple[list[int], Iterator[tuple[int | None, list[_Pair]]]]:
-        """The rows of the direct walls through the point w over D, and,
-        lazily in ascending order, each subset wall's j with the (left masks,
-        right masks) whose subsets join to add up to its constant.  Each half
-        of the markers, split as `_same` splits them, maps its subset sums to
-        their reversed masks; a constant c is met when c - s is a left sum
-        for some right sum s.  Every constant is positive, so the empty
-        subset meets none."""
+    def _through(self, D: int, w: list[int]) -> tuple[list, Iterator[tuple[int, list[_Pair]]]]:
+        """(order key, the arguments of `_wall`) of the checked walls through
+        the point w over D, and, lazily in ascending order, the place j in
+        `_ON_SUBSET` of each subset wall with the (left masks, right masks)
+        whose subsets join to add up to its constant.  Each half of the
+        markers, split as `_same` splits them, maps its subset sums to their
+        reversed masks; a constant c is met when c - s is a left sum for some
+        right sum s.  Every constant is positive, so the empty subset meets
+        none."""
         L, w = self._lift(D, w)
-        rows = [row for row, c, (x,) in self._direct(L, w) if x == c]
-        # subsets as reversed masks, bit r - k for marker k (`_place`)
+        direct = [(key, args) for key, args, c, (x,) in self._direct(L, w) if x == c]
+        # subsets as reversed masks, bit r - k for marker k (`_subset`)
         r, h = self.r, (self.r + 1) // 2
         left, right = (
             _half_masks([w[k] for k in part], [1 << (r - 1 - k) for k in part]) for part in (range(h), range(h, r))
         )
 
-        def met() -> Iterator[tuple[int | None, list[_Pair]]]:
-            for j, c in zip(*self._subset_constants(L)):
+        def met() -> Iterator[tuple[int, list[_Pair]]]:
+            for j, c in enumerate(self._subset_constants(L)):
                 pairs = [(left[c - s], masks) for s, masks in right.items() if c - s in left]
                 if pairs:
                     yield j, pairs
 
-        return rows, met()
+        return direct, met()
 
-    def _on(self, D: int, w: list[int]) -> list[int]:
-        rows, met = self._through(D, w)
+    def _on(self, D: int, w: list[int]) -> dict[int, Wall]:
+        """The walls through the point w over D, by order key."""
+        direct, met = self._through(D, w)
+        on = {key: self._wall(*args) for key, args in direct}
         for j, pairs in met:
-            rows += [self._row(_place(a | b, self.r), j) for lefts, rights in pairs for a in lefts for b in rights]
-        return sorted(rows)
+            on.update(self._subset_wall(a | b, j) for lefts, rights in pairs for a in lefts for b in rights)
+        return on
 
-    def _hits(self, D: int, a: list[int], b: list[int]) -> Iterator[tuple[int, int, int]]:
+    def _hits(self, D: int, a: list[int], b: list[int]) -> Iterator[tuple[int, int, int, Wall]]:
+        """(num, den, order key, wall) of every wall that the segment
+        a + t (b - a) over D crosses, at t = num / den."""
         L, a, b = self._lift(D, a, b)
-        for row, c, (x, y) in self._direct(L, a, b):
+        for key, args, c, (x, y) in self._direct(L, a, b):
             if x < c < y:
-                yield c - x, y - x, row
-        # subsets as reversed masks, bit r - k for marker k (`_place`)
-        r, row = self.r, self._row
+                yield c - x, y - x, key, self._wall(*args)
+        # subsets as reversed masks, bit r - k for marker k (`_subset`)
+        r = self.r
         fixed = [k for k in range(r) if a[k] == b[k]]
         values, bits = [a[k] for k in fixed], [1 << (r - 1 - k) for k in fixed]
         sets = _prefix_sums(values)
@@ -445,21 +400,21 @@ class Arrangement(Sequence):
         for k in range(r):
             if a[k] < b[k]:
                 parts += [(m | 1 << (r - 1 - k), x + a[k], y + b[k]) for m, x, y in parts]
-        js, constants = self._subset_constants(L)
+        constants = self._subset_constants(L)
         found: dict[int, list[int]] = {}  # the fixed subsets of each sum hit so far
         for m, x, y in parts[1:]:
             # only a constant in (x + least sum, y + greatest sum) can be hit
             first, last = bisect_right(constants, x + sums[0]), bisect_left(constants, y + sums[-1])
-            for j, c in zip(js[first:last], constants[first:last]):
+            for j, c in zip(range(first, last), constants[first:last]):
                 for v in sums[bisect_right(sums, c - y) : bisect_left(sums, c - x)]:
                     if v not in found:
                         found[v] = _sum_masks(sets, values, bits, v)
                     for f in found[v]:
-                        yield c - x - v, y - x, row(_place(m | f, r), j)
+                        yield c - x - v, y - x, *self._subset_wall(m | f, j)
 
     def _same(self, D: int, p: list[int], q: list[int]) -> bool:
         L, p, q = self._lift(D, p, q)
-        if any((x > c) - (x < c) != (y > c) - (y < c) for _, c, (x, y) in self._direct(L, p, q)):
+        if any((x > c) - (x < c) != (y > c) - (y < c) for _, _, c, (x, y) in self._direct(L, p, q)):
             return False
         # the distinct (P-sum, Q-sum) of every subset of each half of the markers
         h = (self.r + 1) // 2
@@ -477,7 +432,7 @@ class Arrangement(Sequence):
         ps, max_q = [a for a, _ in by_p], list(accumulate((b for _, b in by_p), max))
         qs, max_p = [b for b, _ in by_q], list(accumulate((a for _, a in by_q), max))
         top_q, top_p = dict(by_p), dict(by_q)
-        for c in self._subset_constants(L)[1]:
+        for c in self._subset_constants(L):
             for a, b in right:
                 # a left part joined to (a, b) adds up to c at x and at y
                 x, y = c - a, c - b
@@ -487,12 +442,6 @@ class Arrangement(Sequence):
                 if top_p.get(y, x) > x or top_q.get(x, y) > y:
                     return False  # P(S) > c = Q(S) or P(S) = c < Q(S)
         return True
-
-    def _read_only(self, *args, **kwargs):
-        raise TypeError("an Arrangement cannot change in place; list() of it gives a copy that can")
-
-    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
-    append = extend = insert = pop = remove = clear = sort = reverse = _read_only
 
     @property
     def _definition(self) -> tuple:
@@ -518,18 +467,18 @@ class Chamber(NamedTuple):
         return tuple(zip(self.walls, self.walls._sides(*_integers(self.point))))
 
     def sign(self, wall: Wall) -> str:
-        """The side of `wall`, which must be a wall of the arrangement."""
-        i = self.walls._find(wall)
-        if i is None:
+        """The side of `wall`, which must be a wall of the arrangement (`in`)."""
+        if wall not in self.walls:
             raise KeyError(f"wall {wall} not part of this chamber's arrangement")
-        return self.walls._wall_at(i).side(self.point)
+        v, c = self.point.sum(k for k in range(1, self.walls.r + 1) if k in wall[1]), wall[2]
+        return _SIDE[(v > c) - (v < c)]
 
     def on_walls(self) -> tuple[Wall, ...]:
         return tuple(walls_containing(self.point, self.walls))
 
     def interior(self) -> bool:
-        rows, met = self.walls._through(*_integers(self.point))
-        return not rows and next(met, None) is None
+        direct, met = self.walls._through(*_integers(self.point))
+        return not direct and next(met, None) is None
 
     # a chamber equals no plain tuple, though it is one
     def __eq__(self, other) -> bool:
@@ -599,8 +548,8 @@ def same_chamber(P: WeightVector, Q: WeightVector, walls: Arrangement) -> bool:
 
 def walls_containing(weights: WeightVector, walls: Arrangement) -> list[Wall]:
     """The walls through the weight vector, in `Wall.sort_key` order."""
-    walls = _arrangement(walls)
-    return list(walls._walls(walls._on(*_integers(weights))))
+    on = _arrangement(walls)._on(*_integers(weights))
+    return [on[key] for key in sorted(on)]
 
 
 def segment_walls(A: WeightVector, B: WeightVector, walls: Arrangement) -> list[SegmentCrossing]:
@@ -615,19 +564,20 @@ def segment_walls(A: WeightVector, B: WeightVector, walls: Arrangement) -> list[
     if len(a) != len(b) or any(map(gt, a, b)):
         raise ValueError("segment requires A <= B entrywise")
     walls = _arrangement(walls)
-    return _crossings(walls, walls._hits(D, a, b))
+    return _crossings(walls._hits(D, a, b))
 
 
-def _crossings(walls: Arrangement, hits: Iterable[tuple[int, int, int]]) -> list[SegmentCrossing]:
-    """The crossings of (num, den, row) hits, grouped by the time's integer
-    numerator over L, the lcm of the denominators, so each time is one
-    `Fraction`; by decreasing time, each listing its walls in row order."""
+def _crossings(hits: Iterable[tuple[int, int, int, Wall]]) -> list[SegmentCrossing]:
+    """The crossings of (num, den, order key, wall) hits, grouped by the
+    time's integer numerator over L, the lcm of the denominators, so each
+    time is one `Fraction`; by decreasing time, each listing its walls by
+    order key."""
     hits = list(hits)
-    L = lcm(*{den for _, den, _ in hits})
-    rows: dict[int, list[int]] = {}
-    for num, den, row in hits:
-        rows.setdefault(num * (L // den), []).append(row)
-    return [SegmentCrossing(Fraction(t, L), tuple(walls._walls(sorted(rows[t])))) for t in sorted(rows, reverse=True)]
+    L = lcm(*{den for _, den, _, _ in hits})
+    at: dict[int, dict[int, Wall]] = {}
+    for num, den, key, wall in hits:
+        at.setdefault(num * (L // den), {})[key] = wall
+    return [SegmentCrossing(Fraction(t, L), tuple(map(at[t].get, sorted(at[t])))) for t in sorted(at, reverse=True)]
 
 
 class FeltWall(NamedTuple):

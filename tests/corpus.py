@@ -33,8 +33,7 @@ the type and text of the exception it raised.  The families:
   11 to 14 markers with 1 to 3 moving ones (`chamber/wide/j`);
 - `walls/r/shift/base`: the `str` of every wall that iterating
   `enumerate_walls` gives on r = 0 to 10 markers, both bases, with the
-  markable types laid out from each offset `shift`, and
-  `walls/r/shift/base/index`: `index` of a seeded sample of those walls;
+  markable types laid out from each offset `shift`;
 - `file/.../wii-at-one/cid` for each model file:
   `cross_wall` on the WII wall at one over the markers of component cid,
   with each of them moved to weight 1 / (their number); only a component
@@ -312,17 +311,12 @@ def corpus(sizes: dict = FULL):
     for j in range(sizes["wide_segments"]):
         yield f"chamber/wide/{j}", segment_case(rng, 11 + j % 4, j % 2 == 1, rng.randint(1, 3))[2]
 
-    rng = random.Random(13)
     for r in range(sizes["wall_markers"]):
         for shift in range(len(MARKABLE)):
             types = [parse_fiber_type(MARKABLE[(i + shift) % len(MARKABLE)]) for i in range(r)]
             for rational in (False, True):
-                name = f"walls/{r}/{shift}/{'rational' if rational else 'plain'}"
                 walls = enumerate_walls(r, types, rational)
-                listed = list(walls)
-                yield name, "".join(f"{w}\n" for w in listed)
-                sample = rng.sample(listed, min(len(listed), 12))
-                yield f"{name}/index", "".join(f"{w} {walls.index(w)}\n" for w in sample)
+                yield f"walls/{r}/{shift}/{'rational' if rational else 'plain'}", "".join(f"{w}\n" for w in walls)
 
     rng = random.Random(77)
     for path in _model_files():

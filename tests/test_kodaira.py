@@ -1,3 +1,5 @@
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -154,6 +156,45 @@ def test_type_validation():
         parse_fiber_type("V")
     with pytest.raises(ValueError):
         KodairaType("I", -1)
+
+
+def _lenient_type(text):
+    """The reading `int` and `str.isdigit` give an index, with no strict rule."""
+    s = text.strip()
+    if s.startswith("I*"):
+        return KodairaType("I*", int(s[2:]))
+    if s in ("II", "III", "IV", "II*", "III*", "IV*", "N0", "N1", "N2"):
+        return KodairaType(s)
+    if s.startswith("I") and s[1:].isdigit():
+        return KodairaType("I", int(s[1:]))
+    raise ValueError(f"unrecognized fiber type {text!r}")
+
+
+# every type text, once stripped
+TYPE_TEXT = re.compile(r"I\*?[0-9]+|II\*?|III\*?|IV\*?|N[012]")
+
+
+def test_a_type_index_is_digits_0_to_9():
+    # `int` and `str.isdigit` take each of these; the index rule takes none
+    for text in ("I*1_0", "I*+3", "I* 3", "I*٣", "I٣", "I*３", " I*1_0 "):
+        with pytest.raises(ValueError, match=r"^unrecognized fiber type .*$"):
+            parse_fiber_type(text)
+        assert _lenient_type(text) is not None
+    # what `int` or `KodairaType` refuses still raises as they do, and the
+    # rule agrees with the regex on seeded texts
+    rng = random.Random(33)
+    kinds = {"refused before": 0, "strict": 0, "only int takes": 0}
+    for _ in range(3000):
+        head = rng.choice(("I", "I*", "I*", "II", "IV", "N", " I", "I* ", ""))
+        text = head + "".join(rng.choice("0123+-_ ٣٣x") for _ in range(rng.randint(0, 3)))
+        want, got = _outcome(_lenient_type, text), _outcome(parse_fiber_type, text)
+        if not isinstance(want, KodairaType) or TYPE_TEXT.fullmatch(text.strip()):
+            kinds["strict" if isinstance(want, KodairaType) else "refused before"] += 1
+            assert got == want, text
+        else:
+            kinds["only int takes"] += 1
+            assert got == (ValueError, f"unrecognized fiber type {text!r}"), text
+    assert min(kinds.values()) > 200, kinds
 
 
 def _outcome(f, *args):

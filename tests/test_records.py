@@ -82,7 +82,7 @@ def _records():
         Vertex(1, 0), Marker(1, 1), curve, A, I1, IntersectionData(F(-2), F(-1, 2), F(1), 2),
         X.components[0], X.components[0].fibers[0], X.glues[0], X.glues[0].a, Y.trees[0],
         Y.trees[0].root, ChildLink("a1", Y.trees[0].root), trace, trace.records[0], X,
-        Violation("glue", "g1", "unknown component c9"), walls[0], locate(A, walls),
+        Violation("glue", "g1", "unknown component c9"), next(iter(walls)), locate(A, walls),
         segment_walls(A, B, walls)[0],
     ]
 
