@@ -13,8 +13,11 @@ A curve's fields cannot be assigned, so what its weighted degrees need that
 no weight changes is cached on it, beside its adjacency: 2g - 2 + valence
 per vertex, each marker's index and vertex, and whether it is connected
 (`_shape`).  A check that reduces one curve at the weights of every time
-step of a walk builds that once, and each reduction then makes one integer
-pass over its weights.
+step of a walk builds that once, and each reduction then reads the integer
+lift its weight vector keeps (`_lift_of`, which the wall queries read
+too).  The public constructor sorts and checks every part; the
+contraction and the surface's base curve, whose parts are in order already,
+build through `MarkedNodalCurve._build`, which sorts only the edges.
 """
 
 from __future__ import annotations
@@ -56,6 +59,22 @@ _VID = attrgetter("vid")
 _INDEX = attrgetter("index")
 
 
+def _by_vid(vertices: Iterable[Vertex]) -> tuple[Vertex, ...]:
+    """The vertices sorted by id; `CurveError` when two share one."""
+    verts = tuple(sorted(vertices, key=_VID))
+    if len({v.vid for v in verts}) != len(verts):
+        raise CurveError("duplicate vertex ids")
+    return verts
+
+
+def _by_index(markers: Iterable[Marker]) -> tuple[Marker, ...]:
+    """The markers sorted by index; `CurveError` when two share one."""
+    markers = tuple(sorted(markers, key=_INDEX))
+    if len({m.index for m in markers}) != len(markers):
+        raise CurveError("marker indices must be distinct")
+    return markers
+
+
 class _MarkedNodalCurve(NamedTuple):
     vertices: tuple[Vertex, ...]
     edges: tuple[tuple[int, int], ...]
@@ -65,14 +84,12 @@ class _MarkedNodalCurve(NamedTuple):
 class MarkedNodalCurve(_MarkedNodalCurve):
     """Dual graph of a pointed nodal curve. Canonicalized on construction.
 
-    The record keeps an instance dict, for its adjacency and its shape, each
-    built on first use."""
+    `_build` is the one trusted build.  The record keeps an instance dict,
+    for its adjacency and its shape, each built on first use."""
 
     def __new__(cls, vertices, edges, markers):
-        verts = tuple(sorted(vertices, key=_VID))
+        verts = _by_vid(vertices)
         known = {v.vid for v in verts}
-        if len(known) != len(verts):
-            raise CurveError("duplicate vertex ids")
         pairs = []
         for edge in edges:
             a, b = edge
@@ -80,14 +97,19 @@ class MarkedNodalCurve(_MarkedNodalCurve):
                 raise CurveError(f"edge ({a},{b}) references unknown vertex")
             # an ordered tuple is kept, not copied
             pairs.append((b, a) if a > b else edge if type(edge) is tuple else (a, b))
+        markers = tuple(markers)
         for m in markers:
             if m.vertex not in known:
                 raise CurveError(f"marker {m.index} sits on unknown vertex {m.vertex}")
-        markers = tuple(sorted(markers, key=_INDEX))
-        if len({m.index for m in markers}) != len(markers):
-            raise CurveError("marker indices must be distinct")
-        pairs.sort()
-        return tuple.__new__(cls, (verts, tuple(pairs), markers))
+        return cls._build(verts, pairs, _by_index(markers))
+
+    @classmethod
+    def _build(cls, vertices, edges: list[tuple[int, int]], markers) -> MarkedNodalCurve:
+        """The curve on parts as `_by_vid` and `_by_index` give them and
+        `edges`, pairs (a, b), a <= b, of those vertices, which this sorts in
+        place; nothing is checked."""
+        edges.sort()
+        return tuple.__new__(cls, (tuple(vertices), tuple(edges), tuple(markers)))
 
     def vertex(self, vid: int) -> Vertex:
         for v in self.vertices:
@@ -140,6 +162,28 @@ class MarkedNodalCurve(_MarkedNodalCurve):
         return self._shape[3]
 
 
+# the lcm of the wall constants' denominators (`walls`), so a lift carries them too
+_DEN = 12
+
+
+def _vector_lift(v: WeightVector) -> tuple[int, list[int]]:
+    """L_v, the lcm of `_DEN` and v's denominators, then v's weights times L_v."""
+    L = lcm(_DEN, *[x.denominator for x in v.entries])
+    return L, [x.numerator * (L // x.denominator) for x in v.entries]
+
+
+def _lift_of(v: WeightVector) -> tuple[int, list[int]]:
+    """The lift v keeps under `_lift`, built on first read: a scale L, a
+    multiple of `_DEN` and of each weight's denominator, then each weight
+    times L, from the walk's integers on a vector that keeps its segment and
+    time (`_lift_from`), else by `_vector_lift`."""
+    memo = v.__dict__
+    if "_lift" not in memo:
+        source = memo.pop("_lift_from", None)
+        memo["_lift"] = _vector_lift(v) if source is None else source[0].lift(source[1])
+    return memo["_lift"]
+
+
 class _WeightVector(NamedTuple):
     entries: tuple[Fraction, ...]
 
@@ -160,8 +204,8 @@ class WeightVector(_WeightVector):
     The record keeps an instance dict, built on first use and entering
     neither `==` nor `hash`, for: the texts of its weights that the JSON
     writer stores (`modeljson._weight_texts`); on a vector the walk derives
-    from its target, that source and the moved markers; and its integer lift,
-    which every wall query on it reads (`walls._integers`).
+    from its target, that source and the moved markers; and its integer lift
+    (`_lift_of`), which every wall query and every degree table on it reads.
     """
 
     def __new__(cls, entries):
@@ -215,17 +259,16 @@ def _degree_table(curve: MarkedNodalCurve, weights: WeightVector) -> tuple[dict[
     """The degree of the weighted dualizing sheaf on every component, in
     vertex order, as an integer over one common denominator D:
     D (2g - 2 + valence + sum of marker weights on the vertex), from the
-    curve's cached shape and one integer pass over the marker weights.  A
-    marker index outside the vector raises `WeightVector.weight`'s
-    `KeyError`, for the lowest such index.  Returns the table and D."""
+    curve's cached shape and the lift the vector keeps (`_lift_of`), whose
+    scale is D.  A marker index outside the vector raises
+    `WeightVector.weight`'s `KeyError`, for the lowest such index.  Returns
+    the table and D."""
     base, indices, where, _ = curve._shape
-    entries = weights.entries
     _check_indices(indices, weights)
-    ratios = [entries[i - 1].as_integer_ratio() for i in indices]
-    D = lcm(*[d for _, d in ratios])
+    D, lift = _lift_of(weights)
     table = {vid: D * b for vid, b in base.items()}
-    for vid, (n, d) in zip(where, ratios):
-        table[vid] += n * (D // d)
+    for vid, i in zip(where, indices):
+        table[vid] += lift[i - 1]
     return table, D
 
 
@@ -317,7 +360,7 @@ def _contract(
             if a == b and closed.get(a):
                 closed[a] -= 1
                 continue
-            edge = (a, b)
+            edge = (a, b) if a <= b else (b, a)
         edges.append(edge)
     markers = [Marker(m.index, root[m.vertex]) if m.vertex in root else m for m in curve.markers]
     vertices = []
@@ -331,7 +374,7 @@ def _contract(
         vertices = [
             Vertex(v.vid, v.genus + gained[v.vid]) if v.vid in gained else v for v in vertices
         ]
-    return MarkedNodalCurve(tuple(vertices), tuple(edges), tuple(markers))
+    return curve._build(vertices, edges, markers)  # only the edges lost their order
 
 
 def hassett_reduce(curve: MarkedNodalCurve, weights: WeightVector) -> MarkedNodalCurve:
@@ -391,8 +434,11 @@ def curve_from_json(text: str | bytes) -> MarkedNodalCurve:
 def curve_to_dot(curve: MarkedNodalCurve, weights: WeightVector | None = None) -> str:
     """Deterministic DOT rendering of the dual graph."""
     lines = ["graph dual {", "  node [shape=circle];"]
+    on: dict[int, list[Marker]] = {}
+    for m in curve.markers:
+        on.setdefault(m.vertex, []).append(m)
     for v in curve.vertices:
-        marks = curve.markers_on(v.vid)
+        marks = on.get(v.vid)
         label = f"v{v.vid} g={v.genus}"
         if marks:
             parts = []

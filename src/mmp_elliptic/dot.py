@@ -6,16 +6,19 @@ two fiber types, and tree attachments as bold edges labeled with the host
 fiber's type and coefficient.  Identical models produce byte-identical text.
 Every label escapes `\\` and `"` (`_label`); a rational is written as `!s`
 (`rat_to_str` without the call) and a state's tag from a fixed table.  Each
-`Component` keeps its cluster and each `Glue` its edge in its instance dict
+`Component` keeps its cluster, each `Glue` its edge and each `TreeAttachment`
+the pair of its cluster and inner edges in its instance dict
 (`surfaces.stored_texts`), built on first use; a rewrite builds new records,
-so a stored text cannot go stale.  Tree clusters and edges are built on every call.
+so a stored text cannot go stale.  The edge into a tree shows its host
+fiber's coefficient, which the tree does not hold, so it is built on every
+call.
 """
 
 from __future__ import annotations
 
 import re
 
-from .surfaces import BrokenEllipticSurface, Component, Glue, MarkedFiber, PseudoComponent, stored_texts
+from .surfaces import BrokenEllipticSurface, Component, Glue, MarkedFiber, PseudoComponent, TreeAttachment, stored_texts
 
 # the tag of each `FiberState`, indexed by the state
 _STATE_TAGS = ("W", "int", "tw")
@@ -84,6 +87,15 @@ def _tree_edges(lines: list[str], node: PseudoComponent) -> None:
         _tree_edges(lines, link.node)
 
 
+def _tree_texts(t: TreeAttachment) -> tuple[str, str]:
+    """A tree's cluster, and the edges between its nodes (empty for one node)."""
+    cluster: list[str] = []
+    edges: list[str] = []
+    _node_cluster(cluster, t.root, "  ")
+    _tree_edges(edges, t.root)
+    return "\n".join(cluster), "\n".join(edges)
+
+
 def _glue_edge(g: Glue) -> str:
     # the two ends in (component, fiber id) order; equal ones keep theirs
     a, b = (g.a, g.b) if g.a[:2] <= g.b[:2] else (g.b, g.a)
@@ -98,12 +110,13 @@ def emit_dot(X: BrokenEllipticSurface) -> str:
     lines = ["digraph broken_surface {", "  compound=true;", "  rankdir=LR;"]
     # clusters with a section first
     lines += stored_texts(X.elliptic + X.pseudo2, "_dot_text", _component_cluster)
-    for t in X.trees:
-        _node_cluster(lines, t.root, "  ")
+    trees = stored_texts(X.trees, "_dot_text", _tree_texts)
+    lines += [cluster for cluster, _ in trees]
     lines += stored_texts(X.glues, "_dot_text", _glue_edge)
-    for t in X.trees:
+    for t, (_, edges) in zip(X.trees, trees):
         host = X.component(t.host_component).fiber(t.host_fiber)
         lines.append(_tree_edge(t.host_component, host, t.root))
-        _tree_edges(lines, t.root)
+        if edges:
+            lines.append(edges)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -22,12 +22,12 @@ its depth; every id goes through json's own escaper (`quote`), a rational is
 written as `!s` (what `rat_to_str` gives, without the call) and a state from
 the `STATE_NAMES` table.  The weights' texts are kept on the weight vector
 (`_weight_texts`), and a walk's snapshot writes only its moved entries; the
-trees and the frame of the four lists are written on every call.  The text
-of each `Component` and `Glue` is stored in the record's instance dict on first
-use (`surfaces.stored_texts`), so a walk writes a component that several
-snapshots share once.  A stored text cannot go stale: a record's fields cannot
-be assigned, and a rewrite, through a constructor or `_replace`, builds new
-records, which start with an empty instance dict.  The CLI's `reduce` trace
+frame of the four lists is written on every call.  The text of each
+`Component`, `Glue` and `TreeAttachment` is stored in the record's instance
+dict on first use (`surfaces.stored_texts`), so a walk writes a component or
+a tree that several snapshots share once.  A stored text cannot go stale: a
+record's fields cannot be assigned, and a rewrite, through a constructor or
+`_replace`, builds new records, which start with an empty instance dict.  The CLI's `reduce` trace
 re-indents these model texts to their depth.
 """
 
@@ -368,5 +368,5 @@ def serialize_model(X: BrokenEllipticSurface) -> str:
         f'{{\n  "weights": {weights_text(X.weights, "  ")},\n'
         f'  "components": {json_list(stored_texts(X.components, "_json_text", _component_text), "  ")},\n'
         f'  "attachments": {json_list(stored_texts(X.glues, "_json_text", _glue_text), "  ")},\n'
-        f'  "trees": {json_list([_tree_text(t) for t in X.trees], "  ")}\n}}\n'
+        f'  "trees": {json_list(stored_texts(X.trees, "_json_text", _tree_text), "  ")}\n}}\n'
     )

@@ -66,12 +66,12 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from enum import Enum
 from fractions import Fraction
-from itertools import compress
-from math import lcm
+from itertools import compress, islice
+from math import gcd, lcm
 from operator import attrgetter, itemgetter
 from typing import Container, Iterable, NamedTuple, Sequence
 
-from .curves import WeightVector
+from .curves import _DEN, WeightVector
 from .kodaira import FiberState, fiber_model_at, is_settled, lct_threshold
 from .surfaces import (
     _CID,
@@ -503,9 +503,20 @@ class _Segment:
         for i in self.moving:
             entries[i - 1] = Fraction(self.low[i] * q + p * self.rise[i], q * self.D)
         W = WeightVector._make((tuple(entries),))
-        # its weight texts are A's but for the moving markers (`_weight_texts`)
+        # its weight texts are A's but for the moving markers (`_weight_texts`);
+        # its lift is `lift(t)`, made on first read
         W.__dict__["_texts_from"] = self.A, self.moving
+        W.__dict__["_lift_from"] = self, t
         return W
+
+    def lift(self, t: Fraction) -> tuple[int, list[int]]:
+        """The lift of `weights_at(t)` (`curves._lift_of`): marker i is
+        low[i] q + p rise[i] over qD, t = p/q, and the scale the lcm of qD
+        and `_DEN`."""
+        p, q = t.numerator, t.denominator
+        qD = q * self.D
+        s = _DEN // gcd(_DEN, qD)
+        return s * qD, [(lo * q + p * up) * s for lo, up in islice(zip(self.low, self.rise), 1, None)]
 
     def reach(self, walls: Iterable[FeltWall]) -> list[tuple[int, int, FeltWall]]:
         """The walls the segment can still reach, each as (num, den, felt wall).

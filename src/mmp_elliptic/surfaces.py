@@ -20,11 +20,12 @@ be assigned.  A record that checks or sorts its parts does it in the `__new__`
 of a subclass, the public constructor.  `_replace` rebuilds a record through
 `tuple.__new__` and checks and sorts nothing: it is the one trusted rebuild,
 which the walk's rewrites (`reduction`) use where the new parts keep their
-order and their ranges.  Four records keep an instance dict for memos: the
-surface, for the cached lookups and the verdict below; `Component` and
-`Glue`, for the texts the writers store (`stored_texts`) and, on a component,
-its part of the base curve (`_base_points`); and `curves.WeightVector`, for
-the texts of its weights (`modeljson._weight_texts`).  Every other record has
+order and their ranges.  Five records keep an instance dict for memos: the
+surface, for the cached lookups and the verdict below; `Component`, `Glue`
+and `TreeAttachment`, for the texts the writers store (`stored_texts`) and,
+on a component, its part of the base curve (`_base_points`); and
+`curves.WeightVector`, for the texts of its weights
+(`modeljson._weight_texts`) and its integer lift.  Every other record has
 `__slots__ = ()`.
 
 Components are sorted by id, trees by (host component, host fiber) and
@@ -60,7 +61,7 @@ from itertools import chain
 from operator import attrgetter
 from typing import Iterable, NamedTuple
 
-from .curves import MarkedNodalCurve, Marker, Vertex, WeightVector, _contract
+from .curves import MarkedNodalCurve, Marker, Vertex, WeightVector, _by_index, _by_vid, _contract
 from .kodaira import (
     FiberState,
     KodairaType,
@@ -255,13 +256,16 @@ class ChildLink(NamedTuple):
     node: PseudoComponent
 
 
-class TreeAttachment(NamedTuple):
-    """A pseudoelliptic tree glued to the E component of an intermediate fiber
-    on an elliptic or type II pseudoelliptic host."""
-
+class _TreeAttachment(NamedTuple):
     host_component: str
     host_fiber: str
     root: PseudoComponent
+
+
+class TreeAttachment(_TreeAttachment):
+    """A pseudoelliptic tree glued to the E component of an intermediate fiber
+    on an elliptic or type II pseudoelliptic host.  The record keeps an
+    instance dict, for the texts the writers store on it."""
 
 
 def subtree_markers(node: PseudoComponent) -> frozenset[int]:
@@ -416,9 +420,9 @@ def glue_index(glues: Iterable[Glue]) -> dict[str, list[tuple[Glue, AttachEnd]]]
 
 def stored_texts(objs: Iterable, key: str, build) -> list[str]:
     """`build(obj)` for each of `objs`, kept under `key` in the instance dict
-    of `obj`, a `Component` or a `Glue`, the part records that keep one: like
-    the surface's lookups, built on first use, it lives and dies with `obj`.
-    The JSON and DOT writers store their texts this way."""
+    of `obj`, a `Component`, a `Glue` or a `TreeAttachment`, the part records
+    that keep one: like the surface's lookups, built on first use, it lives
+    and dies with `obj`.  The JSON and DOT writers store their texts this way."""
     return [obj.__dict__.get(key) or obj.__dict__.setdefault(key, build(obj)) for obj in objs]
 
 
@@ -477,14 +481,15 @@ def pre_base_curve(X: BrokenEllipticSurface) -> MarkedNodalCurve:
     fiber it backs; the k-th marker-less fiber becomes marker r + k, weighted
     by `base_weights`.  The other parts are stored on the components
     (`_base_points`); the markers r + k depend on every component, so they
-    are numbered on each call.
+    are numbered on each call.  Every part sits on a component's vertex, so
+    the trusted `_build` makes the curve.
     """
     vertices, markers, fixed, vmap = _base_points(X)
-    edges = tuple((vmap[g.a.component], vmap[g.b.component]) for g in X.glues)
+    ends = [(vmap[g.a.component], vmap[g.b.component]) for g in X.glues]
+    edges = [(a, b) if a <= b else (b, a) for a, b in ends]
     r = X.weights.r
-    # the constructor orders the markers by index
     markers += [Marker(r + k, v) for k, (v, _) in enumerate(fixed, start=1)]
-    return MarkedNodalCurve(tuple(vertices), edges, tuple(markers))
+    return MarkedNodalCurve._build(_by_vid(vertices), edges, _by_index(markers))
 
 
 def base_weights(X: BrokenEllipticSurface) -> WeightVector:

@@ -11,15 +11,15 @@ arrangement on r markers is exponential in r.
 holds only its definition, built in O(r); iterating it builds the walls in
 `Wall.sort_key` order.  The queries `locate`, `same_chamber`,
 `walls_containing` and `segment_walls` never iterate it.  Each compares
-integers only, on the lift each weight vector keeps from its first query on
-(`_integers`), and builds a `Wall` and a `Fraction` only for an answer, from
-the subset mask it holds, on subsets from one table per process (`_subset`)
-shared by every arrangement on r markers.  A `Chamber` holds a point and its
-arrangement, so `locate` is O(r), and two chambers compare by
-`same_chamber`, a meet in the middle over the subset sums that lists
-2^ceil(r/2) sums per half; `walls_containing` and `Chamber.interior` meet in
-the middle the same way.  `Wall.value_at` and `Wall.side` answer for one
-wall.
+integers only, on the lift each weight vector keeps (`curves._lift_of`),
+and builds a `Wall` and a `Fraction` only for an answer, from the subset
+mask it holds, on subsets from one table per process (`_subset`) shared by
+every arrangement on r markers.  A `Chamber`
+holds a point and its arrangement, so `locate` is O(r), and two chambers
+compare by `same_chamber`, a meet in the middle over the subset sums that
+lists 2^ceil(r/2) sums per half; `walls_containing` and `Chamber.interior`
+meet in the middle the same way.  `Wall.value_at` and `Wall.side` answer
+for one wall.
 
 `felt_walls` is the one table of the walls a given model feels, each paired
 with the fiber, section or tree that crossing it rewrites.  It is made of
@@ -44,7 +44,7 @@ from math import lcm
 from operator import add, eq, gt
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from .curves import WeightVector
+from .curves import _DEN, WeightVector, _lift_of
 from .kodaira import THRESHOLD_CONSTANTS, KodairaType, lct_threshold
 
 if TYPE_CHECKING:
@@ -92,7 +92,6 @@ class Wall(NamedTuple):
 # constants by identity; an Arrangement keeps each one as its value times _DEN
 # and reads the object back from _KODAIRA
 _ONE, _TWO = Fraction(1), Fraction(2)
-_DEN = lcm(*(c.denominator for c in THRESHOLD_CONSTANTS))  # every threshold is one of them
 _KODAIRA = {c.numerator * (_DEN // c.denominator): c for c in (*THRESHOLD_CONSTANTS, _ONE, _TWO)}
 
 # a side by the sign of value - constant: 0 on, 1 above, -1 below
@@ -103,16 +102,10 @@ _WIII = [c.numerator * (_DEN // c.denominator) for c in THRESHOLD_CONSTANTS]
 _ON_SUBSET = [*((WallKind.WIII, c) for c in THRESHOLD_CONSTANTS), (WallKind.WII, _ONE)]
 
 
-def _vector_lift(v: WeightVector) -> tuple[int, list[int]]:
-    """L_v, the lcm of `_DEN` and v's denominators, then v's weights times L_v."""
-    L = lcm(_DEN, *[x.denominator for x in v.entries])
-    return L, [x.numerator * (L // x.denominator) for x in v.entries]
-
-
 def _integers(*vectors: WeightVector) -> tuple:
     """D, the lcm of the vectors' scales, then each one's weights times D, from
-    the lift it keeps in its instance dict from its first query on."""
-    lifts = [v.__dict__.get("_lift") or v.__dict__.setdefault("_lift", _vector_lift(v)) for v in vectors]
+    the lift each keeps (`_lift_of`)."""
+    lifts = [_lift_of(v) for v in vectors]
     D = lcm(*[L for L, _ in lifts])
     return (D, *[w if L == D else [x * (D // L) for x in w] for L, w in lifts])
 

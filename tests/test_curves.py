@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -10,7 +11,9 @@ from mmp_elliptic.curves import (
     Marker,
     Vertex,
     WeightVector,
+    _DEN,
     _contract,
+    _lift_of,
     component_degree,
     curve_from_json,
     curve_to_dot,
@@ -20,11 +23,22 @@ from mmp_elliptic.curves import (
     is_hassett_stable,
 )
 
-from mmp_elliptic.kodaira import parse_fiber_type
-from mmp_elliptic.surfaces import AttachEnd, BrokenEllipticSurface, Component, Glue, base_curve, validate
+from mmp_elliptic.kodaira import THRESHOLD_CONSTANTS, parse_fiber_type
+from mmp_elliptic.rationals import rat_to_str
+from mmp_elliptic.reduction import reduce
+from mmp_elliptic.surfaces import (
+    AttachEnd,
+    BrokenEllipticSurface,
+    Component,
+    Glue,
+    base_curve,
+    base_weights,
+    pre_base_curve,
+    validate,
+)
 
-from modelkit import mk_fiber, rational_degeneration
-from oracles import contract_by_step, hassett_by_vertex, vertex_degree, weight_sum_fold
+from modelkit import chain_cascade, mk_fiber, random_model, random_target, rational_degeneration
+from oracles import contract_by_step, hassett_by_vertex, pre_base_curve_by_scan, vertex_degree, weight_sum_fold
 
 F = Fraction
 
@@ -357,14 +371,16 @@ def test_one_reduction_builds_one_curve(monkeypatch):
     curve, w = cascading_curve(random.Random(5), 40)
     steps = len(curve.vertices) - len(hassett_by_vertex(curve, w).vertices)
     assert steps >= 10
+    # every curve, through the public constructor or not, is made by the
+    # one trusted build
     built = []
-    new = MarkedNodalCurve.__new__
+    build = MarkedNodalCurve._build
 
     def counted(cls, *args):
         built.append(args)
-        return new(cls, *args)
+        return build(*args)
 
-    monkeypatch.setattr(MarkedNodalCurve, "__new__", counted)
+    monkeypatch.setattr(MarkedNodalCurve, "_build", classmethod(counted))
     hassett_reduce(curve, w)
     assert len(built) == 1
     # a base curve is the curve before contraction plus at most one more,
@@ -454,6 +470,112 @@ def test_json_round_trip():
     curve = chain([0, 1], {1: [1], 2: [2, 3]})
     again = curve_from_json(json.dumps(curve_to_obj(curve), indent=2))
     assert again == curve
+
+
+def curve_to_dot_by_vertex(curve, weights=None):
+    """The DOT text of a curve as `curve_to_dot` wrote it before it grouped
+    the markers in one pass: one scan of every marker per vertex."""
+    lines = ["graph dual {", "  node [shape=circle];"]
+    for v in curve.vertices:
+        marks = curve.markers_on(v.vid)
+        label = f"v{v.vid} g={v.genus}"
+        if marks:
+            parts = [f"{m.index}:{rat_to_str(weights.weight(m.index))}" if weights else str(m.index) for m in marks]
+            label += "\\nmarkers " + ",".join(parts)
+        lines.append(f'  v{v.vid} [label="{label}"];')
+    lines += [f"  v{a} -- v{b};" for a, b in curve.edges]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def test_dot_writes_the_bytes_of_the_per_vertex_scan():
+    rng = random.Random(3401)
+    marked = 0
+    for _ in range(300):
+        curve = random_multigraph(rng)
+        r = len(curve.markers)
+        w = WeightVector(tuple(F(rng.randint(0, d), d) for d in rng.choices((1, 5, 12), k=r)))
+        for weights in (None, w):
+            assert curve_to_dot(curve, weights) == curve_to_dot_by_vertex(curve, weights)
+        marked += sum(1 for v in curve.vertices if len(curve.markers_on(v.vid)) > 1)
+    assert marked >= 300
+
+
+def _walked_models():
+    """Seeded random models and chain cascades, each start with its target,
+    every snapshot of its walk and its final model."""
+    rng = random.Random(3402)
+    starts = []
+    for _ in range(150):
+        X = random_model(rng, allow_isotrivial=True)
+        starts.append((X, random_target(rng, X.weights)))
+    starts += [chain_cascade(rng, n, k) for n, k in ((5, 1), (12, 3), (40, 3))]
+    for X, target in starts:
+        trace = reduce(X, target)
+        yield X, [rec.snapshot_after for rec in trace.records] + [trace.final]
+
+
+def rebuilt(curve, rng):
+    """The curve through the public constructor, from its parts shuffled and
+    each edge turned around at random."""
+    parts = [list(curve.vertices), [(b, a) if rng.random() < 0.5 else (a, b) for a, b in curve.edges], list(curve.markers)]
+    for part in parts:
+        rng.shuffle(part)
+    return MarkedNodalCurve(*parts)
+
+
+def test_trusted_curves_equal_their_public_rebuild():
+    # base curves and their Hassett reductions are built without the public
+    # constructor's sorts and checks; each is the curve it would give
+    rng = random.Random(3403)
+    seen = {"snapshots": 0, "contracted": 0, "type II": 0}
+    for X, snapshots in _walked_models():
+        start = base_curve(X)
+        assert start == rebuilt(start, rng)
+        for Y in snapshots:
+            got = base_curve(Y)
+            assert got == rebuilt(got, rng)
+            assert pre_base_curve(Y) == pre_base_curve_by_scan(Y)
+            W = Y.weights
+            for C, weights in ((start, base_weights(Y)), (got, base_weights(Y))):
+                reduced = hassett_reduce(C, weights)
+                assert reduced == rebuilt(reduced, rng)
+                assert reduced == hassett_reduce(C, WeightVector(weights.entries))
+            if len(start.markers) == W.r:  # no marker-less fiber: the walk's own vector
+                reduced = hassett_reduce(start, W)
+                assert reduced == rebuilt(reduced, rng)
+                assert reduced == hassett_reduce(start, WeightVector(W.entries))
+                seen["contracted"] += len(reduced.vertices) < len(start.vertices)
+            seen["snapshots"] += 1
+            seen["type II"] += bool(Y.pseudo2)
+    assert seen["snapshots"] >= 300 and min(seen.values()) >= 20, seen
+
+
+def test_a_walk_vector_lifts_from_the_segment_as_a_fresh_vector_does():
+    # the lift is the one rule: a multiple of the wall constants' lcm and of
+    # every denominator, then each weight times it, from the walk's integers
+    # or from the entries
+    assert _DEN == lcm(*(c.denominator for c in (*THRESHOLD_CONSTANTS, F(1), F(2))))
+    lifted = 0
+    for X, snapshots in _walked_models():
+        for W in [X.weights] + [Y.weights for Y in snapshots]:
+            for V in (W, WeightVector(W.entries)):
+                L, lift = _lift_of(V)
+                assert L % _DEN == 0 and [F(x, L) for x in lift] == list(W.entries)
+            lifted += "_lift_from" not in W.__dict__ and W is not X.weights
+    assert lifted >= 300
+
+
+def test_an_unchecked_surface_keeps_the_curve_error_texts():
+    w = WeightVector((F(1, 2),) * 3)
+    c1 = Component("c1", 1, 0, F(1), (mk_fiber("a", "I1", 1, w), mk_fiber("b", "I1", 2, w)))
+    c2 = Component("c2", 2, 0, F(1), (mk_fiber("a", "I1", 3, w),))
+    twin = c2._replace(vertex=1)
+    again = c2._replace(fibers=(mk_fiber("a", "I1", 2, w),))
+    for comps, text in (((c1, twin), "duplicate vertex ids"), ((c1, again), "marker indices must be distinct")):
+        X = BrokenEllipticSurface(w, comps)
+        for build in (pre_base_curve, base_curve, pre_base_curve_by_scan):
+            with pytest.raises(CurveError, match=f"^{text}$"):
+                build(X)
 
 
 def test_dot_is_deterministic():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import re
@@ -234,19 +235,71 @@ def _nested(X):
     return any(link for t in X.trees for n in t.root.nodes() for link in n.children)
 
 
+_TREE_KEYS = ("_json_text", "_dot_text")
+
+
 def test_stored_texts_match_a_cold_copy_and_the_oracle():
-    seen = {"models": 0, "type II": 0, "nested": 0, "isotrivial": 0}
+    seen = {"models": 0, "type II": 0, "nested": 0, "isotrivial": 0, "shared trees": 0}
     for walk in _walks():
         for X in walk:  # later snapshots share the stored texts of earlier ones
             oracle = serialize_oracle(X)
             cold = parse_model(oracle, check=False)
+            shared = sum(all(key in t.__dict__ for key in _TREE_KEYS) for t in X.trees)
             assert serialize_model(X) == serialize_model(cold) == oracle
             assert emit_dot(X) == emit_dot(cold)
+            # each tree's stored texts are those of a fresh copy, and its JSON
+            # text is the oracle's, at the depth of a top-level list entry
+            trees = model_to_obj(X)["trees"]
+            for t, fresh, obj in zip(X.trees, cold.trees, trees, strict=True):
+                assert [t.__dict__[key] for key in _TREE_KEYS] == [fresh.__dict__[key] for key in _TREE_KEYS]
+                assert t.__dict__["_json_text"] == json.dumps(obj, indent=2).replace("\n", "\n    ")
             seen["models"] += 1
+            seen["shared trees"] += shared
             seen["type II"] += bool(X.pseudo2)
             seen["nested"] += _nested(X)
             seen["isotrivial"] += any(n.isotrivial_jinf for t in X.trees for n in t.root.nodes())
     assert seen["models"] >= 1000 and min(seen.values()) > 0, seen
+
+
+def test_a_tree_is_laid_out_once_per_walk_however_many_snapshots_share_it(monkeypatch):
+    # a tree that no record touches is the same record in every snapshot, so
+    # each writer lays it out once per walk
+    import mmp_elliptic.dot as dot
+    import mmp_elliptic.modeljson as modeljson
+
+    laid = []
+    for module, name in ((modeljson, "_tree_text"), (dot, "_tree_texts")):
+        def counted(t, _write=getattr(module, name), _name=name):
+            laid.append((_name, id(t)))
+            return _write(t)
+
+        monkeypatch.setattr(module, name, counted)
+    shared = 0
+    for walk in itertools.islice(_walks(), 120):
+        laid.clear()
+        trees = {id(t) for X in walk for t in X.trees}
+        for X in walk:
+            serialize_model(X), emit_dot(X)
+        assert sorted(laid) == sorted((name, i) for name in ("_tree_text", "_tree_texts") for i in trees)
+        shared += sum(len(X.trees) for X in walk) - len(trees)
+    assert shared >= 100
+
+
+def test_the_edge_into_a_tree_follows_its_host_coefficient():
+    # the tree's stored texts stay, and the edge from its host fiber shows
+    # the host's coefficient of the model being written
+    X = flipped_degeneration(F(9, 20))
+    t = X.trees[0]
+    before = emit_dot(X)
+    host = X.component(t.host_component)
+    f = host.fiber(t.host_fiber)
+    moved = host._replace(fibers=tuple(g._replace(coeff=F(1, 7)) if g is f else g for g in host.fibers))
+    Y = X._replace(components=tuple(moved if c is host else c for c in X.components))
+    assert Y.trees[0] is t
+    after = emit_dot(Y)
+    assert after == emit_dot(parse_model(serialize_oracle(Y), check=False)) != before
+    assert f'label="{f.ftype}, 1/7"' in after and f'label="{f.ftype}, {f.coeff}"' in before
+    assert emit_dot(X) == before
 
 
 def test_a_walk_snapshot_writes_only_its_moved_weights():
@@ -259,7 +312,8 @@ def test_a_walk_snapshot_writes_only_its_moved_weights():
     assert len(snapshots) > 1
     assert [serialize_model(Y) for Y in snapshots] == [serialize_oracle(Y) for Y in snapshots]
     assert target.__dict__["_texts"] == ["1"] * 10 + ["1/3"] * 2
-    assert all(Y.weights.__dict__.keys() == {"_texts_from"} for Y in snapshots)
+    # each also keeps its segment and time until its lift is first read
+    assert all(Y.weights.__dict__.keys() == {"_texts_from", "_lift_from"} for Y in snapshots)
     # texts marked on the target show which entries a snapshot copies
     target.__dict__["_texts"] = [f"t{i}" for i in range(1, 13)]
     Y = snapshots[0]

@@ -752,7 +752,7 @@ def test_a_vector_is_lifted_once_however_many_queries_read_it(monkeypatch):
     # on arrangements of any r up to its length; a fresh copy of the same
     # entries answers alike
     lifted = []
-    lift = mmp_elliptic.walls._vector_lift
+    lift = mmp_elliptic.curves._vector_lift
 
     def counted(v):
         lifted.append(v)
@@ -765,7 +765,7 @@ def test_a_vector_is_lifted_once_however_many_queries_read_it(monkeypatch):
             locate(mid, walls).signs,
         )
 
-    monkeypatch.setattr(mmp_elliptic.walls, "_vector_lift", counted)
+    monkeypatch.setattr(mmp_elliptic.curves, "_vector_lift", counted)
     rng = random.Random(32)
     for r, rational in ((6, False), (8, True), (9, False)):
         types = [parse_fiber_type(MARKABLE[(i + r) % len(MARKABLE)]) for i in range(r)]
