@@ -175,13 +175,21 @@ def _vector_lift(v: WeightVector) -> tuple[int, list[int]]:
 def _lift_of(v: WeightVector) -> tuple[int, list[int]]:
     """The lift v keeps under `_lift`, built on first read: a scale L, a
     multiple of `_DEN` and of each weight's denominator, then each weight
-    times L, from the walk's integers on a vector that keeps its segment and
-    time (`_lift_from`), else by `_vector_lift`."""
+    times L: from its segment and time (`_at`) on a vector the walk derived
+    (`reduction._Segment.lift`), else by `_vector_lift`."""
     memo = v.__dict__
     if "_lift" not in memo:
-        source = memo.pop("_lift_from", None)
-        memo["_lift"] = _vector_lift(v) if source is None else source[0].lift(source[1])
+        at = memo.get("_at")
+        memo["_lift"] = _vector_lift(v) if at is None else at[0].lift(at[1])
     return memo["_lift"]
+
+
+def _integers(*vectors: WeightVector) -> tuple:
+    """D, the lcm of the vectors' scales and so a multiple of `_DEN`, then
+    each one's weights times D, from the lift each keeps (`_lift_of`)."""
+    lifts = [_lift_of(v) for v in vectors]
+    D = lcm(*[L for L, _ in lifts])
+    return (D, *[w if L == D else [x * (D // L) for x in w] for L, w in lifts])
 
 
 class _WeightVector(NamedTuple):
@@ -203,9 +211,10 @@ class WeightVector(_WeightVector):
 
     The record keeps an instance dict, built on first use and entering
     neither `==` nor `hash`, for: the texts of its weights that the JSON
-    writer stores (`modeljson._weight_texts`); on a vector the walk derives
-    from its target, that source and the moved markers; and its integer lift
-    (`_lift_of`), which every wall query and every degree table on it reads.
+    writer stores (`modeljson._weight_texts`); its integer lift
+    (`_lift_of`), which every wall query and every degree table on it reads;
+    and on a vector the walk derives, its segment and time (`_at`), from
+    which both of those are made.
     """
 
     def __new__(cls, entries):

@@ -265,16 +265,17 @@ def parse_model(text: str | bytes, check: bool = True) -> BrokenEllipticSurface:
 
 def _weight_texts(W: WeightVector) -> list[str]:
     """The `str` of each weight, the canonical text `rat_to_str` gives.  A
-    vector keeps them in its instance dict; one that the walk derived from a
-    source vector (`_texts_from`, set by `reduction._Segment.weights_at`)
-    copies the source's texts and writes only its moved entries."""
+    vector keeps them in its instance dict; one that the walk derived (`_at`,
+    its segment and time, set by `reduction._Segment.weights_at`) copies the
+    texts of the segment's A, the walk's target, and writes only its moving
+    entries."""
     memo = W.__dict__
-    derived = memo.get("_texts_from")
-    if derived is None:
+    at = memo.get("_at")
+    if at is None:
         return memo.get("_texts") or memo.setdefault("_texts", list(map(str, W.entries)))
-    source, moved = derived
-    texts = _weight_texts(source).copy()
-    for i in moved:
+    segment = at[0]
+    texts = _weight_texts(segment.A).copy()
+    for i in segment.moving:
         texts[i - 1] = str(W.entries[i - 1])
     return texts
 

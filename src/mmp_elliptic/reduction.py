@@ -36,29 +36,30 @@ components, glues and trees it changes by bisecting the id-sorted tuples (a
 pseudo node by a walk of the trees only) and copies each tuple it changes
 once, with those places replaced.
 
-The walk runs in integer form (`_Segment`).  Over one common denominator per
-walk, the weights at time t are (low + t * rise) / D, so each felt wall's
+The walk runs in the package's one integer form (`_Segment`): over D, the
+scale `curves._integers` gives its two ends from the lift each weight vector
+keeps, the weights at time t are (low + t * rise) / D, so each felt wall's
 marker sum is an integer affine in t, and each wall's crossing time is fixed
-as one integer ratio when its row enters the walk's table; `_due` and
-`_event_times` then compare integers, and a `Fraction` is built only for an
-event time and a snapshot's weights.  The table holds the rows (`felt_row`)
-of the components that carry a moving marker (A_i < B_i), trees included,
-and of any other component with a WII or WIII wall already due: a wall whose
-markers all stay fixed never moves, so the walk never crosses the rest of
-`felt_rows`.  It is built once from the start and kept for the whole walk: a
-WII or WIII record builds again only the row of the component it rewrote and
-drops the rows of the components it hung; every other row stays as it was.
-That component is known, not searched for: the one a section contraction
-returns, or the row of the collapsed tree's wall.  Each batch settles only
-the fibers whose markers move, found on the table's components and their
-trees, which includes any such fiber a WII or WIII rewrite has created; the
-others keep their coefficient, so they stay settled.  The glue ends of each
-component come from one index (`surfaces.glue_index`) that the walk builds
-from its start, in the pass that counts each component's attachments for
-the table, and that each flip patches as it removes its glue: a record reads
-the ends of the components it touches there, and the walk builds no lookup
-on the models it passes through.  `cross_wall` builds the index from its one
-input.
+as one integer ratio, scaled by its constant's denominator, when its row
+enters the walk's table; `_due` and `_event_times` then compare integers,
+and a `Fraction` is built only for an event time and a snapshot's weights.
+The table holds the rows (`felt_row`) of the components that carry a moving
+marker (A_i < B_i), trees included, and of any other component with a WII or
+WIII wall already due: a wall whose markers all stay fixed never moves, so
+the walk never crosses the rest of `felt_rows`.  It is built once from the
+start and kept for the whole walk: a WII or WIII record builds again only
+the row of the component it rewrote and drops the rows of the components it
+hung; every other row stays as it was.  That component is known, not searched
+for: the one a section contraction returns, or the row of the collapsed
+tree's wall.  Each batch settles only the fibers whose markers move, found on
+the table's components and their trees, which includes any such fiber a WII
+or WIII rewrite has created; the others keep their coefficient, so they stay
+settled.  The glue ends of each component come from one index
+(`surfaces.glue_index`) that the walk builds from its start, in the pass
+that counts each component's attachments for the table, and that each flip
+patches as it removes its glue: a record reads the ends of the components it
+touches there, and the walk builds no lookup on the models it passes
+through.  `cross_wall` builds the index from its one input.
 """
 
 from __future__ import annotations
@@ -67,11 +68,10 @@ from bisect import bisect_left, bisect_right
 from enum import Enum
 from fractions import Fraction
 from itertools import compress, islice
-from math import gcd, lcm
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, sub
 from typing import Container, Iterable, NamedTuple, Sequence
 
-from .curves import _DEN, WeightVector
+from .curves import WeightVector, _integers
 from .kodaira import FiberState, fiber_model_at, is_settled, lct_threshold
 from .surfaces import (
     _CID,
@@ -89,7 +89,7 @@ from .surfaces import (
     subtree_markers,
     validate,
 )
-from .walls import FeltWall, Wall, WallKind, felt_row, felt_rows, felt_walls
+from .walls import FeltWall, Wall, WallKind, felt_row, felt_walls
 
 
 class WallNotSatisfied(Exception):
@@ -475,7 +475,8 @@ _Table = dict[str, list[tuple[int, int, FeltWall]]]
 class _Segment:
     """The walk's weight segment in integer form, from A (t = 0) up to B (t = 1).
 
-    Over D, the lcm of the denominators of A and B, marker i sits at
+    Over D, the scale of the one integer form of A and B
+    (`curves._integers`), a multiple of `_DEN`, marker i sits at
     (low[i] + t * rise[i]) / D, so every marker-set sum times D is an integer
     affine in t.  `moving` holds the markers with A_i < B_i: the only ones
     whose fibers the walk has to settle again, and the only ones that move a
@@ -487,11 +488,9 @@ class _Segment:
 
     def __init__(self, A: WeightVector, B: WeightVector) -> None:
         self.A = A
-        # one call per weight for its numerator and denominator
-        a, b = (list(map(Fraction.as_integer_ratio, v.entries)) for v in (A, B))
-        D = self.D = lcm(*{d for _, d in a}, *{d for _, d in b})
-        self.low = [0] + [n * (D // d) for n, d in a]
-        self.rise = [0] + [n * (D // d) - lo for (n, d), lo in zip(b, self.low[1:])]
+        self.D, a, b = _integers(A, B)
+        self.low = [0, *a]
+        self.rise = [0, *map(sub, b, a)]
         self.moving = frozenset(compress(range(A.r + 1), self.rise))
 
     def weights_at(self, t: Fraction) -> WeightVector:
@@ -503,38 +502,35 @@ class _Segment:
         for i in self.moving:
             entries[i - 1] = Fraction(self.low[i] * q + p * self.rise[i], q * self.D)
         W = WeightVector._make((tuple(entries),))
-        # its weight texts are A's but for the moving markers (`_weight_texts`);
-        # its lift is `lift(t)`, made on first read
-        W.__dict__["_texts_from"] = self.A, self.moving
-        W.__dict__["_lift_from"] = self, t
+        # its weight texts are A's but for the moving markers
+        # (`_weight_texts`), and its lift is `lift(t)`; both are made on
+        # first read
+        W.__dict__["_at"] = self, t
         return W
 
     def lift(self, t: Fraction) -> tuple[int, list[int]]:
         """The lift of `weights_at(t)` (`curves._lift_of`): marker i is
-        low[i] q + p rise[i] over qD, t = p/q, and the scale the lcm of qD
-        and `_DEN`."""
+        low[i] q + p rise[i] over qD, t = p/q, a multiple of `_DEN` as D is."""
         p, q = t.numerator, t.denominator
-        qD = q * self.D
-        s = _DEN // gcd(_DEN, qD)
-        return s * qD, [(lo * q + p * up) * s for lo, up in islice(zip(self.low, self.rise), 1, None)]
+        return q * self.D, [lo * q + p * up for lo, up in islice(zip(self.low, self.rise), 1, None)]
 
     def reach(self, walls: Iterable[FeltWall]) -> list[tuple[int, int, FeltWall]]:
         """The walls the segment can still reach, each as (num, den, felt wall).
 
-        Over the lcm of D and the wall's constant denominator, a wall with
-        constant c over a subset with sum s(t) gives num = c - s(0) and
-        den = s(1) - s(0).  It is due (s(t) <= c) exactly when t * den <= num,
-        and the segment crosses it from above at t = num / den.  A wall with
-        num < 0 stays above its constant on the whole segment and is left out.
+        A wall with constant c = m/n over a subset with sum s(t) gives
+        num = mD - n low and den = n rise, low and rise summed over the
+        subset: c - s(0) and s(1) - s(0) times nD.  It is due (s(t) <= c)
+        exactly when t * den <= num, and the segment crosses it from above
+        at t = num / den.  A wall with num < 0 stays above its constant on
+        the whole segment and is left out.
         """
         out = []
         for fw in walls:
             c, subset = fw.wall.constant, fw.wall.subset
-            D = lcm(self.D, c.denominator)
-            scale = D // self.D
-            num = c.numerator * (D // c.denominator) - scale * sum(map(self.low.__getitem__, subset))
+            n = c.denominator
+            num = c.numerator * self.D - n * sum(map(self.low.__getitem__, subset))
             if num >= 0:
-                out.append((num, scale * sum(map(self.rise.__getitem__, subset)), fw))
+                out.append((num, n * sum(map(self.rise.__getitem__, subset)), fw))
         return out
 
     def holds(self, comp: Component, attachments: int, trees: Sequence[TreeAttachment]) -> bool:

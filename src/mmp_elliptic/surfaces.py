@@ -25,8 +25,9 @@ surface, for the cached lookups and the verdict below; `Component`, `Glue`
 and `TreeAttachment`, for the texts the writers store (`stored_texts`) and,
 on a component, its part of the base curve (`_base_points`); and
 `curves.WeightVector`, for the texts of its weights
-(`modeljson._weight_texts`) and its integer lift.  Every other record has
-`__slots__ = ()`.
+(`modeljson._weight_texts`) and its integer lift, both made on a vector the
+walk derives from the segment and time it keeps (`_at`).  Every other record
+has `__slots__ = ()`.
 
 Components are sorted by id, trees by (host component, host fiber) and
 fibers by id, and every `_replace` in the walk keeps that order, so
@@ -497,9 +498,10 @@ def base_weights(X: BrokenEllipticSurface) -> WeightVector:
     the fixed coefficient of each marker-less fiber.  The Hassett reduction of
     a base curve is taken at these weights.  Both parts are already checked
     (a `MarkedFiber` keeps its coefficient in [0, 1]), so they are not
-    checked again."""
+    checked again.  With no marker-less fiber they are the model's weights,
+    the same vector, so its kept lift is read (`curves._lift_of`)."""
     fixed = tuple(a for _, a in _base_points(X)[2])
-    return WeightVector._make((X.weights.entries + fixed,))
+    return WeightVector._make((X.weights.entries + fixed,)) if fixed else X.weights
 
 
 def base_curve(X: BrokenEllipticSurface) -> MarkedNodalCurve:

@@ -11,15 +11,15 @@ arrangement on r markers is exponential in r.
 holds only its definition, built in O(r); iterating it builds the walls in
 `Wall.sort_key` order.  The queries `locate`, `same_chamber`,
 `walls_containing` and `segment_walls` never iterate it.  Each compares
-integers only, on the lift each weight vector keeps (`curves._lift_of`),
-and builds a `Wall` and a `Fraction` only for an answer, from the subset
-mask it holds, on subsets from one table per process (`_subset`) shared by
-every arrangement on r markers.  A `Chamber`
-holds a point and its arrangement, so `locate` is O(r), and two chambers
-compare by `same_chamber`, a meet in the middle over the subset sums that
-lists 2^ceil(r/2) sums per half; `walls_containing` and `Chamber.interior`
-meet in the middle the same way.  `Wall.value_at` and `Wall.side` answer
-for one wall.
+integers only, in the one integer form the reduction walk reads too
+(`curves._integers`, from the lift each weight vector keeps), and builds a
+`Wall` and a `Fraction` only for an answer, from the subset mask it holds,
+on subsets from one table per process (`_subset`) shared by every
+arrangement on r markers.  A `Chamber` holds a point and its arrangement, so
+`locate` is O(r), and two chambers compare by `same_chamber`, a meet in the
+middle over the subset sums that lists 2^ceil(r/2) sums per half;
+`walls_containing` and `Chamber.interior` meet in the middle the same way.
+`Wall.value_at` and `Wall.side` answer for one wall.
 
 `felt_walls` is the one table of the walls a given model feels, each paired
 with the fiber, section or tree that crossing it rewrites.  It is made of
@@ -44,7 +44,7 @@ from math import lcm
 from operator import add, eq, gt
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from .curves import _DEN, WeightVector, _lift_of
+from .curves import _DEN, WeightVector, _integers
 from .kodaira import THRESHOLD_CONSTANTS, KodairaType, lct_threshold
 
 if TYPE_CHECKING:
@@ -100,14 +100,6 @@ _SIDE = ("on", "above", "below")
 _WIII = [c.numerator * (_DEN // c.denominator) for c in THRESHOLD_CONSTANTS]
 # the kind and constant of the walls on one subset, ascending: each WIII wall, then the WII wall at one
 _ON_SUBSET = [*((WallKind.WIII, c) for c in THRESHOLD_CONSTANTS), (WallKind.WII, _ONE)]
-
-
-def _integers(*vectors: WeightVector) -> tuple:
-    """D, the lcm of the vectors' scales, then each one's weights times D, from
-    the lift each keeps (`_lift_of`)."""
-    lifts = [_lift_of(v) for v in vectors]
-    D = lcm(*[L for L, _ in lifts])
-    return (D, *[w if L == D else [x * (D // L) for x in w] for L, w in lifts])
 
 
 @lru_cache(maxsize=1 << 12)
@@ -306,13 +298,12 @@ class Arrangement:
             raise KeyError(f"marker index {self.r} outside 1..{n}")
 
     def _lift(self, D: int, *vectors: list[int]) -> tuple:
-        """L, the lcm of `_DEN` and D, then the first r weights of each
-        vector over D, over L (a slice when D is L, as from `_integers`).
-        Raises `KeyError` when a vector has no weight for marker r."""
+        """D, a multiple of `_DEN` as `_integers` gives it, then the first r
+        weights of each vector over D.  Raises `KeyError` when a vector has
+        no weight for marker r."""
         for v in vectors:
             self._need(len(v))
-        L, r = lcm(_DEN, D), self.r
-        return (L, *[v[:r] if L == D else [x * (L // D) for x in v[:r]] for v in vectors])
+        return (D, *[v[: self.r] for v in vectors])
 
     def _direct(self, L: int, *vectors: list[int]) -> list[tuple[int, tuple, int, tuple[int, ...]]]:
         """(order key, the arguments of `_wall`, constant, value at each

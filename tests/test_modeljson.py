@@ -312,8 +312,9 @@ def test_a_walk_snapshot_writes_only_its_moved_weights():
     assert len(snapshots) > 1
     assert [serialize_model(Y) for Y in snapshots] == [serialize_oracle(Y) for Y in snapshots]
     assert target.__dict__["_texts"] == ["1"] * 10 + ["1/3"] * 2
-    # each also keeps its segment and time until its lift is first read
-    assert all(Y.weights.__dict__.keys() == {"_texts_from", "_lift_from"} for Y in snapshots)
+    # each keeps only its segment and time, from which its texts and its
+    # lift are made on first read
+    assert all(Y.weights.__dict__.keys() == {"_at"} for Y in snapshots)
     # texts marked on the target show which entries a snapshot copies
     target.__dict__["_texts"] = [f"t{i}" for i in range(1, 13)]
     Y = snapshots[0]

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from mmp_elliptic import reduction, walls
-from mmp_elliptic.curves import WeightVector, hassett_reduce, interpolate
+from mmp_elliptic import curves, reduction, walls
+from mmp_elliptic.curves import _DEN, WeightVector, _integers, hassett_reduce, interpolate
 from mmp_elliptic.kodaira import FiberState, lct_threshold, parse_fiber_type
 from mmp_elliptic.modeljson import parse_model, serialize_model
 from mmp_elliptic.reduction import (
@@ -37,7 +37,7 @@ from mmp_elliptic.surfaces import (
     section_degree,
     validate,
 )
-from mmp_elliptic.walls import Wall, WallKind, enumerate_walls, felt_walls, locate
+from mmp_elliptic.walls import FeltWall, Wall, WallKind, enumerate_walls, felt_walls, locate
 
 from modelkit import (
     admissible_target,
@@ -783,7 +783,8 @@ def test_a_chain_walk_builds_its_table_once(monkeypatch):
     # the components that carry a moving marker, c1, c2 and c3, whose six
     # markers the target lowers, whatever the length of the chain; each WII
     # or WIII record then rebuilds one component's row, of the same size at
-    # both lengths
+    # both lengths.  `felt_walls` builds the whole-model table through
+    # `walls.felt_rows`, so the walk must never call it
     builds = []
     rows = []
     starts = []
@@ -796,7 +797,7 @@ def test_a_chain_walk_builds_its_table_once(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(reduction, "felt_rows", counted(walls.felt_rows, builds, len))
+    monkeypatch.setattr(walls, "felt_rows", counted(walls.felt_rows, builds, len))
     monkeypatch.setattr(reduction, "felt_row", counted(walls.felt_row, rows, len))
     table = reduction._Segment.table
     monkeypatch.setattr(reduction._Segment, "table", counted(table, starts, sorted))
@@ -809,6 +810,84 @@ def test_a_chain_walk_builds_its_table_once(monkeypatch):
         assert len(rows) == 3 + len(structural) and len(structural) == 6
         per_record.append(list(rows))
     assert per_record[0] == per_record[1]
+
+
+def test_the_hassett_check_reads_the_lift_each_snapshot_keeps(monkeypatch):
+    # `reduce --check-hassett` reduces the start's base curve at each time
+    # step's `base_weights`.  A chain has no marker-less fiber, so those are
+    # the snapshot's own weights, whose lift the walk derives from its
+    # segment: the check lifts no vector from its entries
+    X, target = _chain(40)
+    trace = reduce(X, target)
+    start = base_curve(X)
+    per_step = {rec.t: rec.snapshot_after for rec in trace.records}
+    lifted = []
+    lift = curves._vector_lift
+
+    def counted(v):
+        lifted.append(v)
+        return lift(v)
+
+    monkeypatch.setattr(curves, "_vector_lift", counted)
+    for Y in per_step.values():
+        assert base_weights(Y) is Y.weights
+        assert base_curve(Y) == hassett_reduce(start, base_weights(Y))
+    assert lifted == [] and len(per_step) > 1
+
+
+def test_reach_solves_each_crossing_time_exactly():
+    # each wall is scaled by its constant's denominator, so a constant off
+    # the grid of `_DEN` and of the weights gets its exact time: a reached
+    # wall's num / den is the `Fraction` solve of s(t) = c, it is due at t
+    # exactly when s(t) <= c, and a wall is left out exactly when it stays
+    # above its constant (c < s(0)); a wall over fixed markers has den = 0
+    rng = random.Random(43)
+    constants = [F(5, 7), F(7, 11), F(-3)]
+    solved = 0
+    for _ in range(300):
+        r = rng.randint(1, 6)
+        B = [F(rng.randint(0, d), d) for d in (rng.choice((5, 9, 13, 24)) for _ in range(r))]
+        A = [b * F(rng.randint(0, 4), 4) if rng.random() < 0.7 else b for b in B]
+        segment = reduction._Segment(WeightVector(A), WeightVector(B))
+        assert segment.D % _DEN == 0
+        rows = [
+            FeltWall(Wall(WallKind.WII, frozenset(rng.sample(range(1, r + 1), rng.randint(1, r))), c), "c1")
+            for c in constants
+            for _ in range(3)
+        ]
+        want = []
+        for fw in rows:
+            c, subset = fw.wall.constant, fw.wall.subset
+            low, high = sum(A[i - 1] for i in subset), sum(B[i - 1] for i in subset)
+            if c >= low:
+                want.append((fw, (c - low) / (high - low) if high != low else None))
+        got = segment.reach(rows)
+        assert [(fw, F(num, den) if den else None) for num, den, fw in got] == want
+        t = F(rng.randint(0, 12), 12)
+        for num, den, fw in got:
+            subset = fw.wall.subset
+            s = sum((1 - t) * A[i - 1] + t * B[i - 1] for i in subset)
+            assert (t * den <= num) == (s <= fw.wall.constant)
+        solved += sum(den > 0 for _, den, _ in got)
+    assert solved > 100
+
+    # a walk's segment, read off its snapshots, is over the one integer form
+    # of its ends
+    rng = random.Random(47)
+    walks = read = 0
+    while walks < 40:
+        X = random_model(rng, max_components=5, max_markers=12)
+        target = admissible_target(rng, X)
+        if target is None:
+            continue
+        walks += 1
+        trace = reduce(X, target)
+        for Y in [rec.snapshot_after for rec in trace.records] + [trace.final]:
+            if "_at" in Y.weights.__dict__:
+                segment = Y.weights.__dict__["_at"][0]
+                assert segment.D == _integers(target, X.weights)[0] and segment.D % _DEN == 0
+                read += 1
+    assert read > 40
 
 
 def test_a_fixed_component_already_due_fires_in_the_first_batch():

@@ -9,7 +9,7 @@ from math import lcm
 import pytest
 
 import mmp_elliptic
-from mmp_elliptic.curves import WeightVector, interpolate
+from mmp_elliptic.curves import _DEN, WeightVector, _integers, interpolate
 from mmp_elliptic.kodaira import UnsupportedFiberType, lct_threshold, parse_fiber_type
 from mmp_elliptic.modeljson import serialize_model
 from mmp_elliptic.reduction import at_weights, reduce
@@ -267,8 +267,8 @@ def test_interior_is_no_wall_through_the_point():
     # and points put on a wall as in the test above
     rng = random.Random(29)
     # the empty subset adds up to 0, which must meet no subset constant
-    L = enumerate_walls(0, [])._lift(1)[0]
-    assert all(c > 0 for c in Arrangement._subset_constants(L))
+    L = enumerate_walls(0, [])._lift(*_integers(WeightVector(())))[0]
+    assert L % _DEN == 0 and all(c > 0 for c in Arrangement._subset_constants(L))
     answers = []
     for r in range(11):
         for rational in (False, True):
@@ -782,16 +782,16 @@ def test_a_vector_is_lifted_once_however_many_queries_read_it(monkeypatch):
         # a vector from the records' unchecked rebuild answers alike
         made = [WeightVector._make((W.entries,)) for W in (A, B, mid)]
         assert got == [answers(*made, walls) for walls in arrangements]
-    # a walk's snapshot weights carry their source's texts; a query adds the
-    # lift beside them, and the snapshot still writes as the oracle does
+    # a walk's snapshot weights carry their segment and time; a query adds
+    # the lift beside them, and the snapshot still writes as the oracle does
     X = rational_degeneration(F(1))
     trace = reduce(X, WeightVector((F(1),) * 10 + (F(1, 3),) * 2))
     walls = enumerate_walls(12, [parse_fiber_type("I1")] * 12, True)
     for Y in [rec.snapshot_after for rec in trace.records] + [trace.final]:
         W = Y.weights
-        assert "_texts_from" in W.__dict__
+        assert "_at" in W.__dict__
         got = [walls_containing(W, walls), locate(W, walls).interior(), same_chamber(W, X.weights, walls)]
-        assert W.__dict__.keys() == {"_texts_from", "_lift"}
+        assert W.__dict__.keys() == {"_at", "_lift"}
         fresh = WeightVector(W.entries)
         assert got == [walls_containing(fresh, walls), locate(fresh, walls).interior(), same_chamber(fresh, X.weights, walls)]
         assert serialize_model(Y) == serialize_oracle(Y)
