@@ -51,7 +51,6 @@ _LAYERS = {
         "WallNotSatisfied",
         "at_weights",
         "cross_wall",
-        "increase_to_one",
         "reduce",
     ),
     "surfaces": (

@@ -110,7 +110,6 @@ class InconsistentTarget(Exception):
 
 class RecordKind(str, Enum):
     FIBER_TO_WEIERSTRASS = "FiberToWeierstrass"
-    FIBER_TO_TWISTED = "FiberToTwisted"
     FIBER_TO_INTERMEDIATE = "FiberToIntermediate"
     LA_NAVE_FLIP = "LaNaveFlip"
     TYPE_II_PSEUDO_FORMATION = "TypeIIPseudoFormation"
@@ -124,7 +123,6 @@ class RecordKind(str, Enum):
 
 _WALL_OF_KIND = {
     RecordKind.FIBER_TO_WEIERSTRASS: WallKind.WI,
-    RecordKind.FIBER_TO_TWISTED: WallKind.WI,
     RecordKind.FIBER_TO_INTERMEDIATE: WallKind.WI,
     RecordKind.LA_NAVE_FLIP: WallKind.WII,
     RecordKind.TYPE_II_PSEUDO_FORMATION: WallKind.WII,
@@ -145,8 +143,12 @@ class _TransformationRecord(NamedTuple):
 
 class TransformationRecord(_TransformationRecord):
     """One applied transformation: time on the walk, wall, kind, what moved,
-    and the full model immediately afterwards.  The constructor checks that
-    the kind belongs to the wall's kind."""
+    and a snapshot of the full model.  A WII or WIII record's snapshot is the
+    model immediately after it.  The WI records of one batch of the walk share
+    one snapshot: the model once every fiber of the batch has settled, before
+    its section contractions and collapses, so it also holds the changes of
+    the batch's later WI records.  The constructor checks that the kind
+    belongs to the wall's kind."""
 
     __slots__ = ()
 
@@ -161,12 +163,13 @@ class ReductionTrace(NamedTuple):
 
     Record times are non-increasing; several records share a time exactly when
     multiple walls are crossed at once, in which case the fixed batch order
-    WI, WII, WIII applies.  `halted` is set when a tree collapsed onto a curve,
-    which the engine cannot re-mark automatically; the walk stops there, the
-    final weights stay at the halting wall, and for a collapse nested inside a
-    larger tree the final model may fail the derived-coefficient identity
-    above the collapse point.  When `halted` is None the final model is valid
-    and carries the target weights.
+    WI, WII, WIII applies; the WI records of one batch share one snapshot
+    (`TransformationRecord`).  `halted` is set when a tree collapsed onto a
+    curve, which the engine cannot re-mark automatically; the walk stops there,
+    the final weights stay at the halting wall, and for a collapse nested
+    inside a larger tree the final model may fail the derived-coefficient
+    identity above the collapse point.  When `halted` is None the final model
+    is valid and carries the target weights.
     """
 
     start: BrokenEllipticSurface
@@ -317,16 +320,14 @@ def _record_fiber_event(
     f: MarkedFiber,
     new_state: FiberState,
     snapshot: BrokenEllipticSurface,
-    note: str = "",
 ) -> TransformationRecord:
     if new_state == FiberState.WEIERSTRASS:
         kind = RecordKind.FIBER_TO_WEIERSTRASS
         wall = Wall(WallKind.WI, f.markers, lct_threshold(f.ftype))
     else:
-        intermediate = new_state == FiberState.INTERMEDIATE
-        kind = RecordKind.FIBER_TO_INTERMEDIATE if intermediate else RecordKind.FIBER_TO_TWISTED
+        kind = RecordKind.FIBER_TO_INTERMEDIATE
         wall = Wall(WallKind.WI, f.markers, Fraction(1), boundary=True)
-    return TransformationRecord(t, wall, kind, (owner, f.fid), snapshot, note)
+    return TransformationRecord(t, wall, kind, (owner, f.fid), snapshot)
 
 
 # -- WII: section contractions -------------------------------------------------
@@ -679,19 +680,15 @@ def _apply_batch(
 # -- the public operations --------------------------------------------------------
 
 
-# a WI crossing by (at the boundary wall at one, decreasing): the state the
+# a WI crossing by whether it is the boundary wall at one: the state the
 # fiber must be in, the state it moves to, and the refusal when it is not
-_TWISTED, _INTERMEDIATE, _WEIERSTRASS = FiberState.TWISTED, FiberState.INTERMEDIATE, FiberState.WEIERSTRASS
 _WI_STEPS = {
-    (True, True): (_TWISTED, _INTERMEDIATE, "fiber is not twisted; nothing to blow up at one"),
-    (True, False): (_INTERMEDIATE, _TWISTED, "only an intermediate fiber contracts to twisted at one"),
-    (False, True): (_INTERMEDIATE, _WEIERSTRASS, "fiber is not intermediate; no Weierstrass contraction"),
+    True: (FiberState.TWISTED, FiberState.INTERMEDIATE, "fiber is not twisted; nothing to blow up at one"),
+    False: (FiberState.INTERMEDIATE, FiberState.WEIERSTRASS, "fiber is not intermediate; no Weierstrass contraction"),
 }
 
 
-def cross_wall(
-    X: BrokenEllipticSurface, wall: Wall, decreasing: bool = True
-) -> tuple[BrokenEllipticSurface, TransformationRecord]:
+def cross_wall(X: BrokenEllipticSurface, wall: Wall) -> tuple[BrokenEllipticSurface, TransformationRecord]:
     """Apply the single transformation attached to one wall.
 
     The model's weights must lie on the wall.  The model may be the limit of
@@ -711,69 +708,15 @@ def cross_wall(
         raise RuleNotApplicable(f"the model does not feel {wall}")
     t = Fraction(1)
     if wall.kind == WallKind.WI:
-        step = _WI_STEPS.get((wall.constant == 1, decreasing))
-        if step is None:
-            raise RuleNotApplicable("weight increases only cross the boundary wall at one")
         fiber = X.host_fiber(site.owner, site.fid)
-        state, new_state, refusal = step
+        state, new_state, refusal = _WI_STEPS[wall.constant == 1]
         if fiber.state != state:
             raise RuleNotApplicable(refusal)
         current = _rewrite(X, {(site.owner, site.fid): fiber._replace(state=new_state)})
         return current, _record_fiber_event(t, site.owner, fiber, new_state, current)
-
-    if not decreasing:
-        raise RuleNotApplicable("section contractions and collapses only occur when decreasing")
     if wall.kind == WallKind.WII:
         return _apply_section_contraction(X, site, t, glue_index(X.glues))[:2]
     return _collapse_subtree(X, site, t)[:2]
-
-
-def increase_to_one(
-    X: BrokenEllipticSurface, marker_index: int
-) -> tuple[BrokenEllipticSurface, TransformationRecord]:
-    """Push one marker's weight to 1 across the boundary wall.
-
-    Stable (type I_n) and N0 fibers keep their birational model; an
-    intermediate fiber contracts its reduced component and becomes twisted,
-    as `cross_wall` crosses the boundary wall at one with `decreasing=False`.
-    The record kind marks the boundary-wall event in both cases.  Refused when
-    the new weight would lift the coefficient of a fiber the marker backs, such
-    as the host of a pseudoelliptic tree carrying it, above one.
-    """
-    w = X.weights.weight(marker_index)
-    if w == 1:
-        raise RuleNotApplicable(f"marker {marker_index} already has weight 1")
-    carrying = X.fibers_with([marker_index])
-    hosts = X.host_keys()
-    found = [(owner, f) for owner, f in carrying if (owner, f.fid) not in hosts]
-    if not found:
-        raise RuleNotApplicable(f"marker {marker_index} backs no marked fiber")
-    owner, fiber = found[-1]
-    if fiber.markers != frozenset({marker_index}):
-        raise RuleNotApplicable(
-            f"marker {marker_index} is folded into the composite fiber {fiber.fid}"
-        )
-    stable_like = fiber.ftype.is_stable or fiber.ftype.family == "N0"
-    if not stable_like and fiber.state != FiberState.INTERMEDIATE:
-        raise RuleNotApplicable(
-            f"fiber {fiber.fid} is {fiber.state} of type {fiber.ftype};"
-            " only intermediate or stable fibers cross the boundary"
-        )
-    entries = list(X.weights.entries)
-    entries[marker_index - 1] = Fraction(1)
-    W = WeightVector(tuple(entries))
-    for host, f in carrying:
-        if W.sum(f.markers) > 1:
-            raise RuleNotApplicable(
-                f"marker {marker_index} at weight 1 lifts fiber {f.fid} of {host}"
-                f" to coefficient {W.sum(f.markers)}, above 1"
-            )
-    current = at_weights(X, W)
-    if not stable_like:
-        boundary = Wall(WallKind.WI, fiber.markers, Fraction(1), boundary=True)
-        return cross_wall(current, boundary, decreasing=False)
-    note = "stable fiber; birational model unchanged"
-    return current, _record_fiber_event(Fraction(1), owner, fiber, FiberState.TWISTED, current, note)
 
 
 def _event_times(table: _Table, t: Fraction) -> Fraction:

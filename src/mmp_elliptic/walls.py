@@ -541,7 +541,7 @@ def segment_walls(A: WeightVector, B: WeightVector, walls: Arrangement) -> list[
 
     Requires A <= B entrywise.  Walls containing the whole segment are not
     crossings and are omitted; endpoints on walls are reported separately by
-    `walls_containing`.  Output is sorted by decreasing t, each crossing
+    `walls_containing`.  Output is sorted by t, largest first, each crossing
     listing every wall hit at that time in `Wall.sort_key` order.
     """
     D, a, b = _integers(A, B)
@@ -554,7 +554,7 @@ def segment_walls(A: WeightVector, B: WeightVector, walls: Arrangement) -> list[
 def _crossings(hits: Iterable[tuple[int, int, int, Wall]]) -> list[SegmentCrossing]:
     """The crossings of (num, den, order key, wall) hits, grouped by the
     time's integer numerator over L, the lcm of the denominators, so each
-    time is one `Fraction`; by decreasing time, each listing its walls by
+    time is one `Fraction`; largest time first, each listing its walls by
     order key."""
     hits = list(hits)
     L = lcm(*{den for _, den, _, _ in hits})

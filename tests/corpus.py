@@ -23,8 +23,6 @@ the type and text of the exception it raised.  The families:
 - `.../cross/i` after a walk: `cross_wall` replays record i on the snapshot
   before it (before its batch's fiber changes, for a WI record), moved onto
   the record's weights;
-- `.../increase/m` after a walk: `increase_to_one` on marker m of its final
-  model;
 - `segment/...`: `segment_walls` and `walls_containing` at both ends of
   `bench/inputs.segment` segments on 1 to 9 markers, both bases;
 - `chamber/...`: the side of every wall (`Chamber.signs`) at both ends and
@@ -215,7 +213,6 @@ def corpus(sizes: dict = FULL):
         RuleNotApplicable,
         WallNotSatisfied,
         cross_wall,
-        increase_to_one,
         reduce,
     )
     from mmp_elliptic.surfaces import validate
@@ -253,9 +250,6 @@ def corpus(sizes: dict = FULL):
                 before, last = last, rec.snapshot_after
             text, crossed = outcome(cross_wall, before._replace(weights=last.weights), rec.wall)
             yield f"{name}/cross/{i}", text or record_text(crossed[1])
-        for m in range(1, final.weights.r + 1):
-            text, raised = outcome(increase_to_one, final, m)
-            yield f"{name}/increase/{m}", text or record_text(raised[1])
 
     def wii_at_one(name, X):
         for comp in X.elliptic:

@@ -155,7 +155,7 @@ PUBLIC_NAMES = [
     "UnsupportedConfiguration", "UnsupportedFiberType", "Vertex", "Violation", "Wall", "WallKind",
     "WallNotSatisfied", "WeightVector", "at_weights", "base_curve", "base_weights", "canonical_contribution",
     "component_degree", "cross_wall", "curves", "dot", "emit_dot", "enumerate_walls", "felt_walls",
-    "fiber_model_at", "hassett_reduce", "increase_to_one", "interpolate", "intersection_data",
+    "fiber_model_at", "hassett_reduce", "interpolate", "intersection_data",
     "is_hassett_stable", "is_settled", "kodaira", "lct_threshold", "locate", "modeljson", "parse_fiber_type",
     "parse_model", "pseudo_fate", "rationals", "reduce", "reduction", "same_chamber", "section_degree",
     "segment_walls", "serialize_model", "subtree_markers", "surfaces", "validate", "verify_threshold", "volume",
@@ -168,7 +168,7 @@ def test_the_package_namespace_is_unchanged():
 
     import mmp_elliptic
 
-    assert sorted(mmp_elliptic.__all__) == PUBLIC_NAMES and len(PUBLIC_NAMES) == 78
+    assert sorted(mmp_elliptic.__all__) == PUBLIC_NAMES and len(PUBLIC_NAMES) == 77
     namespace: dict = {}
     exec("from mmp_elliptic import *", namespace)
     assert set(PUBLIC_NAMES) <= set(namespace) and set(PUBLIC_NAMES) <= set(dir(mmp_elliptic))

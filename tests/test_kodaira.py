@@ -90,11 +90,15 @@ def test_intersection_signs():
 
 
 def test_intersection_table_is_fiber_orthogonal():
-    # the fiber class A + mult*E must pair to zero with both components
+    # the fiber class A + mult*E must pair to zero with both components; and
+    # near the fiber D = K + S + a*A + E, with K.A = alpha*A.E and S.A = 1, so
+    # D.A = 1 + a*A^2 + (alpha + 1)*A.E: it vanishes at a = 1, the boundary wall
     for ftype in (Istar(0), II, III, IV, IIstar, IIIstar, IVstar):
         d = intersection_data(ftype)
         assert d.A_sq + d.mult * d.AE == 0
         assert d.AE + d.mult * d.E_sq == 0
+        alpha = canonical_contribution(ftype, FiberState.INTERMEDIATE)
+        assert 1 + d.A_sq + (alpha + 1) * d.AE == 0
 
 
 @pytest.mark.parametrize("ftype", [I(2), I0, N0, N1])

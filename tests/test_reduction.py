@@ -20,7 +20,6 @@ from mmp_elliptic.reduction import (
     WallNotSatisfied,
     at_weights,
     cross_wall,
-    increase_to_one,
     reduce,
 )
 from mmp_elliptic.surfaces import (
@@ -36,6 +35,7 @@ from mmp_elliptic.surfaces import (
     base_weights,
     section_degree,
     validate,
+    volume,
 )
 from mmp_elliptic.walls import FeltWall, Wall, WallKind, enumerate_walls, felt_walls, locate
 
@@ -89,6 +89,12 @@ def test_example_degeneration_full_trace():
     assert len(final.elliptic) == 1 and not final.trees and not final.glues
     assert final.component("c1").fiber("a1").coeff == F(2, 3)
     assert validate(final) == []
+    # after the collapse the log canonical volume is 17 + 4 alpha, at the
+    # target's alpha = 1/3 and at others on or below the collapse wall at 5/12
+    assert volume(final) == 17 + 4 * F(1, 3)
+    for alpha in (F(5, 12), F(2, 5), F(3, 8), F(7, 20), F(103, 300)):
+        low = reduce(rational_degeneration(F(1)), weights(*([1] * 10 + [alpha, alpha])))
+        assert volume(low.final) == 17 + 4 * alpha
 
     # base curves commute with the weighted-curve reduction at every stage
     original = base_curve(X)
@@ -351,7 +357,7 @@ def test_cross_wall_fiber_transitions():
     assert X.component("c1").fiber("f4").state == FiberState.WEIERSTRASS
     wall = Wall(WallKind.WI, frozenset({4}), F(3, 4))
     with pytest.raises(RuleNotApplicable):
-        cross_wall(X, wall, decreasing=True)  # already Weierstrass at the boundary
+        cross_wall(X, wall)  # already Weierstrass at the boundary
     inter = X._replace(
         components=(
             comp._replace(
@@ -362,24 +368,22 @@ def test_cross_wall_fiber_transitions():
             ),
         ),
     )
-    Y, rec = cross_wall(inter, wall, decreasing=True)
+    Y, rec = cross_wall(inter, wall)
     assert rec.kind == RecordKind.FIBER_TO_WEIERSTRASS
     assert Y.component("c1").fiber("f4").state == FiberState.WEIERSTRASS
     off = Wall(WallKind.WI, frozenset({4}), F(2, 3))
     with pytest.raises(WallNotSatisfied):
-        cross_wall(inter, off, decreasing=True)
+        cross_wall(inter, off)
 
 
 def test_cross_wall_flip_matches_reduce():
     X = rational_degeneration(F(1, 2))
     wall = Wall(WallKind.WII, frozenset({11, 12}), F(1))
-    Y, rec = cross_wall(X, wall, decreasing=True)
+    Y, rec = cross_wall(X, wall)
     assert rec.kind == RecordKind.LA_NAVE_FLIP
     flipped = flipped_degeneration(F(1, 2))
     assert at_weights(Y, flipped.weights) == flipped
     assert at_weights(flipped, Y.weights) == Y
-    with pytest.raises(RuleNotApplicable):
-        cross_wall(X, wall, decreasing=False)
 
 
 def test_manual_crossings_compose_to_the_engine_walk():
@@ -407,7 +411,7 @@ def test_cross_wall_collapse():
     X = flipped_degeneration(F(5, 12))
     # the flipped fixture at alpha = 5/12 sits exactly on the WIII wall
     wall = Wall(WallKind.WIII, frozenset({11, 12}), F(5, 6))
-    Y, rec = cross_wall(X, wall, decreasing=True)
+    Y, rec = cross_wall(X, wall)
     assert rec.kind == RecordKind.TREE_COLLAPSE_TO_POINT
     assert not Y.trees
     assert Y.component("c1").fiber("a1").coeff == F(5, 6)
@@ -456,64 +460,6 @@ def test_markerless_twisted_fiber_counts_its_coefficient_one():
     # the section degree vanishes on a1 + a2 = 1, not on the sum-two wall
     felt = [fw.wall for fw in felt_walls(X) if fw.wall.kind == WallKind.WII]
     assert felt == [Wall(WallKind.WII, frozenset({1, 2}), F(1))] and felt[0] in walls
-
-
-def test_increase_to_one_stable_fiber():
-    w = weights(1, 1, 1, F(9, 10))
-    fibers = tuple(mk_fiber(f"f{i}", "I1", i, w) for i in (1, 2, 3)) + (
-        mk_fiber("f4", "I4", 4, w),
-    )
-    X = BrokenEllipticSurface(w, (Component("c1", 1, 0, F(1), fibers),))
-    Y, rec = increase_to_one(X, 4)
-    assert Y.weights.weight(4) == 1
-    assert Y.component("c1").fiber("f4").state == FiberState.WEIERSTRASS
-    assert rec.kind == RecordKind.FIBER_TO_TWISTED and rec.note
-    with pytest.raises(RuleNotApplicable):
-        increase_to_one(Y, 4)
-
-
-def test_increase_to_one_intermediate_fiber():
-    w = weights(1, 1, 1, F(9, 10))
-    fibers = tuple(mk_fiber(f"f{i}", "I1", i, w) for i in (1, 2, 3)) + (
-        mk_fiber("f4", "IV", 4, w),
-    )
-    X = BrokenEllipticSurface(w, (Component("c1", 1, 0, F(1), fibers),))
-    assert X.component("c1").fiber("f4").state == FiberState.INTERMEDIATE
-    Y, rec = increase_to_one(X, 4)
-    assert Y.component("c1").fiber("f4").state == FiberState.TWISTED
-    assert Y.component("c1").fiber("f4").coeff == 1
-    assert rec.kind == RecordKind.FIBER_TO_TWISTED
-    assert validate(Y) == []
-
-
-def test_increase_to_one_refusals():
-    w = weights(1, 1, 1, F(3, 4))
-    fibers = tuple(mk_fiber(f"f{i}", "I1", i, w) for i in (1, 2, 3)) + (
-        mk_fiber("f4", "III", 4, w),
-    )
-    X = BrokenEllipticSurface(w, (Component("c1", 1, 0, F(1), fibers),))
-    with pytest.raises(RuleNotApplicable, match="only intermediate or stable"):
-        increase_to_one(X, 4)  # Weierstrass at its threshold
-
-    on_wall = flipped_degeneration(F(5, 12))
-    collapse = Wall(WallKind.WIII, frozenset({11, 12}), F(5, 6))
-    to_point, _ = cross_wall(on_wall, collapse)
-    with pytest.raises(RuleNotApplicable, match="composite fiber a1"):
-        increase_to_one(to_point, 11)
-
-    att = on_wall.trees[0]
-    iso = att._replace(root=att.root._replace(isotrivial_jinf=True, degL=F(0)))
-    to_curve, _ = cross_wall(on_wall._replace(trees=(iso,)), collapse)
-    with pytest.raises(RuleNotApplicable, match="backs no marked fiber"):
-        increase_to_one(to_curve, 11)
-
-
-def test_increase_to_one_refuses_to_lift_a_tree_host_above_one():
-    # marker 11 rides the tree hung off a1, whose coefficient a11 + a12
-    # would reach 1 + 9/20
-    X = flipped_degeneration(F(9, 20))
-    with pytest.raises(RuleNotApplicable, match="lifts fiber a1 of c1 to coefficient 29/20"):
-        increase_to_one(X, 11)
 
 
 def last_record_per_time(records):
@@ -621,7 +567,7 @@ def test_isotrivial_tree_collapse_to_curve_halts():
 
 def test_cross_wall_boundary_wall_at_one_both_ways():
     # a III fiber at weight one is twisted; the boundary wall a4 = 1 blows it
-    # up to its intermediate model going down and contracts it back going up
+    # up to its intermediate model, and refuses it once it is intermediate
     w = weights(1, 1, 1, 1)
     fibers = tuple(mk_fiber(f"f{i}", "I1", i, w) for i in (1, 2, 3)) + (
         mk_fiber("f4", "III", 4, w),
@@ -629,23 +575,13 @@ def test_cross_wall_boundary_wall_at_one_both_ways():
     X = BrokenEllipticSurface(w, (Component("c1", 1, 0, F(1), fibers),))
     assert X.component("c1").fiber("f4").state == FiberState.TWISTED
     wall = Wall(WallKind.WI, frozenset({4}), F(1), boundary=True)
-    with pytest.raises(RuleNotApplicable, match="only an intermediate fiber"):
-        cross_wall(X, wall, decreasing=False)
-
-    Y, rec = cross_wall(X, wall, decreasing=True)
+    Y, rec = cross_wall(X, wall)
     assert rec.kind == RecordKind.FIBER_TO_INTERMEDIATE
     assert (rec.t, rec.wall, rec.affected) == (F(1), wall, ("c1", "f4"))
     assert Y.component("c1").fiber("f4").state == FiberState.INTERMEDIATE
     assert validate(Y) == []
     with pytest.raises(RuleNotApplicable, match="not twisted"):
-        cross_wall(Y, wall, decreasing=True)
-
-    Z, rec = cross_wall(Y, wall, decreasing=False)
-    assert rec.kind == RecordKind.FIBER_TO_TWISTED and rec.wall == wall
-    assert Z == X
-    on_threshold = at_weights(X, weights(1, 1, 1, F(3, 4)))
-    with pytest.raises(RuleNotApplicable, match="only cross the boundary wall at one"):
-        cross_wall(on_threshold, Wall(WallKind.WI, frozenset({4}), F(3, 4)), decreasing=False)
+        cross_wall(Y, wall)
 
 
 def test_walk_snapshots_are_settled_at_their_weights():
