@@ -43,6 +43,7 @@ _LAYERS = {
     "rationals": (),
     "reduction": (
         "InconsistentTarget",
+        "FeltWall",
         "InvalidModel",
         "RecordKind",
         "ReductionTrace",
@@ -51,6 +52,7 @@ _LAYERS = {
         "WallNotSatisfied",
         "at_weights",
         "cross_wall",
+        "felt_walls",
         "reduce",
     ),
     "surfaces": (
@@ -80,12 +82,10 @@ _LAYERS = {
     "walls": (
         "Arrangement",
         "Chamber",
-        "FeltWall",
         "SegmentCrossing",
         "Wall",
         "WallKind",
         "enumerate_walls",
-        "felt_walls",
         "locate",
         "same_chamber",
         "segment_walls",

@@ -244,14 +244,14 @@ def _cmd_model(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    from .reduction import InconsistentTarget, InvalidModel, RuleNotApplicable, WallNotSatisfied, reduce as reduce_model
+    from .reduction import InconsistentTarget, InvalidModel, RuleNotApplicable, reduce as reduce_model
     from .surfaces import base_curve, base_weights
 
     model = _load_model(args.model, args.from_weights)
     target = _parse_weights(args.to)
     try:
         trace = reduce_model(model, target)
-    except (InvalidModel, InconsistentTarget, RuleNotApplicable, WallNotSatisfied) as exc:
+    except (InvalidModel, InconsistentTarget, RuleNotApplicable) as exc:
         raise CliError(str(exc), DATA_ERROR)
     if args.check_hassett:
         original = base_curve(model)

@@ -173,15 +173,22 @@ def _vector_lift(v: WeightVector) -> tuple[int, list[int]]:
 
 
 def _lift_of(v: WeightVector) -> tuple[int, list[int]]:
-    """The lift v keeps under `_lift`, built on first read: a scale L, a
-    multiple of `_DEN` and of each weight's denominator, then each weight
-    times L: from its segment and time (`_at`) on a vector the walk derived
-    (`reduction._Segment.lift`), else by `_vector_lift`."""
+    """The lift v keeps under `_lift`: a scale L, a multiple of `_DEN` and of
+    each weight's denominator, then each weight times L; set by the walk
+    (`reduction._Segment.weights_at`) or built on first read (`_vector_lift`)."""
     memo = v.__dict__
     if "_lift" not in memo:
-        at = memo.get("_at")
-        memo["_lift"] = _vector_lift(v) if at is None else at[0].lift(at[1])
+        memo["_lift"] = _vector_lift(v)
     return memo["_lift"]
+
+
+def _texts_of(v: WeightVector) -> list[str]:
+    """The texts v keeps under `_texts`, which the JSON writer stores: the
+    `str` of each weight, set by the walk or built on first read."""
+    memo = v.__dict__
+    if "_texts" not in memo:
+        memo["_texts"] = list(map(str, v.entries))
+    return memo["_texts"]
 
 
 def _integers(*vectors: WeightVector) -> tuple:
@@ -209,12 +216,11 @@ class WeightVector(_WeightVector):
     followed by the coefficients of marker-less fibers, which `MarkedFiber`
     has range-checked.
 
-    The record keeps an instance dict, built on first use and entering
-    neither `==` nor `hash`, for: the texts of its weights that the JSON
-    writer stores (`modeljson._weight_texts`); its integer lift
-    (`_lift_of`), which every wall query and every degree table on it reads;
-    and on a vector the walk derives, its segment and time (`_at`), from
-    which both of those are made.
+    The record keeps an instance dict, entering neither `==` nor `hash`,
+    for two memos: the texts of its weights that the JSON writer stores
+    (`_texts_of`), and its integer lift (`_lift_of`), which every wall query
+    and every degree table on it reads.  The walk sets both on a vector it
+    derives; on any other each is built on first read.
     """
 
     def __new__(cls, entries):

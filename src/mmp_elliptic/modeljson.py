@@ -21,14 +21,15 @@ its children, component, glue, tree) has one writer, an f-string laid out for
 its depth; every id goes through json's own escaper (`quote`), a rational is
 written as `!s` (what `rat_to_str` gives, without the call) and a state from
 the `STATE_NAMES` table.  The weights' texts are kept on the weight vector
-(`_weight_texts`), and a walk's snapshot writes only its moved entries; the
-frame of the four lists is written on every call.  The text of each
-`Component`, `Glue` and `TreeAttachment` is stored in the record's instance
-dict on first use (`surfaces.stored_texts`), so a walk writes a component or
-a tree that several snapshots share once.  A stored text cannot go stale: a
-record's fields cannot be assigned, and a rewrite, through a constructor or
-`_replace`, builds new records, which start with an empty instance dict.  The CLI's `reduce` trace
-re-indents these model texts to their depth.
+(`curves._texts_of`), where the walk sets a snapshot's, writing only its
+moved entries; the frame of the four lists is written on every call.  The
+text of each `Component`, `Glue` and `TreeAttachment` is stored in the
+record's instance dict on first use (`surfaces.stored_texts`), so a walk
+writes a component or a tree that several snapshots share once.  A stored
+text cannot go stale: a record's fields cannot be assigned, and a rewrite,
+through a constructor or `_replace`, builds new records, which start with an
+empty instance dict.  The CLI's `reduce` trace re-indents these model texts
+to their depth.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import json
 from fractions import Fraction
 from operator import attrgetter, itemgetter
 
-from .curves import WeightVector
+from .curves import WeightVector, _texts_of
 from .kodaira import STATE_NAMES, FiberState, KodairaType, UnsupportedFiberType, fiber_model_at, parse_fiber_type
 from .rationals import json_bool, json_int, json_list, quote, rat_from_str, rat_to_str
 from .surfaces import (
@@ -263,29 +264,12 @@ def parse_model(text: str | bytes, check: bool = True) -> BrokenEllipticSurface:
     return model_from_obj(obj, check=check)
 
 
-def _weight_texts(W: WeightVector) -> list[str]:
-    """The `str` of each weight, the canonical text `rat_to_str` gives.  A
-    vector keeps them in its instance dict; one that the walk derived (`_at`,
-    its segment and time, set by `reduction._Segment.weights_at`) copies the
-    texts of the segment's A, the walk's target, and writes only its moving
-    entries."""
-    memo = W.__dict__
-    at = memo.get("_at")
-    if at is None:
-        return memo.get("_texts") or memo.setdefault("_texts", list(map(str, W.entries)))
-    segment = at[0]
-    texts = _weight_texts(segment.A).copy()
-    for i in segment.moving:
-        texts[i - 1] = str(W.entries[i - 1])
-    return texts
-
-
 def weights_text(W: WeightVector, pad: str) -> str:
-    """The weights as `json_list` lays out their texts (`_weight_texts`)."""
+    """The weights as `json_list` lays out their texts (`curves._texts_of`)."""
     if not W.entries:
         return "[]"
     inner = "\n" + pad + "  "
-    return "[" + inner + '"' + ('",' + inner + '"').join(_weight_texts(W)) + '"\n' + pad + "]"
+    return "[" + inner + '"' + ('",' + inner + '"').join(_texts_of(W)) + '"\n' + pad + "]"
 
 
 def _fiber_text(f: MarkedFiber, pad: str) -> str:

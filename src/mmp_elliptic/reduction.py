@@ -11,9 +11,10 @@ at its exact crossing time in the batch order WI, WII, WIII, and returns the
 ordered trace with a model snapshot after each record.
 
 Where a wall acts is decided in one place, the felt-wall table
-(`walls.felt_walls`): the walk fires the walls of its rows, and `cross_wall`
-acts at the felt wall with the given wall's kind, markers and constant, or
-refuses.  Each record kind is built in one place.  `_apply_section_contraction`
+(`felt_walls`, beside its integer twin `_Segment.holds`): the walk fires the
+walls of its rows, and `cross_wall` acts at the felt wall with the given
+wall's kind, markers and constant, or refuses.  Each record kind is built in
+one place.  `_apply_section_contraction`
 is the one WII path: a leaf flips (La Nave), taking along every type II
 pseudoelliptic the flip leaves with a single attachment, and any other
 component's section contracts in place; it reads its markers from the wall
@@ -42,11 +43,12 @@ keeps, the weights at time t are (low + t * rise) / D, so each felt wall's
 marker sum is an integer affine in t, and each wall's crossing time is fixed
 as one integer ratio, scaled by its constant's denominator, when its row
 enters the walk's table; `_due` and `_event_times` then compare integers,
-and a `Fraction` is built only for an event time and a snapshot's weights.
+and a `Fraction` is built only for an event time and a snapshot's weights,
+which keep their lift and texts but nothing of the walk (`weights_at`).
 The table holds the rows (`felt_row`) of the components that carry a moving
 marker (A_i < B_i), trees included, and of any other component with a WII or
 WIII wall already due: a wall whose markers all stay fixed never moves, so
-the walk never crosses the rest of `felt_rows`.  It is built once from the
+the walk never crosses the rest of `felt_walls`.  It is built once from the
 start and kept for the whole walk: a WII or WIII record builds again only
 the row of the component it rewrote and drops the rows of the components it
 hung; every other row stays as it was.  That component is known, not searched
@@ -71,7 +73,7 @@ from itertools import compress, islice
 from operator import attrgetter, itemgetter, sub
 from typing import Container, Iterable, NamedTuple, Sequence
 
-from .curves import WeightVector, _integers
+from .curves import WeightVector, _integers, _texts_of
 from .kodaira import FiberState, fiber_model_at, is_settled, lct_threshold
 from .surfaces import (
     _CID,
@@ -89,7 +91,7 @@ from .surfaces import (
     subtree_markers,
     validate,
 )
-from .walls import FeltWall, Wall, WallKind, felt_row, felt_walls
+from .walls import Wall, WallKind
 
 
 class WallNotSatisfied(Exception):
@@ -465,6 +467,75 @@ def _collapse_subtree(
     return current, rec, to_curve
 
 
+# -- the felt-wall table ----------------------------------------------------------
+
+
+class FeltWall(NamedTuple):
+    """One wall a model feels and the site it acts on: the fiber `fid` of
+    `owner` for WI, the component `owner` for WII, and for WIII the subtree
+    `node` hung off fiber `fid` of `owner`, `depth` levels below the top.
+    `node` is the subtree as the table was built; only its structure is read."""
+
+    wall: Wall
+    owner: str
+    fid: str = ""
+    node: PseudoComponent | None = None
+    depth: int = 0
+
+
+def _fiber_walls(owner: str, fibers: Iterable[MarkedFiber], hosts: set[str]) -> list[FeltWall]:
+    """The WI walls of one owner: a marked fiber that hosts no tree, is not
+    N2 and whose type has a threshold feels that threshold and the boundary
+    wall at one."""
+    out = []
+    for f in fibers:
+        if f.markers and f.fid not in hosts and f.ftype.family != "N2":
+            a0 = lct_threshold(f.ftype)
+            if a0 is not None:
+                for c, boundary in ((a0, False), (Fraction(1), True)):
+                    out.append(FeltWall(Wall(WallKind.WI, f.markers, c, boundary), owner, f.fid))
+    return out
+
+
+def felt_row(comp: Component, attachments: int, trees: Sequence[TreeAttachment]) -> list[FeltWall]:
+    """The row of `felt_walls` for one component, with `attachments`
+    attaching fibers, and for `trees`, the trees it hosts: the component's
+    walls, then those of every pseudo node in preorder.
+
+    The component feels the WI walls of its marked fibers, then, while it
+    has a section, its marker set at the value where the section's degree
+    vanishes (WII): one for a rational leaf, two for an irreducible rational
+    base, each lowered by the coefficients of its marker-less fibers.  A
+    pseudo node's walls are the subtree it roots at its host fiber's
+    threshold (WIII), when that type has one, then the WI walls of its
+    marked fibers.  A fiber that hosts a subtree feels no WI wall.
+    """
+    row = _fiber_walls(comp.cid, comp.fibers, {t.host_fiber for t in trees})
+    if comp.has_section:
+        constant = -comp.section_constant(attachments)
+        row.append(FeltWall(Wall(WallKind.WII, comp.marker_set, constant), comp.cid))
+    for t in trees:
+        _tree_walls(comp.cid, comp.fiber(t.host_fiber), t.root, 0, row)
+    return row
+
+
+def _tree_walls(owner: str, host: MarkedFiber, node: PseudoComponent, depth: int, row: list) -> None:
+    """Append to `row` the walls of the subtree `node`, hung off fiber `host`
+    of `owner` at `depth`, in preorder (see `felt_row`)."""
+    a0 = lct_threshold(host.ftype)
+    if a0 is not None:
+        row.append(FeltWall(Wall(WallKind.WIII, subtree_markers(node), a0), owner, host.fid, node, depth))
+    row += _fiber_walls(node.pid, node.fibers, {link.via_fiber for link in node.children})
+    for link in node.children:
+        _tree_walls(node.pid, node.fiber(link.via_fiber), link.node, depth + 1, row)
+
+
+def felt_walls(X: BrokenEllipticSurface) -> list[FeltWall]:
+    """Every wall the model feels, with its site: each component's row
+    (`felt_row`), in id order.  Weights and fiber states do not enter."""
+    return [fw for c in X.components for fw in felt_row(c, len(X.glue_ends(c.cid)), X.trees_on(c.cid))]
+
+
 # -- batch application at one time ----------------------------------------------
 
 
@@ -497,23 +568,20 @@ class _Segment:
     def weights_at(self, t: Fraction) -> WeightVector:
         """The weights (1 - t) A + t B; a `Fraction` is built only for a
         moving marker.  For t in [0, 1] this convex combination of two
-        checked vectors lies in [0, 1], so it is not checked again."""
+        checked vectors lies in [0, 1], so it is not checked again.  It keeps
+        its lift (`curves._lift_of`), low[i] q + p rise[i] over qD for t = p/q,
+        and its texts (`curves._texts_of`), A's but for the moving markers."""
         p, q = t.numerator, t.denominator
+        L = q * self.D
+        lift = [lo * q + p * up for lo, up in islice(zip(self.low, self.rise), 1, None)]
         entries = list(self.A.entries)
+        texts = _texts_of(self.A).copy()
         for i in self.moving:
-            entries[i - 1] = Fraction(self.low[i] * q + p * self.rise[i], q * self.D)
+            entries[i - 1] = w = Fraction(lift[i - 1], L)
+            texts[i - 1] = str(w)
         W = WeightVector._make((tuple(entries),))
-        # its weight texts are A's but for the moving markers
-        # (`_weight_texts`), and its lift is `lift(t)`; both are made on
-        # first read
-        W.__dict__["_at"] = self, t
+        W.__dict__.update(_lift=(L, lift), _texts=texts)
         return W
-
-    def lift(self, t: Fraction) -> tuple[int, list[int]]:
-        """The lift of `weights_at(t)` (`curves._lift_of`): marker i is
-        low[i] q + p rise[i] over qD, t = p/q, a multiple of `_DEN` as D is."""
-        p, q = t.numerator, t.denominator
-        return q * self.D, [lo * q + p * up for lo, up in islice(zip(self.low, self.rise), 1, None)]
 
     def reach(self, walls: Iterable[FeltWall]) -> list[tuple[int, int, FeltWall]]:
         """The walls the segment can still reach, each as (num, den, felt wall).
@@ -571,7 +639,7 @@ class _Segment:
 
     def table(self, X: BrokenEllipticSurface) -> _Table:
         """The walk's start table: the reachable walls of each row it
-        `holds`, keyed by component id.  Every row of `felt_rows(X)` it
+        `holds`, keyed by component id.  Every row of `felt_walls(X)` it
         leaves out is one the walk never crosses.  The walk builds the table
         once and keeps it up to date with `update`.  The attachments of each
         component are read from `ends`, which this builds from X."""

@@ -24,10 +24,9 @@ order and their ranges.  Five records keep an instance dict for memos: the
 surface, for the cached lookups and the verdict below; `Component`, `Glue`
 and `TreeAttachment`, for the texts the writers store (`stored_texts`) and,
 on a component, its part of the base curve (`_base_points`); and
-`curves.WeightVector`, for the texts of its weights
-(`modeljson._weight_texts`) and its integer lift, both made on a vector the
-walk derives from the segment and time it keeps (`_at`).  Every other record
-has `__slots__ = ()`.
+`curves.WeightVector`, for the texts of its weights (`curves._texts_of`) and
+its integer lift, both set by the walk on a vector it derives.  Every other
+record has `__slots__ = ()`.
 
 Components are sorted by id, trees by (host component, host fiber) and
 fibers by id, and every `_replace` in the walk keeps that order, so

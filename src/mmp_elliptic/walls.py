@@ -21,34 +21,24 @@ middle over the subset sums that lists 2^ceil(r/2) sums per half;
 `walls_containing` and `Chamber.interior` meet in the middle the same way.
 `Wall.value_at` and `Wall.side` answer for one wall.
 
-`felt_walls` is the one table of the walls a given model feels, each paired
-with the fiber, section or tree that crossing it rewrites.  It is made of
-one row per component, keyed by its id in `felt_rows`; `felt_row` builds the
-row of one component and the trees it hosts from those parts alone.  The
-table depends only on the model's structure.  The reduction walk builds the
-rows of the components whose walls its segment can move or has already
-brought down, and after a WII or WIII record builds again only the row of
-the component the record rewrote; one full build is linear in the size of
-the model, and `cross_wall` and the tests read the full table.
+The arrangement knows no model: it reads only `curves` and `kodaira`.  The
+table of the walls a given model feels (`reduction.felt_walls`) lives with
+the walk that fires them.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, cycle, islice, repeat
 from math import lcm
 from operator import add, eq, gt
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .curves import _DEN, WeightVector, _integers
 from .kodaira import THRESHOLD_CONSTANTS, KodairaType, lct_threshold
-
-if TYPE_CHECKING:
-    from .surfaces import BrokenEllipticSurface, Component, MarkedFiber, PseudoComponent, TreeAttachment
 
 
 class WallKind(str, Enum):
@@ -562,88 +552,3 @@ def _crossings(hits: Iterable[tuple[int, int, int, Wall]]) -> list[SegmentCrossi
     for num, den, key, wall in hits:
         at.setdefault(num * (L // den), {})[key] = wall
     return [SegmentCrossing(Fraction(t, L), tuple(map(at[t].get, sorted(at[t])))) for t in sorted(at, reverse=True)]
-
-
-class FeltWall(NamedTuple):
-    """One wall a model feels and the site it acts on: the fiber `fid` of
-    `owner` for WI, the component `owner` for WII, and for WIII the subtree
-    `node` hung off fiber `fid` of `owner`, `depth` levels below the top.
-    `node` is the subtree as the table was built; only its structure is read."""
-
-    wall: Wall
-    owner: str
-    fid: str = ""
-    node: PseudoComponent | None = None
-    depth: int = 0
-
-
-def _fiber_walls(owner: str, fibers: Iterable[MarkedFiber], hosts: set[str]) -> list[FeltWall]:
-    """The WI walls of one owner: a marked fiber that hosts no tree, is not
-    N2 and whose type has a threshold feels that threshold and the boundary
-    wall at one."""
-    out = []
-    for f in fibers:
-        if f.markers and f.fid not in hosts and f.ftype.family != "N2":
-            a0 = lct_threshold(f.ftype)
-            if a0 is not None:
-                for c, boundary in ((a0, False), (_ONE, True)):
-                    out.append(FeltWall(Wall(WallKind.WI, f.markers, c, boundary), owner, f.fid))
-    return out
-
-
-def felt_row(comp: Component, attachments: int, trees: Sequence[TreeAttachment]) -> list[FeltWall]:
-    """The row of `felt_walls` for one component, with `attachments`
-    attaching fibers, and for `trees`, the trees it hosts: the component's
-    walls, then those of every pseudo node in preorder.
-
-    The component feels the WI walls of its marked fibers, then, while it
-    has a section, its marker set at the value where the section's degree
-    vanishes (WII): one for a rational leaf, two for an irreducible rational
-    base, each lowered by the coefficients of its marker-less fibers.  A
-    pseudo node's walls are the subtree it roots at its host fiber's
-    threshold (WIII), when that type has one, then the WI walls of its
-    marked fibers.  A fiber that hosts a subtree feels no WI wall.
-    """
-    row = _fiber_walls(comp.cid, comp.fibers, {t.host_fiber for t in trees})
-    if comp.has_section:
-        constant = -comp.section_constant(attachments)
-        row.append(FeltWall(Wall(WallKind.WII, comp.marker_set, constant), comp.cid))
-    for t in trees:
-        _tree_walls(comp.cid, comp.fiber(t.host_fiber), t.root, 0, row)
-    return row
-
-
-def _tree_walls(owner: str, host: MarkedFiber, node: PseudoComponent, depth: int, row: list) -> None:
-    """Append to `row` the walls of the subtree `node`, hung off fiber `host`
-    of `owner` at `depth`, in preorder (see `felt_row`)."""
-    a0 = lct_threshold(host.ftype)
-    if a0 is not None:
-        from .surfaces import subtree_markers  # here, so the wall queries load no model layer
-
-        row.append(FeltWall(Wall(WallKind.WIII, subtree_markers(node), a0), owner, host.fid, node, depth))
-    row += _fiber_walls(node.pid, node.fibers, {link.via_fiber for link in node.children})
-    for link in node.children:
-        _tree_walls(node.pid, node.fiber(link.via_fiber), link.node, depth + 1, row)
-
-
-def felt_rows(X: BrokenEllipticSurface) -> dict[str, list[FeltWall]]:
-    """The rows of `felt_walls` keyed by component id, in id order
-    (`felt_row`); a repeated id, which `validate` refuses, shares one row.
-
-    Only the structure enters: weights and fiber states do not.  A
-    component's row changes only with its section, fibers, attaching fibers
-    or trees, so the reduction walk builds the rows it needs once and, after
-    a section contraction or a tree collapse, builds again only the row of
-    the component that the record rewrote.
-    """
-    rows: dict[str, list[FeltWall]] = {}
-    for comp in X.components:
-        row = felt_row(comp, len(X.glue_ends(comp.cid)), X.trees_on(comp.cid))
-        rows.setdefault(comp.cid, []).extend(row)
-    return rows
-
-
-def felt_walls(X: BrokenEllipticSurface) -> list[FeltWall]:
-    """Every wall the model feels, with its site: the rows of `felt_rows`
-    one after another."""
-    return [fw for row in felt_rows(X).values() for fw in row]

@@ -20,6 +20,9 @@ the type and text of the exception it raised.  The families:
   collapsed onto a curve;
 - `file/...`: random targets on every model under `tests/golden`,
   `tests/data` and `demos/data`;
+- `.../felt` after a walk: the felt-wall table (`felt_walls`, one line
+  `wall|owner|fid|node pid|depth` per wall) of its start and, unless the
+  walk halted, of its final model;
 - `.../cross/i` after a walk: `cross_wall` replays record i on the snapshot
   before it (before its batch's fiber changes, for a WI record), moved onto
   the record's weights;
@@ -203,6 +206,7 @@ def corpus(sizes: dict = FULL):
     """Every item as (name, text): the text is what the item's line hashes."""
     from fractions import Fraction
 
+    from mmp_elliptic import felt_walls
     from mmp_elliptic.curves import WeightVector
     from mmp_elliptic.dot import emit_dot
     from mmp_elliptic.kodaira import parse_fiber_type
@@ -234,6 +238,9 @@ def corpus(sizes: dict = FULL):
             return f"UNEXPECTED {type(exc).__name__}: {exc}", None
         return "", result
 
+    def felt_text(X) -> str:
+        return "".join(f"{fw.wall}|{fw.owner}|{fw.fid}|{fw.node.pid if fw.node else ''}|{fw.depth}\n" for fw in felt_walls(X))
+
     def walk(name, X, target):
         text, trace = outcome(reduce, X, target)
         if trace is None:
@@ -242,6 +249,7 @@ def corpus(sizes: dict = FULL):
         final = trace.final
         records = "".join(map(record_text, trace.records))
         yield name, records + serialize_model(final) + emit_dot(final) + str(trace.halted)
+        yield f"{name}/felt", felt_text(X) + ("" if trace.halted else "final\n" + felt_text(final))
         # the WI records of one batch share the snapshot after all of them,
         # so each replays on the snapshot before its batch's fiber changes
         before, last = X, X

@@ -249,28 +249,31 @@ def random_target(rng: random.Random, start: WeightVector, den: int = 12) -> Wei
     return WeightVector(tuple(out))
 
 
-def admissible_target(
-    rng: random.Random, X: BrokenEllipticSurface, tries: int = 60
-) -> WeightVector | None:
-    """A random target for which a stable model still exists.
+def admissible(X: BrokenEllipticSurface, A: WeightVector) -> bool:
+    """Whether a stable model still exists at target A.
 
     Outside the admissible weight domain every component collapses and only
     an arbitrary label survives, so reduction targets are screened through
     the weighted-curve side: the reduced base curve must keep a component of
     positive degree.  The base curve marks each marker-less fiber after the
     model's markers, so the target is extended by their fixed coefficients,
-    as `base_weights` extends the model's weights; the bare target is
-    returned.
+    as `base_weights` extends the model's weights.
     """
     from mmp_elliptic.curves import component_degree, hassett_reduce
     from mmp_elliptic.surfaces import base_curve, base_weights
 
-    base = base_curve(X)
-    fixed = base_weights(X).entries[X.weights.r :]
+    at = WeightVector(A.entries + base_weights(X).entries[X.weights.r :])
+    red = hassett_reduce(base_curve(X), at)
+    return len(red.vertices) > 1 or component_degree(red, red.vertices[0].vid, at) > 0
+
+
+def admissible_target(
+    rng: random.Random, X: BrokenEllipticSurface, tries: int = 60
+) -> WeightVector | None:
+    """A random target for which a stable model still exists (`admissible`),
+    or None after `tries` draws."""
     for _ in range(tries):
         A = random_target(rng, X.weights)
-        at = WeightVector(A.entries + fixed)
-        red = hassett_reduce(base, at)
-        if len(red.vertices) > 1 or component_degree(red, red.vertices[0].vid, at) > 0:
+        if admissible(X, A):
             return A
     return None

@@ -24,9 +24,9 @@ from mmp_elliptic.surfaces import (
     validate,
     volume,
 )
-from mmp_elliptic.walls import enumerate_walls, locate
+from mmp_elliptic.walls import enumerate_walls, locate, same_chamber
 
-from modelkit import admissible_target, random_model, rational_degeneration
+from modelkit import admissible, admissible_target, random_model, random_target, rational_degeneration
 from oracles import brute_force_walls, gram_volume, wall_keys
 
 F = Fraction
@@ -151,22 +151,28 @@ def test_criterion_5_volume_oracle():
     report(5, "volume equals the symbolic intersection expansion on 25 models", started)
 
 
+def marker_types(X: BrokenEllipticSurface) -> list | None:
+    """The type of each marker's fiber, in marker order, when every marker
+    has a fiber of its own; else None."""
+    types = []
+    for i in range(1, X.weights.r + 1):
+        for owner, fibers in X.fiber_owners():
+            for f in fibers:
+                if f.markers == frozenset({i}):
+                    types.append(f.ftype)
+    return types if len(types) == X.weights.r else None
+
+
 def test_criterion_6_chamber_invariance():
     started = time.perf_counter()
     rng = random.Random(87)
     checked = 0
     while checked < 20:
         X = random_model(rng, max_components=3, max_markers=6)
-        r = X.weights.r
-        types = []
-        for i in range(1, r + 1):
-            for owner, fibers in X.fiber_owners():
-                for f in fibers:
-                    if f.markers == frozenset({i}):
-                        types.append(f.ftype)
-        if len(types) != r:
+        types = marker_types(X)
+        if types is None:
             continue
-        walls = enumerate_walls(r, types, rational_base=True)
+        walls = enumerate_walls(X.weights.r, types, rational_base=True)
         A = admissible_target(rng, X)
         if A is None or not locate(A, walls).interior():
             continue
@@ -190,6 +196,39 @@ def test_criterion_6_chamber_invariance():
         assert at_weights(final_b, final_a.weights) == final_a
         checked += 1
     report(6, f"same-chamber targets give isomorphic stable models ({checked} pairs)", started)
+
+
+def test_one_stable_model_per_chamber_on_wide_targets():
+    # the chamber theorem on many targets per model, not one nudge: targets
+    # on the 1/61 grid (on the 1/12 grid most lie on walls, as every wall
+    # constant's denominator divides 12), screened for the domain and kept
+    # when interior, are grouped by chamber, and each group's finals agree
+    # under `at_weights` both ways, as in criterion 6
+    rng = random.Random(87)
+    models = pairs = 0
+    while models < 80:
+        X = random_model(rng, max_components=3, max_markers=6)
+        types = marker_types(X)
+        if types is None:
+            continue
+        models += 1
+        walls = enumerate_walls(X.weights.r, types, rational_base=True)
+        groups: list[list] = []
+        for _ in range(30):
+            A = random_target(rng, X.weights, den=61)
+            if not admissible(X, A) or not locate(A, walls).interior():
+                continue
+            final = reduce(X, A).final
+            group = next((g for g in groups if same_chamber(g[0][0], A, walls)), None)
+            if group is None:
+                groups.append([(A, final)])
+                continue
+            first = group[0][1]
+            assert at_weights(first, final.weights) == final
+            assert at_weights(final, first.weights) == first
+            group.append((A, final))
+            pairs += 1
+    assert pairs > 150
 
 
 def test_criterion_7_rule_set_closure_and_validity():

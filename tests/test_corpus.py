@@ -20,5 +20,6 @@ def test_every_slice_item_runs_without_an_unexpected_exception():
     assert families.keys() == {"random", "chain", "halting", "segment", "chamber", "walls", "file", "parse"}
     assert any("/sides/" in n for n in names) and any("/wide/" in n for n in names)
     assert any("/cross/" in n for n in names)
+    assert any(n.endswith("/felt") for n in names)
     assert any("/wii-at-one/" in n for n in names)
     assert set(corpus.PARSE_KINDS) <= {n.split("/")[-2] for n in names if n.startswith("parse/")}

@@ -311,15 +311,16 @@ def test_a_walk_snapshot_writes_only_its_moved_weights():
     snapshots = [rec.snapshot_after for rec in trace.records] + [trace.final]
     assert len(snapshots) > 1
     assert [serialize_model(Y) for Y in snapshots] == [serialize_oracle(Y) for Y in snapshots]
-    assert target.__dict__["_texts"] == ["1"] * 10 + ["1/3"] * 2
-    # each keeps only its segment and time, from which its texts and its
-    # lift are made on first read
-    assert all(Y.weights.__dict__.keys() == {"_at"} for Y in snapshots)
-    # texts marked on the target show which entries a snapshot copies
-    target.__dict__["_texts"] = [f"t{i}" for i in range(1, 13)]
-    Y = snapshots[0]
-    moved = [str(w) for w in Y.weights.entries[10:]]
-    assert json.loads(weights_text(Y.weights, "")) == [f"t{i}" for i in range(1, 11)] + moved
+    texts = target.__dict__["_texts"]
+    assert texts == ["1"] * 10 + ["1/3"] * 2
+    # each keeps its texts and its lift, made by the walk, and nothing of
+    # the walk; its unmoved texts are the target's own string objects
+    for Y in snapshots:
+        assert Y.weights.__dict__.keys() == {"_lift", "_texts"}
+        kept = Y.weights.__dict__["_texts"]
+        assert all(a is b for a, b in zip(kept[:10], texts[:10]))
+        assert kept[10:] == [str(w) for w in Y.weights.entries[10:]]
+        assert json.loads(weights_text(Y.weights, "")) == kept
 
 
 def test_a_replaced_component_gets_a_new_text():

@@ -1,18 +1,21 @@
+import gc
 import importlib.util
 import json
 import random
 import sys
+import weakref
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from mmp_elliptic import curves, reduction, walls
+from mmp_elliptic import curves, reduction
 from mmp_elliptic.curves import _DEN, WeightVector, _integers, hassett_reduce, interpolate
 from mmp_elliptic.kodaira import FiberState, lct_threshold, parse_fiber_type
 from mmp_elliptic.modeljson import parse_model, serialize_model
 from mmp_elliptic.reduction import (
+    FeltWall,
     InconsistentTarget,
     InvalidModel,
     RecordKind,
@@ -20,6 +23,8 @@ from mmp_elliptic.reduction import (
     WallNotSatisfied,
     at_weights,
     cross_wall,
+    felt_row,
+    felt_walls,
     reduce,
 )
 from mmp_elliptic.surfaces import (
@@ -37,7 +42,7 @@ from mmp_elliptic.surfaces import (
     validate,
     volume,
 )
-from mmp_elliptic.walls import FeltWall, Wall, WallKind, enumerate_walls, felt_walls, locate
+from mmp_elliptic.walls import Wall, WallKind, enumerate_walls, locate
 
 from modelkit import (
     admissible_target,
@@ -719,8 +724,8 @@ def test_a_chain_walk_builds_its_table_once(monkeypatch):
     # the components that carry a moving marker, c1, c2 and c3, whose six
     # markers the target lowers, whatever the length of the chain; each WII
     # or WIII record then rebuilds one component's row, of the same size at
-    # both lengths.  `felt_walls` builds the whole-model table through
-    # `walls.felt_rows`, so the walk must never call it
+    # both lengths.  `felt_walls` builds the whole-model table, so the walk
+    # must never call it
     builds = []
     rows = []
     starts = []
@@ -733,8 +738,8 @@ def test_a_chain_walk_builds_its_table_once(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(walls, "felt_rows", counted(walls.felt_rows, builds, len))
-    monkeypatch.setattr(reduction, "felt_row", counted(walls.felt_row, rows, len))
+    monkeypatch.setattr(reduction, "felt_walls", counted(reduction.felt_walls, builds, len))
+    monkeypatch.setattr(reduction, "felt_row", counted(reduction.felt_row, rows, len))
     table = reduction._Segment.table
     monkeypatch.setattr(reduction._Segment, "table", counted(table, starts, sorted))
     per_record = []
@@ -746,6 +751,25 @@ def test_a_chain_walk_builds_its_table_once(monkeypatch):
         assert len(rows) == 3 + len(structural) and len(structural) == 6
         per_record.append(list(rows))
     assert per_record[0] == per_record[1]
+
+
+def test_a_trace_keeps_no_part_of_the_walk(monkeypatch):
+    # a snapshot's weights keep their lift and texts as plain memos, so once
+    # `reduce` returns, its segment (and the glue-end index it holds) is
+    # gone while the trace it gave lives on
+    segments = []
+    init = reduction._Segment.__init__
+
+    def kept(self, *args):
+        init(self, *args)
+        segments.append(weakref.ref(self))
+
+    monkeypatch.setattr(reduction._Segment, "__init__", kept)
+    trace = reduce(*_chain(40))
+    gc.collect()
+    assert len(segments) == 1 and segments[0]() is None
+    assert len(trace.records) > 1
+    assert all(rec.snapshot_after.weights.__dict__.keys() <= {"_lift", "_texts"} for rec in trace.records)
 
 
 def test_the_hassett_check_reads_the_lift_each_snapshot_keeps(monkeypatch):
@@ -807,8 +831,8 @@ def test_reach_solves_each_crossing_time_exactly():
         solved += sum(den > 0 for _, den, _ in got)
     assert solved > 100
 
-    # a walk's segment, read off its snapshots, is over the one integer form
-    # of its ends
+    # a walk's segment is over the one integer form of its ends, and the
+    # lift each snapshot's weights are made with is over a multiple of it
     rng = random.Random(47)
     walks = read = 0
     while walks < 40:
@@ -817,11 +841,12 @@ def test_reach_solves_each_crossing_time_exactly():
         if target is None:
             continue
         walks += 1
+        segment = reduction._Segment(target, X.weights)
+        assert segment.D == _integers(target, X.weights)[0] and segment.D % _DEN == 0
         trace = reduce(X, target)
         for Y in [rec.snapshot_after for rec in trace.records] + [trace.final]:
-            if "_at" in Y.weights.__dict__:
-                segment = Y.weights.__dict__["_at"][0]
-                assert segment.D == _integers(target, X.weights)[0] and segment.D % _DEN == 0
+            if Y.weights is not X.weights:
+                assert Y.weights.__dict__["_lift"][0] % segment.D == 0
                 read += 1
     assert read > 40
 
@@ -875,8 +900,9 @@ def test_the_start_table_leaves_out_only_walls_the_walk_never_crosses():
             segment = reduction._Segment(WeightVector(tuple(lowered)), Y.weights)
             moves = {c.cid for c in Y.components if c.marker_set & segment.moving}
             want = {}
-            for cid, row in walls.felt_rows(Y).items():
-                reached = segment.reach(row)
+            for c in Y.components:
+                cid = c.cid
+                reached = segment.reach(felt_row(c, len(Y.glue_ends(cid)), Y.trees_on(cid)))
                 due = {fw.wall.kind for _, _, fw in reached} - {WallKind.WI}
                 if cid in moves or due:
                     want[cid] = reached

@@ -12,18 +12,15 @@ import mmp_elliptic
 from mmp_elliptic.curves import _DEN, WeightVector, _integers, interpolate
 from mmp_elliptic.kodaira import UnsupportedFiberType, lct_threshold, parse_fiber_type
 from mmp_elliptic.modeljson import serialize_model
-from mmp_elliptic.reduction import at_weights, reduce
+from mmp_elliptic.reduction import FeltWall, at_weights, felt_walls, reduce
 from mmp_elliptic.surfaces import BrokenEllipticSurface, Component
 from mmp_elliptic.walls import (
     Arrangement,
     Chamber,
-    FeltWall,
     Wall,
     WallKind,
     _subset,
     enumerate_walls,
-    felt_rows,
-    felt_walls,
     locate,
     same_chamber,
     segment_walls,
@@ -445,12 +442,11 @@ def test_felt_walls_skip_boundary_wall_of_a_nodal_fiber():
 
 def test_felt_walls_keep_both_components_of_a_repeated_id():
     # `validate` refuses a repeated component id, but `cross_wall` reads the
-    # felt walls of an unchecked model: both components' walls stay, in the
-    # one row of the shared id
+    # felt walls of an unchecked model: both components' walls stay, one
+    # after the other
     w = WeightVector((F(1, 2), F(1, 2)))
     comps = tuple(Component("c1", v, 0, F(1), (mk_fiber(f"f{v}", "II", v, w),)) for v in (1, 2))
     X = BrokenEllipticSurface(w, comps)
-    assert list(felt_rows(X)) == ["c1"]
     assert [fw.fid for fw in felt_walls(X)] == ["f1", "f1", "", "f2", "f2", ""]
 
 
@@ -782,16 +778,18 @@ def test_a_vector_is_lifted_once_however_many_queries_read_it(monkeypatch):
         # a vector from the records' unchecked rebuild answers alike
         made = [WeightVector._make((W.entries,)) for W in (A, B, mid)]
         assert got == [answers(*made, walls) for walls in arrangements]
-    # a walk's snapshot weights carry their segment and time; a query adds
-    # the lift beside them, and the snapshot still writes as the oracle does
+    # a walk's snapshot weights carry the lift and texts the walk made; a
+    # query reads that lift and adds nothing, and the snapshot still writes
+    # as the oracle does
     X = rational_degeneration(F(1))
     trace = reduce(X, WeightVector((F(1),) * 10 + (F(1, 3),) * 2))
     walls = enumerate_walls(12, [parse_fiber_type("I1")] * 12, True)
     for Y in [rec.snapshot_after for rec in trace.records] + [trace.final]:
         W = Y.weights
-        assert "_at" in W.__dict__
+        kept = W.__dict__["_lift"]
+        lifted.clear()
         got = [walls_containing(W, walls), locate(W, walls).interior(), same_chamber(W, X.weights, walls)]
-        assert W.__dict__.keys() == {"_at", "_lift"}
+        assert W.__dict__.keys() == {"_lift", "_texts"} and W.__dict__["_lift"] is kept and lifted == []
         fresh = WeightVector(W.entries)
         assert got == [walls_containing(fresh, walls), locate(fresh, walls).interior(), same_chamber(fresh, X.weights, walls)]
         assert serialize_model(Y) == serialize_oracle(Y)
