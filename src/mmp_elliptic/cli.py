@@ -46,7 +46,9 @@ def _bold(text: str) -> str:
 
 
 def _read_input(path_text: str, what: str) -> bytes:
-    """The bytes of an input file; a usage error when it cannot be read."""
+    """The bytes of an input file; a usage error when it cannot be read or its path is empty."""
+    if not path_text:
+        raise CliError(f"{what} file path is empty: ''", USAGE_ERROR)
     path = Path(path_text)
     try:
         return path.read_bytes()
@@ -72,7 +74,7 @@ def _parse_weights(spec: str) -> WeightVector:
         try:
             return WeightVector(tuple(rat_from_str(p) for p in spec.split(",")))
         except ValueError:
-            if Path(spec).exists():
+            if spec and Path(spec).exists():
                 return from_file(spec)
             raise
     except (ValueError, ZeroDivisionError) as exc:

@@ -303,7 +303,7 @@ def at_weights(X: BrokenEllipticSurface, W: WeightVector) -> BrokenEllipticSurfa
     new coefficient.  Tree hosts stay intermediate.  Refused with
     `RuleNotApplicable`, before any fiber is rebuilt, when W lifts the
     coefficient of a fiber, such as a tree host's derived one, above one."""
-    every: set[int] = set()
+    marked: list[tuple[str, MarkedFiber]] = []
     for owner, fibers in X.fiber_owners():
         for f in fibers:
             if f.markers:
@@ -312,8 +312,8 @@ def at_weights(X: BrokenEllipticSurface, W: WeightVector) -> BrokenEllipticSurfa
                     raise RuleNotApplicable(
                         f"fiber {f.fid} of {owner}: coefficient {coeff} outside [0, 1]"
                     )
-                every |= f.markers
-    return _settle(X._replace(weights=W), X.fibers_with(every), X.host_keys())[0]
+                marked.append((owner, f))
+    return _settle(X._replace(weights=W), marked, X.host_keys())[0]
 
 
 def _record_fiber_event(
@@ -673,10 +673,11 @@ class _Segment:
     def fibers(
         self, X: BrokenEllipticSurface, table: _Table
     ) -> tuple[list[tuple[str, MarkedFiber]], set[tuple[str, str]]]:
-        """`X.fibers_with(self.moving)`, in its order, and the keys of the
-        host fibers among them, found on the components of `table` and their
-        trees only: the table `holds` the row of every component with a
-        moving marker, and a host fiber carries every marker of its tree."""
+        """(owner id, fiber) of each fiber that meets `self.moving`, in
+        `fiber_owners` order, and the keys of the host fibers among them, found
+        on the components of `table` and their trees only: the table `holds`
+        the row of every component with a moving marker, and a host fiber
+        carries every marker of its tree."""
         moving = self.moving
         owners = [X.component(cid) for cid in sorted(table)]
         fibers = [(c.cid, f) for c in owners for f in c.fibers if not f.markers.isdisjoint(moving)]

@@ -35,14 +35,13 @@ and find the first of a repeated id, as a scan would.  Two lookups are
 cached on the surface, each built in one pass the first time it is read:
 glue ends per component (`glue_ends`, from `glue_index`), and every subtree
 level with its host key (`pseudo_nodes`, `fiber_owners`, `host_keys`);
-`fibers_with` scans `fiber_owners`, and `host_fiber` bisects the components
-and walks only the trees.  A lookup holds the surface's parts, never the
-surface, and a rewrite, through a constructor or `_replace`, returns a new
-surface with an empty instance dict, so no lookup can go stale.  The
-reduction walk builds no lookup on the models it passes through: it keeps
-its own `glue_index`, built from its start and patched by each flip, and it
-settles only the fibers of the components and trees it tracks, not those
-`fibers_with` scans.
+`host_fiber` bisects the components and walks only the trees.  A lookup
+holds the surface's parts, never the surface, and a rewrite, through a
+constructor or `_replace`, returns a new surface with an empty instance
+dict, so no lookup can go stale.  The reduction walk builds no lookup on
+the models it passes through: it keeps its own `glue_index`, built from its
+start and patched by each flip, and it settles only the fibers of the
+components and trees it tracks, not every fiber of `fiber_owners`.
 
 The verdict of `validate` is cached beside them, as a tuple of violations
 (empty for a valid model), because it is read twice per model: once by the
@@ -371,13 +370,6 @@ class BrokenEllipticSurface(_BrokenEllipticSurface):
     def host_keys(self) -> frozenset[tuple[str, str]]:
         """(owner id, fiber id) of every fiber that hosts a subtree."""
         return frozenset((owner, fid) for owner, fid, _ in self._subtrees)
-
-    def fibers_with(self, markers: Iterable[int]) -> list[tuple[str, MarkedFiber]]:
-        """(owner id, fiber) for every fiber, tree hosts included, whose
-        markers meet `markers`, in `fiber_owners` order."""
-        markers = set(markers)
-        owners = self.fiber_owners()
-        return [(o, f) for o, fibers in owners for f in fibers if not f.markers.isdisjoint(markers)]
 
     def host_fiber(self, owner: str, fid: str) -> MarkedFiber:
         """The fiber `fid` of a component or pseudo node; under a repeated id,

@@ -19,7 +19,8 @@ arrangement on r markers.  A `Chamber` holds a point and its arrangement, so
 `locate` is O(r), and two chambers compare by `same_chamber`, a meet in the
 middle over the subset sums that lists 2^ceil(r/2) sums per half;
 `walls_containing` and `Chamber.interior` meet in the middle the same way.
-`Wall.value_at` and `Wall.side` answer for one wall.
+`Wall.value_at` and `Wall.side` answer for one wall.  `Chamber.signs`
+iterates the arrangement, with one weight sum per subset.
 
 The arrangement knows no model: it reads only `curves` and `kodaira`.  The
 table of the walls a given model feels (`reduction.felt_walls`) lives with
@@ -34,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, cycle, islice, repeat
 from math import lcm
-from operator import add, eq, gt
+from operator import eq, gt
 from typing import Iterable, Iterator, NamedTuple
 
 from .curves import _DEN, WeightVector, _integers
@@ -183,9 +184,6 @@ class Arrangement:
       maxima of the other and with the greatest of one sum at each value of
       the other, answers each of the four for a right pair in one lookup.
       The empty set never differs, since every constant is positive.
-    - `_sides` adds up every subset sum once, in iteration order, and takes
-      each distinct sum's WIII sides from two bisections into the sorted
-      constants: it builds every side, for `Chamber.signs`.
 
     It equals a list of the same walls and an Arrangement of the same
     definition, and pickles as its definition.  `in` (`_has`) compares a
@@ -307,23 +305,6 @@ class Arrangement:
         """The constants over L of the walls on one subset (`_ON_SUBSET`), ascending."""
         return [c * (L // _DEN) for c in (*_WIII, _DEN)]
 
-    def _sides(self, D: int, w: list[int]) -> Iterator[str]:
-        """The side of the point w over D of every wall, in iteration order."""
-        L, w = self._lift(D, w)
-        sums: list[int] = []
-        for x in reversed(w):
-            sums = [x, *map(add, repeat(x), sums), *sums]
-        direct = [_SIDE[(x > c) - (x < c)] for _, _, c, (x,) in self._direct(L, w)]
-        wii = [_SIDE[(s > L) - (s < L)] for s in sums]
-        if self._rational:
-            wii.insert(self.r, direct.pop())
-        constants = [c * (L // _DEN) for c in _WIII]
-        chunks = {}
-        for s in set(sums):
-            lo, hi = bisect_left(constants, s), bisect_right(constants, s)
-            chunks[s] = ("above",) * lo + ("on",) * (hi - lo) + ("below",) * (len(_WIII) - hi)
-        return chain(direct, wii, chain.from_iterable(map(chunks.__getitem__, sums)))
-
     def _through(self, D: int, w: list[int]) -> tuple[list, Iterator[tuple[int, list[_Pair]]]]:
         """(order key, the arguments of `_wall`) of the checked walls through
         the point w over D, and, lazily in ascending order, the place j in
@@ -437,8 +418,16 @@ class Chamber(NamedTuple):
 
     @property
     def signs(self) -> tuple[tuple[Wall, str], ...]:
-        """The sign of every wall, as (wall, side) pairs in `Wall.sort_key` order."""
-        return tuple(zip(self.walls, self.walls._sides(*_integers(self.point))))
+        """The sign of every wall, as (wall, side) pairs in `Wall.sort_key`
+        order, from one weight sum per subset, kept by its shared frozenset."""
+        D, w = self.walls._lift(*_integers(self.point))
+        w, sums, signs = [0, *w], {}, []
+        for wall in self.walls:
+            if (s := sums.get(wall.subset)) is None:
+                s = sums[wall.subset] = sum(map(w.__getitem__, wall.subset))
+            x = s * wall.constant.denominator - wall.constant.numerator * D
+            signs.append((wall, _SIDE[(x > 0) - (x < 0)]))
+        return tuple(signs)
 
     def sign(self, wall: Wall) -> str:
         """The side of `wall`, which must be a wall of the arrangement (`in`)."""

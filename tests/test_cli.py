@@ -95,12 +95,13 @@ def test_cli_start_up_builds_no_dataclass_machinery():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
-def loaded_layers(*argv: str) -> set[str]:
+def loaded_layers(*argv: str, then: str = "") -> set[str]:
     """The layers of `mmp_elliptic` that a fresh `-I -S` process holds after
     running the CLI on `argv` through `runpy`, which must exit 0, or after a
-    bare `import mmp_elliptic` when `argv` is empty."""
+    bare `import mmp_elliptic` and the statement `then` when `argv` is
+    empty."""
     src = EXAMPLE.parent.parent.parent / "src"
-    run = "runpy.run_module('mmp_elliptic.cli', run_name='__main__')" if argv else "import mmp_elliptic"
+    run = "runpy.run_module('mmp_elliptic.cli', run_name='__main__')" if argv else f"import mmp_elliptic; {then}"
     code = "\n".join([
         f"import runpy, sys; sys.path.insert(0, {str(src)!r})",
         "try:",
@@ -132,6 +133,9 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
         "markers": [{"index": i, "vertex": 1 + (i > 2)} for i in range(1, 5)],
     }))
     assert loaded_layers() == set()
+    # a layer's name, read before anything imports the layer, loads it and its layers below
+    then = "assert mmp_elliptic.walls is sys.modules['mmp_elliptic.walls']"
+    assert loaded_layers(then=then) == {"curves", "rationals", "kodaira", "walls"}
     walls = ["walls", "-r", "10", "--types", "I1,II,III,IV,I*0,II*,III*,IV*,I3,N1", "--rational-base"]
     segment = ["walls", "-r", "2", "--types", "I1,II", "--segment", "1/4,1/4", "1,1"]
     for argv in (walls, segment):
@@ -533,6 +537,13 @@ REFUSED = {
         1,
         "malformed curve object: bad integer 1.9\n",
     ),
+    # an empty path is refused by name, not read as the current directory
+    "model-empty": (["model", ""], 2, "model file path is empty: ''\n"),
+    "validate-empty": (["validate", ""], 2, "model file path is empty: ''\n"),
+    "hassett-empty": (["hassett", "", "--weights", "1"], 2, "curve file path is empty: ''\n"),
+    "reduce-empty": (["reduce", "", "--to", "1"], 2, "model file path is empty: ''\n"),
+    "to-at-empty": (["reduce", "{model}", "--to", "@"], 2, "weights file path is empty: ''\n"),
+    "to-empty": (["reduce", "{model}", "--to", ""], 2, "bad weight vector '': empty rational literal\n"),
 }
 
 

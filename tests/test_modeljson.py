@@ -82,6 +82,10 @@ def test_malformed_json():
         # a fiber's markers are a set: an index listed twice would not round-trip
         (("components", 0, "fibers", 0, "markers"), [1, 1], "c1/f1/markers: repeated marker 1"),
         (("components", 1, "fibers", 0, "markers"), [11, 12, 11], "c2/f11/markers: repeated marker 11"),
+        (("components", 0, "fibers", 0, "markers"), 3, "c1/f1: 'markers' must be a list, got 3"),
+        # an attachment end is an object with every field
+        (("attachments", 0, "a"), "c2", "g1: expected an object, got 'c2'"),
+        (("attachments", 0, "a"), {"component": "c1", "type": "II"}, "g1: missing field 'fiber'"),
     ],
     ids=[
         "vertex-x",
@@ -95,6 +99,9 @@ def test_malformed_json():
         "jinf-null",
         "markers-repeated",
         "markers-repeated-later",
+        "markers-3",
+        "end-string",
+        "end-no-fiber",
     ],
 )
 def test_ill_typed_field_is_schema_violation(path, value, field):

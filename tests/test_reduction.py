@@ -912,7 +912,8 @@ def test_the_start_table_leaves_out_only_walls_the_walk_never_crosses():
             assert _kept(table) == _kept(want)
             fibers, hosts = segment.fibers(Y, table)
             keys = {(owner, f.fid) for owner, f in fibers}
-            assert fibers == Y.fibers_with(segment.moving) and keys & hosts == keys & Y.host_keys()
+            moving = [(owner, f) for owner, fs in Y.fiber_owners() for f in fs if f.markers & segment.moving]
+            assert fibers == moving and keys & hosts == keys & Y.host_keys()
     assert min(fixed_due[WallKind.WII], fixed_due[WallKind.WIII]) > 0, fixed_due
 
 

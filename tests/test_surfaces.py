@@ -364,7 +364,7 @@ def _check_id_lookups(X):
             part.fiber("nowhere")
 
 
-def _check_index(X, rng):
+def _check_index(X):
     owners = scan_owners(X)
     assert X.fiber_owners() == owners
     _check_id_lookups(X)
@@ -381,10 +381,6 @@ def _check_index(X, rng):
     assert X.trees_on("nowhere") == ()
     assert X.pseudo_nodes() == scan_pseudo_nodes(X)
     assert X.host_keys() == scan_host_keys(X)
-    picked = {i for i in range(1, X.weights.r + 1) if rng.random() < 0.3}
-    assert X.fibers_with(picked) == [
-        (owner, f) for owner, fibers in owners for f in fibers if f.markers & picked
-    ]
     assert base_curve(X) == base_curve_by_step(X)
 
 
@@ -399,7 +395,7 @@ def test_index_matches_scans_on_models_and_walks():
             trace = reduce(X, target)
             walk += [rec.snapshot_after for rec in trace.records] + [trace.final]
         for Y in walk:
-            _check_index(Y, rng)
+            _check_index(Y)
         models += len(walk)
     assert models >= 200
 
@@ -446,7 +442,7 @@ def test_lookups_find_both_owners_of_a_repeated_id():
     for f in comp.fibers + node.fibers:
         assert X.host_fiber("c1", f.fid) is f
     assert X.host_keys() == {("c1", "a1"), ("c1", "b2")}
-    _check_index(X, random.Random(0))
+    _check_index(X)
 
 
 def test_lookups_find_the_first_of_a_repeated_id():

@@ -344,6 +344,9 @@ def test_wall_functions_reject_a_marker_outside_the_vector():
             walls_containing(A, walls)
         with pytest.raises(KeyError, match="marker index 3 outside 1..2"):
             segment_walls(A, B, walls)
+        # a chamber built without `locate` checks its point as well
+        with pytest.raises(KeyError, match="marker index 3 outside 1..2"):
+            Chamber(A, walls).signs
         # the order of the ends is checked first
         with pytest.raises(ValueError, match="A <= B"):
             segment_walls(B, A, walls)
