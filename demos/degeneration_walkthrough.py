@@ -19,17 +19,12 @@ Run:  python demos/degeneration_walkthrough.py
 from fractions import Fraction
 from pathlib import Path
 
-from mmp_elliptic import (
-    WeightVector,
-    base_curve,
-    emit_dot,
-    hassett_reduce,
-    parse_model,
-    pseudo_fate,
-    reduce,
-    section_degree,
-)
+from mmp_elliptic.curves import WeightVector, hassett_reduce
+from mmp_elliptic.dot import emit_dot
+from mmp_elliptic.modeljson import parse_model
 from mmp_elliptic.rationals import rat_to_str
+from mmp_elliptic.reduction import reduce
+from mmp_elliptic.surfaces import base_curve, pseudo_fate, section_degree, subtree_markers
 
 F = Fraction
 MODEL = Path(__file__).parent / "data" / "rational_example.json"
@@ -62,8 +57,6 @@ def describe(label, X):
 
 
 def sorted_markers(node):
-    from mmp_elliptic import subtree_markers
-
     return sorted(subtree_markers(node))
 
 

@@ -7,7 +7,8 @@ Run:  python demos/fiber_models_tour.py
 
 from fractions import Fraction
 
-from mmp_elliptic import (
+from mmp_elliptic.kodaira import (
+    FiberState,
     canonical_contribution,
     fiber_model_at,
     intersection_data,
@@ -15,7 +16,6 @@ from mmp_elliptic import (
     parse_fiber_type,
     verify_threshold,
 )
-from mmp_elliptic.kodaira import FiberState
 from mmp_elliptic.rationals import rat_to_str
 
 F = Fraction

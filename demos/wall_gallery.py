@@ -10,15 +10,10 @@ Run:  python demos/wall_gallery.py
 from collections import Counter
 from fractions import Fraction
 
-from mmp_elliptic import (
-    WeightVector,
-    enumerate_walls,
-    locate,
-    parse_fiber_type,
-    segment_walls,
-    walls_containing,
-)
+from mmp_elliptic.curves import WeightVector
+from mmp_elliptic.kodaira import parse_fiber_type
 from mmp_elliptic.rationals import rat_to_str
+from mmp_elliptic.walls import enumerate_walls, locate, segment_walls, walls_containing
 
 F = Fraction
 

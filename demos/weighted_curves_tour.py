@@ -10,16 +10,16 @@ Run:  python demos/weighted_curves_tour.py
 
 from fractions import Fraction
 
-from mmp_elliptic import (
+from mmp_elliptic.curves import (
     MarkedNodalCurve,
     Marker,
     Vertex,
     WeightVector,
     component_degree,
+    curve_to_dot,
     hassett_reduce,
     is_hassett_stable,
 )
-from mmp_elliptic.curves import curve_to_dot
 from mmp_elliptic.rationals import rat_to_str
 
 F = Fraction

@@ -228,7 +228,9 @@ def _model_report(model, fmt: str) -> str:
 
 def _cmd_model(args: argparse.Namespace) -> int:
     paths = [args.model]
-    if args.glob:
+    if args.glob is not None:
+        if not args.glob:
+            raise CliError("--glob pattern is empty: ''", USAGE_ERROR)
         from glob import glob
 
         paths = sorted(glob(args.glob))
@@ -249,6 +251,8 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     from .reduction import InconsistentTarget, InvalidModel, RuleNotApplicable, reduce as reduce_model
     from .surfaces import base_curve, base_weights
 
+    if args.dot_dir == "":
+        raise CliError("--dot-dir path is empty: ''", USAGE_ERROR)
     model = _load_model(args.model, args.from_weights)
     target = _parse_weights(args.to)
     try:
@@ -268,7 +272,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
                     f"base-curve commutativity failed at t = {rat_to_str(rec.t)}",
                     DATA_ERROR,
                 )
-    if args.dot_dir:
+    if args.dot_dir is not None:
         from .dot import emit_dot
 
         outdir = Path(args.dot_dir)

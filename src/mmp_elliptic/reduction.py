@@ -379,19 +379,15 @@ def _hang_off_peer(X: BrokenEllipticSurface, cid: str, ends: _Ends) -> tuple[Bro
     )
     p = bisect_left(X.components, peer.component, key=_CID)
     hung = X.components[p]._replace(fibers=_inserted(X.components[p].fibers, host, _FID))
-    lo = bisect_left(X.glues, glue.gid, key=_GID)
-    hi = bisect_right(X.glues, glue.gid, lo, key=_GID)
+    g = X.glues.index(glue, bisect_left(X.glues, glue.gid, key=_GID))
     tree = TreeAttachment(peer.component, peer.fiber_id, root)
     rewritten = X._replace(
         components=_patched(X.components, {p: hung, i: None}),
-        glues=X.glues[:lo] + X.glues[hi:],
+        glues=X.glues[:g] + X.glues[g + 1 :],
         trees=_inserted(X.trees[:lo_t] + X.trees[hi_t:], tree, _TREE_KEY),
     )
     del ends[cid]
-    for g in X.glues[lo:hi]:
-        for end in (g.a, g.b):
-            if end.component != cid:
-                ends[end.component].remove((g, end))
+    ends[peer.component].remove((glue, peer))
     return rewritten, peer.component
 
 

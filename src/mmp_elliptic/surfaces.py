@@ -751,7 +751,11 @@ def _violations(X: BrokenEllipticSurface) -> list[Violation]:
                     )
                 )
     end_ids: set[tuple[str, str]] = set()
+    gids: set[str] = set()
     for g in X.glues:
+        if g.gid in gids:
+            out.append(Violation("glue", g.gid, "glue id used twice"))
+        gids.add(g.gid)
         for end in g.ends():
             key = (end.component, end.fiber_id)
             if key in end_ids:

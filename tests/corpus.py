@@ -206,7 +206,6 @@ def corpus(sizes: dict = FULL):
     """Every item as (name, text): the text is what the item's line hashes."""
     from fractions import Fraction
 
-    from mmp_elliptic import felt_walls
     from mmp_elliptic.curves import WeightVector
     from mmp_elliptic.dot import emit_dot
     from mmp_elliptic.kodaira import parse_fiber_type
@@ -217,6 +216,7 @@ def corpus(sizes: dict = FULL):
         RuleNotApplicable,
         WallNotSatisfied,
         cross_wall,
+        felt_walls,
         reduce,
     )
     from mmp_elliptic.surfaces import validate

@@ -95,13 +95,12 @@ def test_cli_start_up_builds_no_dataclass_machinery():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
-def loaded_layers(*argv: str, then: str = "") -> set[str]:
+def loaded_layers(*argv: str) -> set[str]:
     """The layers of `mmp_elliptic` that a fresh `-I -S` process holds after
     running the CLI on `argv` through `runpy`, which must exit 0, or after a
-    bare `import mmp_elliptic` and the statement `then` when `argv` is
-    empty."""
+    bare `import mmp_elliptic` when `argv` is empty."""
     src = EXAMPLE.parent.parent.parent / "src"
-    run = "runpy.run_module('mmp_elliptic.cli', run_name='__main__')" if argv else f"import mmp_elliptic; {then}"
+    run = "runpy.run_module('mmp_elliptic.cli', run_name='__main__')" if argv else "import mmp_elliptic"
     code = "\n".join([
         f"import runpy, sys; sys.path.insert(0, {str(src)!r})",
         "try:",
@@ -133,9 +132,6 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
         "markers": [{"index": i, "vertex": 1 + (i > 2)} for i in range(1, 5)],
     }))
     assert loaded_layers() == set()
-    # a layer's name, read before anything imports the layer, loads it and its layers below
-    then = "assert mmp_elliptic.walls is sys.modules['mmp_elliptic.walls']"
-    assert loaded_layers(then=then) == {"curves", "rationals", "kodaira", "walls"}
     walls = ["walls", "-r", "10", "--types", "I1,II,III,IV,I*0,II*,III*,IV*,I3,N1", "--rational-base"]
     segment = ["walls", "-r", "2", "--types", "I1,II", "--segment", "1/4,1/4", "1,1"]
     for argv in (walls, segment):
@@ -146,49 +142,6 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
     assert loaded_layers("model", model, "--format", "dot") == model_layers | {"dot"}
     assert loaded_layers("hassett", str(curve), "--weights", "1,1,1,1") == {"curves", "rationals"}
     assert loaded_layers("reduce", model, "--to", TARGET) == model_layers | {"walls", "reduction"}
-
-
-# the public names of the package, as the eager imports of every layer
-# defined them: each layer's exports and the eight layer modules
-PUBLIC_NAMES = [
-    "Arrangement", "AttachEnd", "BrokenEllipticSurface", "Chamber", "ChildLink", "Component", "CurveError",
-    "FeltWall", "FiberState", "Glue", "InconsistentTarget", "IntersectionData", "InvalidModel", "KodairaType",
-    "MarkedFiber", "MarkedNodalCurve", "Marker", "MissingThreshold", "ModelJSONError", "NoIntermediateModel",
-    "NoSectionError", "PSEUDO_BIG", "PSEUDO_TO_CURVE", "PSEUDO_TO_POINT", "PseudoComponent", "RecordKind",
-    "ReductionTrace", "RuleNotApplicable", "SegmentCrossing", "TransformationRecord", "TreeAttachment",
-    "UnsupportedConfiguration", "UnsupportedFiberType", "Vertex", "Violation", "Wall", "WallKind",
-    "WallNotSatisfied", "WeightVector", "at_weights", "base_curve", "base_weights", "canonical_contribution",
-    "component_degree", "cross_wall", "curves", "dot", "emit_dot", "enumerate_walls", "felt_walls",
-    "fiber_model_at", "hassett_reduce", "interpolate", "intersection_data",
-    "is_hassett_stable", "is_settled", "kodaira", "lct_threshold", "locate", "modeljson", "parse_fiber_type",
-    "parse_model", "pseudo_fate", "rationals", "reduce", "reduction", "same_chamber", "section_degree",
-    "segment_walls", "serialize_model", "subtree_markers", "surfaces", "validate", "verify_threshold", "volume",
-    "walls", "walls_containing",
-]
-
-
-def test_the_package_namespace_is_unchanged():
-    import types
-
-    import mmp_elliptic
-
-    assert sorted(mmp_elliptic.__all__) == PUBLIC_NAMES and len(PUBLIC_NAMES) == 77
-    namespace: dict = {}
-    exec("from mmp_elliptic import *", namespace)
-    assert set(PUBLIC_NAMES) <= set(namespace) and set(PUBLIC_NAMES) <= set(dir(mmp_elliptic))
-    layers = {name for name in PUBLIC_NAMES if isinstance(namespace[name], types.ModuleType)}
-    assert layers == {"curves", "dot", "kodaira", "modeljson", "rationals", "reduction", "surfaces", "walls"}
-    for name in PUBLIC_NAMES:
-        value = namespace[name]
-        assert getattr(mmp_elliptic, name) is value, name
-        if name in layers:
-            assert value is sys.modules[f"mmp_elliptic.{name}"]
-        else:
-            # the three fate texts are the only names that are no class or function
-            home = "mmp_elliptic.surfaces" if name.startswith("PSEUDO_") else value.__module__
-            assert getattr(sys.modules[home], name) is value, name
-    with pytest.raises(AttributeError, match="no_such_name"):
-        mmp_elliptic.no_such_name
 
 
 @pytest.mark.parametrize("command", ["walls", "reduce"])
@@ -513,6 +466,7 @@ REFUSED = {
         "segment requires A <= B",
     ),
     "glob-empty": (["model", "{model}", "--glob", "{tmp}/none/*.json"], 2, "--glob"),
+    "glob-pattern-empty": (["model", "{model}", "--glob", ""], 2, "--glob pattern is empty: ''\n"),
     "from-size": (
         ["reduce", "{model}", "--from", "1,1", "--to", TARGET],
         2,
@@ -544,6 +498,7 @@ REFUSED = {
     "reduce-empty": (["reduce", "", "--to", "1"], 2, "model file path is empty: ''\n"),
     "to-at-empty": (["reduce", "{model}", "--to", "@"], 2, "weights file path is empty: ''\n"),
     "to-empty": (["reduce", "{model}", "--to", ""], 2, "bad weight vector '': empty rational literal\n"),
+    "dot-dir-empty": (["reduce", "{model}", "--to", TARGET, "--dot-dir", ""], 2, "--dot-dir path is empty: ''\n"),
 }
 
 

@@ -1,8 +1,9 @@
 """The package's layers each import only the layers below them.
 
 Every import a layer makes of the package is read from its source: at
-module level, under `TYPE_CHECKING` and inside a function alike.  `cli` and
-the package namespace, which load the layers on demand, are exempt.
+module level, under `TYPE_CHECKING` and inside a function alike.  The
+package's `__init__` imports no layer, so `import mmp_elliptic` loads none;
+`cli`, which loads each command's layers on demand, is exempt.
 """
 
 import ast
@@ -14,6 +15,7 @@ PACKAGE = Path(mmp_elliptic.__file__).parent
 
 # each layer -> the layers it may import
 BELOW = {
+    "__init__": set(),
     "rationals": set(),
     "kodaira": {"rationals"},
     "curves": {"rationals"},
@@ -23,7 +25,7 @@ BELOW = {
     "modeljson": {"curves", "kodaira", "rationals", "surfaces"},
     "dot": {"surfaces"},
 }
-EXEMPT = {"cli", "__init__"}
+EXEMPT = {"cli"}
 
 
 def imported_layers(path: Path) -> set[str]:

@@ -13,7 +13,7 @@ import pytest
 from mmp_elliptic import curves, reduction
 from mmp_elliptic.curves import _DEN, WeightVector, _integers, hassett_reduce, interpolate
 from mmp_elliptic.kodaira import FiberState, lct_threshold, parse_fiber_type
-from mmp_elliptic.modeljson import parse_model, serialize_model
+from mmp_elliptic.modeljson import ModelJSONError, parse_model, serialize_model
 from mmp_elliptic.reduction import (
     FeltWall,
     InconsistentTarget,
@@ -46,6 +46,7 @@ from mmp_elliptic.walls import Wall, WallKind, enumerate_walls, locate
 
 from modelkit import (
     admissible_target,
+    chain_cascade,
     flipped_degeneration,
     mk_fiber,
     random_model,
@@ -389,6 +390,22 @@ def test_cross_wall_flip_matches_reduce():
     flipped = flipped_degeneration(F(1, 2))
     assert at_weights(Y, flipped.weights) == flipped
     assert at_weights(flipped, Y.weights) == Y
+
+
+def test_a_flip_removes_only_its_own_glue_when_glue_ids_repeat():
+    # `validate` and the reader refuse a repeated glue id, but `cross_wall`
+    # reads unchecked models: leaf c1's flip drops its own glue and keeps c2 ~ c3
+    X, target = chain_cascade(random.Random(1), 3, 1)
+    renamed = X._replace(glues=tuple(g._replace(gid="g") for g in X.glues))
+    assert [(v.code, v.where, v.detail) for v in validate(renamed)] == [("glue", "g", "glue id used twice")]
+    with pytest.raises(ModelJSONError, match="glue id used twice"):
+        parse_model(serialize_model(renamed))
+    flip = reduce(X, target).records[0]
+    assert flip.kind == RecordKind.LA_NAVE_FLIP
+    Y, _ = cross_wall(at_weights(X, flip.snapshot_after.weights), flip.wall)
+    assert Y == flip.snapshot_after and validate(Y) == []
+    Z, _ = cross_wall(at_weights(renamed, Y.weights), flip.wall)
+    assert Z == Y._replace(glues=(Y.glues[0]._replace(gid="g"),)) and validate(Z) == []
 
 
 def test_manual_crossings_compose_to_the_engine_walk():

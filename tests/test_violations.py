@@ -53,6 +53,8 @@ ROWS = [
     ("glue-n2-end", "example", {"attachments.0.b.type": "N2"}, [("glue", "g1")]),
     ("glue-untwistable-end", "example", {"attachments.0.b.type": "N0"}, [("glue", "g1")]),
     ("glue-end-used-twice", "example", {"attachments.1": GLUE_2}, [("glue", "g2")]),
+    ("glue-id-used-twice", "example", {"attachments.1": {**GLUE_2, "id": "g1", "a": {**GLUE_2["a"], "fiber": "a3"}}},
+     [("glue", "g1")]),
     ("duplicate-fiber-ids", "example", {"components.0.fibers.1.id": "f1"}, [("ids", "c1")]),
     ("duplicate-component-ids", "example", {"components.1.id": "c1"},
      [("ids", "surface"), ("glue", "g1"), ("connectivity", "surface")]),

@@ -8,11 +8,11 @@ from math import lcm
 
 import pytest
 
-import mmp_elliptic
+from mmp_elliptic import curves
 from mmp_elliptic.curves import _DEN, WeightVector, _integers, interpolate
 from mmp_elliptic.kodaira import UnsupportedFiberType, lct_threshold, parse_fiber_type
 from mmp_elliptic.modeljson import serialize_model
-from mmp_elliptic.reduction import FeltWall, at_weights, felt_walls, reduce
+from mmp_elliptic.reduction import at_weights, felt_walls, reduce
 from mmp_elliptic.surfaces import BrokenEllipticSurface, Component
 from mmp_elliptic.walls import (
     Arrangement,
@@ -440,7 +440,6 @@ def test_felt_walls_skip_boundary_wall_of_a_nodal_fiber():
     cusp = BrokenEllipticSurface(w, (Component("c1", 1, 2, F(1), (mk_fiber("f1", "II", 1, w),)),))
     assert [fw.wall for fw in felt_walls(cusp) if fw.wall.kind == WallKind.WI] == [threshold, boundary]
     assert [fw.fid for fw in felt_walls(cusp)] == ["f1", "f1", ""]
-    assert (mmp_elliptic.felt_walls, mmp_elliptic.FeltWall) == (felt_walls, FeltWall)
 
 
 def test_felt_walls_keep_both_components_of_a_repeated_id():
@@ -751,7 +750,7 @@ def test_a_vector_is_lifted_once_however_many_queries_read_it(monkeypatch):
     # on arrangements of any r up to its length; a fresh copy of the same
     # entries answers alike
     lifted = []
-    lift = mmp_elliptic.curves._vector_lift
+    lift = curves._vector_lift
 
     def counted(v):
         lifted.append(v)
@@ -764,7 +763,7 @@ def test_a_vector_is_lifted_once_however_many_queries_read_it(monkeypatch):
             locate(mid, walls).signs,
         )
 
-    monkeypatch.setattr(mmp_elliptic.curves, "_vector_lift", counted)
+    monkeypatch.setattr(curves, "_vector_lift", counted)
     rng = random.Random(32)
     for r, rational in ((6, False), (8, True), (9, False)):
         types = [parse_fiber_type(MARKABLE[(i + r) % len(MARKABLE)]) for i in range(r)]
