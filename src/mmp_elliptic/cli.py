@@ -81,11 +81,11 @@ def _parse_weights(spec: str) -> WeightVector:
         raise CliError(f"bad weight vector {spec!r}: {exc}", USAGE_ERROR)
 
 
-def _load_model(path_text: str, override: str | None):
+def _load_model(path_text: str, override: str | None, check: bool = True):
     from .modeljson import ModelJSONError, parse_model
 
     try:
-        model = parse_model(_read_input(path_text, "model"))
+        model = parse_model(_read_input(path_text, "model"), check=check)
     except ModelJSONError as exc:
         raise CliError(str(exc), DATA_ERROR)
     if override is not None:
@@ -351,14 +351,9 @@ def _cmd_volume(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    from .modeljson import ModelJSONError, parse_model
     from .surfaces import validate
 
-    try:
-        model = parse_model(_read_input(args.model, "model"), check=False)
-    except ModelJSONError as exc:
-        raise CliError(str(exc), DATA_ERROR)
-    problems = validate(model)
+    problems = validate(_load_model(args.model, None, check=False))
     for p in problems:
         print(str(p))
     if problems:

@@ -58,11 +58,7 @@ _FID = attrgetter("fid")
 _END = itemgetter("component", "fiber", "type")
 _KINDS = {"elliptic": True, "pseudo2": False}  # JSON kind -> has_section
 
-_STATES = {
-    "Weierstrass": FiberState.WEIERSTRASS,
-    "Intermediate": FiberState.INTERMEDIATE,
-    "Twisted": FiberState.TWISTED,
-}
+_STATES = {name: FiberState(i) for i, name in enumerate(STATE_NAMES)}
 
 
 class ModelJSONError(Exception):

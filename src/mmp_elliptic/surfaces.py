@@ -762,15 +762,12 @@ def _violations(X: BrokenEllipticSurface) -> list[Violation]:
                 out.append(Violation("glue", g.gid, f"attach fiber {key} used twice"))
             end_ids.add(key)
 
-    # fiber id uniqueness per component
-    for comp in X.components:
-        fids = [f.fid for f in comp.fibers]
+    # fiber id uniqueness per component, then per pseudo node
+    for i, (owner, fibers) in enumerate(owners):
+        fids = [f.fid for f in fibers]
         if len(set(fids)) != len(fids):
-            out.append(Violation("ids", comp.cid, "duplicate fiber ids"))
-    for node in X.pseudo_nodes():
-        fids = [f.fid for f in node.fibers]
-        if len(set(fids)) != len(fids):
-            out.append(Violation("ids", node.pid, "duplicate pseudofiber ids"))
+            kind = "fiber" if i < len(X.components) else "pseudofiber"
+            out.append(Violation("ids", owner, f"duplicate {kind} ids"))
 
     # (host key, subtree root) of every tree and child link whose host exists
     links: list[tuple[tuple[str, str], PseudoComponent]] = []

@@ -63,12 +63,8 @@ class Wall(NamedTuple):
         return weights.sum(self.subset)
 
     def side(self, weights: WeightVector) -> str:
-        v = self.value_at(weights)
-        if v < self.constant:
-            return "below"
-        if v > self.constant:
-            return "above"
-        return "on"
+        v, c = self.value_at(weights), self.constant
+        return _SIDE[(v > c) - (v < c)]
 
     def sort_key(self):
         return (self.kind.value, tuple(sorted(self.subset)), self.constant, self.boundary)

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from mmp_elliptic.modeljson import model_from_obj
-from mmp_elliptic.surfaces import validate
+from mmp_elliptic.surfaces import Violation, validate
 
 ROOT = Path(__file__).resolve().parent.parent
 BASES = {
@@ -136,3 +136,12 @@ def edited(base: str, edits: dict) -> dict:
 def test_validate_reports_exactly(base, edits, expected):
     X = model_from_obj(edited(base, edits), check=False)
     assert [(v.code, v.where) for v in validate(X)] == expected
+
+
+def test_repeated_fiber_ids_name_the_component_then_the_pseudo_node():
+    edits = {"components.0.fibers.2.id": "f1", "trees.0.root.fibers.1.id": "b2"}
+    X = model_from_obj(edited("nested", edits), check=False)
+    assert [v for v in validate(X) if v.code == "ids"] == [
+        Violation("ids", "c1", "duplicate fiber ids"),
+        Violation("ids", "c2", "duplicate pseudofiber ids"),
+    ]
